@@ -17,31 +17,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from arcipm import SolverConfig, default_start, solve  # noqa: E402
-from arcipm.cli import _write_trace, parse_problem_text  # noqa: E402
+from arcipm import default_start, solve  # noqa: E402
+from arcipm.cli import _write_trace, add_solver_flags, config_from_args, parse_problem_text  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--problems", default=None, help="directory of .prob files")
-    parser.add_argument("--epsilon", type=float, default=1e-6)
-    parser.add_argument("--theta", type=float, default=1e-2)
-    parser.add_argument("--rho", type=float, default=0.5)
-    parser.add_argument("--sigma-min", type=float, default=0.0)
-    parser.add_argument("--sigma-max", type=float, default=1.0)
-    parser.add_argument("--max-iter", type=int, default=500)
+    add_solver_flags(parser)
     parser.add_argument("--trace-dir", default=None, help="write one CSV trace per problem")
     args = parser.parse_args()
 
     directory = Path(args.problems) if args.problems else Path(__file__).resolve().parent.parent / "problems"
-    config = SolverConfig(
-        epsilon=args.epsilon,
-        theta=args.theta,
-        rho=args.rho,
-        sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max,
-        max_iter=args.max_iter,
-    )
+    config = config_from_args(args)
 
     paths = sorted(directory.glob("*.prob"))
     if not paths:

@@ -1,9 +1,15 @@
 """Objective evaluation plus exact gradients and Hessians.
 
-Derivatives are propagated with a truncated second-order Taylor scalar
-(value, first and second directional derivative) pushed through the
-expression tree.  A full Hessian costs n*(n+1)/2 directional passes, which
-is fine at the desk scale this solver targets.
+One recursive walk of the expression tree carries, at every node, the
+triple (value, gradient in R^n, Hessian in R^{n x n}) and combines the
+children's triples by the chain rule (second-order forward mode; Griewank
+& Walther, *Evaluating Derivatives*, 2nd ed., on Hessian propagation).  A
+call costs one walk whose nodes each do O(n^2) array work.
+
+Values stay Python floats, so ``**`` and ``math.exp`` raise
+``OverflowError`` on range overflow instead of returning inf; it becomes a
+:class:`DomainError`.  Hessians are exactly symmetric: every cross term is
+built as ``C + C.T`` and every curvature term as ``outer(g, g)``.
 """
 
 from __future__ import annotations
@@ -24,214 +30,94 @@ class DomainError(ValueError):
     """
 
 
-class Taylor2:
-    """Scalar carrying (value, first, second) directional derivatives."""
-
-    __slots__ = ("val", "d1", "d2")
-
-    def __init__(self, val: float, d1: float = 0.0, d2: float = 0.0):
-        self.val = float(val)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-
-    def __repr__(self) -> str:
-        return f"Taylor2({self.val!r}, {self.d1!r}, {self.d2!r})"
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, Taylor2):
-            return other
-        return Taylor2(other)
-
-    def __add__(self, other):
-        o = Taylor2._lift(other)
-        return Taylor2(self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = Taylor2._lift(other)
-        return Taylor2(self.val - o.val, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, other):
-        return Taylor2._lift(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = Taylor2._lift(other)
-        return Taylor2(
-            self.val * o.val,
-            self.d1 * o.val + self.val * o.d1,
-            self.d2 * o.val + 2.0 * self.d1 * o.d1 + self.val * o.d2,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Taylor2._lift(other)
-        if o.val == 0.0:
-            raise DomainError("division by zero")
-        val = self.val / o.val
-        d1 = (self.d1 - val * o.d1) / o.val
-        d2 = (self.d2 - 2.0 * d1 * o.d1 - val * o.d2) / o.val
-        return Taylor2(val, d1, d2)
-
-    def __rtruediv__(self, other):
-        return Taylor2._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        return Taylor2(-self.val, -self.d1, -self.d2)
-
-    def __pow__(self, exponent: float):
-        r = float(exponent)
-        if r == 0.0:
-            return Taylor2(1.0)
-        if r == 1.0:
-            return Taylor2(self.val, self.d1, self.d2)
-        if r.is_integer():
-            if self.val == 0.0 and r < 0.0:
-                raise DomainError("zero raised to a negative power")
-        elif self.val <= 0.0:
-            raise DomainError("nonpositive base under a fractional power")
-        try:
-            val = self.val**r
-            slope = r * self.val ** (r - 1.0)
-            curve = r * (r - 1.0) * self.val ** (r - 2.0)
-        except OverflowError as err:
-            raise DomainError("power overflows") from err
-        return Taylor2(val, slope * self.d1, curve * self.d1**2 + slope * self.d2)
-
-    def log(self):
-        if self.val <= 0.0:
-            raise DomainError("log of a nonpositive value")
-        ratio = self.d1 / self.val
-        return Taylor2(math.log(self.val), ratio, self.d2 / self.val - ratio**2)
-
-    def exp(self):
-        try:
-            val = math.exp(self.val)
-        except OverflowError as err:
-            raise DomainError("exp overflows") from err
-        return Taylor2(val, val * self.d1, val * (self.d1**2 + self.d2))
+def _chain(u, f: float, df: float, d2f: float):
+    """(f(u), grad, Hessian) of a scalar function with f' = df, f'' = d2f at u."""
+    _, g, h = u
+    return f, df * g, df * h + d2f * np.outer(g, g)
 
 
-def _log(a):
-    if isinstance(a, Taylor2):
-        return a.log()
-    if a <= 0.0:
-        raise DomainError("log of a nonpositive value")
-    return math.log(a)
-
-
-def _exp(a):
-    if isinstance(a, Taylor2):
-        return a.exp()
-    try:
-        return math.exp(a)
-    except OverflowError as err:
-        raise DomainError("exp overflows") from err
-
-
-def _pow(a, r: float):
-    if isinstance(a, Taylor2):
-        return a**r
+def _pow(u, r: float):
+    a = u[0]
+    if r == 0.0:
+        return 1.0, np.zeros_like(u[1]), np.zeros_like(u[2])
+    if r == 1.0:
+        return u
     if r.is_integer():
         if a == 0.0 and r < 0.0:
             raise DomainError("zero raised to a negative power")
     elif a <= 0.0:
         raise DomainError("nonpositive base under a fractional power")
     try:
-        return float(a) ** r
+        return _chain(u, a**r, r * a ** (r - 1.0), r * (r - 1.0) * a ** (r - 2.0))
     except OverflowError as err:
         raise DomainError("power overflows") from err
 
 
-def _div(a, b):
-    if isinstance(a, Taylor2) or isinstance(b, Taylor2):
-        return Taylor2._lift(a) / b
-    if b == 0.0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-def _eval(node: ast.Expr, leaves):
+def _walk(node: ast.Expr, leaves, zero):
     match node:
         case ast.Const(value=v):
-            return v
+            return (float(v), *zero)
         case ast.Var(index=i):
             return leaves[i]
         case ast.Add(left=a, right=b):
-            return _eval(a, leaves) + _eval(b, leaves)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            return va + vb, ga + gb, ha + hb
         case ast.Sub(left=a, right=b):
-            return _eval(a, leaves) - _eval(b, leaves)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            return va - vb, ga - gb, ha - hb
         case ast.Mul(left=a, right=b):
-            return _eval(a, leaves) * _eval(b, leaves)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            cross = np.outer(ga, gb)
+            return va * vb, vb * ga + va * gb, vb * ha + va * hb + (cross + cross.T)
         case ast.Div(left=a, right=b):
-            return _div(_eval(a, leaves), _eval(b, leaves))
+            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            if vb == 0.0:
+                raise DomainError("division by zero")
+            q = va / vb
+            gq = (ga - q * gb) / vb
+            cross = np.outer(gq, gb)
+            return q, gq, (ha - q * hb - (cross + cross.T)) / vb
         case ast.Pow(base=b, exponent=r):
-            return _pow(_eval(b, leaves), r)
+            return _pow(_walk(b, leaves, zero), r)
         case ast.Neg(child=c):
-            return -_eval(c, leaves)
+            v, g, h = _walk(c, leaves, zero)
+            return -v, -g, -h
         case ast.Log(child=c):
-            return _log(_eval(c, leaves))
+            u = _walk(c, leaves, zero)
+            if u[0] <= 0.0:
+                raise DomainError("log of a nonpositive value")
+            try:
+                return _chain(u, math.log(u[0]), 1.0 / u[0], -(u[0] ** -2.0))
+            except OverflowError as err:
+                raise DomainError("log overflows") from err
         case ast.Exp(child=c):
-            return _exp(_eval(c, leaves))
+            u = _walk(c, leaves, zero)
+            try:
+                e = math.exp(u[0])
+            except OverflowError as err:
+                raise DomainError("exp overflows") from err
+            return _chain(u, e, e, e)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def value_gradient_hessian(expression: ast.Expr, x):
+    """(f, grad f, Hessian) in one walk of the tree."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    unit = np.eye(n)
+    zero = (np.zeros(n), np.zeros((n, n)))
+    leaves = [(float(x[i]), unit[i], zero[1]) for i in range(n)]
+    return _walk(expression, leaves, zero)
 
 
 def evaluate(expression: ast.Expr, x) -> float:
     """f(x)."""
-    leaves = [float(v) for v in np.asarray(x, dtype=float)]
-    return float(_eval(expression, leaves))
-
-
-def _directional(expression: ast.Expr, x, direction) -> Taylor2:
-    leaves = [Taylor2(xi, di) for xi, di in zip(x, direction)]
-    out = _eval(expression, leaves)
-    return out if isinstance(out, Taylor2) else Taylor2(out)
+    return value_gradient_hessian(expression, x)[0]
 
 
 def gradient(expression: ast.Expr, x) -> np.ndarray:
     """Exact gradient of the tree function at x."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    grad = np.empty(n)
-    seed = np.zeros(n)
-    for i in range(n):
-        seed[i] = 1.0
-        grad[i] = _directional(expression, x, seed).d1
-        seed[i] = 0.0
-    return grad
-
-
-def value_gradient_hessian(expression: ast.Expr, x):
-    """(f, grad f, Hessian) in one sweep of n*(n+1)/2 directional passes."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    seed = np.zeros(n)
-    value = 0.0
-    for i in range(n):
-        seed[i] = 1.0
-        out = _directional(expression, x, seed)
-        seed[i] = 0.0
-        value = out.val
-        grad[i] = out.d1
-        hess[i, i] = out.d2
-    for i in range(n):
-        for j in range(i + 1, n):
-            seed[i] = 1.0
-            seed[j] = 1.0
-            out = _directional(expression, x, seed)
-            seed[i] = 0.0
-            seed[j] = 0.0
-            # d2 along e_i + e_j is H_ii + 2 H_ij + H_jj
-            cross = 0.5 * (out.d2 - hess[i, i] - hess[j, j])
-            hess[i, j] = cross
-            hess[j, i] = cross
-    if n == 0:
-        value = evaluate(expression, x)
-    return value, grad, hess
+    return value_gradient_hessian(expression, x)[1]
 
 
 def hessian(expression: ast.Expr, x) -> np.ndarray:

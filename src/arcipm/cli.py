@@ -156,18 +156,38 @@ def _write_trace(path: str, trace):
             )
 
 
+# Help text of each SolverConfig field that has a command-line flag.
+_SOLVER_FLAGS = {
+    "epsilon": "stopping tolerance",
+    "theta": "centrality constant",
+    "rho": "floor fraction for slacks/duals",
+    "max_iter": "iteration cap",
+    "sigma_min": "lower centering bound",
+    "sigma_max": "upper centering bound",
+}
+
+
+def add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """Add ``--epsilon``, ``--theta``, ... with the SolverConfig() defaults."""
+    defaults = SolverConfig()
+    for field, help_text in _SOLVER_FLAGS.items():
+        default = getattr(defaults, field)
+        flag = "--" + field.replace("_", "-")
+        parser.add_argument(flag, type=type(default), default=default, help=help_text)
+
+
+def config_from_args(args: argparse.Namespace) -> SolverConfig:
+    """The SolverConfig named by the flags of :func:`add_solver_flags`."""
+    return SolverConfig(**{field: getattr(args, field) for field in _SOLVER_FLAGS})
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcipm",
         description="Arc-search interior-point solver for linearly constrained convex programs.",
     )
     parser.add_argument("problem", help="path to a problem file")
-    parser.add_argument("--epsilon", type=float, default=1e-6, help="stopping tolerance")
-    parser.add_argument("--theta", type=float, default=1e-2, help="centrality constant")
-    parser.add_argument("--rho", type=float, default=0.5, help="floor fraction for slacks/duals")
-    parser.add_argument("--max-iter", type=int, default=500, help="iteration cap")
-    parser.add_argument("--sigma-min", type=float, default=0.0, help="lower centering bound")
-    parser.add_argument("--sigma-max", type=float, default=1.0, help="upper centering bound")
+    add_solver_flags(parser)
     parser.add_argument("--trace", metavar="PATH", help="write per-iteration CSV trace")
     parser.add_argument("--x0", metavar="V1,V2,...", help="starting point, overrides the file")
     return parser
@@ -188,14 +208,7 @@ def main(argv=None) -> int:
             start = np.array([float(tok) for tok in args.x0.split(",")])
             if start.size != program.n:
                 raise ProblemFileError(f"--x0 needs {program.n} values", 0)
-        config = SolverConfig(
-            epsilon=args.epsilon,
-            theta=args.theta,
-            rho=args.rho,
-            sigma_min=args.sigma_min,
-            sigma_max=args.sigma_max,
-            max_iter=args.max_iter,
-        )
+        config = config_from_args(args)
         initial = default_start(program, start)
     except (ProblemFileError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

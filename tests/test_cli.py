@@ -5,8 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from arcipm.cli import ProblemFileError, main, parse_problem_text
-from arcipm.solver import TRACE_COLUMNS
+from arcipm.cli import ProblemFileError, build_arg_parser, config_from_args, main, parse_problem_text
+from arcipm.solver import TRACE_COLUMNS, SolverConfig
 from conftest import PROBLEM_DIR
 
 
@@ -128,3 +128,8 @@ def test_parse_problem_text_full_example():
     )
     assert program.n == 2 and program.m == 1 and program.p == 3
     np.testing.assert_array_equal(start, [1.0, 1.0])
+
+
+def test_default_flags_give_default_config():
+    args = build_arg_parser().parse_args([str(PROBLEM_DIR / "ex1.prob")])
+    assert config_from_args(args) == SolverConfig()
