@@ -8,7 +8,8 @@ call costs one walk whose nodes each do O(n^2) array work.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
 ``OverflowError`` on range overflow instead of returning inf; it becomes a
-:class:`DomainError`.  Hessians are exactly symmetric: every cross term is
+:class:`DomainError`.  Float ``*`` and ``/`` return inf instead, so products
+and quotients are checked with ``math.isfinite``.  Hessians are exactly symmetric: every cross term is
 built as ``C + C.T`` and every curvature term as ``outer(g, g)``.
 """
 
@@ -67,13 +68,18 @@ def _walk(node: ast.Expr, leaves, zero):
             return va - vb, ga - gb, ha - hb
         case ast.Mul(left=a, right=b):
             (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            v = va * vb
+            if not math.isfinite(v):
+                raise DomainError("product overflows")
             cross = np.outer(ga, gb)
-            return va * vb, vb * ga + va * gb, vb * ha + va * hb + (cross + cross.T)
+            return v, vb * ga + va * gb, vb * ha + va * hb + (cross + cross.T)
         case ast.Div(left=a, right=b):
             (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
             if vb == 0.0:
                 raise DomainError("division by zero")
             q = va / vb
+            if not math.isfinite(q):
+                raise DomainError("quotient overflows")
             gq = (ga - q * gb) / vb
             cross = np.outer(gq, gb)
             return q, gq, (ha - q * hb - (cross + cross.T)) / vb

@@ -1,9 +1,29 @@
 """Primal-dual residuals, the Newton matrix, and the three direction solves.
 
-One iteration factors the (n+m+3p)-square matrix once with partially
-pivoted LU and back-substitutes three right-hand sides: the first-order
-tangent, then the two pieces whose combination (p*sigma + q) is the
-curvature term of the search arc.
+The Newton system over (x, y, w, s, z) has the rows
+
+    H dx + A_E' dy - A_I' dw = r_C
+    A_E dx                   = r_E
+    A_I dx - ds              = r_I
+    dw - dz                  = r_w
+    z*ds + s*dz              = r_z
+
+with r_w and r_z the blocks of the w - z and z*s rows.  Eliminating w, s
+and z leaves the symmetric (n+m)-square system
+
+    [H + A_I'(Z/S)A_I  A_E'] [dx]   [r_C + A_I'(r_w + (r_z + z*r_I)/s)]
+    [A_E               0   ] [dy] = [r_E                              ]
+
+(S. J. Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997, ch. 11),
+and the other blocks come back by substitution: ds = A_I dx - r_I,
+dz = (r_z - z*ds)/s, dw = r_w + dz.
+
+One iteration factors that matrix once with partially pivoted LU and
+solves three right-hand sides: the first-order tangent, then the two
+pieces whose combination (p*sigma + q) is the curvature term of the search
+arc.  Singularity is decided on the equilibrated matrix D M D with
+D = diag(1/sqrt(row max |M|)) (one step of Ruiz's scaling), so a badly
+scaled but regular system is not reported as singular.
 """
 
 from __future__ import annotations
@@ -142,38 +162,22 @@ def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     return float(np.linalg.norm(vec))
 
 
-def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
-    """Dense Newton matrix over the unknown order (x, y, w, s, z)."""
-    hess = np.asarray(hess, dtype=float)
-    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    a_ineq = np.atleast_2d(np.asarray(a_ineq, dtype=float))
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
+class NewtonSystem(NamedTuple):
+    """The reduced (n+m)-square matrix plus the rows that recover ds."""
+
+    matrix: np.ndarray
+    a_ineq: np.ndarray
+
+
+def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> NewtonSystem:
+    """Reduced symmetric matrix [H + A_I'(Z/S)A_I, A_E'; A_E, 0]."""
     n = hess.shape[0]
-    m = a_eq.shape[0] if a_eq.size else 0
-    p = a_ineq.shape[0]
-    size = n + m + 3 * p
-    matrix = np.zeros((size, size))
-    ox, oy, ow, os_, oz = 0, n, n + m, n + m + p, n + m + 2 * p
-
-    matrix[ox : ox + n, ox : ox + n] = hess
-    if m:
-        matrix[ox : ox + n, oy : oy + m] = a_eq.T
-        matrix[oy : oy + m, ox : ox + n] = a_eq
-    matrix[ox : ox + n, ow : ow + p] = -a_ineq.T
-    matrix[ow : ow + p, ox : ox + n] = a_ineq
-    idx = np.arange(p)
-    matrix[ow + idx, os_ + idx] = -1.0
-    matrix[os_ + idx, ow + idx] = 1.0
-    matrix[os_ + idx, oz + idx] = -1.0
-    matrix[oz + idx, os_ + idx] = z
-    matrix[oz + idx, oz + idx] = s
-    return matrix
-
-
-def _split(vector: np.ndarray, n: int, m: int, p: int) -> Blocks:
-    parts = np.split(vector, [n, n + m, n + m + p, n + m + 2 * p])
-    return Blocks(*parts)
+    m = a_eq.shape[0]
+    matrix = np.zeros((n + m, n + m))
+    matrix[:n, :n] = hess + (a_ineq.T * (z / s)) @ a_ineq
+    matrix[:n, n:] = a_eq.T
+    matrix[n:, :n] = a_eq
+    return NewtonSystem(matrix, a_ineq)
 
 
 def _solve_checked(factor, matrix, rhs):
@@ -185,34 +189,41 @@ def _solve_checked(factor, matrix, rhs):
     return sol
 
 
-def solve_directions(matrix: np.ndarray, iterate: Iterate, mu: float) -> NewtonDirections:
+def solve_directions(system: NewtonSystem, iterate: Iterate, mu: float) -> NewtonDirections:
     """Solve the three direction systems off one factorization.
 
-    Raises :class:`SingularKKTError` when a pivot falls below
-    ``PIVOT_TOLERANCE`` times the largest matrix entry; no silent
-    regularization is applied.
+    Raises :class:`SingularKKTError` when the equilibrated matrix has a
+    zero row or a pivot below ``PIVOT_TOLERANCE``; no silent regularization
+    is applied.
     """
+    matrix, a_ineq = system
+    row_max = np.abs(matrix).max(axis=1)
+    if row_max.min() == 0.0:
+        raise SingularKKTError(0.0, PIVOT_TOLERANCE)
+    d = 1.0 / np.sqrt(row_max)
+    scaled = d[:, None] * matrix * d
     with warnings.catch_warnings():
         # the pivot check below raises a typed error instead
         warnings.simplefilter("ignore", LinAlgWarning)
-        factor = lu_factor(matrix, check_finite=False)
-    pivots = np.abs(np.diag(factor[0]))
-    scale = float(np.abs(matrix).max())
-    threshold = PIVOT_TOLERANCE * scale
-    smallest = float(pivots.min()) if pivots.size else 0.0
-    if scale == 0.0 or smallest < threshold:
-        raise SingularKKTError(smallest, threshold)
+        factor = lu_factor(scaled, check_finite=False)
+    # for symmetric M the largest entry of D M D is 1, so the pivot
+    # tolerance needs no further scale
+    smallest = float(np.abs(np.diag(factor[0])).min())
+    if smallest < PIVOT_TOLERANCE:
+        raise SingularKKTError(smallest, PIVOT_TOLERANCE)
 
-    n, m, p = iterate.x.size, iterate.y.size, iterate.p
-    rhs1 = optimality_residual(iterate)
-    vdot = _split(_solve_checked(factor, matrix, rhs1), n, m, p)
+    n = iterate.x.size
+    s, z = iterate.s, iterate.z
 
-    rhs2 = np.zeros(n + m + 3 * p)
-    rhs2[n + m + 2 * p :] = mu
-    p_dir = _split(_solve_checked(factor, matrix, rhs2), n, m, p)
+    def direction(r_c, r_e, r_i, r_w, r_z) -> Blocks:
+        rhs = np.concatenate([r_c + a_ineq.T @ (r_w + (r_z + z * r_i) / s), r_e])
+        dxy = d * _solve_checked(factor, scaled, d * rhs)
+        ds = a_ineq @ dxy[:n] - r_i
+        dz = (r_z - z * ds) / s
+        return Blocks(dxy[:n], dxy[n:], r_w + dz, ds, dz)
 
-    rhs3 = np.zeros(n + m + 3 * p)
-    rhs3[n + m + 2 * p :] = -2.0 * vdot.z * vdot.s
-    q_dir = _split(_solve_checked(factor, matrix, rhs3), n, m, p)
-
+    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, iterate.w - z, z * s)
+    zero_e = np.zeros_like(iterate.r_e)
+    p_dir = direction(0.0, zero_e, 0.0, 0.0, np.full(iterate.p, mu))
+    q_dir = direction(0.0, zero_e, 0.0, 0.0, -2.0 * vdot.z * vdot.s)
     return NewtonDirections(vdot, p_dir, q_dir)

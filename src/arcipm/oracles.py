@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
-Both oracles deliberately avoid the solver's machinery: the stationarity
-check below uses the true gradient (not the model term H x), and the angle
-scan walks a dense grid instead of inverting sinusoids, so a shared bug
-between implementation and check is impossible.
+The oracles deliberately avoid the solver's machinery: the stationarity
+check below uses the true gradient (not the model term H x), the angle
+scan walks a dense grid instead of inverting sinusoids, and the full
+Newton matrix keeps every block that the solver eliminates, so a shared
+bug between implementation and check is impossible.
 """
 
 from __future__ import annotations
@@ -64,6 +65,39 @@ def enumerate_kkt(program: ConvexProgram, tol: float = 1e-8) -> list[np.ndarray]
             if not any(np.allclose(x, seen, atol=10 * tol) for seen in candidates):
                 candidates.append(x)
     return candidates
+
+
+def full_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
+    """Unreduced (n+m+3p)-square Newton matrix over the order (x, y, w, s, z).
+
+    Its rows are the linearized r_C, r_E, r_I, w - z and z*s conditions; the
+    solver solves the same system with w, s and z eliminated.
+    """
+    hess = np.asarray(hess, dtype=float)
+    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    a_ineq = np.atleast_2d(np.asarray(a_ineq, dtype=float))
+    s = np.asarray(s, dtype=float)
+    z = np.asarray(z, dtype=float)
+    n = hess.shape[0]
+    m = a_eq.shape[0] if a_eq.size else 0
+    p = a_ineq.shape[0]
+    size = n + m + 3 * p
+    matrix = np.zeros((size, size))
+    ox, oy, ow, os_, oz = 0, n, n + m, n + m + p, n + m + 2 * p
+
+    matrix[ox : ox + n, ox : ox + n] = hess
+    if m:
+        matrix[ox : ox + n, oy : oy + m] = a_eq.T
+        matrix[oy : oy + m, ox : ox + n] = a_eq
+    matrix[ox : ox + n, ow : ow + p] = -a_ineq.T
+    matrix[ow : ow + p, ox : ox + n] = a_ineq
+    idx = np.arange(p)
+    matrix[ow + idx, os_ + idx] = -1.0
+    matrix[os_ + idx, ow + idx] = 1.0
+    matrix[os_ + idx, oz + idx] = -1.0
+    matrix[oz + idx, os_ + idx] = z
+    matrix[oz + idx, oz + idx] = s
+    return matrix
 
 
 def scan_alpha(

@@ -165,11 +165,11 @@ def solve(
                 stacklevel=2,
             )
             curvature_warned = True
-        matrix = assemble_newton_matrix(
+        system = assemble_newton_matrix(
             iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z
         )
         try:
-            directions = solve_directions(matrix, iterate, iterate.mu)
+            directions = solve_directions(system, iterate, iterate.mu)
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT
             message = str(err)

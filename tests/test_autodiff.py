@@ -160,6 +160,10 @@ def test_domain_errors():
         evaluate(parse_expression("x1 ^ 2", ["x1"]), [1e200])
     with pytest.raises(DomainError):
         hessian(parse_expression("log(x1) + x2", X12), [1e-170, 1.0])
+    with pytest.raises(DomainError, match="product overflows"):
+        evaluate(parse_expression("x1 * x2", X12), [1e200, 1e200])
+    with pytest.raises(DomainError, match="quotient overflows"):
+        hessian(parse_expression("x1 / x2", X12), [1e200, 1e-200])
 
 
 def test_integer_powers_allow_negative_base():

@@ -1,6 +1,7 @@
 """Problem file handling and command-line behavior."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from arcipm.cli import ProblemFileError, build_arg_parser, config_from_args, main, parse_problem_text
 from arcipm.solver import TRACE_COLUMNS, SolverConfig
 from conftest import PROBLEM_DIR
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *args):
@@ -48,6 +51,12 @@ def test_output_is_byte_identical_across_runs(capsys):
     _, first, _ = run_cli(capsys, str(PROBLEM_DIR / "ex3.prob"))
     _, second, _ = run_cli(capsys, str(PROBLEM_DIR / "ex3.prob"))
     assert first == second
+
+
+@pytest.mark.parametrize("name", [f"ex{k}" for k in range(1, 9)])
+def test_output_matches_golden_file(capsys, name):
+    _, out, _ = run_cli(capsys, str(PROBLEM_DIR / f"{name}.prob"))
+    assert out == (DATA_DIR / f"{name}.out").read_text()
 
 
 def test_trace_csv_row_count(tmp_path, capsys):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from arcipm import SingularKKTError, default_start
+from arcipm import ConvexProgram, SingularKKTError, SolverStatus, default_start, fold_bounds
 from arcipm.kkt import (
     Iterate,
+    NewtonSystem,
     assemble_newton_matrix,
     compute_residuals,
     duality_measure,
@@ -13,7 +14,8 @@ from arcipm.kkt import (
     optimality_residual,
     solve_directions,
 )
-from conftest import load_problem, random_box_qp
+from arcipm.oracles import full_newton_matrix
+from conftest import load_problem, quadratic_tree, random_box_qp, run_recorded, warnings_ignored
 
 
 def test_residuals_at_zero_point():
@@ -80,7 +82,7 @@ def test_kkt_norm_cases():
 
 
 def test_assemble_hand_block_matrix():
-    matrix = assemble_newton_matrix(
+    matrix = full_newton_matrix(
         np.array([[2.0]]), np.zeros((0, 1)), np.array([[1.0]]), np.array([1.0]), np.array([3.0])
     )
     np.testing.assert_array_equal(
@@ -96,7 +98,7 @@ def test_assemble_hand_block_matrix():
 
 def test_assemble_identity_products_row():
     p = 3
-    matrix = assemble_newton_matrix(
+    matrix = full_newton_matrix(
         np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((p, 2)), np.ones(p), np.ones(p)
     )
     bottom = matrix[2 + 2 * p :, :]
@@ -106,7 +108,7 @@ def test_assemble_identity_products_row():
 
 def test_assemble_dimension_for_three_variable_reference():
     program, _ = load_problem("ex8")
-    matrix = assemble_newton_matrix(
+    matrix = full_newton_matrix(
         np.eye(3), program.a_eq, program.a_ineq, np.ones(8), np.ones(8)
     )
     assert matrix.shape == (27, 27)
@@ -115,8 +117,9 @@ def test_assemble_dimension_for_three_variable_reference():
 def test_direction_solves_satisfy_their_systems():
     program, start = load_problem("ex1")
     it = default_start(program, start)
-    matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    dirs = solve_directions(matrix, it, it.mu)
+    system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+    dirs = solve_directions(system, it, it.mu)
+    matrix = full_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
     rhs = optimality_residual(it)
     for blocks, expected_last in (
         (dirs.vdot, it.z * it.s),
@@ -129,6 +132,73 @@ def test_direction_solves_satisfy_their_systems():
         )
         err = np.linalg.norm(matrix @ stacked - target)
         assert err <= 1e-8 * (1.0 + np.linalg.norm(target))
+
+
+def _assert_reduced_matches_full(program, it):
+    """Each reduced direction against a dense solve of the full matrix.
+
+    The curvature right-hand side -2 zdot*sdot is taken from the reduced
+    tangent for both, so each pair solves the same system.  The full solve
+    gets one refinement step, since the unreduced matrix is badly row-scaled
+    at cold starts (z = 100 next to s = 0.01).  Blocks w, s and z are
+    compared as relative changes dw/z, ds/s, dz/z: where s is tiny,
+    dz = (r_z - z*ds)/s carries an absolute error of about eps*|z*ds|/s
+    whose size relative to z is still roundoff.
+    """
+    n, m, p = program.n, program.m, it.p
+    dirs = solve_directions(
+        assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z), it, it.mu
+    )
+    matrix = full_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+    scale = np.concatenate([np.ones(n + m), it.z, it.s, it.z])
+    tangent = optimality_residual(it)
+    centering, curvature = np.zeros_like(tangent), np.zeros_like(tangent)
+    centering[-p:] = it.mu
+    curvature[-p:] = -2.0 * dirs.vdot.z * dirs.vdot.s
+    for blocks, rhs in ((dirs.vdot, tangent), (dirs.p_dir, centering), (dirs.q_dir, curvature)):
+        full = np.linalg.solve(matrix, rhs)
+        full = (full + np.linalg.solve(matrix, rhs - matrix @ full)) / scale
+        reduced = np.concatenate(blocks) / scale
+        assert np.linalg.norm(reduced - full) <= 1e-10 * np.linalg.norm(full)
+
+
+def _many_rows_program(rng, n=4, rows=100):
+    """One equality, 100 dense rows and 2n box rows around a feasible point."""
+    factor = rng.normal(size=(n, n))
+    quad = factor @ factor.T + np.eye(n)
+    inside = rng.uniform(1.0, 1.5, size=n)
+    a_rows = rng.normal(size=(rows, n))
+    b_rows = a_rows @ inside - rng.uniform(0.1, 1.0, size=rows)
+    a_eq = rng.uniform(0.5, 1.5, size=(1, n))
+    a_ineq, b_ineq = fold_bounds(a_rows, b_rows, inside - 1.0, inside + 1.0)
+    return ConvexProgram(
+        n=n, objective=quadratic_tree(quad), a_eq=a_eq, b_eq=a_eq @ inside,
+        a_ineq=a_ineq, b_ineq=b_ineq,
+    )
+
+
+def test_reduced_directions_match_full_lu_along_reference_runs(fixture_runs):
+    for program, run in fixture_runs.values():
+        for it in run.iterates[:-1:5]:
+            _assert_reduced_matches_full(program, it)
+
+
+def test_reduced_directions_match_full_lu_with_equalities():
+    rng = np.random.default_rng(11)
+    programs = [random_box_qp(rng, max_n=6, with_eq=True) for _ in range(4)]
+    many_rows = _many_rows_program(rng)
+    assert (many_rows.n, many_rows.m, many_rows.p) == (4, 1, 108)
+    for program in programs + [many_rows]:
+        with warnings_ignored():
+            run = run_recorded(program, default_start(program))
+        assert run.report.status is SolverStatus.CONVERGED
+        for it in run.iterates[:-1:5]:
+            _assert_reduced_matches_full(program, it)
+            # runs keep w = z from the cold start, so r_w = w - z needs its own case
+            shifted_w = it.w + rng.uniform(-1.0, 1.0, size=it.p)
+            _assert_reduced_matches_full(
+                program, Iterate.at(program, it.x, it.y, shifted_w, it.s, it.z, it.nu)
+            )
 
 
 def test_zero_centering_rhs_gives_zero_direction():
@@ -184,13 +254,17 @@ def test_fourth_block_consistency():
 
 
 def test_singular_matrix_raises_with_pivot():
-    matrix = np.zeros((4, 4))
+    matrix = np.zeros((2, 2))
     matrix[0, 1] = 1.0
     program, start = load_problem("ex1")
     it = default_start(program, start)
     with pytest.raises(SingularKKTError) as err:
-        solve_directions(matrix, it, it.mu)
+        solve_directions(NewtonSystem(matrix, program.a_ineq), it, it.mu)
     assert err.value.pivot >= 0.0
+    # no zero row, but rank one: the pivot test itself has to fire
+    with pytest.raises(SingularKKTError) as err:
+        solve_directions(NewtonSystem(np.ones((2, 2)), program.a_ineq), it, it.mu)
+    assert err.value.pivot < err.value.threshold
 
 
 def test_iterate_rejects_nonpositive_slack():

@@ -156,6 +156,17 @@ def test_singular_kkt_status_propagates(monkeypatch):
     assert "singular" in report.message.lower()
 
 
+@pytest.mark.parametrize("x0", [(20.0, 1.0), (0.01, 20.0)])
+def test_badly_scaled_start_is_not_singular(x0):
+    # the full Newton matrix had pivots below 1e-12 of its largest entry
+    # here; the equilibrated reduced matrix does not
+    program, _ = load_problem("ex2")
+    with warnings_ignored():
+        report = solve(program, SolverConfig(), default_start(program, x0))
+    assert report.status is SolverStatus.CONVERGED
+    np.testing.assert_allclose(report.x, [2.0, 1.0], atol=1e-2)
+
+
 def test_step_failure_status(monkeypatch):
     program, start = load_problem("ex1")
     import arcipm.solver as solver_mod
