@@ -4,12 +4,20 @@ The next iterate is searched along the ellipse
 
     v(sigma, alpha) = v - vdot*sin(alpha) + (p*sigma + q)*(1 - cos(alpha)),
 
-with alpha in (0, pi/2].  For each slack and dual component there is a
-closed-form largest angle that keeps it above a positive floor; a bisection
-over sigma maximizes the smallest of those angles, exploiting that each
-component limit is monotone in sigma with the sign of its p-coefficient.
-A cheap predictor of the updated duality measure decides when pure
-affine stepping (sigma = 0) is preferable.
+with alpha in (0, pi/2].  Each slack and dual component has a closed-form
+largest angle that keeps it above a positive floor.  Writing the
+component's trajectory minus its floor as ``top - R*sin(alpha + asin(second/R))``
+with ``second = p*sigma + q``, ``top = current - floor + second`` and
+``R = hypot(vdot, second)``, the limit is 0 for a component already below
+its floor; for ``vdot > 0`` it is pi/2 if ``top >= R`` and otherwise
+``min(pi/2, asin(top/R) - asin(second/R))``; for ``vdot <= 0`` it is pi/2 if
+``top >= 0`` and otherwise ``min(pi/2, pi - asin(-top/R) - asin(-second/R))``.
+:func:`alpha_limits` evaluates these three cases for all 2p components at
+once.  A bisection over sigma maximizes the smallest limit, exploiting
+that each component limit is monotone in sigma with the sign of its
+p-coefficient.  A predictor of the updated duality measure, built from
+three dot products of the directions, decides when pure affine stepping
+(sigma = 0) is preferable and where along the arc it is best.
 """
 
 from __future__ import annotations
@@ -94,78 +102,119 @@ def floors(s, z, nu: float, rho: float):
     return phi, psi
 
 
-def _arcsin(value: float) -> float:
-    return math.asin(min(1.0, max(-1.0, value)))
+def alpha_limits(current, rate, p_coef, q_coef, floor, sigma: float) -> np.ndarray:
+    """Largest angles keeping component trajectories above their floors.
+
+    Elementwise over arrays, each trajectory is ``current - rate*sin(a) +
+    second*(1 - cos(a))`` with ``second = p_coef*sigma + q_coef``, and the
+    answer is the largest angle in [0, pi/2] below which it never dips
+    under ``floor``.  With ``margin = current - floor``, ``top = margin +
+    second`` and ``R = hypot(rate, second)``, the trajectory minus the
+    floor is ``top - R*sin(a + asin(second/R))``, which gives three cases:
+
+    * ``margin < 0``: the component is already below its floor; 0.
+    * ``rate > 0``: pi/2 if ``top >= R``, else
+      ``min(pi/2, asin(top/R) - asin(second/R))``.
+    * ``rate <= 0``: pi/2 if ``top >= 0``, else
+      ``min(pi/2, pi - asin(-top/R) - asin(-second/R))``, which is
+      ``acos(top/second)`` when rate = 0.
+    """
+    return _limits_in_sigma(current, rate, p_coef, q_coef, floor)(sigma)
 
 
-def _arccos(value: float) -> float:
-    return math.acos(min(1.0, max(-1.0, value)))
+def _limits_in_sigma(current, rate, p_coef, q_coef, floor):
+    """:func:`alpha_limits` as a function of sigma, its sigma-free work done once.
+
+    A component binds (its limit is below pi/2) when ``top`` is under a
+    threshold: R if rate > 0, 0 if rate <= 0, and -inf below the floor, so
+    those never bind.  A binding component has ``|top| <= R`` and ``R > 0``;
+    the others are divided by infinity instead, which keeps every arcsine
+    argument in range without a warning.  Because asin is odd, the rate <= 0
+    angle ``pi - asin(-top/R) - asin(-second/R)`` is ``pi + asin(top/R) +
+    asin(second/R)``, so both cases are ``offset + lead + sign*phase``.
+    """
+    margin = current - floor
+    rising = rate > 0.0
+    usable = margin >= 0.0
+    rising_usable = rising & usable
+    low = np.where(usable, 0.0, -math.inf)
+    offset = np.where(rising, 0.0, math.pi)
+    sign = np.where(rising, -1.0, 1.0)
+    unbound = np.where(usable, HALF_PI, 0.0)
+
+    def limits(sigma: float) -> np.ndarray:
+        second = p_coef * sigma + q_coef
+        top = margin + second
+        radius = np.hypot(rate, second)
+        binds = top < np.where(rising_usable, radius, low)
+        safe = np.where(binds, radius, math.inf)
+        lead = np.arcsin(top / safe)
+        phase = np.arcsin(second / safe)
+        angle = offset + lead + sign * phase
+        return np.where(binds, np.minimum(angle, HALF_PI), unbound)
+
+    return limits
 
 
 def component_alpha_limit(
     current: float, rate: float, p_coef: float, q_coef: float, floor: float, sigma: float
 ) -> float:
-    """Largest angle keeping one component trajectory above its floor.
-
-    The trajectory is ``current - rate*sin(a) + (p_coef*sigma + q_coef)*
-    (1 - cos(a))``; the answer is the largest angle in (0, pi/2] below
-    which the trajectory never dips under ``floor``, found by writing the
-    sinusoidal part in phase-shifted form and inverting exactly.  A
-    component already below its floor returns 0.
-    """
-    second = p_coef * sigma + q_coef
-    margin = current - floor
-    if margin < 0.0:
-        return 0.0
-    if rate == 0.0 and second == 0.0:
-        return HALF_PI
-    if rate == 0.0:
-        # pure cosine trajectory; only a negative curvature term can bind
-        if margin + second >= 0.0:
-            return HALF_PI
-        return _arccos((margin + second) / second)
-    if second == 0.0:
-        # pure sine trajectory; binds only when the slope exceeds the margin
-        if rate <= margin:
-            return HALF_PI
-        return _arcsin(margin / rate)
-    radius = math.hypot(rate, second)
-    if rate > 0.0 and second > 0.0:
-        if margin + second >= radius:
-            return HALF_PI
-        phase = _arcsin(second / radius)
-        return _arcsin((margin + second) / radius) - phase
-    if rate > 0.0:  # second < 0
-        if margin + second >= radius:
-            return HALF_PI
-        phase = _arcsin(-second / radius)
-        return min(HALF_PI, _arcsin((margin + second) / radius) + phase)
-    if second < 0.0:  # rate < 0
-        if margin + second >= 0.0:
-            return HALF_PI
-        phase = _arcsin(-second / radius)
-        return min(HALF_PI, math.pi - _arcsin(-(margin + second) / radius) - phase)
-    # rate < 0 and second > 0: the trajectory never decreases below current
-    return HALF_PI
+    """:func:`alpha_limits` for a single component."""
+    return float(alpha_limits(current, rate, p_coef, q_coef, floor, sigma))
 
 
-def _component_tuples(iterate: Iterate, directions: NewtonDirections, phi: float, psi: float):
-    """(current, rate, p_coef, q_coef, floor) for all slack and dual entries."""
+def _components(iterate: Iterate, directions: NewtonDirections, phi: float, psi: float):
+    """(current, rate, p_coef, q_coef, floor) arrays over the slack then dual entries."""
     vdot, p_dir, q_dir = directions.vdot, directions.p_dir, directions.q_dir
-    entries = []
-    for i in range(iterate.p):
-        entries.append((iterate.s[i], vdot.s[i], p_dir.s[i], q_dir.s[i], phi))
-    for i in range(iterate.p):
-        entries.append((iterate.z[i], vdot.z[i], p_dir.z[i], q_dir.z[i], psi))
-    return entries
+    return (
+        np.concatenate((iterate.s, iterate.z)),
+        np.concatenate((vdot.s, vdot.z)),
+        np.concatenate((p_dir.s, p_dir.z)),
+        np.concatenate((q_dir.s, q_dir.z)),
+        np.repeat((phi, psi), iterate.p),
+    )
 
 
 def alpha_tilde(
     iterate: Iterate, directions: NewtonDirections, phi: float, psi: float, sigma: float
 ) -> float:
     """Positivity limit: the smallest per-component angle over both blocks."""
-    entries = _component_tuples(iterate, directions, phi, psi)
-    return min(component_alpha_limit(*entry, sigma) for entry in entries)
+    return float(alpha_limits(*_components(iterate, directions, phi, psi), sigma).min())
+
+
+@dataclass(frozen=True)
+class MuPredictor:
+    """Predictor of the updated duality measure, from three dot products.
+
+    For fixed directions, a_u and b_u are trigonometric polynomials in
+    alpha whose coefficients are p*mu and the products below, so those are
+    taken once instead of at every evaluated angle.
+    """
+
+    p_mu: float
+    mixed: float  # zdot.ps + sdot.pz
+    tangent: float  # zdot.sdot
+    cross: float  # sdot.qz + zdot.qs
+
+    @classmethod
+    def of(cls, iterate: Iterate, directions: NewtonDirections) -> MuPredictor:
+        sdot, zdot = directions.vdot.s, directions.vdot.z
+        ps, pz = directions.p_dir.s, directions.p_dir.z
+        qs, qz = directions.q_dir.s, directions.q_dir.z
+        return cls(
+            iterate.p * iterate.mu,
+            float(zdot @ ps + sdot @ pz),
+            float(zdot @ sdot),
+            float(sdot @ qz + zdot @ qs),
+        )
+
+    def at(self, alpha: float):
+        """(a_u, b_u) at angle alpha."""
+        sin_a = math.sin(alpha)
+        omc = _one_minus_cos(alpha)
+        a_u = self.p_mu * omc - self.mixed * sin_a * omc
+        b_u = self.p_mu * (1.0 - sin_a) - (self.tangent * omc**2 + self.cross * sin_a * omc)
+        return a_u, b_u
 
 
 def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float):
@@ -175,17 +224,7 @@ def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float
     quadratic term sddot's zddot (1-cos)^2, so the exact value from
     :func:`mu_exact` is what acceptance decisions use.
     """
-    sdot, zdot = directions.vdot.s, directions.vdot.z
-    ps, pz = directions.p_dir.s, directions.p_dir.z
-    qs, qz = directions.q_dir.s, directions.q_dir.z
-    p_mu = iterate.p * iterate.mu
-    sin_a = math.sin(alpha)
-    omc = _one_minus_cos(alpha)
-    a_u = p_mu * omc - float(zdot @ ps + sdot @ pz) * sin_a * omc
-    b_u = p_mu * (1.0 - sin_a) - (
-        float(zdot @ sdot) * omc**2 + float(sdot @ qz + zdot @ qs) * sin_a * omc
-    )
-    return a_u, b_u
+    return MuPredictor.of(iterate, directions).at(alpha)
 
 
 def mu_exact(candidate: Blocks) -> float:
@@ -211,25 +250,24 @@ def bisect_sigma(
     otherwise (ties included) the upper bound moves down.  Empty groups
     count as an infinite minimum.
     """
-    entries = _component_tuples(iterate, directions, phi, psi)
+    current, rate, p_coef, q_coef, floor = _components(iterate, directions, phi, psi)
+    limits_at = _limits_in_sigma(current, rate, p_coef, q_coef, floor)
+    shrinks, grows = p_coef < 0.0, p_coef > 0.0
     lower, upper = sigma_min, sigma_max
     sigma = 0.5 * (lower + upper)
+    limits = None
     while upper - lower > tol:
         sigma = 0.5 * (lower + upper)
-        shrinking = math.inf
-        growing = math.inf
-        for entry in entries:
-            limit = component_alpha_limit(*entry, sigma)
-            p_coef = entry[2]
-            if p_coef < 0.0:
-                shrinking = min(shrinking, limit)
-            elif p_coef > 0.0:
-                growing = min(growing, limit)
+        limits = limits_at(sigma)
+        shrinking = limits.min(where=shrinks, initial=math.inf)
+        growing = limits.min(where=grows, initial=math.inf)
         if shrinking > growing:
             lower = sigma
         else:
             upper = sigma
-    return sigma, alpha_tilde(iterate, directions, phi, psi, sigma)
+    if limits is None:  # the interval started within the tolerance
+        limits = limits_at(sigma)
+    return sigma, float(limits.min())
 
 
 def golden_min_bu(iterate: Iterate, directions: NewtonDirections, alpha_cap: float) -> float:
@@ -237,8 +275,10 @@ def golden_min_bu(iterate: Iterate, directions: NewtonDirections, alpha_cap: flo
     if alpha_cap <= 0.0:
         return 0.0
 
+    predictor = MuPredictor.of(iterate, directions)
+
     def objective(alpha: float) -> float:
-        return mu_coefficients(iterate, directions, alpha)[1]
+        return predictor.at(alpha)[1]
 
     lo, hi = 0.0, alpha_cap
     width = hi - lo
@@ -284,9 +324,8 @@ def select_step(
     blocks above their floors, stays inside the centrality region, and
     strictly decreases the duality measure.
     """
-    vdot, p_dir = directions.vdot, directions.p_dir
-    mixed = float(vdot.s @ p_dir.z + vdot.z @ p_dir.s)
-    if mixed < 0.0:
+    predictor = MuPredictor.of(iterate, directions)
+    if predictor.mixed < 0.0:
         sigma = 0.0
         cap = alpha_tilde(iterate, directions, phi, psi, sigma)
         tilde = golden_min_bu(iterate, directions, cap)
@@ -301,7 +340,7 @@ def select_step(
         candidate = arc_point(iterate, directions, sigma, alpha)
         mu_new = mu_exact(candidate)
         if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
-            a_u, b_u = mu_coefficients(iterate, directions, alpha)
+            a_u, b_u = predictor.at(alpha)
             return StepSelection(sigma, alpha, tilde, a_u, b_u, backtracks)
         alpha *= config.backtrack
         backtracks += 1

@@ -121,6 +121,21 @@ def random_box_qp(rng, max_n=6, with_eq=False) -> ConvexProgram:
     return ConvexProgram(n=n, objective=quadratic_tree(quad), a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
 
 
+def many_rows_program(rng, n=4, rows=100) -> ConvexProgram:
+    """One equality, 100 dense rows and 2n box rows around a feasible point."""
+    factor = rng.normal(size=(n, n))
+    quad = factor @ factor.T + np.eye(n)
+    inside = rng.uniform(1.0, 1.5, size=n)
+    a_rows = rng.normal(size=(rows, n))
+    b_rows = a_rows @ inside - rng.uniform(0.1, 1.0, size=rows)
+    a_eq = rng.uniform(0.5, 1.5, size=(1, n))
+    a_ineq, b_ineq = fold_bounds(a_rows, b_rows, inside - 1.0, inside + 1.0)
+    return ConvexProgram(
+        n=n, objective=quadratic_tree(quad), a_eq=a_eq, b_eq=a_eq @ inside,
+        a_ineq=a_ineq, b_ineq=b_ineq,
+    )
+
+
 def synthetic_step_pair(rng, p=4):
     """Iterate and directions whose product-row identities hold by construction.
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcipm import ConvexProgram, SingularKKTError, SolverStatus, default_start, fold_bounds
+from arcipm import SingularKKTError, SolverStatus, default_start
 from arcipm.kkt import (
     Iterate,
     NewtonSystem,
@@ -15,7 +15,7 @@ from arcipm.kkt import (
     solve_directions,
 )
 from arcipm.oracles import full_newton_matrix
-from conftest import load_problem, quadratic_tree, random_box_qp, run_recorded, warnings_ignored
+from conftest import load_problem, many_rows_program, random_box_qp, run_recorded, warnings_ignored
 
 
 def test_residuals_at_zero_point():
@@ -162,21 +162,6 @@ def _assert_reduced_matches_full(program, it):
         assert np.linalg.norm(reduced - full) <= 1e-10 * np.linalg.norm(full)
 
 
-def _many_rows_program(rng, n=4, rows=100):
-    """One equality, 100 dense rows and 2n box rows around a feasible point."""
-    factor = rng.normal(size=(n, n))
-    quad = factor @ factor.T + np.eye(n)
-    inside = rng.uniform(1.0, 1.5, size=n)
-    a_rows = rng.normal(size=(rows, n))
-    b_rows = a_rows @ inside - rng.uniform(0.1, 1.0, size=rows)
-    a_eq = rng.uniform(0.5, 1.5, size=(1, n))
-    a_ineq, b_ineq = fold_bounds(a_rows, b_rows, inside - 1.0, inside + 1.0)
-    return ConvexProgram(
-        n=n, objective=quadratic_tree(quad), a_eq=a_eq, b_eq=a_eq @ inside,
-        a_ineq=a_ineq, b_ineq=b_ineq,
-    )
-
-
 def test_reduced_directions_match_full_lu_along_reference_runs(fixture_runs):
     for program, run in fixture_runs.values():
         for it in run.iterates[:-1:5]:
@@ -186,7 +171,7 @@ def test_reduced_directions_match_full_lu_along_reference_runs(fixture_runs):
 def test_reduced_directions_match_full_lu_with_equalities():
     rng = np.random.default_rng(11)
     programs = [random_box_qp(rng, max_n=6, with_eq=True) for _ in range(4)]
-    many_rows = _many_rows_program(rng)
+    many_rows = many_rows_program(rng)
     assert (many_rows.n, many_rows.m, many_rows.p) == (4, 1, 108)
     for program in programs + [many_rows]:
         with warnings_ignored():

@@ -8,7 +8,7 @@ import pytest
 import arcipm.kkt as kkt_mod
 from arcipm import SolverConfig, SolverStatus, default_start, solve
 from arcipm.kkt import SingularKKTError, compute_residuals, kkt_norm
-from conftest import REFERENCE, load_problem, run_recorded, warnings_ignored
+from conftest import REFERENCE, load_problem, many_rows_program, run_recorded, warnings_ignored
 
 
 def test_default_start_reference_shape():
@@ -222,3 +222,25 @@ def test_trace_row_zero_and_alignment(fixture_runs):
     # row k carries the angle of the step that produced iterate k
     for row, sel in zip(trace[1:], run.selections[1:]):
         assert row.alpha == sel.alpha and row.sigma == sel.sigma
+
+
+# Status and iteration count of many_rows_program(default_rng(seed)) from the
+# default start, recorded before the step layer was vectorized.
+MANY_ROWS_RUNS = {
+    0: ("Converged", 48), 1: ("Converged", 56), 2: ("Converged", 55),
+    3: ("Converged", 41), 4: ("Converged", 54), 5: ("Converged", 42),
+    6: ("Converged", 44), 7: ("Converged", 59), 8: ("Converged", 37),
+    9: ("Converged", 54), 10: ("Converged", 43), 11: ("Converged", 36),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MANY_ROWS_RUNS))
+def test_many_rows_runs_keep_status_and_iterations(seed):
+    program = many_rows_program(np.random.default_rng(seed))
+    assert (program.n, program.m, program.p) == (4, 1, 108)
+    with warnings_ignored():
+        report = solve(program, SolverConfig(), default_start(program))
+    status, iterations = MANY_ROWS_RUNS[seed]
+    assert report.status.value == status
+    if report.status is SolverStatus.CONVERGED:
+        assert report.iterations == iterations

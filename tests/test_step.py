@@ -1,6 +1,7 @@
 """Arc geometry, per-component angle limits, and the step selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix
 from arcipm.oracles import scan_alpha
 from arcipm.step import (
     StepFailureError,
+    alpha_limits,
     alpha_tilde,
     arc_point,
     bisect_sigma,
@@ -124,6 +126,58 @@ def test_component_limit_matches_scan_across_all_case_patterns():
 def test_component_limit_below_floor_returns_zero():
     assert component_alpha_limit(0.3, 1.0, 0.0, 0.5, 0.4, 1.0) == 0.0
     assert scan_alpha(0.3, 1.0, 0.0, 0.5, 0.4, 1.0) == 0.0
+
+
+def _kernel_cases():
+    """One array over all nine (rate, second) sign patterns plus degenerate entries.
+
+    Returns (current, rate, p_coef, q_coef, floor, sigma) with every entry
+    at one sigma; degenerate entries use p_coef = 0 so that second is exact.
+    """
+    rng = np.random.default_rng(2024)
+    sigma = 0.37
+    rows = []
+    for rate_sign in (-1, 0, 1):
+        for second_sign in (-1, 0, 1):
+            for _ in range(6):
+                floor = rng.uniform(0.01, 1.0)
+                rate = rate_sign * rng.uniform(0.05, 4.0)
+                second = second_sign * rng.uniform(0.05, 4.0)
+                p_coef = rng.normal() if second_sign else 0.0
+                rows.append((floor + rng.uniform(0.01, 3.0), rate, p_coef, second - p_coef * sigma, floor))
+    rows += [
+        (1.5, 0.0, 0.0, 0.0, 0.5),  # rate = second = 0
+        (0.4, 0.0, 0.0, 0.0, 0.5),  # rate = second = 0 below the floor
+        (0.3, 1.0, 0.0, 0.5, 0.4),  # margin < 0 for each sign of rate
+        (0.3, 0.0, 0.0, 0.5, 0.4),
+        (0.3, -1.0, 0.0, -0.5, 0.4),
+        (0.5, 1.0, 0.0, 0.5, 0.5),  # margin = 0 for each sign of rate and of second
+        (0.5, 1.0, 0.0, -0.5, 0.5),
+        (0.5, 0.0, 0.0, 0.5, 0.5),
+        (0.5, 0.0, 0.0, -0.5, 0.5),
+        (0.5, -1.0, 0.0, 0.5, 0.5),
+        (0.5, -1.0, 0.0, -0.5, 0.5),
+        (1.5, 3.0, 0.0, 4.0, 0.5),  # top == R = 5: the trajectory touches the floor
+        (8.5, 4.0, 0.0, -3.0, 0.5),
+        (1.5, -1.0, 0.0, -1.0, 0.5),  # rate < 0 and top == 0
+    ]
+    columns = [np.array(column) for column in zip(*rows)]
+    return (*columns, sigma)
+
+
+def test_alpha_limits_match_scan_on_one_mixed_array():
+    current, rate, p_coef, q_coef, floor, sigma = _kernel_cases()
+    step_count = int(math.ceil(HALF_PI / 1e-4)) + 1
+    grid_step = HALF_PI / (step_count - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = alpha_limits(current, rate, p_coef, q_coef, floor, sigma)
+    assert got.shape == current.shape
+    for i, limit in enumerate(got):
+        entry = (current[i], rate[i], p_coef[i], q_coef[i], floor[i], sigma)
+        ref = scan_alpha(*entry)
+        assert abs(limit - ref) <= grid_step * 1.001, (i, entry, limit, ref)
+        assert component_alpha_limit(*entry) == limit
 
 
 def test_alpha_tilde_minimum_semantics():
@@ -256,6 +310,21 @@ def test_bisect_sigma_monotone_endpoints():
     )
     sigma, _ = bisect_sigma(it, flat, 0.2, 0.2, 0.0, 1.0, 1e-2)
     assert sigma <= 1e-2  # ties shrink toward less centering
+
+
+def test_bisect_sigma_wide_tolerance_takes_the_midpoint():
+    s = np.array([1.0, 1.0])
+    z = np.array([1.0, 1.0])
+    it = _plain_iterate(s, z)
+    dirs = _directions_from_sz(
+        it,
+        (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
+        (np.array([2.0, 2.0]), np.array([0.0, -0.5]), np.array([0.1, 0.1])),
+    )
+    # the interval is already within the tolerance: no bisection step runs
+    sigma, tilde = bisect_sigma(it, dirs, 0.2, 0.2, 0.2, 0.6, 0.5)
+    assert sigma == 0.4
+    assert tilde == alpha_tilde(it, dirs, 0.2, 0.2, 0.4)
 
 
 def test_bisect_sigma_finds_crossover():
