@@ -3,19 +3,34 @@
 One recursive walk of the expression tree carries, at every node, the
 triple (value, gradient in R^n, Hessian in R^{n x n}) and combines the
 children's triples by the chain rule (second-order forward mode; Griewank
-& Walther, *Evaluating Derivatives*, 2nd ed., on Hessian propagation).  A
-call costs one walk whose nodes each do O(n^2) array work.
+& Walther, *Evaluating Derivatives*, 2nd ed., on Hessian propagation).  On
+a raw parse tree a call costs one walk whose nodes each do O(n^2) array
+work, so the O(n^2) products of a dense quadratic cost O(n^4).
+
+:func:`compile_objective` therefore runs once per program and replaces
+every maximal subtree of degree <= 2 by one :class:`Quadratic` node
+c + g'x + 1/2 x'Hx, whose Hessian is a constant (ibid., ch. 7).  Folding
+works on each subtree's own variables, and Add/Sub/Neg chains become one
+:class:`Sum` of signed terms whose polynomial terms are scattered into a
+single accumulator, so compiling costs O(nodes k^2) for subtrees over k
+variables.  A folded quadratic program is then one node: one matrix-vector
+product per call and the same read-only Hessian every time.  The public
+``evaluate``/``gradient``/``hessian`` accept either tree; the solver passes
+the compiled one and the test oracles the raw one.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
 ``OverflowError`` on range overflow instead of returning inf; it becomes a
 :class:`DomainError`.  Float ``*`` and ``/`` return inf instead, so products
-and quotients are checked with ``math.isfinite``.  Hessians are exactly symmetric: every cross term is
-built as ``C + C.T`` and every curvature term as ``outer(g, g)``.
+and quotients are checked with ``math.isfinite``, and so is the value of a
+folded node.  Hessians are exactly symmetric: every cross term is built as
+``C + C.T`` and every curvature term as ``outer(g, g)``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +44,28 @@ class DomainError(ValueError):
     base under a negative power, a negative base under a fractional power,
     and for range overflow.  Never returns a silent NaN.
     """
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Quadratic:
+    """c + g'x + 1/2 x'Hx: a folded subtree.
+
+    g and H are stored at full size, zero outside the subtree's own
+    variables, so a call needs no gather or scatter.  H is read-only, and
+    every call returns that same array.
+    """
+
+    constant: float
+    linear: np.ndarray
+    hessian: np.ndarray
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Sum:
+    """constant + the sum of sign * node over (sign, node) terms, sign = +-1.0."""
+
+    constant: float
+    terms: tuple
 
 
 def _chain(u, f: float, df: float, d2f: float):
@@ -54,27 +91,27 @@ def _pow(u, r: float):
         raise DomainError("power overflows") from err
 
 
-def _walk(node: ast.Expr, leaves, zero):
+def _walk(node, x, leaves, zero):
     match node:
         case ast.Const(value=v):
             return (float(v), *zero)
         case ast.Var(index=i):
             return leaves[i]
         case ast.Add(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
             return va + vb, ga + gb, ha + hb
         case ast.Sub(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
             return va - vb, ga - gb, ha - hb
         case ast.Mul(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
             v = va * vb
             if not math.isfinite(v):
                 raise DomainError("product overflows")
             cross = np.outer(ga, gb)
             return v, vb * ga + va * gb, vb * ha + va * hb + (cross + cross.T)
         case ast.Div(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
             if vb == 0.0:
                 raise DomainError("division by zero")
             q = va / vb
@@ -84,12 +121,12 @@ def _walk(node: ast.Expr, leaves, zero):
             cross = np.outer(gq, gb)
             return q, gq, (ha - q * hb - (cross + cross.T)) / vb
         case ast.Pow(base=b, exponent=r):
-            return _pow(_walk(b, leaves, zero), r)
+            return _pow(_walk(b, x, leaves, zero), r)
         case ast.Neg(child=c):
-            v, g, h = _walk(c, leaves, zero)
+            v, g, h = _walk(c, x, leaves, zero)
             return -v, -g, -h
         case ast.Log(child=c):
-            u = _walk(c, leaves, zero)
+            u = _walk(c, x, leaves, zero)
             if u[0] <= 0.0:
                 raise DomainError("log of a nonpositive value")
             try:
@@ -97,35 +134,207 @@ def _walk(node: ast.Expr, leaves, zero):
             except OverflowError as err:
                 raise DomainError("log overflows") from err
         case ast.Exp(child=c):
-            u = _walk(c, leaves, zero)
+            u = _walk(c, x, leaves, zero)
             try:
                 e = math.exp(u[0])
             except OverflowError as err:
                 raise DomainError("exp overflows") from err
             return _chain(u, e, e, e)
+        case Quadratic(constant=c, linear=g, hessian=h):
+            with np.errstate(over="ignore", invalid="ignore"):
+                hx = h @ x
+                v = float(c + x @ (g + 0.5 * hx))
+                grad = g + hx
+            # a non-finite entry of g, H or Hx shows in the value too
+            if not math.isfinite(v):
+                raise DomainError("polynomial overflows")
+            return v, grad, h
+        case Sum(constant=c, terms=((sign, first), *rest)):
+            v, g, h = _walk(first, x, leaves, zero)
+            # fresh arrays, so the other terms can be added in place
+            value, grad, hess = c + sign * v, sign * g, sign * h
+            for sign, term in rest:
+                v, g, h = _walk(term, x, leaves, zero)
+                if sign > 0.0:
+                    value += v
+                    grad += g
+                    hess += h
+                else:
+                    value -= v
+                    grad -= g
+                    hess -= h
+            return value, grad, hess
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def value_gradient_hessian(expression: ast.Expr, x):
-    """(f, grad f, Hessian) in one walk of the tree."""
+class _Poly(NamedTuple):
+    """Compile-time polynomial of degree <= 2 over the sorted ``indices``."""
+
+    degree: int
+    constant: float
+    indices: tuple
+    linear: np.ndarray
+    hessian: np.ndarray
+
+
+def _constant(c: float) -> _Poly:
+    return _Poly(0, c, (), np.zeros(0), np.zeros((0, 0)))
+
+
+def _scaled(p: _Poly, c: float) -> _Poly:
+    return _Poly(p.degree, c * p.constant, p.indices, c * p.linear, c * p.hessian)
+
+
+def _sum(signed) -> _Poly:
+    """Sum of (sign, polynomial) terms, scattered into one accumulator."""
+    indices = tuple(sorted(set().union(*(p.indices for _, p in signed))))
+    linear, hessian = np.zeros(len(indices)), np.zeros((len(indices), len(indices)))
+    constant = 0.0
+    for sign, p in signed:
+        at = np.searchsorted(indices, p.indices)
+        constant += sign * p.constant
+        linear[at] += sign * p.linear
+        hessian[np.ix_(at, at)] += sign * p.hessian
+    return _Poly(max((p.degree for _, p in signed), default=0), constant, indices, linear, hessian)
+
+
+def _product(a: _Poly, b: _Poly) -> _Poly:
+    """a * b for deg a + deg b <= 2."""
+    if a.degree == 0:
+        return _scaled(b, a.constant)
+    if b.degree == 0:
+        return _scaled(a, b.constant)
+    # two linear factors: the Hessian is ga gb' + gb ga'
+    indices = tuple(sorted(set(a.indices) | set(b.indices)))
+    ga, gb = _embed(a, indices), _embed(b, indices)
+    cross = np.outer(ga, gb)
+    return _Poly(2, a.constant * b.constant, indices, a.constant * gb + b.constant * ga, cross + cross.T)
+
+
+def _embed(p: _Poly, indices: tuple) -> np.ndarray:
+    g = np.zeros(len(indices))
+    g[np.searchsorted(indices, p.indices)] = p.linear
+    return g
+
+
+def _signed_terms(node: ast.Expr, sign: float, out: list) -> list:
+    """Flatten nested Add/Sub/Neg into (sign, term) pairs, in tree order."""
+    match node:
+        case ast.Add(left=a, right=b):
+            _signed_terms(a, sign, out)
+            _signed_terms(b, sign, out)
+        case ast.Sub(left=a, right=b):
+            _signed_terms(a, sign, out)
+            _signed_terms(b, -sign, out)
+        case ast.Neg(child=c):
+            _signed_terms(c, -sign, out)
+        case _:
+            out.append((sign, node))
+    return out
+
+
+def _fold(node: ast.Expr, n: int):
+    """A :class:`_Poly` if the subtree has degree <= 2, else its compiled form."""
+    match node:
+        case ast.Const(value=v):
+            return _constant(float(v))
+        case ast.Var(index=i):
+            return _Poly(1, 0.0, (i,), np.ones(1), np.zeros((1, 1)))
+        case ast.Add() | ast.Sub() | ast.Neg():
+            return _fold_sum(node, n)
+        case ast.Mul(left=a, right=b):
+            fa, fb = _fold(a, n), _fold(b, n)
+            if isinstance(fa, _Poly) and isinstance(fb, _Poly) and fa.degree + fb.degree <= 2:
+                return _product(fa, fb)
+            return ast.Mul(_emit(fa, a, n), _emit(fb, b, n))
+        case ast.Div(left=a, right=b):
+            fa, fb = _fold(a, n), _fold(b, n)
+            if isinstance(fa, _Poly) and isinstance(fb, _Poly) and fb.degree == 0 and fb.constant != 0.0:
+                d = fb.constant
+                return _Poly(fa.degree, fa.constant / d, fa.indices, fa.linear / d, fa.hessian / d)
+            return ast.Div(_emit(fa, a, n), _emit(fb, b, n))
+        case ast.Pow(base=b, exponent=r):
+            fb = _fold(b, n)
+            if isinstance(fb, _Poly):
+                if r == 0.0:
+                    return _constant(1.0)
+                if r == 1.0:
+                    return fb
+                if r == 2.0 and fb.degree <= 1:
+                    return _product(fb, fb)
+            return ast.Pow(_emit(fb, b, n), r)
+        case ast.Log(child=c) | ast.Exp(child=c):
+            return type(node)(_emit(_fold(c, n), c, n))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _fold_sum(node: ast.Expr, n: int):
+    """One polynomial, or a :class:`Sum` whose polynomial terms are merged.
+
+    The merged polynomial comes first, or is the sum's constant when it
+    has degree 0; the other terms keep their order.
+    """
+    terms = [(sign, _fold(term, n)) for sign, term in _signed_terms(node, 1.0, [])]
+    polys = [(sign, f) for sign, f in terms if isinstance(f, _Poly)]
+    if len(polys) == len(terms):
+        return _sum(polys)
+    others = tuple((sign, f) for sign, f in terms if not isinstance(f, _Poly))
+    merged = _emit(_sum(polys), node, n)
+    if isinstance(merged, ast.Const):
+        return Sum(merged.value, others)
+    return Sum(0.0, ((1.0, merged), *others))
+
+
+def _emit(folded, source: ast.Expr, n: int):
+    """The compiled node for ``_fold(source)``; leaves stay leaves."""
+    if not isinstance(folded, _Poly):
+        return folded
+    if isinstance(source, (ast.Const, ast.Var)):
+        return source
+    if folded.degree == 0:
+        if not math.isfinite(folded.constant):
+            raise DomainError("polynomial overflows")
+        return ast.Const(folded.constant)
+    indices = list(folded.indices)
+    linear, hessian = np.zeros(n), np.zeros((n, n))
+    linear[indices] = folded.linear
+    hessian[np.ix_(indices, indices)] = folded.hessian
+    hessian.flags.writeable = False
+    return Quadratic(folded.constant, linear, hessian)
+
+
+def compile_objective(expression: ast.Expr, n: int):
+    """The tree with every maximal subtree of degree <= 2 folded into one node.
+
+    The result goes to the same ``value_gradient_hessian`` as a raw tree
+    over n variables.  Range overflow while folding raises
+    :class:`DomainError`: here for a constant, and at evaluation for a
+    folded node over variables.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _emit(_fold(expression, n), expression, n)
+
+
+def value_gradient_hessian(expression, x):
+    """(f, grad f, Hessian) in one walk of a raw or compiled tree."""
     x = np.asarray(x, dtype=float)
     n = x.size
     unit = np.eye(n)
     zero = (np.zeros(n), np.zeros((n, n)))
     leaves = [(float(x[i]), unit[i], zero[1]) for i in range(n)]
-    return _walk(expression, leaves, zero)
+    return _walk(expression, x, leaves, zero)
 
 
-def evaluate(expression: ast.Expr, x) -> float:
+def evaluate(expression, x) -> float:
     """f(x)."""
     return value_gradient_hessian(expression, x)[0]
 
 
-def gradient(expression: ast.Expr, x) -> np.ndarray:
+def gradient(expression, x) -> np.ndarray:
     """Exact gradient of the tree function at x."""
     return value_gradient_hessian(expression, x)[1]
 
 
-def hessian(expression: ast.Expr, x) -> np.ndarray:
+def hessian(expression, x) -> np.ndarray:
     """Exact Hessian at x; storage is exactly symmetric."""
     return value_gradient_hessian(expression, x)[2]

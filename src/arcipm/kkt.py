@@ -105,7 +105,7 @@ class Iterate:
         z = np.asarray(z, dtype=float).reshape(-1)
         if not (np.all(s > 0.0) and np.all(z > 0.0)):
             raise ValueError("slack and dual vectors must stay strictly positive")
-        _, grad, hess = value_gradient_hessian(program.objective, x)
+        _, grad, hess = value_gradient_hessian(program.compiled_objective, x)
         r_c, r_e, r_i = compute_residuals(program, hess, x, y, w, s)
         return cls(x, y, w, s, z, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu)
 

@@ -9,9 +9,11 @@ inequality rows up front, and the solver only ever sees rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .autodiff import compile_objective
 from .expr import Expr, variable_indices
 
 
@@ -56,6 +58,15 @@ class ConvexProgram:
                 raise ValueError("equality rows are linearly dependent")
         if p < 1:
             raise ValueError("at least one inequality row is required (add bounds if needed)")
+
+    @cached_property
+    def compiled_objective(self):
+        """``objective`` with its degree <= 2 subtrees folded, built on first use.
+
+        The solver differentiates this tree; ``objective`` stays the parsed
+        tree, which the test oracles differentiate independently.
+        """
+        return compile_objective(self.objective, self.n)
 
     @property
     def m(self) -> int:

@@ -152,19 +152,23 @@ def solve(
     status = SolverStatus.MAX_ITER
     message = ""
     curvature_warned = False
+    # a folded quadratic returns one read-only Hessian; check it only once
+    checked_hess = None
     residual_floor_warned = False
     k = 0
     while k < config.max_iter:
         if kkt_norm(iterate) <= config.epsilon:
             status = SolverStatus.CONVERGED
             break
-        if not curvature_warned and _indefinite(iterate.hess):
-            warnings.warn(
-                "objective curvature is not positive semidefinite; continuing anyway",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            curvature_warned = True
+        if not curvature_warned and iterate.hess is not checked_hess:
+            checked_hess = iterate.hess
+            if _indefinite(checked_hess):
+                warnings.warn(
+                    "objective curvature is not positive semidefinite; continuing anyway",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                curvature_warned = True
         system = assemble_newton_matrix(
             iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z
         )
@@ -202,7 +206,7 @@ def solve(
 
     return SolverReport(
         x=iterate.x.copy(),
-        objective=evaluate(program.objective, iterate.x),
+        objective=evaluate(program.compiled_objective, iterate.x),
         iterations=k,
         infe=float(np.linalg.norm(program.a_eq @ iterate.x - program.b_eq)),
         status=status,

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 The oracles deliberately avoid the solver's machinery: the stationarity
-check below uses the true gradient (not the model term H x), the angle
+check below uses the true gradient (not the model term H x) of the parsed
+tree (not the compiled tree the solver differentiates), the angle
 scan walks a dense grid instead of inverting sinusoids, and the full
 Newton matrix keeps every block that the solver eliminates, so a shared
 bug between implementation and check is impossible.
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
-from .autodiff import gradient, hessian
-from .program import ConvexProgram
+from arcipm.autodiff import gradient, hessian
+from arcipm.program import ConvexProgram
 
 MAX_ENUM_ROWS = 12
 

@@ -19,7 +19,6 @@ from arcipm.kkt import (
     compute_residuals,
     solve_directions,
 )
-from arcipm.oracles import enumerate_kkt, scan_alpha
 from arcipm.step import alpha_tilde, arc_point, component_alpha_limit, mu_coefficients, mu_exact
 from conftest import (
     REFERENCE,
@@ -30,6 +29,7 @@ from conftest import (
     synthetic_step_pair,
     warnings_ignored,
 )
+from oracles import enumerate_kkt, scan_alpha
 from test_autodiff import fd_gradient, fd_hessian
 
 HALF_PI = math.pi / 2.0

@@ -1,9 +1,17 @@
 """Values, gradients, and Hessians against hand values and finite differences."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from arcipm import DomainError, evaluate, gradient, hessian, parse_expression, value_gradient_hessian
+from arcipm import expr as ast
+from arcipm.autodiff import Quadratic, compile_objective
 from conftest import REFERENCE, SAMPLING_BOX, load_problem, quadratic_tree
 
 X12 = ["x1", "x2"]
@@ -171,3 +179,125 @@ def test_integer_powers_allow_negative_base():
     assert evaluate(tree, [-2.0]) == -8.0
     np.testing.assert_allclose(gradient(tree, [-2.0]), [12.0], rtol=1e-12)
     np.testing.assert_allclose(hessian(tree, [-2.0]), [[-12.0]], rtol=1e-12)
+
+
+# (expression, function, point, message from the parsed tree, message from
+# the compiled tree): every case of test_domain_errors, plus a division by
+# a zero constant.  Only the two polynomial cases are folded; the others
+# keep their log, div, pow or exp node and its message.
+DOMAIN_CASES = [
+    ("log(x1)", evaluate, [-1.0], "log of a nonpositive value", None),
+    ("log(x1)", evaluate, [0.0], "log of a nonpositive value", None),
+    ("1 / x1", evaluate, [0.0], "division by zero", None),
+    ("x1 ^ -1", evaluate, [0.0], "zero raised to a negative power", None),
+    ("x1 ^ 0.5", gradient, [-2.0], "nonpositive base under a fractional power", None),
+    ("log(x1 + x2)", hessian, [1.0, -1.0], "log of a nonpositive value", None),
+    ("exp(x1)", evaluate, [1000.0], "exp overflows", None),
+    ("x1 ^ 2", evaluate, [1e200], "power overflows", "polynomial overflows"),
+    ("log(x1) + x2", hessian, [1e-170, 1.0], "log overflows", None),
+    ("x1 * x2", evaluate, [1e200, 1e200], "product overflows", "polynomial overflows"),
+    ("x1 / x2", hessian, [1e200, 1e-200], "quotient overflows", None),
+    ("x1 / (2 - 2)", evaluate, [1.0], "division by zero", None),
+]
+
+
+@pytest.mark.parametrize(("text", "function", "x", "message", "folded"), DOMAIN_CASES)
+def test_domain_errors_through_compiled_tree(text, function, x, message, folded):
+    tree = parse_expression(text, X12[: len(x)])
+    with pytest.raises(DomainError, match=message):
+        function(tree, x)
+    with pytest.raises(DomainError, match=folded or message):
+        function(compile_objective(tree, len(x)), x)
+
+
+def test_overflowing_constant_raises_when_compiled():
+    tree = parse_expression("log(1e200 * 1e200)", ["x1"])
+    with pytest.raises(DomainError, match="product overflows"):
+        evaluate(tree, [1.0])
+    with pytest.raises(DomainError, match="polynomial overflows"):
+        compile_objective(tree, 1)
+
+
+def _perfbench_quadratic_tree():
+    """The benchmark's own ½xᵀQx tree function, loaded from its file."""
+    name = "perfbench_instances"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].quadratic_tree
+
+
+@pytest.mark.parametrize("origin", ["tests", "perfbench"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_quadratic_tree_compiles_to_one_node(origin, n):
+    build = quadratic_tree if origin == "tests" else _perfbench_quadratic_tree()
+    rng = np.random.default_rng(2000 + n)
+    factor = rng.normal(size=(n, n))
+    q = np.triu(factor @ factor.T + np.eye(n))
+    q = q + np.triu(q, 1).T
+    compiled = compile_objective(build(q), n)
+    assert isinstance(compiled, Quadratic)
+    assert np.array_equal(compiled.hessian, q)
+    assert not compiled.linear.any() and compiled.constant == 0.0
+    x = rng.normal(size=n)
+    _, _, h = value_gradient_hessian(compiled, x)
+    assert h is compiled.hessian and not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0] = 1.0
+    assert value_gradient_hessian(compiled, x)[2] is h
+
+
+# Random trees over three variables, drawn so that the parsed and the
+# compiled tree must agree closely: points and constants are small dyadic
+# numbers, so every polynomial subtree is evaluated exactly by both paths,
+# and every node has a positive value, so no sum cancels.  Subtraction and
+# negation appear only in pairs that add up to a sum, which still covers
+# the sign bookkeeping of the flattened sums.
+VARS = [ast.Var(i, f"x{i + 1}") for i in range(3)]
+LEAVES = st.sampled_from(VARS) | st.sampled_from([1.0, 2.0, 3.0]).map(ast.Const)
+
+
+def _polynomial_ops(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda ab: ast.Add(*ab)),
+        pairs.map(lambda ab: ast.Mul(*ab)),
+        pairs.map(lambda ab: ast.Sub(ab[0], ast.Neg(ab[1]))),
+        pairs.map(lambda ab: ast.Neg(ast.Sub(ast.Neg(ab[0]), ab[1]))),
+        children.map(lambda a: ast.Neg(ast.Neg(a))),
+        children.map(lambda a: ast.Div(a, ast.Const(4.0))),
+        st.tuples(children, st.sampled_from([0.0, 1.0, 2.0])).map(lambda ar: ast.Pow(*ar)),
+    )
+
+
+def _all_ops(children):
+    return st.one_of(
+        _polynomial_ops(children),
+        st.tuples(children, children).map(lambda ab: ast.Div(*ab)),
+        st.tuples(children, st.sampled_from([3.0, 0.5, -1.0])).map(lambda ar: ast.Pow(*ar)),
+        children.map(lambda a: ast.Log(ast.Add(ast.Const(2.0), a))),
+        children.map(lambda a: ast.Exp(ast.Div(a, ast.Const(8.0)))),
+    )
+
+
+# polynomial subtrees of any degree, then any node around and between them
+TREES = st.recursive(st.recursive(LEAVES, _polynomial_ops, max_leaves=6), _all_ops, max_leaves=6)
+POINTS = st.lists(st.sampled_from(np.arange(2, 9) / 4.0), min_size=3, max_size=3).map(np.array)
+
+
+@given(TREES, POINTS)
+@example(parse_expression("x1*x2 + exp(x3/8) - -(x1 + 2) - -log(2 + x2)", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
+@example(parse_expression("(x1*x2)^2 + x3^2*x1 + x1*x2*x3", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
+@settings(max_examples=300, deadline=None)
+def test_compiled_tree_agrees_with_parsed_tree(tree, x):
+    try:
+        f, g, h = value_gradient_hessian(tree, x)
+    except DomainError:
+        assume(False)
+    fc, gc, hc = value_gradient_hessian(compile_objective(tree, 3), x)
+    assert abs(fc - f) <= 1e-12 * abs(f)
+    assert np.abs(gc - g).max() <= 1e-12 * np.abs(g).max()
+    assert np.abs(hc - h).max() <= 1e-12 * np.abs(h).max()
+    assert np.array_equal(hc, hc.T)

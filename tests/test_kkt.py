@@ -14,8 +14,8 @@ from arcipm.kkt import (
     optimality_residual,
     solve_directions,
 )
-from arcipm.oracles import full_newton_matrix
 from conftest import load_problem, many_rows_program, random_box_qp, run_recorded, warnings_ignored
+from oracles import full_newton_matrix
 
 
 def test_residuals_at_zero_point():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from arcipm import ConvexProgram, SolverConfig, default_start, parse_expression, solve
-from arcipm.oracles import enumerate_kkt, scan_alpha
 from conftest import random_box_qp
+from oracles import enumerate_kkt, scan_alpha
 
 
 def test_single_bound_unique_candidate():

@@ -192,6 +192,25 @@ def test_indefinite_curvature_warns_once():
     assert len(curvature) == 1
 
 
+def test_curvature_is_checked_once_per_distinct_hessian(monkeypatch):
+    import arcipm.solver as solver_mod
+
+    checked = []
+    original = solver_mod._indefinite
+    monkeypatch.setattr(solver_mod, "_indefinite", lambda hess: checked.append(hess) or original(hess))
+    # a folded quadratic hands every iterate the same read-only Hessian
+    qp = many_rows_program(np.random.default_rng(0))
+    report = solve(qp, SolverConfig())
+    assert report.iterations > 1
+    assert len(checked) == 1
+    assert not checked[0].flags.writeable
+    # a log objective gets a new Hessian at every iterate
+    checked.clear()
+    program, start = load_problem("ex1")
+    report = solve(program, SolverConfig(), default_start(program, start))
+    assert len(checked) == report.iterations
+
+
 def test_convex_fixture_does_not_warn_about_curvature():
     import warnings
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from arcipm import SolverConfig, default_start
 from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
-from arcipm.oracles import scan_alpha
 from arcipm.step import (
     StepFailureError,
     alpha_limits,
@@ -26,6 +25,7 @@ from arcipm.step import (
     update_nu,
 )
 from conftest import load_problem, synthetic_step_pair as synthetic_pair
+from oracles import scan_alpha
 
 HALF_PI = math.pi / 2.0
 
