@@ -7,16 +7,13 @@ children's triples by the chain rule (second-order forward mode; Griewank
 a raw parse tree a call costs one walk whose nodes each do O(n^2) array
 work, so the O(n^2) products of a dense quadratic cost O(n^4).
 
-:func:`compile_objective` therefore runs once per program and replaces
-every maximal subtree of degree <= 2 by one :class:`Quadratic` node
-c + g'x + 1/2 x'Hx, whose Hessian is a constant (ibid., ch. 7).  Folding
-works on each subtree's own variables, and Add/Sub/Neg chains become one
-:class:`Sum` of signed terms whose polynomial terms are scattered into a
-single accumulator, so compiling costs O(nodes k^2) for subtrees over k
-variables.  A folded quadratic program is then one node: one matrix-vector
-product per call and the same read-only Hessian every time.  The public
-``evaluate``/``gradient``/``hessian`` accept either tree; the solver passes
-the compiled one and the test oracles the raw one.
+:func:`compile_objective` therefore runs once per program: a tree of
+degree <= 2 becomes one :class:`Quadratic` node c + g'x + 1/2 x'Hx, whose
+Hessian is a constant (ibid., ch. 7), and any other tree is left as it is.
+Compiling costs O(nodes n^2) once.  A quadratic program is then one node:
+one matrix-vector product per call and the same read-only Hessian every
+time.  The public ``evaluate``/``gradient``/``hessian`` accept either tree;
+the solver passes the compiled one and the test oracles the raw one.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
 ``OverflowError`` on range overflow instead of returning inf; it becomes a
@@ -48,24 +45,14 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Quadratic:
-    """c + g'x + 1/2 x'Hx: a folded subtree.
+    """c + g'x + 1/2 x'Hx: a folded tree.
 
-    g and H are stored at full size, zero outside the subtree's own
-    variables, so a call needs no gather or scatter.  H is read-only, and
-    every call returns that same array.
+    H is read-only, and every call returns that same array.
     """
 
     constant: float
     linear: np.ndarray
     hessian: np.ndarray
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Sum:
-    """constant + the sum of sign * node over (sign, node) terms, sign = +-1.0."""
-
-    constant: float
-    terms: tuple
 
 
 def _chain(u, f: float, df: float, d2f: float):
@@ -149,53 +136,20 @@ def _walk(node, x, leaves, zero):
             if not math.isfinite(v):
                 raise DomainError("polynomial overflows")
             return v, grad, h
-        case Sum(constant=c, terms=((sign, first), *rest)):
-            v, g, h = _walk(first, x, leaves, zero)
-            # fresh arrays, so the other terms can be added in place
-            value, grad, hess = c + sign * v, sign * g, sign * h
-            for sign, term in rest:
-                v, g, h = _walk(term, x, leaves, zero)
-                if sign > 0.0:
-                    value += v
-                    grad += g
-                    hess += h
-                else:
-                    value -= v
-                    grad -= g
-                    hess -= h
-            return value, grad, hess
     raise TypeError(f"not an expression node: {node!r}")
 
 
 class _Poly(NamedTuple):
-    """Compile-time polynomial of degree <= 2 over the sorted ``indices``."""
+    """Compile-time c + g'x + 1/2 x'Hx of the given degree, at full size."""
 
     degree: int
     constant: float
-    indices: tuple
     linear: np.ndarray
     hessian: np.ndarray
 
 
-def _constant(c: float) -> _Poly:
-    return _Poly(0, c, (), np.zeros(0), np.zeros((0, 0)))
-
-
 def _scaled(p: _Poly, c: float) -> _Poly:
-    return _Poly(p.degree, c * p.constant, p.indices, c * p.linear, c * p.hessian)
-
-
-def _sum(signed) -> _Poly:
-    """Sum of (sign, polynomial) terms, scattered into one accumulator."""
-    indices = tuple(sorted(set().union(*(p.indices for _, p in signed))))
-    linear, hessian = np.zeros(len(indices)), np.zeros((len(indices), len(indices)))
-    constant = 0.0
-    for sign, p in signed:
-        at = np.searchsorted(indices, p.indices)
-        constant += sign * p.constant
-        linear[at] += sign * p.linear
-        hessian[np.ix_(at, at)] += sign * p.hessian
-    return _Poly(max((p.degree for _, p in signed), default=0), constant, indices, linear, hessian)
+    return _Poly(p.degree, c * p.constant, c * p.linear, c * p.hessian)
 
 
 def _product(a: _Poly, b: _Poly) -> _Poly:
@@ -205,114 +159,70 @@ def _product(a: _Poly, b: _Poly) -> _Poly:
     if b.degree == 0:
         return _scaled(a, b.constant)
     # two linear factors: the Hessian is ga gb' + gb ga'
-    indices = tuple(sorted(set(a.indices) | set(b.indices)))
-    ga, gb = _embed(a, indices), _embed(b, indices)
-    cross = np.outer(ga, gb)
-    return _Poly(2, a.constant * b.constant, indices, a.constant * gb + b.constant * ga, cross + cross.T)
+    cross = np.outer(a.linear, b.linear)
+    return _Poly(2, a.constant * b.constant, a.constant * b.linear + b.constant * a.linear, cross + cross.T)
 
 
-def _embed(p: _Poly, indices: tuple) -> np.ndarray:
-    g = np.zeros(len(indices))
-    g[np.searchsorted(indices, p.indices)] = p.linear
-    return g
+def _fold(node: ast.Expr, n: int) -> _Poly | None:
+    """The subtree as a :class:`_Poly` if it has degree <= 2, else None.
 
-
-def _signed_terms(node: ast.Expr, sign: float, out: list) -> list:
-    """Flatten nested Add/Sub/Neg into (sign, term) pairs, in tree order."""
-    match node:
-        case ast.Add(left=a, right=b):
-            _signed_terms(a, sign, out)
-            _signed_terms(b, sign, out)
-        case ast.Sub(left=a, right=b):
-            _signed_terms(a, sign, out)
-            _signed_terms(b, -sign, out)
-        case ast.Neg(child=c):
-            _signed_terms(c, -sign, out)
-        case _:
-            out.append((sign, node))
-    return out
-
-
-def _fold(node: ast.Expr, n: int):
-    """A :class:`_Poly` if the subtree has degree <= 2, else its compiled form."""
+    A non-finite coefficient stays non-finite through +, -, * and ^ 1 or 2;
+    a division by an overflowed constant or its zeroth power would hide it,
+    so those are not folded.
+    """
     match node:
         case ast.Const(value=v):
-            return _constant(float(v))
+            return _Poly(0, float(v), np.zeros(n), np.zeros((n, n)))
         case ast.Var(index=i):
-            return _Poly(1, 0.0, (i,), np.ones(1), np.zeros((1, 1)))
-        case ast.Add() | ast.Sub() | ast.Neg():
-            return _fold_sum(node, n)
+            linear = np.zeros(n)
+            linear[i] = 1.0
+            return _Poly(1, 0.0, linear, np.zeros((n, n)))
+        case ast.Add(left=a, right=b) | ast.Sub(left=a, right=b):
+            if (fa := _fold(a, n)) is None or (fb := _fold(b, n)) is None:
+                return None
+            if isinstance(node, ast.Sub):
+                fb = _scaled(fb, -1.0)
+            degree = max(fa.degree, fb.degree)
+            return _Poly(degree, fa.constant + fb.constant, fa.linear + fb.linear, fa.hessian + fb.hessian)
+        case ast.Neg(child=c):
+            fc = _fold(c, n)
+            return None if fc is None else _scaled(fc, -1.0)
         case ast.Mul(left=a, right=b):
-            fa, fb = _fold(a, n), _fold(b, n)
-            if isinstance(fa, _Poly) and isinstance(fb, _Poly) and fa.degree + fb.degree <= 2:
-                return _product(fa, fb)
-            return ast.Mul(_emit(fa, a, n), _emit(fb, b, n))
+            if (fa := _fold(a, n)) is None or (fb := _fold(b, n)) is None or fa.degree + fb.degree > 2:
+                return None
+            return _product(fa, fb)
         case ast.Div(left=a, right=b):
-            fa, fb = _fold(a, n), _fold(b, n)
-            if isinstance(fa, _Poly) and isinstance(fb, _Poly) and fb.degree == 0 and fb.constant != 0.0:
-                d = fb.constant
-                return _Poly(fa.degree, fa.constant / d, fa.indices, fa.linear / d, fa.hessian / d)
-            return ast.Div(_emit(fa, a, n), _emit(fb, b, n))
+            if (fa := _fold(a, n)) is None or (fb := _fold(b, n)) is None or fb.degree > 0:
+                return None
+            d = fb.constant
+            if d == 0.0 or not math.isfinite(d):
+                return None
+            return _Poly(fa.degree, fa.constant / d, fa.linear / d, fa.hessian / d)
         case ast.Pow(base=b, exponent=r):
-            fb = _fold(b, n)
-            if isinstance(fb, _Poly):
-                if r == 0.0:
-                    return _constant(1.0)
-                if r == 1.0:
-                    return fb
-                if r == 2.0 and fb.degree <= 1:
-                    return _product(fb, fb)
-            return ast.Pow(_emit(fb, b, n), r)
-        case ast.Log(child=c) | ast.Exp(child=c):
-            return type(node)(_emit(_fold(c, n), c, n))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _fold_sum(node: ast.Expr, n: int):
-    """One polynomial, or a :class:`Sum` whose polynomial terms are merged.
-
-    The merged polynomial comes first, or is the sum's constant when it
-    has degree 0; the other terms keep their order.
-    """
-    terms = [(sign, _fold(term, n)) for sign, term in _signed_terms(node, 1.0, [])]
-    polys = [(sign, f) for sign, f in terms if isinstance(f, _Poly)]
-    if len(polys) == len(terms):
-        return _sum(polys)
-    others = tuple((sign, f) for sign, f in terms if not isinstance(f, _Poly))
-    merged = _emit(_sum(polys), node, n)
-    if isinstance(merged, ast.Const):
-        return Sum(merged.value, others)
-    return Sum(0.0, ((1.0, merged), *others))
-
-
-def _emit(folded, source: ast.Expr, n: int):
-    """The compiled node for ``_fold(source)``; leaves stay leaves."""
-    if not isinstance(folded, _Poly):
-        return folded
-    if isinstance(source, (ast.Const, ast.Var)):
-        return source
-    if folded.degree == 0:
-        if not math.isfinite(folded.constant):
-            raise DomainError("polynomial overflows")
-        return ast.Const(folded.constant)
-    indices = list(folded.indices)
-    linear, hessian = np.zeros(n), np.zeros((n, n))
-    linear[indices] = folded.linear
-    hessian[np.ix_(indices, indices)] = folded.hessian
-    hessian.flags.writeable = False
-    return Quadratic(folded.constant, linear, hessian)
+            if (fb := _fold(b, n)) is None:
+                return None
+            if r == 0.0 and fb.degree == 0 and math.isfinite(fb.constant):
+                return _Poly(0, 1.0, np.zeros(n), np.zeros((n, n)))
+            if r == 1.0:
+                return fb
+            if r == 2.0 and fb.degree <= 1:
+                return _product(fb, fb)
+    return None
 
 
 def compile_objective(expression: ast.Expr, n: int):
-    """The tree with every maximal subtree of degree <= 2 folded into one node.
+    """A tree of degree <= 2 as one :class:`Quadratic`; any other tree as it is.
 
-    The result goes to the same ``value_gradient_hessian`` as a raw tree
-    over n variables.  Range overflow while folding raises
-    :class:`DomainError`: here for a constant, and at evaluation for a
-    folded node over variables.
+    The result goes to the same ``value_gradient_hessian`` as a parsed tree
+    over n variables.  A tree whose coefficients overflow is not folded, so
+    its walk raises the parsed tree's :class:`DomainError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _emit(_fold(expression, n), expression, n)
+        poly = _fold(expression, n)
+    if poly is None or not all(np.isfinite(part).all() for part in poly[1:]):
+        return expression
+    poly.hessian.flags.writeable = False
+    return Quadratic(poly.constant, poly.linear, poly.hessian)
 
 
 def value_gradient_hessian(expression, x):

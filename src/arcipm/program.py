@@ -61,7 +61,7 @@ class ConvexProgram:
 
     @cached_property
     def compiled_objective(self):
-        """``objective`` with its degree <= 2 subtrees folded, built on first use.
+        """``objective`` folded into one node if its degree is <= 2, built on first use.
 
         The solver differentiates this tree; ``objective`` stays the parsed
         tree, which the test oracles differentiate independently.

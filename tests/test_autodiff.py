@@ -183,8 +183,9 @@ def test_integer_powers_allow_negative_base():
 
 # (expression, function, point, message from the parsed tree, message from
 # the compiled tree): every case of test_domain_errors, plus a division by
-# a zero constant.  Only the two polynomial cases are folded; the others
-# keep their log, div, pow or exp node and its message.
+# a zero or an overflowed constant, a zeroth power of an overflowing
+# product and overflowing constants.  Only the two polynomial cases are
+# folded; the others are left unfolded and keep the parsed tree's message.
 DOMAIN_CASES = [
     ("log(x1)", evaluate, [-1.0], "log of a nonpositive value", None),
     ("log(x1)", evaluate, [0.0], "log of a nonpositive value", None),
@@ -198,6 +199,11 @@ DOMAIN_CASES = [
     ("x1 * x2", evaluate, [1e200, 1e200], "product overflows", "polynomial overflows"),
     ("x1 / x2", hessian, [1e200, 1e-200], "quotient overflows", None),
     ("x1 / (2 - 2)", evaluate, [1.0], "division by zero", None),
+    ("x1 / (1e200 * 1e200)", evaluate, [1.0], "product overflows", None),
+    ("(x1 * x2) ^ 0", evaluate, [1e200, 1e200], "product overflows", None),
+    ("x1 + 1e200 * 1e200", evaluate, [1.0], "product overflows", None),
+    ("x1 * (1e200 * 1e200) * 0", evaluate, [1.0], "product overflows", None),
+    ("log(1e200 * 1e200)", evaluate, [1.0], "product overflows", None),
 ]
 
 
@@ -210,12 +216,17 @@ def test_domain_errors_through_compiled_tree(text, function, x, message, folded)
         function(compile_objective(tree, len(x)), x)
 
 
-def test_overflowing_constant_raises_when_compiled():
-    tree = parse_expression("log(1e200 * 1e200)", ["x1"])
-    with pytest.raises(DomainError, match="product overflows"):
-        evaluate(tree, [1.0])
-    with pytest.raises(DomainError, match="polynomial overflows"):
-        compile_objective(tree, 1)
+def test_only_whole_polynomial_trees_fold():
+    names = ["x1", "x2", "x3"]
+    polynomial = parse_expression("x1*x2 - (x3 + 1)/4 + -(x1 - 2*x2)^2 + 3^2 + 5^0", names)
+    compiled = compile_objective(polynomial, 3)
+    assert isinstance(compiled, Quadratic)
+    x = np.array([0.5, 1.5, 2.0])
+    for got, want in zip(value_gradient_hessian(compiled, x), value_gradient_hessian(polynomial, x)):
+        assert np.array_equal(got, want)
+    for text in ["log(x1) + x1*x2", "x1*x2*x3", "(x1*x2)^2 + x3", "x1 / x2", "x1 ^ 3", "x1 ^ 0", "exp(x1 + x2)"]:
+        tree = parse_expression(text, names)
+        assert compile_objective(tree, 3) is tree
 
 
 def _perfbench_quadratic_tree():
@@ -254,7 +265,9 @@ def test_quadratic_tree_compiles_to_one_node(origin, n):
 # numbers, so every polynomial subtree is evaluated exactly by both paths,
 # and every node has a positive value, so no sum cancels.  Subtraction and
 # negation appear only in pairs that add up to a sum, which still covers
-# the sign bookkeeping of the flattened sums.
+# their signs.  Half of the trees are polynomials of any degree, which fold
+# when their degree is at most 2; the others put any node around and
+# between polynomial subtrees, and are left unfolded.
 VARS = [ast.Var(i, f"x{i + 1}") for i in range(3)]
 LEAVES = st.sampled_from(VARS) | st.sampled_from([1.0, 2.0, 3.0]).map(ast.Const)
 
@@ -282,14 +295,15 @@ def _all_ops(children):
     )
 
 
-# polynomial subtrees of any degree, then any node around and between them
-TREES = st.recursive(st.recursive(LEAVES, _polynomial_ops, max_leaves=6), _all_ops, max_leaves=6)
+POLYNOMIALS = st.recursive(LEAVES, _polynomial_ops, max_leaves=6)
+TREES = POLYNOMIALS | st.recursive(POLYNOMIALS, _all_ops, max_leaves=6)
 POINTS = st.lists(st.sampled_from(np.arange(2, 9) / 4.0), min_size=3, max_size=3).map(np.array)
 
 
 @given(TREES, POINTS)
 @example(parse_expression("x1*x2 + exp(x3/8) - -(x1 + 2) - -log(2 + x2)", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
 @example(parse_expression("(x1*x2)^2 + x3^2*x1 + x1*x2*x3", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
+@example(parse_expression("x1*x2 - -(x1 + 2)*x3 + (x2/4)^2 - -x1", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
 @settings(max_examples=300, deadline=None)
 def test_compiled_tree_agrees_with_parsed_tree(tree, x):
     try:
