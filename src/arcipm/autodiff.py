@@ -7,13 +7,15 @@ children's triples by the chain rule (second-order forward mode; Griewank
 a raw parse tree a call costs one walk whose nodes each do O(n^2) array
 work, so the O(n^2) products of a dense quadratic cost O(n^4).
 
-:func:`compile_objective` therefore runs once per program: a tree of
-degree <= 2 becomes one :class:`Quadratic` node c + g'x + 1/2 x'Hx, whose
-Hessian is a constant (ibid., ch. 7), and any other tree is left as it is.
-Compiling costs O(nodes n^2) once.  A quadratic program is then one node:
-one matrix-vector product per call and the same read-only Hessian every
-time.  The public ``evaluate``/``gradient``/``hessian`` accept either tree;
-the solver passes the compiled one and the test oracles the raw one.
+:func:`compile_objective` therefore runs once per program: a degree test,
+then one walk at x = 0.  A tree of degree <= 2 is c + g'x + 1/2 x'Hx, and
+its (value, gradient, Hessian) at 0 are exactly (c, g, H), a constant
+Hessian (ibid., ch. 7); it becomes one :class:`Quadratic` node, and any
+other tree is left as it is.  Compiling costs one O(nodes n^2) walk.  A
+quadratic program is then one node: one matrix-vector product per call
+and the same read-only Hessian every time.  The public
+``evaluate``/``gradient``/``hessian`` accept either tree; the solver
+passes the compiled one and the test oracles the raw one.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
 ``OverflowError`` on range overflow instead of returning inf; it becomes a
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -139,90 +140,61 @@ def _walk(node, x, leaves, zero):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-class _Poly(NamedTuple):
-    """Compile-time c + g'x + 1/2 x'Hx of the given degree, at full size."""
+def _degree(node: ast.Expr) -> int | None:
+    """The tree's polynomial degree if it is at most 2, else None.
 
-    degree: int
-    constant: float
-    linear: np.ndarray
-    hessian: np.ndarray
-
-
-def _scaled(p: _Poly, c: float) -> _Poly:
-    return _Poly(p.degree, c * p.constant, c * p.linear, c * p.hessian)
-
-
-def _product(a: _Poly, b: _Poly) -> _Poly:
-    """a * b for deg a + deg b <= 2."""
-    if a.degree == 0:
-        return _scaled(b, a.constant)
-    if b.degree == 0:
-        return _scaled(a, b.constant)
-    # two linear factors: the Hessian is ga gb' + gb ga'
-    cross = np.outer(a.linear, b.linear)
-    return _Poly(2, a.constant * b.constant, a.constant * b.linear + b.constant * a.linear, cross + cross.T)
-
-
-def _fold(node: ast.Expr, n: int) -> _Poly | None:
-    """The subtree as a :class:`_Poly` if it has degree <= 2, else None.
-
-    A non-finite coefficient stays non-finite through +, -, * and ^ 1 or 2;
-    a division by an overflowed constant or its zeroth power would hide it,
-    so those are not folded.
+    ``^ 1`` keeps the base's degree, ``^ 2`` applies over a base of degree
+    <= 1 and ``^ 0`` over a constant base only; a divisor must be constant.
     """
     match node:
-        case ast.Const(value=v):
-            return _Poly(0, float(v), np.zeros(n), np.zeros((n, n)))
-        case ast.Var(index=i):
-            linear = np.zeros(n)
-            linear[i] = 1.0
-            return _Poly(1, 0.0, linear, np.zeros((n, n)))
+        case ast.Const():
+            return 0
+        case ast.Var():
+            return 1
         case ast.Add(left=a, right=b) | ast.Sub(left=a, right=b):
-            if (fa := _fold(a, n)) is None or (fb := _fold(b, n)) is None:
+            if (da := _degree(a)) is None or (db := _degree(b)) is None:
                 return None
-            if isinstance(node, ast.Sub):
-                fb = _scaled(fb, -1.0)
-            degree = max(fa.degree, fb.degree)
-            return _Poly(degree, fa.constant + fb.constant, fa.linear + fb.linear, fa.hessian + fb.hessian)
+            return max(da, db)
         case ast.Neg(child=c):
-            fc = _fold(c, n)
-            return None if fc is None else _scaled(fc, -1.0)
+            return _degree(c)
         case ast.Mul(left=a, right=b):
-            if (fa := _fold(a, n)) is None or (fb := _fold(b, n)) is None or fa.degree + fb.degree > 2:
+            if (da := _degree(a)) is None or (db := _degree(b)) is None or da + db > 2:
                 return None
-            return _product(fa, fb)
+            return da + db
         case ast.Div(left=a, right=b):
-            if (fa := _fold(a, n)) is None or (fb := _fold(b, n)) is None or fb.degree > 0:
-                return None
-            d = fb.constant
-            if d == 0.0 or not math.isfinite(d):
-                return None
-            return _Poly(fa.degree, fa.constant / d, fa.linear / d, fa.hessian / d)
+            return _degree(a) if _degree(b) == 0 else None
         case ast.Pow(base=b, exponent=r):
-            if (fb := _fold(b, n)) is None:
-                return None
-            if r == 0.0 and fb.degree == 0 and math.isfinite(fb.constant):
-                return _Poly(0, 1.0, np.zeros(n), np.zeros((n, n)))
+            d = _degree(b)
             if r == 1.0:
-                return fb
-            if r == 2.0 and fb.degree <= 1:
-                return _product(fb, fb)
+                return d
+            if r == 2.0 and d is not None and d <= 1:
+                return 2 * d
+            if r == 0.0 and d == 0:
+                return 0
     return None
 
 
 def compile_objective(expression: ast.Expr, n: int):
     """A tree of degree <= 2 as one :class:`Quadratic`; any other tree as it is.
 
-    The result goes to the same ``value_gradient_hessian`` as a parsed tree
-    over n variables.  A tree whose coefficients overflow is not folded, so
-    its walk raises the parsed tree's :class:`DomainError`.
+    Such a tree's (f, grad f, Hessian) at x = 0 are exactly its (c, g, H),
+    so one walk there folds it.  The result goes to the same
+    ``value_gradient_hessian`` as a parsed tree over n variables.  A tree
+    whose walk at 0 raises, or whose coefficients overflow, is not folded,
+    so its walk raises the parsed tree's :class:`DomainError`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        poly = _fold(expression, n)
-    if poly is None or not all(np.isfinite(part).all() for part in poly[1:]):
+    if _degree(expression) is None:
         return expression
-    poly.hessian.flags.writeable = False
-    return Quadratic(poly.constant, poly.linear, poly.hessian)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, g, h = value_gradient_hessian(expression, np.zeros(n))
+    except DomainError:
+        return expression
+    if not (math.isfinite(c) and np.isfinite(g).all() and np.isfinite(h).all()):
+        return expression
+    h = h.copy()
+    h.flags.writeable = False
+    return Quadratic(c, g, h)
 
 
 def value_gradient_hessian(expression, x):

@@ -167,17 +167,8 @@ _SOLVER_FLAGS = {
 }
 
 
-def add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    """Add ``--epsilon``, ``--theta``, ... with the SolverConfig() defaults."""
-    defaults = SolverConfig()
-    for field, help_text in _SOLVER_FLAGS.items():
-        default = getattr(defaults, field)
-        flag = "--" + field.replace("_", "-")
-        parser.add_argument(flag, type=type(default), default=default, help=help_text)
-
-
 def config_from_args(args: argparse.Namespace) -> SolverConfig:
-    """The SolverConfig named by the flags of :func:`add_solver_flags`."""
+    """The SolverConfig named by the solver flags of :func:`build_arg_parser`."""
     return SolverConfig(**{field: getattr(args, field) for field in _SOLVER_FLAGS})
 
 
@@ -187,7 +178,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Arc-search interior-point solver for linearly constrained convex programs.",
     )
     parser.add_argument("problem", help="path to a problem file")
-    add_solver_flags(parser)
+    defaults = SolverConfig()
+    for field, help_text in _SOLVER_FLAGS.items():
+        default = getattr(defaults, field)
+        flag = "--" + field.replace("_", "-")
+        parser.add_argument(flag, type=type(default), default=default, help=help_text)
     parser.add_argument("--trace", metavar="PATH", help="write per-iteration CSV trace")
     parser.add_argument("--x0", metavar="V1,V2,...", help="starting point, overrides the file")
     return parser

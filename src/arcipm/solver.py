@@ -18,7 +18,7 @@ from .kkt import (
     true_stationarity_norm,
 )
 from .program import ConvexProgram
-from .step import StepFailureError, arc_point, floors, select_step, update_nu
+from .step import RESIDUAL_FLOOR, StepFailureError, arc_point, floors, select_step, update_nu
 
 
 @dataclass
@@ -186,20 +186,19 @@ def solve(
             message = str(err)
             break
         point = arc_point(iterate, directions, selection.sigma, selection.alpha)
-        if residual_floor_warned:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                nu = update_nu(iterate.nu, selection.alpha)
-        else:
-            nu = update_nu(iterate.nu, selection.alpha)
-            residual_floor_warned = nu < 1e-300
+        nu = update_nu(iterate.nu, selection.alpha)
+        if nu == RESIDUAL_FLOOR and not residual_floor_warned:
+            warnings.warn(
+                "residual factor reached zero (full-angle step); continuing with a tiny floor",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            residual_floor_warned = True
         iterate = Iterate.at(program, point.x, point.y, point.w, point.s, point.z, nu)
         k += 1
         trace.append(_trace_row(program, iterate, k, selection.sigma, selection.alpha))
         if observer is not None:
             observer(k, iterate, selection)
-    else:
-        status = SolverStatus.MAX_ITER
 
     if status is SolverStatus.MAX_ITER and kkt_norm(iterate) <= config.epsilon:
         status = SolverStatus.CONVERGED

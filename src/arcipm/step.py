@@ -23,7 +23,6 @@ three dot products of the directions, decides when pure affine stepping
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,10 @@ FLOOR_SLACK = 1e-10
 GOLDEN_TOLERANCE = 1e-4
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Residual factor after a full-angle step has wiped it out: the smallest
+# positive normal float.
+RESIDUAL_FLOOR = float(np.finfo(float).tiny)
 
 
 class StepFailureError(RuntimeError):
@@ -81,18 +84,10 @@ def update_nu(nu: float, alpha: float) -> float:
     """Shrink the cumulative residual factor by (1 - sin(alpha)).
 
     At alpha = pi/2 the factor hits zero exactly, which means the linear
-    residuals have been wiped out; the run continues with a tiny positive
-    floor so the slack floors stay well defined.
+    residuals have been wiped out; the run continues from
+    :data:`RESIDUAL_FLOOR` so the slack floors stay well defined.
     """
-    shrunk = nu * (1.0 - math.sin(alpha))
-    if shrunk == 0.0:
-        warnings.warn(
-            "residual factor reached zero (full-angle step); continuing with a tiny floor",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return float(np.finfo(float).tiny)
-    return shrunk
+    return nu * (1.0 - math.sin(alpha)) or RESIDUAL_FLOOR
 
 
 def floors(s, z, nu: float, rho: float):

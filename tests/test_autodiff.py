@@ -204,16 +204,19 @@ DOMAIN_CASES = [
     ("x1 + 1e200 * 1e200", evaluate, [1.0], "product overflows", None),
     ("x1 * (1e200 * 1e200) * 0", evaluate, [1.0], "product overflows", None),
     ("log(1e200 * 1e200)", evaluate, [1.0], "product overflows", None),
+    ("x1 * 1e400", evaluate, [1.0], "product overflows", None),
+    ("x1 * 1e200 * 1e200", evaluate, [1.0], "product overflows", None),
 ]
 
 
 @pytest.mark.parametrize(("text", "function", "x", "message", "folded"), DOMAIN_CASES)
 def test_domain_errors_through_compiled_tree(text, function, x, message, folded):
     tree = parse_expression(text, X12[: len(x)])
+    compiled = compile_objective(tree, len(x))
     with pytest.raises(DomainError, match=message):
         function(tree, x)
     with pytest.raises(DomainError, match=folded or message):
-        function(compile_objective(tree, len(x)), x)
+        function(compiled, x)
 
 
 def test_only_whole_polynomial_trees_fold():
@@ -227,6 +230,15 @@ def test_only_whole_polynomial_trees_fold():
     for text in ["log(x1) + x1*x2", "x1*x2*x3", "(x1*x2)^2 + x3", "x1 / x2", "x1 ^ 3", "x1 ^ 0", "exp(x1 + x2)"]:
         tree = parse_expression(text, names)
         assert compile_objective(tree, 3) is tree
+
+
+@pytest.mark.parametrize("text", ["x1 / 1e400", "1e400 ^ 0 * x1"])
+def test_infinite_literal_compiles_to_the_parsed_values(text):
+    tree = parse_expression(text, ["x1"])
+    compiled = compile_objective(tree, 1)
+    for x in ([0.0], [2.5], [-3.0]):
+        for got, want in zip(value_gradient_hessian(compiled, x), value_gradient_hessian(tree, x)):
+            assert np.array_equal(got, want)
 
 
 def _perfbench_quadratic_tree():

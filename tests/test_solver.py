@@ -192,6 +192,20 @@ def test_indefinite_curvature_warns_once():
     assert len(curvature) == 1
 
 
+@pytest.mark.parametrize(
+    ("name", "count"),
+    [("ex1", 0), ("ex2", 1), ("ex3", 0), ("ex4", 0), ("ex5", 1), ("ex6", 1), ("ex7", 1), ("ex8", 0)],
+)
+def test_residual_floor_warns_at_most_once(name, count):
+    import warnings
+
+    program, start = load_problem(name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(program, SolverConfig(), default_start(program, start))
+    assert len([c for c in caught if "residual factor reached zero" in str(c.message)]) == count
+
+
 def test_curvature_is_checked_once_per_distinct_hessian(monkeypatch):
     import arcipm.solver as solver_mod
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from arcipm import SolverConfig, default_start
 from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
 from arcipm.step import (
+    RESIDUAL_FLOOR,
     StepFailureError,
     alpha_limits,
     alpha_tilde,
@@ -82,9 +83,8 @@ def test_arc_derivatives_at_zero_by_central_differences():
 def test_update_nu():
     assert update_nu(0.7, 0.0) == 0.7
     assert update_nu(1.0, math.pi / 6.0) == pytest.approx(0.5, rel=1e-12)
-    with pytest.warns(RuntimeWarning, match="tiny floor"):
-        floor = update_nu(0.5, HALF_PI)
-    assert 0.0 < floor < 1e-300
+    assert update_nu(0.5, HALF_PI) == RESIDUAL_FLOOR
+    assert 0.0 < RESIDUAL_FLOOR < 1e-300
 
 
 def test_floors():
