@@ -79,27 +79,36 @@ def _pow(u, r: float):
         raise DomainError("power overflows") from err
 
 
-def _walk(node, x, leaves, zero):
+def _walk(node, leaves, zero):
     match node:
         case ast.Const(value=v):
             return (float(v), *zero)
         case ast.Var(index=i):
             return leaves[i]
-        case ast.Add(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
-            return va + vb, ga + gb, ha + hb
-        case ast.Sub(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
-            return va - vb, ga - gb, ha - hb
+        case ast.Add() | ast.Sub():
+            # a sum of k terms is parsed k - 1 deep on the left; walk that
+            # spine in a loop, adding the terms left to right as before
+            spine = []
+            while isinstance(node, (ast.Add, ast.Sub)):
+                spine.append(node)
+                node = node.left
+            v, g, h = _walk(node, leaves, zero)
+            for op in reversed(spine):
+                vb, gb, hb = _walk(op.right, leaves, zero)
+                if isinstance(op, ast.Add):
+                    v, g, h = v + vb, g + gb, h + hb
+                else:
+                    v, g, h = v - vb, g - gb, h - hb
+            return v, g, h
         case ast.Mul(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
             v = va * vb
             if not math.isfinite(v):
                 raise DomainError("product overflows")
             cross = np.outer(ga, gb)
             return v, vb * ga + va * gb, vb * ha + va * hb + (cross + cross.T)
         case ast.Div(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, x, leaves, zero), _walk(b, x, leaves, zero)
+            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
             if vb == 0.0:
                 raise DomainError("division by zero")
             q = va / vb
@@ -109,12 +118,12 @@ def _walk(node, x, leaves, zero):
             cross = np.outer(gq, gb)
             return q, gq, (ha - q * hb - (cross + cross.T)) / vb
         case ast.Pow(base=b, exponent=r):
-            return _pow(_walk(b, x, leaves, zero), r)
+            return _pow(_walk(b, leaves, zero), r)
         case ast.Neg(child=c):
-            v, g, h = _walk(c, x, leaves, zero)
+            v, g, h = _walk(c, leaves, zero)
             return -v, -g, -h
         case ast.Log(child=c):
-            u = _walk(c, x, leaves, zero)
+            u = _walk(c, leaves, zero)
             if u[0] <= 0.0:
                 raise DomainError("log of a nonpositive value")
             try:
@@ -122,22 +131,25 @@ def _walk(node, x, leaves, zero):
             except OverflowError as err:
                 raise DomainError("log overflows") from err
         case ast.Exp(child=c):
-            u = _walk(c, x, leaves, zero)
+            u = _walk(c, leaves, zero)
             try:
                 e = math.exp(u[0])
             except OverflowError as err:
                 raise DomainError("exp overflows") from err
             return _chain(u, e, e, e)
-        case Quadratic(constant=c, linear=g, hessian=h):
-            with np.errstate(over="ignore", invalid="ignore"):
-                hx = h @ x
-                v = float(c + x @ (g + 0.5 * hx))
-                grad = g + hx
-            # a non-finite entry of g, H or Hx shows in the value too
-            if not math.isfinite(v):
-                raise DomainError("polynomial overflows")
-            return v, grad, h
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _quadratic(node: Quadratic, x):
+    c, g, h = node.constant, node.linear, node.hessian
+    with np.errstate(over="ignore", invalid="ignore"):
+        hx = h @ x
+        v = float(c + x @ (g + 0.5 * hx))
+        grad = g + hx
+    # a non-finite entry of g, H or Hx shows in the value too
+    if not math.isfinite(v):
+        raise DomainError("polynomial overflows")
+    return v, grad, h
 
 
 def _degree(node: ast.Expr) -> int | None:
@@ -151,10 +163,16 @@ def _degree(node: ast.Expr) -> int | None:
             return 0
         case ast.Var():
             return 1
-        case ast.Add(left=a, right=b) | ast.Sub(left=a, right=b):
-            if (da := _degree(a)) is None or (db := _degree(b)) is None:
-                return None
-            return max(da, db)
+        case ast.Add() | ast.Sub():
+            # along the left spine in a loop, as in _walk
+            degree = 0
+            while isinstance(node, (ast.Add, ast.Sub)):
+                if (d := _degree(node.right)) is None:
+                    return None
+                degree = max(degree, d)
+                node = node.left
+            d = _degree(node)
+            return None if d is None else max(degree, d)
         case ast.Neg(child=c):
             return _degree(c)
         case ast.Mul(left=a, right=b):
@@ -200,11 +218,13 @@ def compile_objective(expression: ast.Expr, n: int):
 def value_gradient_hessian(expression, x):
     """(f, grad f, Hessian) in one walk of a raw or compiled tree."""
     x = np.asarray(x, dtype=float)
+    if isinstance(expression, Quadratic):
+        return _quadratic(expression, x)
     n = x.size
     unit = np.eye(n)
     zero = (np.zeros(n), np.zeros((n, n)))
     leaves = [(float(x[i]), unit[i], zero[1]) for i in range(n)]
-    return _walk(expression, x, leaves, zero)
+    return _walk(expression, leaves, zero)
 
 
 def evaluate(expression, x) -> float:

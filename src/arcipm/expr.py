@@ -275,7 +275,14 @@ def variable_indices(node: Expr) -> set[int]:
             return variable_indices(c)
         case Pow(base=b):
             return variable_indices(b)
-        case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b) | Div(left=a, right=b):
+        case Add() | Sub():
+            # a parsed sum is as deep as it has terms; loop down its left spine
+            indices = set()
+            while isinstance(node, (Add, Sub)):
+                indices |= variable_indices(node.right)
+                node = node.left
+            return indices | variable_indices(node)
+        case Mul(left=a, right=b) | Div(left=a, right=b):
             return variable_indices(a) | variable_indices(b)
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -24,16 +24,26 @@ pieces whose combination (p*sigma + q) is the curvature term of the search
 arc.  Singularity is decided on the equilibrated matrix D M D with
 D = diag(1/sqrt(row max |M|)) (one step of Ruiz's scaling), so a badly
 scaled but regular system is not reported as singular.
+
+The factorization and the solves call LAPACK's ``dgetrf`` and ``dgetrs``
+directly (LAPACK Users' Guide, 3rd ed., on xGETRF/xGETRS); at n + m of a
+few dozen, scipy's ``lu_factor``/``lu_solve`` wrappers cost several times
+the routines they wrap.  Each right-hand side gets its own ``dgetrs``
+call: a two-column solve is not bitwise equal to two one-column solves,
+and the one-column calls are bitwise equal to the wrappers.  LAPACK does
+not check its input, so the matrix is checked for inf and NaN once,
+before it is equilibrated, and every right-hand side before it is solved;
+either kind of entry raises :class:`SingularKKTError`.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .autodiff import value_gradient_hessian
 from .program import ConvexProgram
@@ -46,11 +56,16 @@ SOLVE_TOLERANCE = 1e-8
 
 
 class SingularKKTError(RuntimeError):
-    """The Newton matrix is singular to working precision."""
+    """The Newton system is singular to working precision, or not finite.
 
-    def __init__(self, pivot: float, threshold: float):
+    A system with an inf or NaN entry has no pivot to report: its
+    ``pivot`` is NaN and the message names the part that is not finite.
+    """
+
+    def __init__(self, pivot: float, threshold: float, message: str = ""):
         super().__init__(
-            f"Newton matrix is singular to working precision "
+            message
+            or f"Newton matrix is singular to working precision "
             f"(pivot {pivot:.3e}, threshold {threshold:.3e})"
         )
         self.pivot = pivot
@@ -103,7 +118,7 @@ class Iterate:
         w = np.asarray(w, dtype=float).reshape(-1)
         s = np.asarray(s, dtype=float).reshape(-1)
         z = np.asarray(z, dtype=float).reshape(-1)
-        if not (np.all(s > 0.0) and np.all(z > 0.0)):
+        if not (s.min() > 0.0 and z.min() > 0.0):
             raise ValueError("slack and dual vectors must stay strictly positive")
         _, grad, hess = value_gradient_hessian(program.compiled_objective, x)
         r_c, r_e, r_i = compute_residuals(program, hess, x, y, w, s)
@@ -180,11 +195,22 @@ def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> NewtonSystem:
     return NewtonSystem(matrix, a_ineq)
 
 
+def _not_finite(part: str) -> SingularKKTError:
+    return SingularKKTError(math.nan, PIVOT_TOLERANCE, f"Newton {part} is not finite")
+
+
+def lu_solve(factor, rhs):
+    """Solve with a ``dgetrf`` factorization for one right-hand side."""
+    if not np.isfinite(rhs).all():
+        raise _not_finite("right-hand side")
+    return dgetrs(*factor, rhs)[0]
+
+
 def _solve_checked(factor, matrix, rhs):
     sol = lu_solve(factor, rhs)
     residual = rhs - matrix @ sol
     # one refinement pass when the direct solve is not clean enough
-    if np.linalg.norm(residual) > SOLVE_TOLERANCE * (1.0 + np.linalg.norm(rhs)):
+    if math.sqrt(residual @ residual) > SOLVE_TOLERANCE * (1.0 + math.sqrt(rhs @ rhs)):
         sol = sol + lu_solve(factor, residual)
     return sol
 
@@ -192,25 +218,28 @@ def _solve_checked(factor, matrix, rhs):
 def solve_directions(system: NewtonSystem, iterate: Iterate, mu: float) -> NewtonDirections:
     """Solve the three direction systems off one factorization.
 
-    Raises :class:`SingularKKTError` when the equilibrated matrix has a
-    zero row or a pivot below ``PIVOT_TOLERANCE``; no silent regularization
-    is applied.
+    Raises :class:`SingularKKTError` when the matrix or a right-hand side
+    has an inf or NaN entry, or when the equilibrated matrix has a zero row
+    or a pivot below ``PIVOT_TOLERANCE``; no silent regularization is
+    applied.
     """
     matrix, a_ineq = system
     row_max = np.abs(matrix).max(axis=1)
+    # the row maxima carry any inf or NaN of the matrix, and would spread
+    # it through the scaling as 0 * inf
+    if not math.isfinite(row_max.max()):
+        raise _not_finite("matrix")
     if row_max.min() == 0.0:
         raise SingularKKTError(0.0, PIVOT_TOLERANCE)
     d = 1.0 / np.sqrt(row_max)
     scaled = d[:, None] * matrix * d
-    with warnings.catch_warnings():
-        # the pivot check below raises a typed error instead
-        warnings.simplefilter("ignore", LinAlgWarning)
-        factor = lu_factor(scaled, check_finite=False)
+    lu, piv, _ = dgetrf(scaled)
     # for symmetric M the largest entry of D M D is 1, so the pivot
     # tolerance needs no further scale
-    smallest = float(np.abs(np.diag(factor[0])).min())
+    smallest = float(np.abs(lu.diagonal()).min())
     if smallest < PIVOT_TOLERANCE:
         raise SingularKKTError(smallest, PIVOT_TOLERANCE)
+    factor = (lu, piv)
 
     n = iterate.x.size
     s, z = iterate.s, iterate.z

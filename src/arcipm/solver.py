@@ -157,7 +157,8 @@ def solve(
     residual_floor_warned = False
     k = 0
     while k < config.max_iter:
-        if kkt_norm(iterate) <= config.epsilon:
+        # the last trace row holds this iterate's stop-test norm
+        if trace[-1].kkt_norm <= config.epsilon:
             status = SolverStatus.CONVERGED
             break
         if not curvature_warned and iterate.hess is not checked_hess:
@@ -200,7 +201,7 @@ def solve(
         if observer is not None:
             observer(k, iterate, selection)
 
-    if status is SolverStatus.MAX_ITER and kkt_norm(iterate) <= config.epsilon:
+    if status is SolverStatus.MAX_ITER and trace[-1].kkt_norm <= config.epsilon:
         status = SolverStatus.CONVERGED
 
     return SolverReport(

@@ -92,8 +92,8 @@ def update_nu(nu: float, alpha: float) -> float:
 
 def floors(s, z, nu: float, rho: float):
     """Positive floors (phi, psi) for the slack and dual blocks."""
-    phi = min(rho * float(np.min(s)), nu)
-    psi = min(rho * float(np.min(z)), nu)
+    phi = min(rho * float(s.min()), nu)
+    psi = min(rho * float(z.min()), nu)
     return phi, psi
 
 
@@ -293,11 +293,13 @@ def golden_min_bu(iterate: Iterate, directions: NewtonDirections, alpha_cap: flo
 
 
 def _acceptable(candidate: Blocks, mu_new: float, mu_old: float, phi: float, psi: float, theta: float) -> bool:
-    if not (np.all(candidate.s > 0.0) and np.all(candidate.z > 0.0) and np.all(candidate.w > 0.0)):
+    # a NaN minimum fails these comparisons, so the candidate is rejected
+    s_min, z_min = candidate.s.min(), candidate.z.min()
+    if not (s_min > 0.0 and z_min > 0.0 and candidate.w.min() > 0.0):
         return False
-    if np.min(candidate.s) < phi - FLOOR_SLACK or np.min(candidate.z) < psi - FLOOR_SLACK:
+    if s_min < phi - FLOOR_SLACK or z_min < psi - FLOOR_SLACK:
         return False
-    if np.min(candidate.s * candidate.z) < theta * mu_new * (1.0 - FLOOR_SLACK):
+    if (candidate.s * candidate.z).min() < theta * mu_new * (1.0 - FLOOR_SLACK):
         return False
     return mu_new < mu_old
 

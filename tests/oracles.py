@@ -14,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from arcipm.autodiff import gradient, hessian
 from arcipm.program import ConvexProgram
@@ -126,3 +127,18 @@ def scan_alpha(
     if first_bad == 0:
         return 0.0
     return float(grid[first_bad - 1])
+
+
+def wrapped_getrf(matrix: np.ndarray):
+    """scipy's ``lu_factor`` in the (lu, piv, info) form of LAPACK's dgetrf.
+
+    With :func:`wrapped_getrs`, the pair the direction solves used before
+    they called LAPACK directly.
+    """
+    lu, piv = lu_factor(matrix, check_finite=False)
+    return lu, piv, 0
+
+
+def wrapped_getrs(factor, rhs: np.ndarray) -> np.ndarray:
+    """scipy's ``lu_solve``, which checks ``rhs`` for inf and NaN itself."""
+    return lu_solve(factor, rhs)

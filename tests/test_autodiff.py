@@ -9,7 +9,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arcipm import DomainError, evaluate, gradient, hessian, parse_expression, value_gradient_hessian
+from arcipm import (
+    ConvexProgram,
+    DomainError,
+    SolverStatus,
+    evaluate,
+    fold_bounds,
+    gradient,
+    hessian,
+    parse_expression,
+    solve,
+    value_gradient_hessian,
+)
 from arcipm import expr as ast
 from arcipm.autodiff import Quadratic, compile_objective
 from conftest import REFERENCE, SAMPLING_BOX, load_problem, quadratic_tree
@@ -270,6 +281,31 @@ def test_quadratic_tree_compiles_to_one_node(origin, n):
     with pytest.raises(ValueError):
         h[0, 0] = 1.0
     assert value_gradient_hessian(compiled, x)[2] is h
+
+
+def test_quadratic_tree_deeper_than_the_recursion_limit_builds_and_solves():
+    n = 48
+    rng = np.random.default_rng(48)
+    factor = rng.normal(size=(n, n))
+    q = np.triu(factor @ factor.T + np.eye(n))
+    q = q + np.triu(q, 1).T
+    tree = quadratic_tree(q)
+    # a sum of n(n+1)/2 terms is parsed that deep on the left
+    assert n * (n + 1) // 2 > sys.getrecursionlimit()
+    lower = rng.uniform(0.2, 1.5, size=n)
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, n)), np.zeros(0), lower, lower + 1.0)
+    program = ConvexProgram(n=n, objective=tree, a_eq=np.zeros((0, n)), b_eq=[], a_ineq=a_ineq, b_ineq=b_ineq)
+    compiled = program.compiled_objective
+    assert isinstance(compiled, Quadratic)
+    assert np.array_equal(compiled.hessian, q)
+    x = rng.uniform(-1.0, 1.0, size=n)
+    f, g, h = value_gradient_hessian(tree, x)
+    assert np.array_equal(h, q)
+    assert f == pytest.approx(0.5 * x @ q @ x, rel=1e-12)
+    np.testing.assert_allclose(g, q @ x, rtol=1e-12, atol=1e-12 * np.abs(q).max())
+    report = solve(program)
+    assert report.status is SolverStatus.CONVERGED
+    assert np.all(a_ineq @ report.x >= b_ineq - 1e-8)
 
 
 # Random trees over three variables, drawn so that the parsed and the

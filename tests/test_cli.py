@@ -59,6 +59,13 @@ def test_output_matches_golden_file(capsys, name):
     assert out == (DATA_DIR / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name", [f"ex{k}" for k in range(1, 9)])
+def test_trace_matches_golden_file(tmp_path, capsys, name):
+    trace_path = tmp_path / "trace.csv"
+    run_cli(capsys, str(PROBLEM_DIR / f"{name}.prob"), "--trace", str(trace_path))
+    assert trace_path.read_bytes() == (DATA_DIR / f"{name}.csv").read_bytes()
+
+
 def test_trace_csv_row_count(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     code, out, _ = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--trace", str(trace_path))

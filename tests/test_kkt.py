@@ -1,9 +1,15 @@
 """Residuals, the Newton matrix, and the three direction solves."""
 
+import contextlib
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from arcipm import SingularKKTError, SolverStatus, default_start
+from arcipm import SingularKKTError, SolverStatus, default_start, solve
+from arcipm import kkt
 from arcipm.kkt import (
     Iterate,
     NewtonSystem,
@@ -15,7 +21,7 @@ from arcipm.kkt import (
     solve_directions,
 )
 from conftest import load_problem, many_rows_program, random_box_qp, run_recorded, warnings_ignored
-from oracles import full_newton_matrix
+from oracles import full_newton_matrix, wrapped_getrf, wrapped_getrs
 
 
 def test_residuals_at_zero_point():
@@ -256,3 +262,62 @@ def test_iterate_rejects_nonpositive_slack():
     program, start = load_problem("ex1")
     with pytest.raises(ValueError, match="strictly positive"):
         Iterate.at(program, start, np.zeros(0), np.ones(5), np.zeros(5), np.ones(5), 1.0)
+
+
+def _direction_bytes(program, iterates):
+    out = []
+    for it in iterates:
+        system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+        dirs = solve_directions(system, it, it.mu)
+        out.append([np.concatenate(blocks).tobytes() for blocks in (dirs.vdot, dirs.p_dir, dirs.q_dir)])
+    return out
+
+
+def test_lapack_directions_equal_scipy_wrappers_bitwise(fixture_runs, monkeypatch):
+    """dgetrf/dgetrs give the directions of scipy's lu_factor/lu_solve, bit for bit."""
+    program = many_rows_program(np.random.default_rng(11))
+    assert program.p == 108
+    with warnings_ignored():
+        run = run_recorded(program, default_start(program))
+    assert run.report.status is SolverStatus.CONVERGED
+    cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
+    cases.append((program, run.iterates))
+    assert sum(len(iterates) for _, iterates in cases) > 500
+
+    lapack = [_direction_bytes(prog, iterates) for prog, iterates in cases]
+    monkeypatch.setattr(kkt, "dgetrf", wrapped_getrf)
+    monkeypatch.setattr(kkt, "lu_solve", wrapped_getrs)
+    wrapped = [_direction_bytes(prog, iterates) for prog, iterates in cases]
+    assert lapack == wrapped
+
+
+@contextlib.contextmanager
+def _no_float_warnings():
+    """Any numpy floating-point warning, or any other warning, raises."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_raises_typed_error(bad):
+    program, start = load_problem("ex1")
+    it = default_start(program, start)
+    system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+    system.matrix[1, 0] = bad
+    with _no_float_warnings(), pytest.raises(SingularKKTError, match="matrix is not finite") as err:
+        solve_directions(system, it, it.mu)
+    assert math.isnan(err.value.pivot)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_residual_stops_with_singular_status(bad):
+    program, start = load_problem("ex1")
+    it = default_start(program, start)
+    r_c = it.r_c.copy()
+    r_c[0] = bad
+    with _no_float_warnings():
+        report = solve(program, start=dataclasses.replace(it, r_c=r_c))
+    assert report.status is SolverStatus.SINGULAR_KKT
+    assert report.iterations == 0
+    assert "right-hand side is not finite" in report.message

@@ -18,6 +18,8 @@ from arcipm.step import (
     arc_point,
     bisect_sigma,
     component_alpha_limit,
+    FLOOR_SLACK,
+    _acceptable,
     floors,
     golden_min_bu,
     mu_coefficients,
@@ -94,6 +96,32 @@ def test_floors():
     phi, psi = floors(np.full(5, 0.01), np.full(5, 100.0), 1.0, 0.5)
     assert phi == pytest.approx(0.005)
     assert psi == 1.0
+
+
+def _acceptable_with_module_functions(candidate, mu_new, mu_old, phi, psi, theta):
+    """The acceptance test as written with np.all/np.min, kept as the reference."""
+    if not (np.all(candidate.s > 0.0) and np.all(candidate.z > 0.0) and np.all(candidate.w > 0.0)):
+        return False
+    if np.min(candidate.s) < phi - FLOOR_SLACK or np.min(candidate.z) < psi - FLOOR_SLACK:
+        return False
+    if np.min(candidate.s * candidate.z) < theta * mu_new * (1.0 - FLOOR_SLACK):
+        return False
+    return mu_new < mu_old
+
+
+def test_acceptable_decides_as_the_module_function_version():
+    rng = np.random.default_rng(21)
+    values = np.array([np.nan, -1.0, 0.0, 1e-12, 0.05, 0.1, 0.5, 1.0, 2.0])
+    decisions = set()
+    for _ in range(3000):
+        s, z, w = (rng.choice(values, size=3) for _ in range(3))
+        candidate = Blocks(np.zeros(2), np.zeros(0), w, s, z)
+        mu_new = float(rng.choice([np.nan, 0.01, 0.1, 1.0]))
+        args = (candidate, mu_new, 0.5, 0.05, 0.1, 0.5)
+        want = _acceptable_with_module_functions(*args)
+        assert _acceptable(*args) is want
+        decisions.add(want)
+    assert decisions == {True, False}
 
 
 def test_component_limit_flat_and_helpful_cases():
