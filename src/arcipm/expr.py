@@ -41,14 +41,54 @@ class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Add(Expr):
+class _Sum(Expr):
+    """Base of Add and Sub: ``repr``, ``==`` and ``hash`` without recursion.
+
+    A parsed sum is as deep as it has terms, so these loop down its left
+    spine; they give what the dataclass-generated methods would.
+    """
+
+    __slots__ = ()
+
+    def _spine(self) -> tuple[list[_Sum], Expr]:
+        """The sums down the left spine, top first, and the node below them."""
+        spine, node = [], self
+        while isinstance(node, _Sum):
+            spine.append(node)
+            node = node.left
+        return spine, node
+
+    def __repr__(self) -> str:
+        spine, bottom = self._spine()
+        heads = "".join(f"{type(node).__qualname__}(left=" for node in spine)
+        tails = "".join(f", right={node.right!r})" for node in reversed(spine))
+        return heads + repr(bottom) + tails
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        node = self
+        while isinstance(node, _Sum) and other.__class__ is node.__class__:
+            if node is other:
+                return True
+            if not (node.right is other.right or node.right == other.right):
+                return False
+            node, other = node.left, other.left
+        return node is other or node == other
+
+    def __hash__(self) -> int:
+        spine, bottom = self._spine()
+        return hash((bottom, *((type(node), node.right) for node in spine)))
+
+
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class Add(_Sum):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class Sub(_Sum):
     left: Expr
     right: Expr
 
@@ -317,10 +357,13 @@ def _render(node: Expr) -> str:
             return repr(v)
         case Var(name=name):
             return name
-        case Add(left=a, right=b):
-            return f"{_wrap(a, _PREC_ADD)} + {_wrap(b, _PREC_ADD + 1)}"
-        case Sub(left=a, right=b):
-            return f"{_wrap(a, _PREC_ADD)} - {_wrap(b, _PREC_ADD + 1)}"
+        case Add() | Sub():
+            spine, bottom = node._spine()
+            terms = (
+                f" {'+' if isinstance(sum_node, Add) else '-'} {_wrap(sum_node.right, _PREC_ADD + 1)}"
+                for sum_node in reversed(spine)
+            )
+            return _wrap(bottom, _PREC_ADD) + "".join(terms)
         case Mul(left=a, right=b):
             return f"{_wrap(a, _PREC_MUL)}*{_wrap(b, _PREC_MUL + 1)}"
         case Div(left=a, right=b):

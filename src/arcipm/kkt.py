@@ -34,12 +34,19 @@ and the one-column calls are bitwise equal to the wrappers.  LAPACK does
 not check its input, so the matrix is checked for inf and NaN once,
 before it is equilibrated, and every right-hand side before it is solved;
 either kind of entry raises :class:`SingularKKTError`.
+
+An :class:`Iterate` and each of the three directions is one contiguous
+vector in (x, y, w, s, z) order, built once when the object is made, and
+its five block fields are views into it.  The step layer then evaluates a
+candidate point with one expression over whole vectors, and s and z come
+last so that the 2p slack and dual entries its angle limits read are one
+slice at the end, not a concatenation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,22 +88,56 @@ class Blocks(NamedTuple):
     s: np.ndarray
     z: np.ndarray
 
+    @classmethod
+    def of(cls, flat: np.ndarray, n: int, m: int, p: int) -> "Blocks":
+        """The blocks of a flat (x, y, w, s, z) vector, as views into it."""
+        w_at = n + m
+        s_at = w_at + p
+        z_at = s_at + p
+        return cls(flat[:n], flat[n:w_at], flat[w_at:s_at], flat[s_at:z_at], flat[z_at:])
+
+
+def _stacked(blocks: Blocks) -> tuple[np.ndarray, Blocks]:
+    """One contiguous copy of five blocks, and the blocks as views into it."""
+    x, y, w, s, z = blocks
+    # a plain tuple: numpy takes a NamedTuple through a slower path
+    flat = np.concatenate((x, y, w, s, z))
+    return flat, Blocks.of(flat, x.size, y.size, s.size)
+
 
 @dataclass(frozen=True)
 class NewtonDirections:
-    """Tangent plus the two curvature solves; curvature(sigma) = p*sigma + q."""
+    """Tangent plus the two curvature solves; curvature(sigma) = p*sigma + q.
+
+    Each direction is also kept as one flat (x, y, w, s, z) vector
+    (``vdot_vec``, ``p_vec``, ``q_vec``); its blocks are views into it.
+    """
 
     vdot: Blocks
     p_dir: Blocks
     q_dir: Blocks
+    vdot_vec: np.ndarray = field(init=False, repr=False)
+    p_vec: np.ndarray = field(init=False, repr=False)
+    q_vec: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for blocks_name, vec_name in (("vdot", "vdot_vec"), ("p_dir", "p_vec"), ("q_dir", "q_vec")):
+            flat, views = _stacked(getattr(self, blocks_name))
+            object.__setattr__(self, vec_name, flat)
+            object.__setattr__(self, blocks_name, views)
 
     def curvature(self, sigma: float) -> Blocks:
-        return Blocks(*(p * sigma + q for p, q in zip(self.p_dir, self.q_dir)))
+        vdot = self.vdot
+        return Blocks.of(self.p_vec * sigma + self.q_vec, vdot.x.size, vdot.y.size, vdot.s.size)
 
 
 @dataclass(frozen=True)
 class Iterate:
-    """A primal-dual point with its cached derivatives and residuals."""
+    """A primal-dual point with its cached derivatives and residuals.
+
+    The point is kept as one flat (x, y, w, s, z) vector ``vec``, and the
+    five block fields are views into it.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -110,6 +151,13 @@ class Iterate:
     r_i: np.ndarray
     mu: float
     nu: float
+    vec: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        flat, views = _stacked((self.x, self.y, self.w, self.s, self.z))
+        object.__setattr__(self, "vec", flat)
+        for name, view in zip(Blocks._fields, views):
+            object.__setattr__(self, name, view)
 
     @classmethod
     def at(cls, program: ConvexProgram, x, y, w, s, z, nu: float) -> "Iterate":
@@ -162,9 +210,18 @@ def optimality_residual(iterate: Iterate) -> np.ndarray:
     )
 
 
+def norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector.
+
+    ``np.linalg.norm`` computes this as sqrt(x.dot(x)) too, so the two
+    agree bit for bit; this form skips that function's argument dispatch.
+    """
+    return math.sqrt(vec @ vec)
+
+
 def kkt_norm(iterate: Iterate) -> float:
     """Euclidean norm of the stacked optimality vector (the stop test)."""
-    return float(np.linalg.norm(optimality_residual(iterate)))
+    return norm(optimality_residual(iterate))
 
 
 def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
@@ -173,8 +230,7 @@ def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     The stepping residual replaces grad f with H x, so the two vanish
     together only when the objective is an unshifted quadratic.
     """
-    vec = iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.w
-    return float(np.linalg.norm(vec))
+    return norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.w)
 
 
 class NewtonSystem(NamedTuple):
@@ -210,7 +266,7 @@ def _solve_checked(factor, matrix, rhs):
     sol = lu_solve(factor, rhs)
     residual = rhs - matrix @ sol
     # one refinement pass when the direct solve is not clean enough
-    if math.sqrt(residual @ residual) > SOLVE_TOLERANCE * (1.0 + math.sqrt(rhs @ rhs)):
+    if norm(residual) > SOLVE_TOLERANCE * (1.0 + norm(rhs)):
         sol = sol + lu_solve(factor, residual)
     return sol
 

@@ -14,6 +14,7 @@ from .kkt import (
     SingularKKTError,
     assemble_newton_matrix,
     kkt_norm,
+    norm,
     solve_directions,
     true_stationarity_norm,
 )
@@ -121,13 +122,13 @@ def _trace_row(program, iterate, k, sigma, alpha) -> TraceRow:
         mu=iterate.mu,
         sigma=sigma,
         alpha=alpha,
-        norm_rc=float(np.linalg.norm(iterate.r_c)),
-        norm_re=float(np.linalg.norm(iterate.r_e)),
-        norm_ri=float(np.linalg.norm(iterate.r_i)),
+        norm_rc=norm(iterate.r_c),
+        norm_re=norm(iterate.r_e),
+        norm_ri=norm(iterate.r_i),
         nu=iterate.nu,
         kkt_norm=kkt_norm(iterate),
         true_stat_norm=true_stationarity_norm(program, iterate),
-        min_sz_over_mu=float(np.min(iterate.s * iterate.z)) / iterate.mu,
+        min_sz_over_mu=float((iterate.s * iterate.z).min()) / iterate.mu,
     )
 
 
@@ -208,7 +209,7 @@ def solve(
         x=iterate.x.copy(),
         objective=evaluate(program.compiled_objective, iterate.x),
         iterations=k,
-        infe=float(np.linalg.norm(program.a_eq @ iterate.x - program.b_eq)),
+        infe=norm(program.a_eq @ iterate.x - program.b_eq),
         status=status,
         trace=trace,
         message=message,

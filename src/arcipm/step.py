@@ -4,7 +4,10 @@ The next iterate is searched along the ellipse
 
     v(sigma, alpha) = v - vdot*sin(alpha) + (p*sigma + q)*(1 - cos(alpha)),
 
-with alpha in (0, pi/2].  Each slack and dual component has a closed-form
+with alpha in (0, pi/2].  It is evaluated on the flat (x, y, w, s, z)
+vectors of the iterate and the directions (see :mod:`arcipm.kkt`), so a
+candidate point costs a handful of whole-vector operations and its blocks
+are views into the result.  Each slack and dual component has a closed-form
 largest angle that keeps it above a positive floor.  Writing the
 component's trajectory minus its floor as ``top - R*sin(alpha + asin(second/R))``
 with ``second = p*sigma + q``, ``top = current - floor + second`` and
@@ -13,9 +16,9 @@ its floor; for ``vdot > 0`` it is pi/2 if ``top >= R`` and otherwise
 ``min(pi/2, asin(top/R) - asin(second/R))``; for ``vdot <= 0`` it is pi/2 if
 ``top >= 0`` and otherwise ``min(pi/2, pi - asin(-top/R) - asin(-second/R))``.
 :func:`alpha_limits` evaluates these three cases for all 2p components at
-once.  A bisection over sigma maximizes the smallest limit, exploiting
-that each component limit is monotone in sigma with the sign of its
-p-coefficient.  A predictor of the updated duality measure, built from
+once; they are the last 2p entries of each flat vector.  A bisection over
+sigma maximizes the smallest limit, exploiting that each component limit
+is monotone in sigma with the sign of its p-coefficient.  A predictor of the updated duality measure, built from
 three dot products of the directions, decides when pure affine stepping
 (sigma = 0) is preferable and where along the arc it is best.
 """
@@ -70,14 +73,9 @@ def arc_point(iterate: Iterate, directions: NewtonDirections, sigma: float, alph
     """Candidate point on the ellipse at angle alpha."""
     sin_a = math.sin(alpha)
     omc = _one_minus_cos(alpha)
-    return Blocks(
-        *(
-            v - dv * sin_a + (pv * sigma + qv) * omc
-            for v, dv, pv, qv in zip(
-                iterate.blocks(), directions.vdot, directions.p_dir, directions.q_dir
-            )
-        )
-    )
+    vdot, p_vec, q_vec = directions.vdot_vec, directions.p_vec, directions.q_vec
+    flat = iterate.vec - vdot * sin_a + (p_vec * sigma + q_vec) * omc
+    return Blocks.of(flat, iterate.x.size, iterate.y.size, iterate.p)
 
 
 def update_nu(nu: float, alpha: float) -> float:
@@ -160,12 +158,13 @@ def component_alpha_limit(
 
 def _components(iterate: Iterate, directions: NewtonDirections, phi: float, psi: float):
     """(current, rate, p_coef, q_coef, floor) arrays over the slack then dual entries."""
-    vdot, p_dir, q_dir = directions.vdot, directions.p_dir, directions.q_dir
+    # s and z are the last 2p entries of every flat vector
+    sz_at = iterate.vec.size - 2 * iterate.p
     return (
-        np.concatenate((iterate.s, iterate.z)),
-        np.concatenate((vdot.s, vdot.z)),
-        np.concatenate((p_dir.s, p_dir.z)),
-        np.concatenate((q_dir.s, q_dir.z)),
+        iterate.vec[sz_at:],
+        directions.vdot_vec[sz_at:],
+        directions.p_vec[sz_at:],
+        directions.q_vec[sz_at:],
         np.repeat((phi, psi), iterate.p),
     )
 
@@ -207,9 +206,13 @@ class MuPredictor:
         """(a_u, b_u) at angle alpha."""
         sin_a = math.sin(alpha)
         omc = _one_minus_cos(alpha)
-        a_u = self.p_mu * omc - self.mixed * sin_a * omc
-        b_u = self.p_mu * (1.0 - sin_a) - (self.tangent * omc**2 + self.cross * sin_a * omc)
-        return a_u, b_u
+        return self.p_mu * omc - self.mixed * sin_a * omc, self.b_u(alpha)
+
+    def b_u(self, alpha: float) -> float:
+        """b_u alone at angle alpha."""
+        sin_a = math.sin(alpha)
+        omc = _one_minus_cos(alpha)
+        return self.p_mu * (1.0 - sin_a) - (self.tangent * omc**2 + self.cross * sin_a * omc)
 
 
 def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float):
@@ -265,16 +268,12 @@ def bisect_sigma(
     return sigma, float(limits.min())
 
 
-def golden_min_bu(iterate: Iterate, directions: NewtonDirections, alpha_cap: float) -> float:
-    """Golden-section minimizer of b_u over [0, alpha_cap]."""
+def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
+    """Golden-section minimizer of the predictor's b_u over [0, alpha_cap]."""
     if alpha_cap <= 0.0:
         return 0.0
 
-    predictor = MuPredictor.of(iterate, directions)
-
-    def objective(alpha: float) -> float:
-        return predictor.at(alpha)[1]
-
+    objective = predictor.b_u
     lo, hi = 0.0, alpha_cap
     width = hi - lo
     inner_lo = hi - _INV_GOLDEN * width
@@ -325,7 +324,7 @@ def select_step(
     if predictor.mixed < 0.0:
         sigma = 0.0
         cap = alpha_tilde(iterate, directions, phi, psi, sigma)
-        tilde = golden_min_bu(iterate, directions, cap)
+        tilde = golden_min_bu(predictor, cap)
     else:
         sigma, tilde = bisect_sigma(
             iterate, directions, phi, psi, config.sigma_min, config.sigma_max, config.bisect_tol

@@ -142,3 +142,21 @@ def wrapped_getrf(matrix: np.ndarray):
 def wrapped_getrs(factor, rhs: np.ndarray) -> np.ndarray:
     """scipy's ``lu_solve``, which checks ``rhs`` for inf and NaN itself."""
     return lu_solve(factor, rhs)
+
+
+def blockwise_arc_point(iterate, directions, sigma: float, alpha: float) -> tuple:
+    """The search-arc point computed block by block, one block at a time.
+
+    ``v - vdot*sin(alpha) + (p*sigma + q)*(1 - cos(alpha))`` on each of the
+    five (x, y, w, s, z) blocks separately, with 1 - cos(alpha) taken as
+    2 sin(alpha/2)^2; the solver evaluates the same expression once on
+    whole flat vectors and must give the same bits.
+    """
+    sin_a = math.sin(alpha)
+    omc = 2.0 * math.sin(0.5 * alpha) ** 2
+    return tuple(
+        v - dv * sin_a + (pv * sigma + qv) * omc
+        for v, dv, pv, qv in zip(
+            iterate.blocks(), directions.vdot, directions.p_dir, directions.q_dir
+        )
+    )

@@ -1,5 +1,7 @@
 """Grammar, printing, and bound folding."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from arcipm import ConvexProgram, evaluate, fold_bounds, parse_expression
 from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var
+from conftest import quadratic_tree
 
 X12 = ["x1", "x2"]
 
@@ -90,6 +93,42 @@ def _exprs():
 @settings(max_examples=300, deadline=None)
 def test_print_parse_round_trip(tree):
     assert parse_expression(str(tree), ["x1", "x2", "x3"]) == tree
+
+
+def test_sums_print_and_compare_as_dataclasses_do():
+    tree = parse_expression("x1 - 7 + x2 - (x1 - x2)", X12)
+    assert str(tree) == "x1 - 7.0 + x2 - (x1 - x2)"
+    assert repr(tree) == (
+        "Sub(left=Add(left=Sub(left=Var(index=0, name='x1'), right=Const(value=7.0)), "
+        "right=Var(index=1, name='x2')), right=Sub(left=Var(index=0, name='x1'), "
+        "right=Var(index=1, name='x2')))"
+    )
+    twin = parse_expression("x1 - 7 + x2 - (x1 - x2)", X12)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != parse_expression("x1 - 7 + x2 - (x1 + x2)", X12)
+    assert tree != parse_expression("x1 - 7 - x2 - (x1 - x2)", X12)
+    assert Add(Var(0, "x1"), Var(1, "x2")) != Sub(Var(0, "x1"), Var(1, "x2"))
+    assert Add(Var(0, "x1"), Var(1, "x2")) != Mul(Var(0, "x1"), Var(1, "x2"))
+
+
+def test_sum_deeper_than_the_recursion_limit_prints_hashes_and_compares():
+    n = 48
+    q = np.eye(n) + 0.5
+    tree = quadratic_tree(q)
+    assert n * (n + 1) // 2 > sys.getrecursionlimit()
+    text = str(tree)
+    assert text.count(" + ") == n * (n + 1) // 2 - 1 and text.endswith("*(x48*x48)")
+    assert repr(tree).startswith("Add(left=" * 10)
+    lower = np.zeros(n)
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, n)), np.zeros(0), lower, lower + 1.0)
+    program = ConvexProgram(n=n, objective=tree, a_eq=np.zeros((0, n)), b_eq=[], a_ineq=a_ineq, b_ineq=b_ineq)
+    assert repr(tree) in repr(program)
+    twin = quadratic_tree(q.copy())
+    assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+    q[n - 1, n - 1] = 2.0
+    assert quadratic_tree(q) != tree
+    q[n - 1, n - 1], q[0, 0] = 1.5, 2.0
+    assert quadratic_tree(q) != tree
 
 
 def test_fold_bounds_reference_layout():

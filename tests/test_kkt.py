@@ -19,8 +19,17 @@ from arcipm.kkt import (
     kkt_norm,
     optimality_residual,
     solve_directions,
+    true_stationarity_norm,
 )
-from conftest import load_problem, many_rows_program, random_box_qp, run_recorded, warnings_ignored
+from arcipm.step import arc_point
+from conftest import (
+    load_problem,
+    many_rows_program,
+    random_box_qp,
+    run_recorded,
+    synthetic_step_pair,
+    warnings_ignored,
+)
 from oracles import full_newton_matrix, wrapped_getrf, wrapped_getrs
 
 
@@ -85,6 +94,54 @@ def test_kkt_norm_cases():
     program1, start1 = load_problem("ex1")
     it1 = default_start(program1, start1)
     assert kkt_norm(it1) > 100.0
+
+
+def test_norms_equal_numpy_norm_bitwise(fixture_runs):
+    for name, (program, run) in fixture_runs.items():
+        for it, row in zip(run.iterates, run.report.trace, strict=True):
+            blocks = (it.r_c, it.r_e, it.r_i)
+            want = tuple(np.linalg.norm(vec) for vec in blocks)
+            assert tuple(kkt.norm(vec) for vec in blocks) == want, name
+            assert (row.norm_rc, row.norm_re, row.norm_ri) == want, name
+            want = np.linalg.norm(optimality_residual(it))
+            assert kkt_norm(it) == row.kkt_norm == want, name
+            want = np.linalg.norm(it.grad + program.a_eq.T @ it.y - program.a_ineq.T @ it.w)
+            assert true_stationarity_norm(program, it) == row.true_stat_norm == want, name
+        x = run.report.x
+        assert run.report.infe == np.linalg.norm(program.a_eq @ x - program.b_eq), name
+
+
+def _assert_views_in_order(blocks, flat):
+    """Each block is the next stretch of ``flat``, in (x, y, w, s, z) order."""
+    assert flat.flags.c_contiguous
+    start = flat.__array_interface__["data"][0]
+    offset = 0
+    for block in blocks:
+        # an empty slice has no data of its own to place
+        if block.size:
+            assert np.shares_memory(block, flat)
+            assert block.__array_interface__["data"][0] == start + offset * flat.itemsize
+        offset += block.size
+    assert offset == flat.size
+
+
+def test_blocks_are_views_into_one_flat_vector():
+    program = many_rows_program(np.random.default_rng(3))
+    it = default_start(program)
+    assert min(block.size for block in it.blocks()) > 0
+    _assert_views_in_order(it.blocks(), it.vec)
+    system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+    dirs = solve_directions(system, it, it.mu)
+    for blocks, flat in ((dirs.vdot, dirs.vdot_vec), (dirs.p_dir, dirs.p_vec), (dirs.q_dir, dirs.q_vec)):
+        _assert_views_in_order(blocks, flat)
+    point = arc_point(it, dirs, 0.3, 0.2)
+    _assert_views_in_order(point, point.x.base)
+    # hand-built objects take the same path, even from shared input arrays
+    it, dirs = synthetic_step_pair(np.random.default_rng(4))
+    _assert_views_in_order(it.blocks(), it.vec)
+    _assert_views_in_order(dirs.vdot, dirs.vdot_vec)
+    it.s[0] = 7.0
+    assert it.vec[it.x.size + it.y.size + it.p] == 7.0 and it.w[0] != 7.0
 
 
 def test_assemble_hand_block_matrix():

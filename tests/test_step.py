@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcipm import SolverConfig, default_start
+from arcipm import step as step_module
 from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
 from arcipm.step import (
     RESIDUAL_FLOOR,
+    MuPredictor,
     StepFailureError,
     alpha_limits,
     alpha_tilde,
@@ -27,8 +29,14 @@ from arcipm.step import (
     select_step,
     update_nu,
 )
-from conftest import load_problem, synthetic_step_pair as synthetic_pair
-from oracles import scan_alpha
+from conftest import (
+    load_problem,
+    many_rows_program,
+    run_recorded,
+    synthetic_step_pair as synthetic_pair,
+    warnings_ignored,
+)
+from oracles import blockwise_arc_point, scan_alpha
 
 HALF_PI = math.pi / 2.0
 
@@ -80,6 +88,55 @@ def test_arc_derivatives_at_zero_by_central_differences():
     curvature = np.concatenate(dirs.curvature(sigma))
     assert np.max(np.abs(first - tangent)) <= 1e-3 * (1.0 + np.max(np.abs(tangent)))
     assert np.max(np.abs(second - curvature)) <= 1e-3 * (1.0 + np.max(np.abs(curvature)))
+
+
+def _directions(program, it):
+    matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+    return solve_directions(matrix, it, it.mu)
+
+
+def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs):
+    program = many_rows_program(np.random.default_rng(0))
+    assert program.p == 108
+    with warnings_ignored():
+        run = run_recorded(program, default_start(program))
+    cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
+    cases.append((program, run.iterates))
+    checked = 0
+    for prog, iterates in cases:
+        for it in iterates:
+            dirs = _directions(prog, it)
+            phi, psi = floors(it.s, it.z, it.nu, 0.5)
+            for sigma in (0.0, 0.3, 1.0):
+                tilde = alpha_tilde(it, dirs, phi, psi, sigma)
+                for alpha in (0.0, 0.5 * tilde, tilde):
+                    got = arc_point(it, dirs, sigma, alpha)
+                    want = blockwise_arc_point(it, dirs, sigma, alpha)
+                    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+                    checked += 1
+    assert checked > 5000
+
+
+def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, monkeypatch):
+    """perfbench's step.accept_ratio counts the calls of step.arc_point."""
+    original = step_module.arc_point
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(step_module, "arc_point", counting)
+    backtracked = 0
+    for prog, recorded in fixture_runs.values():
+        for k, it in enumerate(recorded.iterates[:-1]):
+            phi, psi = floors(it.s, it.z, it.nu, 0.5)
+            calls.clear()
+            sel = select_step(it, _directions(prog, it), phi, psi, SolverConfig())
+            assert sel == recorded.selections[k + 1]
+            assert len(calls) == sel.backtracks + 1
+            backtracked += sel.backtracks > 0
+    assert backtracked > 0
 
 
 def test_update_nu():
@@ -393,8 +450,9 @@ def test_golden_min_bu_monotone_case_hits_cap():
         q_dir=dirs.q_dir,
     )
     cap = 1.2
-    assert golden_min_bu(it, quiet, cap) == pytest.approx(cap, abs=1e-3)
-    assert golden_min_bu(it, quiet, 0.0) == 0.0
+    predictor = MuPredictor.of(it, quiet)
+    assert golden_min_bu(predictor, cap) == pytest.approx(cap, abs=1e-3)
+    assert golden_min_bu(predictor, 0.0) == 0.0
 
 
 def test_golden_min_bu_interior_minimum_matches_grid():
@@ -410,7 +468,7 @@ def test_golden_min_bu_interior_minimum_matches_grid():
         (zdot, np.zeros(2), np.zeros(2)),
     )
     cap = HALF_PI
-    got = golden_min_bu(it, dirs, cap)
+    got = golden_min_bu(MuPredictor.of(it, dirs), cap)
     grid = np.linspace(0.0, cap, 2001)
     values = [mu_coefficients(it, dirs, a)[1] for a in grid]
     coarse = float(grid[int(np.argmin(values))])
