@@ -354,7 +354,7 @@ def _wrap(node: Expr, minimum: int) -> str:
 def _render(node: Expr) -> str:
     match node:
         case Const(value=v):
-            return repr(v)
+            return repr(float(v))
         case Var(name=name):
             return name
         case Add() | Sub():

@@ -21,9 +21,12 @@ dz = (r_z - z*ds)/s, dw = r_w + dz.
 One iteration factors that matrix once with partially pivoted LU and
 solves three right-hand sides: the first-order tangent, then the two
 pieces whose combination (p*sigma + q) is the curvature term of the search
-arc.  Singularity is decided on the equilibrated matrix D M D with
-D = diag(1/sqrt(row max |M|)) (one step of Ruiz's scaling), so a badly
-scaled but regular system is not reported as singular.
+arc.  The curvature pieces have r_C = r_E = r_I = r_w = 0 and only r_z
+set, so their right-hand side is [A_I'(r_z/s); 0] and their blocks are
+ds = A_I dx and dw = dz.  Singularity is decided on the equilibrated
+matrix D M D with D = diag(1/sqrt(row max |M|)) (one step of Ruiz's
+scaling), so a badly scaled but regular system is not reported as
+singular.
 
 The factorization and the solves call LAPACK's ``dgetrf`` and ``dgetrs``
 directly (LAPACK Users' Guide, 3rd ed., on xGETRF/xGETRS); at n + m of a
@@ -32,15 +35,20 @@ the routines they wrap.  Each right-hand side gets its own ``dgetrs``
 call: a two-column solve is not bitwise equal to two one-column solves,
 and the one-column calls are bitwise equal to the wrappers.  LAPACK does
 not check its input, so the matrix is checked for inf and NaN once,
-before it is equilibrated, and every right-hand side before it is solved;
-either kind of entry raises :class:`SingularKKTError`.
+before it is equilibrated, and every vector handed to ``dgetrs`` is
+checked through the norm the solve takes of it anyway: a finite norm
+proves every entry finite, and only an infinite or NaN norm, which an
+overflow of finite entries can also give, is followed by an entrywise
+test.  An inf or NaN entry raises :class:`SingularKKTError`.
 
 An :class:`Iterate` and each of the three directions is one contiguous
-vector in (x, y, w, s, z) order, built once when the object is made, and
-its five block fields are views into it.  The step layer then evaluates a
-candidate point with one expression over whole vectors, and s and z come
-last so that the 2p slack and dual entries its angle limits read are one
-slice at the end, not a concatenation.
+vector in (x, y, w, s, z) order, and its five block fields are views into
+it.  The directions are solved straight into that form: the solved
+(x, y) head is contiguous already, and one concatenation appends the
+(w, s, z) tail.  The step layer then evaluates a candidate point with one
+expression over whole vectors, and s and z come last so that the 2p slack
+and dual entries its angle limits read are one slice at the end, not a
+concatenation.
 """
 
 from __future__ import annotations
@@ -97,38 +105,40 @@ class Blocks(NamedTuple):
         return cls(flat[:n], flat[n:w_at], flat[w_at:s_at], flat[s_at:z_at], flat[z_at:])
 
 
-def _stacked(blocks: Blocks) -> tuple[np.ndarray, Blocks]:
-    """One contiguous copy of five blocks, and the blocks as views into it."""
-    x, y, w, s, z = blocks
-    # a plain tuple: numpy takes a NamedTuple through a slower path
-    flat = np.concatenate((x, y, w, s, z))
-    return flat, Blocks.of(flat, x.size, y.size, s.size)
-
-
 @dataclass(frozen=True)
 class NewtonDirections:
     """Tangent plus the two curvature solves; curvature(sigma) = p*sigma + q.
 
-    Each direction is also kept as one flat (x, y, w, s, z) vector
-    (``vdot_vec``, ``p_vec``, ``q_vec``); its blocks are views into it.
+    Each direction is one flat (x, y, w, s, z) vector (``vdot_vec``,
+    ``p_vec``, ``q_vec``) of the sizes (n, m, p); the block fields
+    ``vdot``, ``p_dir`` and ``q_dir`` are views into them.
     """
 
-    vdot: Blocks
-    p_dir: Blocks
-    q_dir: Blocks
-    vdot_vec: np.ndarray = field(init=False, repr=False)
-    p_vec: np.ndarray = field(init=False, repr=False)
-    q_vec: np.ndarray = field(init=False, repr=False)
+    vdot_vec: np.ndarray = field(repr=False)
+    p_vec: np.ndarray = field(repr=False)
+    q_vec: np.ndarray = field(repr=False)
+    n: int
+    m: int
+    p: int
+    vdot: Blocks = field(init=False)
+    p_dir: Blocks = field(init=False)
+    q_dir: Blocks = field(init=False)
 
     def __post_init__(self):
-        for blocks_name, vec_name in (("vdot", "vdot_vec"), ("p_dir", "p_vec"), ("q_dir", "q_vec")):
-            flat, views = _stacked(getattr(self, blocks_name))
-            object.__setattr__(self, vec_name, flat)
-            object.__setattr__(self, blocks_name, views)
+        sizes = self.n, self.m, self.p
+        object.__setattr__(self, "vdot", Blocks.of(self.vdot_vec, *sizes))
+        object.__setattr__(self, "p_dir", Blocks.of(self.p_vec, *sizes))
+        object.__setattr__(self, "q_dir", Blocks.of(self.q_vec, *sizes))
+
+    @classmethod
+    def of(cls, vdot: Blocks, p_dir: Blocks, q_dir: Blocks) -> "NewtonDirections":
+        """Directions from their (x, y, w, s, z) blocks, each stacked into one copy."""
+        # plain tuples: numpy takes a NamedTuple through a slower path
+        flats = (np.concatenate(tuple(blocks)) for blocks in (vdot, p_dir, q_dir))
+        return cls(*flats, vdot.x.size, vdot.y.size, vdot.s.size)
 
     def curvature(self, sigma: float) -> Blocks:
-        vdot = self.vdot
-        return Blocks.of(self.p_vec * sigma + self.q_vec, vdot.x.size, vdot.y.size, vdot.s.size)
+        return Blocks.of(self.p_vec * sigma + self.q_vec, self.n, self.m, self.p)
 
 
 @dataclass(frozen=True)
@@ -154,9 +164,9 @@ class Iterate:
     vec: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        flat, views = _stacked((self.x, self.y, self.w, self.s, self.z))
+        flat = np.concatenate((self.x, self.y, self.w, self.s, self.z))
         object.__setattr__(self, "vec", flat)
-        for name, view in zip(Blocks._fields, views):
+        for name, view in zip(Blocks._fields, Blocks.of(flat, self.x.size, self.y.size, self.s.size)):
             object.__setattr__(self, name, view)
 
     @classmethod
@@ -255,18 +265,28 @@ def _not_finite(part: str) -> SingularKKTError:
     return SingularKKTError(math.nan, PIVOT_TOLERANCE, f"Newton {part} is not finite")
 
 
-def lu_solve(factor, rhs):
-    """Solve with a ``dgetrf`` factorization for one right-hand side."""
-    if not np.isfinite(rhs).all():
+def _checked(vec: np.ndarray, vec_norm: float) -> None:
+    """Raise unless every entry of ``vec``, whose norm is ``vec_norm``, is finite."""
+    # an inf or NaN entry makes the norm inf or NaN; an infinite norm may
+    # also be the overflow of finite entries, so only then look at each one
+    if not math.isfinite(vec_norm) and not np.isfinite(vec).all():
         raise _not_finite("right-hand side")
+
+
+def lu_solve(factor, rhs):
+    """Solve with a ``dgetrf`` factorization for one finite right-hand side."""
     return dgetrs(*factor, rhs)[0]
 
 
 def _solve_checked(factor, matrix, rhs):
+    rhs_norm = norm(rhs)
+    _checked(rhs, rhs_norm)
     sol = lu_solve(factor, rhs)
     residual = rhs - matrix @ sol
+    residual_norm = norm(residual)
     # one refinement pass when the direct solve is not clean enough
-    if norm(residual) > SOLVE_TOLERANCE * (1.0 + norm(rhs)):
+    if residual_norm > SOLVE_TOLERANCE * (1.0 + rhs_norm):
+        _checked(residual, residual_norm)
         sol = sol + lu_solve(factor, residual)
     return sol
 
@@ -297,18 +317,28 @@ def solve_directions(system: NewtonSystem, iterate: Iterate, mu: float) -> Newto
         raise SingularKKTError(smallest, PIVOT_TOLERANCE)
     factor = (lu, piv)
 
-    n = iterate.x.size
+    n, m, p = iterate.x.size, iterate.y.size, iterate.p
     s, z = iterate.s, iterate.z
 
-    def direction(r_c, r_e, r_i, r_w, r_z) -> Blocks:
-        rhs = np.concatenate([r_c + a_ineq.T @ (r_w + (r_z + z * r_i) / s), r_e])
-        dxy = d * _solve_checked(factor, scaled, d * rhs)
-        ds = a_ineq @ dxy[:n] - r_i
-        dz = (r_z - z * ds) / s
-        return Blocks(dxy[:n], dxy[n:], r_w + dz, ds, dz)
+    def solved(head, tail):
+        return d * _solve_checked(factor, scaled, d * np.concatenate((head, tail)))
 
-    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, iterate.w - z, z * s)
-    zero_e = np.zeros_like(iterate.r_e)
-    p_dir = direction(0.0, zero_e, 0.0, 0.0, np.full(iterate.p, mu))
-    q_dir = direction(0.0, zero_e, 0.0, 0.0, -2.0 * vdot.z * vdot.s)
-    return NewtonDirections(vdot, p_dir, q_dir)
+    # the tangent: every residual of the iterate
+    r_i, r_w, r_z = iterate.r_i, iterate.w - z, z * s
+    dxy = solved(iterate.r_c + a_ineq.T @ (r_w + (r_z + z * r_i) / s), iterate.r_e)
+    ds = a_ineq @ dxy[:n] - r_i
+    dz = (r_z - z * ds) / s
+    vdot_vec = np.concatenate((dxy, r_w + dz, ds, dz))
+
+    # a curvature piece: r_z alone, so ds = A_I dx and dw = dz
+    zero_e = np.zeros(m)
+
+    def curvature_piece(r_z):
+        dxy = solved(a_ineq.T @ (r_z / s), zero_e)
+        ds = a_ineq @ dxy[:n]
+        dz = (r_z - z * ds) / s
+        return np.concatenate((dxy, dz, ds, dz))
+
+    p_vec = curvature_piece(np.full(p, mu))
+    q_vec = curvature_piece(-2.0 * dz * ds)
+    return NewtonDirections(vdot_vec, p_vec, q_vec, n, m, p)

@@ -19,7 +19,9 @@ from .kkt import (
     true_stationarity_norm,
 )
 from .program import ConvexProgram
-from .step import RESIDUAL_FLOOR, StepFailureError, arc_point, floors, select_step, update_nu
+# solve() no longer calls arc_point; the benchmark's tracer (perfbench/spans.py)
+# still rebinds solver.arc_point by name, so the name stays bound here
+from .step import RESIDUAL_FLOOR, StepFailureError, arc_point, floors, select_step, update_nu  # noqa: F401
 
 
 @dataclass
@@ -45,6 +47,14 @@ class SolverConfig:
             raise ValueError("need 0 <= sigma_min < sigma_max <= 1")
         if not 0.0 < self.backtrack < 1.0:
             raise ValueError("backtrack factor must lie in (0, 1)")
+        # a zero tolerance never ends the bisection once its bounds are
+        # adjacent floats, and a nonpositive floor never ends backtracking
+        if not self.bisect_tol > 0.0:
+            raise ValueError("bisect_tol must be positive")
+        if not self.alpha_floor > 0.0:
+            raise ValueError("alpha_floor must be positive")
+        if not self.max_iter >= 0:
+            raise ValueError("max_iter must be nonnegative")
 
 
 class SolverStatus(enum.Enum):
@@ -187,7 +197,7 @@ def solve(
             status = SolverStatus.STEP_FAILURE
             message = str(err)
             break
-        point = arc_point(iterate, directions, selection.sigma, selection.alpha)
+        point = selection.point
         nu = update_nu(iterate.nu, selection.alpha)
         if nu == RESIDUAL_FLOOR and not residual_floor_warned:
             warnings.warn(

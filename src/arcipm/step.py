@@ -26,7 +26,7 @@ three dot products of the directions, decides when pure affine stepping
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,12 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepSelection:
-    """Chosen centering weight and angle, with selection diagnostics."""
+    """Chosen centering weight and angle, with selection diagnostics.
+
+    ``point`` is the accepted candidate: the arc point at (sigma, alpha)
+    that passed every step condition, which is the next iterate's
+    (x, y, w, s, z).  It is left out of comparisons and the repr.
+    """
 
     sigma: float
     alpha: float
@@ -62,6 +67,7 @@ class StepSelection:
     a_u: float
     b_u: float
     backtracks: int
+    point: Blocks = field(compare=False, repr=False)
 
 
 def _one_minus_cos(alpha: float) -> float:
@@ -337,7 +343,7 @@ def select_step(
         mu_new = mu_exact(candidate)
         if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
             a_u, b_u = predictor.at(alpha)
-            return StepSelection(sigma, alpha, tilde, a_u, b_u, backtracks)
+            return StepSelection(sigma, alpha, tilde, a_u, b_u, backtracks, candidate)
         alpha *= config.backtrack
         backtracks += 1
     raise StepFailureError(

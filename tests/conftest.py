@@ -162,7 +162,7 @@ def synthetic_step_pair(rng, p=4):
         r_c=zero2, r_e=zero0, r_i=np.zeros(p),
         mu=mu, nu=1.0,
     )
-    directions = NewtonDirections(
+    directions = NewtonDirections.of(
         vdot=Blocks(zero2, zero0, zdot.copy(), sdot, zdot),
         p_dir=Blocks(zero2, zero0, pz.copy(), ps, pz),
         q_dir=Blocks(zero2, zero0, qz.copy(), qs, qz),

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from arcipm.autodiff import gradient, hessian
 from arcipm.program import ConvexProgram
@@ -142,6 +143,45 @@ def wrapped_getrf(matrix: np.ndarray):
 def wrapped_getrs(factor, rhs: np.ndarray) -> np.ndarray:
     """scipy's ``lu_solve``, which checks ``rhs`` for inf and NaN itself."""
     return lu_solve(factor, rhs)
+
+
+def generic_directions(system, iterate, mu: float) -> tuple:
+    """The three directions through one generic back-substitution, as flat vectors.
+
+    Every direction goes through the same five-residual formulas, the two
+    curvature pieces with their zero r_C, r_E, r_I and r_w passed as
+    explicit zeros, on the same equilibrated ``dgetrf`` factor and with the
+    same one-pass refinement as the solver; the solver drops the zero terms
+    and must give the same bits.  Assumes a finite, regular matrix.
+    """
+    matrix, a_ineq = system
+    d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
+    scaled = d[:, None] * matrix * d
+    lu, piv, _ = dgetrf(scaled)
+
+    def refined(rhs):
+        sol = dgetrs(lu, piv, rhs)[0]
+        residual = rhs - scaled @ sol
+        if math.sqrt(residual @ residual) > 1e-8 * (1.0 + math.sqrt(rhs @ rhs)):
+            sol = sol + dgetrs(lu, piv, residual)[0]
+        return sol
+
+    n = iterate.x.size
+    s, z = iterate.s, iterate.z
+
+    def direction(r_c, r_e, r_i, r_w, r_z) -> np.ndarray:
+        rhs = np.concatenate([r_c + a_ineq.T @ (r_w + (r_z + z * r_i) / s), r_e])
+        dxy = d * refined(d * rhs)
+        ds = a_ineq @ dxy[:n] - r_i
+        dz = (r_z - z * ds) / s
+        return np.concatenate([dxy[:n], dxy[n:], r_w + dz, ds, dz])
+
+    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, iterate.w - z, z * s)
+    zero_e = np.zeros_like(iterate.r_e)
+    p_dir = direction(0.0, zero_e, 0.0, 0.0, np.full(iterate.p, mu))
+    sdot, zdot = vdot[-2 * iterate.p : -iterate.p], vdot[-iterate.p :]
+    q_dir = direction(0.0, zero_e, 0.0, 0.0, -2.0 * zdot * sdot)
+    return vdot, p_dir, q_dir
 
 
 def blockwise_arc_point(iterate, directions, sigma: float, alpha: float) -> tuple:

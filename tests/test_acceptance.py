@@ -163,7 +163,7 @@ def _limit_through_alpha_tilde(entry, sigma, role):
         x=zero2, y=zero0, w=z.copy(), s=s, z=z, hess=np.eye(2), grad=zero2,
         r_c=zero2, r_e=zero0, r_i=np.zeros(1), mu=float(s @ z), nu=1.0,
     )
-    directions = NewtonDirections(
+    directions = NewtonDirections.of(
         vdot=Blocks(zero2, zero0, zdot.copy(), sdot, zdot),
         p_dir=Blocks(zero2, zero0, pz.copy(), ps, pz),
         q_dir=Blocks(zero2, zero0, qz.copy(), qs, qz),

@@ -103,6 +103,13 @@ def test_max_iter_flag_gives_solver_failure_exit(capsys):
     assert parse_summary(out)["status"] == "MaxIter"
 
 
+def test_negative_max_iter_flag_exits_one(capsys):
+    code, out, err = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--max-iter", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "max_iter" in err
+
+
 def test_x0_flag_overrides_start(capsys):
     code, out, _ = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--x0", "4,4")
     assert code == 0

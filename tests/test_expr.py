@@ -131,6 +131,22 @@ def test_sum_deeper_than_the_recursion_limit_prints_hashes_and_compares():
     assert quadratic_tree(q) != tree
 
 
+def test_printed_quadratic_parses_back_at_n48():
+    """Constants built from numpy scalars print as plain floats the parser reads."""
+    n = 48
+    names = [f"x{i + 1}" for i in range(n)]
+    tree = quadratic_tree(np.eye(n) + 0.5)
+    assert "np." not in str(tree)
+    assert parse_expression(str(tree), names) == tree
+    rng = np.random.default_rng(48)
+    factor = rng.normal(size=(n, n))
+    tree = quadratic_tree(factor @ factor.T)
+    back = parse_expression(str(tree), names)
+    for _ in range(5):
+        x = rng.normal(size=n)
+        assert evaluate(back, x) == evaluate(tree, x)
+
+
 def test_fold_bounds_reference_layout():
     a, b = fold_bounds([[-1.0, -1.0]], [-10.0], [1.0, 1.0], [10.0, 10.0])
     assert a.shape == (5, 2)

@@ -7,11 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf
 
 from arcipm import SingularKKTError, SolverStatus, default_start, solve
 from arcipm import kkt
 from arcipm.kkt import (
+    Blocks,
     Iterate,
+    NewtonDirections,
     NewtonSystem,
     assemble_newton_matrix,
     compute_residuals,
@@ -30,7 +33,7 @@ from conftest import (
     synthetic_step_pair,
     warnings_ignored,
 )
-from oracles import full_newton_matrix, wrapped_getrf, wrapped_getrs
+from oracles import full_newton_matrix, generic_directions, wrapped_getrf, wrapped_getrs
 
 
 def test_residuals_at_zero_point():
@@ -136,12 +139,21 @@ def test_blocks_are_views_into_one_flat_vector():
         _assert_views_in_order(blocks, flat)
     point = arc_point(it, dirs, 0.3, 0.2)
     _assert_views_in_order(point, point.x.base)
-    # hand-built objects take the same path, even from shared input arrays
+    # hand-built objects take the same layout, stacked from copies of
+    # their (here shared) input arrays
     it, dirs = synthetic_step_pair(np.random.default_rng(4))
     _assert_views_in_order(it.blocks(), it.vec)
-    _assert_views_in_order(dirs.vdot, dirs.vdot_vec)
     it.s[0] = 7.0
     assert it.vec[it.x.size + it.y.size + it.p] == 7.0 and it.w[0] != 7.0
+    parts = [Blocks(*(np.array(b) for b in blocks)) for blocks in (dirs.vdot, dirs.p_dir, dirs.q_dir)]
+    built = NewtonDirections.of(*parts)
+    assert not any(np.shares_memory(block, built.vdot_vec) for block in parts[0])
+    for made in (dirs, built):
+        assert (made.n, made.m, made.p) == (it.x.size, it.y.size, it.p)
+        for blocks, flat in ((made.vdot, made.vdot_vec), (made.p_dir, made.p_vec), (made.q_dir, made.q_vec)):
+            _assert_views_in_order(blocks, flat)
+            flat[-1] = 7.0
+            assert blocks.z[-1] == 7.0 and blocks.w[-1] != 7.0
 
 
 def test_assemble_hand_block_matrix():
@@ -326,12 +338,13 @@ def _direction_bytes(program, iterates):
     for it in iterates:
         system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
         dirs = solve_directions(system, it, it.mu)
-        out.append([np.concatenate(blocks).tobytes() for blocks in (dirs.vdot, dirs.p_dir, dirs.q_dir)])
+        out.append([flat.tobytes() for flat in (dirs.vdot_vec, dirs.p_vec, dirs.q_vec)])
     return out
 
 
-def test_lapack_directions_equal_scipy_wrappers_bitwise(fixture_runs, monkeypatch):
-    """dgetrf/dgetrs give the directions of scipy's lu_factor/lu_solve, bit for bit."""
+@pytest.fixture(scope="module")
+def direction_cases(fixture_runs):
+    """(program, iterates) of ex1–ex8 and of one p = 108 run, over 500 iterates."""
     program = many_rows_program(np.random.default_rng(11))
     assert program.p == 108
     with warnings_ignored():
@@ -340,12 +353,26 @@ def test_lapack_directions_equal_scipy_wrappers_bitwise(fixture_runs, monkeypatc
     cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
     cases.append((program, run.iterates))
     assert sum(len(iterates) for _, iterates in cases) > 500
+    return cases
 
-    lapack = [_direction_bytes(prog, iterates) for prog, iterates in cases]
+
+def test_lapack_directions_equal_scipy_wrappers_bitwise(direction_cases, monkeypatch):
+    """dgetrf/dgetrs give the directions of scipy's lu_factor/lu_solve, bit for bit."""
+    lapack = [_direction_bytes(prog, iterates) for prog, iterates in direction_cases]
     monkeypatch.setattr(kkt, "dgetrf", wrapped_getrf)
     monkeypatch.setattr(kkt, "lu_solve", wrapped_getrs)
-    wrapped = [_direction_bytes(prog, iterates) for prog, iterates in cases]
+    wrapped = [_direction_bytes(prog, iterates) for prog, iterates in direction_cases]
     assert lapack == wrapped
+
+
+def test_directions_equal_generic_back_substitution_bitwise(direction_cases):
+    """Dropping the curvature pieces' zero residuals changes no bit of any direction."""
+    for prog, iterates in direction_cases:
+        generic = []
+        for it in iterates:
+            system = assemble_newton_matrix(it.hess, prog.a_eq, prog.a_ineq, it.s, it.z)
+            generic.append([flat.tobytes() for flat in generic_directions(system, it, it.mu)])
+        assert _direction_bytes(prog, iterates) == generic
 
 
 @contextlib.contextmanager
@@ -378,3 +405,34 @@ def test_non_finite_residual_stops_with_singular_status(bad):
     assert report.status is SolverStatus.SINGULAR_KKT
     assert report.iterations == 0
     assert "right-hand side is not finite" in report.message
+
+
+def _identity_factor(size):
+    lu, piv, _ = dgetrf(np.eye(size))
+    return lu, piv
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_right_hand_side_raises_before_the_solve(bad, monkeypatch):
+    solves = []
+    monkeypatch.setattr(kkt, "lu_solve", lambda *args: solves.append(args))
+    rhs = np.array([1.0, bad, 2.0])
+    with _no_float_warnings(), pytest.raises(SingularKKTError, match="right-hand side is not finite"):
+        kkt._solve_checked(_identity_factor(3), np.eye(3), rhs)
+    assert solves == []
+
+
+def test_non_finite_refinement_residual_raises():
+    # the factor is of I, but the residual is taken against a matrix with an
+    # inf entry, so the residual that refinement would solve holds -inf
+    matrix = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(SingularKKTError, match="right-hand side is not finite"):
+        kkt._solve_checked(_identity_factor(2), matrix, np.ones(2))
+
+
+def test_finite_right_hand_side_with_overflowing_norm_is_solved():
+    rhs = np.array([1e200, -1e200, 3.0])
+    with np.errstate(over="ignore"):
+        assert math.isinf(kkt.norm(rhs))
+        sol = kkt._solve_checked(_identity_factor(3), np.eye(3), rhs)
+    assert sol.tobytes() == rhs.tobytes()

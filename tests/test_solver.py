@@ -244,6 +244,15 @@ def test_config_validation():
         SolverConfig(sigma_min=0.5, sigma_max=0.5)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
+    # each of these made solve() loop forever or was passed through unchecked
+    for bad in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="bisect_tol"):
+            SolverConfig(bisect_tol=bad)
+        with pytest.raises(ValueError, match="alpha_floor"):
+            SolverConfig(alpha_floor=bad)
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=-5)
+    assert SolverConfig(max_iter=0).max_iter == 0
 
 
 def test_trace_row_zero_and_alignment(fixture_runs):

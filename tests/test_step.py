@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcipm import SolverConfig, default_start
+from arcipm import SolverConfig, default_start, solve
+from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
 from arcipm.step import (
@@ -137,6 +138,30 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
             assert len(calls) == sel.backtracks + 1
             backtracked += sel.backtracks > 0
     assert backtracked > 0
+
+
+def test_selection_point_is_the_accepted_arc_point(fixture_runs, monkeypatch):
+    checked = 0
+    for prog, recorded in fixture_runs.values():
+        for k, it in enumerate(recorded.iterates[:-1]):
+            sel = recorded.selections[k + 1]
+            want = arc_point(it, _directions(prog, it), sel.sigma, sel.alpha)
+            assert [b.tobytes() for b in sel.point] == [b.tobytes() for b in want]
+            assert recorded.iterates[k + 1].vec.tobytes() == np.concatenate(want).tobytes()
+            checked += 1
+    assert checked > 500
+
+    # solve() builds the next iterate from the selection, not from a new arc point
+    original, calls = solver_module.arc_point, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver_module, "arc_point", counting)
+    program, start = load_problem("ex1")
+    assert solve(program, start=default_start(program, start)).iterations > 0
+    assert calls == []
 
 
 def test_update_nu():
@@ -269,7 +294,7 @@ def test_alpha_tilde_minimum_semantics():
     rng = np.random.default_rng(3)
     it, dirs = synthetic_pair(rng)
     # flat directions: every component limit is the right angle
-    flat = NewtonDirections(
+    flat = NewtonDirections.of(
         vdot=Blocks(*(np.zeros_like(b) for b in dirs.vdot)),
         p_dir=Blocks(*(np.zeros_like(b) for b in dirs.p_dir)),
         q_dir=Blocks(*(np.zeros_like(b) for b in dirs.q_dir)),
@@ -279,7 +304,7 @@ def test_alpha_tilde_minimum_semantics():
     # a single binding slack component at pi/6
     sdot = np.zeros(it.p)
     sdot[2] = 2.0 * (it.s[2] - 0.01)
-    binding = NewtonDirections(
+    binding = NewtonDirections.of(
         vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), sdot, np.zeros(it.p)),
         p_dir=flat.p_dir,
         q_dir=flat.q_dir,
@@ -307,7 +332,7 @@ def test_alpha_tilde_point_respects_floors():
 def test_mu_coefficients_special_cases():
     rng = np.random.default_rng(11)
     it, dirs = synthetic_pair(rng)
-    quiet = NewtonDirections(
+    quiet = NewtonDirections.of(
         vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p), np.zeros(it.p)),
         p_dir=dirs.p_dir,
         q_dir=dirs.q_dir,
@@ -349,7 +374,7 @@ def test_mu_exact_trivial_cases():
 def _directions_from_sz(it, s_parts, z_parts):
     (sdot, ps, qs), (zdot, pz, qz) = s_parts, z_parts
     zero2, zero0 = np.zeros(2), np.zeros(0)
-    return NewtonDirections(
+    return NewtonDirections.of(
         vdot=Blocks(zero2, zero0, zdot.copy(), sdot, zdot),
         p_dir=Blocks(zero2, zero0, pz.copy(), ps, pz),
         q_dir=Blocks(zero2, zero0, qz.copy(), qs, qz),
@@ -444,7 +469,7 @@ def test_bisect_sigma_finds_crossover():
 def test_golden_min_bu_monotone_case_hits_cap():
     rng = np.random.default_rng(9)
     it, dirs = synthetic_pair(rng)
-    quiet = NewtonDirections(
+    quiet = NewtonDirections.of(
         vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p), np.zeros(it.p)),
         p_dir=dirs.p_dir,
         q_dir=dirs.q_dir,
