@@ -1,29 +1,28 @@
 """Primal-dual residuals, the Newton matrix, and the three direction solves.
 
-The Newton system over (x, y, w, s, z) has the rows
+The Newton system over (x, y, s, z) has the rows
 
-    H dx + A_E' dy - A_I' dw = r_C
+    H dx + A_E' dy - A_I' dz = r_C
     A_E dx                   = r_E
     A_I dx - ds              = r_I
-    dw - dz                  = r_w
     z*ds + s*dz              = r_z
 
-with r_w and r_z the blocks of the w - z and z*s rows.  Eliminating w, s
-and z leaves the symmetric (n+m)-square system
+with r_z the block of the z*s row.  Eliminating s and z leaves the
+symmetric (n+m)-square system
 
-    [H + A_I'(Z/S)A_I  A_E'] [dx]   [r_C + A_I'(r_w + (r_z + z*r_I)/s)]
-    [A_E               0   ] [dy] = [r_E                              ]
+    [H + A_I'(Z/S)A_I  A_E'] [dx]   [r_C + A_I'((r_z + z*r_I)/s)]
+    [A_E               0   ] [dy] = [r_E                        ]
 
 (S. J. Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997, ch. 11),
-and the other blocks come back by substitution: ds = A_I dx - r_I,
-dz = (r_z - z*ds)/s, dw = r_w + dz.
+and the other blocks come back by substitution: ds = A_I dx - r_I and
+dz = (r_z - z*ds)/s.
 
 One iteration factors that matrix once with partially pivoted LU and
 solves three right-hand sides: the first-order tangent, then the two
 pieces whose combination (p*sigma + q) is the curvature term of the search
-arc.  The curvature pieces have r_C = r_E = r_I = r_w = 0 and only r_z
-set, so their right-hand side is [A_I'(r_z/s); 0] and their blocks are
-ds = A_I dx and dw = dz.  Singularity is decided on the equilibrated
+arc.  The curvature pieces have r_C = r_E = r_I = 0 and only r_z set, so
+their right-hand side is [A_I'(r_z/s); 0] and their slack block is
+ds = A_I dx.  Singularity is decided on the equilibrated
 matrix D M D with D = diag(1/sqrt(row max |M|)) (one step of Ruiz's
 scaling), so a badly scaled but regular system is not reported as
 singular.
@@ -42,13 +41,12 @@ overflow of finite entries can also give, is followed by an entrywise
 test.  An inf or NaN entry raises :class:`SingularKKTError`.
 
 An :class:`Iterate` and each of the three directions is one contiguous
-vector in (x, y, w, s, z) order, and its five block fields are views into
-it.  The directions are solved straight into that form: the solved
-(x, y) head is contiguous already, and one concatenation appends the
-(w, s, z) tail.  The step layer then evaluates a candidate point with one
-expression over whole vectors, and s and z come last so that the 2p slack
-and dual entries its angle limits read are one slice at the end, not a
-concatenation.
+vector of n + m + 2p entries in (x, y, s, z) order, and its four block
+fields are views into it.  The directions are solved straight into that
+form: one concatenation appends the (s, z) tail to the solved (x, y).  The
+step layer evaluates a candidate point with one expression over whole
+vectors, and the next iterate keeps that vector as its own.  s and z come
+last, so the 2p entries that the angle limits read are one slice.
 """
 
 from __future__ import annotations
@@ -88,28 +86,26 @@ class SingularKKTError(RuntimeError):
 
 
 class Blocks(NamedTuple):
-    """The five stacked blocks (x, y, w, s, z) of a primal-dual point."""
+    """The four stacked blocks (x, y, s, z) of a primal-dual point."""
 
     x: np.ndarray
     y: np.ndarray
-    w: np.ndarray
     s: np.ndarray
     z: np.ndarray
 
     @classmethod
     def of(cls, flat: np.ndarray, n: int, m: int, p: int) -> "Blocks":
-        """The blocks of a flat (x, y, w, s, z) vector, as views into it."""
-        w_at = n + m
-        s_at = w_at + p
+        """The blocks of a flat (x, y, s, z) vector, as views into it."""
+        s_at = n + m
         z_at = s_at + p
-        return cls(flat[:n], flat[n:w_at], flat[w_at:s_at], flat[s_at:z_at], flat[z_at:])
+        return cls(flat[:n], flat[n:s_at], flat[s_at:z_at], flat[z_at:])
 
 
 @dataclass(frozen=True)
 class NewtonDirections:
     """Tangent plus the two curvature solves; curvature(sigma) = p*sigma + q.
 
-    Each direction is one flat (x, y, w, s, z) vector (``vdot_vec``,
+    Each direction is one flat (x, y, s, z) vector (``vdot_vec``,
     ``p_vec``, ``q_vec``) of the sizes (n, m, p); the block fields
     ``vdot``, ``p_dir`` and ``q_dir`` are views into them.
     """
@@ -132,7 +128,7 @@ class NewtonDirections:
 
     @classmethod
     def of(cls, vdot: Blocks, p_dir: Blocks, q_dir: Blocks) -> "NewtonDirections":
-        """Directions from their (x, y, w, s, z) blocks, each stacked into one copy."""
+        """Directions from their (x, y, s, z) blocks, each stacked into one copy."""
         # plain tuples: numpy takes a NamedTuple through a slower path
         flats = (np.concatenate(tuple(blocks)) for blocks in (vdot, p_dir, q_dir))
         return cls(*flats, vdot.x.size, vdot.y.size, vdot.s.size)
@@ -145,15 +141,12 @@ class NewtonDirections:
 class Iterate:
     """A primal-dual point with its cached derivatives and residuals.
 
-    The point is kept as one flat (x, y, w, s, z) vector ``vec``, and the
-    five block fields are views into it.
+    The point is one flat (x, y, s, z) vector ``vec``.  The four block
+    fields are views into it, split at the sizes (n, m, p) of the
+    residuals r_c, r_e and r_i.  z holds the inequality multipliers.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    s: np.ndarray
-    z: np.ndarray
+    vec: np.ndarray = field(repr=False)
     hess: np.ndarray
     grad: np.ndarray
     r_c: np.ndarray
@@ -161,38 +154,48 @@ class Iterate:
     r_i: np.ndarray
     mu: float
     nu: float
-    vec: np.ndarray = field(init=False, repr=False)
+    x: np.ndarray = field(init=False)
+    y: np.ndarray = field(init=False)
+    s: np.ndarray = field(init=False)
+    z: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        flat = np.concatenate((self.x, self.y, self.w, self.s, self.z))
-        object.__setattr__(self, "vec", flat)
-        for name, view in zip(Blocks._fields, Blocks.of(flat, self.x.size, self.y.size, self.s.size)):
+        blocks = Blocks.of(self.vec, self.r_c.size, self.r_e.size, self.r_i.size)
+        for name, view in zip(Blocks._fields, blocks):
             object.__setattr__(self, name, view)
 
     @classmethod
-    def at(cls, program: ConvexProgram, x, y, w, s, z, nu: float) -> "Iterate":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        w = np.asarray(w, dtype=float).reshape(-1)
-        s = np.asarray(s, dtype=float).reshape(-1)
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if not (s.min() > 0.0 and z.min() > 0.0):
+    def at(cls, program: ConvexProgram, vec, nu: float) -> "Iterate":
+        """The iterate at the flat (x, y, s, z) point ``vec``, kept as it is, not copied."""
+        n, m, p = program.n, program.m, program.p
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (n + m + 2 * p,):
+            raise ValueError(f"point has shape {vec.shape}, expected ({n + m + 2 * p},)")
+        # a NaN minimum fails the comparison too
+        if not vec[n + m :].min() > 0.0:
             raise ValueError("slack and dual vectors must stay strictly positive")
+        x, y, s, z = Blocks.of(vec, n, m, p)
         _, grad, hess = value_gradient_hessian(program.compiled_objective, x)
-        r_c, r_e, r_i = compute_residuals(program, hess, x, y, w, s)
-        return cls(x, y, w, s, z, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu)
+        r_c, r_e, r_i = compute_residuals(program, hess, x, y, s, z)
+        return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu)
 
     def blocks(self) -> Blocks:
-        return Blocks(self.x, self.y, self.w, self.s, self.z)
+        return Blocks(self.x, self.y, self.s, self.z)
+
+    @property
+    def w(self) -> np.ndarray:
+        # z under its former name: the benchmark's KKT certificate
+        # (perfbench/) still reads the inequality multipliers as w
+        return self.z
 
     @property
     def p(self) -> int:
         return self.s.size
 
 
-def compute_residuals(program: ConvexProgram, hess, x, y, w, s):
+def compute_residuals(program: ConvexProgram, hess, x, y, s, z):
     """(r_c, r_e, r_i) at a point, using the model term H x in r_c."""
-    r_c = hess @ x + program.a_eq.T @ y - program.a_ineq.T @ w
+    r_c = hess @ x + program.a_eq.T @ y - program.a_ineq.T @ z
     r_e = program.a_eq @ x - program.b_eq
     r_i = program.a_ineq @ x - s - program.b_ineq
     return r_c, r_e, r_i
@@ -208,15 +211,14 @@ def duality_measure(s, z) -> float:
 
 
 def optimality_residual(iterate: Iterate) -> np.ndarray:
-    """Stacked optimality vector (r_c, r_e, r_i, w - z, z*s)."""
+    """Stacked optimality vector (r_c, r_e, r_i, 0, z*s).
+
+    The p zeros pad the place of a former w - z block, which was zero: without
+    them the BLAS dot product in :func:`norm` sums in another order and moves
+    the stop-test norm by up to 1 ulp, which would change the recorded traces.
+    """
     return np.concatenate(
-        [
-            iterate.r_c,
-            iterate.r_e,
-            iterate.r_i,
-            iterate.w - iterate.z,
-            iterate.z * iterate.s,
-        ]
+        [iterate.r_c, iterate.r_e, iterate.r_i, np.zeros(iterate.p), iterate.z * iterate.s]
     )
 
 
@@ -235,12 +237,12 @@ def kkt_norm(iterate: Iterate) -> float:
 
 
 def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
-    """Norm of grad f + A_eq'y - A_ineq'w, reported as a diagnostic only.
+    """Norm of grad f + A_eq'y - A_ineq'z, reported as a diagnostic only.
 
     The stepping residual replaces grad f with H x, so the two vanish
     together only when the objective is an unshifted quadratic.
     """
-    return norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.w)
+    return norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.z)
 
 
 class NewtonSystem(NamedTuple):
@@ -324,20 +326,20 @@ def solve_directions(system: NewtonSystem, iterate: Iterate, mu: float) -> Newto
         return d * _solve_checked(factor, scaled, d * np.concatenate((head, tail)))
 
     # the tangent: every residual of the iterate
-    r_i, r_w, r_z = iterate.r_i, iterate.w - z, z * s
-    dxy = solved(iterate.r_c + a_ineq.T @ (r_w + (r_z + z * r_i) / s), iterate.r_e)
+    r_i, r_z = iterate.r_i, z * s
+    dxy = solved(iterate.r_c + a_ineq.T @ ((r_z + z * r_i) / s), iterate.r_e)
     ds = a_ineq @ dxy[:n] - r_i
     dz = (r_z - z * ds) / s
-    vdot_vec = np.concatenate((dxy, r_w + dz, ds, dz))
+    vdot_vec = np.concatenate((dxy, ds, dz))
 
-    # a curvature piece: r_z alone, so ds = A_I dx and dw = dz
+    # a curvature piece: r_z alone, so ds = A_I dx
     zero_e = np.zeros(m)
 
     def curvature_piece(r_z):
         dxy = solved(a_ineq.T @ (r_z / s), zero_e)
         ds = a_ineq @ dxy[:n]
         dz = (r_z - z * ds) / s
-        return np.concatenate((dxy, dz, ds, dz))
+        return np.concatenate((dxy, ds, dz))
 
     p_vec = curvature_piece(np.full(p, mu))
     q_vec = curvature_piece(-2.0 * dz * ds)

@@ -48,6 +48,9 @@ class ConvexProgram:
         m, p = self.m, self.p
         if self.b_eq.shape != (m,) or self.b_ineq.shape != (p,):
             raise ValueError("right-hand side length does not match its constraint matrix")
+        for name in ("a_eq", "b_eq", "a_ineq", "b_ineq"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has an entry that is not finite")
         indices = variable_indices(self.objective)
         if indices and (min(indices) < 0 or max(indices) >= n):
             raise ValueError("objective references a variable outside the declared list")
@@ -81,7 +84,8 @@ def fold_bounds(a_ineq, b_ineq, lower, upper):
     """Append box bounds to an inequality block as rows.
 
     Finite lower bounds contribute rows ``e_i^T x >= lo_i`` and finite upper
-    bounds contribute ``-e_i^T x >= -up_i``.  Original rows come first, then
+    bounds contribute ``-e_i^T x >= -up_i``; an infinite bound leaves its
+    side open, and a NaN bound is rejected.  Original rows come first, then
     all lower-bound rows in index order, then all upper-bound rows, so the
     slack layout of a run is reproducible.
     """
@@ -90,6 +94,8 @@ def fold_bounds(a_ineq, b_ineq, lower, upper):
     n = lower.size
     if upper.size != n:
         raise ValueError("lower and upper bound vectors differ in length")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("a bound is NaN; an open side is -inf or inf")
     both = np.isfinite(lower) & np.isfinite(upper)
     if np.any(lower[both] >= upper[both]):
         bad = int(np.nonzero(both & (lower >= upper))[0][0])

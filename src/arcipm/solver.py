@@ -106,19 +106,15 @@ class SolverReport:
 
 
 def default_start(program: ConvexProgram, x0=None) -> Iterate:
-    """Documented cold start: w = z = 100, s = 0.01, multipliers zero."""
+    """Documented cold start: x = x0 (zeros if None), y = 0, s = 0.01, z = 100."""
     n, m, p = program.n, program.m, program.p
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(-1)
-        if x.size != n:
-            raise ValueError(f"initial point has {x.size} entries, expected {n}")
-    y = np.zeros(m)
-    w = np.full(p, 100.0)
-    z = np.full(p, 100.0)
-    s = np.full(p, 0.01)
-    return Iterate.at(program, x, y, w, s, z, nu=1.0)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if x.size != n:
+        raise ValueError(f"initial point has {x.size} entries, expected {n}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"initial point must be finite, got {x.tolist()}")
+    vec = np.concatenate((x, np.zeros(m), np.full(p, 0.01), np.full(p, 100.0)))
+    return Iterate.at(program, vec, nu=1.0)
 
 
 def _indefinite(hess: np.ndarray) -> bool:
@@ -197,7 +193,6 @@ def solve(
             status = SolverStatus.STEP_FAILURE
             message = str(err)
             break
-        point = selection.point
         nu = update_nu(iterate.nu, selection.alpha)
         if nu == RESIDUAL_FLOOR and not residual_floor_warned:
             warnings.warn(
@@ -206,7 +201,7 @@ def solve(
                 stacklevel=2,
             )
             residual_floor_warned = True
-        iterate = Iterate.at(program, point.x, point.y, point.w, point.s, point.z, nu)
+        iterate = Iterate.at(program, selection.point, nu)
         k += 1
         trace.append(_trace_row(program, iterate, k, selection.sigma, selection.alpha))
         if observer is not None:

@@ -4,23 +4,18 @@ The next iterate is searched along the ellipse
 
     v(sigma, alpha) = v - vdot*sin(alpha) + (p*sigma + q)*(1 - cos(alpha)),
 
-with alpha in (0, pi/2].  It is evaluated on the flat (x, y, w, s, z)
+with alpha in (0, pi/2].  It is evaluated on the flat (x, y, s, z)
 vectors of the iterate and the directions (see :mod:`arcipm.kkt`), so a
-candidate point costs a handful of whole-vector operations and its blocks
-are views into the result.  Each slack and dual component has a closed-form
-largest angle that keeps it above a positive floor.  Writing the
-component's trajectory minus its floor as ``top - R*sin(alpha + asin(second/R))``
-with ``second = p*sigma + q``, ``top = current - floor + second`` and
-``R = hypot(vdot, second)``, the limit is 0 for a component already below
-its floor; for ``vdot > 0`` it is pi/2 if ``top >= R`` and otherwise
-``min(pi/2, asin(top/R) - asin(second/R))``; for ``vdot <= 0`` it is pi/2 if
-``top >= 0`` and otherwise ``min(pi/2, pi - asin(-top/R) - asin(-second/R))``.
-:func:`alpha_limits` evaluates these three cases for all 2p components at
-once; they are the last 2p entries of each flat vector.  A bisection over
-sigma maximizes the smallest limit, exploiting that each component limit
-is monotone in sigma with the sign of its p-coefficient.  A predictor of the updated duality measure, built from
-three dot products of the directions, decides when pure affine stepping
-(sigma = 0) is preferable and where along the arc it is best.
+candidate point costs a handful of whole-vector operations, and the
+accepted one becomes the next iterate's vector as it is.  Each slack and
+dual component has a closed-form largest angle that keeps it above a
+positive floor; :func:`alpha_limits` derives it and evaluates it for all
+2p components at once, the last 2p entries of each flat vector.  A
+bisection over sigma maximizes the smallest limit, exploiting that each
+component limit is monotone in sigma with the sign of its p-coefficient.
+A predictor of the updated duality measure, built from three dot products
+of the directions, decides when pure affine stepping (sigma = 0) is
+preferable and where along the arc it is best.
 """
 
 from __future__ import annotations
@@ -56,9 +51,10 @@ class StepFailureError(RuntimeError):
 class StepSelection:
     """Chosen centering weight and angle, with selection diagnostics.
 
-    ``point`` is the accepted candidate: the arc point at (sigma, alpha)
-    that passed every step condition, which is the next iterate's
-    (x, y, w, s, z).  It is left out of comparisons and the repr.
+    ``point`` is the accepted candidate: the flat (x, y, s, z) arc point
+    at (sigma, alpha) that passed every step condition, which the next
+    iterate keeps as its ``vec``.  It is left out of comparisons and the
+    repr.
     """
 
     sigma: float
@@ -67,7 +63,7 @@ class StepSelection:
     a_u: float
     b_u: float
     backtracks: int
-    point: Blocks = field(compare=False, repr=False)
+    point: np.ndarray = field(compare=False, repr=False)
 
 
 def _one_minus_cos(alpha: float) -> float:
@@ -75,13 +71,12 @@ def _one_minus_cos(alpha: float) -> float:
     return 2.0 * math.sin(0.5 * alpha) ** 2
 
 
-def arc_point(iterate: Iterate, directions: NewtonDirections, sigma: float, alpha: float) -> Blocks:
-    """Candidate point on the ellipse at angle alpha."""
+def arc_point(iterate: Iterate, directions: NewtonDirections, sigma: float, alpha: float) -> np.ndarray:
+    """Candidate point on the ellipse at angle alpha, as one flat (x, y, s, z) vector."""
     sin_a = math.sin(alpha)
     omc = _one_minus_cos(alpha)
     vdot, p_vec, q_vec = directions.vdot_vec, directions.p_vec, directions.q_vec
-    flat = iterate.vec - vdot * sin_a + (p_vec * sigma + q_vec) * omc
-    return Blocks.of(flat, iterate.x.size, iterate.y.size, iterate.p)
+    return iterate.vec - vdot * sin_a + (p_vec * sigma + q_vec) * omc
 
 
 def update_nu(nu: float, alpha: float) -> float:
@@ -300,7 +295,7 @@ def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
 def _acceptable(candidate: Blocks, mu_new: float, mu_old: float, phi: float, psi: float, theta: float) -> bool:
     # a NaN minimum fails these comparisons, so the candidate is rejected
     s_min, z_min = candidate.s.min(), candidate.z.min()
-    if not (s_min > 0.0 and z_min > 0.0 and candidate.w.min() > 0.0):
+    if not (s_min > 0.0 and z_min > 0.0):
         return False
     if s_min < phi - FLOOR_SLACK or z_min < psi - FLOOR_SLACK:
         return False
@@ -339,11 +334,12 @@ def select_step(
     alpha = tilde
     backtracks = 0
     while alpha > config.alpha_floor:
-        candidate = arc_point(iterate, directions, sigma, alpha)
+        point = arc_point(iterate, directions, sigma, alpha)
+        candidate = Blocks.of(point, directions.n, directions.m, directions.p)
         mu_new = mu_exact(candidate)
         if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
             a_u, b_u = predictor.at(alpha)
-            return StepSelection(sigma, alpha, tilde, a_u, b_u, backtracks, candidate)
+            return StepSelection(sigma, alpha, tilde, a_u, b_u, backtracks, point)
         alpha *= config.backtrack
         backtracks += 1
     raise StepFailureError(

@@ -157,14 +157,14 @@ def synthetic_step_pair(rng, p=4):
     qz = (-2.0 * sdot * zdot - z * qs) / s
     zero2, zero0 = np.zeros(2), np.zeros(0)
     iterate = Iterate(
-        x=zero2, y=zero0, w=z.copy(), s=s, z=z,
+        vec=np.concatenate((zero2, zero0, s, z)),
         hess=np.eye(2), grad=zero2,
         r_c=zero2, r_e=zero0, r_i=np.zeros(p),
         mu=mu, nu=1.0,
     )
     directions = NewtonDirections.of(
-        vdot=Blocks(zero2, zero0, zdot.copy(), sdot, zdot),
-        p_dir=Blocks(zero2, zero0, pz.copy(), ps, pz),
-        q_dir=Blocks(zero2, zero0, qz.copy(), qs, qz),
+        vdot=Blocks(zero2, zero0, sdot, zdot),
+        p_dir=Blocks(zero2, zero0, ps, pz),
+        q_dir=Blocks(zero2, zero0, qs, qz),
     )
     return iterate, directions

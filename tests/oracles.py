@@ -71,10 +71,10 @@ def enumerate_kkt(program: ConvexProgram, tol: float = 1e-8) -> list[np.ndarray]
 
 
 def full_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
-    """Unreduced (n+m+3p)-square Newton matrix over the order (x, y, w, s, z).
+    """Unreduced (n+m+2p)-square Newton matrix over the order (x, y, s, z).
 
-    Its rows are the linearized r_C, r_E, r_I, w - z and z*s conditions; the
-    solver solves the same system with w, s and z eliminated.
+    Its rows are the linearized r_C, r_E, r_I and z*s conditions; the
+    solver solves the same system with s and z eliminated.
     """
     hess = np.asarray(hess, dtype=float)
     a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
@@ -84,20 +84,18 @@ def full_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
     n = hess.shape[0]
     m = a_eq.shape[0] if a_eq.size else 0
     p = a_ineq.shape[0]
-    size = n + m + 3 * p
+    size = n + m + 2 * p
     matrix = np.zeros((size, size))
-    ox, oy, ow, os_, oz = 0, n, n + m, n + m + p, n + m + 2 * p
+    ox, oy, os_, oz = 0, n, n + m, n + m + p
 
     matrix[ox : ox + n, ox : ox + n] = hess
     if m:
         matrix[ox : ox + n, oy : oy + m] = a_eq.T
         matrix[oy : oy + m, ox : ox + n] = a_eq
-    matrix[ox : ox + n, ow : ow + p] = -a_ineq.T
-    matrix[ow : ow + p, ox : ox + n] = a_ineq
+    matrix[ox : ox + n, oz : oz + p] = -a_ineq.T
+    matrix[os_ : os_ + p, ox : ox + n] = a_ineq
     idx = np.arange(p)
-    matrix[ow + idx, os_ + idx] = -1.0
-    matrix[os_ + idx, ow + idx] = 1.0
-    matrix[os_ + idx, oz + idx] = -1.0
+    matrix[os_ + idx, os_ + idx] = -1.0
     matrix[oz + idx, os_ + idx] = z
     matrix[oz + idx, oz + idx] = s
     return matrix
@@ -146,13 +144,16 @@ def wrapped_getrs(factor, rhs: np.ndarray) -> np.ndarray:
 
 
 def generic_directions(system, iterate, mu: float) -> tuple:
-    """The three directions through one generic back-substitution, as flat vectors.
+    """The three directions through one generic back-substitution.
 
-    Every direction goes through the same five-residual formulas, the two
-    curvature pieces with their zero r_C, r_E, r_I and r_w passed as
-    explicit zeros, on the same equilibrated ``dgetrf`` factor and with the
-    same one-pass refinement as the solver; the solver drops the zero terms
-    and must give the same bits.  Assumes a finite, regular matrix.
+    Every direction goes through the same five-residual formulas of the
+    system that also carries a second multiplier block w tied to z by the
+    row dw - dz = r_w: the tangent with r_w = w - z = 0, the two curvature
+    pieces with their zero r_C, r_E, r_I and r_w passed as explicit zeros,
+    on the same equilibrated ``dgetrf`` factor and with the same one-pass
+    refinement as the solver.  Each direction is returned as its five
+    blocks (dx, dy, dw, ds, dz); the solver drops r_w and dw and must give
+    the same bits in the other four.  Assumes a finite, regular matrix.
     """
     matrix, a_ineq = system
     d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
@@ -169,17 +170,17 @@ def generic_directions(system, iterate, mu: float) -> tuple:
     n = iterate.x.size
     s, z = iterate.s, iterate.z
 
-    def direction(r_c, r_e, r_i, r_w, r_z) -> np.ndarray:
+    def direction(r_c, r_e, r_i, r_w, r_z) -> tuple:
         rhs = np.concatenate([r_c + a_ineq.T @ (r_w + (r_z + z * r_i) / s), r_e])
         dxy = d * refined(d * rhs)
         ds = a_ineq @ dxy[:n] - r_i
         dz = (r_z - z * ds) / s
-        return np.concatenate([dxy[:n], dxy[n:], r_w + dz, ds, dz])
+        return dxy[:n], dxy[n:], r_w + dz, ds, dz
 
-    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, iterate.w - z, z * s)
+    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, np.zeros(iterate.p), z * s)
     zero_e = np.zeros_like(iterate.r_e)
     p_dir = direction(0.0, zero_e, 0.0, 0.0, np.full(iterate.p, mu))
-    sdot, zdot = vdot[-2 * iterate.p : -iterate.p], vdot[-iterate.p :]
+    sdot, zdot = vdot[3], vdot[4]
     q_dir = direction(0.0, zero_e, 0.0, 0.0, -2.0 * zdot * sdot)
     return vdot, p_dir, q_dir
 
@@ -188,7 +189,7 @@ def blockwise_arc_point(iterate, directions, sigma: float, alpha: float) -> tupl
     """The search-arc point computed block by block, one block at a time.
 
     ``v - vdot*sin(alpha) + (p*sigma + q)*(1 - cos(alpha))`` on each of the
-    five (x, y, w, s, z) blocks separately, with 1 - cos(alpha) taken as
+    four (x, y, s, z) blocks separately, with 1 - cos(alpha) taken as
     2 sin(alpha/2)^2; the solver evaluates the same expression once on
     whole flat vectors and must give the same bits.
     """

@@ -91,6 +91,26 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "line, edited, message",
+    [
+        ("ineq -1 -1 >= -10", "ineq -1 -1 >= nan", "b_ineq has an entry that is not finite"),
+        ("ineq -1 -1 >= -10", "ineq -1 inf >= -10", "a_ineq has an entry that is not finite"),
+        ("bound x1 1 10", "bound x1 nan 10", "a bound is NaN"),
+        ("start 5 5", "start nan 5", "initial point must be finite, got [nan, 5.0]"),
+    ],
+)
+def test_non_finite_input_exits_one(tmp_path, capsys, line, edited, message):
+    text = (PROBLEM_DIR / "ex1.prob").read_text()
+    assert line in text
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text.replace(line, edited))
+    code, out, err = run_cli(capsys, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "no_such_file.prob")
     assert code == 1

@@ -178,6 +178,15 @@ def test_fold_bounds_rejects_crossed_bounds():
         fold_bounds(np.zeros((0, 2)), [], [2.0, 0.0], [1.0, 5.0])
 
 
+def test_fold_bounds_rejects_nan_and_leaves_infinite_sides_open():
+    for lower, upper in (([np.nan, 0.0], [1.0, 5.0]), ([0.0, 0.0], [1.0, np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            fold_bounds(np.zeros((0, 2)), [], lower, upper)
+    a, b = fold_bounds(np.zeros((0, 2)), [], [-np.inf, 0.0], [1.0, np.inf])
+    np.testing.assert_array_equal(a, [[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(b, [0.0, -1.0])
+
+
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.tuples(
@@ -238,3 +247,13 @@ def test_program_requires_an_inequality():
     tree = parse_expression("x1", ["x1"])
     with pytest.raises(ValueError, match="inequality"):
         ConvexProgram(n=1, objective=tree, a_eq=[], b_eq=[], a_ineq=[], b_ineq=[])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["a_eq", "b_eq", "a_ineq", "b_ineq"])
+def test_program_rejects_non_finite_rows(name, bad):
+    parts = {"a_eq": [[1.0, 1.0]], "b_eq": [1.0], "a_ineq": [[1.0, 0.0], [0.0, 1.0]], "b_ineq": [0.0, 0.0]}
+    parts[name] = np.array(parts[name])
+    parts[name].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"{name} has an entry that is not finite"):
+        ConvexProgram(n=2, objective=parse_expression("x1 + x2", X12), **parts)

@@ -52,7 +52,7 @@ def test_residuals_vanish_on_matched_slack():
     program, _ = load_problem("ex1")
     x = np.array([4.0, 4.0])
     s = program.a_ineq @ x - program.b_ineq
-    _, _, r_i = compute_residuals(program, np.eye(2), x, np.zeros(0), np.ones(5), s)
+    _, _, r_i = compute_residuals(program, np.eye(2), x, np.zeros(0), s, np.ones(5))
     np.testing.assert_allclose(r_i, np.zeros(5), atol=1e-14)
 
 
@@ -61,7 +61,7 @@ def test_reference_start_residuals_are_finite_and_nonzero():
     it = default_start(program, start)
     # independent arithmetic on the same quantities
     np.testing.assert_allclose(
-        it.r_c, it.hess @ it.x - program.a_ineq.T @ it.w, atol=1e-12
+        it.r_c, it.hess @ it.x - program.a_ineq.T @ it.z, atol=1e-12
     )
     np.testing.assert_allclose(
         it.r_i, program.a_ineq @ it.x - it.s - program.b_ineq, atol=1e-12
@@ -79,19 +79,15 @@ def test_duality_measure():
         duality_measure(np.zeros(0), np.zeros(0))
 
 
-def _iterate_from_parts(program, x, y, w, s, z, nu=1.0):
-    return Iterate.at(program, x, y, w, s, z, nu)
-
-
 def test_kkt_norm_cases():
     program, _ = load_problem("ex1")
     x = np.array([4.0, 4.0])
     s = program.a_ineq @ x - program.b_ineq
     z = np.full(5, 0.5)
-    it = _iterate_from_parts(program, x, np.zeros(0), z, s, z)
+    it = Iterate.at(program, np.concatenate((x, s, z)), 1.0)
     # synthetic: force residual blocks to zero and products to mu
     mu = it.mu
-    vec = np.concatenate([np.zeros(2), np.zeros(0), np.zeros(5), np.zeros(5), np.full(5, mu)])
+    vec = np.concatenate([np.zeros(2), np.zeros(0), np.zeros(5), np.full(5, mu)])
     assert np.linalg.norm(vec) == pytest.approx(np.sqrt(5.0) * mu)
 
     program1, start1 = load_problem("ex1")
@@ -108,14 +104,14 @@ def test_norms_equal_numpy_norm_bitwise(fixture_runs):
             assert (row.norm_rc, row.norm_re, row.norm_ri) == want, name
             want = np.linalg.norm(optimality_residual(it))
             assert kkt_norm(it) == row.kkt_norm == want, name
-            want = np.linalg.norm(it.grad + program.a_eq.T @ it.y - program.a_ineq.T @ it.w)
+            want = np.linalg.norm(it.grad + program.a_eq.T @ it.y - program.a_ineq.T @ it.z)
             assert true_stationarity_norm(program, it) == row.true_stat_norm == want, name
         x = run.report.x
         assert run.report.infe == np.linalg.norm(program.a_eq @ x - program.b_eq), name
 
 
 def _assert_views_in_order(blocks, flat):
-    """Each block is the next stretch of ``flat``, in (x, y, w, s, z) order."""
+    """Each block is the next stretch of ``flat``, in (x, y, s, z) order."""
     assert flat.flags.c_contiguous
     start = flat.__array_interface__["data"][0]
     offset = 0
@@ -138,13 +134,13 @@ def test_blocks_are_views_into_one_flat_vector():
     for blocks, flat in ((dirs.vdot, dirs.vdot_vec), (dirs.p_dir, dirs.p_vec), (dirs.q_dir, dirs.q_vec)):
         _assert_views_in_order(blocks, flat)
     point = arc_point(it, dirs, 0.3, 0.2)
-    _assert_views_in_order(point, point.x.base)
-    # hand-built objects take the same layout, stacked from copies of
-    # their (here shared) input arrays
+    assert point.shape == (program.n + program.m + 2 * program.p,) == (221,)
+    # hand-built objects take the same layout; directions are stacked
+    # from copies of their blocks
     it, dirs = synthetic_step_pair(np.random.default_rng(4))
     _assert_views_in_order(it.blocks(), it.vec)
     it.s[0] = 7.0
-    assert it.vec[it.x.size + it.y.size + it.p] == 7.0 and it.w[0] != 7.0
+    assert it.vec[it.x.size + it.y.size] == 7.0 and it.z[0] != 7.0
     parts = [Blocks(*(np.array(b) for b in blocks)) for blocks in (dirs.vdot, dirs.p_dir, dirs.q_dir)]
     built = NewtonDirections.of(*parts)
     assert not any(np.shares_memory(block, built.vdot_vec) for block in parts[0])
@@ -153,7 +149,7 @@ def test_blocks_are_views_into_one_flat_vector():
         for blocks, flat in ((made.vdot, made.vdot_vec), (made.p_dir, made.p_vec), (made.q_dir, made.q_vec)):
             _assert_views_in_order(blocks, flat)
             flat[-1] = 7.0
-            assert blocks.z[-1] == 7.0 and blocks.w[-1] != 7.0
+            assert blocks.z[-1] == 7.0 and blocks.s[-1] != 7.0
 
 
 def test_assemble_hand_block_matrix():
@@ -163,10 +159,9 @@ def test_assemble_hand_block_matrix():
     np.testing.assert_array_equal(
         matrix,
         [
-            [2.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, -1.0],
-            [0.0, 0.0, 3.0, 1.0],
+            [2.0, 0.0, -1.0],
+            [1.0, -1.0, 0.0],
+            [0.0, 3.0, 1.0],
         ],
     )
 
@@ -176,9 +171,9 @@ def test_assemble_identity_products_row():
     matrix = full_newton_matrix(
         np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((p, 2)), np.ones(p), np.ones(p)
     )
-    bottom = matrix[2 + 2 * p :, :]
-    np.testing.assert_array_equal(bottom[:, 2 + p : 2 + 2 * p], np.eye(p))
-    np.testing.assert_array_equal(bottom[:, 2 + 2 * p :], np.eye(p))
+    bottom = matrix[2 + p :, :]
+    np.testing.assert_array_equal(bottom[:, 2 : 2 + p], np.eye(p))
+    np.testing.assert_array_equal(bottom[:, 2 + p :], np.eye(p))
 
 
 def test_assemble_dimension_for_three_variable_reference():
@@ -186,7 +181,7 @@ def test_assemble_dimension_for_three_variable_reference():
     matrix = full_newton_matrix(
         np.eye(3), program.a_eq, program.a_ineq, np.ones(8), np.ones(8)
     )
-    assert matrix.shape == (27, 27)
+    assert matrix.shape == (19, 19)
 
 
 def test_direction_solves_satisfy_their_systems():
@@ -195,7 +190,7 @@ def test_direction_solves_satisfy_their_systems():
     system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
     dirs = solve_directions(system, it, it.mu)
     matrix = full_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    rhs = optimality_residual(it)
+    rhs = np.concatenate([it.r_c, it.r_e, it.r_i, it.z * it.s])
     for blocks, expected_last in (
         (dirs.vdot, it.z * it.s),
         (dirs.p_dir, np.full(it.p, it.mu)),
@@ -203,7 +198,7 @@ def test_direction_solves_satisfy_their_systems():
     ):
         stacked = np.concatenate(blocks)
         target = rhs if blocks is dirs.vdot else np.concatenate(
-            [np.zeros(program.n), np.zeros(program.m), np.zeros(it.p), np.zeros(it.p), expected_last]
+            [np.zeros(program.n), np.zeros(program.m), np.zeros(it.p), expected_last]
         )
         err = np.linalg.norm(matrix @ stacked - target)
         assert err <= 1e-8 * (1.0 + np.linalg.norm(target))
@@ -215,8 +210,8 @@ def _assert_reduced_matches_full(program, it):
     The curvature right-hand side -2 zdot*sdot is taken from the reduced
     tangent for both, so each pair solves the same system.  The full solve
     gets one refinement step, since the unreduced matrix is badly row-scaled
-    at cold starts (z = 100 next to s = 0.01).  Blocks w, s and z are
-    compared as relative changes dw/z, ds/s, dz/z: where s is tiny,
+    at cold starts (z = 100 next to s = 0.01).  Blocks s and z are
+    compared as relative changes ds/s, dz/z: where s is tiny,
     dz = (r_z - z*ds)/s carries an absolute error of about eps*|z*ds|/s
     whose size relative to z is still roundoff.
     """
@@ -225,8 +220,8 @@ def _assert_reduced_matches_full(program, it):
         assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z), it, it.mu
     )
     matrix = full_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    scale = np.concatenate([np.ones(n + m), it.z, it.s, it.z])
-    tangent = optimality_residual(it)
+    scale = np.concatenate([np.ones(n + m), it.s, it.z])
+    tangent = np.concatenate([it.r_c, it.r_e, it.r_i, it.z * it.s])
     centering, curvature = np.zeros_like(tangent), np.zeros_like(tangent)
     centering[-p:] = it.mu
     curvature[-p:] = -2.0 * dirs.vdot.z * dirs.vdot.s
@@ -254,11 +249,6 @@ def test_reduced_directions_match_full_lu_with_equalities():
         assert run.report.status is SolverStatus.CONVERGED
         for it in run.iterates[:-1:5]:
             _assert_reduced_matches_full(program, it)
-            # runs keep w = z from the cold start, so r_w = w - z needs its own case
-            shifted_w = it.w + rng.uniform(-1.0, 1.0, size=it.p)
-            _assert_reduced_matches_full(
-                program, Iterate.at(program, it.x, it.y, shifted_w, it.s, it.z, it.nu)
-            )
 
 
 def test_zero_centering_rhs_gives_zero_direction():
@@ -301,18 +291,6 @@ def test_cross_products_nonnegative_along_reference_run(fixture_runs):
         check(curvature.s, curvature.z)
 
 
-def test_fourth_block_consistency():
-    program, start = load_problem("ex1")
-    it = default_start(program, start)
-    matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    dirs = solve_directions(matrix, it, it.mu)
-    np.testing.assert_allclose(dirs.vdot.w - dirs.vdot.z, it.w - it.z, atol=1e-9)
-    # started with w = z, so the tangent keeps them locked
-    np.testing.assert_allclose(dirs.vdot.w, dirs.vdot.z, atol=1e-9)
-    np.testing.assert_allclose(dirs.p_dir.w, dirs.p_dir.z, atol=1e-9)
-    np.testing.assert_allclose(dirs.q_dir.w, dirs.q_dir.z, atol=1e-6)
-
-
 def test_singular_matrix_raises_with_pivot():
     matrix = np.zeros((2, 2))
     matrix[0, 1] = 1.0
@@ -330,7 +308,27 @@ def test_singular_matrix_raises_with_pivot():
 def test_iterate_rejects_nonpositive_slack():
     program, start = load_problem("ex1")
     with pytest.raises(ValueError, match="strictly positive"):
-        Iterate.at(program, start, np.zeros(0), np.ones(5), np.zeros(5), np.ones(5), 1.0)
+        Iterate.at(program, np.concatenate((start, np.zeros(5), np.ones(5))), 1.0)
+
+
+def test_iterate_keeps_the_vector_it_is_given():
+    """Solves hand the accepted arc point on whole; see test_step for that side."""
+    program, start = load_problem("ex1")
+    p = program.p
+    vec = np.concatenate((start, np.full(p, 0.5), np.full(p, 2.0)))
+    it = Iterate.at(program, vec, 1.0)
+    assert it.vec is vec
+    _assert_views_in_order(it.blocks(), vec)
+    assert it.w is it.z
+
+    for bad in (vec[:-1], np.append(vec, 1.0), vec[None, :]):
+        with pytest.raises(ValueError, match="shape"):
+            Iterate.at(program, bad, 1.0)
+    for index, value in ((2, np.nan), (2 + p - 1, 0.0), (2 + p, -1.0), (-1, np.nan), (-1, 0.0)):
+        bad = vec.copy()
+        bad[index] = value
+        with pytest.raises(ValueError, match="strictly positive"):
+            Iterate.at(program, bad, 1.0)
 
 
 def _direction_bytes(program, iterates):
@@ -366,12 +364,15 @@ def test_lapack_directions_equal_scipy_wrappers_bitwise(direction_cases, monkeyp
 
 
 def test_directions_equal_generic_back_substitution_bitwise(direction_cases):
-    """Dropping the curvature pieces' zero residuals changes no bit of any direction."""
+    """Dropping the zero residuals, r_w and the dw block changes no bit of any direction."""
     for prog, iterates in direction_cases:
         generic = []
         for it in iterates:
             system = assemble_newton_matrix(it.hess, prog.a_eq, prog.a_ineq, it.s, it.z)
-            generic.append([flat.tobytes() for flat in generic_directions(system, it, it.mu)])
+            directions = generic_directions(system, it, it.mu)
+            generic.append([np.concatenate((dx, dy, ds, dz)).tobytes() for dx, dy, _, ds, dz in directions])
+            # with r_w = 0 the w row only copies dz: w would stay equal to z
+            assert all(np.array_equal(dw, dz) for _, _, dw, _, dz in directions)
         assert _direction_bytes(prog, iterates) == generic
 
 

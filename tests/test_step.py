@@ -49,17 +49,20 @@ def reference_directions():
     return program, it, solve_directions(matrix, it, it.mu)
 
 
+def _arc_blocks(it, dirs, sigma, alpha):
+    """The arc point at (sigma, alpha), split into its (x, y, s, z) blocks."""
+    return Blocks.of(arc_point(it, dirs, sigma, alpha), it.x.size, it.y.size, it.p)
+
+
 def test_arc_point_at_zero_is_identity():
     _, it, dirs = reference_directions()
-    point = arc_point(it, dirs, 0.3, 0.0)
-    for got, want in zip(point, it.blocks()):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(arc_point(it, dirs, 0.3, 0.0), it.vec)
 
 
 def test_arc_point_at_right_angle_closed_form():
     _, it, dirs = reference_directions()
     sigma = 0.4
-    point = arc_point(it, dirs, sigma, HALF_PI)
+    point = _arc_blocks(it, dirs, sigma, HALF_PI)
     for got, v, dv, pv, qv in zip(point, it.blocks(), dirs.vdot, dirs.p_dir, dirs.q_dir):
         np.testing.assert_allclose(got, v - dv + pv * sigma + qv, rtol=1e-12, atol=1e-12)
 
@@ -69,9 +72,8 @@ def test_arc_initial_slope_is_negative_tangent():
     # whose curvature and tangent share a scale
     it, dirs = synthetic_pair(np.random.default_rng(1))
     h = 1e-6
-    point = arc_point(it, dirs, 0.7, h)
-    slope = (np.concatenate(point) - np.concatenate(it.blocks())) / h
-    tangent = -np.concatenate(dirs.vdot)
+    slope = (arc_point(it, dirs, 0.7, h) - it.vec) / h
+    tangent = -dirs.vdot_vec
     scale = 1.0 + np.max(np.abs(tangent))
     assert np.max(np.abs(slope - tangent)) <= 1e-4 * scale
 
@@ -80,9 +82,9 @@ def test_arc_derivatives_at_zero_by_central_differences():
     _, it, dirs = reference_directions()
     sigma = 0.25
     h = 1e-4
-    hi = np.concatenate(arc_point(it, dirs, sigma, h))
-    lo = np.concatenate(arc_point(it, dirs, sigma, -h))
-    mid = np.concatenate(it.blocks())
+    hi = arc_point(it, dirs, sigma, h)
+    lo = arc_point(it, dirs, sigma, -h)
+    mid = it.vec
     first = (hi - lo) / (2.0 * h)
     second = (hi - 2.0 * mid + lo) / h**2
     tangent = -np.concatenate(dirs.vdot)
@@ -113,7 +115,7 @@ def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs):
                 for alpha in (0.0, 0.5 * tilde, tilde):
                     got = arc_point(it, dirs, sigma, alpha)
                     want = blockwise_arc_point(it, dirs, sigma, alpha)
-                    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+                    assert got.tobytes() == np.concatenate(want).tobytes()
                     checked += 1
     assert checked > 5000
 
@@ -146,8 +148,9 @@ def test_selection_point_is_the_accepted_arc_point(fixture_runs, monkeypatch):
         for k, it in enumerate(recorded.iterates[:-1]):
             sel = recorded.selections[k + 1]
             want = arc_point(it, _directions(prog, it), sel.sigma, sel.alpha)
-            assert [b.tobytes() for b in sel.point] == [b.tobytes() for b in want]
-            assert recorded.iterates[k + 1].vec.tobytes() == np.concatenate(want).tobytes()
+            assert sel.point.tobytes() == want.tobytes()
+            # the next iterate keeps the accepted vector itself, not a copy
+            assert recorded.iterates[k + 1].vec is sel.point
             checked += 1
     assert checked > 500
 
@@ -182,7 +185,7 @@ def test_floors():
 
 def _acceptable_with_module_functions(candidate, mu_new, mu_old, phi, psi, theta):
     """The acceptance test as written with np.all/np.min, kept as the reference."""
-    if not (np.all(candidate.s > 0.0) and np.all(candidate.z > 0.0) and np.all(candidate.w > 0.0)):
+    if not (np.all(candidate.s > 0.0) and np.all(candidate.z > 0.0)):
         return False
     if np.min(candidate.s) < phi - FLOOR_SLACK or np.min(candidate.z) < psi - FLOOR_SLACK:
         return False
@@ -196,8 +199,8 @@ def test_acceptable_decides_as_the_module_function_version():
     values = np.array([np.nan, -1.0, 0.0, 1e-12, 0.05, 0.1, 0.5, 1.0, 2.0])
     decisions = set()
     for _ in range(3000):
-        s, z, w = (rng.choice(values, size=3) for _ in range(3))
-        candidate = Blocks(np.zeros(2), np.zeros(0), w, s, z)
+        s, z = (rng.choice(values, size=3) for _ in range(2))
+        candidate = Blocks(np.zeros(2), np.zeros(0), s, z)
         mu_new = float(rng.choice([np.nan, 0.01, 0.1, 1.0]))
         args = (candidate, mu_new, 0.5, 0.05, 0.1, 0.5)
         want = _acceptable_with_module_functions(*args)
@@ -305,7 +308,7 @@ def test_alpha_tilde_minimum_semantics():
     sdot = np.zeros(it.p)
     sdot[2] = 2.0 * (it.s[2] - 0.01)
     binding = NewtonDirections.of(
-        vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), sdot, np.zeros(it.p)),
+        vdot=Blocks(np.zeros(2), np.zeros(0), sdot, np.zeros(it.p)),
         p_dir=flat.p_dir,
         q_dir=flat.q_dir,
     )
@@ -324,7 +327,7 @@ def test_alpha_tilde_point_respects_floors():
     )
     for sigma in (0.0, 0.37, 1.0):
         tilde = alpha_tilde(it, dirs, phi, psi, sigma)
-        point = arc_point(it, dirs, sigma, tilde)
+        point = _arc_blocks(it, dirs, sigma, tilde)
         assert np.min(point.s) >= phi - 1e-10 - 1e-15 * s_scale
         assert np.min(point.z) >= psi - 1e-10 - 1e-15 * z_scale
 
@@ -333,7 +336,7 @@ def test_mu_coefficients_special_cases():
     rng = np.random.default_rng(11)
     it, dirs = synthetic_pair(rng)
     quiet = NewtonDirections.of(
-        vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p), np.zeros(it.p)),
+        vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p)),
         p_dir=dirs.p_dir,
         q_dir=dirs.q_dir,
     )
@@ -354,7 +357,7 @@ def test_mu_expansion_identity(seed):
     it, dirs = synthetic_pair(rng, p=int(rng.integers(1, 7)))
     sigma = rng.uniform(0.0, 1.0)
     alpha = rng.uniform(0.0, HALF_PI)
-    candidate = arc_point(it, dirs, sigma, alpha)
+    candidate = _arc_blocks(it, dirs, sigma, alpha)
     a_u, b_u = mu_coefficients(it, dirs, alpha)
     curvature = dirs.curvature(sigma)
     omc = 2.0 * math.sin(alpha / 2.0) ** 2
@@ -366,8 +369,8 @@ def test_mu_expansion_identity(seed):
 def test_mu_exact_trivial_cases():
     rng = np.random.default_rng(5)
     it, dirs = synthetic_pair(rng)
-    assert mu_exact(arc_point(it, dirs, 0.3, 0.0)) == pytest.approx(it.mu, rel=1e-12)
-    zeroed = Blocks(np.zeros(2), np.zeros(0), it.z, np.zeros(it.p), it.z)
+    assert mu_exact(_arc_blocks(it, dirs, 0.3, 0.0)) == pytest.approx(it.mu, rel=1e-12)
+    zeroed = Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), it.z)
     assert mu_exact(zeroed) == 0.0
 
 
@@ -375,16 +378,16 @@ def _directions_from_sz(it, s_parts, z_parts):
     (sdot, ps, qs), (zdot, pz, qz) = s_parts, z_parts
     zero2, zero0 = np.zeros(2), np.zeros(0)
     return NewtonDirections.of(
-        vdot=Blocks(zero2, zero0, zdot.copy(), sdot, zdot),
-        p_dir=Blocks(zero2, zero0, pz.copy(), ps, pz),
-        q_dir=Blocks(zero2, zero0, qz.copy(), qs, qz),
+        vdot=Blocks(zero2, zero0, sdot, zdot),
+        p_dir=Blocks(zero2, zero0, ps, pz),
+        q_dir=Blocks(zero2, zero0, qs, qz),
     )
 
 
 def _plain_iterate(s, z):
     p = s.size
     return Iterate(
-        x=np.zeros(2), y=np.zeros(0), w=z.copy(), s=s, z=z,
+        vec=np.concatenate((np.zeros(2), np.zeros(0), s, z)),
         hess=np.eye(2), grad=np.zeros(2),
         r_c=np.zeros(2), r_e=np.zeros(0), r_i=np.zeros(p),
         mu=float(s @ z) / p, nu=1.0,
@@ -470,7 +473,7 @@ def test_golden_min_bu_monotone_case_hits_cap():
     rng = np.random.default_rng(9)
     it, dirs = synthetic_pair(rng)
     quiet = NewtonDirections.of(
-        vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p), np.zeros(it.p)),
+        vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p)),
         p_dir=dirs.p_dir,
         q_dir=dirs.q_dir,
     )
@@ -507,7 +510,7 @@ def test_select_step_accepts_reference_limit_without_backtracking():
     sel = select_step(it, dirs, phi, psi, SolverConfig())
     assert sel.backtracks == 0
     assert 0.0 < sel.alpha <= sel.alpha_tilde <= HALF_PI
-    candidate = arc_point(it, dirs, sel.sigma, sel.alpha)
+    candidate = _arc_blocks(it, dirs, sel.sigma, sel.alpha)
     assert mu_exact(candidate) < it.mu
     assert np.min(candidate.s) >= phi - 1e-10
     assert np.min(candidate.z) >= psi - 1e-10
