@@ -38,12 +38,11 @@ def parse_problem_text(text: str):
     """Build (program, start or None) from problem file text."""
     names: list[str] | None = None
     objective: Expr | None = None
-    eq_rows: list[list[float]] = []
-    eq_rhs: list[float] = []
-    ineq_rows: list[list[float]] = []
-    ineq_rhs: list[float] = []
+    # keyword: (relation, rows, right-hand sides)
+    constraints: dict[str, tuple[str, list, list]] = {"eq": ("=", [], []), "ineq": (">=", [], [])}
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    bounded: set[int] = set()
     start = None
 
     def floats(tokens, line):
@@ -81,18 +80,13 @@ def parse_problem_text(text: str):
                 objective = parse_expression(rest, names)
             except ParseError as err:
                 raise ProblemFileError(f"bad objective: {err}", lineno) from err
-        elif keyword == "eq":
+        elif keyword in constraints:
+            relation, rows, rhs = constraints[keyword]
             tokens = rest.split()
-            if len(tokens) != n + 2 or tokens[n] != "=":
-                raise ProblemFileError(f"expected '{keyword} c1 .. c{n} = rhs'", lineno)
-            eq_rows.append(floats(tokens[:n], lineno))
-            eq_rhs.append(floats(tokens[n + 1 :], lineno)[0])
-        elif keyword == "ineq":
-            tokens = rest.split()
-            if len(tokens) != n + 2 or tokens[n] != ">=":
-                raise ProblemFileError(f"expected '{keyword} c1 .. c{n} >= rhs'", lineno)
-            ineq_rows.append(floats(tokens[:n], lineno))
-            ineq_rhs.append(floats(tokens[n + 1 :], lineno)[0])
+            if len(tokens) != n + 2 or tokens[n] != relation:
+                raise ProblemFileError(f"expected '{keyword} c1 .. c{n} {relation} rhs'", lineno)
+            rows.append(floats(tokens[:n], lineno))
+            rhs.append(floats(tokens[n + 1 :], lineno)[0])
         elif keyword == "bound":
             tokens = rest.split()
             if len(tokens) != 3:
@@ -100,8 +94,9 @@ def parse_problem_text(text: str):
             if tokens[0] not in names:
                 raise ProblemFileError(f"unknown variable {tokens[0]!r}", lineno)
             i = names.index(tokens[0])
-            if np.isfinite(lower[i]) or np.isfinite(upper[i]):
+            if i in bounded:
                 raise ProblemFileError(f"duplicate bound for {tokens[0]!r}", lineno)
+            bounded.add(i)
             lo, hi = floats(tokens[1:], lineno)
             lower[i], upper[i] = lo, hi
         elif keyword == "start":
@@ -117,6 +112,7 @@ def parse_problem_text(text: str):
         raise ProblemFileError("missing objective ('min ...')", 0)
 
     n = len(names)
+    (_, eq_rows, eq_rhs), (_, ineq_rows, ineq_rhs) = constraints.values()
     a_ineq = np.array(ineq_rows, dtype=float).reshape(len(ineq_rows), n)
     b_ineq = np.array(ineq_rhs, dtype=float)
     try:
@@ -139,21 +135,9 @@ def _write_trace(path: str, trace):
         writer = csv.writer(handle)
         writer.writerow(TRACE_COLUMNS)
         for row in trace:
-            writer.writerow(
-                [
-                    row.k,
-                    repr(row.mu),
-                    repr(row.sigma),
-                    repr(row.alpha),
-                    repr(row.norm_rc),
-                    repr(row.norm_re),
-                    repr(row.norm_ri),
-                    repr(row.nu),
-                    repr(row.kkt_norm),
-                    repr(row.true_stat_norm),
-                    repr(row.min_sz_over_mu),
-                ]
-            )
+            # the fields in declaration order, without astuple's deep copies
+            k, *rest = vars(row).values()
+            writer.writerow([k, *map(repr, rest)])
 
 
 # Help text of each SolverConfig field that has a command-line flag.

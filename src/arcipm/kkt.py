@@ -22,9 +22,10 @@ solves three right-hand sides: the first-order tangent, then the two
 pieces whose combination (p*sigma + q) is the curvature term of the search
 arc.  The curvature pieces have r_C = r_E = r_I = 0 and only r_z set, so
 their right-hand side is [A_I'(r_z/s); 0] and their slack block is
-ds = A_I dx.  Singularity is decided on the equilibrated
-matrix D M D with D = diag(1/sqrt(row max |M|)) (one step of Ruiz's
-scaling), so a badly scaled but regular system is not reported as
+ds = A_I dx.  The centering piece p has r_z = mu, read from the iterate,
+and q has r_z = -2 dz*ds of the tangent.  Singularity is decided on the
+equilibrated matrix D M D with D = diag(1/sqrt(row max |M|)) (one step of
+Ruiz's scaling), so a badly scaled but regular system is not reported as
 singular.
 
 The factorization and the solves call LAPACK's ``dgetrf`` and ``dgetrs``
@@ -245,14 +246,7 @@ def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     return norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.z)
 
 
-class NewtonSystem(NamedTuple):
-    """The reduced (n+m)-square matrix plus the rows that recover ds."""
-
-    matrix: np.ndarray
-    a_ineq: np.ndarray
-
-
-def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> NewtonSystem:
+def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
     """Reduced symmetric matrix [H + A_I'(Z/S)A_I, A_E'; A_E, 0]."""
     n = hess.shape[0]
     m = a_eq.shape[0]
@@ -260,7 +254,7 @@ def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> NewtonSystem:
     matrix[:n, :n] = hess + (a_ineq.T * (z / s)) @ a_ineq
     matrix[:n, n:] = a_eq.T
     matrix[n:, :n] = a_eq
-    return NewtonSystem(matrix, a_ineq)
+    return matrix
 
 
 def _not_finite(part: str) -> SingularKKTError:
@@ -293,7 +287,7 @@ def _solve_checked(factor, matrix, rhs):
     return sol
 
 
-def solve_directions(system: NewtonSystem, iterate: Iterate, mu: float) -> NewtonDirections:
+def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -> NewtonDirections:
     """Solve the three direction systems off one factorization.
 
     Raises :class:`SingularKKTError` when the matrix or a right-hand side
@@ -301,7 +295,6 @@ def solve_directions(system: NewtonSystem, iterate: Iterate, mu: float) -> Newto
     or a pivot below ``PIVOT_TOLERANCE``; no silent regularization is
     applied.
     """
-    matrix, a_ineq = system
     row_max = np.abs(matrix).max(axis=1)
     # the row maxima carry any inf or NaN of the matrix, and would spread
     # it through the scaling as 0 * inf
@@ -341,6 +334,6 @@ def solve_directions(system: NewtonSystem, iterate: Iterate, mu: float) -> Newto
         dz = (r_z - z * ds) / s
         return np.concatenate((dxy, ds, dz))
 
-    p_vec = curvature_piece(np.full(p, mu))
+    p_vec = curvature_piece(np.full(p, iterate.mu))
     q_vec = curvature_piece(-2.0 * dz * ds)
     return NewtonDirections(vdot_vec, p_vec, q_vec, n, m, p)

@@ -84,10 +84,11 @@ def fold_bounds(a_ineq, b_ineq, lower, upper):
     """Append box bounds to an inequality block as rows.
 
     Finite lower bounds contribute rows ``e_i^T x >= lo_i`` and finite upper
-    bounds contribute ``-e_i^T x >= -up_i``; an infinite bound leaves its
-    side open, and a NaN bound is rejected.  Original rows come first, then
-    all lower-bound rows in index order, then all upper-bound rows, so the
-    slack layout of a run is reproducible.
+    bounds contribute ``-e_i^T x >= -up_i``; a lower -inf or an upper inf
+    leaves its side open, and a NaN bound, a lower inf or an upper -inf is
+    rejected.  Original rows come first, then all lower-bound rows in index
+    order, then all upper-bound rows, so the slack layout of a run is
+    reproducible.
     """
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
@@ -96,6 +97,8 @@ def fold_bounds(a_ineq, b_ineq, lower, upper):
         raise ValueError("lower and upper bound vectors differ in length")
     if np.isnan(lower).any() or np.isnan(upper).any():
         raise ValueError("a bound is NaN; an open side is -inf or inf")
+    if (lower == np.inf).any() or (upper == -np.inf).any():
+        raise ValueError("a lower bound of inf or an upper bound of -inf admits no point")
     both = np.isfinite(lower) & np.isfinite(upper)
     if np.any(lower[both] >= upper[both]):
         bad = int(np.nonzero(both & (lower >= upper))[0][0])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import evaluate
+from .autodiff import DomainError, evaluate
 from .kkt import (
     Iterate,
     SingularKKTError,
@@ -31,9 +31,6 @@ class SolverConfig:
     rho: float = 0.5
     sigma_min: float = 0.0
     sigma_max: float = 1.0
-    bisect_tol: float = 1e-2
-    backtrack: float = 0.8
-    alpha_floor: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self):
@@ -45,14 +42,6 @@ class SolverConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not 0.0 <= self.sigma_min < self.sigma_max <= 1.0:
             raise ValueError("need 0 <= sigma_min < sigma_max <= 1")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        # a zero tolerance never ends the bisection once its bounds are
-        # adjacent floats, and a nonpositive floor never ends backtracking
-        if not self.bisect_tol > 0.0:
-            raise ValueError("bisect_tol must be positive")
-        if not self.alpha_floor > 0.0:
-            raise ValueError("alpha_floor must be positive")
         if not self.max_iter >= 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -156,17 +145,18 @@ def solve(
     if observer is not None:
         observer(0, iterate, None)
 
-    status = SolverStatus.MAX_ITER
+    status = SolverStatus.CONVERGED
     message = ""
     curvature_warned = False
     # a folded quadratic returns one read-only Hessian; check it only once
     checked_hess = None
     residual_floor_warned = False
     k = 0
-    while k < config.max_iter:
-        # the last trace row holds this iterate's stop-test norm
-        if trace[-1].kkt_norm <= config.epsilon:
-            status = SolverStatus.CONVERGED
+    # the last trace row holds this iterate's stop-test norm; a NaN norm
+    # fails the comparison, so it never counts as converged
+    while not trace[-1].kkt_norm <= config.epsilon:
+        if k >= config.max_iter:
+            status = SolverStatus.MAX_ITER
             break
         if not curvature_warned and iterate.hess is not checked_hess:
             checked_hess = iterate.hess
@@ -177,11 +167,11 @@ def solve(
                     stacklevel=2,
                 )
                 curvature_warned = True
-        system = assemble_newton_matrix(
+        matrix = assemble_newton_matrix(
             iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z
         )
         try:
-            directions = solve_directions(system, iterate, iterate.mu)
+            directions = solve_directions(matrix, program.a_ineq, iterate)
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT
             message = str(err)
@@ -201,14 +191,16 @@ def solve(
                 stacklevel=2,
             )
             residual_floor_warned = True
-        iterate = Iterate.at(program, selection.point, nu)
+        try:
+            iterate = Iterate.at(program, selection.point, nu)
+        except DomainError as err:  # the accepted point left the objective's domain
+            status = SolverStatus.STEP_FAILURE
+            message = str(err)
+            break
         k += 1
         trace.append(_trace_row(program, iterate, k, selection.sigma, selection.alpha))
         if observer is not None:
             observer(k, iterate, selection)
-
-    if status is SolverStatus.MAX_ITER and trace[-1].kkt_norm <= config.epsilon:
-        status = SolverStatus.CONVERGED
 
     return SolverReport(
         x=iterate.x.copy(),

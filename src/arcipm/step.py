@@ -15,7 +15,9 @@ bisection over sigma maximizes the smallest limit, exploiting that each
 component limit is monotone in sigma with the sign of its p-coefficient.
 A predictor of the updated duality measure, built from three dot products
 of the directions, decides when pure affine stepping (sigma = 0) is
-preferable and where along the arc it is best.
+preferable and where along the arc it is best.  Theta, rho and the sigma
+interval come from :class:`arcipm.solver.SolverConfig`; the bisection
+tolerance, the backtracking factor and the angle floor are constants here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import Blocks, Iterate, NewtonDirections
+from .kkt import Blocks, Iterate, NewtonDirections, duality_measure
 
 HALF_PI = 0.5 * math.pi
 
@@ -35,6 +37,12 @@ FLOOR_SLACK = 1e-10
 
 # Golden-section interval tolerance for the sigma = 0 branch.
 GOLDEN_TOLERANCE = 1e-4
+
+# Width of the sigma interval at which the bisection stops, the factor that
+# shrinks a rejected angle, and the angle below which backtracking gives up.
+BISECT_TOLERANCE = 1e-2
+BACKTRACK_FACTOR = 0.8
+ALPHA_FLOOR = 1e-8
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -150,13 +158,6 @@ def _limits_in_sigma(current, rate, p_coef, q_coef, floor):
     return limits
 
 
-def component_alpha_limit(
-    current: float, rate: float, p_coef: float, q_coef: float, floor: float, sigma: float
-) -> float:
-    """:func:`alpha_limits` for a single component."""
-    return float(alpha_limits(current, rate, p_coef, q_coef, floor, sigma))
-
-
 def _components(iterate: Iterate, directions: NewtonDirections, phi: float, psi: float):
     """(current, rate, p_coef, q_coef, floor) arrays over the slack then dual entries."""
     # s and z are the last 2p entries of every flat vector
@@ -221,14 +222,9 @@ def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float
 
     The predicted product is (a_u*sigma + b_u)/p; it omits the nonnegative
     quadratic term sddot's zddot (1-cos)^2, so the exact value from
-    :func:`mu_exact` is what acceptance decisions use.
+    :func:`arcipm.kkt.duality_measure` is what acceptance decisions use.
     """
     return MuPredictor.of(iterate, directions).at(alpha)
-
-
-def mu_exact(candidate: Blocks) -> float:
-    """Duality measure of a candidate point, computed from its own blocks."""
-    return float(candidate.s @ candidate.z) / candidate.s.size
 
 
 def bisect_sigma(
@@ -328,21 +324,21 @@ def select_step(
         tilde = golden_min_bu(predictor, cap)
     else:
         sigma, tilde = bisect_sigma(
-            iterate, directions, phi, psi, config.sigma_min, config.sigma_max, config.bisect_tol
+            iterate, directions, phi, psi, config.sigma_min, config.sigma_max, BISECT_TOLERANCE
         )
 
     alpha = tilde
     backtracks = 0
-    while alpha > config.alpha_floor:
+    while alpha > ALPHA_FLOOR:
         point = arc_point(iterate, directions, sigma, alpha)
         candidate = Blocks.of(point, directions.n, directions.m, directions.p)
-        mu_new = mu_exact(candidate)
+        mu_new = duality_measure(candidate.s, candidate.z)
         if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
             a_u, b_u = predictor.at(alpha)
             return StepSelection(sigma, alpha, tilde, a_u, b_u, backtracks, point)
-        alpha *= config.backtrack
+        alpha *= BACKTRACK_FACTOR
         backtracks += 1
     raise StepFailureError(
-        f"no acceptable angle above {config.alpha_floor:.1e} "
+        f"no acceptable angle above {ALPHA_FLOOR:.1e} "
         f"(sigma={sigma:.3f}, positivity limit {tilde:.3e})"
     )

@@ -40,6 +40,16 @@ SAMPLING_BOX = {
     "ex8": [(5.1, 9.9), (1.1, 2.9), (5.1, 9.9)],
 }
 
+# A problem whose arc leaves the domain of log(x2): an accepted point has x2 <= 0.
+LOG_DOMAIN_EXIT = """
+vars x1 x2
+min (x1-4)^2 - log(x2)
+ineq 1 -1 >= -10
+bound x1 -5 5
+bound x2 -5 5
+start 1 1
+"""
+
 
 def load_problem(name: str):
     text = (PROBLEM_DIR / f"{name}.prob").read_text()

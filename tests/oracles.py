@@ -143,7 +143,7 @@ def wrapped_getrs(factor, rhs: np.ndarray) -> np.ndarray:
     return lu_solve(factor, rhs)
 
 
-def generic_directions(system, iterate, mu: float) -> tuple:
+def generic_directions(matrix, a_ineq, iterate) -> tuple:
     """The three directions through one generic back-substitution.
 
     Every direction goes through the same five-residual formulas of the
@@ -155,7 +155,6 @@ def generic_directions(system, iterate, mu: float) -> tuple:
     blocks (dx, dy, dw, ds, dz); the solver drops r_w and dw and must give
     the same bits in the other four.  Assumes a finite, regular matrix.
     """
-    matrix, a_ineq = system
     d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
     scaled = d[:, None] * matrix * d
     lu, piv, _ = dgetrf(scaled)
@@ -179,7 +178,7 @@ def generic_directions(system, iterate, mu: float) -> tuple:
 
     vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, np.zeros(iterate.p), z * s)
     zero_e = np.zeros_like(iterate.r_e)
-    p_dir = direction(0.0, zero_e, 0.0, 0.0, np.full(iterate.p, mu))
+    p_dir = direction(0.0, zero_e, 0.0, 0.0, np.full(iterate.p, iterate.mu))
     sdot, zdot = vdot[3], vdot[4]
     q_dir = direction(0.0, zero_e, 0.0, 0.0, -2.0 * zdot * sdot)
     return vdot, p_dir, q_dir

@@ -17,9 +17,10 @@ from arcipm.kkt import (
     NewtonDirections,
     assemble_newton_matrix,
     compute_residuals,
+    duality_measure,
     solve_directions,
 )
-from arcipm.step import alpha_tilde, arc_point, component_alpha_limit, mu_coefficients, mu_exact
+from arcipm.step import alpha_limits, alpha_tilde, arc_point, mu_coefficients
 from conftest import (
     REFERENCE,
     SAMPLING_BOX,
@@ -190,7 +191,7 @@ def test_criterion_4_angle_limits_match_grid_oracle():
                 p_coef = rng.normal()
                 q_coef = second - p_coef * sigma
                 entry = (current, rate, p_coef, q_coef, floor)
-                direct = component_alpha_limit(*entry, sigma)
+                direct = float(alpha_limits(*entry, sigma))
                 routed = _limit_through_alpha_tilde(entry, sigma, role)
                 reference = scan_alpha(current, rate, p_coef, q_coef, floor, sigma)
                 total += 1
@@ -221,7 +222,7 @@ def test_criterion_5_duality_measure_identity():
         a_u, b_u = mu_coefficients(iterate, directions, alpha)
         curvature = directions.curvature(sigma)
         omc = 2.0 * math.sin(0.5 * alpha) ** 2
-        lhs = iterate.p * mu_exact(candidate)
+        lhs = iterate.p * duality_measure(candidate.s, candidate.z)
         rhs = a_u * sigma + b_u + float(curvature.s @ curvature.z) * omc**2
         if abs(lhs - rhs) > 1e-8 * (1.0 + abs(lhs)):
             failures.append(f"tuple {index}: |lhs - rhs| = {abs(lhs - rhs):.2e}")
@@ -252,7 +253,7 @@ def test_criterion_6_derivative_checks():
     program, start = load_problem("ex1")
     iterate = default_start(program, start)
     matrix = assemble_newton_matrix(iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z)
-    directions = solve_directions(matrix, iterate, iterate.mu)
+    directions = solve_directions(matrix, program.a_ineq, iterate)
     h = 1e-4
     for sigma in (0.0, 0.5, 1.0):
         hi = arc_point(iterate, directions, sigma, h)

@@ -1,14 +1,22 @@
 """Problem file handling and command-line behavior."""
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arcipm.cli import ProblemFileError, build_arg_parser, config_from_args, main, parse_problem_text
+from arcipm.cli import (
+    _SOLVER_FLAGS,
+    ProblemFileError,
+    build_arg_parser,
+    config_from_args,
+    main,
+    parse_problem_text,
+)
 from arcipm.solver import TRACE_COLUMNS, SolverConfig
-from conftest import PROBLEM_DIR
+from conftest import LOG_DOMAIN_EXIT, PROBLEM_DIR, warnings_ignored
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -97,6 +105,8 @@ def test_malformed_file_exits_one(tmp_path, capsys):
         ("ineq -1 -1 >= -10", "ineq -1 -1 >= nan", "b_ineq has an entry that is not finite"),
         ("ineq -1 -1 >= -10", "ineq -1 inf >= -10", "a_ineq has an entry that is not finite"),
         ("bound x1 1 10", "bound x1 nan 10", "a bound is NaN"),
+        ("bound x1 1 10", "bound x1 inf 10", "a lower bound of inf or an upper bound of -inf"),
+        ("bound x1 1 10", "bound x1 1 -inf", "a lower bound of inf or an upper bound of -inf"),
         ("start 5 5", "start nan 5", "initial point must be finite, got [nan, 5.0]"),
     ],
 )
@@ -115,6 +125,16 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "no_such_file.prob")
     assert code == 1
     assert "cannot read" in err
+
+
+def test_point_outside_the_objective_domain_exits_two(tmp_path, capsys):
+    problem = tmp_path / "log_domain.prob"
+    problem.write_text(LOG_DOMAIN_EXIT)
+    with warnings_ignored():
+        code, out, err = run_cli(capsys, str(problem))
+    assert code == 2
+    assert parse_summary(out)["status"] == "StepFailure"
+    assert "note: log of a nonpositive value" in err
 
 
 def test_max_iter_flag_gives_solver_failure_exit(capsys):
@@ -153,6 +173,10 @@ def test_parse_problem_text_errors():
         parse_problem_text("vars x1\nmin x1\nbound x9 0 1\n")
     with pytest.raises(ProblemFileError, match="duplicate bound"):
         parse_problem_text("vars x1\nmin x1\nbound x1 0 1\nbound x1 0 2\n")
+    # an open bound line counts too, in either order
+    for first, second in (("-inf inf", "0 1"), ("0 1", "-inf inf")):
+        with pytest.raises(ProblemFileError, match="line 4: duplicate bound for 'x1'"):
+            parse_problem_text(f"vars x1\nmin x1\nbound x1 {first}\nbound x1 {second}\n")
 
 
 def test_parse_problem_text_full_example():
@@ -171,6 +195,10 @@ def test_parse_problem_text_full_example():
     )
     assert program.n == 2 and program.m == 1 and program.p == 3
     np.testing.assert_array_equal(start, [1.0, 1.0])
+
+
+def test_every_config_field_has_a_flag():
+    assert {field.name for field in dataclasses.fields(SolverConfig)} == set(_SOLVER_FLAGS)
 
 
 def test_default_flags_give_default_config():

@@ -182,6 +182,15 @@ def test_fold_bounds_rejects_nan_and_leaves_infinite_sides_open():
     for lower, upper in (([np.nan, 0.0], [1.0, 5.0]), ([0.0, 0.0], [1.0, np.nan])):
         with pytest.raises(ValueError, match="NaN"):
             fold_bounds(np.zeros((0, 2)), [], lower, upper)
+    # x >= inf and x <= -inf admit no point; they must not read as open sides
+    closed_at_infinity = (
+        ([np.inf, 0.0], [10.0, 5.0]),
+        ([0.0, 0.0], [1.0, -np.inf]),
+        ([np.inf, 0.0], [np.inf, 1.0]),
+    )
+    for lower, upper in closed_at_infinity:
+        with pytest.raises(ValueError, match="lower bound of inf or an upper bound of -inf"):
+            fold_bounds(np.zeros((0, 2)), [], lower, upper)
     a, b = fold_bounds(np.zeros((0, 2)), [], [-np.inf, 0.0], [1.0, np.inf])
     np.testing.assert_array_equal(a, [[0.0, 1.0], [-1.0, 0.0]])
     np.testing.assert_array_equal(b, [0.0, -1.0])

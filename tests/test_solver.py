@@ -7,8 +7,9 @@ import pytest
 
 import arcipm.kkt as kkt_mod
 from arcipm import SolverConfig, SolverStatus, default_start, solve
+from arcipm.cli import parse_problem_text
 from arcipm.kkt import SingularKKTError, compute_residuals, kkt_norm
-from conftest import REFERENCE, load_problem, many_rows_program, run_recorded, warnings_ignored
+from conftest import LOG_DOMAIN_EXIT, REFERENCE, load_problem, many_rows_program, run_recorded, warnings_ignored
 
 
 def test_default_start_reference_shape():
@@ -144,10 +145,43 @@ def test_max_iter_status():
     assert report.iterations == 3
 
 
+def test_nan_stop_norm_never_counts_as_converged(monkeypatch):
+    import arcipm.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "kkt_norm", lambda iterate: math.nan)
+    program, start = load_problem("ex1")
+    report = solve(program, SolverConfig(max_iter=3), default_start(program, start))
+    assert report.status is SolverStatus.MAX_ITER
+    assert report.iterations == 3
+    assert all(math.isnan(row.kkt_norm) for row in report.trace)
+
+
+def test_zero_iterations_still_apply_the_stop_test(fixture_runs):
+    program, run = fixture_runs["ex1"]
+    config = SolverConfig(max_iter=0)
+    converged = solve(program, config, run.iterates[-1])
+    assert converged.status is SolverStatus.CONVERGED
+    assert converged.iterations == 0
+    cold = solve(program, config, run.iterates[0])
+    assert cold.status is SolverStatus.MAX_ITER
+    assert cold.iterations == 0 and len(cold.trace) == 1
+
+
+def test_point_outside_the_objective_domain_ends_as_step_failure():
+    program, start = parse_problem_text(LOG_DOMAIN_EXIT)
+    with warnings_ignored():
+        report = solve(program, SolverConfig(), default_start(program, start))
+    assert report.status is SolverStatus.STEP_FAILURE
+    assert report.message == "log of a nonpositive value"
+    assert report.iterations == 134 and len(report.trace) == 135
+    # the report holds the last point inside the domain
+    assert report.x[1] > 0.0
+
+
 def test_singular_kkt_status_propagates(monkeypatch):
     program, start = load_problem("ex1")
 
-    def explode(matrix, iterate, mu):
+    def explode(matrix, a_ineq, iterate):
         raise SingularKKTError(0.0, 1.0)
 
     monkeypatch.setattr(kkt_mod, "solve_directions", explode)
@@ -247,12 +281,6 @@ def test_config_validation():
         SolverConfig(sigma_min=0.5, sigma_max=0.5)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
-    # each of these made solve() loop forever or was passed through unchecked
-    for bad in (0.0, -1e-3, math.nan):
-        with pytest.raises(ValueError, match="bisect_tol"):
-            SolverConfig(bisect_tol=bad)
-        with pytest.raises(ValueError, match="alpha_floor"):
-            SolverConfig(alpha_floor=bad)
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=-5)
     assert SolverConfig(max_iter=0).max_iter == 0

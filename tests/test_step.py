@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from arcipm import SolverConfig, default_start, solve
 from arcipm import solver as solver_module
 from arcipm import step as step_module
-from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
+from arcipm.kkt import (
+    Blocks,
+    Iterate,
+    NewtonDirections,
+    assemble_newton_matrix,
+    duality_measure,
+    solve_directions,
+)
 from arcipm.step import (
     RESIDUAL_FLOOR,
     MuPredictor,
@@ -20,13 +27,11 @@ from arcipm.step import (
     alpha_tilde,
     arc_point,
     bisect_sigma,
-    component_alpha_limit,
     FLOOR_SLACK,
     _acceptable,
     floors,
     golden_min_bu,
     mu_coefficients,
-    mu_exact,
     select_step,
     update_nu,
 )
@@ -46,7 +51,7 @@ def reference_directions():
     program, start = load_problem("ex1")
     it = default_start(program, start)
     matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    return program, it, solve_directions(matrix, it, it.mu)
+    return program, it, solve_directions(matrix, program.a_ineq, it)
 
 
 def _arc_blocks(it, dirs, sigma, alpha):
@@ -95,7 +100,7 @@ def test_arc_derivatives_at_zero_by_central_differences():
 
 def _directions(program, it):
     matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    return solve_directions(matrix, it, it.mu)
+    return solve_directions(matrix, program.a_ineq, it)
 
 
 def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs):
@@ -210,9 +215,9 @@ def test_acceptable_decides_as_the_module_function_version():
 
 
 def test_component_limit_flat_and_helpful_cases():
-    assert component_alpha_limit(1.0, 0.0, 0.0, 0.0, 0.5, 0.3) == HALF_PI  # constant
-    assert component_alpha_limit(1.0, -1.0, 0.5, 0.5, 0.5, 1.0) == HALF_PI  # rising everywhere
-    got = component_alpha_limit(1.0, 1.0, 0.0, 0.0, 0.5, 0.7)
+    assert float(alpha_limits(1.0, 0.0, 0.0, 0.0, 0.5, 0.3)) == HALF_PI  # constant
+    assert float(alpha_limits(1.0, -1.0, 0.5, 0.5, 0.5, 1.0)) == HALF_PI  # rising everywhere
+    got = float(alpha_limits(1.0, 1.0, 0.0, 0.0, 0.5, 0.7))
     assert got == pytest.approx(math.pi / 6.0, rel=1e-12)  # sin limit at 1/2
 
 
@@ -231,13 +236,13 @@ def test_component_limit_matches_scan_across_all_case_patterns():
             second = second_sign * rng.uniform(0.05, 4.0)
             p_coef = rng.normal()
             q_coef = second - p_coef * sigma
-            got = component_alpha_limit(current, rate, p_coef, q_coef, floor, sigma)
+            got = float(alpha_limits(current, rate, p_coef, q_coef, floor, sigma))
             ref = scan_alpha(current, rate, p_coef, q_coef, floor, sigma)
             assert abs(got - ref) <= grid_step * 1.001, (rate_sign, second_sign, got, ref)
 
 
 def test_component_limit_below_floor_returns_zero():
-    assert component_alpha_limit(0.3, 1.0, 0.0, 0.5, 0.4, 1.0) == 0.0
+    assert float(alpha_limits(0.3, 1.0, 0.0, 0.5, 0.4, 1.0)) == 0.0
     assert scan_alpha(0.3, 1.0, 0.0, 0.5, 0.4, 1.0) == 0.0
 
 
@@ -290,7 +295,7 @@ def test_alpha_limits_match_scan_on_one_mixed_array():
         entry = (current[i], rate[i], p_coef[i], q_coef[i], floor[i], sigma)
         ref = scan_alpha(*entry)
         assert abs(limit - ref) <= grid_step * 1.001, (i, entry, limit, ref)
-        assert component_alpha_limit(*entry) == limit
+        assert float(alpha_limits(*entry)) == limit
 
 
 def test_alpha_tilde_minimum_semantics():
@@ -361,17 +366,18 @@ def test_mu_expansion_identity(seed):
     a_u, b_u = mu_coefficients(it, dirs, alpha)
     curvature = dirs.curvature(sigma)
     omc = 2.0 * math.sin(alpha / 2.0) ** 2
-    lhs = it.p * mu_exact(candidate)
+    lhs = it.p * duality_measure(candidate.s, candidate.z)
     rhs = a_u * sigma + b_u + float(curvature.s @ curvature.z) * omc**2
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
 
-def test_mu_exact_trivial_cases():
+def test_duality_measure_trivial_cases():
     rng = np.random.default_rng(5)
     it, dirs = synthetic_pair(rng)
-    assert mu_exact(_arc_blocks(it, dirs, 0.3, 0.0)) == pytest.approx(it.mu, rel=1e-12)
+    start = _arc_blocks(it, dirs, 0.3, 0.0)
+    assert duality_measure(start.s, start.z) == pytest.approx(it.mu, rel=1e-12)
     zeroed = Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), it.z)
-    assert mu_exact(zeroed) == 0.0
+    assert duality_measure(zeroed.s, zeroed.z) == 0.0
 
 
 def _directions_from_sz(it, s_parts, z_parts):
@@ -459,8 +465,8 @@ def test_bisect_sigma_finds_crossover():
     grid = np.linspace(0.0, 1.0, 2001)
     values = [
         min(
-            component_alpha_limit(1.0, 1.0, 0.6, 0.1, phi, g),
-            component_alpha_limit(1.0, 1.0, -0.6, 0.46, phi, g),
+            float(alpha_limits(1.0, 1.0, 0.6, 0.1, phi, g)),
+            float(alpha_limits(1.0, 1.0, -0.6, 0.46, phi, g)),
         )
         for g in grid
     ]
@@ -511,7 +517,7 @@ def test_select_step_accepts_reference_limit_without_backtracking():
     assert sel.backtracks == 0
     assert 0.0 < sel.alpha <= sel.alpha_tilde <= HALF_PI
     candidate = _arc_blocks(it, dirs, sel.sigma, sel.alpha)
-    assert mu_exact(candidate) < it.mu
+    assert duality_measure(candidate.s, candidate.z) < it.mu
     assert np.min(candidate.s) >= phi - 1e-10
     assert np.min(candidate.z) >= psi - 1e-10
 
