@@ -264,17 +264,23 @@ def _fold_constant(node: Expr) -> float | None:
         case Neg(child=c):
             v = _fold_constant(c)
             return None if v is None else -v
-        case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b) | Div(left=a, right=b):
+        case Add() | Sub():
+            # a parsed sum is as deep as it has terms; fold up its left spine
+            spine, bottom = node._spine()
+            value = _fold_constant(bottom)
+            for sum_node in reversed(spine):
+                right = _fold_constant(sum_node.right)
+                if value is None or right is None:
+                    return None
+                value = value + right if isinstance(sum_node, Add) else value - right
+            return value
+        case Mul(left=a, right=b) | Div(left=a, right=b):
             va, vb = _fold_constant(a), _fold_constant(b)
             if va is None or vb is None:
                 return None
+            if isinstance(node, Mul):
+                return va * vb
             try:
-                if isinstance(node, Add):
-                    return va + vb
-                if isinstance(node, Sub):
-                    return va - vb
-                if isinstance(node, Mul):
-                    return va * vb
                 return va / vb
             except ZeroDivisionError:
                 return None

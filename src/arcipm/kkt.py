@@ -41,13 +41,13 @@ proves every entry finite, and only an infinite or NaN norm, which an
 overflow of finite entries can also give, is followed by an entrywise
 test.  An inf or NaN entry raises :class:`SingularKKTError`.
 
-An :class:`Iterate` and each of the three directions is one contiguous
-vector of n + m + 2p entries in (x, y, s, z) order, and its four block
-fields are views into it.  The directions are solved straight into that
-form: one concatenation appends the (s, z) tail to the solved (x, y).  The
-step layer evaluates a candidate point with one expression over whole
-vectors, and the next iterate keeps that vector as its own.  s and z come
-last, so the 2p entries that the angle limits read are one slice.
+An :class:`Iterate` is one contiguous vector of n + m + 2p entries in
+(x, y, s, z) order, and its four block fields are views into it.  Each
+direction is a plain vector in the same layout, solved straight into it:
+one concatenation appends the (s, z) tail to the solved (x, y).  The step
+layer evaluates a candidate point with one expression over whole vectors,
+and the next iterate keeps that vector as its own.  s and z come last, so
+the 2p entries that the step layer reads per component are one slice.
 """
 
 from __future__ import annotations
@@ -102,40 +102,16 @@ class Blocks(NamedTuple):
         return cls(flat[:n], flat[n:s_at], flat[s_at:z_at], flat[z_at:])
 
 
-@dataclass(frozen=True)
-class NewtonDirections:
-    """Tangent plus the two curvature solves; curvature(sigma) = p*sigma + q.
+class NewtonDirections(NamedTuple):
+    """The tangent and the two curvature pieces, whose arc term is p_dir*sigma + q_dir.
 
-    Each direction is one flat (x, y, s, z) vector (``vdot_vec``,
-    ``p_vec``, ``q_vec``) of the sizes (n, m, p); the block fields
-    ``vdot``, ``p_dir`` and ``q_dir`` are views into them.
+    Each direction is one flat (x, y, s, z) vector of n + m + 2p entries,
+    laid out like :attr:`Iterate.vec`.
     """
 
-    vdot_vec: np.ndarray = field(repr=False)
-    p_vec: np.ndarray = field(repr=False)
-    q_vec: np.ndarray = field(repr=False)
-    n: int
-    m: int
-    p: int
-    vdot: Blocks = field(init=False)
-    p_dir: Blocks = field(init=False)
-    q_dir: Blocks = field(init=False)
-
-    def __post_init__(self):
-        sizes = self.n, self.m, self.p
-        object.__setattr__(self, "vdot", Blocks.of(self.vdot_vec, *sizes))
-        object.__setattr__(self, "p_dir", Blocks.of(self.p_vec, *sizes))
-        object.__setattr__(self, "q_dir", Blocks.of(self.q_vec, *sizes))
-
-    @classmethod
-    def of(cls, vdot: Blocks, p_dir: Blocks, q_dir: Blocks) -> "NewtonDirections":
-        """Directions from their (x, y, s, z) blocks, each stacked into one copy."""
-        # plain tuples: numpy takes a NamedTuple through a slower path
-        flats = (np.concatenate(tuple(blocks)) for blocks in (vdot, p_dir, q_dir))
-        return cls(*flats, vdot.x.size, vdot.y.size, vdot.s.size)
-
-    def curvature(self, sigma: float) -> Blocks:
-        return Blocks.of(self.p_vec * sigma + self.q_vec, self.n, self.m, self.p)
+    vdot: np.ndarray
+    p_dir: np.ndarray
+    q_dir: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,9 +155,6 @@ class Iterate:
         _, grad, hess = value_gradient_hessian(program.compiled_objective, x)
         r_c, r_e, r_i = compute_residuals(program, hess, x, y, s, z)
         return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu)
-
-    def blocks(self) -> Blocks:
-        return Blocks(self.x, self.y, self.s, self.z)
 
     @property
     def w(self) -> np.ndarray:
@@ -323,17 +296,17 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     dxy = solved(iterate.r_c + a_ineq.T @ ((r_z + z * r_i) / s), iterate.r_e)
     ds = a_ineq @ dxy[:n] - r_i
     dz = (r_z - z * ds) / s
-    vdot_vec = np.concatenate((dxy, ds, dz))
+    vdot = np.concatenate((dxy, ds, dz))
 
     # a curvature piece: r_z alone, so ds = A_I dx
     zero_e = np.zeros(m)
 
-    def curvature_piece(r_z):
+    def r_z_direction(r_z):
         dxy = solved(a_ineq.T @ (r_z / s), zero_e)
         ds = a_ineq @ dxy[:n]
         dz = (r_z - z * ds) / s
         return np.concatenate((dxy, ds, dz))
 
-    p_vec = curvature_piece(np.full(p, iterate.mu))
-    q_vec = curvature_piece(-2.0 * dz * ds)
-    return NewtonDirections(vdot_vec, p_vec, q_vec, n, m, p)
+    p_dir = r_z_direction(np.full(p, iterate.mu))
+    q_dir = r_z_direction(-2.0 * dz * ds)
+    return NewtonDirections(vdot, p_dir, q_dir)

@@ -172,28 +172,23 @@ def solve(
         )
         try:
             directions = solve_directions(matrix, program.a_ineq, iterate)
+            phi, psi = floors(iterate.s, iterate.z, iterate.nu, config.rho)
+            selection = select_step(iterate, directions, phi, psi, config)
+            nu = update_nu(iterate.nu, selection.alpha)
+            if nu == RESIDUAL_FLOOR and not residual_floor_warned:
+                warnings.warn(
+                    "residual factor reached zero (full-angle step); continuing with a tiny floor",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                residual_floor_warned = True
+            iterate = Iterate.at(program, selection.point, nu)
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT
             message = str(err)
             break
-        phi, psi = floors(iterate.s, iterate.z, iterate.nu, config.rho)
-        try:
-            selection = select_step(iterate, directions, phi, psi, config)
-        except StepFailureError as err:
-            status = SolverStatus.STEP_FAILURE
-            message = str(err)
-            break
-        nu = update_nu(iterate.nu, selection.alpha)
-        if nu == RESIDUAL_FLOOR and not residual_floor_warned:
-            warnings.warn(
-                "residual factor reached zero (full-angle step); continuing with a tiny floor",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            residual_floor_warned = True
-        try:
-            iterate = Iterate.at(program, selection.point, nu)
-        except DomainError as err:  # the accepted point left the objective's domain
+        except (StepFailureError, DomainError) as err:
+            # no acceptable angle, or the accepted point left the objective's domain
             status = SolverStatus.STEP_FAILURE
             message = str(err)
             break
@@ -206,7 +201,7 @@ def solve(
         x=iterate.x.copy(),
         objective=evaluate(program.compiled_objective, iterate.x),
         iterations=k,
-        infe=norm(program.a_eq @ iterate.x - program.b_eq),
+        infe=trace[-1].norm_re,
         status=status,
         trace=trace,
         message=message,

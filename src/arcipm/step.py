@@ -83,8 +83,8 @@ def arc_point(iterate: Iterate, directions: NewtonDirections, sigma: float, alph
     """Candidate point on the ellipse at angle alpha, as one flat (x, y, s, z) vector."""
     sin_a = math.sin(alpha)
     omc = _one_minus_cos(alpha)
-    vdot, p_vec, q_vec = directions.vdot_vec, directions.p_vec, directions.q_vec
-    return iterate.vec - vdot * sin_a + (p_vec * sigma + q_vec) * omc
+    vdot, p_dir, q_dir = directions
+    return iterate.vec - vdot * sin_a + (p_dir * sigma + q_dir) * omc
 
 
 def update_nu(nu: float, alpha: float) -> float:
@@ -164,9 +164,9 @@ def _components(iterate: Iterate, directions: NewtonDirections, phi: float, psi:
     sz_at = iterate.vec.size - 2 * iterate.p
     return (
         iterate.vec[sz_at:],
-        directions.vdot_vec[sz_at:],
-        directions.p_vec[sz_at:],
-        directions.q_vec[sz_at:],
+        directions.vdot[sz_at:],
+        directions.p_dir[sz_at:],
+        directions.q_dir[sz_at:],
         np.repeat((phi, psi), iterate.p),
     )
 
@@ -194,11 +194,11 @@ class MuPredictor:
 
     @classmethod
     def of(cls, iterate: Iterate, directions: NewtonDirections) -> MuPredictor:
-        sdot, zdot = directions.vdot.s, directions.vdot.z
-        ps, pz = directions.p_dir.s, directions.p_dir.z
-        qs, qz = directions.q_dir.s, directions.q_dir.z
+        # the (s, z) tail of each direction: its last 2p entries
+        p = iterate.p
+        (sdot, zdot), (ps, pz), (qs, qz) = ((d[-2 * p : -p], d[-p:]) for d in directions)
         return cls(
-            iterate.p * iterate.mu,
+            p * iterate.mu,
             float(zdot @ ps + sdot @ pz),
             float(zdot @ sdot),
             float(sdot @ qz + zdot @ qs),
@@ -327,11 +327,12 @@ def select_step(
             iterate, directions, phi, psi, config.sigma_min, config.sigma_max, BISECT_TOLERANCE
         )
 
+    sizes = iterate.x.size, iterate.y.size, iterate.p
     alpha = tilde
     backtracks = 0
     while alpha > ALPHA_FLOOR:
         point = arc_point(iterate, directions, sigma, alpha)
-        candidate = Blocks.of(point, directions.n, directions.m, directions.p)
+        candidate = Blocks.of(point, *sizes)
         mu_new = duality_measure(candidate.s, candidate.z)
         if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
             a_u, b_u = predictor.at(alpha)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,8 +13,10 @@ import pytest
 from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, solve
 from arcipm.cli import parse_problem_text
 from arcipm.expr import Add, Const, Mul, Var
+from arcipm.kkt import Blocks, Iterate, NewtonDirections
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
+PERFBENCH_DIR = PROBLEM_DIR.parent / "perfbench"
 
 # Reference runs: solution, objective, and iteration count of the original
 # implementation these example files were taken from.
@@ -49,6 +53,19 @@ bound x1 -5 5
 bound x2 -5 5
 start 1 1
 """
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark, loaded read-only from its file as ``perfbench_<name>``.
+
+    Only modules that import nothing else from ``perfbench/`` load this way.
+    """
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH_DIR / f"{name}.py")
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
 
 
 def load_problem(name: str):
@@ -154,8 +171,6 @@ def synthetic_step_pair(rng, p=4):
     z*ps + s*pz = mu, and z*qs + s*qz = -2*sdot*zdot, exactly as the three
     linear solves would produce.
     """
-    from arcipm.kkt import Blocks, Iterate, NewtonDirections
-
     s = rng.uniform(0.1, 2.0, size=p)
     z = rng.uniform(0.1, 2.0, size=p)
     mu = float(s @ z) / p
@@ -172,9 +187,19 @@ def synthetic_step_pair(rng, p=4):
         r_c=zero2, r_e=zero0, r_i=np.zeros(p),
         mu=mu, nu=1.0,
     )
-    directions = NewtonDirections.of(
-        vdot=Blocks(zero2, zero0, sdot, zdot),
-        p_dir=Blocks(zero2, zero0, ps, pz),
-        q_dir=Blocks(zero2, zero0, qs, qz),
-    )
-    return iterate, directions
+    return iterate, sz_directions((sdot, ps, qs), (zdot, pz, qz))
+
+
+def split_at(iterate, vec) -> Blocks:
+    """A flat (x, y, s, z) vector split into its blocks at the iterate's sizes."""
+    return Blocks.of(vec, iterate.x.size, iterate.y.size, iterate.p)
+
+
+def sz_directions(s_parts, z_parts):
+    """Directions over two zero x entries and no y, from their (s, z) parts.
+
+    ``s_parts`` is (sdot, ps, qs) and ``z_parts`` is (zdot, pz, qz); each
+    direction is stacked into one flat (x, y, s, z) vector.
+    """
+    x = np.zeros(2)
+    return NewtonDirections(*(np.concatenate((x, s, z)) for s, z in zip(s_parts, z_parts)))

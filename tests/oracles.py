@@ -18,6 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from arcipm.autodiff import gradient, hessian
+from arcipm.kkt import Blocks
 from arcipm.program import ConvexProgram
 
 MAX_ENUM_ROWS = 12
@@ -194,9 +195,8 @@ def blockwise_arc_point(iterate, directions, sigma: float, alpha: float) -> tupl
     """
     sin_a = math.sin(alpha)
     omc = 2.0 * math.sin(0.5 * alpha) ** 2
+    sizes = iterate.x.size, iterate.y.size, iterate.p
     return tuple(
         v - dv * sin_a + (pv * sigma + qv) * omc
-        for v, dv, pv, qv in zip(
-            iterate.blocks(), directions.vdot, directions.p_dir, directions.q_dir
-        )
+        for v, dv, pv, qv in zip(*(Blocks.of(vec, *sizes) for vec in (iterate.vec, *directions)))
     )

@@ -1,8 +1,7 @@
 """Values, gradients, and Hessians against hand values and finite differences."""
 
-import importlib.util
 import sys
-from pathlib import Path
+import zlib
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from arcipm import (
 )
 from arcipm import expr as ast
 from arcipm.autodiff import Quadratic, compile_objective
-from conftest import REFERENCE, SAMPLING_BOX, load_problem, quadratic_tree
+from conftest import REFERENCE, SAMPLING_BOX, load_problem, perfbench_module, quadratic_tree
 
 X12 = ["x1", "x2"]
 
@@ -145,7 +144,7 @@ def test_quadratic_form_derivatives_at_larger_n(n):
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_derivatives_match_differences_at_random_points(name):
     program, _ = load_problem(name)
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     box = SAMPLING_BOX[name]
     for _ in range(20):
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
@@ -252,21 +251,10 @@ def test_infinite_literal_compiles_to_the_parsed_values(text):
             assert np.array_equal(got, want)
 
 
-def _perfbench_quadratic_tree():
-    """The benchmark's own ½xᵀQx tree function, loaded from its file."""
-    name = "perfbench_instances"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].quadratic_tree
-
-
 @pytest.mark.parametrize("origin", ["tests", "perfbench"])
 @pytest.mark.parametrize("n", range(1, 13))
 def test_quadratic_tree_compiles_to_one_node(origin, n):
-    build = quadratic_tree if origin == "tests" else _perfbench_quadratic_tree()
+    build = quadratic_tree if origin == "tests" else perfbench_module("instances").quadratic_tree
     rng = np.random.default_rng(2000 + n)
     factor = rng.normal(size=(n, n))
     q = np.triu(factor @ factor.T + np.eye(n))

@@ -1,0 +1,38 @@
+"""The benchmark's per-layer spans still record on the paths the solver runs.
+
+``perfbench/spans.py`` times each layer by rebinding solver names; a span
+whose name is no longer called on the workloads' path reads 0 without any
+error.  This runs the workloads' kinds of solve under its tracer and checks
+that every rebound name records.
+"""
+
+from collections import Counter
+
+import numpy as np
+
+import arcipm.solver
+from arcipm import SolverStatus, cli
+from conftest import PROBLEM_DIR, perfbench_module
+
+# Rebound names that no solve calls: solve() keeps the arc_point import only
+# for the tracer, and select_step reads MuPredictor, not mu_coefficients.
+# ROADMAP item 5 reads the benchmark's layers from elsewhere and then drops both.
+SILENT = {"step.arc_point", "step.mu_coefficients"}
+
+
+def test_every_rebound_name_records_a_span(tmp_path, capsys):
+    spans = perfbench_module("spans")
+    instances = perfbench_module("instances")
+    rng = np.random.default_rng(0)
+    programs = [instances.many_rows(rng).program, instances.boxqp_dense(rng, 4).program]
+    with spans.Tracer() as tracer:
+        for k in range(1, 9):
+            trace = tmp_path / f"ex{k}.csv"
+            assert cli.main([str(PROBLEM_DIR / f"ex{k}.prob"), "--trace", str(trace)]) == 0
+        for program in programs:
+            # looked up at call time, as the QP workloads do
+            assert arcipm.solver.solve(program).status is SolverStatus.CONVERGED
+    capsys.readouterr()
+    recorded = Counter(span[0] for span in tracer.spans)
+    names = {name for _, _, name, _ in spans.targets()}
+    assert names - set(recorded) == SILENT

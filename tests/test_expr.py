@@ -131,6 +131,23 @@ def test_sum_deeper_than_the_recursion_limit_prints_hashes_and_compares():
     assert quadratic_tree(q) != tree
 
 
+def test_constant_exponent_deeper_than_the_recursion_limit_folds():
+    terms = 1500
+    assert terms > sys.getrecursionlimit()
+
+    def exponent_of(joined):
+        try:
+            return parse_expression(f"x1^({joined})", X12)
+        except RecursionError:
+            # returned, not raised: pytest takes minutes to render a traceback this deep
+            return None
+
+    assert exponent_of(" + ".join(["1"] * terms)) == Pow(Var(0, "x1"), 1500.0)
+    assert exponent_of(" - ".join(["1"] * terms)) == Pow(Var(0, "x1"), 2.0 - terms)
+    with pytest.raises(ParseError, match="constant"):
+        parse_expression("x1^(" + " + ".join(["1"] * terms) + " + x2)", X12)
+
+
 def test_printed_quadratic_parses_back_at_n48():
     """Constants built from numpy scalars print as plain floats the parser reads."""
     n = 48

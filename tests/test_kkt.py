@@ -29,6 +29,7 @@ from conftest import (
     many_rows_program,
     random_box_qp,
     run_recorded,
+    split_at,
     synthetic_step_pair,
     warnings_ignored,
 )
@@ -123,32 +124,31 @@ def _assert_views_in_order(blocks, flat):
     assert offset == flat.size
 
 
+def _iterate_blocks(it):
+    return Blocks(it.x, it.y, it.s, it.z)
+
+
 def test_blocks_are_views_into_one_flat_vector():
     program = many_rows_program(np.random.default_rng(3))
     it = default_start(program)
-    assert min(block.size for block in it.blocks()) > 0
-    _assert_views_in_order(it.blocks(), it.vec)
+    assert min(block.size for block in _iterate_blocks(it)) > 0
+    _assert_views_in_order(_iterate_blocks(it), it.vec)
     system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
     dirs = solve_directions(system, program.a_ineq, it)
-    for blocks, flat in ((dirs.vdot, dirs.vdot_vec), (dirs.p_dir, dirs.p_vec), (dirs.q_dir, dirs.q_vec)):
-        _assert_views_in_order(blocks, flat)
+    # each direction is one flat vector in the iterate's layout, nothing more
+    assert type(dirs) is NewtonDirections
+    assert NewtonDirections._fields == ("vdot", "p_dir", "q_dir")
+    for flat in dirs:
+        assert flat.shape == it.vec.shape == (221,)
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous
     point = arc_point(it, dirs, 0.3, 0.2)
     assert point.shape == (program.n + program.m + 2 * program.p,) == (221,)
-    # hand-built objects take the same layout; directions are stacked
-    # from copies of their blocks
+    # a hand-built iterate takes the same layout
     it, dirs = synthetic_step_pair(np.random.default_rng(4))
-    _assert_views_in_order(it.blocks(), it.vec)
+    _assert_views_in_order(_iterate_blocks(it), it.vec)
     it.s[0] = 7.0
     assert it.vec[it.x.size + it.y.size] == 7.0 and it.z[0] != 7.0
-    parts = [Blocks(*(np.array(b) for b in blocks)) for blocks in (dirs.vdot, dirs.p_dir, dirs.q_dir)]
-    built = NewtonDirections.of(*parts)
-    assert not any(np.shares_memory(block, built.vdot_vec) for block in parts[0])
-    for made in (dirs, built):
-        assert (made.n, made.m, made.p) == (it.x.size, it.y.size, it.p)
-        for blocks, flat in ((made.vdot, made.vdot_vec), (made.p_dir, made.p_vec), (made.q_dir, made.q_vec)):
-            _assert_views_in_order(blocks, flat)
-            flat[-1] = 7.0
-            assert blocks.z[-1] == 7.0 and blocks.s[-1] != 7.0
+    assert all(flat.shape == it.vec.shape for flat in dirs)
 
 
 def test_assemble_hand_block_matrix():
@@ -190,16 +190,16 @@ def test_direction_solves_satisfy_their_systems():
     dirs = solve_directions(system, program.a_ineq, it)
     matrix = full_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
     rhs = np.concatenate([it.r_c, it.r_e, it.r_i, it.z * it.s])
-    for blocks, expected_last in (
+    tangent = split_at(it, dirs.vdot)
+    for flat, expected_last in (
         (dirs.vdot, it.z * it.s),
         (dirs.p_dir, np.full(it.p, it.mu)),
-        (dirs.q_dir, -2.0 * dirs.vdot.z * dirs.vdot.s),
+        (dirs.q_dir, -2.0 * tangent.z * tangent.s),
     ):
-        stacked = np.concatenate(blocks)
-        target = rhs if blocks is dirs.vdot else np.concatenate(
+        target = rhs if flat is dirs.vdot else np.concatenate(
             [np.zeros(program.n), np.zeros(program.m), np.zeros(it.p), expected_last]
         )
-        err = np.linalg.norm(matrix @ stacked - target)
+        err = np.linalg.norm(matrix @ flat - target)
         assert err <= 1e-8 * (1.0 + np.linalg.norm(target))
 
 
@@ -222,11 +222,12 @@ def _assert_reduced_matches_full(program, it):
     tangent = np.concatenate([it.r_c, it.r_e, it.r_i, it.z * it.s])
     centering, curvature = np.zeros_like(tangent), np.zeros_like(tangent)
     centering[-p:] = it.mu
-    curvature[-p:] = -2.0 * dirs.vdot.z * dirs.vdot.s
-    for blocks, rhs in ((dirs.vdot, tangent), (dirs.p_dir, centering), (dirs.q_dir, curvature)):
+    vdot = split_at(it, dirs.vdot)
+    curvature[-p:] = -2.0 * vdot.z * vdot.s
+    for flat, rhs in ((dirs.vdot, tangent), (dirs.p_dir, centering), (dirs.q_dir, curvature)):
         full = np.linalg.solve(matrix, rhs)
         full = (full + np.linalg.solve(matrix, rhs - matrix @ full)) / scale
-        reduced = np.concatenate(blocks) / scale
+        reduced = flat / scale
         assert np.linalg.norm(reduced - full) <= 1e-10 * np.linalg.norm(full)
 
 
@@ -256,9 +257,10 @@ def test_cross_products_nonnegative_on_random_qp():
         it = default_start(program)
         matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
         dirs = solve_directions(matrix, program.a_ineq, it)
-        assert float(dirs.p_dir.s @ dirs.p_dir.z) >= -1e-10
-        assert float(dirs.q_dir.s @ dirs.q_dir.z) >= -1e-10
-        curvature = dirs.curvature(rng.uniform())
+        p_dir, q_dir = split_at(it, dirs.p_dir), split_at(it, dirs.q_dir)
+        assert float(p_dir.s @ p_dir.z) >= -1e-10
+        assert float(q_dir.s @ q_dir.z) >= -1e-10
+        curvature = split_at(it, dirs.p_dir * rng.uniform() + dirs.q_dir)
         assert float(curvature.s @ curvature.z) >= -1e-10
 
 
@@ -275,9 +277,10 @@ def test_cross_products_nonnegative_along_reference_run(fixture_runs):
     for it in run.iterates[:-1:5]:
         matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
         dirs = solve_directions(matrix, program.a_ineq, it)
-        check(dirs.p_dir.s, dirs.p_dir.z)
-        check(dirs.q_dir.s, dirs.q_dir.z)
-        curvature = dirs.curvature(rng.uniform())
+        p_dir, q_dir = split_at(it, dirs.p_dir), split_at(it, dirs.q_dir)
+        check(p_dir.s, p_dir.z)
+        check(q_dir.s, q_dir.z)
+        curvature = split_at(it, dirs.p_dir * rng.uniform() + dirs.q_dir)
         check(curvature.s, curvature.z)
 
 
@@ -308,7 +311,7 @@ def test_iterate_keeps_the_vector_it_is_given():
     vec = np.concatenate((start, np.full(p, 0.5), np.full(p, 2.0)))
     it = Iterate.at(program, vec, 1.0)
     assert it.vec is vec
-    _assert_views_in_order(it.blocks(), vec)
+    _assert_views_in_order(_iterate_blocks(it), vec)
     assert it.w is it.z
 
     for bad in (vec[:-1], np.append(vec, 1.0), vec[None, :]):
@@ -326,7 +329,7 @@ def _direction_bytes(program, iterates):
     for it in iterates:
         system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
         dirs = solve_directions(system, program.a_ineq, it)
-        out.append([flat.tobytes() for flat in (dirs.vdot_vec, dirs.p_vec, dirs.q_vec)])
+        out.append([flat.tobytes() for flat in dirs])
     return out
 
 

@@ -218,6 +218,19 @@ def test_step_failure_status(monkeypatch):
     assert report.iterations == 0
 
 
+def test_observer_errors_propagate_out_of_solve():
+    """Only the step's own failures become a status; an observer's errors are its caller's."""
+    program, start = load_problem("ex1")
+    from arcipm.step import StepFailureError
+
+    def observer(k, iterate, selection):
+        if k == 2:
+            raise StepFailureError("raised by the observer")
+
+    with pytest.raises(StepFailureError, match="raised by the observer"):
+        solve(program, SolverConfig(), default_start(program, start), observer)
+
+
 def test_indefinite_curvature_warns_once():
     import warnings
 

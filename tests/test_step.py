@@ -14,7 +14,6 @@ from arcipm import step as step_module
 from arcipm.kkt import (
     Blocks,
     Iterate,
-    NewtonDirections,
     assemble_newton_matrix,
     duality_measure,
     solve_directions,
@@ -39,7 +38,9 @@ from conftest import (
     load_problem,
     many_rows_program,
     run_recorded,
+    split_at,
     synthetic_step_pair as synthetic_pair,
+    sz_directions,
     warnings_ignored,
 )
 from oracles import blockwise_arc_point, scan_alpha
@@ -56,7 +57,7 @@ def reference_directions():
 
 def _arc_blocks(it, dirs, sigma, alpha):
     """The arc point at (sigma, alpha), split into its (x, y, s, z) blocks."""
-    return Blocks.of(arc_point(it, dirs, sigma, alpha), it.x.size, it.y.size, it.p)
+    return split_at(it, arc_point(it, dirs, sigma, alpha))
 
 
 def test_arc_point_at_zero_is_identity():
@@ -67,9 +68,9 @@ def test_arc_point_at_zero_is_identity():
 def test_arc_point_at_right_angle_closed_form():
     _, it, dirs = reference_directions()
     sigma = 0.4
-    point = _arc_blocks(it, dirs, sigma, HALF_PI)
-    for got, v, dv, pv, qv in zip(point, it.blocks(), dirs.vdot, dirs.p_dir, dirs.q_dir):
-        np.testing.assert_allclose(got, v - dv + pv * sigma + qv, rtol=1e-12, atol=1e-12)
+    point = arc_point(it, dirs, sigma, HALF_PI)
+    want = it.vec - dirs.vdot + dirs.p_dir * sigma + dirs.q_dir
+    np.testing.assert_allclose(point, want, rtol=1e-12, atol=1e-12)
 
 
 def test_arc_initial_slope_is_negative_tangent():
@@ -78,7 +79,7 @@ def test_arc_initial_slope_is_negative_tangent():
     it, dirs = synthetic_pair(np.random.default_rng(1))
     h = 1e-6
     slope = (arc_point(it, dirs, 0.7, h) - it.vec) / h
-    tangent = -dirs.vdot_vec
+    tangent = -dirs.vdot
     scale = 1.0 + np.max(np.abs(tangent))
     assert np.max(np.abs(slope - tangent)) <= 1e-4 * scale
 
@@ -92,8 +93,8 @@ def test_arc_derivatives_at_zero_by_central_differences():
     mid = it.vec
     first = (hi - lo) / (2.0 * h)
     second = (hi - 2.0 * mid + lo) / h**2
-    tangent = -np.concatenate(dirs.vdot)
-    curvature = np.concatenate(dirs.curvature(sigma))
+    tangent = -dirs.vdot
+    curvature = dirs.p_dir * sigma + dirs.q_dir
     assert np.max(np.abs(first - tangent)) <= 1e-3 * (1.0 + np.max(np.abs(tangent)))
     assert np.max(np.abs(second - curvature)) <= 1e-3 * (1.0 + np.max(np.abs(curvature)))
 
@@ -302,21 +303,13 @@ def test_alpha_tilde_minimum_semantics():
     rng = np.random.default_rng(3)
     it, dirs = synthetic_pair(rng)
     # flat directions: every component limit is the right angle
-    flat = NewtonDirections.of(
-        vdot=Blocks(*(np.zeros_like(b) for b in dirs.vdot)),
-        p_dir=Blocks(*(np.zeros_like(b) for b in dirs.p_dir)),
-        q_dir=Blocks(*(np.zeros_like(b) for b in dirs.q_dir)),
-    )
+    flat = type(dirs)(*(np.zeros_like(vec) for vec in dirs))
     assert alpha_tilde(it, flat, 0.01, 0.01, 0.5) == HALF_PI
 
     # a single binding slack component at pi/6
     sdot = np.zeros(it.p)
     sdot[2] = 2.0 * (it.s[2] - 0.01)
-    binding = NewtonDirections.of(
-        vdot=Blocks(np.zeros(2), np.zeros(0), sdot, np.zeros(it.p)),
-        p_dir=flat.p_dir,
-        q_dir=flat.q_dir,
-    )
+    binding = flat._replace(vdot=np.concatenate((np.zeros(2), sdot, np.zeros(it.p))))
     assert alpha_tilde(it, binding, 0.01, 0.01, 0.5) == pytest.approx(math.pi / 6.0, rel=1e-12)
 
 
@@ -324,12 +317,9 @@ def test_alpha_tilde_point_respects_floors():
     program, it, dirs = reference_directions()
     phi, psi = floors(it.s, it.z, it.nu, 0.5)
     # trajectory evaluation is only accurate to roundoff of its largest term
-    s_scale = max(
-        np.max(np.abs(dirs.vdot.s)), np.max(np.abs(dirs.p_dir.s)), np.max(np.abs(dirs.q_dir.s))
-    )
-    z_scale = max(
-        np.max(np.abs(dirs.vdot.z)), np.max(np.abs(dirs.p_dir.z)), np.max(np.abs(dirs.q_dir.z))
-    )
+    blocks = [split_at(it, vec) for vec in dirs]
+    s_scale = max(np.max(np.abs(b.s)) for b in blocks)
+    z_scale = max(np.max(np.abs(b.z)) for b in blocks)
     for sigma in (0.0, 0.37, 1.0):
         tilde = alpha_tilde(it, dirs, phi, psi, sigma)
         point = _arc_blocks(it, dirs, sigma, tilde)
@@ -340,11 +330,7 @@ def test_alpha_tilde_point_respects_floors():
 def test_mu_coefficients_special_cases():
     rng = np.random.default_rng(11)
     it, dirs = synthetic_pair(rng)
-    quiet = NewtonDirections.of(
-        vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p)),
-        p_dir=dirs.p_dir,
-        q_dir=dirs.q_dir,
-    )
+    quiet = dirs._replace(vdot=np.zeros_like(dirs.vdot))
     alpha = 0.8
     a_u, b_u = mu_coefficients(it, quiet, alpha)
     pm = it.p * it.mu
@@ -364,7 +350,7 @@ def test_mu_expansion_identity(seed):
     alpha = rng.uniform(0.0, HALF_PI)
     candidate = _arc_blocks(it, dirs, sigma, alpha)
     a_u, b_u = mu_coefficients(it, dirs, alpha)
-    curvature = dirs.curvature(sigma)
+    curvature = split_at(it, dirs.p_dir * sigma + dirs.q_dir)
     omc = 2.0 * math.sin(alpha / 2.0) ** 2
     lhs = it.p * duality_measure(candidate.s, candidate.z)
     rhs = a_u * sigma + b_u + float(curvature.s @ curvature.z) * omc**2
@@ -378,16 +364,6 @@ def test_duality_measure_trivial_cases():
     assert duality_measure(start.s, start.z) == pytest.approx(it.mu, rel=1e-12)
     zeroed = Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), it.z)
     assert duality_measure(zeroed.s, zeroed.z) == 0.0
-
-
-def _directions_from_sz(it, s_parts, z_parts):
-    (sdot, ps, qs), (zdot, pz, qz) = s_parts, z_parts
-    zero2, zero0 = np.zeros(2), np.zeros(0)
-    return NewtonDirections.of(
-        vdot=Blocks(zero2, zero0, sdot, zdot),
-        p_dir=Blocks(zero2, zero0, ps, pz),
-        q_dir=Blocks(zero2, zero0, qs, qz),
-    )
 
 
 def _plain_iterate(s, z):
@@ -404,8 +380,7 @@ def test_bisect_sigma_monotone_endpoints():
     s = np.array([1.0, 1.0])
     z = np.array([1.0, 1.0])
     it = _plain_iterate(s, z)
-    rising = _directions_from_sz(
-        it,
+    rising = sz_directions(
         (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.array([0.0, 0.5]), np.array([0.1, 0.1])),
     )
@@ -414,16 +389,14 @@ def test_bisect_sigma_monotone_endpoints():
     assert sigma >= 1.0 - 1e-2
     assert 0.0 < tilde <= HALF_PI
 
-    falling = _directions_from_sz(
-        it,
+    falling = sz_directions(
         (np.array([2.0, 2.0]), np.array([-0.5, 0.0]), np.array([0.4, 0.4])),
         (np.array([2.0, 2.0]), np.array([0.0, -0.5]), np.array([0.4, 0.4])),
     )
     sigma, _ = bisect_sigma(it, falling, 0.2, 0.2, 0.0, 1.0, 1e-2)
     assert sigma <= 1e-2
 
-    flat = _directions_from_sz(
-        it,
+    flat = sz_directions(
         (np.array([2.0, 2.0]), np.zeros(2), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.zeros(2), np.array([0.1, 0.1])),
     )
@@ -435,8 +408,7 @@ def test_bisect_sigma_wide_tolerance_takes_the_midpoint():
     s = np.array([1.0, 1.0])
     z = np.array([1.0, 1.0])
     it = _plain_iterate(s, z)
-    dirs = _directions_from_sz(
-        it,
+    dirs = sz_directions(
         (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.array([0.0, -0.5]), np.array([0.1, 0.1])),
     )
@@ -451,8 +423,7 @@ def test_bisect_sigma_finds_crossover():
     s = np.array([1.0, 1.0])
     z = np.array([5.0, 5.0])
     it = _plain_iterate(s, z)
-    dirs = _directions_from_sz(
-        it,
+    dirs = sz_directions(
         (np.array([1.0, 1.0]), np.array([0.6, -0.6]), np.array([0.1, 0.1 + 0.6 * 0.3 * 2.0])),
         (np.zeros(2), np.zeros(2), np.zeros(2)),
     )
@@ -478,11 +449,7 @@ def test_bisect_sigma_finds_crossover():
 def test_golden_min_bu_monotone_case_hits_cap():
     rng = np.random.default_rng(9)
     it, dirs = synthetic_pair(rng)
-    quiet = NewtonDirections.of(
-        vdot=Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), np.zeros(it.p)),
-        p_dir=dirs.p_dir,
-        q_dir=dirs.q_dir,
-    )
+    quiet = dirs._replace(vdot=np.zeros_like(dirs.vdot))
     cap = 1.2
     predictor = MuPredictor.of(it, quiet)
     assert golden_min_bu(predictor, cap) == pytest.approx(cap, abs=1e-3)
@@ -496,8 +463,7 @@ def test_golden_min_bu_interior_minimum_matches_grid():
     it = _plain_iterate(s, z)
     sdot = np.array([1.4, 1.4])
     zdot = (s * z - z * sdot) / s
-    dirs = _directions_from_sz(
-        it,
+    dirs = sz_directions(
         (sdot, np.zeros(2), np.zeros(2)),
         (zdot, np.zeros(2), np.zeros(2)),
     )
@@ -530,8 +496,7 @@ def test_select_step_takes_affine_branch_on_negative_mixed_product():
     zdot = (s * z - z * sdot) / s
     ps = np.array([-1.0, -1.0])
     pz = (it.mu - z * ps) / s
-    dirs = _directions_from_sz(
-        it,
+    dirs = sz_directions(
         (sdot, ps, np.zeros(2)),
         (zdot, pz, np.zeros(2)),
     )
