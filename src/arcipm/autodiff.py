@@ -1,9 +1,13 @@
 """Objective evaluation plus exact gradients and Hessians.
 
-One recursive walk of the expression tree carries, at every node, the
-triple (value, gradient in R^n, Hessian in R^{n x n}) and combines the
-children's triples by the chain rule (second-order forward mode; Griewank
-& Walther, *Evaluating Derivatives*, 2nd ed., on Hessian propagation).  On
+One walk of the expression tree carries, at every node, the triple
+(value, gradient in R^n, Hessian in R^{n x n}) and combines the children's
+triples by the chain rule (second-order forward mode; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., on Hessian propagation).  It recurses
+into children but loops along a chain of + - * / links, however long.  It
+is the one evaluator of the node semantics: the parser folds a constant
+exponent of ``^`` with it at n = 0, and a :class:`DomainError` there is a
+parse error.  On
 a raw parse tree a call costs one walk whose nodes each do O(n^2) array
 work, so the O(n^2) products of a dense quadratic cost O(n^4).
 
@@ -85,38 +89,35 @@ def _walk(node, leaves, zero):
             return (float(v), *zero)
         case ast.Var(index=i):
             return leaves[i]
-        case ast.Add() | ast.Sub():
-            # a sum of k terms is parsed k - 1 deep on the left; walk that
-            # spine in a loop, adding the terms left to right as before
-            spine = []
-            while isinstance(node, (ast.Add, ast.Sub)):
-                spine.append(node)
-                node = node.left
-            v, g, h = _walk(node, leaves, zero)
-            for op in reversed(spine):
-                vb, gb, hb = _walk(op.right, leaves, zero)
-                if isinstance(op, ast.Add):
+        case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
+            # a chain of k links is parsed k deep on the left; walk its spine
+            # in a loop: the bottom first, then each link's right operand and
+            # the link's rule, in the order recursion would take them
+            spine, bottom = node._spine()
+            v, g, h = _walk(bottom, leaves, zero)
+            for link in reversed(spine):
+                vb, gb, hb = _walk(link.right, leaves, zero)
+                kind = type(link)
+                if kind is ast.Add:
                     v, g, h = v + vb, g + gb, h + hb
-                else:
+                elif kind is ast.Sub:
                     v, g, h = v - vb, g - gb, h - hb
+                elif kind is ast.Mul:
+                    product = v * vb
+                    if not math.isfinite(product):
+                        raise DomainError("product overflows")
+                    cross = np.outer(g, gb)
+                    v, g, h = product, vb * g + v * gb, vb * h + v * hb + (cross + cross.T)
+                else:
+                    if vb == 0.0:
+                        raise DomainError("division by zero")
+                    q = v / vb
+                    if not math.isfinite(q):
+                        raise DomainError("quotient overflows")
+                    gq = (g - q * gb) / vb
+                    cross = np.outer(gq, gb)
+                    v, g, h = q, gq, (h - q * hb - (cross + cross.T)) / vb
             return v, g, h
-        case ast.Mul(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
-            v = va * vb
-            if not math.isfinite(v):
-                raise DomainError("product overflows")
-            cross = np.outer(ga, gb)
-            return v, vb * ga + va * gb, vb * ha + va * hb + (cross + cross.T)
-        case ast.Div(left=a, right=b):
-            (va, ga, ha), (vb, gb, hb) = _walk(a, leaves, zero), _walk(b, leaves, zero)
-            if vb == 0.0:
-                raise DomainError("division by zero")
-            q = va / vb
-            if not math.isfinite(q):
-                raise DomainError("quotient overflows")
-            gq = (ga - q * gb) / vb
-            cross = np.outer(gq, gb)
-            return q, gq, (ha - q * hb - (cross + cross.T)) / vb
         case ast.Pow(base=b, exponent=r):
             return _pow(_walk(b, leaves, zero), r)
         case ast.Neg(child=c):
@@ -163,24 +164,23 @@ def _degree(node: ast.Expr) -> int | None:
             return 0
         case ast.Var():
             return 1
-        case ast.Add() | ast.Sub():
+        case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
             # along the left spine in a loop, as in _walk
-            degree = 0
-            while isinstance(node, (ast.Add, ast.Sub)):
-                if (d := _degree(node.right)) is None:
+            spine, bottom = node._spine()
+            degree = _degree(bottom)
+            for link in reversed(spine):
+                if degree is None or (d := _degree(link.right)) is None:
                     return None
-                degree = max(degree, d)
-                node = node.left
-            d = _degree(node)
-            return None if d is None else max(degree, d)
+                kind = type(link)
+                if kind is ast.Mul:
+                    degree = degree + d if degree + d <= 2 else None
+                elif kind is ast.Div:
+                    degree = degree if d == 0 else None
+                else:
+                    degree = max(degree, d)
+            return degree
         case ast.Neg(child=c):
             return _degree(c)
-        case ast.Mul(left=a, right=b):
-            if (da := _degree(a)) is None or (db := _degree(b)) is None or da + db > 2:
-                return None
-            return da + db
-        case ast.Div(left=a, right=b):
-            return _degree(a) if _degree(b) == 0 else None
         case ast.Pow(base=b, exponent=r):
             d = _degree(b)
             if r == 1.0:

@@ -100,6 +100,8 @@ def parse_problem_text(text: str):
             lo, hi = floats(tokens[1:], lineno)
             lower[i], upper[i] = lo, hi
         elif keyword == "start":
+            if start is not None:
+                raise ProblemFileError("duplicate start line", lineno)
             start = np.array(floats(rest.split(), lineno))
             if start.size != n:
                 raise ProblemFileError(f"start point needs {n} values", lineno)
@@ -205,7 +207,11 @@ def main(argv=None) -> int:
         print(f"note: {report.message}", file=sys.stderr)
 
     if args.trace:
-        _write_trace(args.trace, report.trace)
+        try:
+            _write_trace(args.trace, report.trace)
+        except OSError as err:
+            print(f"error: cannot write trace {args.trace}: {err}", file=sys.stderr)
+            return 1
 
     return 0 if report.status is SolverStatus.CONVERGED else 2
 

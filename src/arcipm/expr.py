@@ -2,8 +2,11 @@
 
 Expressions are immutable ASTs over a declared variable list.  The node set
 is deliberately small: constants, variables, the four arithmetic operators,
-real powers, negation, natural log, and exp.  Exponents of ``^`` must be
-constant subexpressions; they are folded to a float at parse time.
+real powers, negation, natural log, and exp.  The parser builds ``a + b - c``
+and ``a*b/c`` left-deep, so a chain of the four operators is as deep as it
+has links; every walker takes it down :meth:`_Chain._spine` in a loop, not by
+recursion.  Exponents of ``^`` must be constant subexpressions; the autodiff
+walk folds them to a finite float at parse time.
 """
 
 from __future__ import annotations
@@ -41,19 +44,19 @@ class Var(Expr):
     name: str
 
 
-class _Sum(Expr):
-    """Base of Add and Sub: ``repr``, ``==`` and ``hash`` without recursion.
+class _Chain(Expr):
+    """Base of Add, Sub, Mul and Div: ``repr``, ``==`` and ``hash`` without recursion.
 
-    A parsed sum is as deep as it has terms, so these loop down its left
+    A parsed chain is as deep as it has links, so these loop down its left
     spine; they give what the dataclass-generated methods would.
     """
 
     __slots__ = ()
 
-    def _spine(self) -> tuple[list[_Sum], Expr]:
-        """The sums down the left spine, top first, and the node below them."""
+    def _spine(self) -> tuple[list[_Chain], Expr]:
+        """The chain nodes down the left spine, top first, and the node below them."""
         spine, node = [], self
-        while isinstance(node, _Sum):
+        while isinstance(node, _Chain):
             spine.append(node)
             node = node.left
         return spine, node
@@ -68,7 +71,7 @@ class _Sum(Expr):
         if other.__class__ is not self.__class__:
             return NotImplemented
         node = self
-        while isinstance(node, _Sum) and other.__class__ is node.__class__:
+        while isinstance(node, _Chain) and other.__class__ is node.__class__:
             if node is other:
                 return True
             if not (node.right is other.right or node.right == other.right):
@@ -82,25 +85,25 @@ class _Sum(Expr):
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
-class Add(_Sum):
+class Add(_Chain):
     left: Expr
     right: Expr
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
-class Sub(_Sum):
+class Sub(_Chain):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class Mul(_Chain):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class Div(Expr):
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class Div(_Chain):
     left: Expr
     right: Expr
 
@@ -219,10 +222,18 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = _fold_constant(self.unary())
-            if exponent is None:
+            exponent = self.unary()
+            if variable_indices(exponent):
                 raise ParseError("power exponent must be a constant", pos)
-            return Pow(base, exponent)
+            from .autodiff import DomainError, evaluate  # autodiff imports this module
+
+            try:
+                value = evaluate(exponent, ())
+            except DomainError as err:
+                raise ParseError(f"power exponent must be a finite constant: {err}", pos) from err
+            if not math.isfinite(value):
+                raise ParseError(f"power exponent must be a finite constant, not {value}", pos)
+            return Pow(base, value)
         return base
 
     def atom(self) -> Expr:
@@ -256,60 +267,6 @@ def parse_expression(text: str, variables: list[str]) -> Expr:
     return _Parser(text, variables).parse()
 
 
-def _fold_constant(node: Expr) -> float | None:
-    """Value of a variable-free subtree, or None if it cannot be folded."""
-    match node:
-        case Const(value=v):
-            return v
-        case Neg(child=c):
-            v = _fold_constant(c)
-            return None if v is None else -v
-        case Add() | Sub():
-            # a parsed sum is as deep as it has terms; fold up its left spine
-            spine, bottom = node._spine()
-            value = _fold_constant(bottom)
-            for sum_node in reversed(spine):
-                right = _fold_constant(sum_node.right)
-                if value is None or right is None:
-                    return None
-                value = value + right if isinstance(sum_node, Add) else value - right
-            return value
-        case Mul(left=a, right=b) | Div(left=a, right=b):
-            va, vb = _fold_constant(a), _fold_constant(b)
-            if va is None or vb is None:
-                return None
-            if isinstance(node, Mul):
-                return va * vb
-            try:
-                return va / vb
-            except ZeroDivisionError:
-                return None
-        case Pow(base=b, exponent=r):
-            vb = _fold_constant(b)
-            if vb is None:
-                return None
-            try:
-                value = vb**r
-            except (ValueError, ZeroDivisionError, OverflowError):
-                return None
-            # negative base with fractional exponent yields a complex value
-            return float(value) if isinstance(value, float) else None
-        case Log(child=c):
-            v = _fold_constant(c)
-            if v is None or v <= 0.0:
-                return None
-            return math.log(v)
-        case Exp(child=c):
-            v = _fold_constant(c)
-            if v is None:
-                return None
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return None
-    return None
-
-
 def variable_indices(node: Expr) -> set[int]:
     """All variable indices referenced by the tree."""
     match node:
@@ -321,35 +278,22 @@ def variable_indices(node: Expr) -> set[int]:
             return variable_indices(c)
         case Pow(base=b):
             return variable_indices(b)
-        case Add() | Sub():
-            # a parsed sum is as deep as it has terms; loop down its left spine
-            indices = set()
-            while isinstance(node, (Add, Sub)):
-                indices |= variable_indices(node.right)
-                node = node.left
-            return indices | variable_indices(node)
-        case Mul(left=a, right=b) | Div(left=a, right=b):
-            return variable_indices(a) | variable_indices(b)
+        case Add() | Sub() | Mul() | Div():
+            spine, bottom = node._spine()
+            indices = variable_indices(bottom)
+            for link in reversed(spine):
+                indices |= variable_indices(link.right)
+            return indices
     raise TypeError(f"not an expression node: {node!r}")
 
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
 _PREC_ATOM = 5
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+_SYMBOL = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 def _prec(node: Expr) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PREC.get(type(node), _PREC_ATOM)
 
 
 def _wrap(node: Expr, minimum: int) -> str:
@@ -363,19 +307,22 @@ def _render(node: Expr) -> str:
             return repr(float(v))
         case Var(name=name):
             return name
-        case Add() | Sub():
+        case Add() | Sub() | Mul() | Div():
+            # fold the links bottom up; where the text so far binds looser than
+            # the next link it is parenthesised, and as such a parenthesis
+            # always opens at the very start, only their count is kept
             spine, bottom = node._spine()
-            terms = (
-                f" {'+' if isinstance(sum_node, Add) else '-'} {_wrap(sum_node.right, _PREC_ADD + 1)}"
-                for sum_node in reversed(spine)
-            )
-            return _wrap(bottom, _PREC_ADD) + "".join(terms)
-        case Mul(left=a, right=b):
-            return f"{_wrap(a, _PREC_MUL)}*{_wrap(b, _PREC_MUL + 1)}"
-        case Div(left=a, right=b):
-            return f"{_wrap(a, _PREC_MUL)}/{_wrap(b, _PREC_MUL + 1)}"
+            parts, prec, opens = [_render(bottom)], _prec(bottom), 0
+            for link in reversed(spine):
+                link_prec = _PREC[type(link)]
+                if prec < link_prec:
+                    parts.append(")")
+                    opens += 1
+                parts += (_SYMBOL[type(link)], _wrap(link.right, link_prec + 1))
+                prec = link_prec
+            return "(" * opens + "".join(parts)
         case Neg(child=c):
-            return f"-{_wrap(c, _PREC_NEG)}"
+            return f"-{_wrap(c, _PREC[Neg])}"
         case Pow(base=b, exponent=r):
             return f"{_wrap(b, _PREC_ATOM)}^{repr(float(r))}"
         case Log(child=c):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,28 @@ def test_missing_file_exits_one(capsys):
     assert "cannot read" in err
 
 
+def test_trace_to_an_unwritable_path_exits_one(tmp_path, capsys):
+    trace_path = tmp_path / "missing" / "t.csv"
+    code, out, err = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--trace", str(trace_path))
+    assert code == 1
+    assert out == (DATA_DIR / "ex1.out").read_text()
+    assert f"error: cannot write trace {trace_path}:" in err
+    assert not trace_path.parent.exists()
+
+
+def test_product_deeper_than_the_recursion_limit_solves(tmp_path, capsys):
+    factors = 1500
+    assert factors > sys.getrecursionlimit()
+    line = "min -(5*log(x1) - x1 + 7) - (7*log(x2) - x2 + 8)"
+    text = (PROBLEM_DIR / "ex1.prob").read_text()
+    assert line in text
+    problem = tmp_path / "deep.prob"
+    problem.write_text(text.replace(line, line + " + 0" + "*x1" * factors))
+    code, out, _ = run_cli(capsys, str(problem))
+    assert code == 0
+    assert out == (DATA_DIR / "ex1.out").read_text()
+
+
 def test_point_outside_the_objective_domain_exits_two(tmp_path, capsys):
     problem = tmp_path / "log_domain.prob"
     problem.write_text(LOG_DOMAIN_EXIT)
@@ -173,6 +196,8 @@ def test_parse_problem_text_errors():
         parse_problem_text("vars x1\nmin x1\nbound x9 0 1\n")
     with pytest.raises(ProblemFileError, match="duplicate bound"):
         parse_problem_text("vars x1\nmin x1\nbound x1 0 1\nbound x1 0 2\n")
+    with pytest.raises(ProblemFileError, match="line 4: duplicate start line"):
+        parse_problem_text("vars x1\nmin x1\nstart 1\nstart 2\n")
     # an open bound line counts too, in either order
     for first, second in (("-inf inf", "0 1"), ("0 1", "-inf inf")):
         with pytest.raises(ProblemFileError, match="line 4: duplicate bound for 'x1'"):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcipm import ConvexProgram, evaluate, fold_bounds, parse_expression
-from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var
+from arcipm.autodiff import compile_objective, value_gradient_hessian
+from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var, variable_indices
 from conftest import quadratic_tree
 
 X12 = ["x1", "x2"]
@@ -44,6 +45,12 @@ def test_precedence():
 def test_exponent_must_be_constant():
     with pytest.raises(ParseError, match="constant"):
         parse_expression("x1 ^ x2", X12)
+    assert parse_expression("x1^(8^(1/3))", X12) == Pow(Var(0, "x1"), 2.0)
+    assert parse_expression("x1^(-8^(1/3))", X12) == Pow(Var(0, "x1"), -2.0)
+    # an exponent outside the domain of its own operators, or not finite
+    for exponent in ("(-8)^(1/3)", "1/0", "log(0)", "1e200*1e200", "1e300/1e-300", "0^0.5", "1e400", "1e308+1e308"):
+        with pytest.raises(ParseError, match="constant"):
+            parse_expression(f"x1^({exponent})", X12)
 
 
 def test_unknown_variable_reports_position():
@@ -130,6 +137,24 @@ def test_sum_deeper_than_the_recursion_limit_prints_hashes_and_compares():
     q[n - 1, n - 1], q[0, 0] = 1.5, 2.0
     assert quadratic_tree(q) != tree
 
+    # products, and products mixed with quotients, are chains of the same depth:
+    # x1*x2*x1*...*x2 is (x1*x2)^750 and x1/x2*x1/.../x2 is x1^750 / x2^750
+    factors = 1500
+    for ops, heads, (a, b) in (("*", "Mul(left=", (750, 750)), ("*/", "Div(left=Mul(left=", (750, -750))):
+        text = "x1" + "".join(f"{ops[k % len(ops)]}x{k % 2 + 1}" for k in range(1, factors))
+        tree = parse_expression(text, X12)
+        assert str(tree) == text and repr(tree).startswith(heads * 10)
+        twin = parse_expression(text, X12)
+        assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+        assert parse_expression("x2" + text[2:], X12) != tree
+        assert variable_indices(tree) == {0, 1}
+        assert compile_objective(tree, 2) is tree
+        v, g, h = value_gradient_hessian(tree, [1.0, 1.0])
+        assert v == 1.0 and g.tolist() == [a, b]
+        assert h.tolist() == [[a * (a - 1), a * b], [a * b, b * (b - 1)]]
+    linear = compile_objective(parse_expression("x1" + "*1/1" * factors, X12), 2)
+    assert linear.constant == 0.0 and linear.linear.tolist() == [1.0, 0.0] and not linear.hessian.any()
+
 
 def test_constant_exponent_deeper_than_the_recursion_limit_folds():
     terms = 1500
@@ -144,6 +169,8 @@ def test_constant_exponent_deeper_than_the_recursion_limit_folds():
 
     assert exponent_of(" + ".join(["1"] * terms)) == Pow(Var(0, "x1"), 1500.0)
     assert exponent_of(" - ".join(["1"] * terms)) == Pow(Var(0, "x1"), 2.0 - terms)
+    assert exponent_of(" * ".join(["1"] * terms)) == Pow(Var(0, "x1"), 1.0)
+    assert exponent_of("2" + " * 2 / 2" * terms) == Pow(Var(0, "x1"), 2.0)
     with pytest.raises(ParseError, match="constant"):
         parse_expression("x1^(" + " + ".join(["1"] * terms) + " + x2)", X12)
 
