@@ -24,9 +24,10 @@ passes the compiled one and the test oracles the raw one.
 Values stay Python floats, so ``**`` and ``math.exp`` raise
 ``OverflowError`` on range overflow instead of returning inf; it becomes a
 :class:`DomainError`.  Float ``*`` and ``/`` return inf instead, so products
-and quotients are checked with ``math.isfinite``, and so is the value of a
-folded node.  Hessians are exactly symmetric: every cross term is built as
-``C + C.T`` and every curvature term as ``outer(g, g)``.
+and quotients are checked with ``math.isfinite``, as are a folded node's
+value and, since sums and constants overflow silently, the walk's result.
+Hessians are exactly symmetric: every cross term is built as ``C + C.T``
+and every curvature term as ``outer(g, g)``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from . import expr as ast
 class DomainError(ValueError):
     """Evaluation left the expression's domain.
 
-    Raised for a log of a nonpositive value, a division by zero, a zero
-    base under a negative power, a negative base under a fractional power,
-    and for range overflow.  Never returns a silent NaN.
+    Raised for a log of a nonpositive value, a division by zero, a zero base
+    under a negative power, a negative base under a fractional power, a
+    non-finite exponent or value, and range overflow; never a silent NaN.
     """
 
 
@@ -68,6 +69,8 @@ def _chain(u, f: float, df: float, d2f: float):
 
 def _pow(u, r: float):
     a = u[0]
+    if not math.isfinite(r):
+        raise DomainError("power exponent is not finite")
     if r == 0.0:
         return 1.0, np.zeros_like(u[1]), np.zeros_like(u[2])
     if r == 1.0:
@@ -208,7 +211,7 @@ def compile_objective(expression: ast.Expr, n: int):
             c, g, h = value_gradient_hessian(expression, np.zeros(n))
     except DomainError:
         return expression
-    if not (math.isfinite(c) and np.isfinite(g).all() and np.isfinite(h).all()):
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return expression
     h = h.copy()
     h.flags.writeable = False
@@ -224,7 +227,10 @@ def value_gradient_hessian(expression, x):
     unit = np.eye(n)
     zero = (np.zeros(n), np.zeros((n, n)))
     leaves = [(float(x[i]), unit[i], zero[1]) for i in range(n)]
-    return _walk(expression, leaves, zero)
+    value, grad, hess = _walk(expression, leaves, zero)
+    if not math.isfinite(value):
+        raise DomainError(f"expression value {value} is not finite")
+    return value, grad, hess
 
 
 def evaluate(expression, x) -> float:

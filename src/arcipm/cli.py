@@ -23,14 +23,16 @@ import sys
 
 import numpy as np
 
-from .expr import Expr, ParseError, parse_expression
+from .expr import RESERVED, Expr, ParseError, parse_expression
 from .program import ConvexProgram, fold_bounds
 from .solver import TRACE_COLUMNS, SolverConfig, SolverStatus, default_start, solve
 
 
 class ProblemFileError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """A malformed problem file; ``line`` is None when no one line is at fault."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -65,7 +67,7 @@ def parse_problem_text(text: str):
                 raise ProblemFileError("vars line declares no variables", lineno)
             if len(set(names)) != len(names):
                 raise ProblemFileError("duplicate variable name", lineno)
-            if any(name in ("log", "exp") for name in names):
+            if any(name in RESERVED for name in names):
                 raise ProblemFileError("'log' and 'exp' are reserved words", lineno)
             lower = np.full(len(names), -np.inf)
             upper = np.full(len(names), np.inf)
@@ -109,26 +111,16 @@ def parse_problem_text(text: str):
             raise ProblemFileError(f"unknown directive {keyword!r}", lineno)
 
     if names is None:
-        raise ProblemFileError("missing vars line", 0)
+        raise ProblemFileError("missing vars line")
     if objective is None:
-        raise ProblemFileError("missing objective ('min ...')", 0)
+        raise ProblemFileError("missing objective ('min ...')")
 
-    n = len(names)
     (_, eq_rows, eq_rhs), (_, ineq_rows, ineq_rhs) = constraints.values()
-    a_ineq = np.array(ineq_rows, dtype=float).reshape(len(ineq_rows), n)
-    b_ineq = np.array(ineq_rhs, dtype=float)
     try:
-        a_ineq, b_ineq = fold_bounds(a_ineq, b_ineq, lower, upper)
-        program = ConvexProgram(
-            n=n,
-            objective=objective,
-            a_eq=np.array(eq_rows, dtype=float).reshape(len(eq_rows), n),
-            b_eq=np.array(eq_rhs, dtype=float),
-            a_ineq=a_ineq,
-            b_ineq=b_ineq,
-        )
+        a_ineq, b_ineq = fold_bounds(ineq_rows, ineq_rhs, lower, upper)
+        program = ConvexProgram(len(names), objective, eq_rows, eq_rhs, a_ineq, b_ineq)
     except ValueError as err:
-        raise ProblemFileError(str(err), 0) from err
+        raise ProblemFileError(str(err)) from err
     return program, start
 
 
@@ -188,10 +180,10 @@ def main(argv=None) -> int:
         if args.x0 is not None:
             start = np.array([float(tok) for tok in args.x0.split(",")])
             if start.size != program.n:
-                raise ProblemFileError(f"--x0 needs {program.n} values", 0)
+                raise ValueError(f"--x0 needs {program.n} values")
         config = config_from_args(args)
         initial = default_start(program, start)
-    except (ProblemFileError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

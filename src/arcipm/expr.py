@@ -11,7 +11,6 @@ walk folds them to a finite float at parse time.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -129,7 +128,7 @@ class Exp(Expr):
     child: Expr
 
 
-_RESERVED = ("log", "exp")
+RESERVED = ("log", "exp")
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -231,8 +230,6 @@ class _Parser:
                 value = evaluate(exponent, ())
             except DomainError as err:
                 raise ParseError(f"power exponent must be a finite constant: {err}", pos) from err
-            if not math.isfinite(value):
-                raise ParseError(f"power exponent must be a finite constant, not {value}", pos)
             return Pow(base, value)
         return base
 
@@ -241,8 +238,7 @@ class _Parser:
         if kind == "num":
             return Const(float(text))
         if kind == "name":
-            if text in _RESERVED:
-                self.cursor -= 1
+            if text in RESERVED:
                 return self.call(text)
             index = self.index_of.get(text)
             if index is None:
@@ -255,7 +251,6 @@ class _Parser:
         raise ParseError("expected a number, variable, or '('", pos)
 
     def call(self, name: str) -> Expr:
-        self.advance()
         self.expect_op("(")
         argument = self.expr()
         self.expect_op(")")

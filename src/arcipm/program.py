@@ -1,9 +1,10 @@
 """Linearly constrained convex programs.
 
 A program holds a scalar objective tree together with equality rows
-``A_eq x = b_eq`` and inequality rows ``A_ineq x >= b_ineq``.  Box bounds
-never appear as a separate concept: :func:`fold_bounds` turns them into
-inequality rows up front, and the solver only ever sees rows.
+``A_eq x = b_eq`` and inequality rows ``A_ineq x >= b_ineq``; :func:`_rows`
+shapes each block into a float matrix.  Box bounds never appear as a
+separate concept: :func:`fold_bounds` slices them from one identity matrix
+into inequality rows up front, and the solver only ever sees rows.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ import numpy as np
 
 from .autodiff import compile_objective
 from .expr import Expr, variable_indices
+
+
+def _rows(a, n: int) -> np.ndarray:
+    """A row block as a float matrix; an empty block has 0 rows and n columns."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    return a if a.size else np.zeros((0, n))
 
 
 @dataclass(frozen=True)
@@ -29,14 +36,9 @@ class ConvexProgram:
     b_ineq: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_eq", np.atleast_2d(np.asarray(self.a_eq, dtype=float)))
-        object.__setattr__(self, "b_eq", np.asarray(self.b_eq, dtype=float).reshape(-1))
-        object.__setattr__(self, "a_ineq", np.atleast_2d(np.asarray(self.a_ineq, dtype=float)))
-        object.__setattr__(self, "b_ineq", np.asarray(self.b_ineq, dtype=float).reshape(-1))
-        if self.a_eq.size == 0:
-            object.__setattr__(self, "a_eq", np.zeros((0, self.n)))
-        if self.a_ineq.size == 0:
-            object.__setattr__(self, "a_ineq", np.zeros((0, self.n)))
+        for rows, rhs in (("a_eq", "b_eq"), ("a_ineq", "b_ineq")):
+            object.__setattr__(self, rows, _rows(getattr(self, rows), self.n))
+            object.__setattr__(self, rhs, np.asarray(getattr(self, rhs), dtype=float).reshape(-1))
         self._validate()
 
     def _validate(self):
@@ -99,27 +101,12 @@ def fold_bounds(a_ineq, b_ineq, lower, upper):
         raise ValueError("a bound is NaN; an open side is -inf or inf")
     if (lower == np.inf).any() or (upper == -np.inf).any():
         raise ValueError("a lower bound of inf or an upper bound of -inf admits no point")
-    both = np.isfinite(lower) & np.isfinite(upper)
+    low, up = np.isfinite(lower), np.isfinite(upper)
+    both = low & up
     if np.any(lower[both] >= upper[both]):
         bad = int(np.nonzero(both & (lower >= upper))[0][0])
         raise ValueError(f"lower bound must be below upper bound (variable {bad + 1})")
 
-    a_ineq = np.asarray(a_ineq, dtype=float)
-    if a_ineq.size == 0:
-        a_ineq = np.zeros((0, n))
-    a_ineq = np.atleast_2d(a_ineq)
-    b_ineq = np.asarray(b_ineq, dtype=float).reshape(-1)
-
-    rows = [a_ineq]
-    rhs = [b_ineq]
-    for i in np.nonzero(np.isfinite(lower))[0]:
-        row = np.zeros(n)
-        row[i] = 1.0
-        rows.append(row[None, :])
-        rhs.append(np.array([lower[i]]))
-    for i in np.nonzero(np.isfinite(upper))[0]:
-        row = np.zeros(n)
-        row[i] = -1.0
-        rows.append(row[None, :])
-        rhs.append(np.array([-upper[i]]))
-    return np.vstack(rows), np.concatenate(rhs)
+    unit = np.eye(n)
+    rows = np.vstack((_rows(a_ineq, n), unit[low], 0.0 - unit[up]))
+    return rows, np.concatenate((np.asarray(b_ineq, dtype=float).reshape(-1), lower[low], -upper[up]))

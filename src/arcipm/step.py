@@ -9,8 +9,8 @@ vectors of the iterate and the directions (see :mod:`arcipm.kkt`), so a
 candidate point costs a handful of whole-vector operations, and the
 accepted one becomes the next iterate's vector as it is.  Each slack and
 dual component has a closed-form largest angle that keeps it above a
-positive floor; :func:`alpha_limits` derives it and evaluates it for all
-2p components at once, the last 2p entries of each flat vector.  A
+positive floor; :func:`alpha_limits` derives it for all 2p components at
+once, the last 2p entries of each flat vector, as a function of sigma.  A
 bisection over sigma maximizes the smallest limit, exploiting that each
 component limit is monotone in sigma with the sign of its p-coefficient.
 A predictor of the updated duality measure, built from three dot products
@@ -104,14 +104,15 @@ def floors(s, z, nu: float, rho: float):
     return phi, psi
 
 
-def alpha_limits(current, rate, p_coef, q_coef, floor, sigma: float) -> np.ndarray:
-    """Largest angles keeping component trajectories above their floors.
+def alpha_limits(current, rate, p_coef, q_coef, floor):
+    """Largest angles keeping component trajectories above their floors, per sigma.
 
     Elementwise over arrays, each trajectory is ``current - rate*sin(a) +
-    second*(1 - cos(a))`` with ``second = p_coef*sigma + q_coef``, and the
-    answer is the largest angle in [0, pi/2] below which it never dips
-    under ``floor``.  With ``margin = current - floor``, ``top = margin +
-    second`` and ``R = hypot(rate, second)``, the trajectory minus the
+    second*(1 - cos(a))`` with ``second = p_coef*sigma + q_coef``.  The
+    returned function maps sigma to the largest angles in [0, pi/2] below
+    which the trajectories never dip under ``floor``; the sigma-free work
+    is done once, here.  With ``margin = current - floor``, ``top = margin
+    + second`` and ``R = hypot(rate, second)``, the trajectory minus the
     floor is ``top - R*sin(a + asin(second/R))``, which gives three cases:
 
     * ``margin < 0``: the component is already below its floor; 0.
@@ -120,12 +121,6 @@ def alpha_limits(current, rate, p_coef, q_coef, floor, sigma: float) -> np.ndarr
     * ``rate <= 0``: pi/2 if ``top >= 0``, else
       ``min(pi/2, pi - asin(-top/R) - asin(-second/R))``, which is
       ``acos(top/second)`` when rate = 0.
-    """
-    return _limits_in_sigma(current, rate, p_coef, q_coef, floor)(sigma)
-
-
-def _limits_in_sigma(current, rate, p_coef, q_coef, floor):
-    """:func:`alpha_limits` as a function of sigma, its sigma-free work done once.
 
     A component binds (its limit is below pi/2) when ``top`` is under a
     threshold: R if rate > 0, 0 if rate <= 0, and -inf below the floor, so
@@ -175,7 +170,7 @@ def alpha_tilde(
     iterate: Iterate, directions: NewtonDirections, phi: float, psi: float, sigma: float
 ) -> float:
     """Positivity limit: the smallest per-component angle over both blocks."""
-    return float(alpha_limits(*_components(iterate, directions, phi, psi), sigma).min())
+    return float(alpha_limits(*_components(iterate, directions, phi, psi))(sigma).min())
 
 
 @dataclass(frozen=True)
@@ -234,7 +229,6 @@ def bisect_sigma(
     psi: float,
     sigma_min: float,
     sigma_max: float,
-    tol: float,
 ):
     """Bisection for the centering weight maximizing the positivity limit.
 
@@ -243,15 +237,16 @@ def bisect_sigma(
     shrinking group strictly exceeds the smallest over the growing group,
     the bottleneck grows with sigma and the lower bound moves up;
     otherwise (ties included) the upper bound moves down.  Empty groups
-    count as an infinite minimum.
+    count as an infinite minimum.  It stops once the interval is narrower
+    than :data:`BISECT_TOLERANCE`.
     """
     current, rate, p_coef, q_coef, floor = _components(iterate, directions, phi, psi)
-    limits_at = _limits_in_sigma(current, rate, p_coef, q_coef, floor)
+    limits_at = alpha_limits(current, rate, p_coef, q_coef, floor)
     shrinks, grows = p_coef < 0.0, p_coef > 0.0
     lower, upper = sigma_min, sigma_max
     sigma = 0.5 * (lower + upper)
     limits = None
-    while upper - lower > tol:
+    while upper - lower > BISECT_TOLERANCE:
         sigma = 0.5 * (lower + upper)
         limits = limits_at(sigma)
         shrinking = limits.min(where=shrinks, initial=math.inf)
@@ -267,9 +262,6 @@ def bisect_sigma(
 
 def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
     """Golden-section minimizer of the predictor's b_u over [0, alpha_cap]."""
-    if alpha_cap <= 0.0:
-        return 0.0
-
     objective = predictor.b_u
     lo, hi = 0.0, alpha_cap
     width = hi - lo
@@ -324,7 +316,7 @@ def select_step(
         tilde = golden_min_bu(predictor, cap)
     else:
         sigma, tilde = bisect_sigma(
-            iterate, directions, phi, psi, config.sigma_min, config.sigma_max, BISECT_TOLERANCE
+            iterate, directions, phi, psi, config.sigma_min, config.sigma_max
         )
 
     sizes = iterate.x.size, iterate.y.size, iterate.p

@@ -188,7 +188,7 @@ def test_criterion_4_angle_limits_match_grid_oracle():
                 p_coef = rng.normal()
                 q_coef = second - p_coef * sigma
                 entry = (current, rate, p_coef, q_coef, floor)
-                direct = float(alpha_limits(*entry, sigma))
+                direct = float(alpha_limits(*entry)(sigma))
                 routed = _limit_through_alpha_tilde(entry, sigma, role)
                 reference = scan_alpha(current, rate, p_coef, q_coef, floor, sigma)
                 total += 1

@@ -184,6 +184,22 @@ def test_domain_errors():
         hessian(parse_expression("x1 / x2", X12), [1e200, 1e-200])
 
 
+def test_non_finite_values_and_exponents_raise():
+    # a sum or a constant overflows without an exception; the walk's value is checked
+    with pytest.raises(DomainError, match="expression value nan is not finite"):
+        evaluate(parse_expression("x1 - 1e999 + 1e999", ["x1"]), [1.0])
+    with pytest.raises(DomainError, match="expression value inf is not finite"):
+        value_gradient_hessian(parse_expression("(x1-1)^2 + x2^2 + 1e999", X12), [1.0, 1.0])
+    for exponent in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match="power exponent is not finite"):
+            value_gradient_hessian(ast.Pow(ast.Var(0, "x1"), exponent), [0.5])
+    # a program with such an exponent stops at its start, not at a NaN Newton matrix
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), [], [0.0], [1.0])
+    program = ConvexProgram(1, ast.Pow(ast.Var(0, "x1"), np.inf), [], [], a_ineq, b_ineq)
+    with pytest.raises(DomainError, match="power exponent is not finite"):
+        solve(program)
+
+
 def test_integer_powers_allow_negative_base():
     tree = parse_expression("x1 ^ 3", ["x1"])
     assert evaluate(tree, [-2.0]) == -8.0

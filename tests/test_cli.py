@@ -109,6 +109,11 @@ def test_malformed_file_exits_one(tmp_path, capsys):
         ("bound x1 1 10", "bound x1 inf 10", "a lower bound of inf or an upper bound of -inf"),
         ("bound x1 1 10", "bound x1 1 -inf", "a lower bound of inf or an upper bound of -inf"),
         ("start 5 5", "start nan 5", "initial point must be finite, got [nan, 5.0]"),
+        (
+            "min -(5*log(x1) - x1 + 7) - (7*log(x2) - x2 + 8)",
+            "min (x1-1)^2 + x2^2 + 1e999",
+            "expression value inf is not finite",
+        ),
     ],
 )
 def test_non_finite_input_exits_one(tmp_path, capsys, line, edited, message):
@@ -182,7 +187,7 @@ def test_x0_flag_overrides_start(capsys):
 def test_x0_flag_length_checked(capsys):
     code, _, err = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--x0", "1,2,3")
     assert code == 1
-    assert "--x0" in err
+    assert err == "error: --x0 needs 2 values\n"
 
 
 def test_parse_problem_text_errors():
@@ -202,6 +207,15 @@ def test_parse_problem_text_errors():
     for first, second in (("-inf inf", "0 1"), ("0 1", "-inf inf")):
         with pytest.raises(ProblemFileError, match="line 4: duplicate bound for 'x1'"):
             parse_problem_text(f"vars x1\nmin x1\nbound x1 {first}\nbound x1 {second}\n")
+    # an error that no one line causes has no line prefix
+    for text, message in (
+        ("# no directives\n", "missing vars line"),
+        ("vars x1\nineq 1 >= 0\n", "missing objective ('min ...')"),
+        ("vars x1\nmin x1\neq 1 = 0\nineq 1 >= 0\n", "need fewer equality rows than variables (m=1, n=1)"),
+    ):
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_text(text)
+        assert str(err.value) == message and err.value.line is None
 
 
 def test_parse_problem_text_full_example():

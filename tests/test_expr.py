@@ -198,6 +198,9 @@ def test_fold_bounds_reference_layout():
         a, [[-1, -1], [1, 0], [0, 1], [-1, 0], [0, -1]]
     )
     np.testing.assert_array_equal(b, [-10, 1, 1, -10, -10])
+    # assert_array_equal takes -0.0 for 0.0; the bytes tell the signed zeros apart
+    want = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert a.tobytes() == want.tobytes()
 
 
 def test_fold_bounds_no_bounds_is_identity():

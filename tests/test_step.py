@@ -19,6 +19,7 @@ from arcipm.kkt import (
     solve_directions,
 )
 from arcipm.step import (
+    BISECT_TOLERANCE,
     RESIDUAL_FLOOR,
     MuPredictor,
     StepFailureError,
@@ -216,9 +217,9 @@ def test_acceptable_decides_as_the_module_function_version():
 
 
 def test_component_limit_flat_and_helpful_cases():
-    assert float(alpha_limits(1.0, 0.0, 0.0, 0.0, 0.5, 0.3)) == HALF_PI  # constant
-    assert float(alpha_limits(1.0, -1.0, 0.5, 0.5, 0.5, 1.0)) == HALF_PI  # rising everywhere
-    got = float(alpha_limits(1.0, 1.0, 0.0, 0.0, 0.5, 0.7))
+    assert float(alpha_limits(1.0, 0.0, 0.0, 0.0, 0.5)(0.3)) == HALF_PI  # constant
+    assert float(alpha_limits(1.0, -1.0, 0.5, 0.5, 0.5)(1.0)) == HALF_PI  # rising everywhere
+    got = float(alpha_limits(1.0, 1.0, 0.0, 0.0, 0.5)(0.7))
     assert got == pytest.approx(math.pi / 6.0, rel=1e-12)  # sin limit at 1/2
 
 
@@ -237,13 +238,13 @@ def test_component_limit_matches_scan_across_all_case_patterns():
             second = second_sign * rng.uniform(0.05, 4.0)
             p_coef = rng.normal()
             q_coef = second - p_coef * sigma
-            got = float(alpha_limits(current, rate, p_coef, q_coef, floor, sigma))
+            got = float(alpha_limits(current, rate, p_coef, q_coef, floor)(sigma))
             ref = scan_alpha(current, rate, p_coef, q_coef, floor, sigma)
             assert abs(got - ref) <= grid_step * 1.001, (rate_sign, second_sign, got, ref)
 
 
 def test_component_limit_below_floor_returns_zero():
-    assert float(alpha_limits(0.3, 1.0, 0.0, 0.5, 0.4, 1.0)) == 0.0
+    assert float(alpha_limits(0.3, 1.0, 0.0, 0.5, 0.4)(1.0)) == 0.0
     assert scan_alpha(0.3, 1.0, 0.0, 0.5, 0.4, 1.0) == 0.0
 
 
@@ -290,13 +291,13 @@ def test_alpha_limits_match_scan_on_one_mixed_array():
     grid_step = HALF_PI / (step_count - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = alpha_limits(current, rate, p_coef, q_coef, floor, sigma)
+        got = alpha_limits(current, rate, p_coef, q_coef, floor)(sigma)
     assert got.shape == current.shape
     for i, limit in enumerate(got):
         entry = (current[i], rate[i], p_coef[i], q_coef[i], floor[i], sigma)
         ref = scan_alpha(*entry)
         assert abs(limit - ref) <= grid_step * 1.001, (i, entry, limit, ref)
-        assert float(alpha_limits(*entry)) == limit
+        assert float(alpha_limits(*entry[:5])(sigma)) == limit
 
 
 def test_alpha_tilde_minimum_semantics():
@@ -384,7 +385,7 @@ def test_bisect_sigma_monotone_endpoints():
         (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.array([0.0, 0.5]), np.array([0.1, 0.1])),
     )
-    sigma, tilde = bisect_sigma(it, rising, 0.2, 0.2, 0.0, 1.0, 1e-2)
+    sigma, tilde = bisect_sigma(it, rising, 0.2, 0.2, 0.0, 1.0)
     # every p-coefficient is >= 0: limits only improve with sigma
     assert sigma >= 1.0 - 1e-2
     assert 0.0 < tilde <= HALF_PI
@@ -393,14 +394,14 @@ def test_bisect_sigma_monotone_endpoints():
         (np.array([2.0, 2.0]), np.array([-0.5, 0.0]), np.array([0.4, 0.4])),
         (np.array([2.0, 2.0]), np.array([0.0, -0.5]), np.array([0.4, 0.4])),
     )
-    sigma, _ = bisect_sigma(it, falling, 0.2, 0.2, 0.0, 1.0, 1e-2)
+    sigma, _ = bisect_sigma(it, falling, 0.2, 0.2, 0.0, 1.0)
     assert sigma <= 1e-2
 
     flat = sz_directions(
         (np.array([2.0, 2.0]), np.zeros(2), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.zeros(2), np.array([0.1, 0.1])),
     )
-    sigma, _ = bisect_sigma(it, flat, 0.2, 0.2, 0.0, 1.0, 1e-2)
+    sigma, _ = bisect_sigma(it, flat, 0.2, 0.2, 0.0, 1.0)
     assert sigma <= 1e-2  # ties shrink toward less centering
 
 
@@ -412,8 +413,9 @@ def test_bisect_sigma_wide_tolerance_takes_the_midpoint():
         (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.array([0.0, -0.5]), np.array([0.1, 0.1])),
     )
-    # the interval is already within the tolerance: no bisection step runs
-    sigma, tilde = bisect_sigma(it, dirs, 0.2, 0.2, 0.2, 0.6, 0.5)
+    # the interval is already narrower than BISECT_TOLERANCE: no bisection step runs
+    assert 0.404 - 0.396 < BISECT_TOLERANCE
+    sigma, tilde = bisect_sigma(it, dirs, 0.2, 0.2, 0.396, 0.404)
     assert sigma == 0.4
     assert tilde == alpha_tilde(it, dirs, 0.2, 0.2, 0.4)
 
@@ -430,14 +432,14 @@ def test_bisect_sigma_finds_crossover():
     # component 0: second = 0.6 s + 0.1 (growing); component 1: second = 0.46 - 0.6 s
     # (shrinking); they intersect at s = 0.3 where the two limits coincide
     phi = 0.5
-    sigma, tilde = bisect_sigma(it, dirs, phi, 0.1, 0.0, 1.0, 1e-2)
+    sigma, tilde = bisect_sigma(it, dirs, phi, 0.1, 0.0, 1.0)
     assert abs(sigma - 0.3) <= 1e-2
     # confirm against a dense scan of the max-min objective
     grid = np.linspace(0.0, 1.0, 2001)
     values = [
         min(
-            float(alpha_limits(1.0, 1.0, 0.6, 0.1, phi, g)),
-            float(alpha_limits(1.0, 1.0, -0.6, 0.46, phi, g)),
+            float(alpha_limits(1.0, 1.0, 0.6, 0.1, phi)(g)),
+            float(alpha_limits(1.0, 1.0, -0.6, 0.46, phi)(g)),
         )
         for g in grid
     ]
