@@ -258,7 +258,13 @@ class _Parser:
 
 
 def parse_expression(text: str, variables: list[str]) -> Expr:
-    """Parse ``text`` into an AST over the declared variable names."""
+    """Parse ``text`` into an AST over the declared variable names.
+
+    A reserved word (:data:`RESERVED`) cannot name a variable.
+    """
+    for name in variables:
+        if name in RESERVED:
+            raise ValueError(f"{name!r} is a reserved word and cannot name a variable")
     return _Parser(text, variables).parse()
 
 

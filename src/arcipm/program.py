@@ -88,9 +88,10 @@ def fold_bounds(a_ineq, b_ineq, lower, upper):
     Finite lower bounds contribute rows ``e_i^T x >= lo_i`` and finite upper
     bounds contribute ``-e_i^T x >= -up_i``; a lower -inf or an upper inf
     leaves its side open, and a NaN bound, a lower inf or an upper -inf is
-    rejected.  Original rows come first, then all lower-bound rows in index
-    order, then all upper-bound rows, so the slack layout of a run is
-    reproducible.
+    rejected, and so is a row block whose column count is not the number
+    of bound entries.  Original rows come first, then all lower-bound rows
+    in index order, then all upper-bound rows, so the slack layout of a run
+    is reproducible.
     """
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
@@ -107,6 +108,9 @@ def fold_bounds(a_ineq, b_ineq, lower, upper):
         bad = int(np.nonzero(both & (lower >= upper))[0][0])
         raise ValueError(f"lower bound must be below upper bound (variable {bad + 1})")
 
+    rows = _rows(a_ineq, n)
+    if rows.shape[1] != n:
+        raise ValueError("constraint rows must have one coefficient per variable")
     unit = np.eye(n)
-    rows = np.vstack((_rows(a_ineq, n), unit[low], 0.0 - unit[up]))
+    rows = np.vstack((rows, unit[low], 0.0 - unit[up]))
     return rows, np.concatenate((np.asarray(b_ineq, dtype=float).reshape(-1), lower[low], -upper[up]))

@@ -10,14 +10,26 @@ candidate point costs a handful of whole-vector operations, and the
 accepted one becomes the next iterate's vector as it is.  Each slack and
 dual component has a closed-form largest angle that keeps it above a
 positive floor; :func:`alpha_limits` derives it for all 2p components at
-once, the last 2p entries of each flat vector, as a function of sigma.  A
-bisection over sigma maximizes the smallest limit, exploiting that each
-component limit is monotone in sigma with the sign of its p-coefficient.
-A predictor of the updated duality measure, built from three dot products
-of the directions, decides when pure affine stepping (sigma = 0) is
-preferable and where along the arc it is best.  Theta, rho and the sigma
-interval come from :class:`arcipm.solver.SolverConfig`; the bisection
-tolerance, the backtracking factor and the angle floor are constants here.
+once, the last 2p entries of each flat vector, as a function of sigma.
+
+:func:`select_step` first picks sigma.  A predictor of the updated
+duality measure, built from three dot products of the directions, tells
+when centering cannot help; then sigma = 0, and the positivity cap is the
+smallest component limit there.  Otherwise a bisection over sigma
+maximizes the smallest limit, exploiting that each component limit is
+monotone in sigma with the sign of its p-coefficient, and that limit is
+the cap.  The candidate angles (:func:`candidate_angles`) start at the cap
+and shrink by :data:`BACKTRACK_FACTOR`.  Under sigma = 0 the shrinks stop
+above the golden-section minimizer of the predictor's b_u, and the angles
+go on from that minimizer, so no accepted angle is shorter than the
+minimizer's own backtracking would give.  Each angle is screened before
+its point is built: at the chosen sigma, s'z along the arc is a
+polynomial in sin(alpha) and 1 - cos(alpha) with six dot-product
+coefficients (:class:`DualityPolynomial`), and an angle where it surely
+does not fall is skipped.  The first remaining angle whose point passes
+every step condition is taken.  Theta, rho and the sigma interval come
+from :class:`arcipm.solver.SolverConfig`; the bisection tolerance, the
+backtracking factor and the angle floor are constants here.
 """
 
 from __future__ import annotations
@@ -49,6 +61,9 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Residual factor after a full-angle step has wiped it out: the smallest
 # positive normal float.
 RESIDUAL_FLOOR = float(np.finfo(float).tiny)
+
+# Machine epsilon, the unit of the duality-polynomial screen's roundoff margin.
+EPSILON = float(np.finfo(float).eps)
 
 
 class StepFailureError(RuntimeError):
@@ -179,7 +194,10 @@ class MuPredictor:
 
     For fixed directions, a_u and b_u are trigonometric polynomials in
     alpha whose coefficients are p*mu and the products below, so those are
-    taken once instead of at every evaluated angle.
+    taken once instead of at every evaluated angle.  They use the product
+    rows of the Newton system and leave out the sddot'zddot (1-cos)^2
+    term, which can take either sign; :class:`DualityPolynomial` has the
+    exact product.
     """
 
     p_mu: float
@@ -215,9 +233,10 @@ class MuPredictor:
 def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float):
     """Predictor coefficients (a_u, b_u) of the updated duality measure.
 
-    The predicted product is (a_u*sigma + b_u)/p; it omits the nonnegative
-    quadratic term sddot's zddot (1-cos)^2, so the exact value from
-    :func:`arcipm.kkt.duality_measure` is what acceptance decisions use.
+    The predicted measure is (a_u*sigma + b_u)/p.  It omits the term
+    sddot'zddot (1-cos)^2, whose sign varies from iteration to iteration,
+    so acceptance decisions use the exact value from
+    :func:`arcipm.kkt.duality_measure`.
     """
     return MuPredictor.of(iterate, directions).at(alpha)
 
@@ -292,6 +311,77 @@ def _acceptable(candidate: Blocks, mu_new: float, mu_old: float, phi: float, psi
     return mu_new < mu_old
 
 
+def candidate_angles(cap: float, start: float):
+    """The angles select_step tries, in order.
+
+    First the positivity cap and its shrinks ``cap * BACKTRACK_FACTOR**k``
+    while they stay above ``start``, then ``start`` and its shrinks while
+    they stay above :data:`ALPHA_FLOOR`.  With ``start = cap`` this is plain
+    backtracking from the cap.
+    """
+    alpha = cap
+    while alpha > start and alpha > ALPHA_FLOOR:
+        yield alpha
+        alpha *= BACKTRACK_FACTOR
+    alpha = start
+    while alpha > ALPHA_FLOOR:
+        yield alpha
+        alpha *= BACKTRACK_FACTOR
+
+
+@dataclass(frozen=True)
+class DualityPolynomial:
+    """s'z along the arc at one sigma, as a polynomial in sin(alpha) and 1 - cos(alpha).
+
+    With sdd = p_s*sigma + q_s and zdd = p_z*sigma + q_z, the arc point's
+    product is
+
+        s'z - (sdot.z + s.zdot) sin + (sdd.z + s.zdd) (1-cos) + sdot.zdot sin^2
+            - (sdot.zdd + sdd.zdot) sin (1-cos) + sdd.zdd (1-cos)^2,
+
+    so six dot products, taken once, give it at any angle in scalar math.
+    ``limit`` is p times the iterate's duality measure plus a bound on the
+    roundoff between this polynomial and the product of the arc point's
+    own vectors: (4p + 64) machine epsilons times
+    sum(|s| + |sdot| + |sdd|) * (|z| + |zdot| + |zdd|), which bounds every
+    term at angles in [0, pi/2].  An angle whose polynomial exceeds
+    ``limit`` cannot pass the duality-measure test of :func:`_acceptable`;
+    a NaN polynomial or limit rules out nothing.
+    """
+
+    coefficients: tuple[float, float, float, float, float, float]
+    limit: float
+
+    @classmethod
+    def of(cls, iterate: Iterate, directions: NewtonDirections, sigma: float) -> DualityPolynomial:
+        # the (s, z) tails of the point, the tangent and the curvature term at
+        # sigma, the last by the expression arc_point evaluates, so bit for bit
+        # the same; rows[:, 0] holds s, sdot, sdd and rows[:, 1] z, zdot, zdd
+        p = iterate.p
+        sz_at = -2 * p
+        vdot, p_dir, q_dir = directions
+        rows = np.stack((iterate.vec[sz_at:], vdot[sz_at:], p_dir[sz_at:] * sigma + q_dir[sz_at:]))
+        rows = rows.reshape(3, 2, p)
+        (sz, s_zdot, s_zdd), (sdot_z, sdot_zdot, sdot_zdd), (sdd_z, sdd_zdot, sdd_zdd) = (
+            rows[:, 0] @ rows[:, 1].T
+        ).tolist()
+        coefficients = (sz, sdot_z + s_zdot, sdd_z + s_zdd, sdot_zdot, sdot_zdd + sdd_zdot, sdd_zdd)
+        size = np.abs(rows).sum(axis=0)
+        margin = (4 * p + 64) * EPSILON * float(size[0] @ size[1])
+        return cls(coefficients, p * iterate.mu + margin)
+
+    def at(self, alpha: float) -> float:
+        """Predicted s'z of the arc point at angle alpha."""
+        sin_a = math.sin(alpha)
+        omc = _one_minus_cos(alpha)
+        c0, c1, c2, c3, c4, c5 = self.coefficients
+        return c0 - c1 * sin_a + c2 * omc + (c3 * sin_a - c4 * omc) * sin_a + c5 * omc * omc
+
+    def rules_out(self, alpha: float) -> bool:
+        """Whether the arc point at alpha surely fails to decrease the duality measure."""
+        return self.at(alpha) > self.limit
+
+
 def select_step(
     iterate: Iterate,
     directions: NewtonDirections,
@@ -299,39 +389,48 @@ def select_step(
     psi: float,
     config,
 ) -> StepSelection:
-    """Pick (sigma, alpha) and backtrack until every step condition holds.
+    """Pick (sigma, alpha) and try angles until every step condition holds.
 
     When the mixed tangent/centering products make the duality-measure
-    predictor increase with sigma, centering is switched off and the angle
-    comes from minimizing b_u under the sigma = 0 positivity cap; otherwise
-    sigma and its positivity limit come from the bisection.  From that
-    limit, alpha shrinks geometrically until the candidate keeps both
+    predictor increase with sigma, centering is switched off (sigma = 0);
+    otherwise sigma and its positivity limit come from the bisection.
+    Either way the positivity cap is the smallest component limit at that
+    sigma, and it is what ``alpha_tilde`` reports.  The angles come from
+    :func:`candidate_angles`: under sigma = 0 the cap and its shrinks down
+    to the golden-section minimizer of b_u, then that minimizer and its
+    shrinks; under the bisection the cap and its shrinks.  So no accepted
+    angle is shorter than plain backtracking from the b_u minimizer would
+    take.  Each angle is screened with the exact duality-measure polynomial
+    (:class:`DualityPolynomial`); an angle it rules out is skipped without
+    building its point.  The first other angle whose arc point keeps both
     blocks above their floors, stays inside the centrality region, and
-    strictly decreases the duality measure.
+    strictly decreases the duality measure is taken.  ``backtracks``
+    counts the angles passed over, skipped or built.
     """
     predictor = MuPredictor.of(iterate, directions)
     if predictor.mixed < 0.0:
         sigma = 0.0
         cap = alpha_tilde(iterate, directions, phi, psi, sigma)
-        tilde = golden_min_bu(predictor, cap)
+        start = golden_min_bu(predictor, cap)
     else:
-        sigma, tilde = bisect_sigma(
+        sigma, cap = bisect_sigma(
             iterate, directions, phi, psi, config.sigma_min, config.sigma_max
         )
+        start = cap
+    screen = DualityPolynomial.of(iterate, directions, sigma)
 
     sizes = iterate.x.size, iterate.y.size, iterate.p
-    alpha = tilde
     backtracks = 0
-    while alpha > ALPHA_FLOOR:
-        point = arc_point(iterate, directions, sigma, alpha)
-        candidate = Blocks.of(point, *sizes)
-        mu_new = duality_measure(candidate.s, candidate.z)
-        if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
-            a_u, b_u = predictor.at(alpha)
-            return StepSelection(sigma, alpha, tilde, a_u, b_u, backtracks, point)
-        alpha *= BACKTRACK_FACTOR
+    for alpha in candidate_angles(cap, start):
+        if not screen.rules_out(alpha):
+            point = arc_point(iterate, directions, sigma, alpha)
+            candidate = Blocks.of(point, *sizes)
+            mu_new = duality_measure(candidate.s, candidate.z)
+            if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
+                a_u, b_u = predictor.at(alpha)
+                return StepSelection(sigma, alpha, cap, a_u, b_u, backtracks, point)
         backtracks += 1
     raise StepFailureError(
         f"no acceptable angle above {ALPHA_FLOOR:.1e} "
-        f"(sigma={sigma:.3f}, positivity limit {tilde:.3e})"
+        f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
     )

@@ -103,6 +103,17 @@ def fixture_runs():
     return runs
 
 
+@pytest.fixture(scope="session")
+def many_rows_runs():
+    """Two n = 4, m = 1, p = 108 programs (seeds 0 and 1), each solved once with its iterates."""
+    runs = {}
+    for seed in (0, 1):
+        program = many_rows_program(np.random.default_rng(seed))
+        with warnings_ignored():
+            runs[f"many_rows[{seed}]"] = (program, run_recorded(program, default_start(program)))
+    return runs
+
+
 class warnings_ignored:
     def __enter__(self):
         import warnings

@@ -162,7 +162,7 @@ def test_point_outside_the_objective_domain_exits_two(tmp_path, capsys):
         code, out, err = run_cli(capsys, str(problem))
     assert code == 2
     assert parse_summary(out)["status"] == "StepFailure"
-    assert "note: log of a nonpositive value" in err
+    assert "note: log overflows" in err
 
 
 def test_max_iter_flag_gives_solver_failure_exit(capsys):

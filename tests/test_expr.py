@@ -64,6 +64,14 @@ def test_syntax_error_reports_column():
     assert err.value.position == 5
 
 
+def test_reserved_word_cannot_name_a_variable():
+    for name in ("log", "exp"):
+        with pytest.raises(ValueError, match=f"'{name}' is a reserved word"):
+            parse_expression(f"{name} + 1", [name])
+        with pytest.raises(ValueError, match=f"'{name}' is a reserved word"):
+            parse_expression("x1 + 1", ["x1", name])
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError, match="trailing"):
         parse_expression("x1 x2", X12)
@@ -218,6 +226,14 @@ def test_fold_bounds_three_box_pairs():
         [10.0, 3.0, 10.0],
     )
     assert a.shape == (8, 3)
+
+
+def test_fold_bounds_rejects_rows_of_another_width():
+    message = "constraint rows must have one coefficient per variable"
+    with pytest.raises(ValueError, match=message):
+        fold_bounds([[1.0, 2.0, 3.0]], [0.0], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        fold_bounds([[1.0]], [0.0], [0.0, 0.0], [1.0, 1.0])
 
 
 def test_fold_bounds_rejects_crossed_bounds():

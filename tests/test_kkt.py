@@ -335,13 +335,21 @@ def _direction_bytes(program, iterates):
 
 @pytest.fixture(scope="module")
 def direction_cases(fixture_runs):
-    """(program, iterates) of ex1–ex8 and of one p = 108 run, over 500 iterates."""
+    """(program, iterates) of ex1–ex8 and of one p = 108 run, over 500 iterates.
+
+    ex7's final iterate is left out: the run stops there, so the solver
+    never factors its Newton matrix, whose smallest pivot (3.1e-15) is
+    below the singularity threshold.
+    """
     program = many_rows_program(np.random.default_rng(11))
     assert program.p == 108
     with warnings_ignored():
         run = run_recorded(program, default_start(program))
     assert run.report.status is SolverStatus.CONVERGED
-    cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
+    cases = [
+        (prog, recorded.iterates[:-1] if name == "ex7" else recorded.iterates)
+        for name, (prog, recorded) in fixture_runs.items()
+    ]
     cases.append((program, run.iterates))
     assert sum(len(iterates) for _, iterates in cases) > 500
     return cases

@@ -9,7 +9,15 @@ import arcipm.kkt as kkt_mod
 from arcipm import SolverConfig, SolverStatus, default_start, solve
 from arcipm.cli import parse_problem_text
 from arcipm.kkt import SingularKKTError, compute_residuals, kkt_norm
-from conftest import LOG_DOMAIN_EXIT, REFERENCE, load_problem, many_rows_program, run_recorded, warnings_ignored
+from conftest import (
+    LOG_DOMAIN_EXIT,
+    REFERENCE,
+    load_problem,
+    many_rows_program,
+    perfbench_module,
+    run_recorded,
+    warnings_ignored,
+)
 
 
 def test_default_start_reference_shape():
@@ -172,8 +180,8 @@ def test_point_outside_the_objective_domain_ends_as_step_failure():
     with warnings_ignored():
         report = solve(program, SolverConfig(), default_start(program, start))
     assert report.status is SolverStatus.STEP_FAILURE
-    assert report.message == "log of a nonpositive value"
-    assert report.iterations == 134 and len(report.trace) == 135
+    assert report.message == "log overflows"
+    assert report.iterations == 221 and len(report.trace) == 222
     # the report holds the last point inside the domain
     assert report.x[1] > 0.0
 
@@ -311,12 +319,13 @@ def test_trace_row_zero_and_alignment(fixture_runs):
 
 
 # Status and iteration count of many_rows_program(default_rng(seed)) from the
-# default start, recorded before the step layer was vectorized.
+# default start, recorded when the sigma = 0 branch began its angles at the
+# positivity cap.
 MANY_ROWS_RUNS = {
-    0: ("Converged", 48), 1: ("Converged", 56), 2: ("Converged", 55),
-    3: ("Converged", 41), 4: ("Converged", 54), 5: ("Converged", 42),
-    6: ("Converged", 44), 7: ("Converged", 59), 8: ("Converged", 37),
-    9: ("Converged", 54), 10: ("Converged", 43), 11: ("Converged", 36),
+    0: ("Converged", 31), 1: ("Converged", 45), 2: ("Converged", 30),
+    3: ("Converged", 27), 4: ("Converged", 30), 5: ("Converged", 31),
+    6: ("Converged", 31), 7: ("Converged", 35), 8: ("Converged", 26),
+    9: ("Converged", 37), 10: ("Converged", 32), 11: ("Converged", 24),
 }
 
 
@@ -330,3 +339,15 @@ def test_many_rows_runs_keep_status_and_iterations(seed):
     assert report.status.value == status
     if report.status is SolverStatus.CONVERGED:
         assert report.iterations == iterations
+
+
+def test_benchmark_many_rows_seed_16_converges_to_a_certified_minimizer():
+    """Plain backtracking from the b_u minimizer stopped this instance at k = 88
+    with StepFailure; starting the sigma = 0 angles at the positivity cap
+    solves it."""
+    instance = perfbench_module("instances").many_rows(np.random.default_rng(16))
+    with warnings_ignored():
+        run = run_recorded(instance.program, default_start(instance.program))
+    assert run.report.status is SolverStatus.CONVERGED, run.report.message
+    last = run.iterates[-1]
+    assert perfbench_module("checks").kkt_certificate(instance, last.x, last.y, last.z) == []

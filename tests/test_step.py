@@ -19,14 +19,18 @@ from arcipm.kkt import (
     solve_directions,
 )
 from arcipm.step import (
+    ALPHA_FLOOR,
+    BACKTRACK_FACTOR,
     BISECT_TOLERANCE,
     RESIDUAL_FLOOR,
+    DualityPolynomial,
     MuPredictor,
     StepFailureError,
     alpha_limits,
     alpha_tilde,
     arc_point,
     bisect_sigma,
+    candidate_angles,
     FLOOR_SLACK,
     _acceptable,
     floors,
@@ -37,8 +41,6 @@ from arcipm.step import (
 )
 from conftest import (
     load_problem,
-    many_rows_program,
-    run_recorded,
     split_at,
     synthetic_step_pair as synthetic_pair,
     sz_directions,
@@ -105,16 +107,18 @@ def _directions(program, it):
     return solve_directions(matrix, program.a_ineq, it)
 
 
-def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs):
-    program = many_rows_program(np.random.default_rng(0))
-    assert program.p == 108
-    with warnings_ignored():
-        run = run_recorded(program, default_start(program))
-    cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
-    cases.append((program, run.iterates))
+def _stepped_runs(fixture_runs, many_rows_runs):
+    """(name, program, recorded run) of ex1–ex8 and of the two p = 108 runs."""
+    runs = {**fixture_runs, **many_rows_runs}
+    assert all(prog.p == 108 for prog, _ in many_rows_runs.values())
+    return [(name, prog, recorded) for name, (prog, recorded) in runs.items()]
+
+
+def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs, many_rows_runs):
     checked = 0
-    for prog, iterates in cases:
-        for it in iterates:
+    for name, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
+        # the solver never factors ex7's final Newton matrix: its pivot is below the threshold
+        for it in recorded.iterates[:-1] if name == "ex7" else recorded.iterates:
             dirs = _directions(prog, it)
             phi, psi = floors(it.s, it.z, it.nu, 0.5)
             for sigma in (0.0, 0.3, 1.0):
@@ -127,8 +131,19 @@ def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs):
     assert checked > 5000
 
 
+def _start_angle(it, dirs, cap):
+    """The angle select_step backtracks from after the cap's shrinks: b_u's minimizer under sigma = 0."""
+    predictor = MuPredictor.of(it, dirs)
+    return golden_min_bu(predictor, cap) if predictor.mixed < 0.0 else cap
+
+
 def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, monkeypatch):
-    """perfbench's step.accept_ratio counts the calls of step.arc_point."""
+    """perfbench's step.accept_ratio counts the calls of step.arc_point.
+
+    select_step passes over ``backtracks`` candidates of
+    :func:`candidate_angles` before the accepted one, and builds the point
+    of each of those candidates that the duality-measure screen leaves in.
+    """
     original = step_module.arc_point
     calls = []
 
@@ -137,21 +152,29 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
         return original(*args)
 
     monkeypatch.setattr(step_module, "arc_point", counting)
-    backtracked = 0
+    backtracked = screened = 0
     for prog, recorded in fixture_runs.values():
         for k, it in enumerate(recorded.iterates[:-1]):
             phi, psi = floors(it.s, it.z, it.nu, 0.5)
+            dirs = _directions(prog, it)
             calls.clear()
-            sel = select_step(it, _directions(prog, it), phi, psi, SolverConfig())
+            sel = select_step(it, dirs, phi, psi, SolverConfig())
             assert sel == recorded.selections[k + 1]
-            assert len(calls) == sel.backtracks + 1
+            angles = list(candidate_angles(sel.alpha_tilde, _start_angle(it, dirs, sel.alpha_tilde)))
+            tried = angles[: sel.backtracks + 1]
+            assert tried[-1] == sel.alpha
+            screen = DualityPolynomial.of(it, dirs, sel.sigma)
+            built = [alpha for alpha in tried if not screen.rules_out(alpha)]
+            assert [args[3] for args in calls] == built
             backtracked += sel.backtracks > 0
+            screened += len(tried) - len(built)
     assert backtracked > 0
+    assert screened > 0
 
 
-def test_selection_point_is_the_accepted_arc_point(fixture_runs, monkeypatch):
+def test_selection_point_is_the_accepted_arc_point(fixture_runs, many_rows_runs, monkeypatch):
     checked = 0
-    for prog, recorded in fixture_runs.values():
+    for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         for k, it in enumerate(recorded.iterates[:-1]):
             sel = recorded.selections[k + 1]
             want = arc_point(it, _directions(prog, it), sel.sigma, sel.alpha)
@@ -172,6 +195,81 @@ def test_selection_point_is_the_accepted_arc_point(fixture_runs, monkeypatch):
     program, start = load_problem("ex1")
     assert solve(program, start=default_start(program, start)).iterations > 0
     assert calls == []
+
+
+def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, many_rows_runs):
+    """Every candidate angle the duality-measure screen rules out fails _acceptable once built.
+
+    Checked over the whole candidate list, down to the angle floor, at every
+    iterate the runs accept a step from.  The selection's alpha_tilde is the
+    positivity cap at its sigma in both branches.
+    """
+    config = SolverConfig()
+    skipped = 0
+    branches = set()
+    for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
+        sizes = prog.n, prog.m, prog.p
+        for k, it in enumerate(recorded.iterates[:-1]):
+            sel = recorded.selections[k + 1]
+            dirs = _directions(prog, it)
+            phi, psi = floors(it.s, it.z, it.nu, config.rho)
+            assert sel.alpha_tilde == alpha_tilde(it, dirs, phi, psi, sel.sigma)
+            branches.add(MuPredictor.of(it, dirs).mixed < 0.0)
+            screen = DualityPolynomial.of(it, dirs, sel.sigma)
+            for alpha in candidate_angles(sel.alpha_tilde, _start_angle(it, dirs, sel.alpha_tilde)):
+                if screen.rules_out(alpha):
+                    candidate = Blocks.of(arc_point(it, dirs, sel.sigma, alpha), *sizes)
+                    mu_new = duality_measure(candidate.s, candidate.z)
+                    assert mu_new >= it.mu
+                    assert not _acceptable(candidate, mu_new, it.mu, phi, psi, config.theta)
+                    skipped += 1
+    assert branches == {True, False}
+    assert skipped > 1000
+
+
+def test_duality_polynomial_matches_the_arc_product_within_its_margin(fixture_runs):
+    """The polynomial gives the arc point's s'z up to the margin folded into its limit."""
+    checked = 0
+    for prog, recorded in fixture_runs.values():
+        for it in recorded.iterates[:-1:5]:
+            dirs = _directions(prog, it)
+            for sigma in (0.0, 0.4, 1.0):
+                poly = DualityPolynomial.of(it, dirs, sigma)
+                margin = poly.limit - it.p * it.mu
+                assert margin > 0.0
+                assert abs(poly.coefficients[0] - float(it.s @ it.z)) <= margin
+                for alpha in (0.0, 1e-6, 0.3, 1.0, HALF_PI):
+                    point = _arc_blocks(it, dirs, sigma, alpha)
+                    assert abs(poly.at(alpha) - float(point.s @ point.z)) <= margin
+                    checked += 1
+    assert checked > 1000
+
+
+def test_duality_polynomial_rules_out_nothing_that_is_not_finite():
+    it, dirs = synthetic_pair(np.random.default_rng(4))
+    for bad in (np.nan, np.inf):
+        broken = dirs._replace(q_dir=np.full_like(dirs.q_dir, bad))
+        with np.errstate(all="ignore"):
+            screen = DualityPolynomial.of(it, broken, 0.5)
+        assert not any(screen.rules_out(alpha) for alpha in (1e-3, 0.5, HALF_PI))
+
+
+def test_candidate_angles_run_from_the_cap_to_the_start_then_back_off():
+    cap, start = 1.0, 0.3
+    angles = list(candidate_angles(cap, start))
+    # 0.8**5 = 0.328 is the last shrink of the cap above the start
+    above = angles[:6]
+    assert above[0] == cap and min(above) > start
+    assert all(b == a * BACKTRACK_FACTOR for a, b in zip(above, above[1:]))
+    rest = angles[6:]
+    assert rest[0] == start
+    assert all(b == a * BACKTRACK_FACTOR for a, b in zip(rest, rest[1:]))
+    assert rest[-1] > ALPHA_FLOOR >= rest[-1] * BACKTRACK_FACTOR
+    # with the start at the cap, plain backtracking from the cap
+    plain = list(candidate_angles(start, start))
+    assert plain == rest
+    assert list(candidate_angles(0.0, 0.0)) == []
+    assert list(candidate_angles(ALPHA_FLOOR, 0.0)) == []
 
 
 def test_update_nu():
@@ -356,6 +454,9 @@ def test_mu_expansion_identity(seed):
     lhs = it.p * duality_measure(candidate.s, candidate.z)
     rhs = a_u * sigma + b_u + float(curvature.s @ curvature.z) * omc**2
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
+    # the six-dot polynomial gives the same product without the Newton rows' identities
+    exact = DualityPolynomial.of(it, dirs, sigma).at(alpha)
+    assert abs(lhs - exact) <= 1e-10 * (1.0 + abs(lhs))
 
 
 def test_duality_measure_trivial_cases():
@@ -478,12 +579,17 @@ def test_golden_min_bu_interior_minimum_matches_grid():
     assert abs(got - coarse) <= 1e-3
 
 
-def test_select_step_accepts_reference_limit_without_backtracking():
+def test_select_step_from_reference_start_goes_past_the_b_u_minimizer():
     program, it, dirs = reference_directions()
     phi, psi = floors(it.s, it.z, it.nu, 0.5)
     sel = select_step(it, dirs, phi, psi, SolverConfig())
-    assert sel.backtracks == 0
-    assert 0.0 < sel.alpha <= sel.alpha_tilde <= HALF_PI
+    # the sigma = 0 branch: the cap's 19th shrink is accepted, above b_u's minimizer
+    assert sel.sigma == 0.0
+    cap = alpha_tilde(it, dirs, phi, psi, 0.0)
+    assert sel.alpha_tilde == cap
+    assert sel.backtracks == 19
+    assert sel.alpha == list(candidate_angles(cap, 0.0))[19]
+    assert sel.alpha > golden_min_bu(MuPredictor.of(it, dirs), cap)
     candidate = _arc_blocks(it, dirs, sel.sigma, sel.alpha)
     assert duality_measure(candidate.s, candidate.z) < it.mu
     assert np.min(candidate.s) >= phi - 1e-10

@@ -8,14 +8,17 @@ each of the benchmark's ``many_rows`` and ``boxqp_dense`` generators
 (``perfbench/instances.py`` of TREE, imported read-only) from x0 = 0, all
 with the default ``SolverConfig``.  For every workload it prints the
 SHA-256 of the raw bytes of every trace row, then x, status, objective,
-infe and the iteration count of each solve.  Two trees whose digests agree
-computed the same results bit for bit, so a refactor that claims to change
-no result can be checked by running this on the trees before and after it.
+infe and the iteration count of each solve, followed by the workload's
+total iterations and how many solves ended in each status.  Two trees
+whose digests agree computed the same results bit for bit, so a refactor
+that claims to change no result can be checked by running this on the
+trees before and after it; when results do move, the totals show how.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import struct
@@ -29,17 +32,33 @@ import numpy as np
 BOXQP_SIZES = (2, 4, 6, 8, 10)
 
 
-def _feed(digest, report) -> None:
-    for row in report.trace:
-        values = [float(getattr(row, field.name)) for field in dataclasses.fields(row)]
-        digest.update(struct.pack(f"<{len(values)}d", *values))
-    digest.update(np.ascontiguousarray(report.x, dtype=float).tobytes())
-    digest.update(report.status.value.encode())
-    digest.update(struct.pack("<ddq", report.objective, report.infe, report.iterations))
+class Digest:
+    """SHA-256 over a workload's solves, with their total iterations and status counts."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.solves = 0
+        self.iterations = 0
+        self.statuses = collections.Counter()
+
+    def feed(self, report) -> None:
+        for row in report.trace:
+            values = [float(getattr(row, field.name)) for field in dataclasses.fields(row)]
+            self.sha.update(struct.pack(f"<{len(values)}d", *values))
+        self.sha.update(np.ascontiguousarray(report.x, dtype=float).tobytes())
+        self.sha.update(report.status.value.encode())
+        self.sha.update(struct.pack("<ddq", report.objective, report.infe, report.iterations))
+        self.solves += 1
+        self.iterations += report.iterations
+        self.statuses[report.status.value] += 1
+
+    def line(self, name: str) -> str:
+        counts = ", ".join(f"{status} {count}" for status, count in sorted(self.statuses.items()))
+        return f"{name:12s} {self.solves:4d}  {self.sha.hexdigest()}  {self.iterations:6d} iterations  {counts}"
 
 
-def workload_digests(tree: Path, runs: int) -> dict[str, tuple[int, str]]:
-    """Workload name -> (number of solves, SHA-256 hex digest)."""
+def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
+    """Workload name -> its :class:`Digest`."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import arcipm
 
@@ -59,19 +78,17 @@ def workload_digests(tree: Path, runs: int) -> dict[str, tuple[int, str]]:
     digests = {}
     for k in range(1, 9):
         program, start = parse_problem_text((tree / "problems" / f"ex{k}.prob").read_text())
-        digest = hashlib.sha256()
-        _feed(digest, solved(program, start))
-        digests[f"ex{k}"] = (1, digest.hexdigest())
+        digest = digests[f"ex{k}"] = Digest()
+        digest.feed(solved(program, start))
 
     makers = {
         "many_rows": lambda rng, _: instances.many_rows(rng),
         "boxqp_dense": lambda rng, index: instances.boxqp_dense(rng, BOXQP_SIZES[index % len(BOXQP_SIZES)]),
     }
     for name, make in makers.items():
-        digest = hashlib.sha256()
+        digest = digests[name] = Digest()
         for seed in range(runs):
-            _feed(digest, solved(make(np.random.default_rng(seed), seed).program))
-        digests[name] = (runs, digest.hexdigest())
+            digest.feed(solved(make(np.random.default_rng(seed), seed).program))
     return digests
 
 
@@ -85,8 +102,8 @@ def main(argv=None) -> int:
     tree = args.tree.resolve()
     if not (tree / "src" / "arcipm").is_dir():
         parser.error(f"no arcipm sources under {tree / 'src'}")
-    for name, (solves, hexdigest) in workload_digests(tree, args.runs).items():
-        print(f"{name:12s} {solves:4d}  {hexdigest}")
+    for name, digest in workload_digests(tree, args.runs).items():
+        print(digest.line(name))
     return 0
 
 
