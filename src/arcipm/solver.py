@@ -34,8 +34,9 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        # an infinite tolerance would stop every run at its start as Converged
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if not 0.0 < self.rho < 1.0:

@@ -12,24 +12,27 @@ dual component has a closed-form largest angle that keeps it above a
 positive floor; :func:`alpha_limits` derives it for all 2p components at
 once, the last 2p entries of each flat vector, as a function of sigma.
 
-:func:`select_step` first picks sigma.  A predictor of the updated
-duality measure, built from three dot products of the directions, tells
-when centering cannot help; then sigma = 0, and the positivity cap is the
-smallest component limit there.  Otherwise a bisection over sigma
-maximizes the smallest limit, exploiting that each component limit is
-monotone in sigma with the sign of its p-coefficient, and that limit is
-the cap.  The candidate angles (:func:`candidate_angles`) start at the cap
-and shrink by :data:`BACKTRACK_FACTOR`.  Under sigma = 0 the shrinks stop
-above the golden-section minimizer of the predictor's b_u, and the angles
+Along the ellipse s'z is a polynomial in sigma, sin(alpha) and
+1 - cos(alpha).  :class:`MuPredictor` takes its coefficients once per
+iteration: p*mu and six products of the (s, z) tails of the directions.
+Its part linear in sigma, (a_u*sigma + b_u)/p, predicts the updated
+duality measure.
+
+:func:`select_step` first picks sigma.  When a_u is positive at every
+angle, centering can only raise the predicted measure; then sigma = 0,
+and the positivity cap is the smallest component limit there.  Otherwise
+a bisection over sigma maximizes the smallest limit, exploiting that each
+component limit is monotone in sigma with the sign of its p-coefficient,
+and that limit is the cap.  The candidate angles (:func:`candidate_angles`)
+start at the cap and shrink by :data:`BACKTRACK_FACTOR`.  Under sigma = 0
+the shrinks stop above the golden-section minimizer of b_u, and the angles
 go on from that minimizer, so no accepted angle is shorter than the
 minimizer's own backtracking would give.  Each angle is screened before
-its point is built: at the chosen sigma, s'z along the arc is a
-polynomial in sin(alpha) and 1 - cos(alpha) with six dot-product
-coefficients (:class:`DualityPolynomial`), and an angle where it surely
-does not fall is skipped.  The first remaining angle whose point passes
-every step condition is taken.  Theta, rho and the sigma interval come
-from :class:`arcipm.solver.SolverConfig`; the bisection tolerance, the
-backtracking factor and the angle floor are constants here.
+its point is built: an angle where the whole polynomial shows that s'z
+surely does not fall is skipped.  The first remaining angle whose point
+passes every step condition is taken.  Theta, rho and the sigma interval
+come from :class:`arcipm.solver.SolverConfig`; the bisection tolerance,
+the backtracking factor and the angle floor are constants here.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # positive normal float.
 RESIDUAL_FLOOR = float(np.finfo(float).tiny)
 
-# Machine epsilon, the unit of the duality-polynomial screen's roundoff margin.
+# Machine epsilon, the unit of the angle screen's roundoff margin.
 EPSILON = float(np.finfo(float).eps)
 
 
@@ -190,31 +193,53 @@ def alpha_tilde(
 
 @dataclass(frozen=True)
 class MuPredictor:
-    """Predictor of the updated duality measure, from three dot products.
+    """s'z along the arc, from p*mu and six products taken once per iteration.
 
-    For fixed directions, a_u and b_u are trigonometric polynomials in
-    alpha whose coefficients are p*mu and the products below, so those are
-    taken once instead of at every evaluated angle.  They use the product
-    rows of the Newton system and leave out the sddot'zddot (1-cos)^2
-    term, which can take either sign; :class:`DualityPolynomial` has the
-    exact product.
+    With sdd = p_s*sigma + q_s and zdd = p_z*sigma + q_z, the arc point's
+    product is
+
+        s'z - (sdot.z + s.zdot) sin + (sdd.z + s.zdd) (1-cos) + sdot.zdot sin^2
+            - (sdot.zdd + sdd.zdot) sin (1-cos) + sdd.zdd (1-cos)^2.
+
+    The Newton product rows z*sdot + s*zdot = s*z, z*p_s + s*p_z = mu and
+    z*q_s + s*q_z = -2 sdot*zdot turn it into a_u*sigma + b_u +
+    sdd.zdd (1-cos)^2, where a_u and b_u are trigonometric polynomials in
+    alpha with coefficients p*mu, ``mixed``, ``tangent`` and ``cross``, and
+    sdd.zdd is quadratic in sigma.  Without the sdd.zdd term, which takes
+    either sign, (a_u*sigma + b_u)/p predicts the updated duality measure.
+
+    The rows hold to a few ulps per component, however accurate the LU
+    solve is, because :func:`arcipm.kkt.solve_directions` back-substitutes
+    dz = (r_z - z*ds)/s.  ``margin``, (4p + 64) machine epsilons times
+    sum(|s| + |sdot| + |p_s| + |q_s|) * (|z| + |zdot| + |p_z| + |q_z|),
+    bounds that error and the roundoff against the arc point's own s'z at
+    angles in [0, pi/2] and sigma in [0, 1].
     """
 
     p_mu: float
     mixed: float  # zdot.ps + sdot.pz
     tangent: float  # zdot.sdot
     cross: float  # sdot.qz + zdot.qs
+    pp: float  # ps.pz
+    pq: float  # ps.qz + qs.pz
+    qq: float  # qs.qz
+    margin: float
 
     @classmethod
     def of(cls, iterate: Iterate, directions: NewtonDirections) -> MuPredictor:
         # the (s, z) tail of each direction: its last 2p entries
         p = iterate.p
         (sdot, zdot), (ps, pz), (qs, qz) = ((d[-2 * p : -p], d[-p:]) for d in directions)
+        size = np.abs(np.stack([iterate.vec[-2 * p :], *(d[-2 * p :] for d in directions)])).sum(axis=0)
         return cls(
             p * iterate.mu,
             float(zdot @ ps + sdot @ pz),
             float(zdot @ sdot),
             float(sdot @ qz + zdot @ qs),
+            float(ps @ pz),
+            float(ps @ qz + qs @ pz),
+            float(qs @ qz),
+            (4 * p + 64) * EPSILON * float(size[:p] @ size[p:]),
         )
 
     def at(self, alpha: float):
@@ -229,14 +254,33 @@ class MuPredictor:
         omc = _one_minus_cos(alpha)
         return self.p_mu * (1.0 - sin_a) - (self.tangent * omc**2 + self.cross * sin_a * omc)
 
+    def product(self, sigma: float, alpha: float) -> float:
+        """s'z of the arc point at (sigma, alpha), by powers of sin and 1-cos."""
+        sin_a = math.sin(alpha)
+        omc = _one_minus_cos(alpha)
+        sdd_zdd = sigma * (sigma * self.pp + self.pq) + self.qq
+        return (
+            self.p_mu * (1.0 - sin_a + sigma * omc)
+            - (sigma * self.mixed + self.cross) * sin_a * omc
+            + (sdd_zdd - self.tangent) * omc * omc
+        )
+
+    def rules_out(self, sigma: float, alpha: float) -> bool:
+        """Whether the arc point at (sigma, alpha) surely fails to decrease the duality measure.
+
+        Such a point cannot pass the duality-measure test of
+        :func:`_acceptable`.  A NaN product or margin rules out nothing.
+        """
+        return self.product(sigma, alpha) > self.p_mu + self.margin
+
 
 def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float):
     """Predictor coefficients (a_u, b_u) of the updated duality measure.
 
     The predicted measure is (a_u*sigma + b_u)/p.  It omits the term
-    sddot'zddot (1-cos)^2, whose sign varies from iteration to iteration,
-    so acceptance decisions use the exact value from
-    :func:`arcipm.kkt.duality_measure`.
+    sddot'zddot (1-cos)^2, whose sign varies from iteration to iteration
+    (:meth:`MuPredictor.product` keeps it), so acceptance decisions use the
+    exact value from :func:`arcipm.kkt.duality_measure`.
     """
     return MuPredictor.of(iterate, directions).at(alpha)
 
@@ -329,59 +373,6 @@ def candidate_angles(cap: float, start: float):
         alpha *= BACKTRACK_FACTOR
 
 
-@dataclass(frozen=True)
-class DualityPolynomial:
-    """s'z along the arc at one sigma, as a polynomial in sin(alpha) and 1 - cos(alpha).
-
-    With sdd = p_s*sigma + q_s and zdd = p_z*sigma + q_z, the arc point's
-    product is
-
-        s'z - (sdot.z + s.zdot) sin + (sdd.z + s.zdd) (1-cos) + sdot.zdot sin^2
-            - (sdot.zdd + sdd.zdot) sin (1-cos) + sdd.zdd (1-cos)^2,
-
-    so six dot products, taken once, give it at any angle in scalar math.
-    ``limit`` is p times the iterate's duality measure plus a bound on the
-    roundoff between this polynomial and the product of the arc point's
-    own vectors: (4p + 64) machine epsilons times
-    sum(|s| + |sdot| + |sdd|) * (|z| + |zdot| + |zdd|), which bounds every
-    term at angles in [0, pi/2].  An angle whose polynomial exceeds
-    ``limit`` cannot pass the duality-measure test of :func:`_acceptable`;
-    a NaN polynomial or limit rules out nothing.
-    """
-
-    coefficients: tuple[float, float, float, float, float, float]
-    limit: float
-
-    @classmethod
-    def of(cls, iterate: Iterate, directions: NewtonDirections, sigma: float) -> DualityPolynomial:
-        # the (s, z) tails of the point, the tangent and the curvature term at
-        # sigma, the last by the expression arc_point evaluates, so bit for bit
-        # the same; rows[:, 0] holds s, sdot, sdd and rows[:, 1] z, zdot, zdd
-        p = iterate.p
-        sz_at = -2 * p
-        vdot, p_dir, q_dir = directions
-        rows = np.stack((iterate.vec[sz_at:], vdot[sz_at:], p_dir[sz_at:] * sigma + q_dir[sz_at:]))
-        rows = rows.reshape(3, 2, p)
-        (sz, s_zdot, s_zdd), (sdot_z, sdot_zdot, sdot_zdd), (sdd_z, sdd_zdot, sdd_zdd) = (
-            rows[:, 0] @ rows[:, 1].T
-        ).tolist()
-        coefficients = (sz, sdot_z + s_zdot, sdd_z + s_zdd, sdot_zdot, sdot_zdd + sdd_zdot, sdd_zdd)
-        size = np.abs(rows).sum(axis=0)
-        margin = (4 * p + 64) * EPSILON * float(size[0] @ size[1])
-        return cls(coefficients, p * iterate.mu + margin)
-
-    def at(self, alpha: float) -> float:
-        """Predicted s'z of the arc point at angle alpha."""
-        sin_a = math.sin(alpha)
-        omc = _one_minus_cos(alpha)
-        c0, c1, c2, c3, c4, c5 = self.coefficients
-        return c0 - c1 * sin_a + c2 * omc + (c3 * sin_a - c4 * omc) * sin_a + c5 * omc * omc
-
-    def rules_out(self, alpha: float) -> bool:
-        """Whether the arc point at alpha surely fails to decrease the duality measure."""
-        return self.at(alpha) > self.limit
-
-
 def select_step(
     iterate: Iterate,
     directions: NewtonDirections,
@@ -391,21 +382,22 @@ def select_step(
 ) -> StepSelection:
     """Pick (sigma, alpha) and try angles until every step condition holds.
 
-    When the mixed tangent/centering products make the duality-measure
-    predictor increase with sigma, centering is switched off (sigma = 0);
-    otherwise sigma and its positivity limit come from the bisection.
-    Either way the positivity cap is the smallest component limit at that
-    sigma, and it is what ``alpha_tilde`` reports.  The angles come from
+    One :class:`MuPredictor` serves the whole selection.  When its mixed
+    tangent/centering product makes a_u positive at every angle, centering
+    is switched off (sigma = 0); otherwise sigma and its positivity limit
+    come from the bisection.  Either way the positivity cap is the
+    smallest component limit at that sigma, and it is what
+    ``alpha_tilde`` reports.  The angles come from
     :func:`candidate_angles`: under sigma = 0 the cap and its shrinks down
     to the golden-section minimizer of b_u, then that minimizer and its
     shrinks; under the bisection the cap and its shrinks.  So no accepted
     angle is shorter than plain backtracking from the b_u minimizer would
-    take.  Each angle is screened with the exact duality-measure polynomial
-    (:class:`DualityPolynomial`); an angle it rules out is skipped without
-    building its point.  The first other angle whose arc point keeps both
-    blocks above their floors, stays inside the centrality region, and
-    strictly decreases the duality measure is taken.  ``backtracks``
-    counts the angles passed over, skipped or built.
+    take.  An angle the predictor rules out, because s'z there surely does
+    not fall, is skipped without building its point.  The first other
+    angle whose arc point keeps both blocks above their floors, stays
+    inside the centrality region, and strictly decreases the duality
+    measure is taken.  ``backtracks`` counts the angles passed over,
+    skipped or built.
     """
     predictor = MuPredictor.of(iterate, directions)
     if predictor.mixed < 0.0:
@@ -417,12 +409,11 @@ def select_step(
             iterate, directions, phi, psi, config.sigma_min, config.sigma_max
         )
         start = cap
-    screen = DualityPolynomial.of(iterate, directions, sigma)
 
     sizes = iterate.x.size, iterate.y.size, iterate.p
     backtracks = 0
     for alpha in candidate_angles(cap, start):
-        if not screen.rules_out(alpha):
+        if not predictor.rules_out(sigma, alpha):
             point = arc_point(iterate, directions, sigma, alpha)
             candidate = Blocks.of(point, *sizes)
             mu_new = duality_measure(candidate.s, candidate.z)

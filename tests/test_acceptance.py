@@ -9,7 +9,6 @@ import time
 import zlib
 
 import numpy as np
-import pytest
 
 from arcipm import SolverConfig, SolverStatus, default_start, gradient, hessian, solve
 from arcipm.kkt import (

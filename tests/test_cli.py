@@ -178,6 +178,14 @@ def test_negative_max_iter_flag_exits_one(capsys):
     assert err.startswith("error:") and "max_iter" in err
 
 
+def test_infinite_epsilon_flag_exits_one(capsys):
+    # an infinite tolerance would report the starting point as Converged
+    code, out, err = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--epsilon", "inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "epsilon" in err
+
+
 def test_x0_flag_overrides_start(capsys):
     code, out, _ = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--x0", "4,4")
     assert code == 0

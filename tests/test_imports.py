@@ -1,12 +1,17 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package, the tests and the tools is used by its module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "arcipm"
-MODULES = sorted(path for path in SOURCE.glob("*.py") if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# perfbench/ is left out: the benchmark's files change only with the benchmark
+MODULES = sorted(
+    [path for path in (ROOT / "src" / "arcipm").glob("*.py") if path.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "tools").glob("*.py"))
+)
 
 
 def unused_imports(text: str) -> list[str]:

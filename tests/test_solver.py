@@ -11,7 +11,6 @@ from arcipm.cli import parse_problem_text
 from arcipm.kkt import SingularKKTError, compute_residuals, kkt_norm
 from conftest import (
     LOG_DOMAIN_EXIT,
-    REFERENCE,
     load_problem,
     many_rows_program,
     perfbench_module,
@@ -302,6 +301,9 @@ def test_config_validation():
         SolverConfig(sigma_min=0.5, sigma_max=0.5)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverConfig(epsilon=bad)
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=-5)
     assert SolverConfig(max_iter=0).max_iter == 0

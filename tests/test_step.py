@@ -22,8 +22,8 @@ from arcipm.step import (
     ALPHA_FLOOR,
     BACKTRACK_FACTOR,
     BISECT_TOLERANCE,
+    EPSILON,
     RESIDUAL_FLOOR,
-    DualityPolynomial,
     MuPredictor,
     StepFailureError,
     alpha_limits,
@@ -44,7 +44,6 @@ from conftest import (
     split_at,
     synthetic_step_pair as synthetic_pair,
     sz_directions,
-    warnings_ignored,
 )
 from oracles import blockwise_arc_point, scan_alpha
 
@@ -142,7 +141,7 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
 
     select_step passes over ``backtracks`` candidates of
     :func:`candidate_angles` before the accepted one, and builds the point
-    of each of those candidates that the duality-measure screen leaves in.
+    of each of those candidates that the predictor's screen leaves in.
     """
     original = step_module.arc_point
     calls = []
@@ -163,8 +162,8 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
             angles = list(candidate_angles(sel.alpha_tilde, _start_angle(it, dirs, sel.alpha_tilde)))
             tried = angles[: sel.backtracks + 1]
             assert tried[-1] == sel.alpha
-            screen = DualityPolynomial.of(it, dirs, sel.sigma)
-            built = [alpha for alpha in tried if not screen.rules_out(alpha)]
+            predictor = MuPredictor.of(it, dirs)
+            built = [alpha for alpha in tried if not predictor.rules_out(sel.sigma, alpha)]
             assert [args[3] for args in calls] == built
             backtracked += sel.backtracks > 0
             screened += len(tried) - len(built)
@@ -198,7 +197,7 @@ def test_selection_point_is_the_accepted_arc_point(fixture_runs, many_rows_runs,
 
 
 def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, many_rows_runs):
-    """Every candidate angle the duality-measure screen rules out fails _acceptable once built.
+    """Every candidate angle the predictor rules out fails _acceptable once built.
 
     Checked over the whole candidate list, down to the angle floor, at every
     iterate the runs accept a step from.  The selection's alpha_tilde is the
@@ -214,10 +213,10 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
             dirs = _directions(prog, it)
             phi, psi = floors(it.s, it.z, it.nu, config.rho)
             assert sel.alpha_tilde == alpha_tilde(it, dirs, phi, psi, sel.sigma)
-            branches.add(MuPredictor.of(it, dirs).mixed < 0.0)
-            screen = DualityPolynomial.of(it, dirs, sel.sigma)
+            predictor = MuPredictor.of(it, dirs)
+            branches.add(predictor.mixed < 0.0)
             for alpha in candidate_angles(sel.alpha_tilde, _start_angle(it, dirs, sel.alpha_tilde)):
-                if screen.rules_out(alpha):
+                if predictor.rules_out(sel.sigma, alpha):
                     candidate = Blocks.of(arc_point(it, dirs, sel.sigma, alpha), *sizes)
                     mu_new = duality_measure(candidate.s, candidate.z)
                     assert mu_new >= it.mu
@@ -227,31 +226,55 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
     assert skipped > 1000
 
 
-def test_duality_polynomial_matches_the_arc_product_within_its_margin(fixture_runs):
-    """The polynomial gives the arc point's s'z up to the margin folded into its limit."""
+def test_product_rows_hold_to_a_few_ulps(fixture_runs, many_rows_runs):
+    """The Newton product rows, which MuPredictor folds into p*mu and a_u, hold per component.
+
+    z*sdot + s*zdot = s*z, z*p_s + s*p_z = mu and z*q_s + s*q_z = -2 sdot*zdot,
+    each within a few ulps of the magnitudes of its terms.
+    """
+    runs = {**fixture_runs, "many_rows[0]": many_rows_runs["many_rows[0]"]}
     checked = 0
-    for prog, recorded in fixture_runs.values():
+    for name, (prog, recorded) in runs.items():
+        # the solver never factors ex7's final Newton matrix: its pivot is below the threshold
+        for it in recorded.iterates[:-1] if name == "ex7" else recorded.iterates:
+            s, z = it.s, it.z
+            (sdot, zdot), (ps, pz), (qs, qz) = (split_at(it, d)[2:] for d in _directions(prog, it))
+            rows = (
+                (z * sdot, s * zdot, s * z),
+                (z * ps, s * pz, np.full(it.p, it.mu)),
+                (z * qs, s * qz, -2.0 * sdot * zdot),
+            )
+            for left, right, want in rows:
+                scale = np.abs(left) + np.abs(right) + np.abs(want)
+                assert np.all(np.abs(left + right - want) <= 4 * EPSILON * scale)
+                checked += 1
+    assert checked > 1000
+
+
+def test_mu_predictor_product_matches_the_arc_product_within_its_margin(fixture_runs, many_rows_runs):
+    """MuPredictor.product gives the arc point's s'z up to the predictor's margin."""
+    checked = 0
+    for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         for it in recorded.iterates[:-1:5]:
             dirs = _directions(prog, it)
+            predictor = MuPredictor.of(it, dirs)
+            assert predictor.margin > 0.0
+            assert abs(predictor.p_mu - float(it.s @ it.z)) <= predictor.margin
             for sigma in (0.0, 0.4, 1.0):
-                poly = DualityPolynomial.of(it, dirs, sigma)
-                margin = poly.limit - it.p * it.mu
-                assert margin > 0.0
-                assert abs(poly.coefficients[0] - float(it.s @ it.z)) <= margin
                 for alpha in (0.0, 1e-6, 0.3, 1.0, HALF_PI):
                     point = _arc_blocks(it, dirs, sigma, alpha)
-                    assert abs(poly.at(alpha) - float(point.s @ point.z)) <= margin
+                    assert abs(predictor.product(sigma, alpha) - float(point.s @ point.z)) <= predictor.margin
                     checked += 1
     assert checked > 1000
 
 
-def test_duality_polynomial_rules_out_nothing_that_is_not_finite():
+def test_mu_predictor_rules_out_nothing_that_is_not_finite():
     it, dirs = synthetic_pair(np.random.default_rng(4))
     for bad in (np.nan, np.inf):
         broken = dirs._replace(q_dir=np.full_like(dirs.q_dir, bad))
         with np.errstate(all="ignore"):
-            screen = DualityPolynomial.of(it, broken, 0.5)
-        assert not any(screen.rules_out(alpha) for alpha in (1e-3, 0.5, HALF_PI))
+            predictor = MuPredictor.of(it, broken)
+        assert not any(predictor.rules_out(0.5, alpha) for alpha in (1e-3, 0.5, HALF_PI))
 
 
 def test_candidate_angles_run_from_the_cap_to_the_start_then_back_off():
@@ -454,8 +477,8 @@ def test_mu_expansion_identity(seed):
     lhs = it.p * duality_measure(candidate.s, candidate.z)
     rhs = a_u * sigma + b_u + float(curvature.s @ curvature.z) * omc**2
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
-    # the six-dot polynomial gives the same product without the Newton rows' identities
-    exact = DualityPolynomial.of(it, dirs, sigma).at(alpha)
+    # with the sdd'zdd term the predictor gives the arc point's product itself
+    exact = MuPredictor.of(it, dirs).product(sigma, alpha)
     assert abs(lhs - exact) <= 1e-10 * (1.0 + abs(lhs))
 
 
