@@ -7,9 +7,29 @@ triples by the chain rule (second-order forward mode; Griewank & Walther,
 into children but loops along a chain of + - * / links, however long.  It
 is the one evaluator of the node semantics: the parser folds a constant
 exponent of ``^`` with it at n = 0, and a :class:`DomainError` there is a
-parse error.  On
-a raw parse tree a call costs one walk whose nodes each do O(n^2) array
-work, so the O(n^2) products of a dense quadratic cost O(n^4).
+parse error.
+
+A block that is exactly zero by the tree's structure is absent (None)
+rather than stored (ibid., on structural zeros): a constant walks to
+(v, None, None), a variable leaf to (x_i, e_i, None) and ``u ^ 0`` to
+(1, None, None).  The helpers :func:`_add`, :func:`_sub`, :func:`_scale`
+and :func:`_cross` combine only the blocks that are present; f' and f''
+of ``log``, ``exp`` and ``^`` are formed only over a child that has a
+gradient; and :func:`value_gradient_hessian` fills in zeros once, at the
+end.  So a constant subtree costs its values alone, a linear one no
+Hessian work, and a product with a constant factor one scaled copy of
+each block instead of two products, a sum and a zero cross term.  A
+constant whose derivatives would overflow is no error: ``(1e-300)^0.5``
+is 1e-150, so the parser folds ``x1^(log(1e-300))``, while ``log(x1)``
+at x1 = 1e-300 still raises, because its Hessian overflows.  The results
+equal a walk that stores every zero block (``tests/oracles.py``) value
+for value; only the sign of an exact zero may differ, as 0 + (-0) is +0,
+and a gradient entry that has overflowed to inf no longer turns a zero
+block's 0 into the NaN of inf * 0.
+
+On a raw parse tree a call still costs one walk whose nodes with a
+variable below them each do O(n^2) array work, so the O(n^2) products of
+a dense quadratic cost O(n^4).
 
 :func:`compile_objective` therefore runs once per program: a degree test,
 then one walk at x = 0.  A tree of degree <= 2 is c + g'x + 1/2 x'Hx, and
@@ -61,18 +81,51 @@ class Quadratic:
     hessian: np.ndarray
 
 
-def _chain(u, f: float, df: float, d2f: float):
-    """(f(u), grad, Hessian) of a scalar function with f' = df, f'' = d2f at u."""
-    _, g, h = u
-    return f, df * g, df * h + d2f * np.outer(g, g)
+def _add(a, b):
+    """a + b over blocks where None is exactly zero."""
+    if b is None:
+        return a
+    if a is None:
+        return b
+    return a + b
+
+
+def _sub(a, b):
+    """a - b over blocks where None is exactly zero."""
+    if b is None:
+        return a
+    if a is None:
+        return -b
+    return a - b
+
+
+def _scale(c: float, a):
+    """c * a over a block where None is exactly zero."""
+    return None if a is None else c * a
+
+
+def _cross(a, b):
+    """The symmetric cross term C + C' of C = outer(a, b); None if a or b is zero."""
+    if a is None or b is None:
+        return None
+    c = np.outer(a, b)
+    return c + c.T
+
+
+def _chain(f: float, g, h, df: float, d2f: float):
+    """(f(u), grad, Hessian) of a scalar function with f' = df, f'' = d2f at u.
+
+    u has the gradient g (present) and the Hessian h.
+    """
+    return f, df * g, _add(_scale(df, h), d2f * np.outer(g, g))
 
 
 def _pow(u, r: float):
-    a = u[0]
+    a, g, h = u
     if not math.isfinite(r):
         raise DomainError("power exponent is not finite")
     if r == 0.0:
-        return 1.0, np.zeros_like(u[1]), np.zeros_like(u[2])
+        return 1.0, None, None
     if r == 1.0:
         return u
     if r.is_integer():
@@ -81,15 +134,17 @@ def _pow(u, r: float):
     elif a <= 0.0:
         raise DomainError("nonpositive base under a fractional power")
     try:
-        return _chain(u, a**r, r * a ** (r - 1.0), r * (r - 1.0) * a ** (r - 2.0))
+        if g is None:
+            return a**r, None, None
+        return _chain(a**r, g, h, r * a ** (r - 1.0), r * (r - 1.0) * a ** (r - 2.0))
     except OverflowError as err:
         raise DomainError("power overflows") from err
 
 
-def _walk(node, leaves, zero):
+def _walk(node, leaves):
     match node:
         case ast.Const(value=v):
-            return (float(v), *zero)
+            return float(v), None, None
         case ast.Var(index=i):
             return leaves[i]
         case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
@@ -97,50 +152,59 @@ def _walk(node, leaves, zero):
             # in a loop: the bottom first, then each link's right operand and
             # the link's rule, in the order recursion would take them
             spine, bottom = node._spine()
-            v, g, h = _walk(bottom, leaves, zero)
+            v, g, h = _walk(bottom, leaves)
             for link in reversed(spine):
-                vb, gb, hb = _walk(link.right, leaves, zero)
+                vb, gb, hb = _walk(link.right, leaves)
                 kind = type(link)
                 if kind is ast.Add:
-                    v, g, h = v + vb, g + gb, h + hb
+                    v, g, h = v + vb, _add(g, gb), _add(h, hb)
                 elif kind is ast.Sub:
-                    v, g, h = v - vb, g - gb, h - hb
+                    v, g, h = v - vb, _sub(g, gb), _sub(h, hb)
                 elif kind is ast.Mul:
                     product = v * vb
                     if not math.isfinite(product):
                         raise DomainError("product overflows")
-                    cross = np.outer(g, gb)
-                    v, g, h = product, vb * g + v * gb, vb * h + v * hb + (cross + cross.T)
+                    v, g, h = (
+                        product,
+                        _add(_scale(vb, g), _scale(v, gb)),
+                        _add(_add(_scale(vb, h), _scale(v, hb)), _cross(g, gb)),
+                    )
                 else:
                     if vb == 0.0:
                         raise DomainError("division by zero")
                     q = v / vb
                     if not math.isfinite(q):
                         raise DomainError("quotient overflows")
-                    gq = (g - q * gb) / vb
-                    cross = np.outer(gq, gb)
-                    v, g, h = q, gq, (h - q * hb - (cross + cross.T)) / vb
+                    gq = _sub(g, _scale(q, gb))
+                    if gq is not None:
+                        gq = gq / vb
+                    h = _sub(_sub(h, _scale(q, hb)), _cross(gq, gb))
+                    v, g, h = q, gq, None if h is None else h / vb
             return v, g, h
         case ast.Pow(base=b, exponent=r):
-            return _pow(_walk(b, leaves, zero), r)
+            return _pow(_walk(b, leaves), r)
         case ast.Neg(child=c):
-            v, g, h = _walk(c, leaves, zero)
-            return -v, -g, -h
+            v, g, h = _walk(c, leaves)
+            return -v, _sub(None, g), _sub(None, h)
         case ast.Log(child=c):
-            u = _walk(c, leaves, zero)
-            if u[0] <= 0.0:
+            a, g, h = _walk(c, leaves)
+            if a <= 0.0:
                 raise DomainError("log of a nonpositive value")
+            if g is None:
+                return math.log(a), None, None
             try:
-                return _chain(u, math.log(u[0]), 1.0 / u[0], -(u[0] ** -2.0))
+                return _chain(math.log(a), g, h, 1.0 / a, -(a**-2.0))
             except OverflowError as err:
                 raise DomainError("log overflows") from err
         case ast.Exp(child=c):
-            u = _walk(c, leaves, zero)
+            a, g, h = _walk(c, leaves)
             try:
-                e = math.exp(u[0])
+                e = math.exp(a)
             except OverflowError as err:
                 raise DomainError("exp overflows") from err
-            return _chain(u, e, e, e)
+            if g is None:
+                return e, None, None
+            return _chain(e, g, h, e, e)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -225,11 +289,15 @@ def value_gradient_hessian(expression, x):
         return _quadratic(expression, x)
     n = x.size
     unit = np.eye(n)
-    zero = (np.zeros(n), np.zeros((n, n)))
-    leaves = [(float(x[i]), unit[i], zero[1]) for i in range(n)]
-    value, grad, hess = _walk(expression, leaves, zero)
+    leaves = [(float(x[i]), unit[i], None) for i in range(n)]
+    value, grad, hess = _walk(expression, leaves)
     if not math.isfinite(value):
         raise DomainError(f"expression value {value} is not finite")
+    # the walk leaves an exactly zero block absent; fill it in once
+    if grad is None:
+        grad = np.zeros(n)
+    if hess is None:
+        hess = np.zeros((n, n))
     return value, grad, hess
 
 

@@ -18,7 +18,6 @@ iteration.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -125,13 +124,20 @@ def parse_problem_text(text: str):
 
 
 def _write_trace(path: str, trace):
+    """Write the trace as CSV in one call, the bytes ``csv.writer`` would write.
+
+    Every field is an int or a float's repr, which never holds a comma, a
+    quote or a line break, so no field needs quoting; lines end in ``\\r\\n``
+    as in the excel dialect.
+    """
+    lines = [",".join(TRACE_COLUMNS)]
+    for row in trace:
+        # the fields in declaration order, without astuple's deep copies
+        k, *rest = vars(row).values()
+        lines.append(",".join([str(k), *map(repr, rest)]))
+    lines.append("")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            # the fields in declaration order, without astuple's deep copies
-            k, *rest = vars(row).values()
-            writer.writerow([k, *map(repr, rest)])
+        handle.write("\r\n".join(lines))
 
 
 # Help text of each SolverConfig field that has a command-line flag.

@@ -120,7 +120,10 @@ class Iterate:
 
     The point is one flat (x, y, s, z) vector ``vec``.  The four block
     fields are views into it, split at the sizes (n, m, p) of the
-    residuals r_c, r_e and r_i.  z holds the inequality multipliers.
+    residuals r_c, r_e and r_i.  z holds the inequality multipliers, and
+    ``zs`` is the complementarity product z*s, formed once here: the
+    optimality residual, the trace row's min(s*z)/mu and the tangent's
+    r_z all read it.
     """
 
     vec: np.ndarray = field(repr=False)
@@ -135,11 +138,13 @@ class Iterate:
     y: np.ndarray = field(init=False)
     s: np.ndarray = field(init=False)
     z: np.ndarray = field(init=False)
+    zs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = Blocks.of(self.vec, self.r_c.size, self.r_e.size, self.r_i.size)
         for name, view in zip(Blocks._fields, blocks):
             object.__setattr__(self, name, view)
+        object.__setattr__(self, "zs", blocks.z * blocks.s)
 
     @classmethod
     def at(cls, program: ConvexProgram, vec, nu: float) -> "Iterate":
@@ -192,7 +197,7 @@ def optimality_residual(iterate: Iterate) -> np.ndarray:
     the stop-test norm by up to 1 ulp, which would change the recorded traces.
     """
     return np.concatenate(
-        [iterate.r_c, iterate.r_e, iterate.r_i, np.zeros(iterate.p), iterate.z * iterate.s]
+        [iterate.r_c, iterate.r_e, iterate.r_i, np.zeros(iterate.p), iterate.zs]
     )
 
 
@@ -292,7 +297,7 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
         return d * _solve_checked(factor, scaled, d * np.concatenate((head, tail)))
 
     # the tangent: every residual of the iterate
-    r_i, r_z = iterate.r_i, z * s
+    r_i, r_z = iterate.r_i, iterate.zs
     dxy = solved(iterate.r_c + a_ineq.T @ ((r_z + z * r_i) / s), iterate.r_e)
     ds = a_ineq @ dxy[:n] - r_i
     dz = (r_z - z * ds) / s

@@ -124,7 +124,7 @@ def _trace_row(program, iterate, k, sigma, alpha) -> TraceRow:
         nu=iterate.nu,
         kkt_norm=kkt_norm(iterate),
         true_stat_norm=true_stationarity_norm(program, iterate),
-        min_sz_over_mu=float((iterate.s * iterate.z).min()) / iterate.mu,
+        min_sz_over_mu=float(iterate.zs.min()) / iterate.mu,
     )
 
 

@@ -227,18 +227,32 @@ class MuPredictor:
 
     @classmethod
     def of(cls, iterate: Iterate, directions: NewtonDirections) -> MuPredictor:
-        # the (s, z) tail of each direction: its last 2p entries
+        """The coefficients at an iterate, from the (s, z) tails of it and its directions.
+
+        The four tails (the last 2p entries of each flat vector) are read as
+        one (4, 2p) block.  ``mixed``, ``tangent`` and ``cross`` steer the
+        sigma branch and the golden-section start, so each keeps its own 1-D
+        dot product.  ``pp``, ``pq`` and ``qq`` only feed the screen of
+        :meth:`rules_out`, whose margin covers their roundoff, so they come
+        from one 2x2 product of the curvature tails, and ``margin`` from one
+        absolute sum down the block.
+        """
         p = iterate.p
-        (sdot, zdot), (ps, pz), (qs, qz) = ((d[-2 * p : -p], d[-p:]) for d in directions)
-        size = np.abs(np.stack([iterate.vec[-2 * p :], *(d[-2 * p :] for d in directions)])).sum(axis=0)
+        # rows: the iterate, the tangent, p_dir, q_dir; columns: s then z
+        tails = np.array([iterate.vec[-2 * p :], *(d[-2 * p :] for d in directions)])
+        s_part, z_part = tails[:, :p], tails[:, p:]
+        _, sdot, ps, qs = s_part
+        _, zdot, pz, qz = z_part
+        (pp, ps_qz), (qs_pz, qq) = (s_part[2:] @ z_part[2:].T).tolist()
+        size = np.abs(tails).sum(axis=0)
         return cls(
             p * iterate.mu,
             float(zdot @ ps + sdot @ pz),
             float(zdot @ sdot),
             float(sdot @ qz + zdot @ qs),
-            float(ps @ pz),
-            float(ps @ qz + qs @ pz),
-            float(qs @ qz),
+            pp,
+            ps_qz + qs_pz,
+            qq,
             (4 * p + 64) * EPSILON * float(size[:p] @ size[p:]),
         )
 

@@ -3,9 +3,10 @@
 The oracles deliberately avoid the solver's machinery: the stationarity
 check below uses the true gradient (not the model term H x) of the parsed
 tree (not the compiled tree the solver differentiates), the angle
-scan walks a dense grid instead of inverting sinusoids, and the full
-Newton matrix keeps every block that the solver eliminates, so a shared
-bug between implementation and check is impossible.
+scan walks a dense grid instead of inverting sinusoids, the full
+Newton matrix keeps every block that the solver eliminates, and the dense
+derivative walk carries every zero block that the solver's walk leaves
+out, so a shared bug between implementation and check is impossible.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from arcipm.autodiff import gradient, hessian
+from arcipm import expr as ast
+from arcipm.autodiff import DomainError, gradient, hessian
 from arcipm.kkt import Blocks
 from arcipm.program import ConvexProgram
 
@@ -200,3 +202,102 @@ def blockwise_arc_point(iterate, directions, sigma: float, alpha: float) -> tupl
         v - dv * sin_a + (pv * sigma + qv) * omc
         for v, dv, pv, qv in zip(*(Blocks.of(vec, *sizes) for vec in (iterate.vec, *directions)))
     )
+
+
+def _dense_chain(u, f: float, df: float, d2f: float):
+    _, g, h = u
+    return f, df * g, df * h + d2f * np.outer(g, g)
+
+
+def _dense_pow(u, r: float):
+    a = u[0]
+    if not math.isfinite(r):
+        raise DomainError("power exponent is not finite")
+    if r == 0.0:
+        return 1.0, np.zeros_like(u[1]), np.zeros_like(u[2])
+    if r == 1.0:
+        return u
+    if r.is_integer():
+        if a == 0.0 and r < 0.0:
+            raise DomainError("zero raised to a negative power")
+    elif a <= 0.0:
+        raise DomainError("nonpositive base under a fractional power")
+    try:
+        return _dense_chain(u, a**r, r * a ** (r - 1.0), r * (r - 1.0) * a ** (r - 2.0))
+    except OverflowError as err:
+        raise DomainError("power overflows") from err
+
+
+def _dense_walk(node, leaves, zero):
+    match node:
+        case ast.Const(value=v):
+            return (float(v), *zero)
+        case ast.Var(index=i):
+            return leaves[i]
+        case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
+            spine, bottom = node._spine()
+            v, g, h = _dense_walk(bottom, leaves, zero)
+            for link in reversed(spine):
+                vb, gb, hb = _dense_walk(link.right, leaves, zero)
+                kind = type(link)
+                if kind is ast.Add:
+                    v, g, h = v + vb, g + gb, h + hb
+                elif kind is ast.Sub:
+                    v, g, h = v - vb, g - gb, h - hb
+                elif kind is ast.Mul:
+                    product = v * vb
+                    if not math.isfinite(product):
+                        raise DomainError("product overflows")
+                    cross = np.outer(g, gb)
+                    v, g, h = product, vb * g + v * gb, vb * h + v * hb + (cross + cross.T)
+                else:
+                    if vb == 0.0:
+                        raise DomainError("division by zero")
+                    q = v / vb
+                    if not math.isfinite(q):
+                        raise DomainError("quotient overflows")
+                    gq = (g - q * gb) / vb
+                    cross = np.outer(gq, gb)
+                    v, g, h = q, gq, (h - q * hb - (cross + cross.T)) / vb
+            return v, g, h
+        case ast.Pow(base=b, exponent=r):
+            return _dense_pow(_dense_walk(b, leaves, zero), r)
+        case ast.Neg(child=c):
+            v, g, h = _dense_walk(c, leaves, zero)
+            return -v, -g, -h
+        case ast.Log(child=c):
+            u = _dense_walk(c, leaves, zero)
+            if u[0] <= 0.0:
+                raise DomainError("log of a nonpositive value")
+            try:
+                return _dense_chain(u, math.log(u[0]), 1.0 / u[0], -(u[0] ** -2.0))
+            except OverflowError as err:
+                raise DomainError("log overflows") from err
+        case ast.Exp(child=c):
+            u = _dense_walk(c, leaves, zero)
+            try:
+                e = math.exp(u[0])
+            except OverflowError as err:
+                raise DomainError("exp overflows") from err
+            return _dense_chain(u, e, e, e)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def dense_value_gradient_hessian(expression: ast.Expr, x) -> tuple:
+    """(f, grad f, Hessian) of a parsed tree by the dense second-order walk.
+
+    Every node carries a full n-vector and n x n matrix, zeros included:
+    a constant carries a zero gradient and Hessian, and a variable leaf a
+    zero Hessian, which every chain rule then adds and multiplies.  The
+    solver's walk leaves those blocks out and must give the same values,
+    up to the sign of an exact zero.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    unit = np.eye(n)
+    zero = (np.zeros(n), np.zeros((n, n)))
+    leaves = [(float(x[i]), unit[i], zero[1]) for i in range(n)]
+    value, grad, hess = _dense_walk(expression, leaves, zero)
+    if not math.isfinite(value):
+        raise DomainError(f"expression value {value} is not finite")
+    return value, grad, hess

@@ -1,5 +1,7 @@
 """Values, gradients, and Hessians against hand values and finite differences."""
 
+import math
+import re
 import sys
 import zlib
 
@@ -21,8 +23,9 @@ from arcipm import (
     value_gradient_hessian,
 )
 from arcipm import expr as ast
-from arcipm.autodiff import Quadratic, compile_objective
+from arcipm.autodiff import Quadratic, _walk, compile_objective
 from conftest import REFERENCE, SAMPLING_BOX, load_problem, perfbench_module, quadratic_tree
+from oracles import dense_value_gradient_hessian
 
 X12 = ["x1", "x2"]
 
@@ -200,6 +203,27 @@ def test_non_finite_values_and_exponents_raise():
         solve(program)
 
 
+def test_constant_subtrees_take_no_derivatives():
+    # a constant carries no gradient or Hessian, and a variable leaf no Hessian
+    assert _walk(ast.Const(2.5), []) == (2.5, None, None)
+    assert _walk(ast.Log(ast.Exp(ast.Const(2.0))), []) == (2.0, None, None)
+    value, grad, hess = _walk(parse_expression("x1 + 3", ["x1"]), [(1.0, np.ones(1), None)])
+    assert value == 4.0 and np.array_equal(grad, [1.0]) and hess is None
+    assert _walk(ast.Pow(ast.Var(0, "x1"), 0.0), [(1.0, np.ones(1), None)]) == (1.0, None, None)
+
+
+def test_constant_exponents_whose_derivatives_alone_overflow():
+    # d2/du2 u^0.5 = -u^-1.5/4 and d2/du2 log u = -u^-2 overflow at u = 1e-300,
+    # but a constant subtree takes no derivatives
+    assert evaluate(ast.Pow(ast.Const(1e-300), 0.5), ()) == 1e-150
+    assert parse_expression("x1^(log(1e-300))", ["x1"]) == ast.Pow(ast.Var(0, "x1"), math.log(1e-300))
+    # a variable's value needs the Hessian, which still overflows
+    with pytest.raises(DomainError, match="log overflows"):
+        evaluate(ast.Log(ast.Var(0, "x1")), [1e-300])
+    with pytest.raises(DomainError, match="power overflows"):
+        evaluate(ast.Pow(ast.Var(0, "x1"), 0.5), [1e-300])
+
+
 def test_integer_powers_allow_negative_base():
     tree = parse_expression("x1 ^ 3", ["x1"])
     assert evaluate(tree, [-2.0]) == -8.0
@@ -367,3 +391,42 @@ def test_compiled_tree_agrees_with_parsed_tree(tree, x):
     assert np.abs(gc - g).max() <= 1e-12 * np.abs(g).max()
     assert np.abs(hc - h).max() <= 1e-12 * np.abs(h).max()
     assert np.array_equal(hc, hc.T)
+
+
+def assert_equals_dense_walk(tree, x):
+    """The walk's (f, grad, Hessian) equal the dense walk's; -0.0 == 0.0 here."""
+    got = value_gradient_hessian(tree, x)
+    want = dense_value_gradient_hessian(tree, x)
+    for got_part, want_part in zip(got, want):
+        assert np.array_equal(got_part, want_part)
+
+
+def test_walk_equals_dense_walk_along_reference_runs(fixture_runs):
+    for program, run in fixture_runs.values():
+        for iterate in run.iterates:
+            assert_equals_dense_walk(program.objective, iterate.x)
+
+
+@given(TREES, POINTS)
+@example(parse_expression("x1*x2 + exp(x3/8) - -(x1 + 2) - -log(2 + x2)", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
+@example(parse_expression("3 - x1 / (2 + 1) * 2^0 + (x2 - 1)^2 / x3", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
+@settings(max_examples=300, deadline=None)
+def test_walk_equals_dense_walk_on_random_trees(tree, x):
+    try:
+        dense_value_gradient_hessian(tree, x)
+    except DomainError as err:
+        with pytest.raises(DomainError, match=re.escape(str(err))):
+            value_gradient_hessian(tree, x)
+        return
+    assert_equals_dense_walk(tree, x)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_compiled_quadratic_equals_dense_walk_at_zero(n):
+    instance = perfbench_module("instances").boxqp_dense(np.random.default_rng(3000 + n), n)
+    compiled = compile_objective(instance.program.objective, n)
+    c, g, h = dense_value_gradient_hessian(instance.program.objective, np.zeros(n))
+    assert isinstance(compiled, Quadratic)
+    assert compiled.constant == c
+    assert np.array_equal(compiled.linear, g)
+    assert np.array_equal(compiled.hessian, h)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -11,12 +12,13 @@ import pytest
 from arcipm.cli import (
     _SOLVER_FLAGS,
     ProblemFileError,
+    _write_trace,
     build_arg_parser,
     config_from_args,
     main,
     parse_problem_text,
 )
-from arcipm.solver import TRACE_COLUMNS, SolverConfig
+from arcipm.solver import TRACE_COLUMNS, SolverConfig, TraceRow
 from conftest import LOG_DOMAIN_EXIT, PROBLEM_DIR, warnings_ignored
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -89,6 +91,26 @@ def test_trace_csv_row_count(tmp_path, capsys):
     mu_column = [float(r[1]) for r in rows[1:]]
     assert mu_column[0] == pytest.approx(1.0)
     assert mu_column[-1] < 1e-6
+
+
+def test_trace_writer_writes_what_csv_writer_writes(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -2.5e-17, 1.0]
+    fields = len(TRACE_COLUMNS) - 1
+    trace = [
+        TraceRow(k, *(specials[(k + j) % len(specials)] for j in range(fields)))
+        for k in range(2 * len(specials))
+    ]
+    path = tmp_path / "trace.csv"
+    _write_trace(str(path), trace)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TRACE_COLUMNS)
+        for row in trace:
+            writer.writerow([row.k, *map(repr, dataclasses.astuple(row)[1:])])
+    assert path.read_bytes() == expected.read_bytes()
+    _write_trace(str(path), [])
+    assert path.read_bytes() == ",".join(TRACE_COLUMNS).encode() + b"\r\n"
 
 
 def test_malformed_file_exits_one(tmp_path, capsys):

@@ -151,6 +151,21 @@ def test_blocks_are_views_into_one_flat_vector():
     assert all(flat.shape == it.vec.shape for flat in dirs)
 
 
+def test_complementarity_product_is_formed_once_per_iterate(fixture_runs):
+    it, _ = synthetic_step_pair(np.random.default_rng(5))
+    assert it.zs.tobytes() == (it.z * it.s).tobytes()
+    for program, recorded in fixture_runs.values():
+        for it in recorded.iterates:
+            assert it.zs.tobytes() == (it.s * it.z).tobytes()
+            residual = optimality_residual(it)
+            assert residual[-it.p :].tobytes() == it.zs.tobytes()
+    # zs is derived, not passed: it is recomputed for a replaced point
+    moved = dataclasses.replace(it, vec=it.vec * 2.0)
+    assert moved.zs.tobytes() == (moved.z * moved.s).tobytes()
+    with pytest.raises(TypeError):
+        Iterate(it.vec, it.hess, it.grad, it.r_c, it.r_e, it.r_i, it.mu, it.nu, zs=it.zs)
+
+
 def test_assemble_hand_block_matrix():
     matrix = full_newton_matrix(
         np.array([[2.0]]), np.zeros((0, 1)), np.array([[1.0]]), np.array([1.0]), np.array([3.0])

@@ -226,6 +226,37 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
     assert skipped > 1000
 
 
+def test_predictor_coefficients_equal_their_one_dimensional_products(fixture_runs, many_rows_runs):
+    """The branch-steering products are the 1-D dot products, bit for bit.
+
+    ``mixed``, ``tangent`` and ``cross`` pick the sigma branch and the
+    golden-section start; ``pp``, ``pq`` and ``qq`` feed only the screen
+    and agree with their 1-D products far inside its margin.
+    """
+    checked = 0
+    for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
+        p = prog.p
+        for it in recorded.iterates[:-1]:
+            dirs = _directions(prog, it)
+            predictor = MuPredictor.of(it, dirs)
+            (sdot, zdot), (ps, pz), (qs, qz) = ((d[-2 * p : -p], d[-p:]) for d in dirs)
+            assert predictor.p_mu == p * it.mu
+            assert predictor.mixed == float(zdot @ ps + sdot @ pz)
+            assert predictor.tangent == float(zdot @ sdot)
+            assert predictor.cross == float(sdot @ qz + zdot @ qs)
+            size = np.abs(np.stack([it.vec[-2 * p :], *(d[-2 * p :] for d in dirs)])).sum(axis=0)
+            assert predictor.margin == (4 * p + 64) * EPSILON * float(size[:p] @ size[p:])
+            for got, want, scale in (
+                (predictor.pp, ps @ pz, np.abs(ps) @ np.abs(pz)),
+                (predictor.pq, ps @ qz + qs @ pz, np.abs(ps) @ np.abs(qz) + np.abs(qs) @ np.abs(pz)),
+                (predictor.qq, qs @ qz, np.abs(qs) @ np.abs(qz)),
+            ):
+                assert abs(got - want) <= 4 * p * EPSILON * scale
+                assert abs(got - want) <= 1e-3 * predictor.margin
+            checked += 1
+    assert checked > 500
+
+
 def test_product_rows_hold_to_a_few_ulps(fixture_runs, many_rows_runs):
     """The Newton product rows, which MuPredictor folds into p*mu and a_u, hold per component.
 

@@ -10,7 +10,9 @@ every end-to-end metric that BEFORE_TREE's ``BENCHMARK.json`` declares,
 the tool prints each side's median and quartiles and how many pairs the
 after side won (ties count for neither side).  A gain is claimed only when
 the after side wins at least nine tenths of the pairs and the medians
-differ by more than the before side's interquartile range.
+differ by more than the before side's interquartile range.  When any run
+reports ``"correct": false``, the tool still prints the table, then names
+those runs and exits with status 1, so no gain rests on an incorrect run.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, bool]:
+    """(end-to-end metric values, whether the run reports its results correct)."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    if not result["correct"]:
-        print(f"  warning: {tree} seed {seed}: run reports correct: false", file=sys.stderr)
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    return {name: entry["value"] for name, entry in result["metrics"].items()}, bool(result["correct"])
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -60,10 +61,14 @@ def main(argv=None) -> int:
 
     declared = json.loads((args.before / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"before": [], "after": []}
+    incorrect = []
     for index, seed in enumerate(args.seeds):
         order = ("before", "after") if index % 2 == 0 else ("after", "before")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
+            metrics, correct = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(metrics)
+            if not correct:
+                incorrect.append(f"{side} seed {seed}")
         print(f"pair {index + 1}/{len(args.seeds)} (seed {seed}, {order[0]} first) done", flush=True)
 
     pairs = len(args.seeds)
@@ -82,6 +87,9 @@ def main(argv=None) -> int:
               f"  {wins:2d}/{pairs}  {'yes' if gain else 'no'}")
         print(f"{'':14s} before {', '.join(f'{v:.4g}' for v in before)}")
         print(f"{'':14s} after  {', '.join(f'{v:.4g}' for v in after)}")
+    if incorrect:
+        print(f"\nerror: runs reporting correct: false: {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 
