@@ -18,21 +18,9 @@ iteration: p*mu and six products of the (s, z) tails of the directions.
 Its part linear in sigma, (a_u*sigma + b_u)/p, predicts the updated
 duality measure.
 
-:func:`select_step` first picks sigma.  When a_u is positive at every
-angle, centering can only raise the predicted measure; then sigma = 0,
-and the positivity cap is the smallest component limit there.  Otherwise
-a bisection over sigma maximizes the smallest limit, exploiting that each
-component limit is monotone in sigma with the sign of its p-coefficient,
-and that limit is the cap.  The candidate angles (:func:`candidate_angles`)
-start at the cap and shrink by :data:`BACKTRACK_FACTOR`.  Under sigma = 0
-the shrinks stop above the golden-section minimizer of b_u, and the angles
-go on from that minimizer, so no accepted angle is shorter than the
-minimizer's own backtracking would give.  Each angle is screened before
-its point is built: an angle where the whole polynomial shows that s'z
-surely does not fall is skipped.  The first remaining angle whose point
-passes every step condition is taken.  Theta, rho and the sigma interval
-come from :class:`arcipm.solver.SolverConfig`; the bisection tolerance,
-the backtracking factor and the angle floor are constants here.
+:func:`candidate_steps` states the step rule as the stream of (sigma,
+cap, alpha) candidates in the order they are tried, and
+:func:`select_step` takes the first that passes every step condition.
 """
 
 from __future__ import annotations
@@ -42,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import Blocks, Iterate, NewtonDirections, duality_measure
+from .kkt import Iterate, NewtonDirections, duality_measure
 
 HALF_PI = 0.5 * math.pi
 
@@ -50,7 +38,7 @@ HALF_PI = 0.5 * math.pi
 # closed-form angles are exact only up to roundoff of the trajectory.
 FLOOR_SLACK = 1e-10
 
-# Golden-section interval tolerance for the sigma = 0 branch.
+# Golden-section interval tolerance for the sigma = 0 sequence.
 GOLDEN_TOLERANCE = 1e-4
 
 # Width of the sigma interval at which the bisection stops, the factor that
@@ -85,10 +73,10 @@ class StepSelection:
 
     sigma: float
     alpha: float
-    alpha_tilde: float
+    alpha_tilde: float  # the cap of the sequence the accepted angle came from
     a_u: float
     b_u: float
-    backtracks: int
+    backtracks: int  # candidates passed over before it, skipped or built
     point: np.ndarray = field(compare=False, repr=False)
 
 
@@ -230,9 +218,9 @@ class MuPredictor:
         """The coefficients at an iterate, from the (s, z) tails of it and its directions.
 
         The four tails (the last 2p entries of each flat vector) are read as
-        one (4, 2p) block.  ``mixed``, ``tangent`` and ``cross`` steer the
-        sigma branch and the golden-section start, so each keeps its own 1-D
-        dot product.  ``pp``, ``pq`` and ``qq`` only feed the screen of
+        one (4, 2p) block.  ``mixed``, ``tangent`` and ``cross`` pick the
+        sigma = 0 sequence and its golden-section start, so each keeps its
+        own 1-D dot product.  ``pp``, ``pq`` and ``qq`` only feed the screen of
         :meth:`rules_out`, whose margin covers their roundoff, so they come
         from one 2x2 product of the curvature tails, and ``margin`` from one
         absolute sum down the block.
@@ -357,20 +345,20 @@ def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _acceptable(candidate: Blocks, mu_new: float, mu_old: float, phi: float, psi: float, theta: float) -> bool:
+def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, theta: float) -> bool:
     # a NaN minimum fails these comparisons, so the candidate is rejected
-    s_min, z_min = candidate.s.min(), candidate.z.min()
+    s_min, z_min = s.min(), z.min()
     if not (s_min > 0.0 and z_min > 0.0):
         return False
     if s_min < phi - FLOOR_SLACK or z_min < psi - FLOOR_SLACK:
         return False
-    if (candidate.s * candidate.z).min() < theta * mu_new * (1.0 - FLOOR_SLACK):
+    if (s * z).min() < theta * mu_new * (1.0 - FLOOR_SLACK):
         return False
     return mu_new < mu_old
 
 
 def candidate_angles(cap: float, start: float):
-    """The angles select_step tries, in order.
+    """The angles of one sequence of :func:`candidate_steps`, in order.
 
     First the positivity cap and its shrinks ``cap * BACKTRACK_FACTOR**k``
     while they stay above ``start``, then ``start`` and its shrinks while
@@ -387,55 +375,64 @@ def candidate_angles(cap: float, start: float):
         alpha *= BACKTRACK_FACTOR
 
 
-def select_step(
+def candidate_steps(
     iterate: Iterate,
     directions: NewtonDirections,
     phi: float,
     psi: float,
+    predictor: MuPredictor,
     config,
-) -> StepSelection:
-    """Pick (sigma, alpha) and try angles until every step condition holds.
+):
+    """The step rule: (sigma, cap, alpha) candidates in the order they are tried.
 
-    One :class:`MuPredictor` serves the whole selection.  When its mixed
-    tangent/centering product makes a_u positive at every angle, centering
-    is switched off (sigma = 0); otherwise sigma and its positivity limit
-    come from the bisection.  Either way the positivity cap is the
-    smallest component limit at that sigma, and it is what
-    ``alpha_tilde`` reports.  The angles come from
-    :func:`candidate_angles`: under sigma = 0 the cap and its shrinks down
-    to the golden-section minimizer of b_u, then that minimizer and its
-    shrinks; under the bisection the cap and its shrinks.  So no accepted
-    angle is shorter than plain backtracking from the b_u minimizer would
-    take.  An angle the predictor rules out, because s'z there surely does
-    not fall, is skipped without building its point.  The first other
-    angle whose arc point keeps both blocks above their floors, stays
-    inside the centrality region, and strictly decreases the duality
-    measure is taken.  ``backtracks`` counts the angles passed over,
-    skipped or built.
+    A negative mixed tangent/centering product makes the predictor's a_u
+    positive at every angle, so centering can only raise the predicted
+    duality measure.  Then the first sequence has sigma = 0, the cap
+    :func:`alpha_tilde` at sigma = 0, and the angles
+    ``candidate_angles(cap, golden_min_bu(predictor, cap))``: the cap's
+    shrinks down to the golden-section minimizer of b_u, then that
+    minimizer and its shrinks.  Centering comes next, or first otherwise:
+    :func:`bisect_sigma` picks the sigma whose smallest component limit is
+    largest, that limit is the cap, and the angles back off plainly from
+    it, ``candidate_angles(cap, cap)``; the bisection runs only when
+    reached.  Once both sequences are used up, empty ones included,
+    :class:`StepFailureError` names the sigma and cap of the last.
     """
-    predictor = MuPredictor.of(iterate, directions)
     if predictor.mixed < 0.0:
-        sigma = 0.0
-        cap = alpha_tilde(iterate, directions, phi, psi, sigma)
-        start = golden_min_bu(predictor, cap)
-    else:
-        sigma, cap = bisect_sigma(
-            iterate, directions, phi, psi, config.sigma_min, config.sigma_max
-        )
-        start = cap
-
-    sizes = iterate.x.size, iterate.y.size, iterate.p
-    backtracks = 0
-    for alpha in candidate_angles(cap, start):
-        if not predictor.rules_out(sigma, alpha):
-            point = arc_point(iterate, directions, sigma, alpha)
-            candidate = Blocks.of(point, *sizes)
-            mu_new = duality_measure(candidate.s, candidate.z)
-            if _acceptable(candidate, mu_new, iterate.mu, phi, psi, config.theta):
-                a_u, b_u = predictor.at(alpha)
-                return StepSelection(sigma, alpha, cap, a_u, b_u, backtracks, point)
-        backtracks += 1
+        cap = alpha_tilde(iterate, directions, phi, psi, 0.0)
+        for alpha in candidate_angles(cap, golden_min_bu(predictor, cap)):
+            yield 0.0, cap, alpha
+    sigma, cap = bisect_sigma(iterate, directions, phi, psi, config.sigma_min, config.sigma_max)
+    for alpha in candidate_angles(cap, cap):
+        yield sigma, cap, alpha
     raise StepFailureError(
         f"no acceptable angle above {ALPHA_FLOOR:.1e} "
         f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
     )
+
+
+def select_step(
+    iterate: Iterate, directions: NewtonDirections, phi: float, psi: float, config
+) -> StepSelection:
+    """Take the first candidate of :func:`candidate_steps` that passes every step condition.
+
+    One :class:`MuPredictor` serves the whole selection.  A candidate the
+    predictor rules out, because s'z there surely does not fall, is skipped
+    without building its point.  The first other candidate whose arc point
+    keeps both blocks above their floors, stays inside the centrality
+    region, and strictly decreases the duality measure is taken; when none
+    does, the stream itself raises :class:`StepFailureError`.
+    """
+    predictor = MuPredictor.of(iterate, directions)
+    steps = candidate_steps(iterate, directions, phi, psi, predictor, config)
+    z_at = iterate.vec.size - iterate.p
+    s_at = z_at - iterate.p
+    for backtracks, (sigma, cap, alpha) in enumerate(steps):
+        if predictor.rules_out(sigma, alpha):
+            continue
+        point = arc_point(iterate, directions, sigma, alpha)
+        s, z = point[s_at:z_at], point[z_at:]
+        mu_new = duality_measure(s, z)
+        if _acceptable(s, z, mu_new, iterate.mu, phi, psi, config.theta):
+            a_u, b_u = predictor.at(alpha)
+            return StepSelection(sigma, alpha, cap, a_u, b_u, backtracks, point)

@@ -22,6 +22,7 @@ from arcipm.solver import TRACE_COLUMNS, SolverConfig, TraceRow
 from conftest import LOG_DOMAIN_EXIT, PROBLEM_DIR, warnings_ignored
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *args):
@@ -68,6 +69,13 @@ def test_output_is_byte_identical_across_runs(capsys):
 def test_output_matches_golden_file(capsys, name):
     _, out, _ = run_cli(capsys, str(PROBLEM_DIR / f"{name}.prob"))
     assert out == (DATA_DIR / f"{name}.out").read_text()
+
+
+def test_readme_example_summary_is_the_golden_ex1_output():
+    """The README's command-line example shows what ``arcipm problems/ex1.prob`` prints."""
+    section = README.read_text().split("## Command line", 1)[1]
+    example = section.split("prints\n\n```\n", 1)[1].split("```", 1)[0]
+    assert example == (DATA_DIR / "ex1.out").read_text()
 
 
 @pytest.mark.parametrize("name", [f"ex{k}" for k in range(1, 9)])

@@ -8,7 +8,14 @@ import pytest
 import arcipm.kkt as kkt_mod
 from arcipm import SolverConfig, SolverStatus, default_start, solve
 from arcipm.cli import parse_problem_text
-from arcipm.kkt import SingularKKTError, compute_residuals, kkt_norm
+from arcipm.kkt import (
+    SingularKKTError,
+    assemble_newton_matrix,
+    compute_residuals,
+    kkt_norm,
+    solve_directions,
+)
+from arcipm.step import MuPredictor, floors, select_step
 from conftest import (
     LOG_DOMAIN_EXIT,
     load_problem,
@@ -353,3 +360,22 @@ def test_benchmark_many_rows_seed_16_converges_to_a_certified_minimizer():
     assert run.report.status is SolverStatus.CONVERGED, run.report.message
     last = run.iterates[-1]
     assert perfbench_module("checks").kkt_certificate(instance, last.x, last.y, last.z) == []
+
+
+def test_benchmark_many_rows_draw_that_ran_out_of_sigma_zero_angles_converges():
+    """The third many_rows draw of default_rng(45) stopped at k = 68 with
+    StepFailure once every sigma = 0 angle failed the centrality test; the
+    candidate stream then goes on with centering and the run converges."""
+    rng = np.random.default_rng(45)
+    instance = [perfbench_module("instances").many_rows(rng) for _ in range(3)][-1]
+    with warnings_ignored():
+        run = run_recorded(instance.program, default_start(instance.program))
+    assert run.report.status is SolverStatus.CONVERGED, run.report.message
+    last = run.iterates[-1]
+    assert perfbench_module("checks").kkt_certificate(instance, last.x, last.y, last.z) == []
+    it = run.iterates[68]
+    matrix = assemble_newton_matrix(it.hess, instance.program.a_eq, instance.program.a_ineq, it.s, it.z)
+    directions = solve_directions(matrix, instance.program.a_ineq, it)
+    assert MuPredictor.of(it, directions).mixed < 0.0
+    phi, psi = floors(it.s, it.z, it.nu, SolverConfig().rho)
+    assert select_step(it, directions, phi, psi, SolverConfig()).sigma > 0.0

@@ -1,7 +1,9 @@
 """Arc geometry, per-component angle limits, and the step selection."""
 
 import math
+import re
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from arcipm.step import (
     arc_point,
     bisect_sigma,
     candidate_angles,
+    candidate_steps,
     FLOOR_SLACK,
     _acceptable,
     floors,
@@ -130,17 +133,19 @@ def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs, many_rows
     assert checked > 5000
 
 
-def _start_angle(it, dirs, cap):
-    """The angle select_step backtracks from after the cap's shrinks: b_u's minimizer under sigma = 0."""
-    predictor = MuPredictor.of(it, dirs)
-    return golden_min_bu(predictor, cap) if predictor.mixed < 0.0 else cap
+def _all_candidates(it, dirs, phi, psi, predictor, config):
+    """Every (sigma, cap, alpha) of candidate_steps, which ends in StepFailureError once used up."""
+    candidates = []
+    with pytest.raises(StepFailureError):
+        candidates.extend(candidate_steps(it, dirs, phi, psi, predictor, config))
+    return candidates
 
 
 def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, monkeypatch):
     """perfbench's step.accept_ratio counts the calls of step.arc_point.
 
     select_step passes over ``backtracks`` candidates of
-    :func:`candidate_angles` before the accepted one, and builds the point
+    :func:`candidate_steps` before the accepted one, and builds the point
     of each of those candidates that the predictor's screen leaves in.
     """
     original = step_module.arc_point
@@ -151,20 +156,21 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
         return original(*args)
 
     monkeypatch.setattr(step_module, "arc_point", counting)
+    config = SolverConfig()
     backtracked = screened = 0
     for prog, recorded in fixture_runs.values():
         for k, it in enumerate(recorded.iterates[:-1]):
-            phi, psi = floors(it.s, it.z, it.nu, 0.5)
+            phi, psi = floors(it.s, it.z, it.nu, config.rho)
             dirs = _directions(prog, it)
             calls.clear()
-            sel = select_step(it, dirs, phi, psi, SolverConfig())
+            sel = select_step(it, dirs, phi, psi, config)
             assert sel == recorded.selections[k + 1]
-            angles = list(candidate_angles(sel.alpha_tilde, _start_angle(it, dirs, sel.alpha_tilde)))
-            tried = angles[: sel.backtracks + 1]
-            assert tried[-1] == sel.alpha
             predictor = MuPredictor.of(it, dirs)
-            built = [alpha for alpha in tried if not predictor.rules_out(sel.sigma, alpha)]
-            assert [args[3] for args in calls] == built
+            steps = candidate_steps(it, dirs, phi, psi, predictor, config)
+            tried = list(islice(steps, sel.backtracks + 1))
+            assert tried[-1] == (sel.sigma, sel.alpha_tilde, sel.alpha)
+            built = [(sigma, alpha) for sigma, _, alpha in tried if not predictor.rules_out(sigma, alpha)]
+            assert [args[2:] for args in calls] == built
             backtracked += sel.backtracks > 0
             screened += len(tried) - len(built)
     assert backtracked > 0
@@ -197,17 +203,16 @@ def test_selection_point_is_the_accepted_arc_point(fixture_runs, many_rows_runs,
 
 
 def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, many_rows_runs):
-    """Every candidate angle the predictor rules out fails _acceptable once built.
+    """Every candidate the predictor rules out fails _acceptable once built.
 
-    Checked over the whole candidate list, down to the angle floor, at every
-    iterate the runs accept a step from.  The selection's alpha_tilde is the
-    positivity cap at its sigma in both branches.
+    Checked over the whole candidate stream, both sequences down to the
+    angle floor, at every iterate the runs accept a step from.  The
+    selection's alpha_tilde is the cap of the accepted candidate's sequence.
     """
     config = SolverConfig()
     skipped = 0
     branches = set()
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
-        sizes = prog.n, prog.m, prog.p
         for k, it in enumerate(recorded.iterates[:-1]):
             sel = recorded.selections[k + 1]
             dirs = _directions(prog, it)
@@ -215,12 +220,12 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
             assert sel.alpha_tilde == alpha_tilde(it, dirs, phi, psi, sel.sigma)
             predictor = MuPredictor.of(it, dirs)
             branches.add(predictor.mixed < 0.0)
-            for alpha in candidate_angles(sel.alpha_tilde, _start_angle(it, dirs, sel.alpha_tilde)):
-                if predictor.rules_out(sel.sigma, alpha):
-                    candidate = Blocks.of(arc_point(it, dirs, sel.sigma, alpha), *sizes)
+            for sigma, _, alpha in _all_candidates(it, dirs, phi, psi, predictor, config):
+                if predictor.rules_out(sigma, alpha):
+                    candidate = _arc_blocks(it, dirs, sigma, alpha)
                     mu_new = duality_measure(candidate.s, candidate.z)
                     assert mu_new >= it.mu
-                    assert not _acceptable(candidate, mu_new, it.mu, phi, psi, config.theta)
+                    assert not _acceptable(candidate.s, candidate.z, mu_new, it.mu, phi, psi, config.theta)
                     skipped += 1
     assert branches == {True, False}
     assert skipped > 1000
@@ -229,7 +234,7 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
 def test_predictor_coefficients_equal_their_one_dimensional_products(fixture_runs, many_rows_runs):
     """The branch-steering products are the 1-D dot products, bit for bit.
 
-    ``mixed``, ``tangent`` and ``cross`` pick the sigma branch and the
+    ``mixed``, ``tangent`` and ``cross`` pick the sigma = 0 sequence and the
     golden-section start; ``pp``, ``pq`` and ``qq`` feed only the screen
     and agree with their 1-D products far inside its margin.
     """
@@ -342,13 +347,13 @@ def test_floors():
     assert psi == 1.0
 
 
-def _acceptable_with_module_functions(candidate, mu_new, mu_old, phi, psi, theta):
+def _acceptable_with_module_functions(s, z, mu_new, mu_old, phi, psi, theta):
     """The acceptance test as written with np.all/np.min, kept as the reference."""
-    if not (np.all(candidate.s > 0.0) and np.all(candidate.z > 0.0)):
+    if not (np.all(s > 0.0) and np.all(z > 0.0)):
         return False
-    if np.min(candidate.s) < phi - FLOOR_SLACK or np.min(candidate.z) < psi - FLOOR_SLACK:
+    if np.min(s) < phi - FLOOR_SLACK or np.min(z) < psi - FLOOR_SLACK:
         return False
-    if np.min(candidate.s * candidate.z) < theta * mu_new * (1.0 - FLOOR_SLACK):
+    if np.min(s * z) < theta * mu_new * (1.0 - FLOOR_SLACK):
         return False
     return mu_new < mu_old
 
@@ -359,9 +364,8 @@ def test_acceptable_decides_as_the_module_function_version():
     decisions = set()
     for _ in range(3000):
         s, z = (rng.choice(values, size=3) for _ in range(2))
-        candidate = Blocks(np.zeros(2), np.zeros(0), s, z)
         mu_new = float(rng.choice([np.nan, 0.01, 0.1, 1.0]))
-        args = (candidate, mu_new, 0.5, 0.05, 0.1, 0.5)
+        args = (s, z, mu_new, 0.5, 0.05, 0.1, 0.5)
         want = _acceptable_with_module_functions(*args)
         assert _acceptable(*args) is want
         decisions.add(want)
@@ -668,8 +672,51 @@ def test_select_step_takes_affine_branch_on_negative_mixed_product():
     assert sel.sigma == 0.0
 
 
-def test_select_step_failure_when_floors_unreachable():
-    program, it, dirs = reference_directions()
-    impossible_phi = float(np.max(it.s)) * 2.0
-    with pytest.raises(StepFailureError):
-        select_step(it, dirs, impossible_phi, 1e-8, SolverConfig())
+def _failure_message(it, dirs, phi, psi):
+    """The StepFailureError message of select_step when the bisection's sequence is tried last."""
+    config = SolverConfig()
+    sigma, cap = bisect_sigma(it, dirs, phi, psi, config.sigma_min, config.sigma_max)
+    return f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
+
+
+def test_select_step_failure_when_floors_unreachable(fixture_runs):
+    """An empty candidate stream raises StepFailureError on either sign of the mixed product.
+
+    With the slack floor above every slack, each sequence's cap is 0, so
+    neither yields an angle; the message names the bisection's sigma and cap.
+    """
+    prog, recorded = fixture_runs["ex1"]
+    signs = {}
+    for it in recorded.iterates[:-1]:
+        dirs = _directions(prog, it)
+        signs.setdefault(MuPredictor.of(it, dirs).mixed < 0.0, (it, dirs))
+    assert set(signs) == {True, False}
+    for it, dirs in signs.values():
+        impossible_phi = float(np.max(it.s)) * 2.0
+        assert alpha_tilde(it, dirs, impossible_phi, 1e-8, 0.0) == 0.0
+        message = _failure_message(it, dirs, impossible_phi, 1e-8)
+        assert message.endswith("positivity limit 0.000e+00)")
+        with pytest.raises(StepFailureError, match=re.escape(message)):
+            select_step(it, dirs, impossible_phi, 1e-8, SolverConfig())
+
+
+def test_select_step_falls_through_to_centering_when_the_sigma_zero_angles_fail(monkeypatch):
+    """With mixed < 0 both sequences are tried, sigma = 0 first, before StepFailureError."""
+    _, it, dirs = reference_directions()
+    phi, psi = floors(it.s, it.z, it.nu, 0.5)
+    predictor = MuPredictor.of(it, dirs)
+    assert predictor.mixed < 0.0
+    tried = []
+
+    def never(s, z, *args):
+        tried.append(s)
+        return False
+
+    monkeypatch.setattr(step_module, "_acceptable", never)
+    with pytest.raises(StepFailureError, match=re.escape(_failure_message(it, dirs, phi, psi))):
+        select_step(it, dirs, phi, psi, SolverConfig())
+    candidates = _all_candidates(it, dirs, phi, psi, predictor, SolverConfig())
+    sigmas = [sigma for sigma, _, _ in candidates]
+    zeros = sigmas.count(0.0)
+    assert 0 < zeros < len(sigmas) and sigmas[:zeros] == [0.0] * zeros
+    assert len(tried) == sum(not predictor.rules_out(sigma, alpha) for sigma, _, alpha in candidates)
