@@ -18,14 +18,16 @@ of ``log``, ``exp`` and ``^`` are formed only over a child that has a
 gradient; and :func:`value_gradient_hessian` fills in zeros once, at the
 end.  So a constant subtree costs its values alone, a linear one no
 Hessian work, and a product with a constant factor one scaled copy of
-each block instead of two products, a sum and a zero cross term.  A
-constant whose derivatives would overflow is no error: ``(1e-300)^0.5``
-is 1e-150, so the parser folds ``x1^(log(1e-300))``, while ``log(x1)``
-at x1 = 1e-300 still raises, because its Hessian overflows.  The results
-equal a walk that stores every zero block (``tests/oracles.py``) value
-for value; only the sign of an exact zero may differ, as 0 + (-0) is +0,
-and a gradient entry that has overflowed to inf no longer turns a zero
-block's 0 into the NaN of inf * 0.
+each block instead of two products, a sum and a zero cross term.
+:func:`evaluate` walks with leaves (x_i, None, None), so it forms no
+derivative at all, and a value whose derivatives would overflow is no
+error there: ``(1e-300)^0.5`` is 1e-150, so the parser folds
+``x1^(log(1e-300))``, and ``log(x1)`` at x1 = 1e-300 is -690.78, while
+:func:`value_gradient_hessian` there raises, as its Hessian overflows.
+The results equal a walk that stores every zero block
+(``tests/oracles.py``) value for value; only the sign of an exact zero
+may differ, as 0 + (-0) is +0, and a gradient entry that has overflowed
+to inf no longer turns a zero block's 0 into the NaN of inf * 0.
 
 On a raw parse tree a call still costs one walk whose nodes with a
 variable below them each do O(n^2) array work, so the O(n^2) products of
@@ -282,6 +284,14 @@ def compile_objective(expression: ast.Expr, n: int):
     return Quadratic(c, g, h)
 
 
+def _checked_walk(expression, leaves):
+    """The walk's (value, gradient, Hessian); a non-finite value is a DomainError."""
+    value, grad, hess = _walk(expression, leaves)
+    if not math.isfinite(value):
+        raise DomainError(f"expression value {value} is not finite")
+    return value, grad, hess
+
+
 def value_gradient_hessian(expression, x):
     """(f, grad f, Hessian) in one walk of a raw or compiled tree."""
     x = np.asarray(x, dtype=float)
@@ -289,10 +299,7 @@ def value_gradient_hessian(expression, x):
         return _quadratic(expression, x)
     n = x.size
     unit = np.eye(n)
-    leaves = [(float(x[i]), unit[i], None) for i in range(n)]
-    value, grad, hess = _walk(expression, leaves)
-    if not math.isfinite(value):
-        raise DomainError(f"expression value {value} is not finite")
+    value, grad, hess = _checked_walk(expression, [(float(x[i]), unit[i], None) for i in range(n)])
     # the walk leaves an exactly zero block absent; fill it in once
     if grad is None:
         grad = np.zeros(n)
@@ -302,8 +309,11 @@ def value_gradient_hessian(expression, x):
 
 
 def evaluate(expression, x) -> float:
-    """f(x)."""
-    return value_gradient_hessian(expression, x)[0]
+    """f(x), from a walk whose leaves carry no gradient, so that it forms no derivative."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(expression, Quadratic):
+        return _quadratic(expression, x)[0]
+    return _checked_walk(expression, [(float(v), None, None) for v in x])[0]
 
 
 def gradient(expression, x) -> np.ndarray:

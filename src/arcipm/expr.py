@@ -260,12 +260,19 @@ class _Parser:
 def parse_expression(text: str, variables: list[str]) -> Expr:
     """Parse ``text`` into an AST over the declared variable names.
 
-    A reserved word (:data:`RESERVED`) cannot name a variable.
+    A reserved word (:data:`RESERVED`) cannot name a variable.  The parser
+    recurses at every parenthesis and unary minus, so a text that nests
+    deeper than the interpreter's recursion limit allows is a
+    :class:`ParseError`, not a ``RecursionError``.
     """
     for name in variables:
         if name in RESERVED:
             raise ValueError(f"{name!r} is a reserved word and cannot name a variable")
-    return _Parser(text, variables).parse()
+    parser = _Parser(text, variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
 
 
 def variable_indices(node: Expr) -> set[int]:

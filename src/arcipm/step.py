@@ -7,16 +7,20 @@ The next iterate is searched along the ellipse
 with alpha in (0, pi/2].  It is evaluated on the flat (x, y, s, z)
 vectors of the iterate and the directions (see :mod:`arcipm.kkt`), so a
 candidate point costs a handful of whole-vector operations, and the
-accepted one becomes the next iterate's vector as it is.  Each slack and
+accepted one becomes the next iterate's vector as it is.
+
+Everything else the step rule reads is the (s, z) part of the arc, which
+:func:`sz_tails` takes once per iteration: the last 2p entries of the
+iterate and its three directions, as one (4, 2p) block.  Each slack and
 dual component has a closed-form largest angle that keeps it above a
 positive floor; :func:`alpha_limits` derives it for all 2p components at
-once, the last 2p entries of each flat vector, as a function of sigma.
+once, as a function of sigma, and that one function serves both the
+positivity cap :func:`alpha_tilde` and the bisection :func:`bisect_sigma`.
 
 Along the ellipse s'z is a polynomial in sigma, sin(alpha) and
-1 - cos(alpha).  :class:`MuPredictor` takes its coefficients once per
-iteration: p*mu and six products of the (s, z) tails of the directions.
-Its part linear in sigma, (a_u*sigma + b_u)/p, predicts the updated
-duality measure.
+1 - cos(alpha).  :class:`MuPredictor` takes its coefficients from the same
+block: p*mu and six products of the direction tails.  Its part linear in
+sigma, (a_u*sigma + b_u)/p, predicts the updated duality measure.
 
 :func:`candidate_steps` states the step rule as the stream of (sigma,
 cap, alpha) candidates in the order they are tried, and
@@ -38,7 +42,7 @@ HALF_PI = 0.5 * math.pi
 # closed-form angles are exact only up to roundoff of the trajectory.
 FLOOR_SLACK = 1e-10
 
-# Golden-section interval tolerance for the sigma = 0 sequence.
+# Golden-section interval tolerance for the sigma_min sequence.
 GOLDEN_TOLERANCE = 1e-4
 
 # Width of the sigma interval at which the bisection stops, the factor that
@@ -159,24 +163,19 @@ def alpha_limits(current, rate, p_coef, q_coef, floor):
     return limits
 
 
-def _components(iterate: Iterate, directions: NewtonDirections, phi: float, psi: float):
-    """(current, rate, p_coef, q_coef, floor) arrays over the slack then dual entries."""
-    # s and z are the last 2p entries of every flat vector
-    sz_at = iterate.vec.size - 2 * iterate.p
-    return (
-        iterate.vec[sz_at:],
-        directions.vdot[sz_at:],
-        directions.p_dir[sz_at:],
-        directions.q_dir[sz_at:],
-        np.repeat((phi, psi), iterate.p),
-    )
+def sz_tails(iterate: Iterate, directions: NewtonDirections) -> np.ndarray:
+    """The (s, z) tails of the iterate and its directions as one (4, 2p) block.
+
+    Rows: the iterate, the tangent, p_dir, q_dir.  Columns: s then z, the
+    last 2p entries of each flat vector.
+    """
+    p = iterate.p
+    return np.array([iterate.vec[-2 * p :], *(d[-2 * p :] for d in directions)])
 
 
-def alpha_tilde(
-    iterate: Iterate, directions: NewtonDirections, phi: float, psi: float, sigma: float
-) -> float:
-    """Positivity limit: the smallest per-component angle over both blocks."""
-    return float(alpha_limits(*_components(iterate, directions, phi, psi))(sigma).min())
+def alpha_tilde(limits, sigma: float) -> float:
+    """Positivity limit: the smallest per-component angle of :func:`alpha_limits` at sigma."""
+    return float(limits(sigma).min())
 
 
 @dataclass(frozen=True)
@@ -214,27 +213,24 @@ class MuPredictor:
     margin: float
 
     @classmethod
-    def of(cls, iterate: Iterate, directions: NewtonDirections) -> MuPredictor:
-        """The coefficients at an iterate, from the (s, z) tails of it and its directions.
+    def of(cls, tails: np.ndarray, mu: float) -> MuPredictor:
+        """The coefficients from the :func:`sz_tails` block and the duality measure mu.
 
-        The four tails (the last 2p entries of each flat vector) are read as
-        one (4, 2p) block.  ``mixed``, ``tangent`` and ``cross`` pick the
-        sigma = 0 sequence and its golden-section start, so each keeps its
-        own 1-D dot product.  ``pp``, ``pq`` and ``qq`` only feed the screen of
-        :meth:`rules_out`, whose margin covers their roundoff, so they come
-        from one 2x2 product of the curvature tails, and ``margin`` from one
-        absolute sum down the block.
+        ``mixed``, ``tangent`` and ``cross`` pick the sigma_min sequence and
+        its golden-section start, so each keeps its own 1-D dot product.
+        ``pp``, ``pq`` and ``qq`` only feed the screen of :meth:`rules_out`,
+        whose margin covers their roundoff, so they come from one 2x2
+        product of the curvature tails, and ``margin`` from one absolute sum
+        down the block.
         """
-        p = iterate.p
-        # rows: the iterate, the tangent, p_dir, q_dir; columns: s then z
-        tails = np.array([iterate.vec[-2 * p :], *(d[-2 * p :] for d in directions)])
+        p = tails.shape[1] // 2
         s_part, z_part = tails[:, :p], tails[:, p:]
         _, sdot, ps, qs = s_part
         _, zdot, pz, qz = z_part
         (pp, ps_qz), (qs_pz, qq) = (s_part[2:] @ z_part[2:].T).tolist()
         size = np.abs(tails).sum(axis=0)
         return cls(
-            p * iterate.mu,
+            p * mu,
             float(zdot @ ps + sdot @ pz),
             float(zdot @ sdot),
             float(sdot @ qz + zdot @ qs),
@@ -284,45 +280,37 @@ def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float
     (:meth:`MuPredictor.product` keeps it), so acceptance decisions use the
     exact value from :func:`arcipm.kkt.duality_measure`.
     """
-    return MuPredictor.of(iterate, directions).at(alpha)
+    return MuPredictor.of(sz_tails(iterate, directions), iterate.mu).at(alpha)
 
 
-def bisect_sigma(
-    iterate: Iterate,
-    directions: NewtonDirections,
-    phi: float,
-    psi: float,
-    sigma_min: float,
-    sigma_max: float,
-):
+def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
     """Bisection for the centering weight maximizing the positivity limit.
 
-    Components whose p-coefficient is positive have limits that grow with
-    sigma, negative ones shrink.  When the smallest limit over the
-    shrinking group strictly exceeds the smallest over the growing group,
-    the bottleneck grows with sigma and the lower bound moves up;
-    otherwise (ties included) the upper bound moves down.  Empty groups
-    count as an infinite minimum.  It stops once the interval is narrower
-    than :data:`BISECT_TOLERANCE`.
+    ``limits`` is the function of :func:`alpha_limits` and ``p_coef`` its
+    sigma coefficients.  Components whose p-coefficient is positive have
+    limits that grow with sigma, negative ones shrink.  When the smallest
+    limit over the shrinking group strictly exceeds the smallest over the
+    growing group, the bottleneck grows with sigma and the lower bound
+    moves up; otherwise (ties included) the upper bound moves down.  Empty
+    groups count as an infinite minimum.  It stops once the interval is
+    narrower than :data:`BISECT_TOLERANCE`.
     """
-    current, rate, p_coef, q_coef, floor = _components(iterate, directions, phi, psi)
-    limits_at = alpha_limits(current, rate, p_coef, q_coef, floor)
     shrinks, grows = p_coef < 0.0, p_coef > 0.0
     lower, upper = sigma_min, sigma_max
     sigma = 0.5 * (lower + upper)
-    limits = None
+    angles = None
     while upper - lower > BISECT_TOLERANCE:
         sigma = 0.5 * (lower + upper)
-        limits = limits_at(sigma)
-        shrinking = limits.min(where=shrinks, initial=math.inf)
-        growing = limits.min(where=grows, initial=math.inf)
+        angles = limits(sigma)
+        shrinking = angles.min(where=shrinks, initial=math.inf)
+        growing = angles.min(where=grows, initial=math.inf)
         if shrinking > growing:
             lower = sigma
         else:
             upper = sigma
-    if limits is None:  # the interval started within the tolerance
-        limits = limits_at(sigma)
-    return sigma, float(limits.min())
+    if angles is None:  # the interval started within the tolerance
+        angles = limits(sigma)
+    return sigma, float(angles.min())
 
 
 def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
@@ -375,20 +363,16 @@ def candidate_angles(cap: float, start: float):
         alpha *= BACKTRACK_FACTOR
 
 
-def candidate_steps(
-    iterate: Iterate,
-    directions: NewtonDirections,
-    phi: float,
-    psi: float,
-    predictor: MuPredictor,
-    config,
-):
+def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
     """The step rule: (sigma, cap, alpha) candidates in the order they are tried.
 
-    A negative mixed tangent/centering product makes the predictor's a_u
-    positive at every angle, so centering can only raise the predicted
-    duality measure.  Then the first sequence has sigma = 0, the cap
-    :func:`alpha_tilde` at sigma = 0, and the angles
+    ``limits`` and ``p_coef`` are the angle-limit function of
+    :func:`alpha_limits` and its sigma coefficients, which both sequences
+    share.  A negative mixed tangent/centering product makes the
+    predictor's a_u positive at every angle, so centering can only raise
+    the predicted duality measure.  Then the first sequence has the least
+    centering, sigma = ``config.sigma_min``, the cap :func:`alpha_tilde` at
+    that sigma, and the angles
     ``candidate_angles(cap, golden_min_bu(predictor, cap))``: the cap's
     shrinks down to the golden-section minimizer of b_u, then that
     minimizer and its shrinks.  Centering comes next, or first otherwise:
@@ -399,10 +383,11 @@ def candidate_steps(
     :class:`StepFailureError` names the sigma and cap of the last.
     """
     if predictor.mixed < 0.0:
-        cap = alpha_tilde(iterate, directions, phi, psi, 0.0)
+        sigma = config.sigma_min
+        cap = alpha_tilde(limits, sigma)
         for alpha in candidate_angles(cap, golden_min_bu(predictor, cap)):
-            yield 0.0, cap, alpha
-    sigma, cap = bisect_sigma(iterate, directions, phi, psi, config.sigma_min, config.sigma_max)
+            yield sigma, cap, alpha
+    sigma, cap = bisect_sigma(limits, p_coef, config.sigma_min, config.sigma_max)
     for alpha in candidate_angles(cap, cap):
         yield sigma, cap, alpha
     raise StepFailureError(
@@ -416,22 +401,24 @@ def select_step(
 ) -> StepSelection:
     """Take the first candidate of :func:`candidate_steps` that passes every step condition.
 
-    One :class:`MuPredictor` serves the whole selection.  A candidate the
-    predictor rules out, because s'z there surely does not fall, is skipped
-    without building its point.  The first other candidate whose arc point
-    keeps both blocks above their floors, stays inside the centrality
-    region, and strictly decreases the duality measure is taken; when none
-    does, the stream itself raises :class:`StepFailureError`.
+    The :func:`sz_tails` block is read once, and the angle-limit function
+    and the :class:`MuPredictor` built from it serve the whole selection.
+    A candidate the predictor rules out, because s'z there surely does not
+    fall, is skipped without building its point.  The first other candidate
+    whose arc point keeps both blocks above their floors, stays inside the
+    centrality region, and strictly decreases the duality measure is taken;
+    when none does, the stream itself raises :class:`StepFailureError`.
     """
-    predictor = MuPredictor.of(iterate, directions)
-    steps = candidate_steps(iterate, directions, phi, psi, predictor, config)
-    z_at = iterate.vec.size - iterate.p
-    s_at = z_at - iterate.p
+    p = iterate.p
+    tails = sz_tails(iterate, directions)
+    limits = alpha_limits(*tails, np.repeat((phi, psi), p))
+    predictor = MuPredictor.of(tails, iterate.mu)
+    steps = candidate_steps(limits, tails[2], predictor, config)
     for backtracks, (sigma, cap, alpha) in enumerate(steps):
         if predictor.rules_out(sigma, alpha):
             continue
         point = arc_point(iterate, directions, sigma, alpha)
-        s, z = point[s_at:z_at], point[z_at:]
+        s, z = point[-2 * p : -p], point[-p:]
         mu_new = duality_measure(s, z)
         if _acceptable(s, z, mu_new, iterate.mu, phi, psi, config.theta):
             a_u, b_u = predictor.at(alpha)

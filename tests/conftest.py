@@ -14,6 +14,7 @@ from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, solv
 from arcipm.cli import parse_problem_text
 from arcipm.expr import Add, Const, Mul, Var
 from arcipm.kkt import Blocks, Iterate, NewtonDirections
+from arcipm.step import MuPredictor, alpha_limits, sz_tails
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 PERFBENCH_DIR = PROBLEM_DIR.parent / "perfbench"
@@ -214,3 +215,14 @@ def sz_directions(s_parts, z_parts):
     """
     x = np.zeros(2)
     return NewtonDirections(*(np.concatenate((x, s, z)) for s, z in zip(s_parts, z_parts)))
+
+
+def step_limits(iterate, directions, phi, psi):
+    """The angle-limit function and its sigma coefficients, as select_step builds them."""
+    tails = sz_tails(iterate, directions)
+    return alpha_limits(*tails, np.repeat((phi, psi), iterate.p)), tails[2]
+
+
+def predictor_of(iterate, directions) -> MuPredictor:
+    """The MuPredictor that select_step builds at the iterate."""
+    return MuPredictor.of(sz_tails(iterate, directions), iterate.mu)

@@ -26,6 +26,7 @@ from conftest import (
     load_problem,
     random_box_qp,
     run_recorded,
+    step_limits,
     synthetic_step_pair,
     sz_directions,
     warnings_ignored,
@@ -162,7 +163,7 @@ def _limit_through_alpha_tilde(entry, sigma, role):
         r_c=zero2, r_e=zero0, r_i=np.zeros(1), mu=float(s @ z), nu=1.0,
     )
     directions = sz_directions((sdot, ps, qs), (zdot, pz, qz))
-    return alpha_tilde(iterate, directions, phi, psi, sigma)
+    return alpha_tilde(step_limits(iterate, directions, phi, psi)[0], sigma)
 
 
 def test_criterion_4_angle_limits_match_grid_oracle():

@@ -217,11 +217,27 @@ def test_constant_exponents_whose_derivatives_alone_overflow():
     # but a constant subtree takes no derivatives
     assert evaluate(ast.Pow(ast.Const(1e-300), 0.5), ()) == 1e-150
     assert parse_expression("x1^(log(1e-300))", ["x1"]) == ast.Pow(ast.Var(0, "x1"), math.log(1e-300))
-    # a variable's value needs the Hessian, which still overflows
-    with pytest.raises(DomainError, match="log overflows"):
-        evaluate(ast.Log(ast.Var(0, "x1")), [1e-300])
-    with pytest.raises(DomainError, match="power overflows"):
-        evaluate(ast.Pow(ast.Var(0, "x1"), 0.5), [1e-300])
+    # evaluate forms no derivative of a variable either; value_gradient_hessian,
+    # which needs the Hessian, still raises
+    for tree, value, message in (
+        (ast.Log(ast.Var(0, "x1")), math.log(1e-300), "log overflows"),
+        (ast.Pow(ast.Var(0, "x1"), 0.5), 1e-150, "power overflows"),
+    ):
+        assert evaluate(tree, [1e-300]) == value
+        with pytest.raises(DomainError, match=message):
+            value_gradient_hessian(tree, [1e-300])
+    assert evaluate(ast.Log(ast.Var(0, "x1")), [1e-300]) == pytest.approx(-690.7755, abs=1e-4)
+
+
+def test_evaluate_gives_the_walked_value_bitwise(fixture_runs):
+    """The derivative-free walk of evaluate gives value_gradient_hessian's value, bit for bit."""
+    checked = 0
+    for program, recorded in fixture_runs.values():
+        for tree in (program.objective, program.compiled_objective):
+            for it in recorded.iterates:
+                assert evaluate(tree, it.x).hex() == value_gradient_hessian(tree, it.x)[0].hex()
+                checked += 1
+    assert checked > 900
 
 
 def test_integer_powers_allow_negative_base():

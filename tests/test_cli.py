@@ -185,6 +185,30 @@ def test_product_deeper_than_the_recursion_limit_solves(tmp_path, capsys):
     assert out == (DATA_DIR / "ex1.out").read_text()
 
 
+@pytest.mark.parametrize(
+    "nested, code",
+    [
+        ("(" * 200 + "{} " + ")" * 200, 1),
+        ("-" * 985 + "({})", 1),
+        ("(" * 150 + "{} " + ")" * 150, 0),
+    ],
+    ids=["200 parentheses", "985 minus signs", "150 parentheses"],
+)
+def test_objective_nested_deeper_than_the_parser_can_go_exits_one(tmp_path, capsys, nested, code):
+    line = "min -(5*log(x1) - x1 + 7) - (7*log(x2) - x2 + 8)"
+    text = (PROBLEM_DIR / "ex1.prob").read_text()
+    assert line in text
+    problem = tmp_path / "nested.prob"
+    problem.write_text(text.replace(line, "min " + nested.format(line[4:])))
+    got, out, err = run_cli(capsys, str(problem))
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: line 3: bad objective: expression nests too deeply")
+    else:
+        assert out == (DATA_DIR / "ex1.out").read_text()
+
+
 def test_point_outside_the_objective_domain_exits_two(tmp_path, capsys):
     problem = tmp_path / "log_domain.prob"
     problem.write_text(LOG_DOMAIN_EXIT)
@@ -199,6 +223,19 @@ def test_max_iter_flag_gives_solver_failure_exit(capsys):
     code, out, _ = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--max-iter", "2")
     assert code == 2
     assert parse_summary(out)["status"] == "MaxIter"
+
+
+def test_sigma_min_flag_bounds_every_traced_sigma(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    code, out, _ = run_cli(
+        capsys, str(PROBLEM_DIR / "ex1.prob"), "--sigma-min", "0.2", "--trace", str(trace_path)
+    )
+    assert code == 0
+    assert parse_summary(out)["status"] == "Converged"
+    with open(trace_path, newline="") as handle:
+        sigmas = [float(row["sigma"]) for row in csv.DictReader(handle)][1:]
+    assert sigmas and min(sigmas) >= 0.2
+    assert 0.2 in sigmas
 
 
 def test_negative_max_iter_flag_exits_one(capsys):

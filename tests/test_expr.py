@@ -77,6 +77,12 @@ def test_trailing_garbage_rejected():
         parse_expression("x1 x2", X12)
 
 
+@pytest.mark.parametrize("text", ["(" * 200 + "x1" + ")" * 200, "-" * 985 + "x1"])
+def test_nesting_deeper_than_the_recursion_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="expression nests too deeply"):
+        parse_expression(text, X12)
+
+
 _names = st.sampled_from(["x1", "x2", "x3"])
 _consts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 

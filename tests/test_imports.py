@@ -1,9 +1,14 @@
-"""Every module-level import of the package, the tests and the tools is used by its module."""
+"""Every module-level import of the package, the tests and the tools is used by its module,
+and every module-level definition of the package is read outside itself."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+import arcipm
+from conftest import perfbench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 # perfbench/ is left out: the benchmark's files change only with the benchmark
@@ -51,3 +56,70 @@ def test_guard_flags_only_unread_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def top_level_reads(text: str):
+    """(definition, name) for every name and attribute name read in ``text``.
+
+    ``definition`` is the name of the top-level function or class the read
+    is in, or None for any other top-level statement.
+    """
+    for statement in ast.parse(text).body:
+        owner = statement.name if isinstance(statement, DEFINITIONS) else None
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+
+
+def unread_definitions(package: dict, readers: dict, read_by_name=()) -> list[str]:
+    """``path:name`` of each module-level function or class in ``package`` that nothing reads.
+
+    ``package`` and ``readers`` map a file's path to its text; the package's
+    files read too.  A definition is read when a top-level statement other
+    than itself, in any of those files, reads its name, as a name or as an
+    attribute, or when the name is in ``read_by_name``.
+    """
+    readers_of = defaultdict(set)
+    for path, text in {**readers, **package}.items():
+        for owner, name in top_level_reads(text):
+            readers_of[name].add((path, owner))
+    return [
+        f"{path}:{statement.name}"
+        for path, text in package.items()
+        for statement in ast.parse(text).body
+        if isinstance(statement, DEFINITIONS)
+        and statement.name not in read_by_name
+        and not readers_of[statement.name] - {(path, statement.name)}
+    ]
+
+
+def test_guard_flags_only_unread_definitions():
+    package = {
+        "pkg/a.py": (
+            "def used():\n    return helper()\n"
+            "def helper():\n    return helper\n"
+            "def orphan():\n    return orphan()\n"
+            "class Kept:\n    pass\n"
+            "def exported():\n    pass\n"
+        )
+    }
+    readers = {"tools/t.py": "import pkg\nprint(pkg.a.used, pkg.a.Kept)\n"}
+    assert unread_definitions(package, readers, {"exported"}) == ["pkg/a.py:orphan"]
+
+
+def test_package_definitions_are_read_by_the_package_the_tools_or_the_benchmark():
+    """Tests do not count as readers; the public API and the names the benchmark rebinds do."""
+    texts = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("src/arcipm", "tools", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    package = {path: text for path, text in texts.items() if path.startswith("src/")}
+    rebound = {attribute for _, attribute, _, _ in perfbench_module("spans").targets()}
+    assert "src/arcipm/step.py" in package
+    assert unread_definitions(package, texts, rebound | set(arcipm.__all__)) == []

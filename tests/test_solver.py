@@ -15,12 +15,14 @@ from arcipm.kkt import (
     kkt_norm,
     solve_directions,
 )
-from arcipm.step import MuPredictor, floors, select_step
+from arcipm import step as step_module
+from arcipm.step import floors, select_step
 from conftest import (
     LOG_DOMAIN_EXIT,
     load_problem,
     many_rows_program,
     perfbench_module,
+    predictor_of,
     run_recorded,
     warnings_ignored,
 )
@@ -316,6 +318,18 @@ def test_config_validation():
     assert SolverConfig(max_iter=0).max_iter == 0
 
 
+@pytest.mark.parametrize("sigma_min", [0.1, 0.2, 0.5])
+def test_sigma_min_bounds_every_accepted_sigma(sigma_min):
+    """The least-centering sequence runs at sigma_min, not at 0, so no accepted sigma is below it."""
+    for k in range(1, 9):
+        program, start = load_problem(f"ex{k}")
+        run = run_recorded(program, default_start(program, start), SolverConfig(sigma_min=sigma_min))
+        assert run.report.status is SolverStatus.CONVERGED, (k, run.report.message)
+        sigmas = [selection.sigma for selection in run.selections[1:]]
+        assert min(sigmas) >= sigma_min
+        assert sigma_min in sigmas
+
+
 def test_trace_row_zero_and_alignment(fixture_runs):
     _, run = fixture_runs["ex1"]
     trace = run.report.trace
@@ -362,20 +376,43 @@ def test_benchmark_many_rows_seed_16_converges_to_a_certified_minimizer():
     assert perfbench_module("checks").kkt_certificate(instance, last.x, last.y, last.z) == []
 
 
-def test_benchmark_many_rows_draw_that_ran_out_of_sigma_zero_angles_converges():
-    """The third many_rows draw of default_rng(45) stopped at k = 68 with
-    StepFailure once every sigma = 0 angle failed the centrality test; the
-    candidate stream then goes on with centering and the run converges."""
+@pytest.fixture(scope="module")
+def fall_through_draw():
+    """The third many_rows draw of default_rng(45), its recorded run, and the
+    iterate at k = 68 with its directions."""
     rng = np.random.default_rng(45)
     instance = [perfbench_module("instances").many_rows(rng) for _ in range(3)][-1]
     with warnings_ignored():
         run = run_recorded(instance.program, default_start(instance.program))
+    it = run.iterates[68]
+    matrix = assemble_newton_matrix(it.hess, instance.program.a_eq, instance.program.a_ineq, it.s, it.z)
+    return instance, run, it, solve_directions(matrix, instance.program.a_ineq, it)
+
+
+def test_benchmark_many_rows_draw_that_ran_out_of_sigma_zero_angles_converges(fall_through_draw):
+    """The third many_rows draw of default_rng(45) stopped at k = 68 with
+    StepFailure once every sigma = 0 angle failed the centrality test; the
+    candidate stream then goes on with centering and the run converges."""
+    instance, run, it, directions = fall_through_draw
     assert run.report.status is SolverStatus.CONVERGED, run.report.message
     last = run.iterates[-1]
     assert perfbench_module("checks").kkt_certificate(instance, last.x, last.y, last.z) == []
-    it = run.iterates[68]
-    matrix = assemble_newton_matrix(it.hess, instance.program.a_eq, instance.program.a_ineq, it.s, it.z)
-    directions = solve_directions(matrix, instance.program.a_ineq, it)
-    assert MuPredictor.of(it, directions).mixed < 0.0
+    assert predictor_of(it, directions).mixed < 0.0
     phi, psi = floors(it.s, it.z, it.nu, SolverConfig().rho)
     assert select_step(it, directions, phi, psi, SolverConfig()).sigma > 0.0
+
+
+def test_select_step_builds_the_angle_limits_once_when_both_sequences_run(fall_through_draw, monkeypatch):
+    """At k = 68 the sigma_min sequence and the bisection both run, on one alpha_limits function."""
+    _, _, it, directions = fall_through_draw
+    original, calls = step_module.alpha_limits, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(step_module, "alpha_limits", counting)
+    phi, psi = floors(it.s, it.z, it.nu, SolverConfig().rho)
+    selection = select_step(it, directions, phi, psi, SolverConfig())
+    assert selection.sigma > 0.0
+    assert len(calls) == 1

@@ -26,7 +26,6 @@ from arcipm.step import (
     BISECT_TOLERANCE,
     EPSILON,
     RESIDUAL_FLOOR,
-    MuPredictor,
     StepFailureError,
     alpha_limits,
     alpha_tilde,
@@ -44,7 +43,9 @@ from arcipm.step import (
 )
 from conftest import (
     load_problem,
+    predictor_of,
     split_at,
+    step_limits,
     synthetic_step_pair as synthetic_pair,
     sz_directions,
 )
@@ -122,9 +123,9 @@ def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs, many_rows
         # the solver never factors ex7's final Newton matrix: its pivot is below the threshold
         for it in recorded.iterates[:-1] if name == "ex7" else recorded.iterates:
             dirs = _directions(prog, it)
-            phi, psi = floors(it.s, it.z, it.nu, 0.5)
+            limits, _ = step_limits(it, dirs, *floors(it.s, it.z, it.nu, 0.5))
             for sigma in (0.0, 0.3, 1.0):
-                tilde = alpha_tilde(it, dirs, phi, psi, sigma)
+                tilde = alpha_tilde(limits, sigma)
                 for alpha in (0.0, 0.5 * tilde, tilde):
                     got = arc_point(it, dirs, sigma, alpha)
                     want = blockwise_arc_point(it, dirs, sigma, alpha)
@@ -137,7 +138,7 @@ def _all_candidates(it, dirs, phi, psi, predictor, config):
     """Every (sigma, cap, alpha) of candidate_steps, which ends in StepFailureError once used up."""
     candidates = []
     with pytest.raises(StepFailureError):
-        candidates.extend(candidate_steps(it, dirs, phi, psi, predictor, config))
+        candidates.extend(candidate_steps(*step_limits(it, dirs, phi, psi), predictor, config))
     return candidates
 
 
@@ -165,8 +166,8 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
             calls.clear()
             sel = select_step(it, dirs, phi, psi, config)
             assert sel == recorded.selections[k + 1]
-            predictor = MuPredictor.of(it, dirs)
-            steps = candidate_steps(it, dirs, phi, psi, predictor, config)
+            predictor = predictor_of(it, dirs)
+            steps = candidate_steps(*step_limits(it, dirs, phi, psi), predictor, config)
             tried = list(islice(steps, sel.backtracks + 1))
             assert tried[-1] == (sel.sigma, sel.alpha_tilde, sel.alpha)
             built = [(sigma, alpha) for sigma, _, alpha in tried if not predictor.rules_out(sigma, alpha)]
@@ -217,8 +218,8 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
             sel = recorded.selections[k + 1]
             dirs = _directions(prog, it)
             phi, psi = floors(it.s, it.z, it.nu, config.rho)
-            assert sel.alpha_tilde == alpha_tilde(it, dirs, phi, psi, sel.sigma)
-            predictor = MuPredictor.of(it, dirs)
+            assert sel.alpha_tilde == alpha_tilde(step_limits(it, dirs, phi, psi)[0], sel.sigma)
+            predictor = predictor_of(it, dirs)
             branches.add(predictor.mixed < 0.0)
             for sigma, _, alpha in _all_candidates(it, dirs, phi, psi, predictor, config):
                 if predictor.rules_out(sigma, alpha):
@@ -243,7 +244,7 @@ def test_predictor_coefficients_equal_their_one_dimensional_products(fixture_run
         p = prog.p
         for it in recorded.iterates[:-1]:
             dirs = _directions(prog, it)
-            predictor = MuPredictor.of(it, dirs)
+            predictor = predictor_of(it, dirs)
             (sdot, zdot), (ps, pz), (qs, qz) = ((d[-2 * p : -p], d[-p:]) for d in dirs)
             assert predictor.p_mu == p * it.mu
             assert predictor.mixed == float(zdot @ ps + sdot @ pz)
@@ -293,7 +294,7 @@ def test_mu_predictor_product_matches_the_arc_product_within_its_margin(fixture_
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         for it in recorded.iterates[:-1:5]:
             dirs = _directions(prog, it)
-            predictor = MuPredictor.of(it, dirs)
+            predictor = predictor_of(it, dirs)
             assert predictor.margin > 0.0
             assert abs(predictor.p_mu - float(it.s @ it.z)) <= predictor.margin
             for sigma in (0.0, 0.4, 1.0):
@@ -309,7 +310,7 @@ def test_mu_predictor_rules_out_nothing_that_is_not_finite():
     for bad in (np.nan, np.inf):
         broken = dirs._replace(q_dir=np.full_like(dirs.q_dir, bad))
         with np.errstate(all="ignore"):
-            predictor = MuPredictor.of(it, broken)
+            predictor = predictor_of(it, broken)
         assert not any(predictor.rules_out(0.5, alpha) for alpha in (1e-3, 0.5, HALF_PI))
 
 
@@ -461,13 +462,13 @@ def test_alpha_tilde_minimum_semantics():
     it, dirs = synthetic_pair(rng)
     # flat directions: every component limit is the right angle
     flat = type(dirs)(*(np.zeros_like(vec) for vec in dirs))
-    assert alpha_tilde(it, flat, 0.01, 0.01, 0.5) == HALF_PI
+    assert alpha_tilde(step_limits(it, flat, 0.01, 0.01)[0], 0.5) == HALF_PI
 
     # a single binding slack component at pi/6
     sdot = np.zeros(it.p)
     sdot[2] = 2.0 * (it.s[2] - 0.01)
     binding = flat._replace(vdot=np.concatenate((np.zeros(2), sdot, np.zeros(it.p))))
-    assert alpha_tilde(it, binding, 0.01, 0.01, 0.5) == pytest.approx(math.pi / 6.0, rel=1e-12)
+    assert alpha_tilde(step_limits(it, binding, 0.01, 0.01)[0], 0.5) == pytest.approx(math.pi / 6.0, rel=1e-12)
 
 
 def test_alpha_tilde_point_respects_floors():
@@ -477,8 +478,9 @@ def test_alpha_tilde_point_respects_floors():
     blocks = [split_at(it, vec) for vec in dirs]
     s_scale = max(np.max(np.abs(b.s)) for b in blocks)
     z_scale = max(np.max(np.abs(b.z)) for b in blocks)
+    limits, _ = step_limits(it, dirs, phi, psi)
     for sigma in (0.0, 0.37, 1.0):
-        tilde = alpha_tilde(it, dirs, phi, psi, sigma)
+        tilde = alpha_tilde(limits, sigma)
         point = _arc_blocks(it, dirs, sigma, tilde)
         assert np.min(point.s) >= phi - 1e-10 - 1e-15 * s_scale
         assert np.min(point.z) >= psi - 1e-10 - 1e-15 * z_scale
@@ -513,7 +515,7 @@ def test_mu_expansion_identity(seed):
     rhs = a_u * sigma + b_u + float(curvature.s @ curvature.z) * omc**2
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
     # with the sdd'zdd term the predictor gives the arc point's product itself
-    exact = MuPredictor.of(it, dirs).product(sigma, alpha)
+    exact = predictor_of(it, dirs).product(sigma, alpha)
     assert abs(lhs - exact) <= 1e-10 * (1.0 + abs(lhs))
 
 
@@ -544,7 +546,7 @@ def test_bisect_sigma_monotone_endpoints():
         (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.array([0.0, 0.5]), np.array([0.1, 0.1])),
     )
-    sigma, tilde = bisect_sigma(it, rising, 0.2, 0.2, 0.0, 1.0)
+    sigma, tilde = bisect_sigma(*step_limits(it, rising, 0.2, 0.2), 0.0, 1.0)
     # every p-coefficient is >= 0: limits only improve with sigma
     assert sigma >= 1.0 - 1e-2
     assert 0.0 < tilde <= HALF_PI
@@ -553,14 +555,14 @@ def test_bisect_sigma_monotone_endpoints():
         (np.array([2.0, 2.0]), np.array([-0.5, 0.0]), np.array([0.4, 0.4])),
         (np.array([2.0, 2.0]), np.array([0.0, -0.5]), np.array([0.4, 0.4])),
     )
-    sigma, _ = bisect_sigma(it, falling, 0.2, 0.2, 0.0, 1.0)
+    sigma, _ = bisect_sigma(*step_limits(it, falling, 0.2, 0.2), 0.0, 1.0)
     assert sigma <= 1e-2
 
     flat = sz_directions(
         (np.array([2.0, 2.0]), np.zeros(2), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.zeros(2), np.array([0.1, 0.1])),
     )
-    sigma, _ = bisect_sigma(it, flat, 0.2, 0.2, 0.0, 1.0)
+    sigma, _ = bisect_sigma(*step_limits(it, flat, 0.2, 0.2), 0.0, 1.0)
     assert sigma <= 1e-2  # ties shrink toward less centering
 
 
@@ -574,9 +576,9 @@ def test_bisect_sigma_wide_tolerance_takes_the_midpoint():
     )
     # the interval is already narrower than BISECT_TOLERANCE: no bisection step runs
     assert 0.404 - 0.396 < BISECT_TOLERANCE
-    sigma, tilde = bisect_sigma(it, dirs, 0.2, 0.2, 0.396, 0.404)
+    sigma, tilde = bisect_sigma(*step_limits(it, dirs, 0.2, 0.2), 0.396, 0.404)
     assert sigma == 0.4
-    assert tilde == alpha_tilde(it, dirs, 0.2, 0.2, 0.4)
+    assert tilde == alpha_tilde(step_limits(it, dirs, 0.2, 0.2)[0], 0.4)
 
 
 def test_bisect_sigma_finds_crossover():
@@ -591,7 +593,7 @@ def test_bisect_sigma_finds_crossover():
     # component 0: second = 0.6 s + 0.1 (growing); component 1: second = 0.46 - 0.6 s
     # (shrinking); they intersect at s = 0.3 where the two limits coincide
     phi = 0.5
-    sigma, tilde = bisect_sigma(it, dirs, phi, 0.1, 0.0, 1.0)
+    sigma, tilde = bisect_sigma(*step_limits(it, dirs, phi, 0.1), 0.0, 1.0)
     assert abs(sigma - 0.3) <= 1e-2
     # confirm against a dense scan of the max-min objective
     grid = np.linspace(0.0, 1.0, 2001)
@@ -612,7 +614,7 @@ def test_golden_min_bu_monotone_case_hits_cap():
     it, dirs = synthetic_pair(rng)
     quiet = dirs._replace(vdot=np.zeros_like(dirs.vdot))
     cap = 1.2
-    predictor = MuPredictor.of(it, quiet)
+    predictor = predictor_of(it, quiet)
     assert golden_min_bu(predictor, cap) == pytest.approx(cap, abs=1e-3)
     assert golden_min_bu(predictor, 0.0) == 0.0
 
@@ -629,7 +631,7 @@ def test_golden_min_bu_interior_minimum_matches_grid():
         (zdot, np.zeros(2), np.zeros(2)),
     )
     cap = HALF_PI
-    got = golden_min_bu(MuPredictor.of(it, dirs), cap)
+    got = golden_min_bu(predictor_of(it, dirs), cap)
     grid = np.linspace(0.0, cap, 2001)
     values = [mu_coefficients(it, dirs, a)[1] for a in grid]
     coarse = float(grid[int(np.argmin(values))])
@@ -643,11 +645,11 @@ def test_select_step_from_reference_start_goes_past_the_b_u_minimizer():
     sel = select_step(it, dirs, phi, psi, SolverConfig())
     # the sigma = 0 branch: the cap's 19th shrink is accepted, above b_u's minimizer
     assert sel.sigma == 0.0
-    cap = alpha_tilde(it, dirs, phi, psi, 0.0)
+    cap = alpha_tilde(step_limits(it, dirs, phi, psi)[0], 0.0)
     assert sel.alpha_tilde == cap
     assert sel.backtracks == 19
     assert sel.alpha == list(candidate_angles(cap, 0.0))[19]
-    assert sel.alpha > golden_min_bu(MuPredictor.of(it, dirs), cap)
+    assert sel.alpha > golden_min_bu(predictor_of(it, dirs), cap)
     candidate = _arc_blocks(it, dirs, sel.sigma, sel.alpha)
     assert duality_measure(candidate.s, candidate.z) < it.mu
     assert np.min(candidate.s) >= phi - 1e-10
@@ -675,7 +677,7 @@ def test_select_step_takes_affine_branch_on_negative_mixed_product():
 def _failure_message(it, dirs, phi, psi):
     """The StepFailureError message of select_step when the bisection's sequence is tried last."""
     config = SolverConfig()
-    sigma, cap = bisect_sigma(it, dirs, phi, psi, config.sigma_min, config.sigma_max)
+    sigma, cap = bisect_sigma(*step_limits(it, dirs, phi, psi), config.sigma_min, config.sigma_max)
     return f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
 
 
@@ -689,11 +691,11 @@ def test_select_step_failure_when_floors_unreachable(fixture_runs):
     signs = {}
     for it in recorded.iterates[:-1]:
         dirs = _directions(prog, it)
-        signs.setdefault(MuPredictor.of(it, dirs).mixed < 0.0, (it, dirs))
+        signs.setdefault(predictor_of(it, dirs).mixed < 0.0, (it, dirs))
     assert set(signs) == {True, False}
     for it, dirs in signs.values():
         impossible_phi = float(np.max(it.s)) * 2.0
-        assert alpha_tilde(it, dirs, impossible_phi, 1e-8, 0.0) == 0.0
+        assert alpha_tilde(step_limits(it, dirs, impossible_phi, 1e-8)[0], 0.0) == 0.0
         message = _failure_message(it, dirs, impossible_phi, 1e-8)
         assert message.endswith("positivity limit 0.000e+00)")
         with pytest.raises(StepFailureError, match=re.escape(message)):
@@ -704,7 +706,7 @@ def test_select_step_falls_through_to_centering_when_the_sigma_zero_angles_fail(
     """With mixed < 0 both sequences are tried, sigma = 0 first, before StepFailureError."""
     _, it, dirs = reference_directions()
     phi, psi = floors(it.s, it.z, it.nu, 0.5)
-    predictor = MuPredictor.of(it, dirs)
+    predictor = predictor_of(it, dirs)
     assert predictor.mixed < 0.0
     tried = []
 
