@@ -23,10 +23,15 @@ pieces whose combination (p*sigma + q) is the curvature term of the search
 arc.  The curvature pieces have r_C = r_E = r_I = 0 and only r_z set, so
 their right-hand side is [A_I'(r_z/s); 0] and their slack block is
 ds = A_I dx.  The centering piece p has r_z = mu, read from the iterate,
-and q has r_z = -2 dz*ds of the tangent.  Singularity is decided on the
-equilibrated matrix D M D with D = diag(1/sqrt(row max |M|)) (one step of
-Ruiz's scaling), so a badly scaled but regular system is not reported as
-singular.
+and q has r_z = -2 dz*ds of the tangent.  The matrix is factored as D M D
+with D = diag(1/sqrt(row max |M|)) (one step of Ruiz's scaling); for
+symmetric M its entries are at most 1 in magnitude, so ``SOLVE_TOLERANCE``
+bounds each solve's residual against a unit-scaled matrix.  Singularity is
+decided by that residual, not by pivot size: near a solution the matrix is
+ill-conditioned by construction, as z/s goes to 0 or inf row by row, and
+the step stays usable (M. H. Wright, SIAM J. Optim. 1998).  A zero row, an
+exact zero LU pivot, or a residual above the bound after one refinement
+pass raises :class:`SingularKKTError`.
 
 The factorization and the solves call LAPACK's ``dgetrf`` and ``dgetrs``
 directly (LAPACK Users' Guide, 3rd ed., on xGETRF/xGETRS); at n + m of a
@@ -62,28 +67,13 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .autodiff import value_gradient_hessian
 from .program import ConvexProgram
 
-# Relative pivot size below which the factorization is treated as singular.
-PIVOT_TOLERANCE = 1e-12
-
-# Acceptable solve residual, relative to 1 + |rhs|.
+# Largest equilibrated solve residual, relative to 1 + |rhs|: a solve above
+# it is refined once, and a refined solve still above it is singular.
 SOLVE_TOLERANCE = 1e-8
 
 
 class SingularKKTError(RuntimeError):
-    """The Newton system is singular to working precision, or not finite.
-
-    A system with an inf or NaN entry has no pivot to report: its
-    ``pivot`` is NaN and the message names the part that is not finite.
-    """
-
-    def __init__(self, pivot: float, threshold: float, message: str = ""):
-        super().__init__(
-            message
-            or f"Newton matrix is singular to working precision "
-            f"(pivot {pivot:.3e}, threshold {threshold:.3e})"
-        )
-        self.pivot = pivot
-        self.threshold = threshold
+    """The Newton system cannot be solved to working precision, or is not finite."""
 
 
 class Blocks(NamedTuple):
@@ -236,7 +226,7 @@ def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
 
 
 def _not_finite(part: str) -> SingularKKTError:
-    return SingularKKTError(math.nan, PIVOT_TOLERANCE, f"Newton {part} is not finite")
+    return SingularKKTError(f"Newton {part} is not finite")
 
 
 def _checked(vec: np.ndarray, vec_norm: float) -> None:
@@ -258,10 +248,16 @@ def _solve_checked(factor, matrix, rhs):
     sol = lu_solve(factor, rhs)
     residual = rhs - matrix @ sol
     residual_norm = norm(residual)
-    # one refinement pass when the direct solve is not clean enough
-    if residual_norm > SOLVE_TOLERANCE * (1.0 + rhs_norm):
+    bound = SOLVE_TOLERANCE * (1.0 + rhs_norm)
+    # one refinement pass when the direct solve is not clean enough; the
+    # negated test also sends a NaN residual to the check
+    if not residual_norm <= bound:
         _checked(residual, residual_norm)
         sol = sol + lu_solve(factor, residual)
+        residual_norm = norm(rhs - matrix @ sol)
+        if not residual_norm <= bound:
+            raise SingularKKTError(f"Newton matrix is singular to working precision "
+                                   f"(refined residual {residual_norm:.3e}, bound {bound:.3e})")
     return sol
 
 
@@ -269,9 +265,11 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     """Solve the three direction systems off one factorization.
 
     Raises :class:`SingularKKTError` when the matrix or a right-hand side
-    has an inf or NaN entry, or when the equilibrated matrix has a zero row
-    or a pivot below ``PIVOT_TOLERANCE``; no silent regularization is
-    applied.
+    has an inf or NaN entry, when the matrix has a zero row, when its
+    equilibrated LU factor has an exact zero pivot, or when a solve's
+    residual still exceeds ``SOLVE_TOLERANCE``*(1 + |rhs|) after one pass
+    of refinement.  A small pivot alone is no reason to stop, and no
+    silent regularization is applied.
     """
     row_max = np.abs(matrix).max(axis=1)
     # the row maxima carry any inf or NaN of the matrix, and would spread
@@ -279,15 +277,13 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     if not math.isfinite(row_max.max()):
         raise _not_finite("matrix")
     if row_max.min() == 0.0:
-        raise SingularKKTError(0.0, PIVOT_TOLERANCE)
+        raise SingularKKTError(f"Newton matrix is singular (row {int(row_max.argmin()) + 1} is zero)")
     d = 1.0 / np.sqrt(row_max)
     scaled = d[:, None] * matrix * d
-    lu, piv, _ = dgetrf(scaled)
-    # for symmetric M the largest entry of D M D is 1, so the pivot
-    # tolerance needs no further scale
-    smallest = float(np.abs(lu.diagonal()).min())
-    if smallest < PIVOT_TOLERANCE:
-        raise SingularKKTError(smallest, PIVOT_TOLERANCE)
+    lu, piv, info = dgetrf(scaled)
+    # a positive info names an exactly zero pivot: every solve would divide by it
+    if info > 0:
+        raise SingularKKTError(f"Newton matrix is singular (LU pivot {info} is exactly zero)")
     factor = (lu, piv)
 
     n, m, p = iterate.x.size, iterate.y.size, iterate.p

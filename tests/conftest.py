@@ -12,9 +12,9 @@ import pytest
 
 from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, solve
 from arcipm.cli import parse_problem_text
-from arcipm.expr import Add, Const, Mul, Var
 from arcipm.kkt import Blocks, Iterate, NewtonDirections
 from arcipm.step import MuPredictor, alpha_limits, sz_tails
+from qp_family import quadratic_tree
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 PERFBENCH_DIR = PROBLEM_DIR.parent / "perfbench"
@@ -126,23 +126,6 @@ class warnings_ignored:
 
     def __exit__(self, *exc):
         return self._ctx.__exit__(*exc)
-
-
-def quadratic_tree(matrix: np.ndarray):
-    """Expression tree for 0.5 x'Qx (no linear term, so the model residual
-    and the true gradient vanish together)."""
-    n = matrix.shape[0]
-    terms = []
-    for i in range(n):
-        xi = Var(i, f"x{i + 1}")
-        terms.append(Mul(Const(0.5 * matrix[i, i]), Mul(xi, xi)))
-        for j in range(i + 1, n):
-            if matrix[i, j] != 0.0:
-                terms.append(Mul(Const(matrix[i, j]), Mul(xi, Var(j, f"x{j + 1}"))))
-    tree = terms[0]
-    for term in terms[1:]:
-        tree = Add(tree, term)
-    return tree
 
 
 def random_box_qp(rng, max_n=6, with_eq=False) -> ConvexProgram:

@@ -73,6 +73,31 @@ def enumerate_kkt(program: ConvexProgram, tol: float = 1e-8) -> list[np.ndarray]
     return candidates
 
 
+def qp_certificate(draw, x, y, z, tol: float = 1e-5) -> list[str]:
+    """First-order certificate of min ½xᵀQx s.t. A_E x = b_E, A_I x >= b_I.
+
+    Reads the generator's own Q, A and b from ``draw`` (a
+    :class:`qp_family.QPDraw`), never the solver's derivatives or residuals.
+    Stationarity Qx + A_Eᵀy − A_Iᵀz = 0, primal feasibility, z >= 0 and
+    complementarity z_i (a_i x − b_i) = 0 must each hold to ``tol`` times
+    1 + the largest entry of Q, A and b, the way the benchmark's
+    certificate scales its tolerance.  For a convex QP these make x a
+    global minimizer.  Returns the conditions that fail; empty means the
+    answer passed.
+    """
+    data = (draw.q, draw.a_eq, draw.b_eq, draw.a_ineq, draw.b_ineq)
+    bound = tol * (1.0 + max(float(np.abs(block).max(initial=0.0)) for block in data))
+    row_slack = draw.a_ineq @ x - draw.b_ineq
+    worst = {
+        "stationarity residual": np.abs(draw.q @ x + draw.a_eq.T @ y - draw.a_ineq.T @ z).max(),
+        "equality residual": np.abs(draw.a_eq @ x - draw.b_eq).max(initial=0.0),
+        "inequality violation": -row_slack.min(),
+        "negative multiplier": -z.min(),
+        "complementarity gap": np.abs(z * row_slack).max(),
+    }
+    return [f"{name} {value:.3g} above {bound:.3g}" for name, value in worst.items() if not value <= bound]
+
+
 def full_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
     """Unreduced (n+m+2p)-square Newton matrix over the order (x, y, s, z).
 

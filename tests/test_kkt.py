@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgetrf
 
-from arcipm import SingularKKTError, SolverStatus, default_start, solve
+from arcipm import ConvexProgram, SingularKKTError, SolverStatus, default_start, solve
 from arcipm import kkt
 from arcipm.kkt import (
     Blocks,
@@ -27,6 +27,7 @@ from arcipm.step import arc_point
 from conftest import (
     load_problem,
     many_rows_program,
+    quadratic_tree,
     random_box_qp,
     run_recorded,
     split_at,
@@ -299,18 +300,84 @@ def test_cross_products_nonnegative_along_reference_run(fixture_runs):
         check(curvature.s, curvature.z)
 
 
-def test_singular_matrix_raises_with_pivot():
+def test_singular_matrix_raises_with_pivot(monkeypatch):
+    solves = []
+    monkeypatch.setattr(kkt, "lu_solve", lambda *args: solves.append(args))
     matrix = np.zeros((2, 2))
     matrix[0, 1] = 1.0
     program, start = load_problem("ex1")
     it = default_start(program, start)
-    with pytest.raises(SingularKKTError) as err:
+    with pytest.raises(SingularKKTError, match=r"singular \(row 2 is zero\)"):
         solve_directions(matrix, program.a_ineq, it)
-    assert err.value.pivot >= 0.0
-    # no zero row, but rank one: the pivot test itself has to fire
-    with pytest.raises(SingularKKTError) as err:
+    # no zero row, but rank one: LAPACK reports the exactly zero pivot, and
+    # the run stops before a solve could divide by it
+    with _no_float_warnings(), pytest.raises(SingularKKTError, match=r"singular \(LU pivot 2 is exactly zero\)"):
         solve_directions(np.ones((2, 2)), program.a_ineq, it)
-    assert err.value.pivot < err.value.threshold
+    assert solves == []
+
+
+def _smallest_equilibrated_pivot(matrix):
+    d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
+    return float(np.abs(dgetrf(d[:, None] * matrix * d)[0].diagonal()).min())
+
+
+def test_small_pivot_of_a_regular_matrix_is_solved():
+    """min |x|^2/2 s.t. x1 + x2 >= 2 near its solution (1, 1) with z = 1 and slack 1e-13.
+
+    The active row puts z/s = 1e13 into H + A_I'(Z/S)A_I = I + 1e13*[[1, 1], [1, 1]],
+    a regular matrix whose second equilibrated pivot is near 2e-13, below
+    any pivot threshold of 1e-12: the ill-conditioning that every run meets
+    near a solution (M. H. Wright, SIAM J. Optim. 1998).  The directions
+    satisfy the unreduced Newton rows within eps/pivot, the accuracy that
+    an LU solve keeps in the direction of a pivot this small.
+    """
+    program = ConvexProgram(
+        n=2, objective=quadratic_tree(np.eye(2)), a_eq=np.zeros((0, 2)), b_eq=np.zeros(0),
+        a_ineq=np.array([[1.0, 1.0]]), b_ineq=np.array([2.0]),
+    )
+    it = Iterate.at(program, np.array([1.0 + 1e-3, 1.0 - 2e-3, 1e-13, 1.0]), 1e-10)
+    system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+    pivot = _smallest_equilibrated_pivot(system)
+    assert pivot < 1e-12
+    with _no_float_warnings():
+        dirs = solve_directions(system, program.a_ineq, it)
+    matrix = full_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
+    tangent = split_at(it, dirs.vdot)
+    zero = np.zeros(program.n + program.m + it.p)
+    tolerance = np.finfo(float).eps / pivot
+    assert tolerance < 2e-3
+    for flat, target in (
+        (dirs.vdot, np.concatenate([it.r_c, it.r_e, it.r_i, it.zs])),
+        (dirs.p_dir, np.concatenate([zero, np.full(it.p, it.mu)])),
+        (dirs.q_dir, np.concatenate([zero, -2.0 * tangent.z * tangent.s])),
+    ):
+        err = np.linalg.norm(matrix @ flat - target)
+        assert err <= tolerance * (np.linalg.norm(matrix) * np.linalg.norm(flat) + np.linalg.norm(target))
+
+
+def test_solve_that_refinement_cannot_clean_raises_with_its_residual(monkeypatch):
+    """A right-hand side with a part along the small pivot's direction.
+
+    At the ex1 start the solve through [[1, 1], [1, 1 + 1e-13]] is of
+    size 1e13 times that part, and its residual stays above the bound
+    after the one refinement pass.
+    """
+    original, solves = kkt.lu_solve, []
+
+    def counting(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kkt, "lu_solve", counting)
+    program, start = load_problem("ex1")
+    it = default_start(program, start)
+    matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    assert _smallest_equilibrated_pivot(matrix) < 1e-12
+    with _no_float_warnings(), pytest.raises(
+        SingularKKTError, match=r"working precision \(refined residual \S+, bound \S+\)"
+    ):
+        solve_directions(matrix, program.a_ineq, it)
+    assert len(solves) == 2
 
 
 def test_iterate_rejects_nonpositive_slack():
@@ -352,19 +419,15 @@ def _direction_bytes(program, iterates):
 def direction_cases(fixture_runs):
     """(program, iterates) of ex1–ex8 and of one p = 108 run, over 500 iterates.
 
-    ex7's final iterate is left out: the run stops there, so the solver
-    never factors its Newton matrix, whose smallest pivot (3.1e-15) is
-    below the singularity threshold.
+    ex7's final iterate, where the run stops, is in: its Newton matrix has
+    a smallest equilibrated pivot of 3.1e-15 and is solved all the same.
     """
     program = many_rows_program(np.random.default_rng(11))
     assert program.p == 108
     with warnings_ignored():
         run = run_recorded(program, default_start(program))
     assert run.report.status is SolverStatus.CONVERGED
-    cases = [
-        (prog, recorded.iterates[:-1] if name == "ex7" else recorded.iterates)
-        for name, (prog, recorded) in fixture_runs.items()
-    ]
+    cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
     cases.append((program, run.iterates))
     assert sum(len(iterates) for _, iterates in cases) > 500
     return cases
@@ -406,9 +469,8 @@ def test_non_finite_matrix_raises_typed_error(bad):
     it = default_start(program, start)
     system = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
     system[1, 0] = bad
-    with _no_float_warnings(), pytest.raises(SingularKKTError, match="matrix is not finite") as err:
+    with _no_float_warnings(), pytest.raises(SingularKKTError, match="matrix is not finite"):
         solve_directions(system, program.a_ineq, it)
-    assert math.isnan(err.value.pivot)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -198,7 +198,7 @@ def test_singular_kkt_status_propagates(monkeypatch):
     program, start = load_problem("ex1")
 
     def explode(matrix, a_ineq, iterate):
-        raise SingularKKTError(0.0, 1.0)
+        raise SingularKKTError("Newton matrix is singular (LU pivot 1 is exactly zero)")
 
     monkeypatch.setattr(kkt_mod, "solve_directions", explode)
     import arcipm.solver as solver_mod
@@ -207,6 +207,25 @@ def test_singular_kkt_status_propagates(monkeypatch):
     report = solve(program, SolverConfig(), default_start(program, start))
     assert report.status is SolverStatus.SINGULAR_KKT
     assert "singular" in report.message.lower()
+
+
+# Status and iteration count of two infeasible programs with the objective
+# x1^2 + x2^2: non-converged exits that do not raise.
+INFEASIBLE_RUNS = {
+    "ineq 1 1 >= 5\nineq -1 -1 >= -3": ("StepFailure", 19),
+    "eq 1 1 = 5\nbound x1 0 1\nbound x2 0 1": ("StepFailure", 22),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(INFEASIBLE_RUNS))
+def test_infeasible_program_stops_without_raising(rows):
+    program, start = parse_problem_text(f"vars x1 x2\nmin x1^2 + x2^2\n{rows}\n")
+    with warnings_ignored():
+        report = solve(program, SolverConfig(), default_start(program, start))
+    assert (report.status.value, report.iterations) == INFEASIBLE_RUNS[rows], (
+        "pinned as today's behaviour: item 6 will report both programs as Infeasible, "
+        "with a Farkas certificate"
+    )
 
 
 @pytest.mark.parametrize("x0", [(20.0, 1.0), (0.01, 20.0)])

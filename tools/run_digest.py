@@ -3,10 +3,14 @@
 
     python3 tools/run_digest.py TREE [--runs N]
 
-Solves ex1–ex8 from their files' starting points, and N seeded instances
+Solves ex1–ex8 from their files' starting points, N seeded instances
 each of the benchmark's ``many_rows`` and ``boxqp_dense`` generators
-(``perfbench/instances.py`` of TREE, imported read-only) from x0 = 0, all
-with the default ``SolverConfig``.  For every workload it prints the
+(``perfbench/instances.py`` of TREE, imported read-only) from x0 = 0, and
+the first N draws of the convex QP family from their own starts, all with
+the default ``SolverConfig``.  The family's generator is
+``tests/qp_family.py`` of this checkout, built on TREE's solver package,
+so a tree that predates the family is digested on the same draws.  For
+every workload it prints the
 SHA-256 of the raw bytes of every trace row, then x, status, objective,
 infe and the iteration count of each solve, followed by the workload's
 total iterations and how many solves ended in each status.  Two trees
@@ -30,6 +34,8 @@ import numpy as np
 
 # sizes cycled through by the boxqp_dense instances, as in one benchmark pass
 BOXQP_SIZES = (2, 4, 6, 8, 10)
+
+FAMILY_DIR = Path(__file__).resolve().parent.parent / "tests"
 
 
 class Digest:
@@ -70,6 +76,9 @@ def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
 
     import instances
 
+    sys.path.append(str(FAMILY_DIR))
+    import qp_family
+
     def solved(program, start=None):
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
@@ -89,6 +98,10 @@ def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
         digest = digests[name] = Digest()
         for seed in range(runs):
             digest.feed(solved(make(np.random.default_rng(seed), seed).program))
+
+    digest = digests["qp_family"] = Digest()
+    for draw in qp_family.qp_family(runs):
+        digest.feed(solved(draw.program, draw.x0))
     return digests
 
 
