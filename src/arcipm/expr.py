@@ -66,21 +66,18 @@ class _Chain(Expr):
         tails = "".join(f", right={node.right!r})" for node in reversed(spine))
         return heads + repr(bottom) + tails
 
+    def _key(self) -> tuple:
+        """The node below the chain, then (type, right) for each link, top first."""
+        spine, bottom = self._spine()
+        return (bottom, *((type(node), node.right) for node in spine))
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        node = self
-        while isinstance(node, _Chain) and other.__class__ is node.__class__:
-            if node is other:
-                return True
-            if not (node.right is other.right or node.right == other.right):
-                return False
-            node, other = node.left, other.left
-        return node is other or node == other
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        spine, bottom = self._spine()
-        return hash((bottom, *((type(node), node.right) for node in spine)))
+        return hash(self._key())
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -210,11 +207,13 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+        # a run of signs is one Neg or none: -(-v) is v exactly
+        signs = 0
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            signs += 1
+        node = self.power()
+        return Neg(node) if signs % 2 else node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -260,10 +259,11 @@ class _Parser:
 def parse_expression(text: str, variables: list[str]) -> Expr:
     """Parse ``text`` into an AST over the declared variable names.
 
-    A reserved word (:data:`RESERVED`) cannot name a variable.  The parser
-    recurses at every parenthesis and unary minus, so a text that nests
-    deeper than the interpreter's recursion limit allows is a
-    :class:`ParseError`, not a ``RecursionError``.
+    A reserved word (:data:`RESERVED`) cannot name a variable.  A run of
+    unary minus signs parses to one :class:`Neg` or none.  The parser
+    recurses at every parenthesis and ``^``, so a text that nests deeper
+    than the interpreter's recursion limit allows is a :class:`ParseError`,
+    not a ``RecursionError``.
     """
     for name in variables:
         if name in RESERVED:
@@ -329,6 +329,9 @@ def _render(node: Expr) -> str:
                 parts += (_SYMBOL[type(link)], _wrap(link.right, link_prec + 1))
                 prec = link_prec
             return "(" * opens + "".join(parts)
+        case Neg(child=Neg() as c):
+            # "--" would parse back as no sign at all
+            return f"-({_render(c)})"
         case Neg(child=c):
             return f"-{_wrap(c, _PREC[Neg])}"
         case Pow(base=b, exponent=r):

@@ -180,15 +180,8 @@ def duality_measure(s, z) -> float:
 
 
 def optimality_residual(iterate: Iterate) -> np.ndarray:
-    """Stacked optimality vector (r_c, r_e, r_i, 0, z*s).
-
-    The p zeros pad the place of a former w - z block, which was zero: without
-    them the BLAS dot product in :func:`norm` sums in another order and moves
-    the stop-test norm by up to 1 ulp, which would change the recorded traces.
-    """
-    return np.concatenate(
-        [iterate.r_c, iterate.r_e, iterate.r_i, np.zeros(iterate.p), iterate.zs]
-    )
+    """Stacked optimality vector (r_c, r_e, r_i, z*s)."""
+    return np.concatenate((iterate.r_c, iterate.r_e, iterate.r_i, iterate.zs))
 
 
 def norm(vec: np.ndarray) -> float:

@@ -216,24 +216,21 @@ class MuPredictor:
     def of(cls, tails: np.ndarray, mu: float) -> MuPredictor:
         """The coefficients from the :func:`sz_tails` block and the duality measure mu.
 
-        ``mixed``, ``tangent`` and ``cross`` pick the sigma_min sequence and
-        its golden-section start, so each keeps its own 1-D dot product.
-        ``pp``, ``pq`` and ``qq`` only feed the screen of :meth:`rules_out`,
-        whose margin covers their roundoff, so they come from one 2x2
-        product of the curvature tails, and ``margin`` from one absolute sum
-        down the block.
+        All six come from one 3x3 product of the direction tails, whose
+        entry (i, j) is s_i.z_j over (sdot, p_s, q_s) and (zdot, p_z, q_z),
+        and ``margin`` from one absolute sum down the block.
         """
         p = tails.shape[1] // 2
         s_part, z_part = tails[:, :p], tails[:, p:]
-        _, sdot, ps, qs = s_part
-        _, zdot, pz, qz = z_part
-        (pp, ps_qz), (qs_pz, qq) = (s_part[2:] @ z_part[2:].T).tolist()
+        (tangent, sdot_pz, sdot_qz), (ps_zdot, pp, ps_qz), (qs_zdot, qs_pz, qq) = (
+            s_part[1:] @ z_part[1:].T
+        ).tolist()
         size = np.abs(tails).sum(axis=0)
         return cls(
             p * mu,
-            float(zdot @ ps + sdot @ pz),
-            float(zdot @ sdot),
-            float(sdot @ qz + zdot @ qs),
+            ps_zdot + sdot_pz,
+            tangent,
+            sdot_qz + qs_zdot,
             pp,
             ps_qz + qs_pz,
             qq,
@@ -292,14 +289,13 @@ def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
     limit over the shrinking group strictly exceeds the smallest over the
     growing group, the bottleneck grows with sigma and the lower bound
     moves up; otherwise (ties included) the upper bound moves down.  Empty
-    groups count as an infinite minimum.  It stops once the interval is
-    narrower than :data:`BISECT_TOLERANCE`.
+    groups count as an infinite minimum.  Once a bound has moved and left
+    the interval no wider than :data:`BISECT_TOLERANCE`, the last midpoint
+    tried and its smallest limit are returned.
     """
     shrinks, grows = p_coef < 0.0, p_coef > 0.0
     lower, upper = sigma_min, sigma_max
-    sigma = 0.5 * (lower + upper)
-    angles = None
-    while upper - lower > BISECT_TOLERANCE:
+    while True:
         sigma = 0.5 * (lower + upper)
         angles = limits(sigma)
         shrinking = angles.min(where=shrinks, initial=math.inf)
@@ -308,9 +304,9 @@ def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
             lower = sigma
         else:
             upper = sigma
-    if angles is None:  # the interval started within the tolerance
-        angles = limits(sigma)
-    return sigma, float(angles.min())
+        # negated, so that a NaN width stops too
+        if not upper - lower > BISECT_TOLERANCE:
+            return sigma, float(angles.min())
 
 
 def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:

@@ -46,6 +46,10 @@ def report_line(number, title, failures):
 
 def test_criterion_1_reference_fixtures():
     failures = []
+    # two scores for a candidate step rule (ROADMAP item 1): the iteration gap
+    # over all samples, and x1 + x2 on the samples whose end point depends on
+    # the path, where the reference keeps the capacity slack near its start
+    kk_gap, capacity = 0, []
     for name, (x_ref, obj_ref, kk_ref) in REFERENCE.items():
         program, start = load_problem(name)
         begin = time.perf_counter()
@@ -59,6 +63,9 @@ def test_criterion_1_reference_fixtures():
             f"kk={report.iterations} (reference {kk_ref}) t={elapsed:.2f}s"
         )
         print("    " + detail)
+        kk_gap += abs(report.iterations - kk_ref)
+        if name in ("ex5", "ex6", "ex7"):
+            capacity.append(f"{name} {report.x[0] + report.x[1]:.3f} (reference {sum(x_ref):.3f})")
         if report.status is not SolverStatus.CONVERGED:
             failures.append(f"{name}: status {report.status.value}")
         if dx > 1e-2:
@@ -69,6 +76,8 @@ def test_criterion_1_reference_fixtures():
             failures.append(f"{name}: {report.iterations} iterations > 2x reference {kk_ref}")
         if elapsed > 1.0:
             failures.append(f"{name}: took {elapsed:.2f}s (limit 1s)")
+    print(f"    sum |kk - reference| over ex1-ex8: {kk_gap}")
+    print("    x1 + x2: " + ", ".join(capacity))
     report_line(1, "reference fixtures", failures)
     assert not failures, failures
 

@@ -189,10 +189,10 @@ def test_product_deeper_than_the_recursion_limit_solves(tmp_path, capsys):
     "nested, code",
     [
         ("(" * 200 + "{} " + ")" * 200, 1),
-        ("-" * 985 + "({})", 1),
+        ("-" * 984 + "({})", 0),
         ("(" * 150 + "{} " + ")" * 150, 0),
     ],
-    ids=["200 parentheses", "985 minus signs", "150 parentheses"],
+    ids=["200 parentheses", "984 minus signs", "150 parentheses"],
 )
 def test_objective_nested_deeper_than_the_parser_can_go_exits_one(tmp_path, capsys, nested, code):
     line = "min -(5*log(x1) - x1 + 7) - (7*log(x2) - x2 + 8)"

@@ -77,10 +77,24 @@ def test_trailing_garbage_rejected():
         parse_expression("x1 x2", X12)
 
 
-@pytest.mark.parametrize("text", ["(" * 200 + "x1" + ")" * 200, "-" * 985 + "x1"])
+@pytest.mark.parametrize("text", ["(" * 200 + "x1" + ")" * 200, "-(" * 200 + "x1" + ")" * 200])
 def test_nesting_deeper_than_the_recursion_limit_is_a_parse_error(text):
     with pytest.raises(ParseError, match="expression nests too deeply"):
         parse_expression(text, X12)
+
+
+@pytest.mark.parametrize("signs", [500, 5000])
+def test_a_run_of_minus_signs_is_one_negation_or_none(signs):
+    for extra, want in ((0, Var(0, "x1")), (1, Neg(Var(0, "x1")))):
+        text = "-" * (signs + extra) + "x1"
+        tree = parse_expression(text, X12)
+        assert tree == want and hash(tree) == hash(want) and repr(tree) == repr(want)
+        assert str(tree) == str(want) and parse_expression(str(tree), X12) == tree
+    # a negated negation prints so that it parses back as itself
+    twice = Neg(Neg(Var(1, "x2")))
+    assert str(twice) == "-(-x2)" and parse_expression(str(twice), X12) == twice
+    assert parse_expression("x1 - -x2", X12) == Sub(Var(0, "x1"), Neg(Var(1, "x2")))
+    assert parse_expression("x1^--2", X12) == Pow(Var(0, "x1"), 2.0)
 
 
 _names = st.sampled_from(["x1", "x2", "x3"])

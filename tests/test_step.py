@@ -233,12 +233,15 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
 
 
 def test_predictor_coefficients_equal_their_one_dimensional_products(fixture_runs, many_rows_runs):
-    """The branch-steering products are the 1-D dot products, bit for bit.
+    """The six products of one 3x3 matrix product agree with their 1-D dot products.
 
-    ``mixed``, ``tangent`` and ``cross`` pick the sigma = 0 sequence and the
-    golden-section start; ``pp``, ``pq`` and ``qq`` feed only the screen
-    and agree with their 1-D products far inside its margin.
+    Each is within 4p machine epsilons of the sum of its absolute terms, and
+    far inside the screen's margin; p*mu and the margin are exact.
     """
+
+    def dots(*pairs):
+        return sum(a @ b for a, b in pairs), sum(np.abs(a) @ np.abs(b) for a, b in pairs)
+
     checked = 0
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         p = prog.p
@@ -247,15 +250,15 @@ def test_predictor_coefficients_equal_their_one_dimensional_products(fixture_run
             predictor = predictor_of(it, dirs)
             (sdot, zdot), (ps, pz), (qs, qz) = ((d[-2 * p : -p], d[-p:]) for d in dirs)
             assert predictor.p_mu == p * it.mu
-            assert predictor.mixed == float(zdot @ ps + sdot @ pz)
-            assert predictor.tangent == float(zdot @ sdot)
-            assert predictor.cross == float(sdot @ qz + zdot @ qs)
             size = np.abs(np.stack([it.vec[-2 * p :], *(d[-2 * p :] for d in dirs)])).sum(axis=0)
             assert predictor.margin == (4 * p + 64) * EPSILON * float(size[:p] @ size[p:])
-            for got, want, scale in (
-                (predictor.pp, ps @ pz, np.abs(ps) @ np.abs(pz)),
-                (predictor.pq, ps @ qz + qs @ pz, np.abs(ps) @ np.abs(qz) + np.abs(qs) @ np.abs(pz)),
-                (predictor.qq, qs @ qz, np.abs(qs) @ np.abs(qz)),
+            for got, (want, scale) in (
+                (predictor.mixed, dots((zdot, ps), (sdot, pz))),
+                (predictor.tangent, dots((zdot, sdot))),
+                (predictor.cross, dots((sdot, qz), (zdot, qs))),
+                (predictor.pp, dots((ps, pz))),
+                (predictor.pq, dots((ps, qz), (qs, pz))),
+                (predictor.qq, dots((qs, qz))),
             ):
                 assert abs(got - want) <= 4 * p * EPSILON * scale
                 assert abs(got - want) <= 1e-3 * predictor.margin
