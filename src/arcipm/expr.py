@@ -43,14 +43,16 @@ class Var(Expr):
     name: str
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class _Chain(Expr):
-    """Base of Add, Sub, Mul and Div: ``repr``, ``==`` and ``hash`` without recursion.
+    """Base of Add, Sub, Mul and Div: two operands; ``repr``, ``==`` and ``hash`` without recursion.
 
     A parsed chain is as deep as it has links, so these loop down its left
     spine; they give what the dataclass-generated methods would.
     """
 
-    __slots__ = ()
+    left: Expr
+    right: Expr
 
     def _spine(self) -> tuple[list[_Chain], Expr]:
         """The chain nodes down the left spine, top first, and the node below them."""
@@ -80,28 +82,20 @@ class _Chain(Expr):
         return hash(self._key())
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Add(_Chain):
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Sub(_Chain):
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Mul(_Chain):
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Div(_Chain):
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,15 +18,16 @@ and the other blocks come back by substitution: ds = A_I dx - r_I and
 dz = (r_z - z*ds)/s.
 
 One iteration factors that matrix once with partially pivoted LU and
-solves three right-hand sides: the first-order tangent, then the two
-pieces whose combination (p*sigma + q) is the curvature term of the search
-arc.  The curvature pieces have r_C = r_E = r_I = 0 and only r_z set, so
-their right-hand side is [A_I'(r_z/s); 0] and their slack block is
-ds = A_I dx.  The centering piece p has r_z = mu, read from the iterate,
-and q has r_z = -2 dz*ds of the tangent.  The matrix is factored as D M D
-with D = diag(1/sqrt(row max |M|)) (one step of Ruiz's scaling); for
-symmetric M its entries are at most 1 in magnitude, so ``SOLVE_TOLERANCE``
-bounds each solve's residual against a unit-scaled matrix.  Singularity is
+sends three right-hand sides through one routine that forms the reduced
+right-hand side above, solves it and substitutes ds and dz back: the
+first-order tangent, with every residual of the iterate and r_z = z*s,
+then the two pieces whose combination (p*sigma + q) is the curvature term
+of the search arc.  Those two have r_C = r_E = r_I = 0; the centering
+piece p has r_z = mu, read from the iterate, and q has r_z = -2 dz*ds of
+the tangent.  The matrix is factored as D M D with
+D = diag(1/sqrt(row max |M|)) (one step of Ruiz's scaling); for symmetric
+M its entries are at most 1 in magnitude, so ``SOLVE_TOLERANCE`` bounds
+each solve's residual against a unit-scaled matrix.  Singularity is
 decided by that residual, not by pivot size: near a solution the matrix is
 ill-conditioned by construction, as z/s goes to 0 or inf row by row, and
 the step stays usable (M. H. Wright, SIAM J. Optim. 1998).  A zero row, an
@@ -282,25 +283,16 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     n, m, p = iterate.x.size, iterate.y.size, iterate.p
     s, z = iterate.s, iterate.z
 
-    def solved(head, tail):
-        return d * _solve_checked(factor, scaled, d * np.concatenate((head, tail)))
-
-    # the tangent: every residual of the iterate
-    r_i, r_z = iterate.r_i, iterate.zs
-    dxy = solved(iterate.r_c + a_ineq.T @ ((r_z + z * r_i) / s), iterate.r_e)
-    ds = a_ineq @ dxy[:n] - r_i
-    dz = (r_z - z * ds) / s
-    vdot = np.concatenate((dxy, ds, dz))
-
-    # a curvature piece: r_z alone, so ds = A_I dx
-    zero_e = np.zeros(m)
-
-    def r_z_direction(r_z):
-        dxy = solved(a_ineq.T @ (r_z / s), zero_e)
-        ds = a_ineq @ dxy[:n]
+    def direction(r_c, r_e, r_i, r_z):
+        rhs = np.concatenate((r_c + a_ineq.T @ ((r_z + z * r_i) / s), r_e))
+        dxy = d * _solve_checked(factor, scaled, d * rhs)
+        ds = a_ineq @ dxy[:n] - r_i
         dz = (r_z - z * ds) / s
         return np.concatenate((dxy, ds, dz))
 
-    p_dir = r_z_direction(np.full(p, iterate.mu))
-    q_dir = r_z_direction(-2.0 * dz * ds)
+    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, iterate.zs)
+    zero_e = np.zeros(m)
+    p_dir = direction(0.0, zero_e, 0.0, np.full(p, iterate.mu))
+    _, _, ds, dz = Blocks.of(vdot, n, m, p)
+    q_dir = direction(0.0, zero_e, 0.0, -2.0 * dz * ds)
     return NewtonDirections(vdot, p_dir, q_dir)

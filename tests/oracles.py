@@ -172,16 +172,15 @@ def wrapped_getrs(factor, rhs: np.ndarray) -> np.ndarray:
 
 
 def generic_directions(matrix, a_ineq, iterate) -> tuple:
-    """The three directions through one generic back-substitution.
+    """The three directions through the five-residual system with a w block.
 
-    Every direction goes through the same five-residual formulas of the
-    system that also carries a second multiplier block w tied to z by the
-    row dw - dz = r_w: the tangent with r_w = w - z = 0, the two curvature
-    pieces with their zero r_C, r_E, r_I and r_w passed as explicit zeros,
-    on the same equilibrated ``dgetrf`` factor and with the same one-pass
-    refinement as the solver.  Each direction is returned as its five
-    blocks (dx, dy, dw, ds, dz); the solver drops r_w and dw and must give
-    the same bits in the other four.  Assumes a finite, regular matrix.
+    Every direction goes through the formulas of the system that also
+    carries a second multiplier block w tied to z by the row dw - dz = r_w,
+    with r_w = 0 for all three (w = z), on the same equilibrated ``dgetrf``
+    factor and with the same one-pass refinement as the solver.  Each
+    direction is returned as its five blocks (dx, dy, dw, ds, dz); the
+    solver drops r_w and dw and must give the same bits in the other four.
+    Assumes a finite, regular matrix.
     """
     d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
     scaled = d[:, None] * matrix * d

@@ -1,18 +1,25 @@
 """The benchmark's per-layer spans still record on the paths the solver runs.
 
 ``perfbench/spans.py`` times each layer by rebinding solver names; a span
-whose name is no longer called on the workloads' path reads 0 without any
-error.  This runs the workloads' kinds of solve under its tracer and checks
-that every rebound name records.
+whose name is no longer called on the workloads' path records nothing, and
+a layer metric that is a median of its spans is then NaN, which the
+benchmark's closing JSON line refuses.  The first test runs the workloads'
+kinds of solve under the tracer and checks that every rebound name
+records; the second runs each workload's traced benchmark run end to end.
 """
 
+import json
+import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import arcipm.solver
 from arcipm import SolverStatus, cli
-from conftest import PROBLEM_DIR, perfbench_module
+from conftest import PERFBENCH_DIR, PROBLEM_DIR, perfbench_module
 
 # Rebound names that no solve calls: solve() keeps the arc_point import only
 # for the tracer, and select_step reads MuPredictor, not mu_coefficients.
@@ -36,3 +43,19 @@ def test_every_rebound_name_records_a_span(tmp_path, capsys):
     recorded = Counter(span[0] for span in tracer.spans)
     names = {name for _, _, name, _ in spans.targets()}
     assert names - set(recorded) == SILENT
+
+
+@pytest.mark.parametrize("workload", ["samples", "boxqp_dense", "many_rows"])
+def test_traced_benchmark_run_exits_zero_with_finite_metrics(workload):
+    # one pass of each workload, about a second; output goes to the
+    # benchmark's git-ignored out/ directory
+    command = [sys.executable, str(PERFBENCH_DIR / "run.py"), "--workload", workload,
+               "--seed", "1", "--seconds", "0", "--trace", "1"]
+    done = subprocess.run(command, cwd=PERFBENCH_DIR.parent, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]
+    not_finite = {name: metric["value"] for name, metric in result["metrics"].items()
+                  if not math.isfinite(metric["value"])}
+    assert not not_finite

@@ -443,7 +443,7 @@ def test_lapack_directions_equal_scipy_wrappers_bitwise(direction_cases, monkeyp
 
 
 def test_directions_equal_generic_back_substitution_bitwise(direction_cases):
-    """Dropping the zero residuals, r_w and the dw block changes no bit of any direction."""
+    """Dropping r_w and the dw block changes no bit of any direction."""
     for prog, iterates in direction_cases:
         generic = []
         for it in iterates:
