@@ -126,15 +126,15 @@ def parse_problem_text(text: str):
 def _write_trace(path: str, trace):
     """Write the trace as CSV in one call, the bytes ``csv.writer`` would write.
 
-    Every field is an int or a float's repr, which never holds a comma, a
-    quote or a line break, so no field needs quoting; lines end in ``\\r\\n``
-    as in the excel dialect.
+    The header is ``TRACE_COLUMNS`` and each row the reprs of a
+    :class:`TraceRow`'s fields (an int's repr is its str); both follow the
+    order of the TraceRow declaration.  No field holds a comma, a quote or
+    a line break, so none needs quoting; lines end in ``\\r\\n`` as in the
+    excel dialect.
     """
     lines = [",".join(TRACE_COLUMNS)]
-    for row in trace:
-        # the fields in declaration order, without astuple's deep copies
-        k, *rest = vars(row).values()
-        lines.append(",".join([str(k), *map(repr, rest)]))
+    # vars() gives the fields without astuple's deep copies
+    lines.extend(",".join(map(repr, vars(row).values())) for row in trace)
     lines.append("")
     with open(path, "w", newline="") as handle:
         handle.write("\r\n".join(lines))

@@ -180,11 +180,6 @@ def duality_measure(s, z) -> float:
     return float(s @ z) / s.size
 
 
-def optimality_residual(iterate: Iterate) -> np.ndarray:
-    """Stacked optimality vector (r_c, r_e, r_i, z*s)."""
-    return np.concatenate((iterate.r_c, iterate.r_e, iterate.r_i, iterate.zs))
-
-
 def norm(vec: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector.
 
@@ -195,8 +190,8 @@ def norm(vec: np.ndarray) -> float:
 
 
 def kkt_norm(iterate: Iterate) -> float:
-    """Euclidean norm of the stacked optimality vector (the stop test)."""
-    return norm(optimality_residual(iterate))
+    """Euclidean norm of the stacked optimality vector (r_c, r_e, r_i, z*s), the stop test."""
+    return norm(np.concatenate((iterate.r_c, iterate.r_e, iterate.r_i, iterate.zs)))
 
 
 def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,18 +69,11 @@ class TraceRow:
     min_sz_over_mu: float
 
 
-TRACE_COLUMNS = (
-    "k",
-    "mu",
-    "sigma",
-    "alpha",
-    "norm_rC",
-    "norm_rE",
-    "norm_rI",
-    "nu",
-    "kkt_norm",
-    "true_stat_norm",
-    "min_sz_over_mu",
+# The CSV header: the TraceRow fields in order, the residual norms spelled
+# as in the reference trace.
+TRACE_COLUMNS = tuple(
+    {"norm_rc": "norm_rC", "norm_re": "norm_rE", "norm_ri": "norm_rI"}.get(f.name, f.name)
+    for f in fields(TraceRow)
 )
 
 
@@ -135,6 +128,9 @@ def solve(
     observer=None,
 ) -> SolverReport:
     """Run the arc-search iteration until the stop test or an exit condition.
+
+    A call without ``start`` begins at ``default_start(program)``; the test
+    fixtures, the digests and the QP family pass their start explicitly.
 
     ``observer(k, iterate, selection)`` is called once per stored iterate
     (selection is None for the starting point); it exists so tests and

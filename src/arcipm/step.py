@@ -364,11 +364,12 @@ def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
 
     ``limits`` and ``p_coef`` are the angle-limit function of
     :func:`alpha_limits` and its sigma coefficients, which both sequences
-    share.  A negative mixed tangent/centering product makes the
-    predictor's a_u positive at every angle, so centering can only raise
-    the predicted duality measure.  Then the first sequence has the least
-    centering, sigma = ``config.sigma_min``, the cap :func:`alpha_tilde` at
-    that sigma, and the angles
+    share.  A mixed tangent/centering product that is not positive makes
+    the predictor's a_u = (1 - cos)(p*mu - mixed*sin) positive at every
+    angle, so centering can only raise the predicted duality measure.
+    Then the first sequence has the least centering, sigma =
+    ``config.sigma_min``, the cap :func:`alpha_tilde` at that sigma, and
+    the angles
     ``candidate_angles(cap, golden_min_bu(predictor, cap))``: the cap's
     shrinks down to the golden-section minimizer of b_u, then that
     minimizer and its shrinks.  Centering comes next, or first otherwise:
@@ -378,7 +379,7 @@ def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
     reached.  Once both sequences are used up, empty ones included,
     :class:`StepFailureError` names the sigma and cap of the last.
     """
-    if predictor.mixed < 0.0:
+    if predictor.mixed <= 0.0:
         sigma = config.sigma_min
         cap = alpha_tilde(limits, sigma)
         for alpha in candidate_angles(cap, golden_min_bu(predictor, cap)):

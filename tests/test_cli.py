@@ -92,7 +92,8 @@ def test_trace_csv_row_count(tmp_path, capsys):
     kk = int(parse_summary(out)["kk"])
     with open(trace_path, newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == list(TRACE_COLUMNS)
+    header = "k,mu,sigma,alpha,norm_rC,norm_rE,norm_rI,nu,kkt_norm,true_stat_norm,min_sz_over_mu"
+    assert rows[0] == list(TRACE_COLUMNS) == header.split(",")
     assert len(rows) - 1 == kk + 1
     assert rows[1][0] == "0"
     # numeric round trip

@@ -1,11 +1,14 @@
 """The seeded convex QP family of ``tests/qp_family.py``: no draw raises,
 the status counts are pinned, and every converged answer is certified."""
 
+import math
+
 import numpy as np
 import pytest
 
 from arcipm import SolverConfig, default_start
-from conftest import run_recorded, warnings_ignored
+from arcipm.kkt import Iterate, assemble_newton_matrix, solve_directions
+from conftest import predictor_of, run_recorded, warnings_ignored
 from oracles import qp_certificate
 from qp_family import FAMILY_SIZE, qp_family
 
@@ -23,6 +26,31 @@ EXPECTED_TO_MOVE = (
     "inequality rows), 11 (a start scaled to the residual) and 12 (one search over sigma and "
     "alpha) are expected to move them, and the change that does re-records NOT_CONVERGED"
 )
+
+# The draws that do not converge from the balanced start of
+# balanced_start(): all have n = 1 and an interior minimum, and each run
+# ends in a loop of steps at sigma = 127/128 and alpha = pi/2, where mu falls
+# by 1/128 per iteration.  The mixed tangent/centering product there is
+# positive, so the least-centering sequence is skipped, yet far below p*mu;
+# no component limit shrinks with sigma, so the bisection takes its top.
+BALANCED_START_LOOPS = {
+    58: ("MaxIter", 500),
+    110: ("MaxIter", 500),
+    257: ("MaxIter", 500),
+}
+LOOPS_EXPECTED_TO_MOVE = (
+    "the balanced start's loops are pinned as today's behaviour; item 12 (one search over sigma "
+    "and alpha that minimizes the duality measure) is expected to move them, and the change "
+    "that does re-records BALANCED_START_LOOPS"
+)
+
+
+def balanced_start(draw) -> Iterate:
+    """x = x0, y = 0, s = z = max(1, |A_I x0 - b_I|_inf) and nu = 1."""
+    program = draw.program
+    scale = max(1.0, float(np.abs(program.a_ineq @ draw.x0 - program.b_ineq).max()))
+    vec = np.concatenate((draw.x0, np.zeros(program.m), np.full(2 * program.p, scale)))
+    return Iterate.at(program, vec, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +109,23 @@ def test_certificate_rejects_a_tampered_answer(family_runs):
     assert any("negative multiplier" in problem for problem in qp_certificate(draw, last.x, last.y, -last.z))
     outside = last.x + 10.0 * (1.0 + np.abs(last.x))
     assert any("inequality violation" in problem for problem in qp_certificate(draw, outside, last.y, last.z))
+
+
+def test_balanced_start_loops_are_pinned():
+    stopped = {}
+    for index, draw in enumerate(qp_family()):
+        with warnings_ignored():
+            run = run_recorded(draw.program, balanced_start(draw), SolverConfig())
+        report = run.report
+        if report.status.value == "Converged":
+            continue
+        stopped[index] = (report.status.value, report.iterations)
+        assert draw.program.n == 1, index
+        assert all(
+            (row.sigma, row.alpha) == (127 / 128, math.pi / 2) for row in report.trace[-100:]
+        ), index
+        last, program = run.iterates[-1], draw.program
+        matrix = assemble_newton_matrix(last.hess, program.a_eq, program.a_ineq, last.s, last.z)
+        predictor = predictor_of(last, solve_directions(matrix, program.a_ineq, last))
+        assert 0.0 < predictor.mixed < 1e-3 * predictor.p_mu, index
+    assert stopped == BALANCED_START_LOOPS, LOOPS_EXPECTED_TO_MOVE

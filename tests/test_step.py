@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcipm import SolverConfig, default_start, solve
+from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, parse_expression, solve
 from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.kkt import (
@@ -220,7 +220,7 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
             phi, psi = floors(it.s, it.z, it.nu, config.rho)
             assert sel.alpha_tilde == alpha_tilde(step_limits(it, dirs, phi, psi)[0], sel.sigma)
             predictor = predictor_of(it, dirs)
-            branches.add(predictor.mixed < 0.0)
+            branches.add(predictor.mixed <= 0.0)
             for sigma, _, alpha in _all_candidates(it, dirs, phi, psi, predictor, config):
                 if predictor.rules_out(sigma, alpha):
                     candidate = _arc_blocks(it, dirs, sigma, alpha)
@@ -677,6 +677,27 @@ def test_select_step_takes_affine_branch_on_negative_mixed_product():
     assert sel.sigma == 0.0
 
 
+def test_zero_mixed_product_takes_the_least_centering_sequence():
+    """min x1^2 + x2^2 on [-1, 1]^2, started at its minimizer with s = z = 1.
+
+    The mixed product is exactly 0 there, so a_u is positive at every angle
+    and sigma = sigma_min comes first.  No component limit shrinks with
+    sigma, so the bisection alone would take sigma = 127/128 at alpha = pi/2
+    each time, and mu would fall by 1/128 per iteration until MaxIter.
+    """
+    objective = parse_expression("x1^2 + x2^2", ["x1", "x2"])
+    a_ineq, b_ineq = fold_bounds([], [], lower=[-1.0, -1.0], upper=[1.0, 1.0])
+    program = ConvexProgram(2, objective, [], [], a_ineq, b_ineq)
+    it = Iterate.at(program, np.array([0.0, 0.0, *np.ones(8)]), 1.0)
+    dirs = _directions(program, it)
+    phi, psi = floors(it.s, it.z, it.nu, 0.5)
+    assert predictor_of(it, dirs).mixed == 0.0
+    assert bisect_sigma(*step_limits(it, dirs, phi, psi), 0.0, 1.0) == (127 / 128, HALF_PI)
+    assert select_step(it, dirs, phi, psi, SolverConfig()).sigma == 0.0
+    report = solve(program, SolverConfig(), it)
+    assert (report.status.value, report.iterations) == ("Converged", 21)
+
+
 def _failure_message(it, dirs, phi, psi):
     """The StepFailureError message of select_step when the bisection's sequence is tried last."""
     config = SolverConfig()
@@ -694,7 +715,7 @@ def test_select_step_failure_when_floors_unreachable(fixture_runs):
     signs = {}
     for it in recorded.iterates[:-1]:
         dirs = _directions(prog, it)
-        signs.setdefault(predictor_of(it, dirs).mixed < 0.0, (it, dirs))
+        signs.setdefault(predictor_of(it, dirs).mixed <= 0.0, (it, dirs))
     assert set(signs) == {True, False}
     for it, dirs in signs.values():
         impossible_phi = float(np.max(it.s)) * 2.0
