@@ -4,10 +4,10 @@ One walk of the expression tree carries, at every node, the triple
 (value, gradient in R^n, Hessian in R^{n x n}) and combines the children's
 triples by the chain rule (second-order forward mode; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., on Hessian propagation).  It recurses
-into children but loops along a chain of + - * / links, however long.  It
-is the one evaluator of the node semantics: the parser folds a constant
-exponent of ``^`` with it at n = 0, and a :class:`DomainError` there is a
-parse error.
+into children but loops over the ``links()`` of a chain of + - * /, however
+long.  It is the one evaluator of the node semantics: the parser folds a
+constant exponent of ``^`` with it at n = 0, and a :class:`DomainError`
+there is a parse error.
 
 A block that is exactly zero by the tree's structure is absent (None)
 rather than stored (ibid., on structural zeros): a constant walks to
@@ -150,14 +150,13 @@ def _walk(node, leaves):
         case ast.Var(index=i):
             return leaves[i]
         case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
-            # a chain of k links is parsed k deep on the left; walk its spine
+            # a chain of k links is parsed k deep on the left; walk its links
             # in a loop: the bottom first, then each link's right operand and
             # the link's rule, in the order recursion would take them
-            spine, bottom = node._spine()
+            bottom, links = node.links()
             v, g, h = _walk(bottom, leaves)
-            for link in reversed(spine):
-                vb, gb, hb = _walk(link.right, leaves)
-                kind = type(link)
+            for kind, right in links:
+                vb, gb, hb = _walk(right, leaves)
                 if kind is ast.Add:
                     v, g, h = v + vb, _add(g, gb), _add(h, hb)
                 elif kind is ast.Sub:
@@ -234,13 +233,12 @@ def _degree(node: ast.Expr) -> int | None:
         case ast.Var():
             return 1
         case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
-            # along the left spine in a loop, as in _walk
-            spine, bottom = node._spine()
+            # over the links in a loop, as in _walk
+            bottom, links = node.links()
             degree = _degree(bottom)
-            for link in reversed(spine):
-                if degree is None or (d := _degree(link.right)) is None:
+            for kind, right in links:
+                if degree is None or (d := _degree(right)) is None:
                     return None
-                kind = type(link)
                 if kind is ast.Mul:
                     degree = degree + d if degree + d <= 2 else None
                 elif kind is ast.Div:

@@ -4,13 +4,14 @@ Expressions are immutable ASTs over a declared variable list.  The node set
 is deliberately small: constants, variables, the four arithmetic operators,
 real powers, negation, natural log, and exp.  The parser builds ``a + b - c``
 and ``a*b/c`` left-deep, so a chain of the four operators is as deep as it
-has links; every walker takes it down :meth:`_Chain._spine` in a loop, not by
-recursion.  Exponents of ``^`` must be constant subexpressions; the autodiff
+has links; every walker reads it through :meth:`_Chain.links` in a loop, not
+by recursion.  Exponents of ``^`` must be constant subexpressions; the autodiff
 walk folds them to a finite float at parse time.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -54,32 +55,27 @@ class _Chain(Expr):
     left: Expr
     right: Expr
 
-    def _spine(self) -> tuple[list[_Chain], Expr]:
-        """The chain nodes down the left spine, top first, and the node below them."""
-        spine, node = [], self
+    def links(self) -> tuple[Expr, tuple[tuple[type, Expr], ...]]:
+        """The bottom operand of the left spine, and each link's (class, right operand), bottom link first."""
+        links, node = [], self
         while isinstance(node, _Chain):
-            spine.append(node)
+            links.append((type(node), node.right))
             node = node.left
-        return spine, node
+        return node, tuple(reversed(links))
 
     def __repr__(self) -> str:
-        spine, bottom = self._spine()
-        heads = "".join(f"{type(node).__qualname__}(left=" for node in spine)
-        tails = "".join(f", right={node.right!r})" for node in reversed(spine))
+        bottom, links = self.links()
+        heads = "".join(f"{kind.__qualname__}(left=" for kind, _ in reversed(links))
+        tails = "".join(f", right={right!r})" for _, right in links)
         return heads + repr(bottom) + tails
-
-    def _key(self) -> tuple:
-        """The node below the chain, then (type, right) for each link, top first."""
-        spine, bottom = self._spine()
-        return (bottom, *((type(node), node.right) for node in spine))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.links() == other.links()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.links())
 
 
 class Add(_Chain):
@@ -120,6 +116,7 @@ class Exp(Expr):
 
 
 RESERVED = ("log", "exp")
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -178,27 +175,15 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, tight: bool = False) -> Expr:
+        """A left-deep chain of + - links over terms, or, if ``tight``, of * / links over unary operands."""
+        node = self.unary() if tight else self.expr(tight=True)
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-            else:
+            if kind != "op" or text not in ("*/" if tight else "+-"):
                 return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-            else:
-                return node
+            self.advance()
+            node = _BINARY[text](node, self.unary() if tight else self.expr(tight=True))
 
     def unary(self) -> Expr:
         # a run of signs is one Neg or none: -(-v) is v exactly
@@ -281,10 +266,10 @@ def variable_indices(node: Expr) -> set[int]:
         case Pow(base=b):
             return variable_indices(b)
         case Add() | Sub() | Mul() | Div():
-            spine, bottom = node._spine()
+            bottom, links = node.links()
             indices = variable_indices(bottom)
-            for link in reversed(spine):
-                indices |= variable_indices(link.right)
+            for _, right in links:
+                indices |= variable_indices(right)
             return indices
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -295,6 +280,8 @@ _SYMBOL = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 def _prec(node: Expr) -> int:
+    if isinstance(node, Const) and math.copysign(1.0, node.value) < 0.0:
+        return _PREC[Neg]  # it prints with a leading minus, which binds looser than ^
     return _PREC.get(type(node), _PREC_ATOM)
 
 
@@ -313,14 +300,14 @@ def _render(node: Expr) -> str:
             # fold the links bottom up; where the text so far binds looser than
             # the next link it is parenthesised, and as such a parenthesis
             # always opens at the very start, only their count is kept
-            spine, bottom = node._spine()
+            bottom, links = node.links()
             parts, prec, opens = [_render(bottom)], _prec(bottom), 0
-            for link in reversed(spine):
-                link_prec = _PREC[type(link)]
+            for kind, right in links:
+                link_prec = _PREC[kind]
                 if prec < link_prec:
                     parts.append(")")
                     opens += 1
-                parts += (_SYMBOL[type(link)], _wrap(link.right, link_prec + 1))
+                parts += (_SYMBOL[kind], _wrap(right, link_prec + 1))
                 prec = link_prec
             return "(" * opens + "".join(parts)
         case Neg(child=Neg() as c):

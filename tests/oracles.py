@@ -259,11 +259,10 @@ def _dense_walk(node, leaves, zero):
         case ast.Var(index=i):
             return leaves[i]
         case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
-            spine, bottom = node._spine()
+            bottom, links = node.links()
             v, g, h = _dense_walk(bottom, leaves, zero)
-            for link in reversed(spine):
-                vb, gb, hb = _dense_walk(link.right, leaves, zero)
-                kind = type(link)
+            for kind, right in links:
+                vb, gb, hb = _dense_walk(right, leaves, zero)
                 if kind is ast.Add:
                     v, g, h = v + vb, g + gb, h + hb
                 elif kind is ast.Sub:

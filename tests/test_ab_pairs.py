@@ -20,7 +20,7 @@ def make_tree(root: Path, name: str, correct: bool, offset: float) -> Path:
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(correct=correct, offset=offset))
-    declared = {"end_to_end": [{"name": "solves_per_s", "better": "higher"}]}
+    declared = {"end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
     (tree / "BENCHMARK.json").write_text(json.dumps(declared))
     return tree
 
@@ -45,3 +45,13 @@ def test_an_incorrect_run_prints_the_table_then_exits_one(tmp_path):
     assert done.returncode == 1
     assert "4/4  yes" in done.stdout
     assert "after seed 1" in done.stderr and "before seed" not in done.stderr
+
+
+def test_an_after_median_worse_by_more_than_the_bound_is_flagged(tmp_path):
+    # the before median is 2.5, so the bound of 0.25 allows an after median down to 1.875
+    before = make_tree(tmp_path, "before", True, 0.0)
+    for name, offset, beyond in (("within", -0.5, "no"), ("beyond", -1.0, "yes")):
+        done = run_tool(before, make_tree(tmp_path, name, True, offset))
+        assert done.returncode == 0, done.stderr
+        row = next(line for line in done.stdout.splitlines() if line.startswith("solves_per_s"))
+        assert row.split()[-3:] == ["0/4", "no", beyond]

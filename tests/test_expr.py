@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcipm import ConvexProgram, evaluate, fold_bounds, parse_expression
-from arcipm.autodiff import compile_objective, value_gradient_hessian
+from arcipm.autodiff import DomainError, compile_objective, value_gradient_hessian
 from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var, variable_indices
 from conftest import quadratic_tree
 
@@ -99,11 +99,12 @@ def test_a_run_of_minus_signs_is_one_negation_or_none(signs):
 
 _names = st.sampled_from(["x1", "x2", "x3"])
 _consts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+_signed_consts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-def _exprs():
+def _exprs(consts=_consts):
     leaves = st.one_of(
-        _consts.map(Const),
+        consts.map(Const),
         _names.map(lambda s: Var(int(s[1]) - 1, s)),
     )
 
@@ -128,6 +129,42 @@ def _exprs():
 @settings(max_examples=300, deadline=None)
 def test_print_parse_round_trip(tree):
     assert parse_expression(str(tree), ["x1", "x2", "x3"]) == tree
+
+
+def _value_or_error(tree, x) -> str:
+    try:
+        return evaluate(tree, x).hex()
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+@given(_exprs(_signed_consts), st.lists(st.floats(min_value=-4, max_value=4), min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_printed_tree_with_signed_constants_parses_back_to_its_value(tree, x):
+    # the parser reads -2 as Neg(Const(2)), so only the values can agree, bit for bit
+    assert _value_or_error(parse_expression(str(tree), ["x1", "x2", "x3"]), x) == _value_or_error(tree, x)
+
+
+def test_a_negative_constant_under_a_power_prints_in_parentheses():
+    for value, want in ((-2.0, 4.0), (-0.0, 0.0)):
+        text = str(Pow(Const(value), 2.0))
+        assert text == f"({value!r})^2.0"
+        assert evaluate(parse_expression(text, []), []).hex() == want.hex()
+    # anywhere else it prints as a nonnegative constant under a sign would
+    assert str(Mul(Const(-3.0), Var(0, "x1"))) == "-3.0*x1"
+    assert str(Sub(Var(0, "x1"), Const(-2.0))) == "x1 - -2.0"
+    assert str(Neg(Const(-2.0))) == "--2.0"
+
+
+def test_links_give_the_bottom_operand_then_each_link_in_source_order():
+    names = ["x1", "x2", "x3"]
+    x1, x2, x3 = (Var(i, name) for i, name in enumerate(names))
+    tree = parse_expression("x1 - 2*x2/x3 + x2", names)
+    assert tree.links() == (x1, ((Sub, Div(Mul(Const(2.0), x2), x3)), (Add, x2)))
+    assert tree != parse_expression("x1 + 2*x2/x3 + x2", names)
+    tree = parse_expression("2*x1/x2*x3", names)
+    assert tree.links() == (Const(2.0), ((Mul, x1), (Div, x2), (Mul, x3)))
+    assert tree != parse_expression("2*x1*x2*x3", names)
 
 
 def test_sums_print_and_compare_as_dataclasses_do():
