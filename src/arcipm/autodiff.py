@@ -48,6 +48,8 @@ Values stay Python floats, so ``**`` and ``math.exp`` raise
 :class:`DomainError`.  Float ``*`` and ``/`` return inf instead, so products
 and quotients are checked with ``math.isfinite``, as are a folded node's
 value and, since sums and constants overflow silently, the walk's result.
+Gradient and Hessian arrays overflow silently too, so
+:func:`value_gradient_hessian` checks them once, at the end.
 Hessians are exactly symmetric: every cross term is built as ``C + C.T``
 and every curvature term as ``outer(g, g)``.
 """
@@ -65,9 +67,10 @@ from . import expr as ast
 class DomainError(ValueError):
     """Evaluation left the expression's domain.
 
-    Raised for a log of a nonpositive value, a division by zero, a zero base
-    under a negative power, a negative base under a fractional power, a
-    non-finite exponent or value, and range overflow; never a silent NaN.
+    Raised for a log of a nonpositive value, a division by zero, a zero
+    base under a negative power, a negative base under a fractional power,
+    a non-finite exponent, value, gradient or Hessian, and range overflow;
+    never a silent NaN.
     """
 
 
@@ -265,17 +268,14 @@ def compile_objective(expression: ast.Expr, n: int):
     Such a tree's (f, grad f, Hessian) at x = 0 are exactly its (c, g, H),
     so one walk there folds it.  The result goes to the same
     ``value_gradient_hessian`` as a parsed tree over n variables.  A tree
-    whose walk at 0 raises, or whose coefficients overflow, is not folded,
-    so its walk raises the parsed tree's :class:`DomainError`.
+    whose walk at 0 raises, its coefficients' overflow included, is not
+    folded, so its walk raises the parsed tree's :class:`DomainError`.
     """
     if _degree(expression) is None:
         return expression
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            c, g, h = value_gradient_hessian(expression, np.zeros(n))
+        c, g, h = value_gradient_hessian(expression, np.zeros(n))
     except DomainError:
-        return expression
-    if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return expression
     h = h.copy()
     h.flags.writeable = False
@@ -297,12 +297,15 @@ def value_gradient_hessian(expression, x):
         return _quadratic(expression, x)
     n = x.size
     unit = np.eye(n)
-    value, grad, hess = _checked_walk(expression, [(float(x[i]), unit[i], None) for i in range(n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad, hess = _checked_walk(expression, [(float(x[i]), unit[i], None) for i in range(n)])
     # the walk leaves an exactly zero block absent; fill it in once
     if grad is None:
         grad = np.zeros(n)
     if hess is None:
         hess = np.zeros((n, n))
+    if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+        raise DomainError("gradient or Hessian is not finite")
     return value, grad, hess
 
 

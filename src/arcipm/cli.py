@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     try:
         with open(args.problem) as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {args.problem}: {err}", file=sys.stderr)
         return 1
 

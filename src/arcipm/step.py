@@ -67,7 +67,7 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepSelection:
-    """Chosen centering weight and angle, with selection diagnostics.
+    """Chosen centering weight and angle, with the cap and backtrack count.
 
     ``point`` is the accepted candidate: the flat (x, y, s, z) arc point
     at (sigma, alpha) that passed every step condition, which the next
@@ -78,8 +78,6 @@ class StepSelection:
     sigma: float
     alpha: float
     alpha_tilde: float  # the cap of the sequence the accepted angle came from
-    a_u: float
-    b_u: float
     backtracks: int  # candidates passed over before it, skipped or built
     point: np.ndarray = field(compare=False, repr=False)
 
@@ -194,6 +192,7 @@ class MuPredictor:
     alpha with coefficients p*mu, ``mixed``, ``tangent`` and ``cross``, and
     sdd.zdd is quadratic in sigma.  Without the sdd.zdd term, which takes
     either sign, (a_u*sigma + b_u)/p predicts the updated duality measure.
+    The step rule reads :meth:`b_u` alone; :func:`mu_coefficients` gives both.
 
     The rows hold to a few ulps per component, however accurate the LU
     solve is, because :func:`arcipm.kkt.solve_directions` back-substitutes
@@ -237,12 +236,6 @@ class MuPredictor:
             (4 * p + 64) * EPSILON * float(size[:p] @ size[p:]),
         )
 
-    def at(self, alpha: float):
-        """(a_u, b_u) at angle alpha."""
-        sin_a = math.sin(alpha)
-        omc = _one_minus_cos(alpha)
-        return self.p_mu * omc - self.mixed * sin_a * omc, self.b_u(alpha)
-
     def b_u(self, alpha: float) -> float:
         """b_u alone at angle alpha."""
         sin_a = math.sin(alpha)
@@ -277,7 +270,9 @@ def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float
     (:meth:`MuPredictor.product` keeps it), so acceptance decisions use the
     exact value from :func:`arcipm.kkt.duality_measure`.
     """
-    return MuPredictor.of(sz_tails(iterate, directions), iterate.mu).at(alpha)
+    predictor = MuPredictor.of(sz_tails(iterate, directions), iterate.mu)
+    omc = _one_minus_cos(alpha)
+    return predictor.p_mu * omc - predictor.mixed * math.sin(alpha) * omc, predictor.b_u(alpha)
 
 
 def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
@@ -418,5 +413,4 @@ def select_step(
         s, z = point[-2 * p : -p], point[-p:]
         mu_new = duality_measure(s, z)
         if _acceptable(s, z, mu_new, iterate.mu, phi, psi, config.theta):
-            a_u, b_u = predictor.at(alpha)
-            return StepSelection(sigma, alpha, cap, a_u, b_u, backtracks, point)
+            return StepSelection(sigma, alpha, cap, backtracks, point)

@@ -55,6 +55,14 @@ bound x2 -5 5
 start 1 1
 """
 
+# A program whose x2 is in no row and not in the objective: the Newton
+# matrix's row for x2 is zero at every point.
+UNUSED_VARIABLE = """
+vars x1 x2
+min x1^2
+bound x1 -1 1
+"""
+
 
 def perfbench_module(name: str):
     """A module of the benchmark, loaded read-only from its file as ``perfbench_<name>``.

@@ -272,6 +272,7 @@ DOMAIN_CASES = [
     ("log(1e200 * 1e200)", evaluate, [1.0], "product overflows", None),
     ("x1 * 1e400", evaluate, [1.0], "product overflows", None),
     ("x1 * 1e200 * 1e200", evaluate, [1.0], "product overflows", None),
+    ("1 / x1", hessian, [1e-150], "gradient or Hessian is not finite", None),
 ]
 
 

@@ -19,7 +19,7 @@ from arcipm.cli import (
     parse_problem_text,
 )
 from arcipm.solver import TRACE_COLUMNS, SolverConfig, TraceRow
-from conftest import LOG_DOMAIN_EXIT, PROBLEM_DIR, warnings_ignored
+from conftest import LOG_DOMAIN_EXIT, PROBLEM_DIR, UNUSED_VARIABLE, warnings_ignored
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -164,6 +164,28 @@ def test_missing_file_exits_one(capsys):
     assert "cannot read" in err
 
 
+def test_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.prob"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run_cli(capsys, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}:")
+    assert "Traceback" not in err
+
+
+def test_start_whose_hessian_overflows_exits_one(tmp_path, capsys):
+    problem = tmp_path / "overflow.prob"
+    problem.write_text(
+        "vars x1 x2\nmin 1/x1 + x2^2\nineq 1 1 >= -10\n"
+        "bound x1 0 5\nbound x2 -5 5\nstart 1e-150 1\n"
+    )
+    code, out, err = run_cli(capsys, str(problem))
+    assert code == 1
+    assert out == ""
+    assert err == "error: gradient or Hessian is not finite\n"
+
+
 def test_trace_to_an_unwritable_path_exits_one(tmp_path, capsys):
     trace_path = tmp_path / "missing" / "t.csv"
     code, out, err = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--trace", str(trace_path))
@@ -218,6 +240,16 @@ def test_point_outside_the_objective_domain_exits_two(tmp_path, capsys):
     assert code == 2
     assert parse_summary(out)["status"] == "StepFailure"
     assert "note: log overflows" in err
+
+
+def test_unused_variable_exits_two_as_singular_kkt(tmp_path, capsys):
+    problem = tmp_path / "unused.prob"
+    problem.write_text(UNUSED_VARIABLE)
+    code, out, err = run_cli(capsys, str(problem))
+    assert code == 2
+    summary = parse_summary(out)
+    assert (summary["status"], summary["kk"]) == ("SingularKKT", "0")
+    assert err == "note: Newton matrix is singular (row 2 is zero)\n"
 
 
 def test_max_iter_flag_gives_solver_failure_exit(capsys):

@@ -19,6 +19,7 @@ from arcipm import step as step_module
 from arcipm.step import floors, select_step
 from conftest import (
     LOG_DOMAIN_EXIT,
+    UNUSED_VARIABLE,
     load_problem,
     many_rows_program,
     perfbench_module,
@@ -207,6 +208,14 @@ def test_singular_kkt_status_propagates(monkeypatch):
     report = solve(program, SolverConfig(), default_start(program, start))
     assert report.status is SolverStatus.SINGULAR_KKT
     assert "singular" in report.message.lower()
+
+
+def test_unused_variable_ends_as_singular_kkt():
+    program, start = parse_problem_text(UNUSED_VARIABLE)
+    report = solve(program, SolverConfig(), default_start(program, start))
+    assert report.status is SolverStatus.SINGULAR_KKT
+    assert report.message == "Newton matrix is singular (row 2 is zero)"
+    assert report.iterations == 0 and len(report.trace) == 1
 
 
 # Status and iteration count of two infeasible programs with the objective

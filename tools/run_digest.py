@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-# sizes cycled through by the boxqp_dense instances, as in one benchmark pass
+# sizes cycled through by the boxqp_dense instances; the benchmark's own pass
+# is BOXQP_PASS = (2, 4, 6, 8, 8, 8, 10) in perfbench/workloads.py
 BOXQP_SIZES = (2, 4, 6, 8, 10)
 
 FAMILY_DIR = Path(__file__).resolve().parent.parent / "tests"
