@@ -1,7 +1,8 @@
 """Command-line front end: read a problem file, solve, print the summary.
 
-Problem files are line oriented, one directive per line, ``#`` starts a
-comment:
+Problem files are UTF-8 text (a leading byte order mark is allowed) and
+line oriented: one directive per line, ``#`` starts a comment, and any run
+of whitespace separates tokens:
 
     vars x1 x2 ...
     min <expression>
@@ -53,15 +54,15 @@ def parse_problem_text(text: str):
             raise ProblemFileError(f"expected numbers, got {tokens!r}", line) from err
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
             continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+        keyword, *tokens = fields
         if keyword == "vars":
             if names is not None:
                 raise ProblemFileError("duplicate vars line", lineno)
-            names = rest.split()
+            names = tokens
             if not names:
                 raise ProblemFileError("vars line declares no variables", lineno)
             if len(set(names)) != len(names):
@@ -77,19 +78,18 @@ def parse_problem_text(text: str):
         if keyword == "min":
             if objective is not None:
                 raise ProblemFileError("duplicate objective", lineno)
+            expression = line.split(maxsplit=1)[1].rstrip() if tokens else ""
             try:
-                objective = parse_expression(rest, names)
+                objective = parse_expression(expression, names)
             except ParseError as err:
                 raise ProblemFileError(f"bad objective: {err}", lineno) from err
         elif keyword in constraints:
             relation, rows, rhs = constraints[keyword]
-            tokens = rest.split()
             if len(tokens) != n + 2 or tokens[n] != relation:
                 raise ProblemFileError(f"expected '{keyword} c1 .. c{n} {relation} rhs'", lineno)
             rows.append(floats(tokens[:n], lineno))
             rhs.append(floats(tokens[n + 1 :], lineno)[0])
         elif keyword == "bound":
-            tokens = rest.split()
             if len(tokens) != 3:
                 raise ProblemFileError("expected 'bound <var> <lo> <hi>'", lineno)
             if tokens[0] not in names:
@@ -103,7 +103,7 @@ def parse_problem_text(text: str):
         elif keyword == "start":
             if start is not None:
                 raise ProblemFileError("duplicate start line", lineno)
-            start = np.array(floats(rest.split(), lineno))
+            start = np.array(floats(tokens, lineno))
             if start.size != n:
                 raise ProblemFileError(f"start point needs {n} values", lineno)
         else:
@@ -175,7 +175,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        with open(args.problem) as handle:
+        with open(args.problem, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {args.problem}: {err}", file=sys.stderr)
@@ -184,7 +184,10 @@ def main(argv=None) -> int:
     try:
         program, start = parse_problem_text(text)
         if args.x0 is not None:
-            start = np.array([float(tok) for tok in args.x0.split(",")])
+            try:
+                start = np.array([float(tok) for tok in args.x0.split(",")])
+            except ValueError as err:
+                raise ValueError(f"--x0 needs comma-separated numbers, got {args.x0!r}") from err
             if start.size != program.n:
                 raise ValueError(f"--x0 needs {program.n} values")
         config = config_from_args(args)

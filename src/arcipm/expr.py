@@ -119,25 +119,21 @@ RESERVED = ("log", "exp")
 _BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        tokens.append((kind, match.group(), pos))
-        pos = match.end()
+        token, pos = match[kind], match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {token!r}", pos)
+        tokens.append((kind, token, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 

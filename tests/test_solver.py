@@ -237,6 +237,53 @@ def test_infeasible_program_stops_without_raising(rows):
     )
 
 
+# Feasible, bounded programs over x1^2 + x2^2 that end wrongly from the
+# default start: row -> (status, iterations, x, message, the ROADMAP item
+# expected to move the run).
+COLD_START_FAILURES = {
+    "ineq 1 1 >= 1": ("MaxIter", 500, [0.500033, 0.500033], "", "item 12's sigma = 127/128 loop"),
+    "ineq 1e200 1 >= -1\nbound x1 -1 1": (
+        "SingularKKT",
+        0,
+        [0.0, 0.0],
+        "Newton matrix is not finite",
+        "item 8's row equilibration",
+    ),
+    "ineq 1e-200 1e-200 >= 1e-200": (
+        "Converged",
+        25,
+        [1.13247e-197, 1.13247e-197],
+        "",
+        "item 8's row equilibration: the minimizer is (0.5, 0.5)",
+    ),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(COLD_START_FAILURES))
+def test_cold_start_failure_on_the_simplest_qp(rows):
+    status, iterations, x, message, item = COLD_START_FAILURES[rows]
+    program, start = parse_problem_text(f"vars x1 x2\nmin x1^2 + x2^2\n{rows}\n")
+    with warnings_ignored():
+        report = solve(program, SolverConfig(), default_start(program, start))
+    assert (report.status.value, report.iterations, report.message) == (status, iterations, message), (
+        f"pinned as today's behaviour: {item} is expected to move it"
+    )
+    np.testing.assert_allclose(report.x, x, rtol=1e-5)
+
+
+def test_one_row_cold_start_loops_at_the_top_of_the_sigma_range():
+    program, start = parse_problem_text("vars x1 x2\nmin x1^2 + x2^2\nineq 1 1 >= 1\n")
+    with warnings_ignored():
+        report = solve(program, SolverConfig(), default_start(program, start))
+        capped = solve(program, SolverConfig(sigma_max=0.5), default_start(program, start))
+    assert report.status is SolverStatus.MAX_ITER
+    assert {(row.sigma, row.alpha) for row in report.trace if row.k >= 1} == {(127 / 128, math.pi / 2)}, (
+        "item 12's loop: every step from k = 1 on takes sigma = 127/128 at the full angle"
+    )
+    assert capped.status is SolverStatus.CONVERGED
+    np.testing.assert_allclose(capped.x, [0.5, 0.5], atol=1e-5)
+
+
 @pytest.mark.parametrize("x0", [(20.0, 1.0), (0.01, 20.0)])
 def test_badly_scaled_start_is_not_singular(x0):
     # the full Newton matrix had pivots below 1e-12 of its largest entry
