@@ -9,6 +9,7 @@ from .solver import (
     SolverReport,
     SolverStatus,
     TraceRow,
+    balanced_start,
     default_start,
     solve,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "StepFailureError",
     "StepSelection",
     "TraceRow",
+    "balanced_start",
     "default_start",
     "evaluate",
     "fold_bounds",

@@ -7,8 +7,12 @@ The Newton system over (x, y, s, z) has the rows
     A_I dx - ds              = r_I
     z*ds + s*dz              = r_z
 
-with r_z the block of the z*s row.  Eliminating s and z leaves the
-symmetric (n+m)-square system
+with r_z the block of the z*s row.  r_C is grad f + A_E'y - A_I'z when
+the objective folds to a :class:`Quadratic` (degree at most 2), whose
+gradient g + H x the Newton model matches exactly.  For any other
+objective grad f is replaced by the model term H x, as in the reference
+runs, so such a run stops where H x, not grad f, balances the
+multipliers.  Eliminating s and z leaves the symmetric (n+m)-square system
 
     [H + A_I'(Z/S)A_I  A_E'] [dx]   [r_C + A_I'((r_z + z*r_I)/s)]
     [A_E               0   ] [dy] = [r_E                        ]
@@ -65,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .autodiff import value_gradient_hessian
+from .autodiff import Quadratic, value_gradient_hessian
 from .program import ConvexProgram
 
 # Largest equilibrated solve residual, relative to 1 + |rhs|: a solve above
@@ -148,8 +152,11 @@ class Iterate:
         if not vec[n + m :].min() > 0.0:
             raise ValueError("slack and dual vectors must stay strictly positive")
         x, y, s, z = Blocks.of(vec, n, m, p)
-        _, grad, hess = value_gradient_hessian(program.compiled_objective, x)
-        r_c, r_e, r_i = compute_residuals(program, hess, x, y, s, z)
+        objective = program.compiled_objective
+        _, grad, hess = value_gradient_hessian(objective, x)
+        # the Newton model of a folded objective is exact, so r_c takes its gradient
+        exact = grad if isinstance(objective, Quadratic) else None
+        r_c, r_e, r_i = compute_residuals(program, hess, x, y, s, z, exact)
         return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu)
 
     @property
@@ -163,9 +170,16 @@ class Iterate:
         return self.s.size
 
 
-def compute_residuals(program: ConvexProgram, hess, x, y, s, z):
-    """(r_c, r_e, r_i) at a point, using the model term H x in r_c."""
-    r_c = hess @ x + program.a_eq.T @ y - program.a_ineq.T @ z
+def compute_residuals(program: ConvexProgram, hess, x, y, s, z, grad=None):
+    """(r_c, r_e, r_i) at a point.
+
+    r_c starts from ``grad`` when it is given and from the model term H x
+    otherwise.  :meth:`Iterate.at` passes the gradient g + H x of an
+    objective that folds to a :class:`Quadratic`, so an LP or a QP with a
+    linear term stops at its own minimizer; any other objective keeps H x,
+    which reproduces the reference runs.
+    """
+    r_c = (hess @ x if grad is None else grad) + program.a_eq.T @ y - program.a_ineq.T @ z
     r_e = program.a_eq @ x - program.b_eq
     r_i = program.a_ineq @ x - s - program.b_ineq
     return r_c, r_e, r_i
@@ -197,8 +211,9 @@ def kkt_norm(iterate: Iterate) -> float:
 def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     """Norm of grad f + A_eq'y - A_ineq'z, reported as a diagnostic only.
 
-    The stepping residual replaces grad f with H x, so the two vanish
-    together only when the objective is an unshifted quadratic.
+    For an objective that folds to a :class:`Quadratic` the stepping
+    residual r_c is this same vector.  Any other objective steps on H x in
+    place of grad f, and then the two need not vanish together.
     """
     return norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.z)
 

@@ -12,7 +12,8 @@ def test_run_digests_match_the_pinned_file():
     """``tools/run_digest.py --runs 20`` on this tree prints ``tests/data/digests.txt``.
 
     The file holds one SHA-256 per workload (ex1–ex8, 20 seeds each of
-    ``many_rows`` and ``boxqp_dense``, and the first 20 draws of the QP
+    ``many_rows`` and ``boxqp_dense`` from the cold start and again as
+    ``solve(program)`` with no start, and the first 20 draws of the QP
     family in ``tests/qp_family.py``) over every trace row, x, status,
     objective, infe and iteration count.  A change that moves any bit of
     any result fails here; a change meant to move results re-records the

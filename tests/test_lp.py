@@ -1,0 +1,82 @@
+"""Objectives that fold to a quadratic with a linear term step on their true
+gradient g + H x, so LPs end at their minimizer; HiGHS checks the answers."""
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from arcipm import (
+    ConvexProgram,
+    SolverStatus,
+    balanced_start,
+    default_start,
+    fold_bounds,
+    parse_expression,
+    solve,
+)
+from arcipm.expr import Add, Const, Mul, Var
+from conftest import warnings_ignored
+
+LP_SEED = 11
+LP_DRAWS = 30
+
+
+def _starts(program):
+    return {"cold": default_start(program), "balanced": balanced_start(program)}
+
+
+@pytest.mark.parametrize("start", ["cold", "balanced"])
+def test_lp_ends_at_its_vertex_from_either_start(start):
+    """min -x1 - 2 x2 with x1 + x2 <= 4 on [0, 3]^2: the H x residual
+    stopped this at (1.918, 1.918), objective -5.75, reported Converged."""
+    a_ineq, b_ineq = fold_bounds([[-1.0, -1.0]], [-4.0], [0.0, 0.0], [3.0, 3.0])
+    program = ConvexProgram(2, parse_expression("-x1 - 2*x2", ["x1", "x2"]), [], [], a_ineq, b_ineq)
+    with warnings_ignored():
+        report = solve(program, start=_starts(program)[start])
+    assert report.status is SolverStatus.CONVERGED
+    np.testing.assert_allclose(report.x, [1.0, 3.0], atol=1e-6)
+    assert report.objective == pytest.approx(-7.0, abs=1e-6)
+    assert report.trace[-1].true_stat_norm == report.trace[-1].norm_rc
+
+
+def _linear_tree(c: np.ndarray):
+    tree = Mul(Const(c[0]), Var(0, "x1"))
+    for i in range(1, c.size):
+        tree = Add(tree, Mul(Const(c[i]), Var(i, f"x{i + 1}")))
+    return tree
+
+
+def _lp_draws():
+    """(program, HiGHS optimum) of LPs over a box with up to 5 dense rows and
+    up to 2 equality rows, all placed around one interior point."""
+    rng = np.random.default_rng(LP_SEED)
+    for _ in range(LP_DRAWS):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, min(2, n - 1) + 1))
+        c = rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 2.0)
+        inside = rng.normal(size=n)
+        a_eq = rng.normal(size=(m, n))
+        a_rows = rng.normal(size=(int(rng.integers(0, 6)), n))
+        b_rows = a_rows @ inside - rng.uniform(0.1, 1.0, size=a_rows.shape[0])
+        lower = inside - rng.uniform(0.5, 2.0, size=n)
+        upper = inside + rng.uniform(0.5, 2.0, size=n)
+        a_ineq, b_ineq = fold_bounds(a_rows, b_rows, lower, upper)
+        program = ConvexProgram(n, _linear_tree(c), a_eq, a_eq @ inside, a_ineq, b_ineq)
+        # HiGHS reads A_ub x <= b_ub; the box goes in as bounds
+        highs = linprog(c, A_ub=-a_rows, b_ub=-b_rows, A_eq=a_eq, b_eq=a_eq @ inside,
+                        bounds=list(zip(lower, upper)), method="highs")
+        assert highs.status == 0, highs.message
+        yield program, highs.fun
+
+
+@pytest.mark.parametrize("start", ["cold", "balanced"])
+def test_seeded_lps_reach_the_highs_optimum(start):
+    missed = {}
+    for index, (program, optimum) in enumerate(_lp_draws()):
+        with warnings_ignored():
+            report = solve(program, start=_starts(program)[start])
+        gap = abs(report.objective - optimum) / (1.0 + abs(optimum))
+        feasible = (program.a_ineq @ report.x >= program.b_ineq - 1e-6).all()
+        if report.status is not SolverStatus.CONVERGED or gap > 1e-6 or not feasible:
+            missed[index] = (report.status.value, gap, feasible)
+    assert missed == {}

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from arcipm import SolverConfig, default_start
-from arcipm.kkt import Iterate, assemble_newton_matrix, solve_directions
+from arcipm import SolverConfig, balanced_start, default_start
+from arcipm.kkt import assemble_newton_matrix, solve_directions
 from conftest import predictor_of, run_recorded, warnings_ignored
 from oracles import qp_certificate
 from qp_family import FAMILY_SIZE, qp_family
@@ -27,12 +27,12 @@ EXPECTED_TO_MOVE = (
     "alpha) are expected to move them, and the change that does re-records NOT_CONVERGED"
 )
 
-# The draws that do not converge from the balanced start of
-# balanced_start(): all have n = 1 and an interior minimum, and each run
-# ends in a loop of steps at sigma = 127/128 and alpha = pi/2, where mu falls
-# by 1/128 per iteration.  The mixed tangent/centering product there is
-# positive, so the least-centering sequence is skipped, yet far below p*mu;
-# no component limit shrinks with sigma, so the bisection takes its top.
+# The draws that do not converge from balanced_start(draw.program, draw.x0):
+# all have n = 1 and an interior minimum, and each run ends in a loop of
+# steps at sigma = 127/128 and alpha = pi/2, where mu falls by 1/128 per
+# iteration.  The mixed tangent/centering product there is positive, so the
+# least-centering sequence is skipped, yet far below p*mu; no component
+# limit shrinks with sigma, so the bisection takes its top.
 BALANCED_START_LOOPS = {
     58: ("MaxIter", 500),
     110: ("MaxIter", 500),
@@ -43,14 +43,6 @@ LOOPS_EXPECTED_TO_MOVE = (
     "and alpha that minimizes the duality measure) is expected to move them, and the change "
     "that does re-records BALANCED_START_LOOPS"
 )
-
-
-def balanced_start(draw) -> Iterate:
-    """x = x0, y = 0, s = z = max(1, |A_I x0 - b_I|_inf) and nu = 1."""
-    program = draw.program
-    scale = max(1.0, float(np.abs(program.a_ineq @ draw.x0 - program.b_ineq).max()))
-    vec = np.concatenate((draw.x0, np.zeros(program.m), np.full(2 * program.p, scale)))
-    return Iterate.at(program, vec, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +107,7 @@ def test_balanced_start_loops_are_pinned():
     stopped = {}
     for index, draw in enumerate(qp_family()):
         with warnings_ignored():
-            run = run_recorded(draw.program, balanced_start(draw), SolverConfig())
+            run = run_recorded(draw.program, balanced_start(draw.program, draw.x0), SolverConfig())
         report = run.report
         if report.status.value == "Converged":
             continue

@@ -7,7 +7,11 @@ Solves ex1–ex8 from their files' starting points, N seeded instances
 each of the benchmark's ``many_rows`` and ``boxqp_dense`` generators
 (``perfbench/instances.py`` of TREE, imported read-only) from x0 = 0, and
 the first N draws of the convex QP family from their own starts, all with
-the default ``SolverConfig``.  The family's generator is
+the default ``SolverConfig``.  Every start is ``default_start``'s cold
+start, except on the lines ``many_rows*`` and ``boxqp_dense*``: those
+solve the same instances as ``solve(program)``, from whatever start TREE's
+``solve()`` takes when it is given none, which is the call the benchmark
+makes.  The family's generator is
 ``tests/qp_family.py`` of this checkout, built on TREE's solver package,
 so a tree that predates the family is digested on the same draws.  For
 every workload it prints the
@@ -80,10 +84,11 @@ def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
     sys.path.append(str(FAMILY_DIR))
     import qp_family
 
-    def solved(program, start=None):
+    def solved(program, x0=None, cold=True):
+        """The solve from ``default_start(program, x0)``, or from no start at all."""
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            return solve(program, start=default_start(program, start))
+            return solve(program, start=default_start(program, x0) if cold else None)
 
     digests = {}
     for k in range(1, 9):
@@ -96,9 +101,12 @@ def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
         "boxqp_dense": lambda rng, index: instances.boxqp_dense(rng, BOXQP_SIZES[index % len(BOXQP_SIZES)]),
     }
     for name, make in makers.items():
-        digest = digests[name] = Digest()
+        cold = digests[name] = Digest()
+        bare = digests[f"{name}*"] = Digest()
         for seed in range(runs):
-            digest.feed(solved(make(np.random.default_rng(seed), seed).program))
+            program = make(np.random.default_rng(seed), seed).program
+            cold.feed(solved(program))
+            bare.feed(solved(program, cold=False))
 
     digest = digests["qp_family"] = Digest()
     for draw in qp_family.qp_family(runs):
