@@ -21,7 +21,7 @@ from .kkt import (
 from .program import ConvexProgram
 # solve() no longer calls arc_point; the benchmark's tracer (perfbench/spans.py)
 # still rebinds solver.arc_point by name, so the name stays bound here
-from .step import RESIDUAL_FLOOR, StepFailureError, arc_point, floors, select_step, update_nu  # noqa: F401
+from .step import StepFailureError, arc_point, floors, select_step, update_nu  # noqa: F401
 
 
 @dataclass
@@ -172,7 +172,6 @@ def solve(
     curvature_warned = False
     # a folded quadratic returns one read-only Hessian; check it only once
     checked_hess = None
-    residual_floor_warned = False
     k = 0
     # the last trace row holds this iterate's stop-test norm; a NaN norm
     # fails the comparison, so it never counts as converged
@@ -196,15 +195,7 @@ def solve(
             directions = solve_directions(matrix, program.a_ineq, iterate)
             phi, psi = floors(iterate.s, iterate.z, iterate.nu, config.rho)
             selection = select_step(iterate, directions, phi, psi, config)
-            nu = update_nu(iterate.nu, selection.alpha)
-            if nu == RESIDUAL_FLOOR and not residual_floor_warned:
-                warnings.warn(
-                    "residual factor reached zero (full-angle step); continuing with a tiny floor",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                residual_floor_warned = True
-            iterate = Iterate.at(program, selection.point, nu)
+            iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT
             message = str(err)

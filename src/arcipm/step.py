@@ -100,7 +100,8 @@ def update_nu(nu: float, alpha: float) -> float:
 
     At alpha = pi/2 the factor hits zero exactly, which means the linear
     residuals have been wiped out; the run continues from
-    :data:`RESIDUAL_FLOOR` so the slack floors stay well defined.
+    :data:`RESIDUAL_FLOOR` so the slack floors stay well defined.  The
+    floor raises no warning: the trace's ``nu`` column is where it is seen.
     """
     return nu * (1.0 - math.sin(alpha)) or RESIDUAL_FLOOR
 

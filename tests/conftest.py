@@ -107,8 +107,7 @@ def fixture_runs():
     for name in REFERENCE:
         program, start = load_problem(name)
         with np.errstate(all="ignore"):
-            with warnings_ignored():
-                runs[name] = (program, run_recorded(program, default_start(program, start)))
+            runs[name] = (program, run_recorded(program, default_start(program, start)))
     return runs
 
 
@@ -118,22 +117,8 @@ def many_rows_runs():
     runs = {}
     for seed in (0, 1):
         program = many_rows_program(np.random.default_rng(seed))
-        with warnings_ignored():
-            runs[f"many_rows[{seed}]"] = (program, run_recorded(program, default_start(program)))
+        runs[f"many_rows[{seed}]"] = (program, run_recorded(program, default_start(program)))
     return runs
-
-
-class warnings_ignored:
-    def __enter__(self):
-        import warnings
-
-        self._ctx = warnings.catch_warnings()
-        self._ctx.__enter__()
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return self
-
-    def __exit__(self, *exc):
-        return self._ctx.__exit__(*exc)
 
 
 def random_box_qp(rng, max_n=6, with_eq=False) -> ConvexProgram:

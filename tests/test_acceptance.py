@@ -29,7 +29,6 @@ from conftest import (
     step_limits,
     synthetic_step_pair,
     sz_directions,
-    warnings_ignored,
 )
 from oracles import enumerate_kkt, scan_alpha
 from test_autodiff import fd_gradient, fd_hessian
@@ -53,8 +52,7 @@ def test_criterion_1_reference_fixtures():
     for name, (x_ref, obj_ref, kk_ref) in REFERENCE.items():
         program, start = load_problem(name)
         begin = time.perf_counter()
-        with warnings_ignored():
-            report = solve(program, SolverConfig(), default_start(program, start))
+        report = solve(program, SolverConfig(), default_start(program, start))
         elapsed = time.perf_counter() - begin
         dx = float(np.max(np.abs(report.x - np.array(x_ref))))
         dobj = abs(report.objective - obj_ref)
@@ -142,8 +140,7 @@ def test_criterion_3_invariant_suite(fixture_runs):
     rng = np.random.default_rng(987654321)
     for index in range(50):
         program = random_box_qp(rng, max_n=6, with_eq=index % 5 == 0)
-        with warnings_ignored():
-            run = run_recorded(program, default_start(program))
+        run = run_recorded(program, default_start(program))
         if run.report.status is not SolverStatus.CONVERGED:
             failures.append(f"qp{index}: status {run.report.status.value}")
             continue
@@ -282,8 +279,7 @@ def test_criterion_7_oracle_equivalence_on_qps():
     rng = np.random.default_rng(555444333)
     for index in range(25):
         program = random_box_qp(rng, max_n=6)
-        with warnings_ignored():
-            report = solve(program, SolverConfig(), default_start(program))
+        report = solve(program, SolverConfig(), default_start(program))
         if report.status is not SolverStatus.CONVERGED:
             failures.append(f"qp{index}: status {report.status.value}")
             continue

@@ -1,9 +1,12 @@
 """Problem file handling and command-line behavior."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,8 @@ from arcipm.cli import (
     parse_problem_text,
 )
 from arcipm.solver import TRACE_COLUMNS, SolverConfig, TraceRow
-from conftest import LOG_DOMAIN_EXIT, PROBLEM_DIR, UNUSED_VARIABLE, warnings_ignored
+from arcipm.step import RESIDUAL_FLOOR
+from conftest import LOG_DOMAIN_EXIT, PROBLEM_DIR, UNUSED_VARIABLE
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,6 +80,31 @@ def test_readme_example_summary_is_the_golden_ex1_output():
     section = README.read_text().split("## Command line", 1)[1]
     example = section.split("prints\n\n```\n", 1)[1].split("```", 1)[0]
     assert example == (DATA_DIR / "ex1.out").read_text()
+
+
+@pytest.mark.parametrize("name", [f"ex{k}" for k in range(1, 9)])
+def test_command_line_warns_only_about_ex7_curvature(capsys, name):
+    """Python prints a warning the CLI raises on its stderr; only ex7's concave objective raises one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, str(PROBLEM_DIR / f"{name}.prob"))
+    assert code == 0
+    expected = ["objective curvature is not positive semidefinite; continuing anyway"] if name == "ex7" else []
+    assert [str(c.message) for c in caught] == expected
+
+
+def test_readme_library_example_runs_without_a_warning():
+    """The README's library example, and the trace rows it says show the nu floor."""
+    section = README.read_text().split("## Library use", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()) as out:
+        warnings.simplefilter("always")
+        exec(example, namespace)
+    assert caught == []
+    assert out.getvalue() == "Converged 6 [1. 1.]\n"
+    floored = [row.k for row in namespace["report"].trace if row.nu == RESIDUAL_FLOOR]
+    assert floored == [4, 5, 6]
 
 
 @pytest.mark.parametrize("name", [f"ex{k}" for k in range(1, 9)])
@@ -235,8 +264,7 @@ def test_objective_nested_deeper_than_the_parser_can_go_exits_one(tmp_path, caps
 def test_point_outside_the_objective_domain_exits_two(tmp_path, capsys):
     problem = tmp_path / "log_domain.prob"
     problem.write_text(LOG_DOMAIN_EXIT)
-    with warnings_ignored():
-        code, out, err = run_cli(capsys, str(problem))
+    code, out, err = run_cli(capsys, str(problem))
     assert code == 2
     assert parse_summary(out)["status"] == "StepFailure"
     assert "note: log overflows" in err

@@ -31,7 +31,6 @@ from conftest import (
     run_recorded,
     split_at,
     synthetic_step_pair,
-    warnings_ignored,
 )
 from oracles import full_newton_matrix, generic_directions, wrapped_getrf, wrapped_getrs
 
@@ -269,8 +268,7 @@ def test_reduced_directions_match_full_lu_with_equalities():
     many_rows = many_rows_program(rng)
     assert (many_rows.n, many_rows.m, many_rows.p) == (4, 1, 108)
     for program in programs + [many_rows]:
-        with warnings_ignored():
-            run = run_recorded(program, default_start(program))
+        run = run_recorded(program, default_start(program))
         assert run.report.status is SolverStatus.CONVERGED
         for it in run.iterates[:-1:5]:
             _assert_reduced_matches_full(program, it)
@@ -434,8 +432,7 @@ def direction_cases(fixture_runs):
     """
     program = many_rows_program(np.random.default_rng(11))
     assert program.p == 108
-    with warnings_ignored():
-        run = run_recorded(program, default_start(program))
+    run = run_recorded(program, default_start(program))
     assert run.report.status is SolverStatus.CONVERGED
     cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
     cases.append((program, run.iterates))

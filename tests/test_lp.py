@@ -15,7 +15,6 @@ from arcipm import (
     solve,
 )
 from arcipm.expr import Add, Const, Mul, Var
-from conftest import warnings_ignored
 
 LP_SEED = 11
 LP_DRAWS = 30
@@ -31,8 +30,7 @@ def test_lp_ends_at_its_vertex_from_either_start(start):
     stopped this at (1.918, 1.918), objective -5.75, reported Converged."""
     a_ineq, b_ineq = fold_bounds([[-1.0, -1.0]], [-4.0], [0.0, 0.0], [3.0, 3.0])
     program = ConvexProgram(2, parse_expression("-x1 - 2*x2", ["x1", "x2"]), [], [], a_ineq, b_ineq)
-    with warnings_ignored():
-        report = solve(program, start=_starts(program)[start])
+    report = solve(program, start=_starts(program)[start])
     assert report.status is SolverStatus.CONVERGED
     np.testing.assert_allclose(report.x, [1.0, 3.0], atol=1e-6)
     assert report.objective == pytest.approx(-7.0, abs=1e-6)
@@ -73,8 +71,7 @@ def _lp_draws():
 def test_seeded_lps_reach_the_highs_optimum(start):
     missed = {}
     for index, (program, optimum) in enumerate(_lp_draws()):
-        with warnings_ignored():
-            report = solve(program, start=_starts(program)[start])
+        report = solve(program, start=_starts(program)[start])
         gap = abs(report.objective - optimum) / (1.0 + abs(optimum))
         feasible = (program.a_ineq @ report.x >= program.b_ineq - 1e-6).all()
         if report.status is not SolverStatus.CONVERGED or gap > 1e-6 or not feasible:

@@ -8,7 +8,7 @@ import pytest
 
 from arcipm import SolverConfig, balanced_start, default_start
 from arcipm.kkt import assemble_newton_matrix, solve_directions
-from conftest import predictor_of, run_recorded, warnings_ignored
+from conftest import predictor_of, run_recorded
 from oracles import qp_certificate
 from qp_family import FAMILY_SIZE, qp_family
 
@@ -50,12 +50,11 @@ def family_runs():
     """(index, draw, report or the exception raised, last iterate) for every draw."""
     runs = []
     for index, draw in enumerate(qp_family()):
-        with warnings_ignored():
-            try:
-                run = run_recorded(draw.program, default_start(draw.program, draw.x0), SolverConfig())
-            except Exception as err:  # any exception is a finding: see test_no_draw_raises
-                runs.append((index, draw, err, None))
-                continue
+        try:
+            run = run_recorded(draw.program, default_start(draw.program, draw.x0), SolverConfig())
+        except Exception as err:  # any exception is a finding: see test_no_draw_raises
+            runs.append((index, draw, err, None))
+            continue
         runs.append((index, draw, run.report, run.iterates[-1]))
     return runs
 
@@ -106,8 +105,7 @@ def test_certificate_rejects_a_tampered_answer(family_runs):
 def test_balanced_start_loops_are_pinned():
     stopped = {}
     for index, draw in enumerate(qp_family()):
-        with warnings_ignored():
-            run = run_recorded(draw.program, balanced_start(draw.program, draw.x0), SolverConfig())
+        run = run_recorded(draw.program, balanced_start(draw.program, draw.x0), SolverConfig())
         report = run.report
         if report.status.value == "Converged":
             continue

@@ -1,6 +1,7 @@
 """The start that ``solve()`` takes when it is given none: ``balanced_start``."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from arcipm import (
     parse_expression,
     solve,
 )
-from conftest import load_problem, perfbench_module, run_recorded, warnings_ignored
+from conftest import load_problem, perfbench_module, run_recorded
 
 # Instances per generator in the sweep below, and the largest share of the
 # cold start's total iterations that the no-start solves may take.  Measured:
@@ -63,9 +64,8 @@ def test_solve_without_a_start_is_solve_from_the_balanced_start(name):
     instances = perfbench_module("instances")
     rng = np.random.default_rng(0)
     program = (instances.many_rows(rng) if name == "many_rows" else instances.boxqp_dense(rng, 6)).program
-    with warnings_ignored():
-        default = solve(program)
-        given = solve(program, start=balanced_start(program))
+    default = solve(program)
+    given = solve(program, start=balanced_start(program))
     assert default.status is given.status is SolverStatus.CONVERGED
     assert default.trace == given.trace
     assert default.x.tobytes() == given.x.tobytes()
@@ -81,13 +81,15 @@ def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations
     for k in range(SWEEP_SIZE):
         drawn = {"many_rows": instances.many_rows(rng), "boxqp_dense": instances.boxqp_dense(rng, 2 + k % 9)}
         for name, instance in drawn.items():
-            with warnings_ignored():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 run = run_recorded(instance.program, None)
                 cold = solve(instance.program, start=default_start(instance.program))
             last = run.iterates[-1]
             found = checks.kkt_certificate(instance, last.x, last.y, last.z)
             if run.report.status is not SolverStatus.CONVERGED:
                 found.append(f"status {run.report.status.value}")
+            found += [f"warning {c.message}" for c in caught]
             if found:
                 problems[(name, k)] = found
             totals[name][0] += run.report.iterations
