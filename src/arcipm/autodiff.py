@@ -284,7 +284,12 @@ def compile_objective(expression: ast.Expr, n: int):
 
 def _checked_walk(expression, leaves):
     """The walk's (value, gradient, Hessian); a non-finite value is a DomainError."""
-    value, grad, hess = _walk(expression, leaves)
+    try:
+        value, grad, hess = _walk(expression, leaves)
+    except IndexError:
+        raise ValueError(
+            f"point has {len(leaves)} entries, fewer than the expression's variables"
+        ) from None
     if not math.isfinite(value):
         raise DomainError(f"expression value {value} is not finite")
     return value, grad, hess

@@ -143,7 +143,12 @@ class Iterate:
 
     @classmethod
     def at(cls, program: ConvexProgram, vec, nu: float) -> "Iterate":
-        """The iterate at the flat (x, y, s, z) point ``vec``, kept as it is, not copied."""
+        """The iterate at the flat (x, y, s, z) point ``vec``, kept as it is, not copied.
+
+        The residual factor ``nu`` lies in (0, 1]; a NaN fails that test too.
+        """
+        if not 0.0 < nu <= 1.0:
+            raise ValueError(f"residual factor nu must lie in (0, 1], got {nu}")
         n, m, p = program.n, program.m, program.p
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (n + m + 2 * p,):

@@ -163,6 +163,11 @@ def solve(
     """
     config = config or SolverConfig()
     iterate = start if start is not None else balanced_start(program)
+    sizes = (iterate.x.size, iterate.y.size, iterate.p)
+    if sizes != (program.n, program.m, program.p):
+        raise ValueError(
+            f"start has (n, m, p) = {sizes}, the program has {(program.n, program.m, program.p)}"
+        )
     trace = [_trace_row(program, iterate, 0, 0.0, 0.0)]
     if observer is not None:
         observer(0, iterate, None)

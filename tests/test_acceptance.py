@@ -251,6 +251,9 @@ def test_criterion_6_derivative_checks():
             if np.max(np.abs(hess - ref_h)) > 1e-4 * (1.0 + np.max(np.abs(ref_h))):
                 failures.append(f"{name}: Hessian mismatch at {x.tolist()}")
                 break
+            if not np.array_equal(hess, hess.T):
+                failures.append(f"{name}: Hessian not exactly symmetric at {x.tolist()}")
+                break
 
     # arc derivative checks at angle zero
     program, start = load_problem("ex1")

@@ -187,6 +187,12 @@ def test_domain_errors():
         hessian(parse_expression("x1 / x2", X12), [1e200, 1e-200])
 
 
+@pytest.mark.parametrize("function", [evaluate, value_gradient_hessian], ids=lambda f: f.__name__)
+def test_a_point_with_too_few_entries_is_named(function):
+    with pytest.raises(ValueError, match="point has 1 entries, fewer than the expression's variables"):
+        function(parse_expression("x1 + x2", X12), [1.0])
+
+
 def test_non_finite_values_and_exponents_raise():
     # a sum or a constant overflows without an exception; the walk's value is checked
     with pytest.raises(DomainError, match="expression value nan is not finite"):

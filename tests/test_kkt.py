@@ -22,7 +22,7 @@ from arcipm.kkt import (
     solve_directions,
     true_stationarity_norm,
 )
-from arcipm.step import arc_point
+from arcipm.step import RESIDUAL_FLOOR, arc_point
 from conftest import (
     load_problem,
     many_rows_program,
@@ -392,6 +392,20 @@ def test_iterate_rejects_nonpositive_slack():
     program, start = load_problem("ex1")
     with pytest.raises(ValueError, match="strictly positive"):
         Iterate.at(program, np.concatenate((start, np.zeros(5), np.ones(5))), 1.0)
+
+
+@pytest.mark.parametrize(
+    ("nu", "accepted"),
+    [(np.nan, False), (0.0, False), (-1.0, False), (1.5, False), (np.inf, False), (1.0, True), (RESIDUAL_FLOOR, True)],
+)
+def test_iterate_takes_a_residual_factor_in_zero_to_one(nu, accepted):
+    program, start = load_problem("ex1")
+    vec = default_start(program, start).vec
+    if accepted:
+        assert Iterate.at(program, vec, nu).nu == nu
+    else:
+        with pytest.raises(ValueError, match=f"residual factor nu must lie in \\(0, 1\\], got {nu}"):
+            Iterate.at(program, vec, nu)
 
 
 def test_iterate_keeps_the_vector_it_is_given():

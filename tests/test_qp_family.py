@@ -23,8 +23,8 @@ NOT_CONVERGED = {
 }
 EXPECTED_TO_MOVE = (
     "the family's non-converged draws are pinned as today's behaviour; items 8 (scale-invariant "
-    "inequality rows), 11 (a start scaled to the residual) and 12 (one search over sigma and "
-    "alpha) are expected to move them, and the change that does re-records NOT_CONVERGED"
+    "inequality rows) and 12 (one search over sigma and alpha) are expected to move them, and "
+    "the change that does re-records NOT_CONVERGED"
 )
 
 # The draws that do not converge from balanced_start(draw.program, draw.x0):
