@@ -214,6 +214,8 @@ def _walk(node, leaves):
 
 def _quadratic(node: Quadratic, x):
     c, g, h = node.constant, node.linear, node.hessian
+    if x.size != g.size:
+        raise ValueError(f"point has {x.size} entries, the objective has {g.size} variables")
     with np.errstate(over="ignore", invalid="ignore"):
         hx = h @ x
         v = float(c + x @ (g + 0.5 * hx))

@@ -152,9 +152,13 @@ def solve(
 ) -> SolverReport:
     """Run the arc-search iteration until the stop test or an exit condition.
 
-    A call without ``start`` begins at ``balanced_start(program)``.  The
-    command line, the reference fixtures, the golden files and the digests'
-    cold-start lines pass ``default_start`` explicitly: it reproduces the
+    A call without ``start`` begins at ``balanced_start(program)`` and
+    steps by :func:`arcipm.step.mehrotra_steps`: positivity and a falling
+    duality measure only, with Mehrotra's sigma bounding the bisection.
+    A call with a start runs the paper's rule, :func:`arcipm.step.candidate_steps`,
+    with its floors and centrality test.  The command line, the reference
+    fixtures, the golden files and the digests' cold-start lines pass
+    ``default_start`` explicitly: with the paper's rule it reproduces the
     reference runs.
 
     ``observer(k, iterate, selection)`` is called once per stored iterate
@@ -162,7 +166,9 @@ def solve(
     experiment scripts can watch every invariant without bloating the trace.
     """
     config = config or SolverConfig()
-    iterate = start if start is not None else balanced_start(program)
+    # the paper's rule runs from a given start, the library's from none
+    mehrotra = start is None
+    iterate = balanced_start(program) if mehrotra else start
     sizes = (iterate.x.size, iterate.y.size, iterate.p)
     if sizes != (program.n, program.m, program.p):
         raise ValueError(
@@ -198,8 +204,8 @@ def solve(
         )
         try:
             directions = solve_directions(matrix, program.a_ineq, iterate)
-            phi, psi = floors(iterate.s, iterate.z, iterate.nu, config.rho)
-            selection = select_step(iterate, directions, phi, psi, config)
+            phi, psi = (0.0, 0.0) if mehrotra else floors(iterate.s, iterate.z, iterate.nu, config.rho)
+            selection = select_step(iterate, directions, phi, psi, config, mehrotra)
             iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT

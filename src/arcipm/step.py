@@ -25,6 +25,7 @@ sigma, (a_u*sigma + b_u)/p, predicts the updated duality measure.
 :func:`candidate_steps` states the step rule as the stream of (sigma,
 cap, alpha) candidates in the order they are tried, and
 :func:`select_step` takes the first that passes every step condition.
+``solve()`` given no start runs the faster stream :func:`mehrotra_steps`.
 """
 
 from __future__ import annotations
@@ -389,8 +390,29 @@ def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
     )
 
 
+def mehrotra_steps(limits, p_coef, predictor: MuPredictor, config):
+    """The library's rule: Mehrotra's sigma bounds the bisection, as one candidate stream.
+
+    ``limits`` keep s and z positive only.  The cube of the duality measure
+    predicted at the golden-section minimizer of b_u on the least-centering
+    arc, over the current one, is Mehrotra's sigma (S. Mehrotra, SIAM J.
+    Optim. 1992); :func:`bisect_sigma` picks sigma below it, and the angles
+    back off plainly from 0.99 of that sigma's cap.
+    """
+    sigma_min = config.sigma_min
+    affine = predictor.product(sigma_min, golden_min_bu(predictor, alpha_tilde(limits, sigma_min)))
+    bound = min(max((affine / predictor.p_mu) ** 3, sigma_min), config.sigma_max)
+    sigma, cap = bisect_sigma(limits, p_coef, sigma_min, bound)
+    for alpha in candidate_angles(0.99 * cap, 0.99 * cap):
+        yield sigma, cap, alpha
+    raise StepFailureError(
+        f"no acceptable angle above {ALPHA_FLOOR:.1e} "
+        f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
+    )
+
+
 def select_step(
-    iterate: Iterate, directions: NewtonDirections, phi: float, psi: float, config
+    iterate: Iterate, directions: NewtonDirections, phi: float, psi: float, config, mehrotra=False
 ) -> StepSelection:
     """Take the first candidate of :func:`candidate_steps` that passes every step condition.
 
@@ -401,17 +423,19 @@ def select_step(
     whose arc point keeps both blocks above their floors, stays inside the
     centrality region, and strictly decreases the duality measure is taken;
     when none does, the stream itself raises :class:`StepFailureError`.
+    With ``mehrotra`` the stream is :func:`mehrotra_steps`, with no centrality test.
     """
     p = iterate.p
     tails = sz_tails(iterate, directions)
     limits = alpha_limits(*tails, np.repeat((phi, psi), p))
     predictor = MuPredictor.of(tails, iterate.mu)
-    steps = candidate_steps(limits, tails[2], predictor, config)
+    rule, theta = (mehrotra_steps, 0.0) if mehrotra else (candidate_steps, config.theta)
+    steps = rule(limits, tails[2], predictor, config)
     for backtracks, (sigma, cap, alpha) in enumerate(steps):
         if predictor.rules_out(sigma, alpha):
             continue
         point = arc_point(iterate, directions, sigma, alpha)
         s, z = point[-2 * p : -p], point[-p:]
         mu_new = duality_measure(s, z)
-        if _acceptable(s, z, mu_new, iterate.mu, phi, psi, config.theta):
+        if _acceptable(s, z, mu_new, iterate.mu, phi, psi, theta):
             return StepSelection(sigma, alpha, cap, backtracks, point)

@@ -193,6 +193,16 @@ def test_a_point_with_too_few_entries_is_named(function):
         function(parse_expression("x1 + x2", X12), [1.0])
 
 
+@pytest.mark.parametrize("function", [evaluate, value_gradient_hessian], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+def test_a_wrong_length_point_on_a_compiled_quadratic_is_named(function, point):
+    compiled = compile_objective(parse_expression("x1^2 + x2", X12), 2)
+    assert isinstance(compiled, Quadratic)
+    message = f"point has {len(point)} entries, the objective has 2 variables"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        function(compiled, point)
+
+
 def test_non_finite_values_and_exponents_raise():
     # a sum or a constant overflows without an exception; the walk's value is checked
     with pytest.raises(DomainError, match="expression value nan is not finite"):

@@ -21,10 +21,11 @@ LP_DRAWS = 30
 
 
 def _starts(program):
-    return {"cold": default_start(program), "balanced": balanced_start(program)}
+    # None: solve() picks the balanced start and the Mehrotra-bounded rule
+    return {"cold": default_start(program), "balanced": balanced_start(program), "none": None}
 
 
-@pytest.mark.parametrize("start", ["cold", "balanced"])
+@pytest.mark.parametrize("start", ["cold", "balanced", "none"])
 def test_lp_ends_at_its_vertex_from_either_start(start):
     """min -x1 - 2 x2 with x1 + x2 <= 4 on [0, 3]^2: the H x residual
     stopped this at (1.918, 1.918), objective -5.75, reported Converged."""
@@ -67,7 +68,7 @@ def _lp_draws():
         yield program, highs.fun
 
 
-@pytest.mark.parametrize("start", ["cold", "balanced"])
+@pytest.mark.parametrize("start", ["cold", "balanced", "none"])
 def test_seeded_lps_reach_the_highs_optimum(start):
     missed = {}
     for index, (program, optimum) in enumerate(_lp_draws()):

@@ -119,3 +119,18 @@ def test_balanced_start_loops_are_pinned():
         predictor = predictor_of(last, solve_directions(matrix, program.a_ineq, last))
         assert 0.0 < predictor.mixed < 1e-3 * predictor.p_mu, index
     assert stopped == BALANCED_START_LOOPS, LOOPS_EXPECTED_TO_MOVE
+
+
+def test_every_draw_converges_and_certifies_without_a_start():
+    """``solve(draw.program)``: the balanced start at x = 0 and the Mehrotra-bounded
+    rule, which ends the balanced start's sigma = 127/128 loops too."""
+    failures = {}
+    for index, draw in enumerate(qp_family()):
+        run = run_recorded(draw.program, None)
+        last = run.iterates[-1]
+        problems = qp_certificate(draw, last.x, last.y, last.z)
+        if run.report.status.value != "Converged":
+            problems.append(f"status {run.report.status.value} at k = {run.report.iterations}")
+        if problems:
+            failures[index] = problems
+    assert failures == {}

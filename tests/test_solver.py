@@ -231,6 +231,15 @@ def test_cold_start_failure_on_the_simplest_qp(rows):
     np.testing.assert_allclose(report.x, x, rtol=1e-5)
 
 
+def test_one_row_qp_converges_without_a_start():
+    """The cold start's sigma = 127/128 loop of COLD_START_FAILURES is not reached
+    by solve(program), whose Mehrotra-bounded rule centers no more than it needs."""
+    program, _ = parse_problem_text("vars x1 x2\nmin x1^2 + x2^2\nineq 1 1 >= 1\n")
+    report = solve(program)
+    assert report.status is SolverStatus.CONVERGED
+    np.testing.assert_allclose(report.x, [0.5, 0.5], atol=1e-6)
+
+
 def test_one_row_cold_start_loops_at_the_top_of_the_sigma_range():
     program, start = parse_problem_text("vars x1 x2\nmin x1^2 + x2^2\nineq 1 1 >= 1\n")
     report = solve(program, SolverConfig(), default_start(program, start))
@@ -258,7 +267,7 @@ def test_step_failure_status(monkeypatch):
     import arcipm.solver as solver_mod
     from arcipm.step import StepFailureError
 
-    def stall(iterate, directions, phi, psi, config):
+    def stall(iterate, directions, phi, psi, config, mehrotra):
         raise StepFailureError("forced stall")
 
     monkeypatch.setattr(solver_mod, "select_step", stall)

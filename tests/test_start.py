@@ -1,4 +1,4 @@
-"""The start that ``solve()`` takes when it is given none: ``balanced_start``."""
+"""The start that ``solve()`` takes when it is given none, ``balanced_start``, and the rule it runs from it."""
 
 import re
 import warnings
@@ -8,6 +8,7 @@ import pytest
 
 from arcipm import (
     ConvexProgram,
+    SolverConfig,
     SolverStatus,
     balanced_start,
     default_start,
@@ -15,11 +16,13 @@ from arcipm import (
     parse_expression,
     solve,
 )
+from arcipm.kkt import assemble_newton_matrix, solve_directions
+from arcipm.step import floors, select_step
 from conftest import load_problem, perfbench_module, run_recorded
 
 # Instances per generator in the sweep below, and the largest share of the
 # cold start's total iterations that the no-start solves may take.  Measured:
-# 417 of 1379 on many_rows and 352 of 1070 on boxqp_dense, 0.30 and 0.33.
+# 375 of 1379 on many_rows and 213 of 1070 on boxqp_dense, 0.27 and 0.20.
 SWEEP_SIZE = 40
 ITERATION_SHARE = 0.5
 
@@ -60,16 +63,24 @@ def test_balanced_start_checks_x0_as_default_start_does(bad):
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
-def test_solve_without_a_start_is_solve_from_the_balanced_start(name):
+def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(name):
+    """No start: the balanced start and the Mehrotra-bounded rule.  An explicit
+    balanced start keeps the paper's rule, with its floors and centrality test."""
     instances = perfbench_module("instances")
     rng = np.random.default_rng(0)
     program = (instances.many_rows(rng) if name == "many_rows" else instances.boxqp_dense(rng, 6)).program
-    default = solve(program)
-    given = solve(program, start=balanced_start(program))
-    assert default.status is given.status is SolverStatus.CONVERGED
-    assert default.trace == given.trace
-    assert default.x.tobytes() == given.x.tobytes()
-    assert (default.objective, default.infe) == (given.objective, given.infe)
+    config = SolverConfig()
+    default = run_recorded(program, None)
+    given = run_recorded(program, balanced_start(program))
+    assert default.report.status is given.report.status is SolverStatus.CONVERGED
+    assert default.report.trace[0] == given.report.trace[0]
+    assert default.report.trace[1] != given.report.trace[1]
+    for run, mehrotra in ((default, True), (given, False)):
+        for iterate, selection in zip(run.iterates, run.selections[1:]):
+            matrix = assemble_newton_matrix(iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z)
+            directions = solve_directions(matrix, program.a_ineq, iterate)
+            phi, psi = (0.0, 0.0) if mehrotra else floors(iterate.s, iterate.z, iterate.nu, config.rho)
+            assert select_step(iterate, directions, phi, psi, config, mehrotra) == selection
 
 
 def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations():

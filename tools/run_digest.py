@@ -9,9 +9,9 @@ each of the benchmark's ``many_rows`` and ``boxqp_dense`` generators
 the first N draws of the convex QP family from their own starts, all with
 the default ``SolverConfig``.  Every start is ``default_start``'s cold
 start, except on the lines ``many_rows*`` and ``boxqp_dense*``: those
-solve the same instances as ``solve(program)``, from whatever start TREE's
-``solve()`` takes when it is given none, which is the call the benchmark
-makes.  The family's generator is
+solve the same instances as ``solve(program)``, from whatever start and
+with whatever step rule TREE's ``solve()`` takes when it is given no
+start, which is the call the benchmark makes.  The family's generator is
 ``tests/qp_family.py`` of this checkout, built on TREE's solver package,
 so a tree that predates the family is digested on the same draws.  For
 every workload it prints the
