@@ -1,45 +1,52 @@
 """Objective evaluation plus exact gradients and Hessians.
 
 One walk of the expression tree carries, at every node, the triple
-(value, gradient in R^n, Hessian in R^{n x n}) and combines the children's
-triples by the chain rule (second-order forward mode; Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., on Hessian propagation).  It recurses
-into children but loops over the ``links()`` of a chain of + - * /, however
-long.  It is the one evaluator of the node semantics: the parser folds a
-constant exponent of ``^`` with it at n = 0, and a :class:`DomainError`
-there is a parse error.
+(value, gradient, Hessian) and combines the children's triples by the
+chain rule (second-order forward mode; Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., on Hessian propagation).  The gradient is a map
+from variable index to entry and the Hessian a map from (i, j), i <= j,
+to entry.  The walk recurses into children but loops over the ``links()``
+of a chain of + - * /, however long.  It is the one evaluator of the node
+semantics: the parser folds a constant exponent of ``^`` with it at
+n = 0, and a :class:`DomainError` there is a parse error.
 
-A block that is exactly zero by the tree's structure is absent (None)
-rather than stored (ibid., on structural zeros): a constant walks to
-(v, None, None), a variable leaf to (x_i, e_i, None) and ``u ^ 0`` to
-(1, None, None).  The helpers :func:`_add`, :func:`_sub`, :func:`_scale`
-and :func:`_cross` combine only the blocks that are present; f' and f''
-of ``log``, ``exp`` and ``^`` are formed only over a child that has a
-gradient; and :func:`value_gradient_hessian` fills in zeros once, at the
-end.  So a constant subtree costs its values alone, a linear one no
-Hessian work, and a product with a constant factor one scaled copy of
-each block instead of two products, a sum and a zero cross term.
-:func:`evaluate` walks with leaves (x_i, None, None), so it forms no
-derivative at all, and a value whose derivatives would overflow is no
-error there: ``(1e-300)^0.5`` is 1e-150, so the parser folds
-``x1^(log(1e-300))``, and ``log(x1)`` at x1 = 1e-300 is -690.78, while
-:func:`value_gradient_hessian` there raises, as its Hessian overflows.
-The results equal a walk that stores every zero block
-(``tests/oracles.py``) value for value; only the sign of an exact zero
-may differ, as 0 + (-0) is +0, and a gradient entry that has overflowed
-to inf no longer turns a zero block's 0 into the NaN of inf * 0.
+An entry that is exactly zero is absent rather than stored (ibid., on
+structural zeros), whether the tree's structure makes it zero or the
+scalar factor that would form it is exactly 0: a constant walks to
+(v, {}, {}), a variable leaf to (x_i, {i: 1}, {}) and ``u ^ 0`` to
+(1, {}, {}), and a product at a point where one factor's value is 0
+takes no entry from the other factor's derivatives.  The helpers
+:func:`_add`, :func:`_sub`, :func:`_scale`, :func:`_cross` and
+:func:`_chain` apply each chain rule entry by entry, in the order of the
+dense rule, over the entries that are present; f' and f'' of ``log``,
+``exp`` and ``^`` are formed only over a child with a derivative entry.
+A + - or / link writes into maps its chain owns, copies of the chain's
+bottom or maps an earlier link made, never into a leaf's or a child's.
+:func:`value_gradient_hessian` fills the dense (n,) and (n, n) arrays
+once, at the end.  So each node costs O(the entries it stores), and a
+walk O(nodes x stored entries) plus the fill: a constant subtree costs
+its values alone, a linear one no Hessian work, the weighted entropy
+sum c_i x_i log x_i stores n Hessian entries, not n^2, and each product
+x_i x_j of a dense quadratic stores one.  :func:`evaluate` walks with
+leaves (x_i, {}, {}), so it forms no derivative at all, and a value whose
+derivatives would overflow is no error there: ``(1e-300)^0.5`` is
+1e-150, so the parser folds ``x1^(log(1e-300))``, and ``log(x1)`` at
+x1 = 1e-300 is -690.78, while :func:`value_gradient_hessian` there
+raises, as its Hessian overflows.  The results equal a walk that stores
+every zero block (``tests/oracles.py``) value for value; only the sign of
+an exact zero may differ, as 0 + (-0) is +0, and an entry that has
+overflowed to inf no longer turns an absent entry, or a zero scalar
+factor, into the NaN of inf * 0.
 
-On a raw parse tree a call still costs one walk whose nodes with a
-variable below them each do O(n^2) array work, so the O(n^2) products of
-a dense quadratic cost O(n^4).
-
-:func:`compile_objective` therefore runs once per program: a degree test,
-then one walk at x = 0.  A tree of degree <= 2 is c + g'x + 1/2 x'Hx, and
-its (value, gradient, Hessian) at 0 are exactly (c, g, H), a constant
+:func:`compile_objective` runs once per program: a degree test, then one
+walk at x = 0.  A tree of degree <= 2 is c + g'x + 1/2 x'Hx, and its
+(value, gradient, Hessian) at 0 are exactly (c, g, H), a constant
 Hessian (ibid., ch. 7); it becomes one :class:`Quadratic` node, and any
-other tree is left as it is.  Compiling costs one O(nodes n^2) walk.  A
-quadratic program is then one node: one matrix-vector product per call
-and the same read-only Hessian every time.  The public
+other tree is left as it is.  At x = 0 every product of two variables
+has the value 0, so the walk of a dense 1/2 x'Qx stores no gradient
+entry and one Hessian entry per term: compiling costs O(nodes) plus the
+O(n^2) fill.  A quadratic program is then one node: one matrix-vector
+product per call and the same read-only Hessian every time.  The public
 ``evaluate``/``gradient``/``hessian`` accept either tree; the solver
 passes the compiled one and the test oracles the raw one.
 
@@ -48,10 +55,11 @@ Values stay Python floats, so ``**`` and ``math.exp`` raise
 :class:`DomainError`.  Float ``*`` and ``/`` return inf instead, so products
 and quotients are checked with ``math.isfinite``, as are a folded node's
 value and, since sums and constants overflow silently, the walk's result.
-Gradient and Hessian arrays overflow silently too, so
-:func:`value_gradient_hessian` checks them once, at the end.
-Hessians are exactly symmetric: every cross term is built as ``C + C.T``
-and every curvature term as ``outer(g, g)``.
+Gradient and Hessian entries overflow silently too, so
+:func:`value_gradient_hessian` checks the filled arrays once, at the end.
+Hessians are exactly symmetric: the walk stores entry (i, j) for i <= j
+only, formed as the dense rule forms both (i, j) and (j, i) (a cross term
+as C_ij + C_ji, a curvature term as g_i g_j), and the fill mirrors it.
 """
 
 from __future__ import annotations
@@ -87,42 +95,55 @@ class Quadratic:
 
 
 def _add(a, b):
-    """a + b over blocks where None is exactly zero."""
-    if b is None:
+    """a + b, entry by entry, written into a, which must be the caller's own map."""
+    if not a:
+        a.update(b)
         return a
-    if a is None:
-        return b
-    return a + b
+    for k, x in b.items():
+        a[k] = a[k] + x if k in a else x
+    return a
 
 
 def _sub(a, b):
-    """a - b over blocks where None is exactly zero."""
-    if b is None:
-        return a
-    if a is None:
-        return -b
-    return a - b
+    """a - b, entry by entry, written into a, which must be the caller's own map."""
+    for k, x in b.items():
+        a[k] = a[k] - x if k in a else -x
+    return a
 
 
-def _scale(c: float, a):
-    """c * a over a block where None is exactly zero."""
-    return None if a is None else c * a
+def _scale(c: float, a) -> dict:
+    """c * a as a new map; empty if the scalar c is exactly zero."""
+    if c == 0.0 or not a:
+        return {}
+    return {k: c * x for k, x in a.items()}
 
 
-def _cross(a, b):
-    """The symmetric cross term C + C' of C = outer(a, b); None if a or b is zero."""
-    if a is None or b is None:
-        return None
-    c = np.outer(a, b)
-    return c + c.T
+def _cross(a, b) -> dict:
+    """The symmetric cross term C + C' of C = outer(a, b), over i <= j, as a new map."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            c = x * y
+            if i == j:
+                out[i, i] = c + c
+            else:
+                key = (i, j) if i < j else (j, i)
+                out[key] = out[key] + c if key in out else c
+    return out
 
 
 def _chain(f: float, g, h, df: float, d2f: float):
     """(f(u), grad, Hessian) of a scalar function with f' = df, f'' = d2f at u.
 
-    u has the gradient g (present) and the Hessian h.
+    u has the gradient g and the Hessian h.
     """
-    return f, df * g, _add(_scale(df, h), d2f * np.outer(g, g))
+    curvature = {}
+    if d2f != 0.0:
+        pairs = list(g.items())
+        for first, (i, x) in enumerate(pairs):
+            for j, y in pairs[first:]:
+                curvature[(i, j) if i <= j else (j, i)] = d2f * (x * y)
+    return f, _scale(df, g), _add(_scale(df, h), curvature)
 
 
 def _pow(u, r: float):
@@ -130,7 +151,7 @@ def _pow(u, r: float):
     if not math.isfinite(r):
         raise DomainError("power exponent is not finite")
     if r == 0.0:
-        return 1.0, None, None
+        return 1.0, {}, {}
     if r == 1.0:
         return u
     if r.is_integer():
@@ -139,25 +160,29 @@ def _pow(u, r: float):
     elif a <= 0.0:
         raise DomainError("nonpositive base under a fractional power")
     try:
-        if g is None:
-            return a**r, None, None
+        if not (g or h):
+            return a**r, {}, {}
         return _chain(a**r, g, h, r * a ** (r - 1.0), r * (r - 1.0) * a ** (r - 2.0))
     except OverflowError as err:
         raise DomainError("power overflows") from err
 
 
 def _walk(node, leaves):
-    match node:
-        case ast.Const(value=v):
-            return float(v), None, None
-        case ast.Var(index=i):
-            return leaves[i]
-        case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
+    match type(node):
+        case ast.Var:
+            return leaves[node.index]
+        case ast.Const:
+            return float(node.value), {}, {}
+        case ast.Add | ast.Sub | ast.Mul | ast.Div:
             # a chain of k links is parsed k deep on the left; walk its links
             # in a loop: the bottom first, then each link's right operand and
             # the link's rule, in the order recursion would take them
             bottom, links = node.links()
             v, g, h = _walk(bottom, leaves)
+            # + - and / write into the chain's maps, so they must be its own,
+            # not the bottom's, which may be a leaf's; * makes new ones
+            if links[0][0] is not ast.Mul:
+                g, h = dict(g), dict(h)
             for kind, right in links:
                 vb, gb, hb = _walk(right, leaves)
                 if kind is ast.Add:
@@ -179,35 +204,33 @@ def _walk(node, leaves):
                     q = v / vb
                     if not math.isfinite(q):
                         raise DomainError("quotient overflows")
-                    gq = _sub(g, _scale(q, gb))
-                    if gq is not None:
-                        gq = gq / vb
-                    h = _sub(_sub(h, _scale(q, hb)), _cross(gq, gb))
-                    v, g, h = q, gq, None if h is None else h / vb
+                    g = {k: x / vb for k, x in _sub(g, _scale(q, gb)).items()}
+                    h = _sub(_sub(h, _scale(q, hb)), _cross(g, gb))
+                    v, h = q, {k: x / vb for k, x in h.items()}
             return v, g, h
-        case ast.Pow(base=b, exponent=r):
-            return _pow(_walk(b, leaves), r)
-        case ast.Neg(child=c):
-            v, g, h = _walk(c, leaves)
-            return -v, _sub(None, g), _sub(None, h)
-        case ast.Log(child=c):
-            a, g, h = _walk(c, leaves)
+        case ast.Pow:
+            return _pow(_walk(node.base, leaves), node.exponent)
+        case ast.Neg:
+            v, g, h = _walk(node.child, leaves)
+            return -v, _sub({}, g), _sub({}, h)
+        case ast.Log:
+            a, g, h = _walk(node.child, leaves)
             if a <= 0.0:
                 raise DomainError("log of a nonpositive value")
-            if g is None:
-                return math.log(a), None, None
+            if not (g or h):
+                return math.log(a), {}, {}
             try:
                 return _chain(math.log(a), g, h, 1.0 / a, -(a**-2.0))
             except OverflowError as err:
                 raise DomainError("log overflows") from err
-        case ast.Exp(child=c):
-            a, g, h = _walk(c, leaves)
+        case ast.Exp:
+            a, g, h = _walk(node.child, leaves)
             try:
                 e = math.exp(a)
             except OverflowError as err:
                 raise DomainError("exp overflows") from err
-            if g is None:
-                return e, None, None
+            if not (g or h):
+                return e, {}, {}
             return _chain(e, g, h, e, e)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -232,12 +255,12 @@ def _degree(node: ast.Expr) -> int | None:
     ``^ 1`` keeps the base's degree, ``^ 2`` applies over a base of degree
     <= 1 and ``^ 0`` over a constant base only; a divisor must be constant.
     """
-    match node:
-        case ast.Const():
-            return 0
-        case ast.Var():
+    match type(node):
+        case ast.Var:
             return 1
-        case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
+        case ast.Const:
+            return 0
+        case ast.Add | ast.Sub | ast.Mul | ast.Div:
             # over the links in a loop, as in _walk
             bottom, links = node.links()
             degree = _degree(bottom)
@@ -251,10 +274,10 @@ def _degree(node: ast.Expr) -> int | None:
                 else:
                     degree = max(degree, d)
             return degree
-        case ast.Neg(child=c):
-            return _degree(c)
-        case ast.Pow(base=b, exponent=r):
-            d = _degree(b)
+        case ast.Neg:
+            return _degree(node.child)
+        case ast.Pow:
+            d, r = _degree(node.base), node.exponent
             if r == 1.0:
                 return d
             if r == 2.0 and d is not None and d <= 1:
@@ -279,7 +302,6 @@ def compile_objective(expression: ast.Expr, n: int):
         c, g, h = value_gradient_hessian(expression, np.zeros(n))
     except DomainError:
         return expression
-    h = h.copy()
     h.flags.writeable = False
     return Quadratic(c, g, h)
 
@@ -302,15 +324,15 @@ def value_gradient_hessian(expression, x):
     x = np.asarray(x, dtype=float)
     if isinstance(expression, Quadratic):
         return _quadratic(expression, x)
-    n = x.size
-    unit = np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, grad, hess = _checked_walk(expression, [(float(x[i]), unit[i], None) for i in range(n)])
-    # the walk leaves an exactly zero block absent; fill it in once
-    if grad is None:
-        grad = np.zeros(n)
-    if hess is None:
-        hess = np.zeros((n, n))
+    leaves = [(v, {i: 1.0}, {}) for i, v in enumerate(x.tolist())]
+    value, grad_entries, hess_entries = _checked_walk(expression, leaves)
+    # the walk leaves an exactly zero entry absent; fill in the arrays once
+    grad = np.zeros(x.size)
+    for i, entry in grad_entries.items():
+        grad[i] = entry
+    hess = np.zeros((x.size, x.size))
+    for (i, j), entry in hess_entries.items():
+        hess[i, j] = hess[j, i] = entry
     if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
         raise DomainError("gradient or Hessian is not finite")
     return value, grad, hess
@@ -321,7 +343,7 @@ def evaluate(expression, x) -> float:
     x = np.asarray(x, dtype=float)
     if isinstance(expression, Quadratic):
         return _quadratic(expression, x)[0]
-    return _checked_walk(expression, [(float(v), None, None) for v in x])[0]
+    return _checked_walk(expression, [(v, {}, {}) for v in x.tolist()])[0]
 
 
 def gradient(expression, x) -> np.ndarray:

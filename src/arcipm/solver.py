@@ -155,6 +155,9 @@ def solve(
     A call without ``start`` begins at ``balanced_start(program)`` and
     steps by :func:`arcipm.step.mehrotra_steps`: positivity and a falling
     duality measure only, with Mehrotra's sigma bounding the bisection.
+    If the objective is undefined at that start, x = 0, the call raises
+    its :class:`DomainError` with a message that names the start and the
+    remedy, ``start=balanced_start(program, x0)``.
     A call with a start runs the paper's rule, :func:`arcipm.step.candidate_steps`,
     with its floors and centrality test.  The command line, the reference
     fixtures, the golden files and the digests' cold-start lines pass
@@ -168,7 +171,15 @@ def solve(
     config = config or SolverConfig()
     # the paper's rule runs from a given start, the library's from none
     mehrotra = start is None
-    iterate = balanced_start(program) if mehrotra else start
+    iterate = start
+    if mehrotra:
+        try:
+            iterate = balanced_start(program)
+        except DomainError as err:
+            raise DomainError(
+                f"{err} at x = 0, the start solve() takes when given none; pass "
+                "start=balanced_start(program, x0) with x0 in the objective's domain"
+            ) from err
     sizes = (iterate.x.size, iterate.y.size, iterate.p)
     if sizes != (program.n, program.m, program.p):
         raise ValueError(

@@ -312,8 +312,9 @@ def dense_value_gradient_hessian(expression: ast.Expr, x) -> tuple:
     Every node carries a full n-vector and n x n matrix, zeros included:
     a constant carries a zero gradient and Hessian, and a variable leaf a
     zero Hessian, which every chain rule then adds and multiplies.  The
-    solver's walk leaves those blocks out and must give the same values,
-    up to the sign of an exact zero.
+    solver's walk leaves out the entries that are zero by structure or by
+    a zero factor and must give the same values, up to the sign of an
+    exact zero.
     """
     x = np.asarray(x, dtype=float)
     n = x.size

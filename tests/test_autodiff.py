@@ -220,12 +220,46 @@ def test_non_finite_values_and_exponents_raise():
 
 
 def test_constant_subtrees_take_no_derivatives():
-    # a constant carries no gradient or Hessian, and a variable leaf no Hessian
-    assert _walk(ast.Const(2.5), []) == (2.5, None, None)
-    assert _walk(ast.Log(ast.Exp(ast.Const(2.0))), []) == (2.0, None, None)
-    value, grad, hess = _walk(parse_expression("x1 + 3", ["x1"]), [(1.0, np.ones(1), None)])
-    assert value == 4.0 and np.array_equal(grad, [1.0]) and hess is None
-    assert _walk(ast.Pow(ast.Var(0, "x1"), 0.0), [(1.0, np.ones(1), None)]) == (1.0, None, None)
+    # a constant carries no gradient or Hessian entry, and a variable leaf no Hessian entry
+    assert _walk(ast.Const(2.5), []) == (2.5, {}, {})
+    assert _walk(ast.Log(ast.Exp(ast.Const(2.0))), []) == (2.0, {}, {})
+    assert _walk(parse_expression("x1 + 3", ["x1"]), [(1.0, {0: 1.0}, {})]) == (4.0, {0: 1.0}, {})
+    assert _walk(ast.Pow(ast.Var(0, "x1"), 0.0), [(1.0, {0: 1.0}, {})]) == (1.0, {}, {})
+
+
+def test_entropy_hessian_stores_one_entry_per_variable():
+    # sum c_i x_i log x_i touches each variable in one term: its walk stores
+    # n gradient and n Hessian entries, not n x n
+    n = 128
+    names = [f"x{i + 1}" for i in range(n)]
+    weights = np.random.default_rng(128).uniform(0.5, 2.0, size=n).tolist()
+    tree = parse_expression(" + ".join(f"{c!r}*{x}*log({x})" for c, x in zip(weights, names)), names)
+    x = np.random.default_rng(129).uniform(0.1, 5.0, size=n)
+    _, grad, hess = _walk(tree, [(v, {i: 1.0}, {}) for i, v in enumerate(x.tolist())])
+    assert sorted(grad) == list(range(n))
+    assert sorted(hess) == [(i, i) for i in range(n)]
+    assert_equals_dense_walk(tree, x)
+
+
+SHARED = parse_expression("x1*x2 + x1", X12)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        parse_expression("x1 + x1 + x1*x1", X12),
+        parse_expression("3 + x1 - x1 + x2/x1", X12),
+        ast.Add(ast.Var(0, "x1"), ast.Var(0, "x1")),
+        ast.Add(SHARED, SHARED),
+        ast.Sub(ast.Mul(SHARED, SHARED), ast.Add(SHARED, ast.Pow(SHARED, 1.0))),
+    ],
+    ids=["x1 + x1 + x1*x1", "3 + x1 - x1 + x2/x1", "Add(x1, x1)", "Add(t, t)", "t*t - (t + t^1)"],
+)
+def test_walk_writes_into_no_leaf_or_child_map(tree):
+    # a sum accumulates into maps it owns: a write into a leaf's or a
+    # child's map would show in a later read of that leaf or subtree
+    for x in ([1.5, 0.5], [1.5, 0.5], [0.25, 2.0]):
+        assert_equals_dense_walk(tree, x)
 
 
 def test_constant_exponents_whose_derivatives_alone_overflow():
@@ -369,7 +403,7 @@ def test_quadratic_tree_deeper_than_the_recursion_limit_builds_and_solves():
     assert np.all(a_ineq @ report.x >= b_ineq - 1e-8)
 
 
-# Random trees over three variables, drawn so that the parsed and the
+# Random trees over three or six variables, drawn so that the parsed and the
 # compiled tree must agree closely: points and constants are small dyadic
 # numbers, so every polynomial subtree is evaluated exactly by both paths,
 # and every node has a positive value, so no sum cancels.  Subtraction and
@@ -377,10 +411,6 @@ def test_quadratic_tree_deeper_than_the_recursion_limit_builds_and_solves():
 # their signs.  Half of the trees are polynomials of any degree, which fold
 # when their degree is at most 2; the others put any node around and
 # between polynomial subtrees, and are left unfolded.
-VARS = [ast.Var(i, f"x{i + 1}") for i in range(3)]
-LEAVES = st.sampled_from(VARS) | st.sampled_from([1.0, 2.0, 3.0]).map(ast.Const)
-
-
 def _polynomial_ops(children):
     pairs = st.tuples(children, children)
     return st.one_of(
@@ -404,9 +434,20 @@ def _all_ops(children):
     )
 
 
-POLYNOMIALS = st.recursive(LEAVES, _polynomial_ops, max_leaves=6)
-TREES = POLYNOMIALS | st.recursive(POLYNOMIALS, _all_ops, max_leaves=6)
-POINTS = st.lists(st.sampled_from(np.arange(2, 9) / 4.0), min_size=3, max_size=3).map(np.array)
+def _trees_and_points(n):
+    """Random trees over n variables and random points of n entries."""
+    variables = [ast.Var(i, f"x{i + 1}") for i in range(n)]
+    leaves = st.sampled_from(variables) | st.sampled_from([1.0, 2.0, 3.0]).map(ast.Const)
+    polynomials = st.recursive(leaves, _polynomial_ops, max_leaves=6)
+    trees = polynomials | st.recursive(polynomials, _all_ops, max_leaves=6)
+    points = st.lists(st.sampled_from(np.arange(2, 9) / 4.0), min_size=n, max_size=n).map(np.array)
+    return trees, points
+
+
+TREES, POINTS = _trees_and_points(3)
+# over six variables most nodes touch only some of the point's variables, so
+# sums and products often merge an entry that only one side holds
+TREES6, POINTS6 = _trees_and_points(6)
 
 
 @given(TREES, POINTS)
@@ -440,11 +481,12 @@ def test_walk_equals_dense_walk_along_reference_runs(fixture_runs):
             assert_equals_dense_walk(program.objective, iterate.x)
 
 
-@given(TREES, POINTS)
-@example(parse_expression("x1*x2 + exp(x3/8) - -(x1 + 2) - -log(2 + x2)", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
-@example(parse_expression("3 - x1 / (2 + 1) * 2^0 + (x2 - 1)^2 / x3", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0]))
-@settings(max_examples=300, deadline=None)
-def test_walk_equals_dense_walk_on_random_trees(tree, x):
+@given(st.tuples(TREES, POINTS) | st.tuples(TREES6, POINTS6))
+@example((parse_expression("x1*x2 + exp(x3/8) - -(x1 + 2) - -log(2 + x2)", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0])))
+@example((parse_expression("3 - x1 / (2 + 1) * 2^0 + (x2 - 1)^2 / x3", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0])))
+@settings(max_examples=600, deadline=None)
+def test_walk_equals_dense_walk_on_random_trees(case):
+    tree, x = case
     try:
         dense_value_gradient_hessian(tree, x)
     except DomainError as err:

@@ -13,8 +13,9 @@ def test_run_digests_match_the_pinned_file():
 
     The file holds one SHA-256 per workload (ex1–ex8, 20 seeds each of
     ``many_rows`` and ``boxqp_dense`` from the cold start and again as
-    ``solve(program)`` with no start, and the first 20 draws of the QP
-    family in ``tests/qp_family.py``) over every trace row, x, status,
+    ``solve(program)`` with no start, the first 20 draws of the QP family
+    in ``tests/qp_family.py``, and 20 weighted entropies at n = 4 to 32,
+    whose objectives do not fold) over every trace row, x, status,
     objective, infe and iteration count.  A change that moves any bit of
     any result fails here; a change meant to move results re-records the
     file, and says why, with

@@ -8,6 +8,7 @@ import pytest
 
 from arcipm import (
     ConvexProgram,
+    DomainError,
     SolverConfig,
     SolverStatus,
     balanced_start,
@@ -60,6 +61,18 @@ def test_balanced_start_checks_x0_as_default_start_does(bad):
         default_start(program, bad)
     with pytest.raises(ValueError, match=re.escape(str(cold.value))):
         balanced_start(program, bad)
+
+
+def test_solve_without_a_start_names_its_start_where_the_objective_is_undefined():
+    # ex1's objective takes log(x1); solve() without a start would begin at x = 0
+    program, start = load_problem("ex1")
+    expected = (
+        "log of a nonpositive value at x = 0, the start solve() takes when given none; pass "
+        "start=balanced_start(program, x0) with x0 in the objective's domain"
+    )
+    with pytest.raises(DomainError, match=re.escape(expected)):
+        solve(program)
+    assert solve(program, start=balanced_start(program, start)).status is SolverStatus.CONVERGED
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])

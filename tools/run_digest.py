@@ -6,9 +6,12 @@
 Solves ex1–ex8 from their files' starting points, N seeded instances
 each of the benchmark's ``many_rows`` and ``boxqp_dense`` generators
 (``perfbench/instances.py`` of TREE, imported read-only) from x0 = 0, and
-the first N draws of the convex QP family from their own starts, all with
-the default ``SolverConfig``.  Every start is ``default_start``'s cold
-start, except on the lines ``many_rows*`` and ``boxqp_dense*``: those
+the first N draws of the convex QP family from their own starts, and N
+seeded weighted entropies from x0 = 1 (``entropy``: the sum of
+c_i x_i log x_i, c ~ U(0.5, 2), over n = 4, 8, 16, 32 in turn, on the box
+[0.1, 5] with the row sum(x) <= 0.8 n, an objective that does not fold),
+all with the default ``SolverConfig``.  Every start is ``default_start``'s
+cold start, except on the lines ``many_rows*`` and ``boxqp_dense*``: those
 solve the same instances as ``solve(program)``, from whatever start and
 with whatever step rule TREE's ``solve()`` takes when it is given no
 start, which is the call the benchmark makes.  The family's generator is
@@ -39,6 +42,8 @@ import numpy as np
 # sizes cycled through by the boxqp_dense instances; the benchmark's own pass
 # is BOXQP_PASS = (2, 4, 6, 8, 8, 8, 10) in perfbench/workloads.py
 BOXQP_SIZES = (2, 4, 6, 8, 10)
+# sizes cycled through by the entropy instances, whose objectives do not fold
+ENTROPY_SIZES = (4, 8, 16, 32)
 
 FAMILY_DIR = Path(__file__).resolve().parent.parent / "tests"
 
@@ -66,6 +71,23 @@ class Digest:
     def line(self, name: str) -> str:
         counts = ", ".join(f"{status} {count}" for status, count in sorted(self.statuses.items()))
         return f"{name:12s} {self.solves:4d}  {self.sha.hexdigest()}  {self.iterations:6d} iterations  {counts}"
+
+
+def entropy_program(rng, n: int):
+    """min sum c_i x_i log x_i, c ~ U(0.5, 2), s.t. 0.1 <= x <= 5 and sum(x) <= 0.8 n.
+
+    Built on whichever ``arcipm`` :func:`workload_digests` put on the path.
+    """
+    from arcipm import ConvexProgram, fold_bounds
+    from arcipm.expr import Add, Const, Log, Mul, Var
+
+    objective = None
+    for i, c in enumerate(rng.uniform(0.5, 2.0, size=n)):
+        x = Var(i, f"x{i + 1}")
+        term = Mul(Mul(Const(float(c)), x), Log(x))
+        objective = term if objective is None else Add(objective, term)
+    a_ineq, b_ineq = fold_bounds(-np.ones((1, n)), [-0.8 * n], np.full(n, 0.1), np.full(n, 5.0))
+    return ConvexProgram(n, objective, np.zeros((0, n)), np.zeros(0), a_ineq, b_ineq)
 
 
 def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
@@ -111,6 +133,11 @@ def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
     digest = digests["qp_family"] = Digest()
     for draw in qp_family.qp_family(runs):
         digest.feed(solved(draw.program, draw.x0))
+
+    digest = digests["entropy"] = Digest()
+    for seed in range(runs):
+        n = ENTROPY_SIZES[seed % len(ENTROPY_SIZES)]
+        digest.feed(solved(entropy_program(np.random.default_rng(seed), n), np.ones(n)))
     return digests
 
 
