@@ -20,6 +20,9 @@ takes no entry from the other factor's derivatives.  The helpers
 :func:`_chain` apply each chain rule entry by entry, in the order of the
 dense rule, over the entries that are present; f' and f'' of ``log``,
 ``exp`` and ``^`` are formed only over a child with a derivative entry.
+A * link forms only the product-rule terms that can hold an entry: a
+constant side, one with no derivative entry, just scales the other side,
+and two factors whose values are both 0 give their cross term alone.
 A + - or / link writes into maps its chain owns, copies of the chain's
 bottom or maps an earlier link made, never into a leaf's or a child's.
 :func:`value_gradient_hessian` fills the dense (n,) and (n, n) arrays
@@ -43,9 +46,10 @@ walk at x = 0.  A tree of degree <= 2 is c + g'x + 1/2 x'Hx, and its
 (value, gradient, Hessian) at 0 are exactly (c, g, H), a constant
 Hessian (ibid., ch. 7); it becomes one :class:`Quadratic` node, and any
 other tree is left as it is.  At x = 0 every product of two variables
-has the value 0, so the walk of a dense 1/2 x'Qx stores no gradient
-entry and one Hessian entry per term: compiling costs O(nodes) plus the
-O(n^2) fill.  A quadratic program is then one node: one matrix-vector
+has the value 0, so the walk of a dense 1/2 x'Qx forms each term's
+cross term and its constant's scaling, and stores no gradient entry and
+one Hessian entry per term: compiling costs O(nodes) plus the O(n^2)
+fill.  A quadratic program is then one node: one matrix-vector
 product per call and the same read-only Hessian every time.  The public
 ``evaluate``/``gradient``/``hessian`` accept either tree; the solver
 passes the compiled one and the test oracles the raw one.
@@ -193,11 +197,21 @@ def _walk(node, leaves):
                     product = v * vb
                     if not math.isfinite(product):
                         raise DomainError("product overflows")
-                    v, g, h = (
-                        product,
-                        _add(_scale(vb, g), _scale(v, gb)),
-                        _add(_add(_scale(vb, h), _scale(v, hb)), _cross(g, gb)),
-                    )
+                    # the dense rule less its terms that are empty: a
+                    # constant side scales the other, and two factors of
+                    # value 0 leave only the cross term
+                    if not (gb or hb):
+                        g, h = _scale(vb, g), _scale(vb, h)
+                    elif not (g or h):
+                        g, h = _scale(v, gb), _scale(v, hb)
+                    elif v == 0.0 and vb == 0.0:
+                        g, h = {}, _cross(g, gb)
+                    else:
+                        g, h = (
+                            _add(_scale(vb, g), _scale(v, gb)),
+                            _add(_add(_scale(vb, h), _scale(v, hb)), _cross(g, gb)),
+                        )
+                    v = product
                 else:
                     if vb == 0.0:
                         raise DomainError("division by zero")

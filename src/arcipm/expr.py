@@ -5,15 +5,16 @@ is deliberately small: constants, variables, the four arithmetic operators,
 real powers, negation, natural log, and exp.  The parser builds ``a + b - c``
 and ``a*b/c`` left-deep, so a chain of the four operators is as deep as it
 has links; every walker reads it through :meth:`_Chain.links` in a loop, not
-by recursion.  Exponents of ``^`` must be constant subexpressions; the autodiff
-walk folds them to a finite float at parse time.
+by recursion.  The tree is immutable, so a chain node builds that view once,
+on the first call, and keeps it.  Exponents of ``^`` must be constant
+subexpressions; the autodiff walk folds them to a finite float at parse time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ParseError(ValueError):
@@ -49,19 +50,29 @@ class _Chain(Expr):
     """Base of Add, Sub, Mul and Div: two operands; ``repr``, ``==`` and ``hash`` without recursion.
 
     A parsed chain is as deep as it has links, so these loop down its left
-    spine; they give what the dataclass-generated methods would.
+    spine; they give what the dataclass-generated methods would.  ``_view``
+    holds the :meth:`links` view once it is built; it is no operand, so
+    none of these read it.
     """
 
     left: Expr
     right: Expr
+    _view: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def links(self) -> tuple[Expr, tuple[tuple[type, Expr], ...]]:
-        """The bottom operand of the left spine, and each link's (class, right operand), bottom link first."""
-        links, node = [], self
-        while isinstance(node, _Chain):
-            links.append((type(node), node.right))
-            node = node.left
-        return node, tuple(reversed(links))
+        """The bottom operand of the left spine, and each link's (class, right operand), bottom link first.
+
+        Every call returns the same tuple, built on the first.
+        """
+        view = self._view
+        if view is None:
+            links, node = [], self
+            while isinstance(node, _Chain):
+                links.append((type(node), node.right))
+                node = node.left
+            view = node, tuple(reversed(links))
+            object.__setattr__(self, "_view", view)
+        return view
 
     def __repr__(self) -> str:
         bottom, links = self.links()

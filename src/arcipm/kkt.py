@@ -63,7 +63,7 @@ the 2p entries that the step layer reads per component are one slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -109,7 +109,7 @@ class NewtonDirections(NamedTuple):
     q_dir: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iterate:
     """A primal-dual point with its cached derivatives and residuals.
 
@@ -118,7 +118,8 @@ class Iterate:
     residuals r_c, r_e and r_i.  z holds the inequality multipliers, and
     ``zs`` is the complementarity product z*s, formed once here: the
     optimality residual, the trace row's min(s*z)/mu and the tangent's
-    r_z all read it.
+    r_z all read it.  :meth:`at` hands over the ``blocks`` it has already
+    split; without them the fields are split from ``vec`` here.
     """
 
     vec: np.ndarray = field(repr=False)
@@ -134,9 +135,11 @@ class Iterate:
     s: np.ndarray = field(init=False)
     z: np.ndarray = field(init=False)
     zs: np.ndarray = field(init=False, repr=False)
+    blocks: InitVar[Blocks | None] = None
 
-    def __post_init__(self):
-        blocks = Blocks.of(self.vec, self.r_c.size, self.r_e.size, self.r_i.size)
+    def __post_init__(self, blocks):
+        if blocks is None:
+            blocks = Blocks.of(self.vec, self.r_c.size, self.r_e.size, self.r_i.size)
         for name, view in zip(Blocks._fields, blocks):
             object.__setattr__(self, name, view)
         object.__setattr__(self, "zs", blocks.z * blocks.s)
@@ -156,13 +159,13 @@ class Iterate:
         # a NaN minimum fails the comparison too
         if not vec[n + m :].min() > 0.0:
             raise ValueError("slack and dual vectors must stay strictly positive")
-        x, y, s, z = Blocks.of(vec, n, m, p)
+        blocks = x, y, s, z = Blocks.of(vec, n, m, p)
         objective = program.compiled_objective
         _, grad, hess = value_gradient_hessian(objective, x)
         # the Newton model of a folded objective is exact, so r_c takes its gradient
         exact = grad if isinstance(objective, Quadratic) else None
         r_c, r_e, r_i = compute_residuals(program, hess, x, y, s, z, exact)
-        return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu)
+        return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu, blocks)
 
     @property
     def w(self) -> np.ndarray:
@@ -217,8 +220,10 @@ def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     """Norm of grad f + A_eq'y - A_ineq'z, reported as a diagnostic only.
 
     For an objective that folds to a :class:`Quadratic` the stepping
-    residual r_c is this same vector.  Any other objective steps on H x in
-    place of grad f, and then the two need not vanish together.
+    residual r_c is this same vector, so ``solve()``'s trace reads the
+    norm of r_c for it and calls this only for any other objective.  Such
+    an objective steps on H x in place of grad f, and then the two need not
+    vanish together.
     """
     return norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.z)
 
@@ -297,9 +302,10 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
 
     n, m, p = iterate.x.size, iterate.y.size, iterate.p
     s, z = iterate.s, iterate.z
+    a_ineq_t = a_ineq.T
 
     def direction(r_c, r_e, r_i, r_z):
-        rhs = np.concatenate((r_c + a_ineq.T @ ((r_z + z * r_i) / s), r_e))
+        rhs = np.concatenate((r_c + a_ineq_t @ ((r_z + z * r_i) / s), r_e))
         dxy = d * _solve_checked(factor, scaled, d * rhs)
         ds = a_ineq @ dxy[:n] - r_i
         dz = (r_z - z * ds) / s

@@ -1,4 +1,10 @@
-"""Main iteration loop: residuals, direction solves, arc step, trace."""
+"""Main iteration loop: residuals, direction solves, arc step, trace.
+
+For an objective that folds to a :class:`arcipm.autodiff.Quadratic`, r_C is
+grad f + A_E'y - A_I'z (:mod:`arcipm.kkt`), so a trace row reads its
+``true_stat_norm`` as the norm of r_C and forms that vector only for any
+other objective.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import DomainError, evaluate
+from .autodiff import DomainError, Quadratic, evaluate
 from .kkt import (
     Iterate,
     SingularKKTError,
@@ -129,17 +135,19 @@ def _indefinite(hess: np.ndarray) -> bool:
 
 
 def _trace_row(program, iterate, k, sigma, alpha) -> TraceRow:
+    norm_rc = norm(iterate.r_c)
+    folded = isinstance(program.compiled_objective, Quadratic)
     return TraceRow(
         k=k,
         mu=iterate.mu,
         sigma=sigma,
         alpha=alpha,
-        norm_rc=norm(iterate.r_c),
+        norm_rc=norm_rc,
         norm_re=norm(iterate.r_e),
         norm_ri=norm(iterate.r_i),
         nu=iterate.nu,
         kkt_norm=kkt_norm(iterate),
-        true_stat_norm=true_stationarity_norm(program, iterate),
+        true_stat_norm=norm_rc if folded else true_stationarity_norm(program, iterate),
         min_sz_over_mu=float(iterate.zs.min()) / iterate.mu,
     )
 
@@ -159,7 +167,10 @@ def solve(
     its :class:`DomainError` with a message that names the start and the
     remedy, ``start=balanced_start(program, x0)``.
     A call with a start runs the paper's rule, :func:`arcipm.step.candidate_steps`,
-    with its floors and centrality test.  The command line, the reference
+    with its floors and centrality test.  The start's point and residual
+    factor are taken into an iterate of ``program``, so a start built for
+    another program of the same sizes steps on this program's derivatives
+    and residuals, not on those it carries.  The command line, the reference
     fixtures, the golden files and the digests' cold-start lines pass
     ``default_start`` explicitly: with the paper's rule it reproduces the
     reference runs.
@@ -171,7 +182,6 @@ def solve(
     config = config or SolverConfig()
     # the paper's rule runs from a given start, the library's from none
     mehrotra = start is None
-    iterate = start
     if mehrotra:
         try:
             iterate = balanced_start(program)
@@ -180,11 +190,13 @@ def solve(
                 f"{err} at x = 0, the start solve() takes when given none; pass "
                 "start=balanced_start(program, x0) with x0 in the objective's domain"
             ) from err
-    sizes = (iterate.x.size, iterate.y.size, iterate.p)
-    if sizes != (program.n, program.m, program.p):
-        raise ValueError(
-            f"start has (n, m, p) = {sizes}, the program has {(program.n, program.m, program.p)}"
-        )
+    else:
+        sizes = (start.x.size, start.y.size, start.p)
+        if sizes != (program.n, program.m, program.p):
+            raise ValueError(
+                f"start has (n, m, p) = {sizes}, the program has {(program.n, program.m, program.p)}"
+            )
+        iterate = Iterate.at(program, start.vec, start.nu)
     trace = [_trace_row(program, iterate, 0, 0.0, 0.0)]
     if observer is not None:
         observer(0, iterate, None)

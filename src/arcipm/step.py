@@ -178,7 +178,7 @@ def alpha_tilde(limits, sigma: float) -> float:
     return float(limits(sigma).min())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MuPredictor:
     """s'z along the arc, from p*mu and six products taken once per iteration.
 
@@ -226,7 +226,7 @@ class MuPredictor:
         (tangent, sdot_pz, sdot_qz), (ps_zdot, pp, ps_qz), (qs_zdot, qs_pz, qq) = (
             s_part[1:] @ z_part[1:].T
         ).tolist()
-        size = np.abs(tails).sum(axis=0)
+        size = np.add.reduce(np.abs(tails), axis=0)
         return cls(
             p * mu,
             ps_zdot + sdot_pz,
@@ -423,13 +423,18 @@ def select_step(
     whose arc point keeps both blocks above their floors, stays inside the
     centrality region, and strictly decreases the duality measure is taken;
     when none does, the stream itself raises :class:`StepFailureError`.
-    With ``mehrotra`` the stream is :func:`mehrotra_steps`, with no centrality test.
+    With ``mehrotra`` the stream is :func:`mehrotra_steps`, with no centrality
+    test, and its floors (phi, psi) are (0, 0), so every component's floor is
+    the scalar 0.
     """
     p = iterate.p
     tails = sz_tails(iterate, directions)
-    limits = alpha_limits(*tails, np.repeat((phi, psi), p))
+    if mehrotra:
+        rule, theta, floor = mehrotra_steps, 0.0, 0.0
+    else:
+        rule, theta, floor = candidate_steps, config.theta, np.repeat((phi, psi), p)
+    limits = alpha_limits(*tails, floor)
     predictor = MuPredictor.of(tails, iterate.mu)
-    rule, theta = (mehrotra_steps, 0.0) if mehrotra else (candidate_steps, config.theta)
     steps = rule(limits, tails[2], predictor, config)
     for backtracks, (sigma, cap, alpha) in enumerate(steps):
         if predictor.rules_out(sigma, alpha):

@@ -34,10 +34,16 @@ def run_tool(before: Path, after: Path):
     )
 
 
+def metric_row(stdout: str) -> list[str]:
+    return next(line for line in stdout.splitlines() if line.startswith("solves_per_s")).split()
+
+
 def test_correct_runs_exit_zero_with_the_gain_verdict(tmp_path):
     done = run_tool(make_tree(tmp_path, "before", True, 0.0), make_tree(tmp_path, "after", True, 5.0))
     assert done.returncode == 0, done.stderr
     assert "4/4  yes" in done.stdout
+    # the medians are 2.5 and 7.5: the after median is 200% above the before median
+    assert metric_row(done.stdout)[-4:] == ["+200.0%", "4/4", "yes", "no"]
 
 
 def test_an_incorrect_run_prints_the_table_then_exits_one(tmp_path):
@@ -53,5 +59,4 @@ def test_an_after_median_worse_by_more_than_the_bound_is_flagged(tmp_path):
     for name, offset, beyond in (("within", -0.5, "no"), ("beyond", -1.0, "yes")):
         done = run_tool(before, make_tree(tmp_path, name, True, offset))
         assert done.returncode == 0, done.stderr
-        row = next(line for line in done.stdout.splitlines() if line.startswith("solves_per_s"))
-        assert row.split()[-3:] == ["0/4", "no", beyond]
+        assert metric_row(done.stdout)[-4:] == [f"{100 * offset / 2.5:+.1f}%", "0/4", "no", beyond]

@@ -1,5 +1,6 @@
 """Values, gradients, and Hessians against hand values and finite differences."""
 
+import hashlib
 import math
 import re
 import sys
@@ -505,3 +506,42 @@ def test_compiled_quadratic_equals_dense_walk_at_zero(n):
     assert compiled.constant == c
     assert np.array_equal(compiled.linear, g)
     assert np.array_equal(compiled.hessian, h)
+
+
+def _product_shortcut_trees():
+    x1, x2 = ast.Var(0, "x1"), ast.Var(1, "x2")
+    pair = ast.Mul(x1, x2)
+    return [
+        ast.Mul(ast.Const(0.0), x1),
+        ast.Mul(x1, ast.Const(0.0)),
+        pair,
+        ast.Mul(ast.Const(2.5), pair),
+        ast.Mul(pair, ast.Const(2.5)),
+        ast.Mul(ast.Const(-3.0), ast.Mul(x1, x1)),
+        ast.Add(ast.Mul(ast.Const(2.5), pair), ast.Mul(pair, ast.Const(-0.5))),
+        ast.Mul(pair, ast.Add(x1, ast.Const(1.0))),
+    ]
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0], [0.0, 1.5], [1.5, 0.0], [1.5, -0.5], [-0.0, 2.0]])
+@pytest.mark.parametrize("tree", _product_shortcut_trees(), ids=str)
+def test_product_shortcuts_equal_the_dense_walk(tree, x):
+    """A constant factor scales the other side, two factors of value 0 give
+    their cross term alone; either way the result is the dense rule's, up
+    to the sign of an exact zero."""
+    assert_equals_dense_walk(tree, x)
+
+
+def test_folded_seeded_quadratics_keep_their_bytes():
+    # the SHA-256 of every (c, g, H) folded here, as the walk without its
+    # product shortcuts computed them; about a fifth of the entries of Q
+    # are exactly 0, so products with a zero constant are folded too
+    build = perfbench_module("instances").quadratic_tree
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(35)
+    for n in range(1, 13):
+        q = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+        q[rng.random((n, n)) < 0.2] = 0.0
+        folded = compile_objective(build(q), n)
+        digest.update(np.float64(folded.constant).tobytes() + folded.linear.tobytes() + folded.hessian.tobytes())
+    assert digest.hexdigest() == "9d8cd9e39c079188c5b58980f4181b26602218d83f0e91333aa5c46628d9ecf7"

@@ -1,5 +1,6 @@
 """Grammar, printing, and bound folding."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -165,6 +166,26 @@ def test_links_give_the_bottom_operand_then_each_link_in_source_order():
     tree = parse_expression("2*x1/x2*x3", names)
     assert tree.links() == (Const(2.0), ((Mul, x1), (Div, x2), (Mul, x3)))
     assert tree != parse_expression("2*x1*x2*x3", names)
+
+
+def test_a_chain_keeps_its_view_and_compares_prints_and_hashes_without_it():
+    text = "x1" + "".join(f"{'*/'[k % 2]}x{k % 2 + 1}" for k in range(1, 1500))
+    t = parse_expression("x1*x2 - 3", X12)
+    for build in (lambda: parse_expression(text, X12), lambda: Add(t, t)):
+        tree, twin = build(), build()
+        view = tree.links()
+        assert tree.links() is view
+        # twin has built no view yet; tree has
+        assert twin._view is None
+        assert tree == twin and twin == tree and hash(tree) == hash(twin)
+        assert repr(tree) == repr(twin) and str(tree) == str(twin)
+        assert "_view" not in repr(tree)
+        assert twin._view is not None and twin.links() == view
+    assert [f.name for f in dataclasses.fields(Add) if f.compare] == ["left", "right"]
+    assert Add.__match_args__ == ("left", "right")
+    # a replaced node builds its own view, not the one its source kept
+    assert t.links()[1][-1] == (Sub, Const(3.0))
+    assert dataclasses.replace(t, right=Const(4.0)) == parse_expression("x1*x2 - 4", X12)
 
 
 def test_sums_print_and_compare_as_dataclasses_do():

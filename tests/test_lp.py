@@ -1,5 +1,7 @@
 """Objectives that fold to a quadratic with a linear term step on their true
-gradient g + H x, so LPs end at their minimizer; HiGHS checks the answers."""
+gradient g + H x, so LPs end at their minimizer; HiGHS checks the answers.
+For such an objective r_C is the true-stationarity vector, and every trace
+row says so."""
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from arcipm import (
     default_start,
     fold_bounds,
     parse_expression,
-    solve,
 )
 from arcipm.expr import Add, Const, Mul, Var
+from arcipm.kkt import true_stationarity_norm
+from conftest import load_problem, perfbench_module, run_recorded
 
 LP_SEED = 11
 LP_DRAWS = 30
@@ -31,11 +34,23 @@ def test_lp_ends_at_its_vertex_from_either_start(start):
     stopped this at (1.918, 1.918), objective -5.75, reported Converged."""
     a_ineq, b_ineq = fold_bounds([[-1.0, -1.0]], [-4.0], [0.0, 0.0], [3.0, 3.0])
     program = ConvexProgram(2, parse_expression("-x1 - 2*x2", ["x1", "x2"]), [], [], a_ineq, b_ineq)
-    report = solve(program, start=_starts(program)[start])
+    run = run_recorded(program, _starts(program)[start])
+    report = run.report
     assert report.status is SolverStatus.CONVERGED
     np.testing.assert_allclose(report.x, [1.0, 3.0], atol=1e-6)
     assert report.objective == pytest.approx(-7.0, abs=1e-6)
-    assert report.trace[-1].true_stat_norm == report.trace[-1].norm_rc
+    assert _rows_off_the_stationarity_identity(program, run) == []
+
+
+def _rows_off_the_stationarity_identity(program, run) -> list[int]:
+    """The trace rows k whose true_stat_norm is not both norm_rC and the norm
+    of grad f + A_E'y - A_I'z formed from the iterate of row k."""
+    off = []
+    for row, iterate in zip(run.report.trace, run.iterates, strict=True):
+        want = np.linalg.norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.z)
+        if not row.true_stat_norm == row.norm_rc == true_stationarity_norm(program, iterate) == want:
+            off.append(row.k)
+    return off
 
 
 def _linear_tree(c: np.ndarray):
@@ -72,9 +87,32 @@ def _lp_draws():
 def test_seeded_lps_reach_the_highs_optimum(start):
     missed = {}
     for index, (program, optimum) in enumerate(_lp_draws()):
-        report = solve(program, start=_starts(program)[start])
+        run = run_recorded(program, _starts(program)[start])
+        report = run.report
         gap = abs(report.objective - optimum) / (1.0 + abs(optimum))
         feasible = (program.a_ineq @ report.x >= program.b_ineq - 1e-6).all()
-        if report.status is not SolverStatus.CONVERGED or gap > 1e-6 or not feasible:
-            missed[index] = (report.status.value, gap, feasible)
+        off = _rows_off_the_stationarity_identity(program, run)
+        if report.status is not SolverStatus.CONVERGED or gap > 1e-6 or not feasible or off:
+            missed[index] = (report.status.value, gap, feasible, off)
     assert missed == {}
+
+
+@pytest.mark.parametrize("name", ["boxqp_dense", "many_rows"])
+def test_every_row_of_a_folded_qp_reads_its_stationarity_from_r_c(name):
+    instances = perfbench_module("instances")
+    rng = np.random.default_rng(35)
+    for n in (2, 5, 8) * 2:
+        program = (instances.boxqp_dense(rng, n) if name == "boxqp_dense" else instances.many_rows(rng)).program
+        run = run_recorded(program, None)
+        assert run.report.status is SolverStatus.CONVERGED
+        assert _rows_off_the_stationarity_identity(program, run) == []
+
+
+def test_an_objective_that_does_not_fold_forms_its_stationarity_on_every_row():
+    # ex1 steps on the model term H x, so r_C and grad f + A_E'y - A_I'z differ
+    program, start = load_problem("ex1")
+    run = run_recorded(program, default_start(program, start))
+    off = _rows_off_the_stationarity_identity(program, run)
+    assert len(off) == len(run.report.trace)
+    for row, iterate in zip(run.report.trace, run.iterates, strict=True):
+        assert row.true_stat_norm == true_stationarity_norm(program, iterate) != row.norm_rc

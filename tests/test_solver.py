@@ -1,6 +1,8 @@
 """End-to-end iteration behavior and run invariants."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +71,26 @@ def test_solve_rejects_a_start_built_for_another_program():
     ex8, start8 = load_problem("ex8")
     with pytest.raises(ValueError, match=r"start has \(n, m, p\) = \(3, 0, 8\), the program has \(2, 0, 5\)"):
         solve(ex1, start=default_start(ex8, start8))
+
+
+def test_a_start_built_for_another_program_of_the_same_sizes_steps_on_this_one():
+    """The start's point and residual factor are taken into an iterate of the
+    program solved: ex7's start carries ex7's concave Hessian and residuals."""
+    ex1, start1 = load_problem("ex1")
+    ex7, _ = load_problem("ex7")
+    foreign = default_start(ex7, start1)
+    assert not np.array_equal(foreign.hess, default_start(ex1, start1).hess)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(ex1, start=foreign)
+    want = solve(ex1, start=default_start(ex1, start1))
+
+    def raw(run):
+        rows = [dataclasses.astuple(row) for row in run.trace]
+        numbers = np.array([run.objective, run.infe, *run.x, *(v for row in rows for v in row)])
+        return run.status, run.iterations, run.message, numbers.tobytes()
+
+    assert raw(report) == raw(want)
 
 
 def test_reference_solve_values(fixture_runs):

@@ -7,8 +7,9 @@
 Each seed is one pair: ``perfbench/run.py --trace 0`` runs once in each
 tree, with the tree that goes first alternating from pair to pair.  For
 every end-to-end metric that BEFORE_TREE's ``BENCHMARK.json`` declares,
-the tool prints each side's median and quartiles and how many pairs the
-after side won (ties count for neither side).  A gain is claimed only when
+the tool prints each side's median and quartiles, how far the after median
+moved as a percentage of the before median, and how many pairs the after
+side won (ties count for neither side).  A gain is claimed only when
 the after side wins at least nine tenths of the pairs and the medians
 differ by more than the before side's interquartile range.  The last
 column is the rule a change that claims no gain is held to: the after
@@ -76,7 +77,8 @@ def main(argv=None) -> int:
 
     pairs = len(args.seeds)
     print(f"\n{args.workload}: {pairs} pairs at --seconds {args.seconds:g}, seeds {args.seeds}")
-    print(f"{'metric':14s} {'before median [q1, q3]':>30s} {'after median [q1, q3]':>30s}  wins  gain  beyond bound")
+    print(f"{'metric':14s} {'before median [q1, q3]':>30s} {'after median [q1, q3]':>30s}"
+          f"  {'change':>8s}  wins  gain  beyond bound")
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
         before = [run[name] for run in runs["before"]]
@@ -87,8 +89,9 @@ def main(argv=None) -> int:
         moved = (a_med - b_med) if higher else (b_med - a_med)
         gain = wins >= 0.9 * pairs and moved > b3 - b1
         worse = -moved > metric["bound"] * abs(b_med)
+        change = f"{100.0 * (a_med - b_med) / abs(b_med):+.1f}%" if b_med else "n/a"
         print(f"{name:14s} {b_med:12.4g} [{b1:.4g}, {b3:.4g}] {a_med:12.4g} [{a1:.4g}, {a3:.4g}]"
-              f"  {wins:2d}/{pairs}  {'yes' if gain else 'no '}  {'yes' if worse else 'no'}")
+              f"  {change:>8s}  {wins:2d}/{pairs}  {'yes' if gain else 'no '}  {'yes' if worse else 'no'}")
         print(f"{'':14s} before {', '.join(f'{v:.4g}' for v in before)}")
         print(f"{'':14s} after  {', '.join(f'{v:.4g}' for v in after)}")
     if incorrect:
