@@ -6,9 +6,10 @@ chain rule (second-order forward mode; Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., on Hessian propagation).  The gradient is a map
 from variable index to entry and the Hessian a map from (i, j), i <= j,
 to entry.  The walk recurses into children but loops over the ``links()``
-of a chain of + - * /, however long.  It is the one evaluator of the node
-semantics: the parser folds a constant exponent of ``^`` with it at
-n = 0, and a :class:`DomainError` there is a parse error.
+of a chain of + - * /, however long, and reads a chain's Var and Const
+operands in that loop rather than walking them.  It is the one evaluator
+of the node semantics: the parser folds a constant exponent of ``^`` with
+it at n = 0, and a :class:`DomainError` there is a parse error.
 
 An entry that is exactly zero is absent rather than stored (ibid., on
 structural zeros), whether the tree's structure makes it zero or the
@@ -60,7 +61,8 @@ Values stay Python floats, so ``**`` and ``math.exp`` raise
 and quotients are checked with ``math.isfinite``, as are a folded node's
 value and, since sums and constants overflow silently, the walk's result.
 Gradient and Hessian entries overflow silently too, so
-:func:`value_gradient_hessian` checks the filled arrays once, at the end.
+:func:`value_gradient_hessian` checks the walk's entries with
+``math.isfinite`` once, before the fill; the zeros it adds are finite.
 Hessians are exactly symmetric: the walk stores entry (i, j) for i <= j
 only, formed as the dense rule forms both (i, j) and (j, i) (a cross term
 as C_ij + C_ji, a curvature term as g_i g_j), and the fill mirrors it.
@@ -182,13 +184,26 @@ def _walk(node, leaves):
             # in a loop: the bottom first, then each link's right operand and
             # the link's rule, in the order recursion would take them
             bottom, links = node.links()
-            v, g, h = _walk(bottom, leaves)
+            # a Var or Const operand, bottom or right, is read here, not walked
+            operand = type(bottom)
+            if operand is ast.Var:
+                v, g, h = leaves[bottom.index]
+            elif operand is ast.Const:
+                v, g, h = float(bottom.value), {}, {}
+            else:
+                v, g, h = _walk(bottom, leaves)
             # + - and / write into the chain's maps, so they must be its own,
             # not the bottom's, which may be a leaf's; * makes new ones
             if links[0][0] is not ast.Mul:
                 g, h = dict(g), dict(h)
             for kind, right in links:
-                vb, gb, hb = _walk(right, leaves)
+                operand = type(right)
+                if operand is ast.Var:
+                    vb, gb, hb = leaves[right.index]
+                elif operand is ast.Const:
+                    vb, gb, hb = float(right.value), {}, {}
+                else:
+                    vb, gb, hb = _walk(right, leaves)
                 if kind is ast.Add:
                     v, g, h = v + vb, _add(g, gb), _add(h, hb)
                 elif kind is ast.Sub:
@@ -199,11 +214,12 @@ def _walk(node, leaves):
                         raise DomainError("product overflows")
                     # the dense rule less its terms that are empty: a
                     # constant side scales the other, and two factors of
-                    # value 0 leave only the cross term
+                    # value 0 leave only the cross term; an empty map
+                    # scales to a new empty one
                     if not (gb or hb):
-                        g, h = _scale(vb, g), _scale(vb, h)
+                        g, h = _scale(vb, g) if g else {}, _scale(vb, h) if h else {}
                     elif not (g or h):
-                        g, h = _scale(v, gb), _scale(v, hb)
+                        g, h = _scale(v, gb) if gb else {}, _scale(v, hb) if hb else {}
                     elif v == 0.0 and vb == 0.0:
                         g, h = {}, _cross(g, gb)
                     else:
@@ -275,11 +291,16 @@ def _degree(node: ast.Expr) -> int | None:
         case ast.Const:
             return 0
         case ast.Add | ast.Sub | ast.Mul | ast.Div:
-            # over the links in a loop, as in _walk
+            # over the links in a loop, a Var or Const operand read in it, as in _walk
             bottom, links = node.links()
-            degree = _degree(bottom)
+            operand = type(bottom)
+            degree = 1 if operand is ast.Var else 0 if operand is ast.Const else _degree(bottom)
             for kind, right in links:
-                if degree is None or (d := _degree(right)) is None:
+                if degree is None:
+                    return None
+                operand = type(right)
+                d = 1 if operand is ast.Var else 0 if operand is ast.Const else _degree(right)
+                if d is None:
                     return None
                 if kind is ast.Mul:
                     degree = degree + d if degree + d <= 2 else None
@@ -340,6 +361,10 @@ def value_gradient_hessian(expression, x):
         return _quadratic(expression, x)
     leaves = [(v, {i: 1.0}, {}) for i, v in enumerate(x.tolist())]
     value, grad_entries, hess_entries = _checked_walk(expression, leaves)
+    # zeros are finite, so the entries alone decide; checked before the fill
+    if not (all(map(math.isfinite, grad_entries.values()))
+            and all(map(math.isfinite, hess_entries.values()))):
+        raise DomainError("gradient or Hessian is not finite")
     # the walk leaves an exactly zero entry absent; fill in the arrays once
     grad = np.zeros(x.size)
     for i, entry in grad_entries.items():
@@ -347,8 +372,6 @@ def value_gradient_hessian(expression, x):
     hess = np.zeros((x.size, x.size))
     for (i, j), entry in hess_entries.items():
         hess[i, j] = hess[j, i] = entry
-    if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
-        raise DomainError("gradient or Hessian is not finite")
     return value, grad, hess
 
 

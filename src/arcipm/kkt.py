@@ -28,7 +28,10 @@ first-order tangent, with every residual of the iterate and r_z = z*s,
 then the two pieces whose combination (p*sigma + q) is the curvature term
 of the search arc.  Those two have r_C = r_E = r_I = 0; the centering
 piece p has r_z = mu, read from the iterate, and q has r_z = -2 dz*ds of
-the tangent.  The matrix is factored as D M D with
+the tangent.  Their solves leave out the terms z*r_I and -r_I, which
+change no bit at r_I = 0: r_z + z*0 differs from r_z only in the sign of
+a zero, which the 0.0 + ... of r_C = 0 makes +0.0 either way, and x - 0
+is x.  The matrix is factored as D M D with
 D = diag(1/sqrt(row max |M|)) (one step of Ruiz's scaling); for symmetric
 M its entries are at most 1 in magnitude, so ``SOLVE_TOLERANCE`` bounds
 each solve's residual against a unit-scaled matrix.  Singularity is
@@ -304,16 +307,22 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     s, z = iterate.s, iterate.z
     a_ineq_t = a_ineq.T
 
-    def direction(r_c, r_e, r_i, r_z):
-        rhs = np.concatenate((r_c + a_ineq_t @ ((r_z + z * r_i) / s), r_e))
+    def direction(r_c, r_e, r_z, r_i=None):
+        # r_i None is r_I = 0: no z*r_I, no -r_I
+        combined = r_z if r_i is None else r_z + z * r_i
+        rhs = np.concatenate((r_c + a_ineq_t @ (combined / s), r_e))
         dxy = d * _solve_checked(factor, scaled, d * rhs)
-        ds = a_ineq @ dxy[:n] - r_i
+        ds = a_ineq @ dxy[:n]
+        if r_i is not None:
+            ds -= r_i
         dz = (r_z - z * ds) / s
         return np.concatenate((dxy, ds, dz))
 
-    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, iterate.zs)
+    vdot = direction(iterate.r_c, iterate.r_e, iterate.zs, iterate.r_i)
     zero_e = np.zeros(m)
-    p_dir = direction(0.0, zero_e, 0.0, np.full(p, iterate.mu))
+    # r_C = 0.0 turns a -0.0 entry of the product below into +0.0, which is
+    # all that r_z + z*0 would change
+    p_dir = direction(0.0, zero_e, np.full(p, iterate.mu))
     _, _, ds, dz = Blocks.of(vdot, n, m, p)
-    q_dir = direction(0.0, zero_e, 0.0, -2.0 * dz * ds)
+    q_dir = direction(0.0, zero_e, -2.0 * dz * ds)
     return NewtonDirections(vdot, p_dir, q_dir)

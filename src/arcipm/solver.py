@@ -4,6 +4,16 @@ For an objective that folds to a :class:`arcipm.autodiff.Quadratic`, r_C is
 grad f + A_E'y - A_I'z (:mod:`arcipm.kkt`), so a trace row reads its
 ``true_stat_norm`` as the norm of r_C and forms that vector only for any
 other objective.
+
+The curvature check runs once per distinct Hessian and only reads whether
+it is indefinite.  It tries LAPACK's Cholesky factorization ``dpotrf``
+first.  The factor exists only for a positive definite matrix, and it is
+backward stable (N. J. Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, ch. 10): when a factor completes, the
+smallest eigenvalue is at worst a few roundoffs of |H| below zero, far
+above the threshold -1e-10 * max(1, max |H|) of the eigenvalue test, so it
+settles the verdict.  Only a nonpositive pivot, as a singular Hessian
+gives, is followed by ``eigvalsh``, whose smallest eigenvalue then decides.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .autodiff import DomainError, Quadratic, evaluate
 from .kkt import (
@@ -130,6 +141,10 @@ def balanced_start(program: ConvexProgram, x0=None) -> Iterate:
 
 
 def _indefinite(hess: np.ndarray) -> bool:
+    """Whether the smallest eigenvalue is below -1e-10 * max(1, max |H|)."""
+    # a completed Cholesky factor: positive definite up to roundoff, so not indefinite
+    if dpotrf(hess, lower=1)[1] == 0:
+        return False
     smallest = float(np.linalg.eigvalsh(hess)[0])
     return smallest < -1e-10 * max(1.0, float(np.abs(hess).max()))
 

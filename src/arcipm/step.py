@@ -16,11 +16,17 @@ dual component has a closed-form largest angle that keeps it above a
 positive floor; :func:`alpha_limits` derives it for all 2p components at
 once, as a function of sigma, and that one function serves both the
 positivity cap :func:`alpha_tilde` and the bisection :func:`bisect_sigma`.
+The step rules never pass it a component below its floor, and with none
+there its thresholds and unbound angles are two scalars.  The bisection
+returns the midpoint of its last step without deciding a move: with
+neither half wider than the tolerance, either move would end it.
 
 Along the ellipse s'z is a polynomial in sigma, sin(alpha) and
 1 - cos(alpha).  :class:`MuPredictor` takes its coefficients from the same
 block: p*mu and six products of the direction tails.  Its part linear in
 sigma, (a_u*sigma + b_u)/p, predicts the updated duality measure.
+Its product's coefficients that depend on sigma alone are formed once per
+candidate sequence, not once per angle.
 
 :func:`candidate_steps` states the step rule as the stream of (sigma,
 cap, alpha) candidates in the order they are tried, and
@@ -139,15 +145,25 @@ def alpha_limits(current, rate, p_coef, q_coef, floor):
     argument in range without a warning.  Because asin is odd, the rate <= 0
     angle ``pi - asin(-top/R) - asin(-second/R)`` is ``pi + asin(top/R) +
     asin(second/R)``, so both cases are ``offset + lead + sign*phase``.
+
+    :func:`select_step` never passes a component below its floor: the
+    paper's floors are at most rho times the smallest slack or dual, and
+    the library's are 0.  When every margin is nonnegative, the per-component
+    thresholds and unbound angles are the scalars 0 and pi/2.
     """
     margin = current - floor
     rising = rate > 0.0
     usable = margin >= 0.0
-    rising_usable = rising & usable
-    low = np.where(usable, 0.0, -math.inf)
+    if np.all(usable):
+        # no component below its floor, as in every call from select_step:
+        # the scalars broadcast to the values the arrays below would hold
+        rising_usable, low, unbound = rising, 0.0, HALF_PI
+    else:
+        rising_usable = rising & usable
+        low = np.where(usable, 0.0, -math.inf)
+        unbound = np.where(usable, HALF_PI, 0.0)
     offset = np.where(rising, 0.0, math.pi)
     sign = np.where(rising, -1.0, 1.0)
-    unbound = np.where(usable, HALF_PI, 0.0)
 
     def limits(sigma: float) -> np.ndarray:
         second = p_coef * sigma + q_coef
@@ -169,8 +185,9 @@ def sz_tails(iterate: Iterate, directions: NewtonDirections) -> np.ndarray:
     Rows: the iterate, the tangent, p_dir, q_dir.  Columns: s then z, the
     last 2p entries of each flat vector.
     """
-    p = iterate.p
-    return np.array([iterate.vec[-2 * p :], *(d[-2 * p :] for d in directions)])
+    tail = slice(-2 * iterate.p, None)
+    vdot, p_dir, q_dir = directions
+    return np.array((iterate.vec[tail], vdot[tail], p_dir[tail], q_dir[tail]))
 
 
 def alpha_tilde(limits, sigma: float) -> float:
@@ -195,6 +212,9 @@ class MuPredictor:
     sdd.zdd is quadratic in sigma.  Without the sdd.zdd term, which takes
     either sign, (a_u*sigma + b_u)/p predicts the updated duality measure.
     The step rule reads :meth:`b_u` alone; :func:`mu_coefficients` gives both.
+    :meth:`along` forms the sigma-only coefficients of the product once per
+    sigma and returns it as a function of alpha, which :func:`select_step`
+    calls for each angle of a sequence.
 
     The rows hold to a few ulps per component, however accurate the LU
     solve is, because :func:`arcipm.kkt.solve_directions` back-substitutes
@@ -244,16 +264,25 @@ class MuPredictor:
         omc = _one_minus_cos(alpha)
         return self.p_mu * (1.0 - sin_a) - (self.tangent * omc**2 + self.cross * sin_a * omc)
 
+    def along(self, sigma: float):
+        """alpha -> s'z of the arc point at (sigma, alpha), by powers of sin and 1-cos.
+
+        The coefficients that depend on sigma alone are formed here, once.
+        """
+        p_mu = self.p_mu
+        by_sin_omc = sigma * self.mixed + self.cross
+        by_omc2 = sigma * (sigma * self.pp + self.pq) + self.qq - self.tangent
+
+        def product(alpha: float) -> float:
+            sin_a = math.sin(alpha)
+            omc = _one_minus_cos(alpha)
+            return p_mu * (1.0 - sin_a + sigma * omc) - by_sin_omc * sin_a * omc + by_omc2 * omc * omc
+
+        return product
+
     def product(self, sigma: float, alpha: float) -> float:
-        """s'z of the arc point at (sigma, alpha), by powers of sin and 1-cos."""
-        sin_a = math.sin(alpha)
-        omc = _one_minus_cos(alpha)
-        sdd_zdd = sigma * (sigma * self.pp + self.pq) + self.qq
-        return (
-            self.p_mu * (1.0 - sin_a + sigma * omc)
-            - (sigma * self.mixed + self.cross) * sin_a * omc
-            + (sdd_zdd - self.tangent) * omc * omc
-        )
+        """s'z of the arc point at (sigma, alpha): :meth:`along` at one angle."""
+        return self.along(sigma)(alpha)
 
     def rules_out(self, sigma: float, alpha: float) -> bool:
         """Whether the arc point at (sigma, alpha) surely fails to decrease the duality measure.
@@ -288,13 +317,23 @@ def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
     moves up; otherwise (ties included) the upper bound moves down.  Empty
     groups count as an infinite minimum.  Once a bound has moved and left
     the interval no wider than :data:`BISECT_TOLERANCE`, the last midpoint
-    tried and its smallest limit are returned.
+    tried and its smallest limit are returned.  When neither half of the
+    interval is wider than that, either move ends the search, so the
+    midpoint is returned without deciding the move, and the group masks
+    are built only when a move must be decided.
     """
-    shrinks, grows = p_coef < 0.0, p_coef > 0.0
     lower, upper = sigma_min, sigma_max
+    groups = None
     while True:
         sigma = 0.5 * (lower + upper)
         angles = limits(sigma)
+        # the widths the test below would see after either move; negated, so
+        # that a NaN bound stops here too
+        if not (upper - sigma > BISECT_TOLERANCE or sigma - lower > BISECT_TOLERANCE):
+            return sigma, float(angles.min())
+        if groups is None:
+            groups = p_coef < 0.0, p_coef > 0.0
+        shrinks, grows = groups
         shrinking = angles.min(where=shrinks, initial=math.inf)
         growing = angles.min(where=grows, initial=math.inf)
         if shrinking > growing:
@@ -333,7 +372,8 @@ def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, thet
         return False
     if s_min < phi - FLOOR_SLACK or z_min < psi - FLOOR_SLACK:
         return False
-    if (s * z).min() < theta * mu_new * (1.0 - FLOOR_SLACK):
+    # with theta = 0 the positive s and z above pass the centrality test
+    if theta and (s * z).min() < theta * mu_new * (1.0 - FLOOR_SLACK):
         return False
     return mu_new < mu_old
 
@@ -419,7 +459,9 @@ def select_step(
     The :func:`sz_tails` block is read once, and the angle-limit function
     and the :class:`MuPredictor` built from it serve the whole selection.
     A candidate the predictor rules out, because s'z there surely does not
-    fall, is skipped without building its point.  The first other candidate
+    fall, is skipped without building its point; that screen takes the
+    predictor's product :meth:`MuPredictor.along` once per sequence, at
+    the sequence's sigma.  The first other candidate
     whose arc point keeps both blocks above their floors, stays inside the
     centrality region, and strictly decreases the duality measure is taken;
     when none does, the stream itself raises :class:`StepFailureError`.
@@ -432,12 +474,18 @@ def select_step(
     if mehrotra:
         rule, theta, floor = mehrotra_steps, 0.0, 0.0
     else:
-        rule, theta, floor = candidate_steps, config.theta, np.repeat((phi, psi), p)
+        rule, theta, floor = candidate_steps, config.theta, np.array((phi, psi)).repeat(p)
     limits = alpha_limits(*tails, floor)
     predictor = MuPredictor.of(tails, iterate.mu)
     steps = rule(limits, tails[2], predictor, config)
+    # the screen of MuPredictor.rules_out, with the product taken along each sequence
+    ceiling = predictor.p_mu + predictor.margin
+    along_sigma = along = None
     for backtracks, (sigma, cap, alpha) in enumerate(steps):
-        if predictor.rules_out(sigma, alpha):
+        # a sequence's candidates share one sigma: one along() per sequence
+        if sigma != along_sigma:
+            along_sigma, along = sigma, predictor.along(sigma)
+        if along(alpha) > ceiling:
             continue
         point = arc_point(iterate, directions, sigma, alpha)
         s, z = point[-2 * p : -p], point[-p:]

@@ -7,6 +7,11 @@ scan walks a dense grid instead of inverting sinusoids, the full
 Newton matrix keeps every block that the solver eliminates, and the dense
 derivative walk carries every zero block that the solver's walk leaves
 out, so a shared bug between implementation and check is impossible.
+The step layer's and the curvature check's shortcuts, which skip work
+whose result no branch reads, are checked against the same code with
+that work left in: :func:`every_step_alpha_limits`,
+:func:`every_step_bisect_sigma`, :func:`per_angle_product` and
+:func:`eigenvalue_indefinite`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from arcipm import expr as ast
 from arcipm.autodiff import DomainError, gradient, hessian
 from arcipm.kkt import Blocks
 from arcipm.program import ConvexProgram
+from arcipm.step import BISECT_TOLERANCE, HALF_PI, _one_minus_cos
 
 MAX_ENUM_ROWS = 12
 
@@ -325,3 +331,67 @@ def dense_value_gradient_hessian(expression: ast.Expr, x) -> tuple:
     if not math.isfinite(value):
         raise DomainError(f"expression value {value} is not finite")
     return value, grad, hess
+
+
+def every_step_alpha_limits(current, rate, p_coef, q_coef, floor):
+    """``arcipm.step.alpha_limits`` with per-component thresholds and unbound angles built always.
+
+    The solver's version uses the scalars 0 and pi/2 in their place when
+    no component starts below its floor.
+    """
+    margin = current - floor
+    rising = rate > 0.0
+    usable = margin >= 0.0
+    rising_usable = rising & usable
+    low = np.where(usable, 0.0, -math.inf)
+    offset = np.where(rising, 0.0, math.pi)
+    sign = np.where(rising, -1.0, 1.0)
+    unbound = np.where(usable, HALF_PI, 0.0)
+
+    def limits(sigma: float) -> np.ndarray:
+        second = p_coef * sigma + q_coef
+        top = margin + second
+        radius = np.hypot(rate, second)
+        binds = top < np.where(rising_usable, radius, low)
+        safe = np.where(binds, radius, math.inf)
+        lead = np.arcsin(top / safe)
+        phase = np.arcsin(second / safe)
+        angle = offset + lead + sign * phase
+        return np.where(binds, np.minimum(angle, HALF_PI), unbound)
+
+    return limits
+
+
+def every_step_bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
+    """``arcipm.step.bisect_sigma`` deciding a move at every midpoint, the last one included."""
+    shrinks, grows = p_coef < 0.0, p_coef > 0.0
+    lower, upper = sigma_min, sigma_max
+    while True:
+        sigma = 0.5 * (lower + upper)
+        angles = limits(sigma)
+        shrinking = angles.min(where=shrinks, initial=math.inf)
+        growing = angles.min(where=grows, initial=math.inf)
+        if shrinking > growing:
+            lower = sigma
+        else:
+            upper = sigma
+        if not upper - lower > BISECT_TOLERANCE:
+            return sigma, float(angles.min())
+
+
+def per_angle_product(predictor, sigma: float, alpha: float) -> float:
+    """``MuPredictor.product`` with its sigma-only coefficients formed again at every angle."""
+    sin_a = math.sin(alpha)
+    omc = _one_minus_cos(alpha)
+    sdd_zdd = sigma * (sigma * predictor.pp + predictor.pq) + predictor.qq
+    return (
+        predictor.p_mu * (1.0 - sin_a + sigma * omc)
+        - (sigma * predictor.mixed + predictor.cross) * sin_a * omc
+        + (sdd_zdd - predictor.tangent) * omc * omc
+    )
+
+
+def eigenvalue_indefinite(hess: np.ndarray) -> bool:
+    """The solver's curvature verdict from the smallest eigenvalue alone, with no Cholesky try."""
+    smallest = float(np.linalg.eigvalsh(hess)[0])
+    return smallest < -1e-10 * max(1.0, float(np.abs(hess).max()))

@@ -5,29 +5,38 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
 
-# A stand-in for perfbench/run.py: one JSON line whose solves_per_s is the
-# seed plus an offset, and whose "correct" flag is fixed per tree.
+# A stand-in for perfbench/run.py: an env line, then one JSON line whose
+# solves_per_s is the seed plus an offset, and whose "correct" flag is fixed
+# per tree; at the seed ``crash`` it exits 3 after a line on stderr instead.
 FAKE_RUN = """\
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == {crash}:
+    print("Traceback (most recent call last):", file=sys.stderr)
+    print("ValueError: layer metric is NaN", file=sys.stderr)
+    sys.exit(3)
+print("env " + json.dumps({{"python": "3", "blas_threads": 1, "seed": seed}}))
 print(json.dumps({{"correct": {correct}, "metrics": {{"solves_per_s": {{"value": seed + {offset}}}}}}}))
 """
 
 
-def make_tree(root: Path, name: str, correct: bool, offset: float) -> Path:
+def make_tree(root: Path, name: str, correct: bool, offset: float, crash: int | None = None) -> Path:
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
-    (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(correct=correct, offset=offset))
-    declared = {"end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
+    (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(correct=correct, offset=offset, crash=crash))
+    declared = {"end_to_end": [{"name": "solves_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}
     (tree / "BENCHMARK.json").write_text(json.dumps(declared))
     return tree
 
 
-def run_tool(before: Path, after: Path):
+def run_tool(before: Path, after: Path, *extra: str, seeds: str = "1-4"):
     return subprocess.run(
-        [sys.executable, str(TOOL), str(before), str(after), "--workload", "w", "--seeds", "1-4", "--seconds", "0"],
+        [sys.executable, str(TOOL), str(before), str(after), "--workload", "w", "--seeds", seeds,
+         "--seconds", "0", *extra],
         capture_output=True,
         text=True,
         check=False,
@@ -60,3 +69,55 @@ def test_an_after_median_worse_by_more_than_the_bound_is_flagged(tmp_path):
         done = run_tool(before, make_tree(tmp_path, name, True, offset))
         assert done.returncode == 0, done.stderr
         assert metric_row(done.stdout)[-4:] == [f"{100 * offset / 2.5:+.1f}%", "0/4", "no", beyond]
+
+
+def test_a_run_that_exits_non_zero_leaves_its_pair_out_then_exits_one(tmp_path):
+    before = make_tree(tmp_path, "before", True, 0.0)
+    done = run_tool(before, make_tree(tmp_path, "after", True, 5.0, crash=2))
+    assert done.returncode == 1
+    # the table covers seeds 1, 3 and 4: before 1, 3, 4 against after 6, 8, 9
+    assert "3 complete pairs" in done.stdout
+    assert metric_row(done.stdout)[1] == "3" and metric_row(done.stdout)[4] == "8"
+    assert "3/3  yes" in done.stdout
+    assert "after seed 2 (exit 3: ValueError: layer metric is NaN)" in done.stderr
+    assert "before seed" not in done.stderr and "Traceback" not in done.stderr
+
+
+def test_fewer_than_two_complete_pairs_print_no_table(tmp_path):
+    done = run_tool(make_tree(tmp_path, "before", True, 0.0, crash=2),
+                    make_tree(tmp_path, "after", True, 5.0), seeds="1-2")
+    assert done.returncode == 1
+    assert "solves_per_s" not in done.stdout
+    assert "1 of 2 pairs complete" in done.stderr and "before seed 2 (exit 3" in done.stderr
+
+
+def test_record_writes_one_entry_per_workload_into_one_file(tmp_path):
+    before = make_tree(tmp_path, "before", True, 0.0)
+    after = make_tree(tmp_path, "after", True, 5.0, crash=3)
+    path = tmp_path / "BENCH_test.json"
+    for workload in ("w", "v", "w"):
+        done = subprocess.run(
+            [sys.executable, str(TOOL), str(before), str(after), "--workload", workload,
+             "--seeds", "1-4", "--seconds", "0", "--record", str(path)],
+            capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 1  # the crash at seed 3
+    # strict JSON: no NaN or Infinity
+    entries = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))["entries"]
+    assert [entry["workload"] for entry in entries] == ["v", "w"]
+    entry = entries[1]
+    assert set(entry) == {"workload", "seeds", "seconds", "trees", "host",
+                          "failed_runs", "incorrect_runs", "metrics"}
+    # the seeds of the complete pairs
+    assert entry["seeds"] == [1, 2, 4] and entry["seconds"] == 0
+    assert entry["failed_runs"] == ["after seed 3 (exit 3: ValueError: layer metric is NaN)"]
+    assert entry["incorrect_runs"] == []
+    # the stand-in trees are no checkouts
+    assert entry["trees"] == {side: {"head": None, "uncommitted_changes": None} for side in ("before", "after")}
+    assert set(entry["host"]) == {"python", "numpy", "scipy", "cpu_count", "blas_threads"}
+    assert entry["host"]["blas_threads"] == 1
+    row = entry["metrics"]["solves_per_s"]
+    assert row["before"] == {"median": 2.0, "q1": 1.5, "q3": 3.0, "values": [1, 2, 4]}
+    assert row["after"]["values"] == [6, 7, 9]
+    assert (row["unit"], row["better"], row["wins"], row["gain"], row["beyond_bound"]) == ("1/s", "higher", 3, True, False)
+    assert row["change_pct"] == 250.0
