@@ -270,8 +270,8 @@ def _quadratic(node: Quadratic, x):
     if x.size != g.size:
         raise ValueError(f"point has {x.size} entries, the objective has {g.size} variables")
     with np.errstate(over="ignore", invalid="ignore"):
-        hx = h @ x
-        v = float(c + x @ (g + 0.5 * hx))
+        hx = h.dot(x)
+        v = float(c + x.dot(g + 0.5 * hx))
         grad = g + hx
     # a non-finite entry of g, H or Hx shows in the value too
     if not math.isfinite(v):
@@ -355,7 +355,13 @@ def _checked_walk(expression, leaves):
 
 
 def value_gradient_hessian(expression, x):
-    """(f, grad f, Hessian) in one walk of a raw or compiled tree."""
+    """(f, grad f, Hessian) in one walk of a raw or compiled tree.
+
+    A raw tree takes a point with more entries than its variables and
+    answers with zero gradient entries and zero Hessian rows and columns
+    for the extra ones: a program may leave a declared variable out of an
+    objective that does not fold.
+    """
     x = np.asarray(x, dtype=float)
     if isinstance(expression, Quadratic):
         return _quadratic(expression, x)

@@ -54,6 +54,19 @@ proves every entry finite, and only an infinite or NaN norm, which an
 overflow of finite entries can also give, is followed by an entrywise
 test.  An inf or NaN entry raises :class:`SingularKKTError`.
 
+The same holds one level down: on these operands numpy's dispatch costs
+more than the arithmetic.  So the iteration path multiplies through
+``ndarray.dot``, not ``@``, and reduces through ``np.minimum.reduce`` and
+``np.maximum.reduce`` (:data:`reduce_min`, :data:`reduce_max`), not through
+``ndarray.min``/``max``, which reach the same ufunc methods through a
+Python wrapper.  With numpy 2.4.6 and one OpenBLAS thread on a shared
+two-core Xeon host, on operands of 4 to 432 entries, ``A @ x`` took
+1.0-1.5 us a call and ``A.dot(x)`` 0.5-0.8 us for the same BLAS routine,
+and ``v.min()`` took 0.1-0.3 us more than the ufunc reduction.  Each site
+is decided by the digests of ``tools/run_digest.py``: a site keeps ``@``
+where ``.dot`` moves a result bit, as the strided 3 x p by p x 3 product
+of :meth:`arcipm.step.MuPredictor.of` does.
+
 An :class:`Iterate` is one contiguous vector of n + m + 2p entries in
 (x, y, s, z) order, and its four block fields are views into it.  Each
 direction is a plain vector in the same layout, solved straight into it:
@@ -78,6 +91,11 @@ from .program import ConvexProgram
 # Largest equilibrated solve residual, relative to 1 + |rhs|: a solve above
 # it is refined once, and a refined solve still above it is singular.
 SOLVE_TOLERANCE = 1e-8
+
+# The iteration path's reductions, without ndarray.min()/max()'s Python
+# wrapper (see the module docstring).
+reduce_min = np.minimum.reduce
+reduce_max = np.maximum.reduce
 
 
 class SingularKKTError(RuntimeError):
@@ -160,7 +178,7 @@ class Iterate:
         if vec.shape != (n + m + 2 * p,):
             raise ValueError(f"point has shape {vec.shape}, expected ({n + m + 2 * p},)")
         # a NaN minimum fails the comparison too
-        if not vec[n + m :].min() > 0.0:
+        if not reduce_min(vec[n + m :]) > 0.0:
             raise ValueError("slack and dual vectors must stay strictly positive")
         blocks = x, y, s, z = Blocks.of(vec, n, m, p)
         objective = program.compiled_objective
@@ -190,9 +208,9 @@ def compute_residuals(program: ConvexProgram, hess, x, y, s, z, grad=None):
     linear term stops at its own minimizer; any other objective keeps H x,
     which reproduces the reference runs.
     """
-    r_c = (hess @ x if grad is None else grad) + program.a_eq.T @ y - program.a_ineq.T @ z
-    r_e = program.a_eq @ x - program.b_eq
-    r_i = program.a_ineq @ x - s - program.b_ineq
+    r_c = (hess.dot(x) if grad is None else grad) + program.a_eq.T.dot(y) - program.a_ineq.T.dot(z)
+    r_e = program.a_eq.dot(x) - program.b_eq
+    r_i = program.a_ineq.dot(x) - s - program.b_ineq
     return r_c, r_e, r_i
 
 
@@ -202,7 +220,7 @@ def duality_measure(s, z) -> float:
     z = np.asarray(z, dtype=float)
     if s.size == 0:
         raise ValueError("duality measure needs at least one slack component")
-    return float(s @ z) / s.size
+    return float(s.dot(z)) / s.size
 
 
 def norm(vec: np.ndarray) -> float:
@@ -211,7 +229,7 @@ def norm(vec: np.ndarray) -> float:
     ``np.linalg.norm`` computes this as sqrt(x.dot(x)) too, so the two
     agree bit for bit; this form skips that function's argument dispatch.
     """
-    return math.sqrt(vec @ vec)
+    return math.sqrt(vec.dot(vec))
 
 
 def kkt_norm(iterate: Iterate) -> float:
@@ -228,7 +246,7 @@ def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     an objective steps on H x in place of grad f, and then the two need not
     vanish together.
     """
-    return norm(iterate.grad + program.a_eq.T @ iterate.y - program.a_ineq.T @ iterate.z)
+    return norm(iterate.grad + program.a_eq.T.dot(iterate.y) - program.a_ineq.T.dot(iterate.z))
 
 
 def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
@@ -236,7 +254,7 @@ def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
     n = hess.shape[0]
     m = a_eq.shape[0]
     matrix = np.zeros((n + m, n + m))
-    matrix[:n, :n] = hess + (a_ineq.T * (z / s)) @ a_ineq
+    matrix[:n, :n] = hess + (a_ineq.T * (z / s)).dot(a_ineq)
     matrix[:n, n:] = a_eq.T
     matrix[n:, :n] = a_eq
     return matrix
@@ -263,7 +281,7 @@ def _solve_checked(factor, matrix, rhs):
     rhs_norm = norm(rhs)
     _checked(rhs, rhs_norm)
     sol = lu_solve(factor, rhs)
-    residual = rhs - matrix @ sol
+    residual = rhs - matrix.dot(sol)
     residual_norm = norm(residual)
     bound = SOLVE_TOLERANCE * (1.0 + rhs_norm)
     # one refinement pass when the direct solve is not clean enough; the
@@ -271,7 +289,7 @@ def _solve_checked(factor, matrix, rhs):
     if not residual_norm <= bound:
         _checked(residual, residual_norm)
         sol = sol + lu_solve(factor, residual)
-        residual_norm = norm(rhs - matrix @ sol)
+        residual_norm = norm(rhs - matrix.dot(sol))
         if not residual_norm <= bound:
             raise SingularKKTError(f"Newton matrix is singular to working precision "
                                    f"(refined residual {residual_norm:.3e}, bound {bound:.3e})")
@@ -288,12 +306,12 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     of refinement.  A small pivot alone is no reason to stop, and no
     silent regularization is applied.
     """
-    row_max = np.abs(matrix).max(axis=1)
+    row_max = reduce_max(np.abs(matrix), axis=1)
     # the row maxima carry any inf or NaN of the matrix, and would spread
     # it through the scaling as 0 * inf
-    if not math.isfinite(row_max.max()):
+    if not math.isfinite(reduce_max(row_max)):
         raise _not_finite("matrix")
-    if row_max.min() == 0.0:
+    if reduce_min(row_max) == 0.0:
         raise SingularKKTError(f"Newton matrix is singular (row {int(row_max.argmin()) + 1} is zero)")
     d = 1.0 / np.sqrt(row_max)
     scaled = d[:, None] * matrix * d
@@ -310,9 +328,9 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     def direction(r_c, r_e, r_z, r_i=None):
         # r_i None is r_I = 0: no z*r_I, no -r_I
         combined = r_z if r_i is None else r_z + z * r_i
-        rhs = np.concatenate((r_c + a_ineq_t @ (combined / s), r_e))
+        rhs = np.concatenate((r_c + a_ineq_t.dot(combined / s), r_e))
         dxy = d * _solve_checked(factor, scaled, d * rhs)
-        ds = a_ineq @ dxy[:n]
+        ds = a_ineq.dot(dxy[:n])
         if r_i is not None:
             ds -= r_i
         dz = (r_z - z * ds) / s

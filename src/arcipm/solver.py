@@ -32,6 +32,8 @@ from .kkt import (
     assemble_newton_matrix,
     kkt_norm,
     norm,
+    reduce_max,
+    reduce_min,
     solve_directions,
     true_stationarity_norm,
 )
@@ -135,7 +137,7 @@ def balanced_start(program: ConvexProgram, x0=None) -> Iterate:
     Methods*, 1997, ch. 6).
     """
     x = _start_x(program, x0)
-    scale = max(1.0, float(np.abs(program.a_ineq @ x - program.b_ineq).max()))
+    scale = max(1.0, float(reduce_max(np.abs(program.a_ineq.dot(x) - program.b_ineq))))
     vec = np.concatenate((x, np.zeros(program.m), np.full(2 * program.p, scale)))
     return Iterate.at(program, vec, nu=1.0)
 
@@ -163,7 +165,7 @@ def _trace_row(program, iterate, k, sigma, alpha) -> TraceRow:
         nu=iterate.nu,
         kkt_norm=kkt_norm(iterate),
         true_stat_norm=norm_rc if folded else true_stationarity_norm(program, iterate),
-        min_sz_over_mu=float(iterate.zs.min()) / iterate.mu,
+        min_sz_over_mu=float(reduce_min(iterate.zs)) / iterate.mu,
     )
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import Iterate, NewtonDirections, duality_measure
+from .kkt import Iterate, NewtonDirections, duality_measure, reduce_min
 
 HALF_PI = 0.5 * math.pi
 
@@ -115,8 +115,8 @@ def update_nu(nu: float, alpha: float) -> float:
 
 def floors(s, z, nu: float, rho: float):
     """Positive floors (phi, psi) for the slack and dual blocks."""
-    phi = min(rho * float(s.min()), nu)
-    psi = min(rho * float(z.min()), nu)
+    phi = min(rho * float(reduce_min(s)), nu)
+    psi = min(rho * float(reduce_min(z)), nu)
     return phi, psi
 
 
@@ -192,7 +192,7 @@ def sz_tails(iterate: Iterate, directions: NewtonDirections) -> np.ndarray:
 
 def alpha_tilde(limits, sigma: float) -> float:
     """Positivity limit: the smallest per-component angle of :func:`alpha_limits` at sigma."""
-    return float(limits(sigma).min())
+    return float(reduce_min(limits(sigma)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,6 +243,8 @@ class MuPredictor:
         """
         p = tails.shape[1] // 2
         s_part, z_part = tails[:, :p], tails[:, p:]
+        # @, not .dot: on these strided views .dot takes another OpenBLAS
+        # path, and its bits differ from matmul's at p = 16
         (tangent, sdot_pz, sdot_qz), (ps_zdot, pp, ps_qz), (qs_zdot, qs_pz, qq) = (
             s_part[1:] @ z_part[1:].T
         ).tolist()
@@ -255,7 +257,7 @@ class MuPredictor:
             pp,
             ps_qz + qs_pz,
             qq,
-            (4 * p + 64) * EPSILON * float(size[:p] @ size[p:]),
+            (4 * p + 64) * EPSILON * float(size[:p].dot(size[p:])),
         )
 
     def b_u(self, alpha: float) -> float:
@@ -330,19 +332,19 @@ def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
         # the widths the test below would see after either move; negated, so
         # that a NaN bound stops here too
         if not (upper - sigma > BISECT_TOLERANCE or sigma - lower > BISECT_TOLERANCE):
-            return sigma, float(angles.min())
+            return sigma, float(reduce_min(angles))
         if groups is None:
             groups = p_coef < 0.0, p_coef > 0.0
         shrinks, grows = groups
-        shrinking = angles.min(where=shrinks, initial=math.inf)
-        growing = angles.min(where=grows, initial=math.inf)
+        shrinking = reduce_min(angles, where=shrinks, initial=math.inf)
+        growing = reduce_min(angles, where=grows, initial=math.inf)
         if shrinking > growing:
             lower = sigma
         else:
             upper = sigma
         # negated, so that a NaN width stops too
         if not upper - lower > BISECT_TOLERANCE:
-            return sigma, float(angles.min())
+            return sigma, float(reduce_min(angles))
 
 
 def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
@@ -367,13 +369,13 @@ def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
 
 def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, theta: float) -> bool:
     # a NaN minimum fails these comparisons, so the candidate is rejected
-    s_min, z_min = s.min(), z.min()
+    s_min, z_min = reduce_min(s), reduce_min(z)
     if not (s_min > 0.0 and z_min > 0.0):
         return False
     if s_min < phi - FLOOR_SLACK or z_min < psi - FLOOR_SLACK:
         return False
     # with theta = 0 the positive s and z above pass the centrality test
-    if theta and (s * z).min() < theta * mu_new * (1.0 - FLOOR_SLACK):
+    if theta and reduce_min(s * z) < theta * mu_new * (1.0 - FLOOR_SLACK):
         return False
     return mu_new < mu_old
 

@@ -12,22 +12,39 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
 # A stand-in for perfbench/run.py: an env line, then one JSON line whose
 # solves_per_s is the seed plus an offset, and whose "correct" flag is fixed
 # per tree; at the seed ``crash`` it exits 3 after a line on stderr instead.
+# With --trace 1 the JSON line holds per-layer metrics instead: LAYERS plus
+# the offset, a raw time, and a NaN step.alpha_mean; with ``trace_crash`` set
+# the traced run exits 4.
 FAKE_RUN = """\
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
-if seed == {crash}:
+traced = sys.argv[sys.argv.index("--trace") + 1] == "1"
+if seed == {crash} or (traced and {trace_crash}):
     print("Traceback (most recent call last):", file=sys.stderr)
     print("ValueError: layer metric is NaN", file=sys.stderr)
-    sys.exit(3)
+    sys.exit(4 if traced else 3)
 print("env " + json.dumps({{"python": "3", "blas_threads": 1, "seed": seed}}))
-print(json.dumps({{"correct": {correct}, "metrics": {{"solves_per_s": {{"value": seed + {offset}}}}}}}))
+if traced:
+    layers = {{name: value + {offset} for name, value in {layers}.items()}}
+    layers.update({{"step.alpha_mean": float("nan"), "step.select_ms": 0.1}})
+    metrics = {{name: {{"value": value}} for name, value in layers.items()}}
+else:
+    metrics = {{"solves_per_s": {{"value": seed + {offset}}}}}
+print(json.dumps({{"correct": {correct}, "metrics": metrics}}))
 """
 
+# The traced stand-in's layer values, before its offset.
+LAYERS = {"autodiff.share": 0.25, "kkt.share": 0.5, "step.share": 0.125, "solver.iterations": 12.0,
+          "solver.coverage": 0.875, "step.affine_share": 0.0, "step.accept_ratio": 1.0,
+          "kkt.lu_solves_per_iter": 3.0}
 
-def make_tree(root: Path, name: str, correct: bool, offset: float, crash: int | None = None) -> Path:
+
+def make_tree(root: Path, name: str, correct: bool, offset: float, crash: int | None = None,
+              trace_crash: bool = False) -> Path:
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
-    (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(correct=correct, offset=offset, crash=crash))
+    (tree / "perfbench" / "run.py").write_text(
+        FAKE_RUN.format(correct=correct, offset=offset, crash=crash, trace_crash=trace_crash, layers=LAYERS))
     declared = {"end_to_end": [{"name": "solves_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}
     (tree / "BENCHMARK.json").write_text(json.dumps(declared))
     return tree
@@ -107,7 +124,7 @@ def test_record_writes_one_entry_per_workload_into_one_file(tmp_path):
     assert [entry["workload"] for entry in entries] == ["v", "w"]
     entry = entries[1]
     assert set(entry) == {"workload", "seeds", "seconds", "trees", "host",
-                          "failed_runs", "incorrect_runs", "metrics"}
+                          "failed_runs", "incorrect_runs", "metrics", "layers"}
     # the seeds of the complete pairs
     assert entry["seeds"] == [1, 2, 4] and entry["seconds"] == 0
     assert entry["failed_runs"] == ["after seed 3 (exit 3: ValueError: layer metric is NaN)"]
@@ -121,3 +138,36 @@ def test_record_writes_one_entry_per_workload_into_one_file(tmp_path):
     assert row["after"]["values"] == [6, 7, 9]
     assert (row["unit"], row["better"], row["wins"], row["gain"], row["beyond_bound"]) == ("1/s", "higher", 3, True, False)
     assert row["change_pct"] == 250.0
+
+
+def test_record_stores_the_scale_free_layer_metrics_of_one_traced_run_per_tree(tmp_path):
+    before = make_tree(tmp_path, "before", True, 0.0)
+    after = make_tree(tmp_path, "after", True, 5.0)
+    path = tmp_path / "BENCH_test.json"
+    done = run_tool(before, after, "--record", str(path), seeds="3-4")
+    assert done.returncode == 0, done.stderr
+    assert "traced run before seed 3 --trace 1 done" in done.stdout
+    # strict JSON: the stand-in's NaN is written as null
+    entry = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))["entries"][0]
+    layers = entry["layers"]
+    assert layers["seed"] == 3
+    expected = {**LAYERS, "step.alpha_mean": None}
+    assert layers["before"] == expected
+    assert layers["after"] == {name: None if value is None else value + 5.0 for name, value in expected.items()}
+    # the raw time is left out
+    assert "step.select_ms" not in layers["after"]
+    assert entry["failed_runs"] == [] and entry["incorrect_runs"] == []
+
+
+def test_a_traced_run_that_exits_non_zero_is_named_and_exits_one(tmp_path):
+    before = make_tree(tmp_path, "before", True, 0.0)
+    after = make_tree(tmp_path, "after", False, 5.0, trace_crash=True)
+    path = tmp_path / "BENCH_test.json"
+    done = run_tool(before, after, "--record", str(path), seeds="1-2")
+    assert done.returncode == 1
+    assert "after seed 1 --trace 1 (exit 4: ValueError: layer metric is NaN)" in done.stderr
+    entry = json.loads(path.read_text())["entries"][0]
+    assert entry["failed_runs"] == ["after seed 1 --trace 1 (exit 4: ValueError: layer metric is NaN)"]
+    # the after tree's plain runs report correct: false; its traced run never finished
+    assert entry["incorrect_runs"] == ["after seed 1", "after seed 2"]
+    assert entry["layers"]["after"] is None and entry["layers"]["before"]["kkt.share"] == 0.5

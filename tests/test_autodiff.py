@@ -194,6 +194,18 @@ def test_a_point_with_too_few_entries_is_named(function):
         function(parse_expression("x1 + x2", X12), [1.0])
 
 
+def test_a_raw_tree_given_more_entries_than_its_variables_answers_with_zeros_for_them():
+    # a program may leave a declared variable out of its objective
+    # (vars x1 x2 x3, min -log(x1) + x2), so the extra entry is not an error
+    tree = parse_expression("-log(x1) + x2", ["x1", "x2", "x3"])
+    value, grad, hess = value_gradient_hessian(tree, [2.0, 3.0])
+    assert hess[0, 0] == 0.25
+    padded = value_gradient_hessian(tree, [2.0, 3.0, 5.0])
+    assert padded[0] == value == evaluate(tree, [2.0, 3.0, 5.0])
+    assert np.array_equal(padded[1], [*grad, 0.0])
+    assert np.array_equal(padded[2], np.pad(hess, (0, 1)))
+
+
 @pytest.mark.parametrize("function", [evaluate, value_gradient_hessian], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
 def test_a_wrong_length_point_on_a_compiled_quadratic_is_named(function, point):

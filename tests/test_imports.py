@@ -1,5 +1,6 @@
 """Every module-level import of the package, the tests and the tools is used by its module,
-and every module-level definition of the package is read outside itself."""
+every module-level definition of the package is read outside itself, and the package
+multiplies with ndarray.dot, not with @, outside the one product that keeps it."""
 
 import ast
 from collections import defaultdict
@@ -123,3 +124,54 @@ def test_package_definitions_are_read_by_the_package_the_tools_or_the_benchmark(
     rebound = {attribute for _, attribute, _, _ in perfbench_module("spans").targets()}
     assert "src/arcipm/step.py" in package
     assert unread_definitions(package, texts, rebound | set(arcipm.__all__)) == []
+
+
+# The package's @ products that stay, by file and enclosing definition: on the
+# strided views of MuPredictor.of, .dot takes another OpenBLAS path and its
+# bits differ from matmul's at p = 16.
+KEPT_MATMULS = {"step.py": ["MuPredictor.of"]}
+
+
+def matmul_sites(text: str) -> list[str]:
+    """The dotted name of the definition around each ``@`` product in ``text``, one per product.
+
+    A product outside every function and class is listed as ``<module>``.
+    """
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, DEFINITIONS):
+            scope = (*scope, node.name)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            sites.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), ())
+    return sites
+
+
+def test_guard_lists_each_product_in_its_definition():
+    text = (
+        "Y = a @ b\n"
+        "class C:\n"
+        "    def f(self, x, y):\n"
+        "        x @= y\n"
+        "        return x.dot(y)\n"
+        "def g(a, b, c):\n"
+        "    return (a @ b) @ c\n"
+    )
+    assert matmul_sites(text) == ["<module>", "C.f", "g", "g"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "arcipm").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_package_products_go_through_ndarray_dot(path):
+    assert matmul_sites(path.read_text()) == KEPT_MATMULS.get(path.name, []), (
+        "use ndarray.dot, not @: on the solver's operands of a few dozen entries the same "
+        "BLAS call costs about half as much through .dot, whose dispatch is shorter; a product "
+        "whose switch to .dot moves a digest keeps @, with a reason beside it and in KEPT_MATMULS"
+    )

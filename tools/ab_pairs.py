@@ -24,10 +24,13 @@ runs on standard error, each failed one with its exit status and the last
 line of its standard error, and exits with status 1, so no gain rests on
 an incorrect or missing run.
 
-``--record FILE`` also writes the comparison into the JSON trajectory file
-FILE, creating it or replacing its entry for the same workload and keeping
-the others.  The file is one object, ``{"entries": [ENTRY, ...]}``, and each
-ENTRY is::
+``--record FILE`` also runs ``perfbench/run.py --trace 1`` once in each
+tree at the first seed, then writes the comparison into the JSON trajectory
+file FILE, creating it or replacing its entry for the same workload and
+keeping the others.  A traced run that exits non-zero or reports
+``"correct": false`` is named like a plain one, with ``--trace 1`` after
+its seed, and the tool exits with status 1.  The file is one object,
+``{"entries": [ENTRY, ...]}``, and each ENTRY is::
 
     {"workload": str, "seeds": [int], "seconds": float,
      "trees": {"before": TREE, "after": TREE},
@@ -36,10 +39,12 @@ ENTRY is::
      "failed_runs": [str], "incorrect_runs": [str],
      "metrics": {NAME: {"unit": str, "better": "higher" | "lower",
                         "before": SIDE, "after": SIDE, "change_pct": float | null,
-                        "wins": int, "gain": bool, "beyond_bound": bool}}}
+                        "wins": int, "gain": bool, "beyond_bound": bool}},
+     "layers": {"seed": int, "before": LAYERS | null, "after": LAYERS | null}}
 
     TREE = {"head": str | null, "uncommitted_changes": bool | null}
     SIDE = {"median": float, "q1": float, "q3": float, "values": [float]}
+    LAYERS = {LAYER_NAME: float | null}
 
 ``seeds`` are those of the complete pairs.  ``head`` is the tree's
 ``git rev-parse HEAD``, null outside a checkout, and ``uncommitted_changes``
@@ -47,15 +52,25 @@ whether ``git status --porcelain`` lists anything.  The versions and CPU
 count are this interpreter's, which runs both trees' benchmarks;
 ``blas_threads`` is the thread pin a run reports on its ``env`` line.
 ``values`` are in pair order, and ``change_pct`` is the after median's
-move as a percentage of the before median.  Only end-to-end metrics are
-recorded: the benchmark's per-layer times are raw and follow the host's
-speed.  The file is written without NaN or infinity.
+move as a percentage of the before median.  ``layers`` holds, for each
+tree, the traced run's values of the scale-free per-layer metrics in
+``LAYER_METRICS`` (shares, counts and ratios), each null where the run
+reports it as NaN or not at all; a side is null when its traced run exits
+non-zero.  The per-layer times are left out, since they are raw and
+follow the host's speed, and so are the metrics that no longer measure
+what their names say: ``autodiff.passes`` (n(n+1)/2 per call, not a
+count of walks), ``kkt.dim`` (n + m + 3p, not the factored n + m),
+``step.mu_coeff_calls_per_iter`` (a function the solver no longer
+calls), ``step.backtracks_per_iter`` (angles the screen skips count too)
+and ``trace_overhead_share`` (unscaled walls, so host drift outweighs
+the tracing).  The file is written without NaN or infinity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -63,6 +78,12 @@ import subprocess
 import sys
 from importlib import metadata
 from pathlib import Path
+
+# The per-layer metrics --record stores from one traced run per tree.
+LAYER_METRICS = (
+    "autodiff.share", "kkt.share", "step.share", "solver.iterations", "solver.coverage",
+    "step.affine_share", "step.accept_ratio", "step.alpha_mean", "kkt.lu_solves_per_iter",
+)
 
 
 def seed_list(text: str) -> list[int]:
@@ -74,14 +95,14 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | str:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict | str:
     """The run's result, or for a run that exits non-zero, its exit status and last error line.
 
     The result is the ``metrics`` values by name, the ``correct`` flag and
     the ``env`` object the run prints (empty if it prints none).
     """
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         last = (done.stderr.strip().splitlines() or ["(no standard error)"])[-1]
@@ -94,6 +115,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | str
         "correct": bool(result["correct"]),
         "env": env,
     }
+
+
+def finite_or_none(value):
+    """``value`` if it is a finite number, else None."""
+    return value if isinstance(value, (int, float)) and math.isfinite(value) else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -188,6 +214,20 @@ def main(argv=None) -> int:
             complete.append((seed, results))
         print(f"pair {index + 1}/{len(args.seeds)} (seed {seed}, {order[0]} first) done", flush=True)
 
+    if args.record is not None:
+        layers = {"seed": args.seeds[0]}
+        for side in ("before", "after"):
+            run = f"{side} seed {args.seeds[0]} --trace 1"
+            result = run_once(getattr(args, side), args.workload, args.seeds[0], args.seconds, trace=1)
+            if isinstance(result, str):
+                failed.append(f"{run} ({result})")
+                layers[side] = None
+                continue
+            if not result["correct"]:
+                incorrect.append(run)
+            layers[side] = {name: finite_or_none(result["metrics"].get(name)) for name in LAYER_METRICS}
+            print(f"traced run {run} done", flush=True)
+
     if len(complete) >= 2:
         compared = {}
         for metric in declared:
@@ -214,6 +254,7 @@ def main(argv=None) -> int:
                 "failed_runs": failed,
                 "incorrect_runs": incorrect,
                 "metrics": compared,
+                "layers": layers,
             })
     else:
         print(f"error: {len(complete)} of {len(args.seeds)} pairs complete, too few for a table",
