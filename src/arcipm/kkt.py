@@ -27,8 +27,9 @@ right-hand side above, solves it and substitutes ds and dz back: the
 first-order tangent, with every residual of the iterate and r_z = z*s,
 then the two pieces whose combination (p*sigma + q) is the curvature term
 of the search arc.  Those two have r_C = r_E = r_I = 0; the centering
-piece p has r_z = mu, read from the iterate, and q has r_z = -2 dz*ds of
-the tangent.  Their solves leave out the terms z*r_I and -r_I, which
+piece p has r_z = mu, the iterate's scalar, whose mu/s and mu - z*ds have
+the bits a vector of mu would give, and q has r_z = -2 dz*ds of the
+tangent.  Their solves leave out the terms z*r_I and -r_I, which
 change no bit at r_I = 0: r_z + z*0 differs from r_z only in the sign of
 a zero, which the 0.0 + ... of r_C = 0 makes +0.0 either way, and x - 0
 is x.  The matrix is factored as D M D with
@@ -65,7 +66,24 @@ two-core Xeon host, on operands of 4 to 432 entries, ``A @ x`` took
 and ``v.min()`` took 0.1-0.3 us more than the ufunc reduction.  Each site
 is decided by the digests of ``tools/run_digest.py``: a site keeps ``@``
 where ``.dot`` moves a result bit, as the strided 3 x p by p x 3 product
-of :meth:`arcipm.step.MuPredictor.of` does.
+of :meth:`arcipm.step.MuPredictor.of` does.  Nor does the iteration path
+call ``np.all``, ``np.any`` or ``np.full``, whose Python wrappers took
+2.4-3.8 us and 1.4-1.7 us a call on that host.
+
+Nothing the iteration already holds is built again.  A program without
+equality rows (m = 0) gets no zero A_E'y product, no empty r_E arithmetic
+and no A_E block: its Newton matrix is H + A_I'(Z/S)A_I itself and its
+reduced right-hand sides are the r_C block alone.  The matrix and the
+right-hand sides hold the values the (n+m)-square copy and the
+concatenations would.  Adding the zero product changes a vector only in
+the sign of a zero entry: a norm does not see it, and r_c enters the
+iteration only through norms and as an addend of the reduced right-hand
+side, with no division by an entry of it, so that sign can reach no
+nonzero value (``tools/run_digest.py`` prints the same lines with and
+without the product).  The duality measure of an accepted step
+is handed on: :func:`arcipm.step.select_step` takes it of the candidate's
+(s, z) views, and :meth:`Iterate.at` splits the same views of the same
+vector, so a second dot would repeat the same bits.
 
 An :class:`Iterate` is one contiguous vector of n + m + 2p entries in
 (x, y, s, z) order, and its four block fields are views into it.  Each
@@ -161,15 +179,22 @@ class Iterate:
     def __post_init__(self, blocks):
         if blocks is None:
             blocks = Blocks.of(self.vec, self.r_c.size, self.r_e.size, self.r_i.size)
-        for name, view in zip(Blocks._fields, blocks):
-            object.__setattr__(self, name, view)
-        object.__setattr__(self, "zs", blocks.z * blocks.s)
+        x, y, s, z = blocks
+        setattr_ = object.__setattr__
+        setattr_(self, "x", x)
+        setattr_(self, "y", y)
+        setattr_(self, "s", s)
+        setattr_(self, "z", z)
+        setattr_(self, "zs", z * s)
 
     @classmethod
-    def at(cls, program: ConvexProgram, vec, nu: float) -> "Iterate":
+    def at(cls, program: ConvexProgram, vec, nu: float, mu: float | None = None) -> "Iterate":
         """The iterate at the flat (x, y, s, z) point ``vec``, kept as it is, not copied.
 
         The residual factor ``nu`` lies in (0, 1]; a NaN fails that test too.
+        ``mu`` is the duality measure of ``vec``'s (s, z) when the caller has
+        taken it already, as :func:`arcipm.step.select_step` has for the
+        point it accepts; it is taken here when None.
         """
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"residual factor nu must lie in (0, 1], got {nu}")
@@ -186,7 +211,9 @@ class Iterate:
         # the Newton model of a folded objective is exact, so r_c takes its gradient
         exact = grad if isinstance(objective, Quadratic) else None
         r_c, r_e, r_i = compute_residuals(program, hess, x, y, s, z, exact)
-        return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu, blocks)
+        if mu is None:
+            mu = duality_measure(s, z)
+        return cls(vec, hess, grad, r_c, r_e, r_i, mu, nu, blocks)
 
     @property
     def w(self) -> np.ndarray:
@@ -206,10 +233,16 @@ def compute_residuals(program: ConvexProgram, hess, x, y, s, z, grad=None):
     otherwise.  :meth:`Iterate.at` passes the gradient g + H x of an
     objective that folds to a :class:`Quadratic`, so an LP or a QP with a
     linear term stops at its own minimizer; any other objective keeps H x,
-    which reproduces the reference runs.
+    which reproduces the reference runs.  Without equality rows r_e is the
+    empty ``program.b_eq`` and r_c has no A_E'y term.
     """
-    r_c = (hess.dot(x) if grad is None else grad) + program.a_eq.T.dot(y) - program.a_ineq.T.dot(z)
-    r_e = program.a_eq.dot(x) - program.b_eq
+    r_c = hess.dot(x) if grad is None else grad
+    if program.m:
+        r_c = r_c + program.a_eq.T.dot(y)
+        r_e = program.a_eq.dot(x) - program.b_eq
+    else:
+        r_e = program.b_eq
+    r_c = r_c - program.a_ineq.T.dot(z)
     r_i = program.a_ineq.dot(x) - s - program.b_ineq
     return r_c, r_e, r_i
 
@@ -246,15 +279,24 @@ def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     an objective steps on H x in place of grad f, and then the two need not
     vanish together.
     """
-    return norm(iterate.grad + program.a_eq.T.dot(iterate.y) - program.a_ineq.T.dot(iterate.z))
+    grad = iterate.grad
+    if program.m:
+        grad = grad + program.a_eq.T.dot(iterate.y)
+    return norm(grad - program.a_ineq.T.dot(iterate.z))
 
 
 def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
-    """Reduced symmetric matrix [H + A_I'(Z/S)A_I, A_E'; A_E, 0]."""
-    n = hess.shape[0]
+    """Reduced symmetric matrix [H + A_I'(Z/S)A_I, A_E'; A_E, 0].
+
+    Without equality rows that is the block H + A_I'(Z/S)A_I itself.
+    """
+    block = hess + (a_ineq.T * (z / s)).dot(a_ineq)
     m = a_eq.shape[0]
+    if not m:
+        return block
+    n = hess.shape[0]
     matrix = np.zeros((n + m, n + m))
-    matrix[:n, :n] = hess + (a_ineq.T * (z / s)).dot(a_ineq)
+    matrix[:n, :n] = block
     matrix[:n, n:] = a_eq.T
     matrix[n:, :n] = a_eq
     return matrix
@@ -328,7 +370,10 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     def direction(r_c, r_e, r_z, r_i=None):
         # r_i None is r_I = 0: no z*r_I, no -r_I
         combined = r_z if r_i is None else r_z + z * r_i
-        rhs = np.concatenate((r_c + a_ineq_t.dot(combined / s), r_e))
+        rhs = r_c + a_ineq_t.dot(combined / s)
+        # without equality rows the right-hand side is the r_C block alone
+        if m:
+            rhs = np.concatenate((rhs, r_e))
         dxy = d * _solve_checked(factor, scaled, d * rhs)
         ds = a_ineq.dot(dxy[:n])
         if r_i is not None:
@@ -337,10 +382,11 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
         return np.concatenate((dxy, ds, dz))
 
     vdot = direction(iterate.r_c, iterate.r_e, iterate.zs, iterate.r_i)
-    zero_e = np.zeros(m)
+    zero_e = np.zeros(m) if m else None
     # r_C = 0.0 turns a -0.0 entry of the product below into +0.0, which is
-    # all that r_z + z*0 would change
-    p_dir = direction(0.0, zero_e, np.full(p, iterate.mu))
+    # all that r_z + z*0 would change; the scalar r_z = mu gives the bits of
+    # a vector of mu in mu/s and mu - z*ds
+    p_dir = direction(0.0, zero_e, iterate.mu)
     _, _, ds, dz = Blocks.of(vdot, n, m, p)
     q_dir = direction(0.0, zero_e, -2.0 * dz * ds)
     return NewtonDirections(vdot, p_dir, q_dir)

@@ -246,7 +246,9 @@ def solve(
             directions = solve_directions(matrix, program.a_ineq, iterate)
             phi, psi = (0.0, 0.0) if mehrotra else floors(iterate.s, iterate.z, iterate.nu, config.rho)
             selection = select_step(iterate, directions, phi, psi, config, mehrotra)
-            iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
+            iterate = Iterate.at(
+                program, selection.point, update_nu(iterate.nu, selection.alpha), selection.mu
+            )
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT
             message = str(err)

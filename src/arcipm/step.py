@@ -26,7 +26,11 @@ Along the ellipse s'z is a polynomial in sigma, sin(alpha) and
 block: p*mu and six products of the direction tails.  Its part linear in
 sigma, (a_u*sigma + b_u)/p, predicts the updated duality measure.
 Its product's coefficients that depend on sigma alone are formed once per
-candidate sequence, not once per angle.
+candidate sequence, not once per angle.  The loops over angles,
+:func:`golden_min_bu`, the product of :meth:`MuPredictor.along` and
+:func:`arc_point`, form sin(alpha) and 1 - cos(alpha) = 2 sin(alpha/2)^2
+inline, with one expression everywhere, so no angle costs a Python call
+beyond ``math.sin``.
 
 :func:`candidate_steps` states the step rule as the stream of (sigma,
 cap, alpha) candidates in the order they are tried, and
@@ -78,8 +82,9 @@ class StepSelection:
 
     ``point`` is the accepted candidate: the flat (x, y, s, z) arc point
     at (sigma, alpha) that passed every step condition, which the next
-    iterate keeps as its ``vec``.  It is left out of comparisons and the
-    repr.
+    iterate keeps as its ``vec``, and ``mu`` its duality measure, which the
+    next iterate takes as its own.  Both are left out of comparisons and
+    the repr.
     """
 
     sigma: float
@@ -87,6 +92,7 @@ class StepSelection:
     alpha_tilde: float  # the cap of the sequence the accepted angle came from
     backtracks: int  # candidates passed over before it, skipped or built
     point: np.ndarray = field(compare=False, repr=False)
+    mu: float = field(compare=False, repr=False)
 
 
 def _one_minus_cos(alpha: float) -> float:
@@ -97,7 +103,7 @@ def _one_minus_cos(alpha: float) -> float:
 def arc_point(iterate: Iterate, directions: NewtonDirections, sigma: float, alpha: float) -> np.ndarray:
     """Candidate point on the ellipse at angle alpha, as one flat (x, y, s, z) vector."""
     sin_a = math.sin(alpha)
-    omc = _one_minus_cos(alpha)
+    omc = 2.0 * math.sin(0.5 * alpha) ** 2
     vdot, p_dir, q_dir = directions
     return iterate.vec - vdot * sin_a + (p_dir * sigma + q_dir) * omc
 
@@ -153,12 +159,13 @@ def alpha_limits(current, rate, p_coef, q_coef, floor):
     """
     margin = current - floor
     rising = rate > 0.0
-    usable = margin >= 0.0
-    if np.all(usable):
+    # a NaN margin fails this test too, as it fails margin >= 0.0
+    if reduce_min(margin) >= 0.0:
         # no component below its floor, as in every call from select_step:
         # the scalars broadcast to the values the arrays below would hold
         rising_usable, low, unbound = rising, 0.0, HALF_PI
     else:
+        usable = margin >= 0.0
         rising_usable = rising & usable
         low = np.where(usable, 0.0, -math.inf)
         unbound = np.where(usable, HALF_PI, 0.0)
@@ -269,15 +276,17 @@ class MuPredictor:
     def along(self, sigma: float):
         """alpha -> s'z of the arc point at (sigma, alpha), by powers of sin and 1-cos.
 
-        The coefficients that depend on sigma alone are formed here, once.
+        The coefficients that depend on sigma alone are formed here, once,
+        and each angle's sin and 1 - cos inline.
         """
         p_mu = self.p_mu
         by_sin_omc = sigma * self.mixed + self.cross
         by_omc2 = sigma * (sigma * self.pp + self.pq) + self.qq - self.tangent
+        sin = math.sin
 
         def product(alpha: float) -> float:
-            sin_a = math.sin(alpha)
-            omc = _one_minus_cos(alpha)
+            sin_a = sin(alpha)
+            omc = 2.0 * sin(0.5 * alpha) ** 2
             return p_mu * (1.0 - sin_a + sigma * omc) - by_sin_omc * sin_a * omc + by_omc2 * omc * omc
 
         return product
@@ -348,23 +357,40 @@ def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
 
 
 def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
-    """Golden-section minimizer of the predictor's b_u over [0, alpha_cap]."""
-    objective = predictor.b_u
+    """Golden-section minimizer of the predictor's b_u over [0, alpha_cap].
+
+    Each pass forms b_u inline, with the expression of :meth:`MuPredictor.b_u`,
+    at the one inner point that has no value yet: the lower and then the
+    upper one at the start, after that the point each shrink adds.
+    """
+    p_mu, tangent, cross = predictor.p_mu, predictor.tangent, predictor.cross
+    sin = math.sin
     lo, hi = 0.0, alpha_cap
     width = hi - lo
     inner_lo = hi - _INV_GOLDEN * width
     inner_hi = lo + _INV_GOLDEN * width
-    f_lo, f_hi = objective(inner_lo), objective(inner_hi)
-    while hi - lo > GOLDEN_TOLERANCE:
-        if f_lo < f_hi:
+    at_lo, f_hi = True, None
+    while True:
+        alpha = inner_lo if at_lo else inner_hi
+        sin_a = sin(alpha)
+        omc = 2.0 * sin(0.5 * alpha) ** 2
+        value = p_mu * (1.0 - sin_a) - (tangent * omc**2 + cross * sin_a * omc)
+        if at_lo:
+            f_lo = value
+        else:
+            f_hi = value
+        if f_hi is None:
+            at_lo = False
+            continue
+        if not hi - lo > GOLDEN_TOLERANCE:
+            return 0.5 * (lo + hi)
+        at_lo = f_lo < f_hi
+        if at_lo:
             hi, inner_hi, f_hi = inner_hi, inner_lo, f_lo
             inner_lo = hi - _INV_GOLDEN * (hi - lo)
-            f_lo = objective(inner_lo)
         else:
             lo, inner_lo, f_lo = inner_lo, inner_hi, f_hi
             inner_hi = lo + _INV_GOLDEN * (hi - lo)
-            f_hi = objective(inner_hi)
-    return 0.5 * (lo + hi)
 
 
 def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, theta: float) -> bool:
@@ -493,4 +519,4 @@ def select_step(
         s, z = point[-2 * p : -p], point[-p:]
         mu_new = duality_measure(s, z)
         if _acceptable(s, z, mu_new, iterate.mu, phi, psi, theta):
-            return StepSelection(sigma, alpha, cap, backtracks, point)
+            return StepSelection(sigma, alpha, cap, backtracks, point, mu_new)

@@ -10,8 +10,12 @@ out, so a shared bug between implementation and check is impossible.
 The step layer's and the curvature check's shortcuts, which skip work
 whose result no branch reads, are checked against the same code with
 that work left in: :func:`every_step_alpha_limits`,
-:func:`every_step_bisect_sigma`, :func:`per_angle_product` and
-:func:`eigenvalue_indefinite`.
+:func:`every_step_bisect_sigma`, :func:`per_angle_product`,
+:func:`per_call_golden_min_bu` and :func:`eigenvalue_indefinite`.  The
+Newton layer's rules for a program without equality rows are checked
+against the formulas that keep the empty equality block:
+:func:`padded_newton_matrix`, :func:`padded_directions` and
+:func:`padded_stationarity`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from arcipm import expr as ast
 from arcipm.autodiff import DomainError, gradient, hessian
 from arcipm.kkt import Blocks
 from arcipm.program import ConvexProgram
-from arcipm.step import BISECT_TOLERANCE, HALF_PI, _one_minus_cos
+from arcipm.step import BISECT_TOLERANCE, GOLDEN_TOLERANCE, HALF_PI, _one_minus_cos
+
+GOLDEN_RATIO_INVERSE = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_ENUM_ROWS = 12
 
@@ -133,6 +139,59 @@ def full_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
     matrix[oz + idx, os_ + idx] = z
     matrix[oz + idx, oz + idx] = s
     return matrix
+
+
+def padded_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
+    """The reduced matrix [H + A_I'(Z/S)A_I, A_E'; A_E, 0] as zeros filled by three slice writes, for any m."""
+    n, m = hess.shape[0], a_eq.shape[0]
+    matrix = np.zeros((n + m, n + m))
+    matrix[:n, :n] = hess + (a_ineq.T * (z / s)).dot(a_ineq)
+    matrix[:n, n:] = a_eq.T
+    matrix[n:, :n] = a_eq
+    return matrix
+
+
+def padded_directions(matrix, a_ineq, iterate) -> list[np.ndarray]:
+    """The three flat directions with every r_E block appended, for any m.
+
+    Each reduced right-hand side is the concatenation of its r_C and r_E
+    blocks, the curvature pieces' r_E is a vector of zeros and the
+    centering piece's r_z a vector of mu; the equilibration, the
+    ``dgetrf`` factor and the one-pass refinement are the solver's.
+    Assumes a finite, regular matrix.
+    """
+    d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
+    scaled = d[:, None] * matrix * d
+    lu, piv, _ = dgetrf(scaled)
+
+    def refined(rhs):
+        sol = dgetrs(lu, piv, rhs)[0]
+        residual = rhs - scaled.dot(sol)
+        if not math.sqrt(residual.dot(residual)) <= 1e-8 * (1.0 + math.sqrt(rhs.dot(rhs))):
+            sol = sol + dgetrs(lu, piv, residual)[0]
+        return sol
+
+    n, p = iterate.x.size, iterate.p
+    s, z = iterate.s, iterate.z
+
+    def direction(r_c, r_e, r_z, r_i):
+        rhs = np.concatenate((r_c + a_ineq.T.dot((r_z + z * r_i) / s), r_e))
+        dxy = d * refined(d * rhs)
+        ds = a_ineq.dot(dxy[:n]) - r_i
+        dz = (r_z - z * ds) / s
+        return np.concatenate((dxy, ds, dz))
+
+    zero_e, zero_i = np.zeros(iterate.y.size), np.zeros(p)
+    vdot = direction(iterate.r_c, iterate.r_e, z * s, iterate.r_i)
+    p_dir = direction(0.0, zero_e, np.full(p, iterate.mu), zero_i)
+    ds, dz = vdot[-2 * p : -p], vdot[-p:]
+    q_dir = direction(0.0, zero_e, -2.0 * dz * ds, zero_i)
+    return [vdot, p_dir, q_dir]
+
+
+def padded_stationarity(program: ConvexProgram, grad, y, z) -> np.ndarray:
+    """grad + A_E'y - A_I'z with the A_E'y product formed for any m."""
+    return grad + program.a_eq.T.dot(y) - program.a_ineq.T.dot(z)
 
 
 def scan_alpha(
@@ -389,6 +448,25 @@ def per_angle_product(predictor, sigma: float, alpha: float) -> float:
         - (sigma * predictor.mixed + predictor.cross) * sin_a * omc
         + (sdd_zdd - predictor.tangent) * omc * omc
     )
+
+
+def per_call_golden_min_bu(predictor, alpha_cap: float) -> float:
+    """``arcipm.step.golden_min_bu`` calling ``predictor.b_u`` at every angle, both inner points first."""
+    lo, hi = 0.0, alpha_cap
+    width = hi - lo
+    inner_lo = hi - GOLDEN_RATIO_INVERSE * width
+    inner_hi = lo + GOLDEN_RATIO_INVERSE * width
+    f_lo, f_hi = predictor.b_u(inner_lo), predictor.b_u(inner_hi)
+    while hi - lo > GOLDEN_TOLERANCE:
+        if f_lo < f_hi:
+            hi, inner_hi, f_hi = inner_hi, inner_lo, f_lo
+            inner_lo = hi - GOLDEN_RATIO_INVERSE * (hi - lo)
+            f_lo = predictor.b_u(inner_lo)
+        else:
+            lo, inner_lo, f_lo = inner_lo, inner_hi, f_hi
+            inner_hi = lo + GOLDEN_RATIO_INVERSE * (hi - lo)
+            f_hi = predictor.b_u(inner_hi)
+    return 0.5 * (lo + hi)
 
 
 def eigenvalue_indefinite(hess: np.ndarray) -> bool:

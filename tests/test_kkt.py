@@ -32,7 +32,15 @@ from conftest import (
     split_at,
     synthetic_step_pair,
 )
-from oracles import full_newton_matrix, generic_directions, wrapped_getrf, wrapped_getrs
+from oracles import (
+    full_newton_matrix,
+    generic_directions,
+    padded_directions,
+    padded_newton_matrix,
+    padded_stationarity,
+    wrapped_getrf,
+    wrapped_getrs,
+)
 
 
 def test_residuals_at_zero_point():
@@ -474,6 +482,37 @@ def test_directions_equal_generic_back_substitution_bitwise(direction_cases):
             # with r_w = 0 the w row only copies dz: w would stay equal to z
             assert all(np.array_equal(dw, dz) for _, _, dw, _, dz in directions)
         assert _direction_bytes(prog, iterates) == generic
+
+
+def test_no_equality_block_is_built_without_equality_rows(direction_cases):
+    """With m = 0 the Newton layer builds no A_E block, r_E concatenation or A_E'y product.
+
+    On every iterate of ex1–ex8 (m = 0) and of the p = 108 run (m = 1), the
+    matrix, the three directions and the stationarity norm equal, array for
+    array, the formulas that keep the equality block however empty.  r_c
+    equals them up to the sign of a zero entry, which is all the dropped
+    product can change; r_e is the empty b_eq.
+    """
+    without_rows = 0
+    for prog, iterates in direction_cases:
+        without_rows += len(iterates) if prog.m == 0 else 0
+        a_eq, a_ineq = prog.a_eq, prog.a_ineq
+        for it in iterates:
+            matrix = assemble_newton_matrix(it.hess, a_eq, a_ineq, it.s, it.z)
+            padded = padded_newton_matrix(it.hess, a_eq, a_ineq, it.s, it.z)
+            assert matrix.shape == padded.shape == (prog.n + prog.m,) * 2
+            assert matrix.tobytes() == padded.tobytes()
+            got = [flat.tobytes() for flat in solve_directions(matrix, a_ineq, it)]
+            assert got == [flat.tobytes() for flat in padded_directions(padded, a_ineq, it)]
+            stationarity = padded_stationarity(prog, it.grad, it.y, it.z)
+            assert true_stationarity_norm(prog, it) == np.linalg.norm(stationarity)
+            for grad in (None, it.grad):
+                r_c, r_e, r_i = compute_residuals(prog, it.hess, it.x, it.y, it.s, it.z, grad)
+                model = it.hess.dot(it.x) if grad is None else grad
+                np.testing.assert_array_equal(r_c, padded_stationarity(prog, model, it.y, it.z))
+                assert r_e.tobytes() == (a_eq.dot(it.x) - prog.b_eq).tobytes()
+                assert r_i.tobytes() == (a_ineq.dot(it.x) - it.s - prog.b_ineq).tobytes()
+    assert without_rows > 400
 
 
 @contextlib.contextmanager

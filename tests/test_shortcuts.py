@@ -4,8 +4,9 @@ Each is compared bit for bit with a copy of the code without it
 (``tests/oracles.py``): the bisection that returns its last midpoint
 without deciding a move, the angle limits whose thresholds are scalars
 when no component is below its floor, the screen's product with its
-sigma-only coefficients formed once per sigma, and the curvature check
-that tries a Cholesky factor before the eigenvalues.
+sigma-only coefficients formed once per sigma, the golden-section search
+that forms b_u inline, and the curvature check that tries a Cholesky
+factor before the eigenvalues.
 """
 
 import math
@@ -22,7 +23,13 @@ from arcipm import step as step_module
 from arcipm.autodiff import Quadratic, compile_objective
 from arcipm.step import BISECT_TOLERANCE, HALF_PI, MuPredictor, alpha_limits, bisect_sigma
 from conftest import load_problem, perfbench_module, step_limits, synthetic_step_pair
-from oracles import every_step_alpha_limits, every_step_bisect_sigma, per_angle_product, eigenvalue_indefinite
+from oracles import (
+    eigenvalue_indefinite,
+    every_step_alpha_limits,
+    every_step_bisect_sigma,
+    per_angle_product,
+    per_call_golden_min_bu,
+)
 from qp_family import quadratic_tree
 
 
@@ -147,6 +154,51 @@ def test_product_along_a_sigma_equals_forming_every_coefficient_per_angle():
                 assert bits(predictor.product(sigma, alpha), along(alpha)) == bits(want, want)
                 checked += 1
     assert checked == 3 * len(sigmas) * len(alphas)
+
+
+def test_alpha_limits_with_a_nan_margin_take_the_per_component_branch():
+    """A NaN margin fails the floor test as margin >= 0 fails it, so its component's limit is 0."""
+    rng = np.random.default_rng(13)
+    sigmas = [0.0, 0.25, 1.0]
+    current, rate, p_coef, q_coef, floor = _limit_arrays(rng, 7, below=False)
+    nan_current, nan_floor = current.copy(), floor.copy()
+    nan_current[2], nan_floor[5] = math.nan, math.nan
+    for case in ((nan_current, rate, p_coef, q_coef, floor), (current, rate, p_coef, q_coef, nan_floor)):
+        got, want = alpha_limits(*case), every_step_alpha_limits(*case)
+        for sigma in sigmas:
+            angles = got(sigma)
+            assert angles.tobytes() == want(sigma).tobytes()
+            # the scalar branch's unbound angle would be pi/2
+            assert angles[np.isnan(case[0] - case[4])].tolist() == [0.0]
+    case = (math.nan, 1.0, 0.6, -0.2, 0.5)
+    assert bits(float(alpha_limits(*case)(0.5))) == bits(float(every_step_alpha_limits(*case)(0.5))) == bits(0.0)
+
+
+def test_golden_min_bu_equals_calling_b_u_at_every_angle(monkeypatch):
+    """On every golden-section search of ex1–ex8 and on edge caps, bit for bit."""
+    calls = []
+    original = step_module.golden_min_bu
+
+    def recording(predictor, cap):
+        calls.append((predictor, cap, original(predictor, cap)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(step_module, "golden_min_bu", recording)
+    for k in range(1, 9):
+        program, start = load_problem(f"ex{k}")
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # ex7's curvature
+            solve(program, SolverConfig(), default_start(program, start))
+    searched = len(calls)
+    rng = np.random.default_rng(29)
+    caps = [0.0, 1e-5, step_module.GOLDEN_TOLERANCE, 2e-4, 0.3, 1.0, HALF_PI, math.nan]
+    for p in (1, 3, 8):
+        iterate, directions = synthetic_step_pair(rng, p)
+        predictor = MuPredictor.of(step_module.sz_tails(iterate, directions), iterate.mu)
+        calls += [(predictor, cap, original(predictor, cap)) for cap in caps]
+    for predictor, cap, got in calls:
+        assert bits(got) == bits(per_call_golden_min_bu(predictor, cap))
+    assert searched > 300
 
 
 def _with_smallest(rng, n, smallest):

@@ -13,6 +13,7 @@ from arcipm.cli import parse_problem_text
 from arcipm.kkt import (
     SingularKKTError,
     assemble_newton_matrix,
+    duality_measure,
     kkt_norm,
     solve_directions,
 )
@@ -478,3 +479,26 @@ def test_select_step_builds_the_angle_limits_once_when_both_sequences_run(fall_t
     selection = select_step(it, directions, phi, psi, SolverConfig())
     assert selection.sigma > 0.0
     assert len(calls) == 1
+
+
+def test_each_iterate_keeps_the_duality_measure_its_step_took(fixture_runs):
+    """The accepted step's mu, handed to the next iterate, is the dot of that iterate's (s, z).
+
+    On every stored iterate of ex1–ex8 from their files' starts and of ten
+    no-start solves each of the benchmark's boxqp_dense and many_rows
+    generators, bit for bit.
+    """
+    runs = [run for _, run in fixture_runs.values()]
+    instances = perfbench_module("instances")
+    rng = np.random.default_rng(39)
+    for k in range(10):
+        for draw in (instances.boxqp_dense(rng, 2 + 2 * (k % 5)), instances.many_rows(rng)):
+            runs.append(run_recorded(draw.program, None))
+    checked = 0
+    for run in runs:
+        for it, selection in zip(run.iterates, run.selections):
+            assert it.mu == duality_measure(it.s, it.z)
+            if selection is not None:
+                assert selection.mu == it.mu
+            checked += 1
+    assert checked > 600
