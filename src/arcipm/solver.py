@@ -40,7 +40,7 @@ from .kkt import (
 from .program import ConvexProgram
 # solve() no longer calls arc_point; the benchmark's tracer (perfbench/spans.py)
 # still rebinds solver.arc_point by name, so the name stays bound here
-from .step import StepFailureError, arc_point, floors, select_step, update_nu  # noqa: F401
+from .step import StepFailureError, arc_point, select_step, update_nu  # noqa: F401
 
 
 @dataclass
@@ -244,8 +244,7 @@ def solve(
         )
         try:
             directions = solve_directions(matrix, program.a_ineq, iterate)
-            phi, psi = (0.0, 0.0) if mehrotra else floors(iterate.s, iterate.z, iterate.nu, config.rho)
-            selection = select_step(iterate, directions, phi, psi, config, mehrotra)
+            selection = select_step(iterate, directions, config, mehrotra)
             iterate = Iterate.at(
                 program, selection.point, update_nu(iterate.nu, selection.alpha), selection.mu
             )

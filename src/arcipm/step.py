@@ -12,25 +12,23 @@ accepted one becomes the next iterate's vector as it is.
 Everything else the step rule reads is the (s, z) part of the arc, which
 :func:`sz_tails` takes once per iteration: the last 2p entries of the
 iterate and its three directions, as one (4, 2p) block.  Each slack and
-dual component has a closed-form largest angle that keeps it above a
-positive floor; :func:`alpha_limits` derives it for all 2p components at
-once, as a function of sigma, and that one function serves both the
-positivity cap :func:`alpha_tilde` and the bisection :func:`bisect_sigma`.
-The step rules never pass it a component below its floor, and with none
-there its thresholds and unbound angles are two scalars.  The bisection
-returns the midpoint of its last step without deciding a move: with
-neither half wider than the tolerance, either move would end it.
+dual component has a closed-form largest angle that keeps it above its
+floor, which :func:`select_step` sets below it; :func:`alpha_limits`
+derives it for all 2p components at once, as a function of sigma, and
+that one function serves both the positivity cap :func:`alpha_tilde` and
+the bisection :func:`bisect_sigma`.  The bisection returns the midpoint of
+its last step without deciding a move: with neither half wider than the
+tolerance, either move would end it.
 
 Along the ellipse s'z is a polynomial in sigma, sin(alpha) and
 1 - cos(alpha).  :class:`MuPredictor` takes its coefficients from the same
 block: p*mu and six products of the direction tails.  Its part linear in
-sigma, (a_u*sigma + b_u)/p, predicts the updated duality measure.
-Its product's coefficients that depend on sigma alone are formed once per
-candidate sequence, not once per angle.  The loops over angles,
-:func:`golden_min_bu`, the product of :meth:`MuPredictor.along` and
-:func:`arc_point`, form sin(alpha) and 1 - cos(alpha) = 2 sin(alpha/2)^2
-inline, with one expression everywhere, so no angle costs a Python call
-beyond ``math.sin``.
+sigma, (a_u*sigma + b_u)/p, predicts the updated duality measure, and
+:meth:`MuPredictor.along` is the one evaluator of s'z along the arc.  The
+loops over angles, :func:`golden_min_bu`, the product of
+:meth:`MuPredictor.along` and :func:`arc_point`, form sin(alpha) and
+1 - cos(alpha) = 2 sin(alpha/2)^2 inline, with one expression everywhere,
+so no angle costs a Python call beyond ``math.sin``.
 
 :func:`candidate_steps` states the step rule as the stream of (sigma,
 cap, alpha) candidates in the order they are tried, and
@@ -95,11 +93,6 @@ class StepSelection:
     mu: float = field(compare=False, repr=False)
 
 
-def _one_minus_cos(alpha: float) -> float:
-    # stable for small angles
-    return 2.0 * math.sin(0.5 * alpha) ** 2
-
-
 def arc_point(iterate: Iterate, directions: NewtonDirections, sigma: float, alpha: float) -> np.ndarray:
     """Candidate point on the ellipse at angle alpha, as one flat (x, y, s, z) vector."""
     sin_a = math.sin(alpha)
@@ -135,9 +128,8 @@ def alpha_limits(current, rate, p_coef, q_coef, floor):
     which the trajectories never dip under ``floor``; the sigma-free work
     is done once, here.  With ``margin = current - floor``, ``top = margin
     + second`` and ``R = hypot(rate, second)``, the trajectory minus the
-    floor is ``top - R*sin(a + asin(second/R))``, which gives three cases:
+    floor is ``top - R*sin(a + asin(second/R))``, which gives two cases:
 
-    * ``margin < 0``: the component is already below its floor; 0.
     * ``rate > 0``: pi/2 if ``top >= R``, else
       ``min(pi/2, asin(top/R) - asin(second/R))``.
     * ``rate <= 0``: pi/2 if ``top >= 0``, else
@@ -145,30 +137,21 @@ def alpha_limits(current, rate, p_coef, q_coef, floor):
       ``acos(top/second)`` when rate = 0.
 
     A component binds (its limit is below pi/2) when ``top`` is under a
-    threshold: R if rate > 0, 0 if rate <= 0, and -inf below the floor, so
-    those never bind.  A binding component has ``|top| <= R`` and ``R > 0``;
-    the others are divided by infinity instead, which keeps every arcsine
-    argument in range without a warning.  Because asin is odd, the rate <= 0
-    angle ``pi - asin(-top/R) - asin(-second/R)`` is ``pi + asin(top/R) +
-    asin(second/R)``, so both cases are ``offset + lead + sign*phase``.
+    threshold: R if rate > 0, 0 if rate <= 0.  A binding component has
+    ``|top| <= R`` and ``R > 0``; the others are divided by infinity
+    instead, which keeps every arcsine argument in range without a warning.
+    Because asin is odd, the rate <= 0 angle ``pi - asin(-top/R) -
+    asin(-second/R)`` is ``pi + asin(top/R) + asin(second/R)``, so both
+    cases are ``offset + lead + sign*phase``.
 
-    :func:`select_step` never passes a component below its floor: the
-    paper's floors are at most rho times the smallest slack or dual, and
-    the library's are 0.  When every margin is nonnegative, the per-component
-    thresholds and unbound angles are the scalars 0 and pi/2.
+    Every margin must be nonnegative, as the floors of :func:`select_step`
+    make it; a negative or NaN margin raises ``ValueError``.
     """
     margin = current - floor
+    # negated, so that a NaN margin is rejected too
+    if not reduce_min(margin) >= 0.0:
+        raise ValueError("a component starts below its floor, or its margin is NaN")
     rising = rate > 0.0
-    # a NaN margin fails this test too, as it fails margin >= 0.0
-    if reduce_min(margin) >= 0.0:
-        # no component below its floor, as in every call from select_step:
-        # the scalars broadcast to the values the arrays below would hold
-        rising_usable, low, unbound = rising, 0.0, HALF_PI
-    else:
-        usable = margin >= 0.0
-        rising_usable = rising & usable
-        low = np.where(usable, 0.0, -math.inf)
-        unbound = np.where(usable, HALF_PI, 0.0)
     offset = np.where(rising, 0.0, math.pi)
     sign = np.where(rising, -1.0, 1.0)
 
@@ -176,12 +159,12 @@ def alpha_limits(current, rate, p_coef, q_coef, floor):
         second = p_coef * sigma + q_coef
         top = margin + second
         radius = np.hypot(rate, second)
-        binds = top < np.where(rising_usable, radius, low)
+        binds = top < np.where(rising, radius, 0.0)
         safe = np.where(binds, radius, math.inf)
         lead = np.arcsin(top / safe)
         phase = np.arcsin(second / safe)
         angle = offset + lead + sign * phase
-        return np.where(binds, np.minimum(angle, HALF_PI), unbound)
+        return np.where(binds, np.minimum(angle, HALF_PI), HALF_PI)
 
     return limits
 
@@ -217,11 +200,11 @@ class MuPredictor:
     sdd.zdd (1-cos)^2, where a_u and b_u are trigonometric polynomials in
     alpha with coefficients p*mu, ``mixed``, ``tangent`` and ``cross``, and
     sdd.zdd is quadratic in sigma.  Without the sdd.zdd term, which takes
-    either sign, (a_u*sigma + b_u)/p predicts the updated duality measure.
-    The step rule reads :meth:`b_u` alone; :func:`mu_coefficients` gives both.
-    :meth:`along` forms the sigma-only coefficients of the product once per
-    sigma and returns it as a function of alpha, which :func:`select_step`
-    calls for each angle of a sequence.
+    either sign, (a_u*sigma + b_u)/p predicts the updated duality measure;
+    :func:`golden_min_bu` minimizes b_u and :func:`mu_coefficients` gives
+    both.  :meth:`along` forms the sigma-only coefficients of the product
+    once per sigma and returns it as a function of alpha, which
+    :func:`select_step` calls for each angle of a sequence.
 
     The rows hold to a few ulps per component, however accurate the LU
     solve is, because :func:`arcipm.kkt.solve_directions` back-substitutes
@@ -267,12 +250,6 @@ class MuPredictor:
             (4 * p + 64) * EPSILON * float(size[:p].dot(size[p:])),
         )
 
-    def b_u(self, alpha: float) -> float:
-        """b_u alone at angle alpha."""
-        sin_a = math.sin(alpha)
-        omc = _one_minus_cos(alpha)
-        return self.p_mu * (1.0 - sin_a) - (self.tangent * omc**2 + self.cross * sin_a * omc)
-
     def along(self, sigma: float):
         """alpha -> s'z of the arc point at (sigma, alpha), by powers of sin and 1-cos.
 
@@ -291,30 +268,21 @@ class MuPredictor:
 
         return product
 
-    def product(self, sigma: float, alpha: float) -> float:
-        """s'z of the arc point at (sigma, alpha): :meth:`along` at one angle."""
-        return self.along(sigma)(alpha)
-
-    def rules_out(self, sigma: float, alpha: float) -> bool:
-        """Whether the arc point at (sigma, alpha) surely fails to decrease the duality measure.
-
-        Such a point cannot pass the duality-measure test of
-        :func:`_acceptable`.  A NaN product or margin rules out nothing.
-        """
-        return self.product(sigma, alpha) > self.p_mu + self.margin
-
 
 def mu_coefficients(iterate: Iterate, directions: NewtonDirections, alpha: float):
     """Predictor coefficients (a_u, b_u) of the updated duality measure.
 
     The predicted measure is (a_u*sigma + b_u)/p.  It omits the term
     sddot'zddot (1-cos)^2, whose sign varies from iteration to iteration
-    (:meth:`MuPredictor.product` keeps it), so acceptance decisions use the
+    (:meth:`MuPredictor.along` keeps it), so acceptance decisions use the
     exact value from :func:`arcipm.kkt.duality_measure`.
     """
     predictor = MuPredictor.of(sz_tails(iterate, directions), iterate.mu)
-    omc = _one_minus_cos(alpha)
-    return predictor.p_mu * omc - predictor.mixed * math.sin(alpha) * omc, predictor.b_u(alpha)
+    sin_a = math.sin(alpha)
+    omc = 2.0 * math.sin(0.5 * alpha) ** 2
+    a_u = predictor.p_mu * omc - predictor.mixed * sin_a * omc
+    b_u = predictor.p_mu * (1.0 - sin_a) - (predictor.tangent * omc**2 + predictor.cross * sin_a * omc)
+    return a_u, b_u
 
 
 def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
@@ -359,14 +327,21 @@ def bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
 def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
     """Golden-section minimizer of the predictor's b_u over [0, alpha_cap].
 
-    Each pass forms b_u inline, with the expression of :meth:`MuPredictor.b_u`,
-    at the one inner point that has no value yet: the lower and then the
-    upper one at the start, after that the point each shrink adds.
+    b_u(alpha) = p*mu (1 - sin) - tangent (1-cos)^2 - cross sin (1-cos).
+    Each pass forms it inline at the one inner point that has no value
+    yet: the lower and then the upper one at the start, after that the
+    point each shrink adds.  The interval's width is tested before that
+    point's value is formed, so every value formed is compared: once the
+    interval is no wider than :data:`GOLDEN_TOLERANCE`, its midpoint is
+    returned.
     """
     p_mu, tangent, cross = predictor.p_mu, predictor.tangent, predictor.cross
     sin = math.sin
     lo, hi = 0.0, alpha_cap
     width = hi - lo
+    # negated, so that a NaN cap returns at once too
+    if not width > GOLDEN_TOLERANCE:
+        return 0.5 * (lo + hi)
     inner_lo = hi - _INV_GOLDEN * width
     inner_hi = lo + _INV_GOLDEN * width
     at_lo, f_hi = True, None
@@ -382,8 +357,6 @@ def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
         if f_hi is None:
             at_lo = False
             continue
-        if not hi - lo > GOLDEN_TOLERANCE:
-            return 0.5 * (lo + hi)
         at_lo = f_lo < f_hi
         if at_lo:
             hi, inner_hi, f_hi = inner_hi, inner_lo, f_lo
@@ -391,6 +364,8 @@ def golden_min_bu(predictor: MuPredictor, alpha_cap: float) -> float:
         else:
             lo, inner_lo, f_lo = inner_lo, inner_hi, f_hi
             inner_hi = lo + _INV_GOLDEN * (hi - lo)
+        if not hi - lo > GOLDEN_TOLERANCE:
+            return 0.5 * (lo + hi)
 
 
 def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, theta: float) -> bool:
@@ -424,6 +399,13 @@ def candidate_angles(cap: float, start: float):
         alpha *= BACKTRACK_FACTOR
 
 
+def _no_angle(sigma: float, cap: float) -> StepFailureError:
+    return StepFailureError(
+        f"no acceptable angle above {ALPHA_FLOOR:.1e} "
+        f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
+    )
+
+
 def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
     """The step rule: (sigma, cap, alpha) candidates in the order they are tried.
 
@@ -452,10 +434,7 @@ def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
     sigma, cap = bisect_sigma(limits, p_coef, config.sigma_min, config.sigma_max)
     for alpha in candidate_angles(cap, cap):
         yield sigma, cap, alpha
-    raise StepFailureError(
-        f"no acceptable angle above {ALPHA_FLOOR:.1e} "
-        f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
-    )
+    raise _no_angle(sigma, cap)
 
 
 def mehrotra_steps(limits, p_coef, predictor: MuPredictor, config):
@@ -468,45 +447,48 @@ def mehrotra_steps(limits, p_coef, predictor: MuPredictor, config):
     back off plainly from 0.99 of that sigma's cap.
     """
     sigma_min = config.sigma_min
-    affine = predictor.product(sigma_min, golden_min_bu(predictor, alpha_tilde(limits, sigma_min)))
+    affine = predictor.along(sigma_min)(golden_min_bu(predictor, alpha_tilde(limits, sigma_min)))
     bound = min(max((affine / predictor.p_mu) ** 3, sigma_min), config.sigma_max)
     sigma, cap = bisect_sigma(limits, p_coef, sigma_min, bound)
     for alpha in candidate_angles(0.99 * cap, 0.99 * cap):
         yield sigma, cap, alpha
-    raise StepFailureError(
-        f"no acceptable angle above {ALPHA_FLOOR:.1e} "
-        f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
-    )
+    raise _no_angle(sigma, cap)
 
 
-def select_step(
-    iterate: Iterate, directions: NewtonDirections, phi: float, psi: float, config, mehrotra=False
-) -> StepSelection:
-    """Take the first candidate of :func:`candidate_steps` that passes every step condition.
+def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra=False) -> StepSelection:
+    """Take the first candidate of the step rule's stream that passes every step condition.
+
+    The rule sets the floors (phi, psi) of the slack and dual blocks.  The
+    paper's rule, :func:`candidate_steps`, takes them from :func:`floors`
+    with ``config.rho``; with ``mehrotra`` the library's rule,
+    :func:`mehrotra_steps`, keeps s and z positive only: its floors are 0,
+    and it has no centrality test.  Either way every floor lies below every
+    component it bounds, because :func:`floors` gives at most rho times the
+    smallest slack or dual, with rho < 1, and the iterate's s and z are
+    positive; so :func:`alpha_limits` sees no negative margin.
 
     The :func:`sz_tails` block is read once, and the angle-limit function
     and the :class:`MuPredictor` built from it serve the whole selection.
-    A candidate the predictor rules out, because s'z there surely does not
-    fall, is skipped without building its point; that screen takes the
-    predictor's product :meth:`MuPredictor.along` once per sequence, at
-    the sequence's sigma.  The first other candidate
-    whose arc point keeps both blocks above their floors, stays inside the
-    centrality region, and strictly decreases the duality measure is taken;
-    when none does, the stream itself raises :class:`StepFailureError`.
-    With ``mehrotra`` the stream is :func:`mehrotra_steps`, with no centrality
-    test, and its floors (phi, psi) are (0, 0), so every component's floor is
-    the scalar 0.
+    A candidate whose s'z along the arc, :meth:`MuPredictor.along` taken
+    once per sequence at the sequence's sigma, exceeds p*mu by more than
+    the predictor's margin surely fails the duality-measure test, so it is
+    skipped without building its point; a NaN product skips nothing.  The
+    first other candidate whose arc point keeps both blocks above their
+    floors, stays inside the centrality region, and strictly decreases the
+    duality measure is taken; when none does, the stream itself raises
+    :class:`StepFailureError`.
     """
     p = iterate.p
     tails = sz_tails(iterate, directions)
     if mehrotra:
-        rule, theta, floor = mehrotra_steps, 0.0, 0.0
+        rule, theta, phi, psi, floor = mehrotra_steps, 0.0, 0.0, 0.0, 0.0
     else:
-        rule, theta, floor = candidate_steps, config.theta, np.array((phi, psi)).repeat(p)
+        rule, theta = candidate_steps, config.theta
+        phi, psi = floors(iterate.s, iterate.z, iterate.nu, config.rho)
+        floor = np.array((phi, psi)).repeat(p)
     limits = alpha_limits(*tails, floor)
     predictor = MuPredictor.of(tails, iterate.mu)
     steps = rule(limits, tails[2], predictor, config)
-    # the screen of MuPredictor.rules_out, with the product taken along each sequence
     ceiling = predictor.p_mu + predictor.margin
     along_sigma = along = None
     for backtracks, (sigma, cap, alpha) in enumerate(steps):

@@ -31,7 +31,7 @@ from arcipm import expr as ast
 from arcipm.autodiff import DomainError, gradient, hessian
 from arcipm.kkt import Blocks
 from arcipm.program import ConvexProgram
-from arcipm.step import BISECT_TOLERANCE, GOLDEN_TOLERANCE, HALF_PI, _one_minus_cos
+from arcipm.step import BISECT_TOLERANCE, GOLDEN_TOLERANCE, HALF_PI
 
 GOLDEN_RATIO_INVERSE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -395,8 +395,9 @@ def dense_value_gradient_hessian(expression: ast.Expr, x) -> tuple:
 def every_step_alpha_limits(current, rate, p_coef, q_coef, floor):
     """``arcipm.step.alpha_limits`` with per-component thresholds and unbound angles built always.
 
-    The solver's version uses the scalars 0 and pi/2 in their place when
-    no component starts below its floor.
+    A component below its floor gets the limit 0 here.  The solver's
+    version rejects such a component and uses the scalars 0 and pi/2 in
+    place of the arrays, which they equal when every margin is nonnegative.
     """
     margin = current - floor
     rising = rate > 0.0
@@ -438,8 +439,13 @@ def every_step_bisect_sigma(limits, p_coef, sigma_min: float, sigma_max: float):
             return sigma, float(angles.min())
 
 
+def _one_minus_cos(alpha: float) -> float:
+    # stable for small angles
+    return 2.0 * math.sin(0.5 * alpha) ** 2
+
+
 def per_angle_product(predictor, sigma: float, alpha: float) -> float:
-    """``MuPredictor.product`` with its sigma-only coefficients formed again at every angle."""
+    """``MuPredictor.along(sigma)(alpha)`` with its sigma-only coefficients formed again at every angle."""
     sin_a = math.sin(alpha)
     omc = _one_minus_cos(alpha)
     sdd_zdd = sigma * (sigma * predictor.pp + predictor.pq) + predictor.qq
@@ -450,22 +456,34 @@ def per_angle_product(predictor, sigma: float, alpha: float) -> float:
     )
 
 
+def b_u(predictor, alpha: float) -> float:
+    """The predictor's b_u at angle alpha, by a call per angle."""
+    sin_a = math.sin(alpha)
+    omc = _one_minus_cos(alpha)
+    return predictor.p_mu * (1.0 - sin_a) - (predictor.tangent * omc**2 + predictor.cross * sin_a * omc)
+
+
 def per_call_golden_min_bu(predictor, alpha_cap: float) -> float:
-    """``arcipm.step.golden_min_bu`` calling ``predictor.b_u`` at every angle, both inner points first."""
+    """``arcipm.step.golden_min_bu`` calling :func:`b_u` at every angle, both inner points first.
+
+    It forms b_u at the point the last shrink adds too, a value no
+    comparison reads, and at both inner points of a cap no wider than the
+    tolerance.
+    """
     lo, hi = 0.0, alpha_cap
     width = hi - lo
     inner_lo = hi - GOLDEN_RATIO_INVERSE * width
     inner_hi = lo + GOLDEN_RATIO_INVERSE * width
-    f_lo, f_hi = predictor.b_u(inner_lo), predictor.b_u(inner_hi)
+    f_lo, f_hi = b_u(predictor, inner_lo), b_u(predictor, inner_hi)
     while hi - lo > GOLDEN_TOLERANCE:
         if f_lo < f_hi:
             hi, inner_hi, f_hi = inner_hi, inner_lo, f_lo
             inner_lo = hi - GOLDEN_RATIO_INVERSE * (hi - lo)
-            f_lo = predictor.b_u(inner_lo)
+            f_lo = b_u(predictor, inner_lo)
         else:
             lo, inner_lo, f_lo = inner_lo, inner_hi, f_hi
             inner_hi = lo + GOLDEN_RATIO_INVERSE * (hi - lo)
-            f_hi = predictor.b_u(inner_hi)
+            f_hi = b_u(predictor, inner_hi)
     return 0.5 * (lo + hi)
 
 

@@ -1,7 +1,8 @@
 """Every module-level import of the package, the tests and the tools is used by its module,
-every module-level definition of the package is read outside itself, the package
-multiplies with ndarray.dot, not with @, outside the one product that keeps it, and the
-iteration's modules call no np.all, np.any or np.full outside the start builders."""
+every module-level definition of the package and every method of its classes is read
+outside itself, the package multiplies with ndarray.dot, not with @, outside the one
+product that keeps it, and the iteration's modules call no np.all, np.any or np.full
+outside the start builders."""
 
 import ast
 from collections import defaultdict
@@ -63,40 +64,69 @@ def test_module_imports_are_used(path):
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def top_level_reads(text: str):
-    """(definition, name) for every name and attribute name read in ``text``.
+def _reads(node, owner):
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            yield owner, inner.id
+        elif isinstance(inner, ast.Attribute):
+            yield owner, inner.attr
 
-    ``definition`` is the name of the top-level function or class the read
-    is in, or None for any other top-level statement.
+
+def top_level_reads(text: str):
+    """(owner, name) for every name and attribute name read in ``text``.
+
+    ``owner`` is the dotted name of the definition the read is in: a
+    top-level function, a method of a top-level class (``Class.method``),
+    or the class itself for the rest of its statement; None for any other
+    top-level statement.
     """
     for statement in ast.parse(text).body:
-        owner = statement.name if isinstance(statement, DEFINITIONS) else None
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name):
-                yield owner, node.id
-            elif isinstance(node, ast.Attribute):
-                yield owner, node.attr
+        if isinstance(statement, ast.ClassDef):
+            for part in ast.iter_child_nodes(statement):
+                inner = isinstance(part, DEFINITIONS)
+                yield from _reads(part, f"{statement.name}.{part.name}" if inner else statement.name)
+        else:
+            yield from _reads(statement, statement.name if isinstance(statement, DEFINITIONS) else None)
+
+
+def definitions(text: str):
+    """(dotted name, name) of each top-level function and class, and each method of such a class.
+
+    Dunder methods are left out: Python calls them, not the code.
+    """
+    for statement in ast.parse(text).body:
+        if isinstance(statement, DEFINITIONS):
+            yield statement.name, statement.name
+        if isinstance(statement, ast.ClassDef):
+            for part in statement.body:
+                if isinstance(part, DEFINITIONS) and not part.name.startswith("__"):
+                    yield f"{statement.name}.{part.name}", part.name
 
 
 def unread_definitions(package: dict, readers: dict, read_by_name=()) -> list[str]:
-    """``path:name`` of each module-level function or class in ``package`` that nothing reads.
+    """``path:name`` of each definition of :func:`definitions` in ``package`` that nothing reads.
 
     ``package`` and ``readers`` map a file's path to its text; the package's
-    files read too.  A definition is read when a top-level statement other
-    than itself, in any of those files, reads its name, as a name or as an
-    attribute, or when the name is in ``read_by_name``.
+    files read too.  A definition is read when code outside it, in any of
+    those files, reads its name, as a name or as an attribute, or when the
+    name is in ``read_by_name``.  Reads in a class's own methods count for
+    the class but not for the method they are in.
     """
     readers_of = defaultdict(set)
     for path, text in {**readers, **package}.items():
         for owner, name in top_level_reads(text):
             readers_of[name].add((path, owner))
+
+    def inside(dotted, path, reader):
+        reader_path, owner = reader
+        return reader_path == path and owner is not None and (owner + ".").startswith(dotted + ".")
+
     return [
-        f"{path}:{statement.name}"
+        f"{path}:{dotted}"
         for path, text in package.items()
-        for statement in ast.parse(text).body
-        if isinstance(statement, DEFINITIONS)
-        and statement.name not in read_by_name
-        and not readers_of[statement.name] - {(path, statement.name)}
+        for dotted, name in definitions(text)
+        if name not in read_by_name
+        and all(inside(dotted, path, reader) for reader in readers_of[name])
     ]
 
 
@@ -106,16 +136,30 @@ def test_guard_flags_only_unread_definitions():
             "def used():\n    return helper()\n"
             "def helper():\n    return helper\n"
             "def orphan():\n    return orphan()\n"
-            "class Kept:\n    pass\n"
+            "class Kept:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def of(self):\n        return self.helped()\n"
+            "    def helped(self):\n        return Kept\n"
+            "    def recursive(self):\n        return self.recursive()\n"
+            "class Lonely:\n    def make(self):\n        return Lonely()\n"
             "def exported():\n    pass\n"
         )
     }
-    readers = {"tools/t.py": "import pkg\nprint(pkg.a.used, pkg.a.Kept)\n"}
-    assert unread_definitions(package, readers, {"exported"}) == ["pkg/a.py:orphan"]
+    readers = {"tools/t.py": "import pkg\nprint(pkg.a.used, pkg.a.Kept().of)\n"}
+    assert unread_definitions(package, readers, {"exported"}) == [
+        "pkg/a.py:orphan",
+        "pkg/a.py:Kept.recursive",
+        "pkg/a.py:Lonely",
+        "pkg/a.py:Lonely.make",
+    ]
 
 
 def test_package_definitions_are_read_by_the_package_the_tools_or_the_benchmark():
-    """Tests do not count as readers; the public API and the names the benchmark rebinds do."""
+    """Module-level definitions and the methods of package classes.
+
+    Tests do not count as readers; the public API and the names the
+    benchmark rebinds do.
+    """
     texts = {
         str(path.relative_to(ROOT)): path.read_text()
         for folder in ("src/arcipm", "tools", "perfbench")

@@ -18,7 +18,7 @@ from arcipm.kkt import (
     solve_directions,
 )
 from arcipm import step as step_module
-from arcipm.step import floors, select_step
+from arcipm.step import select_step
 from conftest import (
     LOG_DOMAIN_EXIT,
     UNUSED_VARIABLE,
@@ -290,7 +290,7 @@ def test_step_failure_status(monkeypatch):
     import arcipm.solver as solver_mod
     from arcipm.step import StepFailureError
 
-    def stall(iterate, directions, phi, psi, config, mehrotra):
+    def stall(iterate, directions, config, mehrotra):
         raise StepFailureError("forced stall")
 
     monkeypatch.setattr(solver_mod, "select_step", stall)
@@ -461,8 +461,7 @@ def test_benchmark_many_rows_draw_that_ran_out_of_sigma_zero_angles_converges(fa
     last = run.iterates[-1]
     assert perfbench_module("checks").kkt_certificate(instance, last.x, last.y, last.z) == []
     assert predictor_of(it, directions).mixed < 0.0
-    phi, psi = floors(it.s, it.z, it.nu, SolverConfig().rho)
-    assert select_step(it, directions, phi, psi, SolverConfig()).sigma > 0.0
+    assert select_step(it, directions, SolverConfig()).sigma > 0.0
 
 
 def test_select_step_builds_the_angle_limits_once_when_both_sequences_run(fall_through_draw, monkeypatch):
@@ -475,8 +474,7 @@ def test_select_step_builds_the_angle_limits_once_when_both_sequences_run(fall_t
         return original(*args)
 
     monkeypatch.setattr(step_module, "alpha_limits", counting)
-    phi, psi = floors(it.s, it.z, it.nu, SolverConfig().rho)
-    selection = select_step(it, directions, phi, psi, SolverConfig())
+    selection = select_step(it, directions, SolverConfig())
     assert selection.sigma > 0.0
     assert len(calls) == 1
 

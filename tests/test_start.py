@@ -18,7 +18,7 @@ from arcipm import (
     solve,
 )
 from arcipm.kkt import assemble_newton_matrix, solve_directions
-from arcipm.step import floors, select_step
+from arcipm.step import select_step
 from conftest import load_problem, perfbench_module, run_recorded
 
 # Instances per generator in the sweep below, and the largest share of the
@@ -92,8 +92,7 @@ def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(na
         for iterate, selection in zip(run.iterates, run.selections[1:]):
             matrix = assemble_newton_matrix(iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z)
             directions = solve_directions(matrix, program.a_ineq, iterate)
-            phi, psi = (0.0, 0.0) if mehrotra else floors(iterate.s, iterate.z, iterate.nu, config.rho)
-            assert select_step(iterate, directions, phi, psi, config, mehrotra) == selection
+            assert select_step(iterate, directions, config, mehrotra) == selection
 
 
 def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations():

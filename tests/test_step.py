@@ -134,6 +134,11 @@ def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs, many_rows
     assert checked > 5000
 
 
+def _screened_out(predictor, sigma, alpha):
+    """Whether select_step's screen skips the candidate at (sigma, alpha) without building its point."""
+    return predictor.along(sigma)(alpha) > predictor.p_mu + predictor.margin
+
+
 def _all_candidates(it, dirs, phi, psi, predictor, config):
     """Every (sigma, cap, alpha) of candidate_steps, which ends in StepFailureError once used up."""
     candidates = []
@@ -164,13 +169,13 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
             phi, psi = floors(it.s, it.z, it.nu, config.rho)
             dirs = _directions(prog, it)
             calls.clear()
-            sel = select_step(it, dirs, phi, psi, config)
+            sel = select_step(it, dirs, config)
             assert sel == recorded.selections[k + 1]
             predictor = predictor_of(it, dirs)
             steps = candidate_steps(*step_limits(it, dirs, phi, psi), predictor, config)
             tried = list(islice(steps, sel.backtracks + 1))
             assert tried[-1] == (sel.sigma, sel.alpha_tilde, sel.alpha)
-            built = [(sigma, alpha) for sigma, _, alpha in tried if not predictor.rules_out(sigma, alpha)]
+            built = [(sigma, alpha) for sigma, _, alpha in tried if not _screened_out(predictor, sigma, alpha)]
             assert [args[2:] for args in calls] == built
             backtracked += sel.backtracks > 0
             screened += len(tried) - len(built)
@@ -222,7 +227,7 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
             predictor = predictor_of(it, dirs)
             branches.add(predictor.mixed <= 0.0)
             for sigma, _, alpha in _all_candidates(it, dirs, phi, psi, predictor, config):
-                if predictor.rules_out(sigma, alpha):
+                if _screened_out(predictor, sigma, alpha):
                     candidate = _arc_blocks(it, dirs, sigma, alpha)
                     mu_new = duality_measure(candidate.s, candidate.z)
                     assert mu_new >= it.mu
@@ -292,7 +297,7 @@ def test_product_rows_hold_to_a_few_ulps(fixture_runs, many_rows_runs):
 
 
 def test_mu_predictor_product_matches_the_arc_product_within_its_margin(fixture_runs, many_rows_runs):
-    """MuPredictor.product gives the arc point's s'z up to the predictor's margin."""
+    """MuPredictor.along gives the arc point's s'z up to the predictor's margin."""
     checked = 0
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         for it in recorded.iterates[:-1:5]:
@@ -301,9 +306,10 @@ def test_mu_predictor_product_matches_the_arc_product_within_its_margin(fixture_
             assert predictor.margin > 0.0
             assert abs(predictor.p_mu - float(it.s @ it.z)) <= predictor.margin
             for sigma in (0.0, 0.4, 1.0):
+                along = predictor.along(sigma)
                 for alpha in (0.0, 1e-6, 0.3, 1.0, HALF_PI):
                     point = _arc_blocks(it, dirs, sigma, alpha)
-                    assert abs(predictor.product(sigma, alpha) - float(point.s @ point.z)) <= predictor.margin
+                    assert abs(along(alpha) - float(point.s @ point.z)) <= predictor.margin
                     checked += 1
     assert checked > 1000
 
@@ -314,7 +320,7 @@ def test_mu_predictor_rules_out_nothing_that_is_not_finite():
         broken = dirs._replace(q_dir=np.full_like(dirs.q_dir, bad))
         with np.errstate(all="ignore"):
             predictor = predictor_of(it, broken)
-        assert not any(predictor.rules_out(0.5, alpha) for alpha in (1e-3, 0.5, HALF_PI))
+        assert not any(_screened_out(predictor, 0.5, alpha) for alpha in (1e-3, 0.5, HALF_PI))
 
 
 def test_candidate_angles_run_from_the_cap_to_the_start_then_back_off():
@@ -403,9 +409,34 @@ def test_component_limit_matches_scan_across_all_case_patterns():
             assert abs(got - ref) <= grid_step * 1.001, (rate_sign, second_sign, got, ref)
 
 
-def test_component_limit_below_floor_returns_zero():
-    assert float(alpha_limits(0.3, 1.0, 0.0, 0.5, 0.4)(1.0)) == 0.0
-    assert scan_alpha(0.3, 1.0, 0.0, 0.5, 0.4, 1.0) == 0.0
+def _seven_components(name=None, index=0, value=0.0):
+    """alpha_limits arguments over seven components above the floor 0.25.
+
+    Entry ``index`` of ``name``, "current" or "floor", is set to ``value``.
+    """
+    rng = np.random.default_rng(13)
+    arrays = {"current": rng.uniform(0.5, 2.0, 7), "floor": np.full(7, 0.25)}
+    if name is not None:
+        arrays[name][index] = value
+    rate, p_coef, q_coef = rng.normal(size=(3, 7))
+    return arrays["current"], rate, p_coef, q_coef, arrays["floor"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _seven_components("current", 3, np.nextafter(0.25, 0.0)),
+        _seven_components("current", 2, math.nan),
+        _seven_components("floor", 5, math.nan),
+        (0.3, 1.0, 0.0, 0.5, 0.4),
+        (math.nan, 1.0, 0.6, -0.2, 0.5),
+    ],
+    ids=["below", "nan-current", "nan-floor", "float-below", "float-nan"],
+)
+def test_alpha_limits_reject_a_component_below_its_floor_or_with_a_nan_margin(case):
+    """select_step sets every floor below its component, so no solve reaches this."""
+    with pytest.raises(ValueError, match="below its floor"):
+        alpha_limits(*case)
 
 
 def _kernel_cases():
@@ -427,10 +458,6 @@ def _kernel_cases():
                 rows.append((floor + rng.uniform(0.01, 3.0), rate, p_coef, second - p_coef * sigma, floor))
     rows += [
         (1.5, 0.0, 0.0, 0.0, 0.5),  # rate = second = 0
-        (0.4, 0.0, 0.0, 0.0, 0.5),  # rate = second = 0 below the floor
-        (0.3, 1.0, 0.0, 0.5, 0.4),  # margin < 0 for each sign of rate
-        (0.3, 0.0, 0.0, 0.5, 0.4),
-        (0.3, -1.0, 0.0, -0.5, 0.4),
         (0.5, 1.0, 0.0, 0.5, 0.5),  # margin = 0 for each sign of rate and of second
         (0.5, 1.0, 0.0, -0.5, 0.5),
         (0.5, 0.0, 0.0, 0.5, 0.5),
@@ -518,7 +545,7 @@ def test_mu_expansion_identity(seed):
     rhs = a_u * sigma + b_u + float(curvature.s @ curvature.z) * omc**2
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
     # with the sdd'zdd term the predictor gives the arc point's product itself
-    exact = predictor_of(it, dirs).product(sigma, alpha)
+    exact = predictor_of(it, dirs).along(sigma)(alpha)
     assert abs(lhs - exact) <= 1e-10 * (1.0 + abs(lhs))
 
 
@@ -645,7 +672,7 @@ def test_golden_min_bu_interior_minimum_matches_grid():
 def test_select_step_from_reference_start_goes_past_the_b_u_minimizer():
     program, it, dirs = reference_directions()
     phi, psi = floors(it.s, it.z, it.nu, 0.5)
-    sel = select_step(it, dirs, phi, psi, SolverConfig())
+    sel = select_step(it, dirs, SolverConfig())
     # the sigma = 0 branch: the cap's 19th shrink is accepted, above b_u's minimizer
     assert sel.sigma == 0.0
     cap = alpha_tilde(step_limits(it, dirs, phi, psi)[0], 0.0)
@@ -673,7 +700,7 @@ def test_select_step_takes_affine_branch_on_negative_mixed_product():
     )
     mixed = float(sdot @ pz + zdot @ ps)
     assert mixed < 0.0
-    sel = select_step(it, dirs, 0.1, 0.1, SolverConfig())
+    sel = select_step(it, dirs, SolverConfig())
     assert sel.sigma == 0.0
 
 
@@ -693,14 +720,15 @@ def test_zero_mixed_product_takes_the_least_centering_sequence():
     phi, psi = floors(it.s, it.z, it.nu, 0.5)
     assert predictor_of(it, dirs).mixed == 0.0
     assert bisect_sigma(*step_limits(it, dirs, phi, psi), 0.0, 1.0) == (127 / 128, HALF_PI)
-    assert select_step(it, dirs, phi, psi, SolverConfig()).sigma == 0.0
+    assert select_step(it, dirs, SolverConfig()).sigma == 0.0
     report = solve(program, SolverConfig(), it)
     assert (report.status.value, report.iterations) == ("Converged", 21)
 
 
-def _failure_message(it, dirs, phi, psi):
+def _failure_message(it, dirs):
     """The StepFailureError message of select_step when the bisection's sequence is tried last."""
     config = SolverConfig()
+    phi, psi = floors(it.s, it.z, it.nu, config.rho)
     sigma, cap = bisect_sigma(*step_limits(it, dirs, phi, psi), config.sigma_min, config.sigma_max)
     return f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
 
@@ -708,8 +736,9 @@ def _failure_message(it, dirs, phi, psi):
 def test_select_step_failure_when_floors_unreachable(fixture_runs):
     """An empty candidate stream raises StepFailureError on either sign of the mixed product.
 
-    With the slack floor above every slack, each sequence's cap is 0, so
-    neither yields an angle; the message names the bisection's sigma and cap.
+    With the tangent scaled up 1e12 times, each sequence's cap is below the
+    angle floor ALPHA_FLOOR, so neither yields an angle; the message names
+    the bisection's sigma and cap.
     """
     prog, recorded = fixture_runs["ex1"]
     signs = {}
@@ -718,12 +747,13 @@ def test_select_step_failure_when_floors_unreachable(fixture_runs):
         signs.setdefault(predictor_of(it, dirs).mixed <= 0.0, (it, dirs))
     assert set(signs) == {True, False}
     for it, dirs in signs.values():
-        impossible_phi = float(np.max(it.s)) * 2.0
-        assert alpha_tilde(step_limits(it, dirs, impossible_phi, 1e-8)[0], 0.0) == 0.0
-        message = _failure_message(it, dirs, impossible_phi, 1e-8)
-        assert message.endswith("positivity limit 0.000e+00)")
-        with pytest.raises(StepFailureError, match=re.escape(message)):
-            select_step(it, dirs, impossible_phi, 1e-8, SolverConfig())
+        steep = dirs._replace(vdot=1e12 * dirs.vdot)
+        phi, psi = floors(it.s, it.z, it.nu, SolverConfig().rho)
+        limits, p_coef = step_limits(it, steep, phi, psi)
+        assert 0.0 < alpha_tilde(limits, 0.0) <= ALPHA_FLOOR
+        assert bisect_sigma(limits, p_coef, 0.0, 1.0)[1] <= ALPHA_FLOOR
+        with pytest.raises(StepFailureError, match=re.escape(_failure_message(it, steep))):
+            select_step(it, steep, SolverConfig())
 
 
 def test_select_step_falls_through_to_centering_when_the_sigma_zero_angles_fail(monkeypatch):
@@ -739,10 +769,10 @@ def test_select_step_falls_through_to_centering_when_the_sigma_zero_angles_fail(
         return False
 
     monkeypatch.setattr(step_module, "_acceptable", never)
-    with pytest.raises(StepFailureError, match=re.escape(_failure_message(it, dirs, phi, psi))):
-        select_step(it, dirs, phi, psi, SolverConfig())
+    with pytest.raises(StepFailureError, match=re.escape(_failure_message(it, dirs))):
+        select_step(it, dirs, SolverConfig())
     candidates = _all_candidates(it, dirs, phi, psi, predictor, SolverConfig())
     sigmas = [sigma for sigma, _, _ in candidates]
     zeros = sigmas.count(0.0)
     assert 0 < zeros < len(sigmas) and sigmas[:zeros] == [0.0] * zeros
-    assert len(tried) == sum(not predictor.rules_out(sigma, alpha) for sigma, _, alpha in candidates)
+    assert len(tried) == sum(not _screened_out(predictor, sigma, alpha) for sigma, _, alpha in candidates)
