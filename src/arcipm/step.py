@@ -30,10 +30,10 @@ loops over angles, :func:`golden_min_bu`, the product of
 1 - cos(alpha) = 2 sin(alpha/2)^2 inline, with one expression everywhere,
 so no angle costs a Python call beyond ``math.sin``.
 
-:func:`candidate_steps` states the step rule as the stream of (sigma,
-cap, alpha) candidates in the order they are tried, and
-:func:`select_step` takes the first that passes every step condition.
-``solve()`` given no start runs the faster stream :func:`mehrotra_steps`.
+A step rule yields (sigma, cap, angles) sequences, and :func:`select_step`
+takes the first angle that passes every step condition: the paper's
+:func:`candidate_steps`, or :func:`mehrotra_steps` for ``solve()`` given
+no start.
 """
 
 from __future__ import annotations
@@ -382,7 +382,7 @@ def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, thet
 
 
 def candidate_angles(cap: float, start: float):
-    """The angles of one sequence of :func:`candidate_steps`, in order.
+    """The angles of one sequence of a step rule, in order.
 
     First the positivity cap and its shrinks ``cap * BACKTRACK_FACTOR**k``
     while they stay above ``start``, then ``start`` and its shrinks while
@@ -399,15 +399,8 @@ def candidate_angles(cap: float, start: float):
         alpha *= BACKTRACK_FACTOR
 
 
-def _no_angle(sigma: float, cap: float) -> StepFailureError:
-    return StepFailureError(
-        f"no acceptable angle above {ALPHA_FLOOR:.1e} "
-        f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
-    )
-
-
 def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
-    """The step rule: (sigma, cap, alpha) candidates in the order they are tried.
+    """The paper's rule: at most two (sigma, cap, angles) sequences.
 
     ``limits`` and ``p_coef`` are the angle-limit function of
     :func:`alpha_limits` and its sigma coefficients, which both sequences
@@ -422,23 +415,18 @@ def candidate_steps(limits, p_coef, predictor: MuPredictor, config):
     minimizer and its shrinks.  Centering comes next, or first otherwise:
     :func:`bisect_sigma` picks the sigma whose smallest component limit is
     largest, that limit is the cap, and the angles back off plainly from
-    it, ``candidate_angles(cap, cap)``; the bisection runs only when
-    reached.  Once both sequences are used up, empty ones included,
-    :class:`StepFailureError` names the sigma and cap of the last.
+    it, ``candidate_angles(cap, cap)``.
     """
     if predictor.mixed <= 0.0:
         sigma = config.sigma_min
         cap = alpha_tilde(limits, sigma)
-        for alpha in candidate_angles(cap, golden_min_bu(predictor, cap)):
-            yield sigma, cap, alpha
+        yield sigma, cap, candidate_angles(cap, golden_min_bu(predictor, cap))
     sigma, cap = bisect_sigma(limits, p_coef, config.sigma_min, config.sigma_max)
-    for alpha in candidate_angles(cap, cap):
-        yield sigma, cap, alpha
-    raise _no_angle(sigma, cap)
+    yield sigma, cap, candidate_angles(cap, cap)
 
 
 def mehrotra_steps(limits, p_coef, predictor: MuPredictor, config):
-    """The library's rule: Mehrotra's sigma bounds the bisection, as one candidate stream.
+    """The library's rule: one sequence, with Mehrotra's sigma bounding the bisection.
 
     ``limits`` keep s and z positive only.  The cube of the duality measure
     predicted at the golden-section minimizer of b_u on the least-centering
@@ -450,13 +438,11 @@ def mehrotra_steps(limits, p_coef, predictor: MuPredictor, config):
     affine = predictor.along(sigma_min)(golden_min_bu(predictor, alpha_tilde(limits, sigma_min)))
     bound = min(max((affine / predictor.p_mu) ** 3, sigma_min), config.sigma_max)
     sigma, cap = bisect_sigma(limits, p_coef, sigma_min, bound)
-    for alpha in candidate_angles(0.99 * cap, 0.99 * cap):
-        yield sigma, cap, alpha
-    raise _no_angle(sigma, cap)
+    yield sigma, cap, candidate_angles(0.99 * cap, 0.99 * cap)
 
 
 def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra=False) -> StepSelection:
-    """Take the first candidate of the step rule's stream that passes every step condition.
+    """Take the first angle of the step rule's sequences that passes every step condition.
 
     The rule sets the floors (phi, psi) of the slack and dual blocks.  The
     paper's rule, :func:`candidate_steps`, takes them from :func:`floors`
@@ -467,16 +453,21 @@ def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra
     smallest slack or dual, with rho < 1, and the iterate's s and z are
     positive; so :func:`alpha_limits` sees no negative margin.
 
-    The :func:`sz_tails` block is read once, and the angle-limit function
-    and the :class:`MuPredictor` built from it serve the whole selection.
-    A candidate whose s'z along the arc, :meth:`MuPredictor.along` taken
-    once per sequence at the sequence's sigma, exceeds p*mu by more than
-    the predictor's margin surely fails the duality-measure test, so it is
-    skipped without building its point; a NaN product skips nothing.  The
-    first other candidate whose arc point keeps both blocks above their
-    floors, stays inside the centrality region, and strictly decreases the
-    duality measure is taken; when none does, the stream itself raises
-    :class:`StepFailureError`.
+    A rule is a generator of sequences ``(sigma, cap, angles)``: a centering
+    weight, the positivity cap :func:`alpha_tilde` at it, and the angles
+    tried there, in order.  It is lazy, so a sequence's sigma is found only
+    once the sequences before it are used up.  The :func:`sz_tails` block
+    is read once, and the angle-limit function and the
+    :class:`MuPredictor` built from it serve the whole selection.
+    :meth:`MuPredictor.along` is taken once per sequence, at its sigma; an
+    angle whose s'z along the arc exceeds p*mu by more than the predictor's
+    margin surely fails the duality-measure test, so it is skipped without
+    building its point; a NaN product skips nothing.  The first other angle
+    whose arc point keeps both blocks above their floors, stays inside the
+    centrality region, and strictly decreases the duality measure is taken,
+    and ``backtracks`` counts the angles passed over before it, across
+    sequences.  When every sequence is used up, :class:`StepFailureError`
+    names the sigma and cap of the last.
     """
     p = iterate.p
     tails = sz_tails(iterate, directions)
@@ -488,17 +479,20 @@ def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra
         floor = np.array((phi, psi)).repeat(p)
     limits = alpha_limits(*tails, floor)
     predictor = MuPredictor.of(tails, iterate.mu)
-    steps = rule(limits, tails[2], predictor, config)
     ceiling = predictor.p_mu + predictor.margin
-    along_sigma = along = None
-    for backtracks, (sigma, cap, alpha) in enumerate(steps):
-        # a sequence's candidates share one sigma: one along() per sequence
-        if sigma != along_sigma:
-            along_sigma, along = sigma, predictor.along(sigma)
-        if along(alpha) > ceiling:
-            continue
-        point = arc_point(iterate, directions, sigma, alpha)
-        s, z = point[-2 * p : -p], point[-p:]
-        mu_new = duality_measure(s, z)
-        if _acceptable(s, z, mu_new, iterate.mu, phi, psi, theta):
-            return StepSelection(sigma, alpha, cap, backtracks, point, mu_new)
+    backtracks = 0
+    for sigma, cap, angles in rule(limits, tails[2], predictor, config):
+        along = predictor.along(sigma)
+        for alpha in angles:
+            # negated, so that a NaN product builds its point
+            if not along(alpha) > ceiling:
+                point = arc_point(iterate, directions, sigma, alpha)
+                s, z = point[-2 * p : -p], point[-p:]
+                mu_new = duality_measure(s, z)
+                if _acceptable(s, z, mu_new, iterate.mu, phi, psi, theta):
+                    return StepSelection(sigma, alpha, cap, backtracks, point, mu_new)
+            backtracks += 1
+    raise StepFailureError(
+        f"no acceptable angle above {ALPHA_FLOOR:.1e} "
+        f"(sigma={sigma:.3f}, positivity limit {cap:.3e})"
+    )

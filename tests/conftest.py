@@ -168,19 +168,24 @@ def synthetic_step_pair(rng, p=4):
     pz = (mu - z * ps) / s
     qs = rng.normal(size=p)
     qz = (-2.0 * sdot * zdot - z * qs) / s
-    zero2, zero0 = np.zeros(2), np.zeros(0)
-    iterate = Iterate(
-        vec=np.concatenate((zero2, zero0, s, z)),
-        hess=np.eye(2), grad=zero2,
-        r_c=zero2, r_e=zero0, r_i=np.zeros(p),
-        mu=mu, nu=1.0,
-    )
-    return iterate, sz_directions((sdot, ps, qs), (zdot, pz, qz))
+    return sz_iterate(s, z), sz_directions((sdot, ps, qs), (zdot, pz, qz))
 
 
 def split_at(iterate, vec) -> Blocks:
     """A flat (x, y, s, z) vector split into its blocks at the iterate's sizes."""
     return Blocks.of(vec, iterate.x.size, iterate.y.size, iterate.p)
+
+
+def sz_iterate(s, z) -> Iterate:
+    """An iterate over two zero x entries and no y, with slacks s, duals z and mu = s'z/p."""
+    p = s.size
+    zero2, zero0 = np.zeros(2), np.zeros(0)
+    return Iterate(
+        vec=np.concatenate((zero2, zero0, s, z)),
+        hess=np.eye(2), grad=zero2,
+        r_c=zero2, r_e=zero0, r_i=np.zeros(p),
+        mu=float(s @ z) / p, nu=1.0,
+    )
 
 
 def sz_directions(s_parts, z_parts):

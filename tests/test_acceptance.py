@@ -13,7 +13,6 @@ import numpy as np
 from arcipm import SolverConfig, SolverStatus, default_start, gradient, hessian, solve
 from arcipm.kkt import (
     Blocks,
-    Iterate,
     assemble_newton_matrix,
     compute_residuals,
     duality_measure,
@@ -29,6 +28,7 @@ from conftest import (
     step_limits,
     synthetic_step_pair,
     sz_directions,
+    sz_iterate,
 )
 from oracles import enumerate_kkt, scan_alpha
 from test_autodiff import fd_gradient, fd_hessian
@@ -153,7 +153,6 @@ def _limit_through_alpha_tilde(entry, sigma, role):
     """Route one component tuple through the slack or the dual block."""
     current, rate, p_coef, q_coef, floor = entry
     neutral = (10.0, 0.0, 0.0, 0.0)
-    zero2, zero0 = np.zeros(2), np.zeros(0)
     if role == "s":
         s = np.array([current]); z = np.array([neutral[0]])
         sdot, ps, qs = np.array([rate]), np.array([p_coef]), np.array([q_coef])
@@ -164,12 +163,8 @@ def _limit_through_alpha_tilde(entry, sigma, role):
         zdot, pz, qz = np.array([rate]), np.array([p_coef]), np.array([q_coef])
         sdot = ps = qs = np.zeros(1)
         phi, psi = 1e-6, floor
-    iterate = Iterate(
-        vec=np.concatenate((zero2, zero0, s, z)), hess=np.eye(2), grad=zero2,
-        r_c=zero2, r_e=zero0, r_i=np.zeros(1), mu=float(s @ z), nu=1.0,
-    )
     directions = sz_directions((sdot, ps, qs), (zdot, pz, qz))
-    return alpha_tilde(step_limits(iterate, directions, phi, psi)[0], sigma)
+    return alpha_tilde(step_limits(sz_iterate(s, z), directions, phi, psi)[0], sigma)
 
 
 def test_criterion_4_angle_limits_match_grid_oracle():

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, parse_expression, solve
+from arcipm import (
+    ConvexProgram,
+    SolverConfig,
+    balanced_start,
+    default_start,
+    fold_bounds,
+    parse_expression,
+    solve,
+)
 from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.kkt import (
@@ -42,12 +50,15 @@ from arcipm.step import (
     update_nu,
 )
 from conftest import (
+    REFERENCE,
     load_problem,
+    perfbench_module,
     predictor_of,
     split_at,
     step_limits,
     synthetic_step_pair as synthetic_pair,
     sz_directions,
+    sz_iterate,
 )
 from oracles import blockwise_arc_point, scan_alpha
 
@@ -139,29 +150,32 @@ def _screened_out(predictor, sigma, alpha):
     return predictor.along(sigma)(alpha) > predictor.p_mu + predictor.margin
 
 
-def _all_candidates(it, dirs, phi, psi, predictor, config):
-    """Every (sigma, cap, alpha) of candidate_steps, which ends in StepFailureError once used up."""
-    candidates = []
-    with pytest.raises(StepFailureError):
-        candidates.extend(candidate_steps(*step_limits(it, dirs, phi, psi), predictor, config))
-    return candidates
+def _candidates(it, dirs, phi, psi, predictor, config):
+    """The (sigma, cap, alpha) candidates of candidate_steps' sequences, in the order they are tried."""
+    steps = candidate_steps(*step_limits(it, dirs, phi, psi), predictor, config)
+    return ((sigma, cap, alpha) for sigma, cap, angles in steps for alpha in angles)
+
+
+def _counting(monkeypatch, name):
+    """Rebind step.<name> to a wrapper that records each call's arguments and result."""
+    original, calls = getattr(step_module, name), []
+
+    def counting(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(step_module, name, counting)
+    return calls
 
 
 def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, monkeypatch):
     """perfbench's step.accept_ratio counts the calls of step.arc_point.
 
-    select_step passes over ``backtracks`` candidates of
+    select_step passes over ``backtracks`` candidates of the sequences of
     :func:`candidate_steps` before the accepted one, and builds the point
     of each of those candidates that the predictor's screen leaves in.
     """
-    original = step_module.arc_point
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(step_module, "arc_point", counting)
+    calls = _counting(monkeypatch, "arc_point")
     config = SolverConfig()
     backtracked = screened = 0
     for prog, recorded in fixture_runs.values():
@@ -172,11 +186,10 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
             sel = select_step(it, dirs, config)
             assert sel == recorded.selections[k + 1]
             predictor = predictor_of(it, dirs)
-            steps = candidate_steps(*step_limits(it, dirs, phi, psi), predictor, config)
-            tried = list(islice(steps, sel.backtracks + 1))
+            tried = list(islice(_candidates(it, dirs, phi, psi, predictor, config), sel.backtracks + 1))
             assert tried[-1] == (sel.sigma, sel.alpha_tilde, sel.alpha)
             built = [(sigma, alpha) for sigma, _, alpha in tried if not _screened_out(predictor, sigma, alpha)]
-            assert [args[2:] for args in calls] == built
+            assert [args[2:] for args, _ in calls] == built
             backtracked += sel.backtracks > 0
             screened += len(tried) - len(built)
     assert backtracked > 0
@@ -211,7 +224,7 @@ def test_selection_point_is_the_accepted_arc_point(fixture_runs, many_rows_runs,
 def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, many_rows_runs):
     """Every candidate the predictor rules out fails _acceptable once built.
 
-    Checked over the whole candidate stream, both sequences down to the
+    Checked over every candidate, both sequences down to the
     angle floor, at every iterate the runs accept a step from.  The
     selection's alpha_tilde is the cap of the accepted candidate's sequence.
     """
@@ -226,7 +239,7 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
             assert sel.alpha_tilde == alpha_tilde(step_limits(it, dirs, phi, psi)[0], sel.sigma)
             predictor = predictor_of(it, dirs)
             branches.add(predictor.mixed <= 0.0)
-            for sigma, _, alpha in _all_candidates(it, dirs, phi, psi, predictor, config):
+            for sigma, _, alpha in _candidates(it, dirs, phi, psi, predictor, config):
                 if _screened_out(predictor, sigma, alpha):
                     candidate = _arc_blocks(it, dirs, sigma, alpha)
                     mu_new = duality_measure(candidate.s, candidate.z)
@@ -235,6 +248,61 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
                     skipped += 1
     assert branches == {True, False}
     assert skipped > 1000
+
+
+def test_screen_builds_every_candidate_whose_product_is_nan(monkeypatch):
+    """A NaN s'z along the arc screens nothing out, so each angle up to the accepted one is built."""
+    _, it, dirs = reference_directions()
+    monkeypatch.setattr(step_module.MuPredictor, "along", lambda self, sigma: lambda alpha: math.nan)
+    built = _counting(monkeypatch, "arc_point")
+    sel = select_step(it, dirs, SolverConfig())
+    assert sel.backtracks == 19
+    assert len(built) == sel.backtracks + 1
+
+
+def test_bisection_runs_only_once_the_least_centering_sequence_is_used_up(monkeypatch):
+    """Over ex1–ex8 the bisection runs once per selection that centers, and in no other.
+
+    A rule that built its sequences eagerly would bisect at every
+    iteration; from the reference starts 48 of the 478 selections center.
+    """
+    bisections = _counting(monkeypatch, "bisect_sigma")
+    config = SolverConfig()
+    sigmas = []
+
+    def observer(k, iterate, selection):
+        if selection is not None:
+            sigmas.append(selection.sigma)
+
+    for name in REFERENCE:
+        program, start = load_problem(name)
+        with np.errstate(all="ignore"):
+            solve(program, config, default_start(program, start), observer=observer)
+    centered = sum(sigma > config.sigma_min for sigma in sigmas)
+    assert 0 < centered < len(sigmas)
+    assert len(bisections) == centered
+
+
+def test_mehrotra_rule_fails_naming_its_bisection(monkeypatch):
+    """With the tangent scaled up 1e12 times the library's one sequence has no angle.
+
+    select_step's StepFailureError names the sigma and cap that the
+    bisection returned, at the balanced start of a many_rows and a
+    boxqp_dense draw, each the first of its generator at seed 1.
+    """
+    instances = perfbench_module("instances")
+    draws = (instances.many_rows(np.random.default_rng(1)), instances.boxqp_dense(np.random.default_rng(1), 4))
+    bisections = _counting(monkeypatch, "bisect_sigma")
+    for draw in draws:
+        it = balanced_start(draw.program)
+        dirs = _directions(draw.program, it)
+        steep = dirs._replace(vdot=1e12 * dirs.vdot)
+        bisections.clear()
+        with pytest.raises(StepFailureError) as failure:
+            select_step(it, steep, SolverConfig(), mehrotra=True)
+        ((_, (sigma, cap)),) = bisections
+        assert cap * 0.99 <= ALPHA_FLOOR
+        assert str(failure.value).endswith(f"(sigma={sigma:.3f}, positivity limit {cap:.3e})")
 
 
 def test_predictor_coefficients_equal_their_one_dimensional_products(fixture_runs, many_rows_runs):
@@ -558,20 +626,10 @@ def test_duality_measure_trivial_cases():
     assert duality_measure(zeroed.s, zeroed.z) == 0.0
 
 
-def _plain_iterate(s, z):
-    p = s.size
-    return Iterate(
-        vec=np.concatenate((np.zeros(2), np.zeros(0), s, z)),
-        hess=np.eye(2), grad=np.zeros(2),
-        r_c=np.zeros(2), r_e=np.zeros(0), r_i=np.zeros(p),
-        mu=float(s @ z) / p, nu=1.0,
-    )
-
-
 def test_bisect_sigma_monotone_endpoints():
     s = np.array([1.0, 1.0])
     z = np.array([1.0, 1.0])
-    it = _plain_iterate(s, z)
+    it = sz_iterate(s, z)
     rising = sz_directions(
         (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.array([0.0, 0.5]), np.array([0.1, 0.1])),
@@ -599,7 +657,7 @@ def test_bisect_sigma_monotone_endpoints():
 def test_bisect_sigma_wide_tolerance_takes_the_midpoint():
     s = np.array([1.0, 1.0])
     z = np.array([1.0, 1.0])
-    it = _plain_iterate(s, z)
+    it = sz_iterate(s, z)
     dirs = sz_directions(
         (np.array([2.0, 2.0]), np.array([0.5, 0.0]), np.array([0.1, 0.1])),
         (np.array([2.0, 2.0]), np.array([0.0, -0.5]), np.array([0.1, 0.1])),
@@ -615,7 +673,7 @@ def test_bisect_sigma_finds_crossover():
     # two slack components, same slope, curvature terms crossing at 0.3
     s = np.array([1.0, 1.0])
     z = np.array([5.0, 5.0])
-    it = _plain_iterate(s, z)
+    it = sz_iterate(s, z)
     dirs = sz_directions(
         (np.array([1.0, 1.0]), np.array([0.6, -0.6]), np.array([0.1, 0.1 + 0.6 * 0.3 * 2.0])),
         (np.zeros(2), np.zeros(2), np.zeros(2)),
@@ -653,7 +711,7 @@ def test_golden_min_bu_interior_minimum_matches_grid():
     # dominant positive zdot's sdot makes b_u dip before the cap
     s = np.array([1.0, 1.0])
     z = np.array([1.0, 1.0])
-    it = _plain_iterate(s, z)
+    it = sz_iterate(s, z)
     sdot = np.array([1.4, 1.4])
     zdot = (s * z - z * sdot) / s
     dirs = sz_directions(
@@ -689,7 +747,7 @@ def test_select_step_from_reference_start_goes_past_the_b_u_minimizer():
 def test_select_step_takes_affine_branch_on_negative_mixed_product():
     s = np.array([1.0, 1.0])
     z = np.array([1.0, 1.0])
-    it = _plain_iterate(s, z)
+    it = sz_iterate(s, z)
     sdot = np.array([0.2, 0.2])
     zdot = (s * z - z * sdot) / s
     ps = np.array([-1.0, -1.0])
@@ -734,7 +792,7 @@ def _failure_message(it, dirs):
 
 
 def test_select_step_failure_when_floors_unreachable(fixture_runs):
-    """An empty candidate stream raises StepFailureError on either sign of the mixed product.
+    """Sequences without an angle raise StepFailureError on either sign of the mixed product.
 
     With the tangent scaled up 1e12 times, each sequence's cap is below the
     angle floor ALPHA_FLOOR, so neither yields an angle; the message names
@@ -771,7 +829,7 @@ def test_select_step_falls_through_to_centering_when_the_sigma_zero_angles_fail(
     monkeypatch.setattr(step_module, "_acceptable", never)
     with pytest.raises(StepFailureError, match=re.escape(_failure_message(it, dirs))):
         select_step(it, dirs, SolverConfig())
-    candidates = _all_candidates(it, dirs, phi, psi, predictor, SolverConfig())
+    candidates = list(_candidates(it, dirs, phi, psi, predictor, SolverConfig()))
     sigmas = [sigma for sigma, _, _ in candidates]
     zeros = sigmas.count(0.0)
     assert 0 < zeros < len(sigmas) and sigmas[:zeros] == [0.0] * zeros
