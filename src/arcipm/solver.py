@@ -182,7 +182,11 @@ def solve(
     duality measure only, with Mehrotra's sigma bounding the bisection.
     If the objective is undefined at that start, x = 0, the call raises
     its :class:`DomainError` with a message that names the start and the
-    remedy, ``start=balanced_start(program, x0)``.
+    remedy, ``start=balanced_start(program, x0)``.  That start runs the
+    paper's rule below, and, as on every path, an objective that does not
+    fold steps on the model term H x: from their files' starts ex1, ex3,
+    ex5 and ex8 end at (1, 1), (1, 2), (3.33, 3.99) and (5, 3, 5) in 162,
+    13, 5 and 13 iterations, not at their minimizers.
     A call with a start runs the paper's rule, :func:`arcipm.step.candidate_steps`,
     with its floors and centrality test.  The start's point and residual
     factor are taken into an iterate of ``program``, so a start built for

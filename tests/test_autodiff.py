@@ -92,12 +92,6 @@ def test_reference_hessians():
     np.testing.assert_allclose(h, fd_hessian(ex5.objective, [5.0, 5.0]), rtol=1e-5, atol=1e-7)
 
 
-def test_hessian_storage_exactly_symmetric():
-    ex8, _ = load_problem("ex8")
-    h = hessian(ex8.objective, [6.0, 2.0, 6.0])
-    assert np.array_equal(h, h.T)
-
-
 E2 = float(np.exp(2.0))
 
 # (expression over x1, x2; point; value, gradient and Hessian by hand).

@@ -296,16 +296,6 @@ def test_fold_bounds_no_bounds_is_identity():
     np.testing.assert_array_equal(b, [1.0, 2.0])
 
 
-def test_fold_bounds_three_box_pairs():
-    a, b = fold_bounds(
-        [[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0]],
-        [-10.0, -10.0],
-        [5.0, 1.0, 5.0],
-        [10.0, 3.0, 10.0],
-    )
-    assert a.shape == (8, 3)
-
-
 def test_fold_bounds_rejects_rows_of_another_width():
     message = "constraint rows must have one coefficient per variable"
     with pytest.raises(ValueError, match=message):

@@ -213,25 +213,6 @@ def test_assemble_dimension_for_three_variable_reference():
     assert matrix.shape == (19, 19)
 
 
-def test_direction_solves_satisfy_their_systems():
-    program, start = load_problem("ex1")
-    it = default_start(program, start)
-    dirs = newton_directions(program, it)
-    matrix = full_newton_matrix(it.hess, program.a_eq, program.a_ineq, it.s, it.z)
-    rhs = np.concatenate([it.r_c, it.r_e, it.r_i, it.z * it.s])
-    tangent = split_at(it, dirs.vdot)
-    for flat, expected_last in (
-        (dirs.vdot, it.z * it.s),
-        (dirs.p_dir, np.full(it.p, it.mu)),
-        (dirs.q_dir, -2.0 * tangent.z * tangent.s),
-    ):
-        target = rhs if flat is dirs.vdot else np.concatenate(
-            [np.zeros(program.n), np.zeros(program.m), np.zeros(it.p), expected_last]
-        )
-        err = np.linalg.norm(matrix @ flat - target)
-        assert err <= 1e-8 * (1.0 + np.linalg.norm(target))
-
-
 def _assert_reduced_matches_full(program, it):
     """Each reduced direction against a dense solve of the full matrix.
 

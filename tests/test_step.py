@@ -75,11 +75,6 @@ def _arc_blocks(it, dirs, sigma, alpha):
     return split_at(it, arc_point(it, dirs, sigma, alpha))
 
 
-def test_arc_point_at_zero_is_identity():
-    _, it, dirs = reference_directions()
-    np.testing.assert_array_equal(arc_point(it, dirs, 0.3, 0.0), it.vec)
-
-
 def test_arc_point_at_right_angle_closed_form():
     _, it, dirs = reference_directions()
     sigma = 0.4
