@@ -47,7 +47,9 @@ directly (LAPACK Users' Guide, 3rd ed., on xGETRF/xGETRS); at n + m of a
 few dozen, scipy's ``lu_factor``/``lu_solve`` wrappers cost several times
 the routines they wrap.  Each right-hand side gets its own ``dgetrs``
 call: a two-column solve is not bitwise equal to two one-column solves,
-and the one-column calls are bitwise equal to the wrappers.  LAPACK does
+and the one-column calls are bitwise equal to the wrappers, as
+``tests/test_kkt.py::test_lapack_directions_equal_scipy_wrappers_bitwise``
+checks against a reference solve through them.  LAPACK does
 not check its input, so the matrix is checked for inf and NaN once,
 before it is equilibrated, and every vector handed to ``dgetrs`` is
 checked through the norm the solve takes of it anyway: a finite norm

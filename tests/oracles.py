@@ -12,10 +12,15 @@ whose result no branch reads, are checked against the same code with
 that work left in: :func:`every_step_alpha_limits`,
 :func:`every_step_bisect_sigma`, :func:`per_angle_product`,
 :func:`per_call_golden_min_bu` and :func:`eigenvalue_indefinite`.  The
-Newton layer's rules for a program without equality rows are checked
-against the formulas that keep the empty equality block:
-:func:`padded_newton_matrix`, :func:`padded_directions` and
-:func:`padded_stationarity`.
+Newton layer's shortcuts are checked against one textbook reference,
+:func:`textbook_directions`: the reduced direction solve with the
+equality block kept however empty (:func:`padded_newton_matrix`), every
+residual block a vector, scipy's LU wrappers in place of the LAPACK
+calls and ``@`` in place of ``ndarray.dot``; its back substitution of
+ds and dz, :func:`textbook_back_substitution`, is also checked on its
+own.  The iterate's r_c and
+stationarity norm are checked against :func:`padded_stationarity`, which
+forms A_E'y for any m.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import math
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from arcipm import expr as ast
 from arcipm.autodiff import DomainError, gradient, hessian
@@ -151,42 +155,49 @@ def padded_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
     return matrix
 
 
-def padded_directions(matrix, a_ineq, iterate) -> list[np.ndarray]:
-    """The three flat directions with every r_E block appended, for any m.
+def textbook_directions(program: ConvexProgram, iterate) -> list[np.ndarray]:
+    """The three flat directions of the reduced Newton system, solved with no shortcut.
 
-    Each reduced right-hand side is the concatenation of its r_C and r_E
-    blocks, the curvature pieces' r_E is a vector of zeros and the
-    centering piece's r_z a vector of mu; the equilibration, the
-    ``dgetrf`` factor and the one-pass refinement are the solver's.
+    The four-row system of :mod:`arcipm.kkt` with s and z eliminated
+    (S. J. Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997, ch. 11):
+    the matrix of :func:`padded_newton_matrix` under the solver's row
+    equilibration, scipy's ``lu_factor``/``lu_solve`` with one refinement
+    pass at 1e-8*(1 + |rhs|), every residual block a vector (r_E and r_I
+    of zeros and r_C of zeros for the two curvature pieces, r_z a vector
+    of mu for the centering piece) and every product through ``@``.
     Assumes a finite, regular matrix.
     """
+    n, m, p = program.n, program.m, program.p
+    a_ineq, s, z = program.a_ineq, iterate.s, iterate.z
+    matrix = padded_newton_matrix(iterate.hess, program.a_eq, a_ineq, s, z)
     d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
     scaled = d[:, None] * matrix * d
-    lu, piv, _ = dgetrf(scaled)
+    factor = lu_factor(scaled)
 
     def refined(rhs):
-        sol = dgetrs(lu, piv, rhs)[0]
-        residual = rhs - scaled.dot(sol)
-        if not math.sqrt(residual.dot(residual)) <= 1e-8 * (1.0 + math.sqrt(rhs.dot(rhs))):
-            sol = sol + dgetrs(lu, piv, residual)[0]
+        sol = lu_solve(factor, rhs)
+        residual = rhs - scaled @ sol
+        if np.linalg.norm(residual) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+            sol = sol + lu_solve(factor, residual)
         return sol
 
-    n, p = iterate.x.size, iterate.p
-    s, z = iterate.s, iterate.z
-
-    def direction(r_c, r_e, r_z, r_i):
-        rhs = np.concatenate((r_c + a_ineq.T.dot((r_z + z * r_i) / s), r_e))
+    def direction(r_c, r_e, r_i, r_z):
+        rhs = np.concatenate((r_c + a_ineq.T @ ((r_z + z * r_i) / s), r_e))
         dxy = d * refined(d * rhs)
-        ds = a_ineq.dot(dxy[:n]) - r_i
-        dz = (r_z - z * ds) / s
-        return np.concatenate((dxy, ds, dz))
+        return np.concatenate((dxy, textbook_back_substitution(program, iterate, dxy[:n], r_i, r_z)))
 
-    zero_e, zero_i = np.zeros(iterate.y.size), np.zeros(p)
-    vdot = direction(iterate.r_c, iterate.r_e, z * s, iterate.r_i)
-    p_dir = direction(0.0, zero_e, np.full(p, iterate.mu), zero_i)
-    ds, dz = vdot[-2 * p : -p], vdot[-p:]
-    q_dir = direction(0.0, zero_e, -2.0 * dz * ds, zero_i)
+    zero_c, zero_e, zero_i = np.zeros(n), np.zeros(m), np.zeros(p)
+    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, z * s)
+    p_dir = direction(zero_c, zero_e, zero_i, np.full(p, iterate.mu))
+    ds, dz = vdot[n + m : n + m + p], vdot[n + m + p :]
+    q_dir = direction(zero_c, zero_e, zero_i, -2.0 * dz * ds)
     return [vdot, p_dir, q_dir]
+
+
+def textbook_back_substitution(program: ConvexProgram, iterate, dx, r_i, r_z) -> np.ndarray:
+    """The (ds, dz) blocks of a direction from its dx: ds = A_I dx - r_I, dz = (r_z - Z ds)/S."""
+    ds = program.a_ineq @ dx - r_i
+    return np.concatenate((ds, (r_z - iterate.z * ds) / iterate.s))
 
 
 def padded_stationarity(program: ConvexProgram, grad, y, z) -> np.ndarray:
@@ -219,61 +230,6 @@ def scan_alpha(
     if first_bad == 0:
         return 0.0
     return float(grid[first_bad - 1])
-
-
-def wrapped_getrf(matrix: np.ndarray):
-    """scipy's ``lu_factor`` in the (lu, piv, info) form of LAPACK's dgetrf.
-
-    With :func:`wrapped_getrs`, the pair the direction solves used before
-    they called LAPACK directly.
-    """
-    lu, piv = lu_factor(matrix, check_finite=False)
-    return lu, piv, 0
-
-
-def wrapped_getrs(factor, rhs: np.ndarray) -> np.ndarray:
-    """scipy's ``lu_solve``, which checks ``rhs`` for inf and NaN itself."""
-    return lu_solve(factor, rhs)
-
-
-def generic_directions(matrix, a_ineq, iterate) -> tuple:
-    """The three directions through the five-residual system with a w block.
-
-    Every direction goes through the formulas of the system that also
-    carries a second multiplier block w tied to z by the row dw - dz = r_w,
-    with r_w = 0 for all three (w = z), on the same equilibrated ``dgetrf``
-    factor and with the same one-pass refinement as the solver.  Each
-    direction is returned as its five blocks (dx, dy, dw, ds, dz); the
-    solver drops r_w and dw and must give the same bits in the other four.
-    Assumes a finite, regular matrix.
-    """
-    d = 1.0 / np.sqrt(np.abs(matrix).max(axis=1))
-    scaled = d[:, None] * matrix * d
-    lu, piv, _ = dgetrf(scaled)
-
-    def refined(rhs):
-        sol = dgetrs(lu, piv, rhs)[0]
-        residual = rhs - scaled @ sol
-        if math.sqrt(residual @ residual) > 1e-8 * (1.0 + math.sqrt(rhs @ rhs)):
-            sol = sol + dgetrs(lu, piv, residual)[0]
-        return sol
-
-    n = iterate.x.size
-    s, z = iterate.s, iterate.z
-
-    def direction(r_c, r_e, r_i, r_w, r_z) -> tuple:
-        rhs = np.concatenate([r_c + a_ineq.T @ (r_w + (r_z + z * r_i) / s), r_e])
-        dxy = d * refined(d * rhs)
-        ds = a_ineq @ dxy[:n] - r_i
-        dz = (r_z - z * ds) / s
-        return dxy[:n], dxy[n:], r_w + dz, ds, dz
-
-    vdot = direction(iterate.r_c, iterate.r_e, iterate.r_i, np.zeros(iterate.p), z * s)
-    zero_e = np.zeros_like(iterate.r_e)
-    p_dir = direction(0.0, zero_e, 0.0, 0.0, np.full(iterate.p, iterate.mu))
-    sdot, zdot = vdot[3], vdot[4]
-    q_dir = direction(0.0, zero_e, 0.0, 0.0, -2.0 * zdot * sdot)
-    return vdot, p_dir, q_dir
 
 
 def blockwise_arc_point(iterate, directions, sigma: float, alpha: float) -> tuple:

@@ -55,8 +55,9 @@ def test_exponent_must_be_constant():
 
 
 def test_unknown_variable_reports_position():
-    with pytest.raises(ParseError, match="unknown variable 'q'"):
+    with pytest.raises(ParseError, match=r"^unknown variable 'q' \(column 6\)$") as err:
         parse_expression("x1 + q", X12)
+    assert err.value.position == 5
 
 
 def test_syntax_error_reports_column():

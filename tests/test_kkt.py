@@ -28,21 +28,15 @@ from conftest import (
     load_problem,
     many_rows_program,
     newton_directions,
+    perfbench_module,
     quadratic_tree,
     random_box_qp,
     run_recorded,
     split_at,
     synthetic_step_pair,
 )
-from oracles import (
-    full_newton_matrix,
-    generic_directions,
-    padded_directions,
-    padded_newton_matrix,
-    padded_stationarity,
-    wrapped_getrf,
-    wrapped_getrs,
-)
+from oracles import full_newton_matrix, padded_newton_matrix, padded_stationarity
+from oracles import textbook_back_substitution, textbook_directions
 
 
 def test_residuals_at_zero_point():
@@ -292,7 +286,7 @@ def test_cross_products_nonnegative_along_reference_run(fixture_runs):
 
 def test_singular_matrix_raises_with_pivot(monkeypatch):
     solves = []
-    monkeypatch.setattr(kkt, "lu_solve", lambda *args: solves.append(args))
+    monkeypatch.setattr(kkt, "dgetrs", lambda *args: solves.append(args))
     matrix = np.zeros((2, 2))
     matrix[0, 1] = 1.0
     program, start = load_problem("ex1")
@@ -352,13 +346,13 @@ def test_solve_that_refinement_cannot_clean_raises_with_its_residual(monkeypatch
     size 1e13 times that part, and its residual stays above the bound
     after the one refinement pass.
     """
-    original, solves = kkt.lu_solve, []
+    original, solves = kkt.dgetrs, []
 
     def counting(*args):
         solves.append(args)
         return original(*args)
 
-    monkeypatch.setattr(kkt, "lu_solve", counting)
+    monkeypatch.setattr(kkt, "dgetrs", counting)
     program, start = load_problem("ex1")
     it = default_start(program, start)
     matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
@@ -410,59 +404,75 @@ def test_iterate_keeps_the_vector_it_is_given():
             Iterate.at(program, bad, 1.0)
 
 
-def _direction_bytes(program, iterates):
-    return [[flat.tobytes() for flat in newton_directions(program, it)] for it in iterates]
-
-
 @pytest.fixture(scope="module")
 def direction_cases(fixture_runs):
-    """(program, iterates) of ex1–ex8 and of one p = 108 run, over 500 iterates.
+    """(program, iterates) of ex1–ex8, of one p = 108 run and of two no-start runs, over 500 iterates.
 
     ex7's final iterate, where the run stops, is in: its Newton matrix has
     a smallest equilibrated pivot of 3.1e-15 and is solved all the same.
+    The no-start runs solve a benchmark ``many_rows`` and an n = 10
+    ``boxqp_dense`` draw as ``solve(program)`` does, from the balanced
+    start with the library's step rule.
     """
     program = many_rows_program(np.random.default_rng(11))
     assert program.p == 108
-    run = run_recorded(program, default_start(program))
-    assert run.report.status is SolverStatus.CONVERGED
+    instances = perfbench_module("instances")
+    draws = instances.many_rows(np.random.default_rng(0)), instances.boxqp_dense(np.random.default_rng(0), 10)
+    starts = [(program, default_start(program))] + [(draw.program, None) for draw in draws]
     cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
-    cases.append((program, run.iterates))
+    for prog, start in starts:
+        run = run_recorded(prog, start)
+        assert run.report.status is SolverStatus.CONVERGED
+        cases.append((prog, run.iterates))
     assert sum(len(iterates) for _, iterates in cases) > 500
     return cases
 
 
-def test_lapack_directions_equal_scipy_wrappers_bitwise(direction_cases, monkeypatch):
-    """dgetrf/dgetrs give the directions of scipy's lu_factor/lu_solve, bit for bit."""
-    lapack = [_direction_bytes(prog, iterates) for prog, iterates in direction_cases]
-    monkeypatch.setattr(kkt, "dgetrf", wrapped_getrf)
-    monkeypatch.setattr(kkt, "lu_solve", wrapped_getrs)
-    wrapped = [_direction_bytes(prog, iterates) for prog, iterates in direction_cases]
-    assert lapack == wrapped
+def test_lapack_directions_equal_scipy_wrappers_bitwise(direction_cases):
+    """dgetrf/dgetrs give the directions of the textbook solve through scipy's lu_factor/lu_solve, bit for bit.
+
+    The oracle also keeps the empty equality block, every residual block as
+    a vector and every product through ``@``; each shortcut of the solver
+    could change only the sign of a zero entry, and none changes a bit.
+    """
+    for prog, iterates in direction_cases:
+        for it in iterates:
+            matrix = assemble_newton_matrix(it.hess, prog.a_eq, prog.a_ineq, it.s, it.z)
+            got = [flat.tobytes() for flat in solve_directions(matrix, prog.a_ineq, it)]
+            assert got == [flat.tobytes() for flat in textbook_directions(prog, it)]
 
 
 def test_directions_equal_generic_back_substitution_bitwise(direction_cases):
-    """Dropping r_w and the dw block changes no bit of any direction."""
+    """Each direction's ds and dz are the textbook back substitution of its own dx, bit for bit.
+
+    The residuals are vectors: r_I and r_z = ZSe for the tangent, zeros and
+    mu e for the centering piece, zeros and -2 dZ dS e of the tangent for
+    the second-order piece.  Checked on the solver's own dx, so a fault in
+    the back substitution shows apart from one in the LU solve.
+    """
     for prog, iterates in direction_cases:
-        generic = []
+        n, m, p = prog.n, prog.m, prog.p
         for it in iterates:
-            system = assemble_newton_matrix(it.hess, prog.a_eq, prog.a_ineq, it.s, it.z)
-            directions = generic_directions(system, prog.a_ineq, it)
-            generic.append([np.concatenate((dx, dy, ds, dz)).tobytes() for dx, dy, _, ds, dz in directions])
-            # with r_w = 0 the w row only copies dz: w would stay equal to z
-            assert all(np.array_equal(dw, dz) for _, _, dw, _, dz in directions)
-        assert _direction_bytes(prog, iterates) == generic
+            matrix = assemble_newton_matrix(it.hess, prog.a_eq, prog.a_ineq, it.s, it.z)
+            vdot, p_dir, q_dir = solve_directions(matrix, prog.a_ineq, it)
+            zero, second_order = np.zeros(p), -2.0 * vdot[n + m + p :] * vdot[n + m : n + m + p]
+            pieces = ((vdot, it.r_i, it.z * it.s), (p_dir, zero, np.full(p, it.mu)), (q_dir, zero, second_order))
+            for flat, r_i, r_z in pieces:
+                expected = textbook_back_substitution(prog, it, flat[:n], r_i, r_z)
+                assert flat[n + m :].tobytes() == expected.tobytes()
 
 
 def test_no_equality_block_is_built_without_equality_rows(direction_cases):
     """With m = 0 the Newton layer builds no A_E block, r_E concatenation or A_E'y product.
 
-    On every iterate of ex1–ex8 (m = 0, objectives that do not fold) and of
-    the p = 108 run (m = 1, a folded QP), the matrix, the three directions,
-    the stationarity norm and r_c, r_e and r_i equal, byte for byte, the
-    formulas that keep the equality block however empty.  r_c leads with
-    grad f for the folded objective and with H x for the others; r_e is the
-    empty b_eq.  The dropped product could change only the sign of a zero
-    entry of r_c, and on these iterates it changes none.
+    On every iterate of ex1–ex8 (m = 0, objectives that do not fold), of
+    the p = 108 run and of the no-start runs (folded QPs, m = 1 and m = 0),
+    the matrix, the stationarity norm and r_c, r_e and r_i equal, byte for
+    byte, the formulas that keep the equality block however empty.  r_c
+    leads with grad f for a folded objective and with H x for the others;
+    r_e is the empty b_eq when m = 0.  The dropped product could change
+    only the sign of a zero entry of r_c, and on these iterates it changes
+    none.
     """
     without_rows = with_folded = 0
     for prog, iterates in direction_cases:
@@ -474,8 +484,6 @@ def test_no_equality_block_is_built_without_equality_rows(direction_cases):
             padded = padded_newton_matrix(it.hess, a_eq, a_ineq, it.s, it.z)
             assert matrix.shape == padded.shape == (prog.n + prog.m,) * 2
             assert matrix.tobytes() == padded.tobytes()
-            got = [flat.tobytes() for flat in solve_directions(matrix, a_ineq, it)]
-            assert got == [flat.tobytes() for flat in padded_directions(padded, a_ineq, it)]
             true_stat = padded_stationarity(prog, it.grad, it.y, it.z)
             assert true_stationarity_norm(prog, it) == np.linalg.norm(true_stat)
             lead = it.grad if folded else it.hess.dot(it.x)
@@ -532,7 +540,7 @@ def _identity_factor(size):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_right_hand_side_raises_before_the_solve(bad, monkeypatch):
     solves = []
-    monkeypatch.setattr(kkt, "lu_solve", lambda *args: solves.append(args))
+    monkeypatch.setattr(kkt, "dgetrs", lambda *args: solves.append(args))
     rhs = np.array([1.0, bad, 2.0])
     with _no_float_warnings(), pytest.raises(SingularKKTError, match="right-hand side is not finite"):
         kkt._solve_checked(_identity_factor(3), np.eye(3), rhs)
