@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, solve
+from arcipm import solver as solver_module
+from arcipm import step as step_module
 from arcipm.cli import parse_problem_text
 from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
 from arcipm.step import MuPredictor, alpha_limits, sz_tails
@@ -84,20 +86,62 @@ def load_problem(name: str):
 
 @dataclass
 class RecordedRun:
-    report: object
-    iterates: list
-    selections: list  # selections[k] produced iterates[k], None for k = 0
+    report: object = None
+    iterates: list = field(default_factory=list)
+    selections: list = field(default_factory=list)  # selections[k] produced iterates[k], None for k = 0
+    # (alpha_limits arguments, p_coef, sigma_min, sigma_max, result) of each bisect_sigma call
+    bisections: list = field(default_factory=list)
+    golden: list = field(default_factory=list)  # (predictor, cap, result) of each golden_min_bu call
+    curvature: list = field(default_factory=list)  # the Hessian of each _indefinite check
+
+
+# The module bindings run_recorded wraps for the length of its solve.
+RECORDED_BINDINGS = (
+    (step_module, "alpha_limits"),
+    (step_module, "bisect_sigma"),
+    (step_module, "golden_min_bu"),
+    (solver_module, "_indefinite"),
+)
 
 
 def run_recorded(program, start, config=None) -> RecordedRun:
-    iterates, selections = [], []
+    """Solve, keeping every iterate and selection and the calls the tests compare with oracles."""
+    run = RecordedRun()
+    originals = [getattr(module, name) for module, name in RECORDED_BINDINGS]
+    limits_function, bisection, golden_search, curvature_check = originals
+    arguments = {}  # each angle-limit function's arguments
+
+    def limits_of(*args):
+        limits = limits_function(*args)
+        arguments[limits] = args
+        return limits
+
+    def bisecting(limits, p_coef, sigma_min, sigma_max):
+        result = bisection(limits, p_coef, sigma_min, sigma_max)
+        run.bisections.append((arguments[limits], p_coef, sigma_min, sigma_max, result))
+        return result
+
+    def searching(predictor, cap):
+        result = golden_search(predictor, cap)
+        run.golden.append((predictor, cap, result))
+        return result
+
+    def checking(hess):
+        run.curvature.append(hess)
+        return curvature_check(hess)
 
     def observer(k, iterate, selection):
-        iterates.append(iterate)
-        selections.append(selection)
+        run.iterates.append(iterate)
+        run.selections.append(selection)
 
-    report = solve(program, config or SolverConfig(), start, observer=observer)
-    return RecordedRun(report, iterates, selections)
+    for (module, name), wrapper in zip(RECORDED_BINDINGS, (limits_of, bisecting, searching, checking)):
+        setattr(module, name, wrapper)
+    try:
+        run.report = solve(program, config or SolverConfig(), start, observer=observer)
+    finally:
+        for (module, name), original in zip(RECORDED_BINDINGS, originals):
+            setattr(module, name, original)
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -6,24 +6,32 @@ without deciding a move, the angle limits whose thresholds are scalars,
 the screen's product with its sigma-only coefficients formed once per
 sigma, the golden-section search that forms b_u inline and only where a
 comparison reads it, and the curvature check that tries a Cholesky
-factor before the eigenvalues.
+factor before the eigenvalues.  The bisections, golden-section searches
+and curvature checks of ex1–ex8 that they replay are the calls that
+``conftest.run_recorded`` keeps during the ``fixture_runs`` solves.
 """
 
 import math
 import struct
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
 
-from arcipm import SolverConfig, default_start, solve
+from arcipm import default_start
 from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.autodiff import Quadratic, compile_objective
 from arcipm.step import BISECT_TOLERANCE, HALF_PI, MuPredictor, alpha_limits, bisect_sigma, floors
-from conftest import load_problem, perfbench_module, step_limits, synthetic_step_pair
+from conftest import (
+    RECORDED_BINDINGS,
+    load_problem,
+    perfbench_module,
+    run_recorded,
+    step_limits,
+    synthetic_step_pair,
+)
 import oracles
 from oracles import (
     eigenvalue_indefinite,
@@ -41,40 +49,33 @@ def bits(*values) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def bisect_calls():
+def bisect_calls(fixture_runs):
     """(alpha_limits arguments, p_coef, sigma bounds, result) of every bisect_sigma call.
 
-    From ex1–ex8 solved from their files' starts and from 20 no-start
-    solves each of the benchmark's boxqp_dense and many_rows generators.
+    From ex1–ex8 solved from their files' starts (``fixture_runs``) and from
+    20 no-start solves each of the benchmark's boxqp_dense and many_rows
+    generators.
     """
-    calls = []
-    original_limits, original_bisect = step_module.alpha_limits, step_module.bisect_sigma
-
-    def keeping_arguments(*args):
-        limits = original_limits(*args)
-        limits.arguments = args
-        return limits
-
-    def recording(limits, p_coef, sigma_min, sigma_max):
-        result = original_bisect(limits, p_coef, sigma_min, sigma_max)
-        calls.append((limits.arguments, p_coef, sigma_min, sigma_max, result))
-        return result
-
+    runs = [run for _, run in fixture_runs.values()]
     instances = perfbench_module("instances")
-    step_module.alpha_limits, step_module.bisect_sigma = keeping_arguments, recording
-    try:
-        for k in range(1, 9):
-            program, start = load_problem(f"ex{k}")
-            with np.errstate(all="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # ex7's curvature
-                solve(program, SolverConfig(), default_start(program, start))
-        rng = np.random.default_rng(37)
-        for index in range(20):
-            solve(instances.boxqp_dense(rng, 2 + index % 9).program)
-            solve(instances.many_rows(rng).program)
-    finally:
-        step_module.alpha_limits, step_module.bisect_sigma = original_limits, original_bisect
-    return calls
+    rng = np.random.default_rng(37)
+    for index in range(20):
+        runs.append(run_recorded(instances.boxqp_dense(rng, 2 + index % 9).program, None))
+        runs.append(run_recorded(instances.many_rows(rng).program, None))
+    return [call for run in runs for call in run.bisections]
+
+
+def test_recorded_solve_leaves_every_binding_it_wraps_as_it_found_it():
+    """run_recorded's wrappers are bound only for its solve, also when the solve raises."""
+    bound = [getattr(module, name) for module, name in RECORDED_BINDINGS]
+    program, start = load_problem("ex1")
+    run = run_recorded(program, default_start(program, start))
+    assert run.bisections and run.golden and run.curvature
+    other, other_start = load_problem("ex8")
+    with pytest.raises(ValueError, match="start has"):
+        run_recorded(program, default_start(other, other_start))
+    for (module, name), original in zip(RECORDED_BINDINGS, bound):
+        assert getattr(module, name) is original, name
 
 
 def test_bisect_sigma_equals_deciding_every_move_on_every_captured_call(bisect_calls):
@@ -153,7 +154,7 @@ def test_product_along_a_sigma_equals_forming_every_coefficient_per_angle():
     assert checked == 3 * len(sigmas) * len(alphas)
 
 
-def test_golden_min_bu_equals_calling_b_u_at_every_angle(monkeypatch):
+def test_golden_min_bu_equals_calling_b_u_at_every_angle(monkeypatch, fixture_runs):
     """On every golden-section search of ex1–ex8 and on edge caps, bit for bit.
 
     On the searches of ex1–ex8 it forms b_u, two sines each, once more than
@@ -162,19 +163,8 @@ def test_golden_min_bu_equals_calling_b_u_at_every_angle(monkeypatch):
     forms b_u after every shrink, shows the comparisons: two fewer than its
     evaluations.
     """
-    calls = []
+    calls = [call for _, run in fixture_runs.values() for call in run.golden]
     original = step_module.golden_min_bu
-
-    def recording(predictor, cap):
-        calls.append((predictor, cap, original(predictor, cap)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(step_module, "golden_min_bu", recording)
-    for k in range(1, 9):
-        program, start = load_problem(f"ex{k}")
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # ex7's curvature
-            solve(program, SolverConfig(), default_start(program, start))
     searched = len(calls)
     sines, evaluations = [], []
     b_u = oracles.b_u
@@ -248,15 +238,9 @@ def test_curvature_verdict_equals_the_eigenvalue_verdict():
     assert len(kinds) == 7
 
 
-def test_curvature_verdict_on_every_hessian_the_samples_check(monkeypatch):
-    checked = []
+def test_curvature_verdict_on_every_hessian_the_samples_check(fixture_runs):
+    checked = [hess for _, run in fixture_runs.values() for hess in run.curvature]
     original = solver_module._indefinite
-    monkeypatch.setattr(solver_module, "_indefinite", lambda hess: checked.append(hess) or original(hess))
-    for k in range(1, 9):
-        program, start = load_problem(f"ex{k}")
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            solve(program, SolverConfig(), default_start(program, start))
     factored = 0
     for hess in checked:
         assert original(hess) is eigenvalue_indefinite(hess)

@@ -48,7 +48,6 @@ from arcipm.step import (
     update_nu,
 )
 from conftest import (
-    REFERENCE,
     load_problem,
     newton_directions,
     perfbench_module,
@@ -233,27 +232,18 @@ def test_screen_builds_every_candidate_whose_product_is_nan(monkeypatch):
     assert len(built) == sel.backtracks + 1
 
 
-def test_bisection_runs_only_once_the_least_centering_sequence_is_used_up(monkeypatch):
+def test_bisection_runs_only_once_the_least_centering_sequence_is_used_up(fixture_runs):
     """Over ex1–ex8 the bisection runs once per selection that centers, and in no other.
 
     A rule that built its sequences eagerly would bisect at every
     iteration; from the reference starts 48 of the 478 selections center.
     """
-    bisections = _counting(monkeypatch, "bisect_sigma")
-    config = SolverConfig()
-    sigmas = []
-
-    def observer(k, iterate, selection):
-        if selection is not None:
-            sigmas.append(selection.sigma)
-
-    for name in REFERENCE:
-        program, start = load_problem(name)
-        with np.errstate(all="ignore"):
-            solve(program, config, default_start(program, start), observer=observer)
-    centered = sum(sigma > config.sigma_min for sigma in sigmas)
+    sigma_min = SolverConfig().sigma_min
+    sigmas = [sel.sigma for _, run in fixture_runs.values() for sel in run.selections[1:]]
+    bisections = sum(len(run.bisections) for _, run in fixture_runs.values())
+    centered = sum(sigma > sigma_min for sigma in sigmas)
     assert 0 < centered < len(sigmas)
-    assert len(bisections) == centered
+    assert bisections == centered
 
 
 def test_mehrotra_rule_fails_naming_its_bisection(monkeypatch):
