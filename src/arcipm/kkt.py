@@ -83,7 +83,10 @@ the sign of a zero entry: a norm does not see it, and r_c enters the
 iteration only through norms and as an addend of the reduced right-hand
 side, with no division by an entry of it, so that sign can reach no
 nonzero value (``tools/run_digest.py`` prints the same lines with and
-without the product).
+without the product).  The duality measure of an accepted step
+is handed on: :func:`arcipm.step.select_step` takes it of the candidate's
+(s, z) views, and :meth:`Iterate.at` splits the same views of the same
+vector, so a second dot would repeat the same bits.
 
 An :class:`Iterate` is one contiguous vector of n + m + 2p entries in
 (x, y, s, z) order, and its four block fields are views into it.  Each
@@ -97,7 +100,7 @@ the 2p entries that the step layer reads per component are one slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -157,7 +160,8 @@ class Iterate:
     residuals r_c, r_e and r_i.  z holds the inequality multipliers, and
     ``zs`` is the complementarity product z*s, formed once here: the
     optimality residual, the trace row's min(s*z)/mu and the tangent's
-    r_z all read it.
+    r_z all read it.  :meth:`at` hands over the ``blocks`` it has already
+    split; without them the fields are split from ``vec`` here.
     """
 
     vec: np.ndarray = field(repr=False)
@@ -173,9 +177,12 @@ class Iterate:
     s: np.ndarray = field(init=False)
     z: np.ndarray = field(init=False)
     zs: np.ndarray = field(init=False, repr=False)
+    blocks: InitVar[Blocks | None] = None
 
-    def __post_init__(self):
-        x, y, s, z = Blocks.of(self.vec, self.r_c.size, self.r_e.size, self.r_i.size)
+    def __post_init__(self, blocks):
+        if blocks is None:
+            blocks = Blocks.of(self.vec, self.r_c.size, self.r_e.size, self.r_i.size)
+        x, y, s, z = blocks
         setattr_ = object.__setattr__
         setattr_(self, "x", x)
         setattr_(self, "y", y)
@@ -184,10 +191,13 @@ class Iterate:
         setattr_(self, "zs", z * s)
 
     @classmethod
-    def at(cls, program: ConvexProgram, vec, nu: float) -> "Iterate":
+    def at(cls, program: ConvexProgram, vec, nu: float, mu: float | None = None) -> "Iterate":
         """The iterate at the flat (x, y, s, z) point ``vec``, kept as it is, not copied.
 
         The residual factor ``nu`` lies in (0, 1]; a NaN fails that test too.
+        ``mu`` is the duality measure of ``vec``'s (s, z) when the caller has
+        taken it already, as :func:`arcipm.step.select_step` has for the
+        point it accepts; it is taken here when None.
         """
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"residual factor nu must lie in (0, 1], got {nu}")
@@ -198,7 +208,7 @@ class Iterate:
         # a NaN minimum fails the comparison too
         if not reduce_min(vec[n + m :]) > 0.0:
             raise ValueError("slack and dual vectors must stay strictly positive")
-        x, y, s, z = Blocks.of(vec, n, m, p)
+        blocks = x, y, s, z = Blocks.of(vec, n, m, p)
         objective = program.compiled_objective
         _, grad, hess = value_gradient_hessian(objective, x)
         # the Newton model of a folded objective is exact, so r_c leads with its
@@ -207,7 +217,9 @@ class Iterate:
         # without equality rows r_e is the empty b_eq itself
         r_e = program.a_eq.dot(x) - program.b_eq if m else program.b_eq
         r_i = program.a_ineq.dot(x) - s - program.b_ineq
-        return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu)
+        if mu is None:
+            mu = duality_measure(s, z)
+        return cls(vec, hess, grad, r_c, r_e, r_i, mu, nu, blocks)
 
     @property
     def w(self) -> np.ndarray:

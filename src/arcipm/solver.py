@@ -249,7 +249,9 @@ def solve(
         try:
             directions = solve_directions(matrix, program.a_ineq, iterate)
             selection = select_step(iterate, directions, config, mehrotra)
-            iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
+            iterate = Iterate.at(
+                program, selection.point, update_nu(iterate.nu, selection.alpha), selection.mu
+            )
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT
             message = str(err)

@@ -80,8 +80,9 @@ class StepSelection:
 
     ``point`` is the accepted candidate: the flat (x, y, s, z) arc point
     at (sigma, alpha) that passed every step condition, which the next
-    iterate keeps as its ``vec``; it is left out of comparisons and the
-    repr.
+    iterate keeps as its ``vec``, and ``mu`` its duality measure, which the
+    next iterate takes as its own.  Both are left out of comparisons and
+    the repr.
     """
 
     sigma: float
@@ -89,6 +90,7 @@ class StepSelection:
     alpha_tilde: float  # the cap of the sequence the accepted angle came from
     backtracks: int  # candidates passed over before it, skipped or built
     point: np.ndarray = field(compare=False, repr=False)
+    mu: float = field(compare=False, repr=False)
 
 
 def arc_point(iterate: Iterate, directions: NewtonDirections, sigma: float, alpha: float) -> np.ndarray:
@@ -488,7 +490,7 @@ def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra
                 s, z = point[-2 * p : -p], point[-p:]
                 mu_new = duality_measure(s, z)
                 if _acceptable(s, z, mu_new, iterate.mu, phi, psi, theta):
-                    return StepSelection(sigma, alpha, cap, backtracks, point)
+                    return StepSelection(sigma, alpha, cap, backtracks, point, mu_new)
             backtracks += 1
     raise StepFailureError(
         f"no acceptable angle above {ALPHA_FLOOR:.1e} "

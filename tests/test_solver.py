@@ -463,7 +463,7 @@ def test_select_step_builds_the_angle_limits_once_when_both_sequences_run(fall_t
 
 
 def test_each_iterate_keeps_the_duality_measure_its_step_took(fixture_runs):
-    """Every iterate's mu is s'z/p of the (s, z) of its own point, the step's accepted point.
+    """The accepted step's mu, handed to the next iterate, is the dot of that iterate's (s, z).
 
     On every stored iterate of ex1–ex8 from their files' starts and of ten
     no-start solves each of the benchmark's boxqp_dense and many_rows
@@ -477,7 +477,9 @@ def test_each_iterate_keeps_the_duality_measure_its_step_took(fixture_runs):
             runs.append(run_recorded(draw.program, None))
     checked = 0
     for run in runs:
-        for it in run.iterates:
+        for it, selection in zip(run.iterates, run.selections):
             assert it.mu == duality_measure(it.s, it.z)
+            if selection is not None:
+                assert selection.mu == it.mu
             checked += 1
     assert checked > 600
