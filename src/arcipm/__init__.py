@@ -11,6 +11,7 @@ from .solver import (
     TraceRow,
     balanced_start,
     default_start,
+    least_squares_start,
     solve,
 )
 from .step import StepFailureError, StepSelection
@@ -34,6 +35,7 @@ __all__ = [
     "fold_bounds",
     "gradient",
     "hessian",
+    "least_squares_start",
     "parse_expression",
     "solve",
     "value_gradient_hessian",

@@ -317,6 +317,27 @@ def test_parse_problem_text_errors():
         assert str(err.value) == message and err.value.line is None
 
 
+@pytest.mark.parametrize(
+    ("text", "line", "message"),
+    [
+        ("vars x1\nmin x1\nineq a >= 0\n", 3, "expected numbers, got ['a']"),
+        ("vars x1\nvars x2\n", 2, "duplicate vars line"),
+        ("vars\n", 1, "vars line declares no variables"),
+        ("vars x1 x1\n", 1, "duplicate variable name"),
+        ("vars x1 exp\n", 1, "'log' and 'exp' are reserved words"),
+        ("vars x1\nmin x1\nbound x1 0\n", 3, "expected 'bound <var> <lo> <hi>'"),
+        ("vars x1 x2\nmin x1\nstart 1\n", 3, "start point needs 2 values"),
+        ("vars x1 x2\nmin (x1 + x2\n", 2, "bad objective: expected ')' (column 9)"),
+    ],
+    ids=["numbers", "duplicate-vars", "no-variables", "duplicate-name", "reserved", "bound", "start",
+         "expect-op"],
+)
+def test_parse_problem_text_names_the_line_of_each_input_check(text, line, message):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(text)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
 def test_parse_problem_text_full_example():
     program, start = parse_problem_text(
         """

@@ -358,6 +358,28 @@ def test_fold_bounds_feasibility_equivalence(data):
     assert in_box == satisfies_rows
 
 
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: ConvexProgram(0, parse_expression("1", []), [], [], [[1.0]], [0.0]),
+         "at least one variable is required"),
+        (lambda: ConvexProgram(2, parse_expression("x1", X12), [], [], [[1.0, 0.0, 0.0]], [0.0]),
+         "constraint rows must have one coefficient per variable"),
+        (lambda: ConvexProgram(2, parse_expression("x1", X12), [], [], [[1.0, 0.0]], [0.0, 1.0]),
+         "right-hand side length does not match its constraint matrix"),
+        (lambda: ConvexProgram(2, parse_expression("x3", ["x1", "x2", "x3"]), [], [], [[1.0, 0.0]], [0.0]),
+         "objective references a variable outside the declared list"),
+        (lambda: fold_bounds(np.zeros((0, 2)), [], [0.0, 0.0], [1.0]),
+         "lower and upper bound vectors differ in length"),
+    ],
+    ids=["no-variables", "row-width", "rhs-length", "unknown-variable", "bound-lengths"],
+)
+def test_program_and_fold_bounds_reject_malformed_input(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_program_rejects_dependent_equalities():
     tree = parse_expression("x1 + x2 + x3", ["x1", "x2", "x3"])
     with pytest.raises(ValueError, match="dependent"):

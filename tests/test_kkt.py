@@ -411,8 +411,8 @@ def direction_cases(fixture_runs):
     ex7's final iterate, where the run stops, is in: its Newton matrix has
     a smallest equilibrated pivot of 3.1e-15 and is solved all the same.
     The no-start runs solve a benchmark ``many_rows`` and an n = 10
-    ``boxqp_dense`` draw as ``solve(program)`` does, from the balanced
-    start with the library's step rule.
+    ``boxqp_dense`` draw as ``solve(program)`` does, from the
+    least-squares start with the library's step rule.
     """
     program = many_rows_program(np.random.default_rng(11))
     assert program.p == 108

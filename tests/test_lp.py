@@ -24,7 +24,7 @@ LP_DRAWS = 30
 
 
 def _starts(program):
-    # None: solve() picks the balanced start and the Mehrotra-bounded rule
+    # None: solve() picks the least-squares start and the Mehrotra-bounded rule
     return {"cold": default_start(program), "balanced": balanced_start(program), "none": None}
 
 

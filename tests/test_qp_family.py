@@ -120,7 +120,7 @@ def test_balanced_start_loops_are_pinned():
 
 
 def test_every_draw_converges_and_certifies_without_a_start():
-    """``solve(draw.program)``: the balanced start at x = 0 and the Mehrotra-bounded
+    """``solve(draw.program)``: the least-squares start and the Mehrotra-bounded
     rule, which ends the balanced start's sigma = 127/128 loops too."""
     failures = {}
     for index, draw in enumerate(qp_family()):

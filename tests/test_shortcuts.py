@@ -45,13 +45,13 @@ def bisect_calls(fixture_runs):
     """(alpha_limits arguments, p_coef, sigma bounds, result) of every bisect_sigma call.
 
     From ex1–ex8 solved from their files' starts (``fixture_runs``) and from
-    20 no-start solves each of the benchmark's boxqp_dense and many_rows
+    24 no-start solves each of the benchmark's boxqp_dense and many_rows
     generators.
     """
     runs = [run for _, run in fixture_runs.values()]
     instances = perfbench_module("instances")
     rng = np.random.default_rng(37)
-    for index in range(20):
+    for index in range(24):
         runs.append(run_recorded(instances.boxqp_dense(rng, 2 + index % 9).program, None))
         runs.append(run_recorded(instances.many_rows(rng).program, None))
     return [call for run in runs for call in run.bisections]

@@ -1,4 +1,5 @@
-"""The start that ``solve()`` takes when it is given none, ``balanced_start``, and the rule it runs from it."""
+"""The start that ``solve()`` takes when it is given none, ``least_squares_start``,
+its fallback ``balanced_start``, and the rule that runs from it."""
 
 import re
 import warnings
@@ -14,15 +15,17 @@ from arcipm import (
     balanced_start,
     default_start,
     fold_bounds,
+    least_squares_start,
     parse_expression,
     solve,
 )
+from arcipm.cli import parse_problem_text
 from arcipm.step import select_step
 from conftest import load_problem, newton_directions, perfbench_module, run_recorded
 
 # Instances per generator in the sweep below, and the largest share of the
 # cold start's total iterations that the no-start solves may take.  Measured:
-# 375 of 1379 on many_rows and 213 of 1070 on boxqp_dense, 0.27 and 0.20.
+# 284 of 1379 on many_rows and 186 of 1070 on boxqp_dense, 0.21 and 0.17.
 SWEEP_SIZE = 40
 ITERATION_SHARE = 0.5
 
@@ -76,14 +79,15 @@ def test_solve_without_a_start_names_its_start_where_the_objective_is_undefined(
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
 def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(name):
-    """No start: the balanced start and the Mehrotra-bounded rule.  An explicit
-    balanced start keeps the paper's rule, with its floors and centrality test."""
+    """No start: the least-squares start and the Mehrotra-bounded rule.  An
+    explicit least-squares start keeps the paper's rule, with its floors and
+    centrality test.  The name is from when solve() began at the balanced start."""
     instances = perfbench_module("instances")
     rng = np.random.default_rng(0)
     program = (instances.many_rows(rng) if name == "many_rows" else instances.boxqp_dense(rng, 6)).program
     config = SolverConfig()
     default = run_recorded(program, None)
-    given = run_recorded(program, balanced_start(program))
+    given = run_recorded(program, least_squares_start(program))
     assert default.report.status is given.report.status is SolverStatus.CONVERGED
     assert default.report.trace[0] == given.report.trace[0]
     assert default.report.trace[1] != given.report.trace[1]
@@ -115,5 +119,50 @@ def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations
             totals[name][0] += run.report.iterations
             totals[name][1] += cold.iterations
     assert problems == {}
-    for name, (balanced, cold_total) in totals.items():
-        assert balanced <= ITERATION_SHARE * cold_total, (name, balanced, cold_total)
+    for name, (no_start, cold_total) in totals.items():
+        assert no_start <= ITERATION_SHARE * cold_total, (name, no_start, cold_total)
+
+
+def test_least_squares_start_does_not_depend_on_the_scale_of_a_row():
+    instances = perfbench_module("instances")
+    program = instances.many_rows(np.random.default_rng(3)).program
+    want = least_squares_start(program).x.tobytes()
+    for k in range(-100, 101):
+        row = k % program.p
+        a_ineq, b_ineq = program.a_ineq.copy(), program.b_ineq.copy()
+        a_ineq[row] *= 2.0**k
+        b_ineq[row] *= 2.0**k
+        scaled = ConvexProgram(program.n, program.objective, program.a_eq, program.b_eq, a_ineq, b_ineq)
+        assert least_squares_start(scaled).x.tobytes() == want, k
+
+
+def test_least_squares_start_is_the_balanced_start_for_an_objective_that_does_not_fold():
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 2)), [], [-1.0, -1.0], [2.0, 2.0])
+    program = ConvexProgram(2, parse_expression("exp(x1) + x2^4", ["x1", "x2"]), [], [], a_ineq, b_ineq)
+    assert least_squares_start(program).vec.tobytes() == balanced_start(program).vec.tobytes()
+
+
+def test_a_singular_least_squares_system_falls_back_to_the_balanced_start():
+    # x2 is in no row and not in the objective: the system's row for x2 is zero
+    program, _ = parse_problem_text("vars x1 x2\nmin x1^2\nineq 1 0 >= 1\n")
+    assert least_squares_start(program).vec.tobytes() == balanced_start(program).vec.tobytes()
+    report = solve(program)
+    assert (report.status, report.iterations) == (SolverStatus.SINGULAR_KKT, 0)
+
+
+def test_a_zero_inequality_row_gives_a_finite_start():
+    program, _ = parse_problem_text("vars x1 x2\nmin (x1 - 1)^2 + x2^2\nineq 0 0 >= -1\nbound x1 0 2\n")
+    it = least_squares_start(program)
+    # (H + A'A) x = A'b - g is diag(4, 2) x = (4, 0); every row is 1 from its bound
+    np.testing.assert_array_equal(it.x, [1.0, 0.0])
+    np.testing.assert_array_equal(it.s, np.ones(3))
+    np.testing.assert_array_equal(it.z, np.ones(3))
+    assert solve(program).status is SolverStatus.CONVERGED
+
+
+def test_a_steep_linear_objective_converges_from_the_least_squares_start():
+    # from the balanced start this run ends StepFailure at k = 0
+    program, _ = parse_problem_text("vars x1 x2\nmin 1e12*x1 - 1e12*x2\nbound x1 0 1\nbound x2 0 1\n")
+    report = solve(program)
+    assert report.status is SolverStatus.CONVERGED
+    np.testing.assert_allclose(report.x, [0.0, 1.0], atol=1e-8)
