@@ -150,6 +150,26 @@ def test_a_singular_least_squares_system_falls_back_to_the_balanced_start():
     assert (report.status, report.iterations) == (SolverStatus.SINGULAR_KKT, 0)
 
 
+def test_slacks_that_overflow_on_the_raw_rows_fall_back_to_the_balanced_start():
+    # 3 x1 = 1e10 is finite, but the 1e300 row's slack at it is not; x = 0 gives s = z = 1
+    program, _ = parse_problem_text("vars x1\nmin x1^2 - 1e10*x1\nineq 1e300 >= 0\n")
+    with np.errstate(all="ignore"):
+        it = least_squares_start(program)
+    assert it.vec.tobytes() == balanced_start(program).vec.tobytes()
+
+
+def test_a_slack_of_exactly_zero_starts_at_zeta():
+    # 3 x1 = 0 gives x = 0 on the row's bound, where no shift applies; zeta = max(1, 0)
+    program, _ = parse_problem_text("vars x1\nmin x1^2\nineq 1 >= 0\n")
+    it = least_squares_start(program)
+    np.testing.assert_array_equal(it.x, [0.0])
+    np.testing.assert_array_equal(it.s, [1.0])
+    np.testing.assert_array_equal(it.z, [1.0])
+    report = solve(program)
+    assert report.status is SolverStatus.CONVERGED
+    np.testing.assert_allclose(report.x, [0.0], atol=1e-3)
+
+
 def test_a_zero_inequality_row_gives_a_finite_start():
     program, _ = parse_problem_text("vars x1 x2\nmin (x1 - 1)^2 + x2^2\nineq 0 0 >= -1\nbound x1 0 2\n")
     it = least_squares_start(program)
