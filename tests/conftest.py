@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from qp_family import quadratic_tree
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 PERFBENCH_DIR = PROBLEM_DIR.parent / "perfbench"
+
+# Draws per benchmark generator in no_start_runs.
+SWEEP_SIZE = 40
 
 # Reference runs: solution, objective, and iteration count of the original
 # implementation these example files were taken from.
@@ -157,6 +161,27 @@ def many_rows_runs():
     for seed in (0, 1):
         program = many_rows_program(np.random.default_rng(seed))
         runs[f"many_rows[{seed}]"] = (program, run_recorded(program, default_start(program)))
+    return runs
+
+
+@pytest.fixture(scope="session")
+def no_start_runs():
+    """The benchmark generators' draws, each solved once with no start, as ``solve(program)`` does.
+
+    Draw k is ``many_rows(rng)`` then ``boxqp_dense(rng, 2 + k % 9)`` on one
+    ``default_rng(5)``, for k < SWEEP_SIZE.  Each generator's name maps to its
+    draws' (instance, recorded run, warnings the solve raised), in order.
+    """
+    instances = perfbench_module("instances")
+    rng = np.random.default_rng(5)
+    runs = {"many_rows": [], "boxqp_dense": []}
+    for k in range(SWEEP_SIZE):
+        drawn = {"many_rows": instances.many_rows(rng), "boxqp_dense": instances.boxqp_dense(rng, 2 + k % 9)}
+        for name, instance in drawn.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run = run_recorded(instance.program, None)
+            runs[name].append((instance, run, caught))
     return runs
 
 

@@ -23,7 +23,7 @@ from conftest import PERFBENCH_DIR, PROBLEM_DIR, perfbench_module
 
 # Rebound names that no solve calls: solve() keeps the arc_point import only
 # for the tracer, and select_step reads MuPredictor, not mu_coefficients.
-# ROADMAP item 5 reads the benchmark's layers from elsewhere and then drops both.
+# ROADMAP item 27 reads the benchmark's layers from elsewhere and then drops both.
 SILENT = {"step.arc_point", "step.mu_coefficients"}
 
 

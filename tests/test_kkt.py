@@ -28,7 +28,6 @@ from conftest import (
     load_problem,
     many_rows_program,
     newton_directions,
-    perfbench_module,
     quadratic_tree,
     random_box_qp,
     run_recorded,
@@ -76,22 +75,6 @@ def test_reference_start_residuals_are_finite_and_nonzero():
 def test_duality_measure():
     assert duality_measure(np.full(5, 0.01), np.full(5, 100.0)) == pytest.approx(1.0)
     assert duality_measure(np.ones(3), np.zeros(3)) == 0.0
-
-
-def test_kkt_norm_cases():
-    program, _ = load_problem("ex1")
-    x = np.array([4.0, 4.0])
-    s = program.a_ineq @ x - program.b_ineq
-    z = np.full(5, 0.5)
-    it = Iterate.at(program, np.concatenate((x, s, z)), 1.0)
-    # synthetic: force residual blocks to zero and products to mu
-    mu = it.mu
-    vec = np.concatenate([np.zeros(2), np.zeros(0), np.zeros(5), np.full(5, mu)])
-    assert np.linalg.norm(vec) == pytest.approx(np.sqrt(5.0) * mu)
-
-    program1, start1 = load_problem("ex1")
-    it1 = default_start(program1, start1)
-    assert kkt_norm(it1) > 100.0
 
 
 def test_norms_equal_numpy_norm_bitwise(fixture_runs):
@@ -405,23 +388,22 @@ def test_iterate_keeps_the_vector_it_is_given():
 
 
 @pytest.fixture(scope="module")
-def direction_cases(fixture_runs):
+def direction_cases(fixture_runs, no_start_runs):
     """(program, iterates) of ex1–ex8, of one p = 108 run and of two no-start runs, over 500 iterates.
 
     ex7's final iterate, where the run stops, is in: its Newton matrix has
     a smallest equilibrated pivot of 3.1e-15 and is solved all the same.
-    The no-start runs solve a benchmark ``many_rows`` and an n = 10
-    ``boxqp_dense`` draw as ``solve(program)`` does, from the
-    least-squares start with the library's step rule.
+    The no-start runs are draw 8 of ``no_start_runs``: a benchmark
+    ``many_rows`` and an n = 10 ``boxqp_dense`` program solved as
+    ``solve(program)`` does, from the least-squares start with the
+    library's step rule.
     """
     program = many_rows_program(np.random.default_rng(11))
     assert program.p == 108
-    instances = perfbench_module("instances")
-    draws = instances.many_rows(np.random.default_rng(0)), instances.boxqp_dense(np.random.default_rng(0), 10)
-    starts = [(program, default_start(program))] + [(draw.program, None) for draw in draws]
+    runs = [(program, run_recorded(program, default_start(program)))]
+    runs += [(instance.program, run) for instance, run, _ in (draws[8] for draws in no_start_runs.values())]
     cases = [(prog, recorded.iterates) for prog, recorded in fixture_runs.values()]
-    for prog, start in starts:
-        run = run_recorded(prog, start)
+    for prog, run in runs:
         assert run.report.status is SolverStatus.CONVERGED
         cases.append((prog, run.iterates))
     assert sum(len(iterates) for _, iterates in cases) > 500

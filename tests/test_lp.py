@@ -17,7 +17,7 @@ from arcipm import (
 )
 from arcipm.expr import Add, Const, Mul, Var
 from arcipm.kkt import true_stationarity_norm
-from conftest import load_problem, perfbench_module, run_recorded
+from conftest import load_problem, run_recorded
 
 LP_SEED = 11
 LP_DRAWS = 30
@@ -98,14 +98,10 @@ def test_seeded_lps_reach_the_highs_optimum(start):
 
 
 @pytest.mark.parametrize("name", ["boxqp_dense", "many_rows"])
-def test_every_row_of_a_folded_qp_reads_its_stationarity_from_r_c(name):
-    instances = perfbench_module("instances")
-    rng = np.random.default_rng(35)
-    for n in (2, 5, 8) * 2:
-        program = (instances.boxqp_dense(rng, n) if name == "boxqp_dense" else instances.many_rows(rng)).program
-        run = run_recorded(program, None)
+def test_every_row_of_a_folded_qp_reads_its_stationarity_from_r_c(name, no_start_runs):
+    for instance, run, _ in no_start_runs[name]:
         assert run.report.status is SolverStatus.CONVERGED
-        assert _rows_off_the_stationarity_identity(program, run) == []
+        assert _rows_off_the_stationarity_identity(instance.program, run) == []
 
 
 def test_an_objective_that_does_not_fold_forms_its_stationarity_on_every_row():

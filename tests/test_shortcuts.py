@@ -6,9 +6,9 @@ without deciding a move, the angle limits whose thresholds are scalars,
 the screen's product with its sigma-only coefficients formed once per
 sigma, the golden-section search that forms b_u inline and only where a
 comparison reads it, and the curvature check that tries a Cholesky
-factor before the eigenvalues.  The bisections, golden-section searches
-and curvature checks of ex1–ex8 that they replay are the calls that
-``conftest.run_recorded`` keeps during the ``fixture_runs`` solves.
+factor before the eigenvalues.  The calls they replay are those that
+``conftest.run_recorded`` keeps during the ``fixture_runs`` solves of
+ex1–ex8, and for the bisection also during the ``no_start_runs`` solves.
 """
 
 import math
@@ -23,7 +23,7 @@ from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.autodiff import Quadratic, compile_objective
 from arcipm.step import BISECT_TOLERANCE, HALF_PI, MuPredictor, alpha_limits, bisect_sigma, floors
-from conftest import perfbench_module, run_recorded, step_limits, synthetic_step_pair
+from conftest import step_limits, synthetic_step_pair
 import oracles
 from oracles import (
     eigenvalue_indefinite,
@@ -41,19 +41,15 @@ def bits(*values) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def bisect_calls(fixture_runs):
+def bisect_calls(fixture_runs, no_start_runs):
     """(alpha_limits arguments, p_coef, sigma bounds, result) of every bisect_sigma call.
 
     From ex1–ex8 solved from their files' starts (``fixture_runs``) and from
-    24 no-start solves each of the benchmark's boxqp_dense and many_rows
-    generators.
+    the no-start solves of the benchmark's boxqp_dense and many_rows draws
+    (``no_start_runs``).
     """
     runs = [run for _, run in fixture_runs.values()]
-    instances = perfbench_module("instances")
-    rng = np.random.default_rng(37)
-    for index in range(24):
-        runs.append(run_recorded(instances.boxqp_dense(rng, 2 + index % 9).program, None))
-        runs.append(run_recorded(instances.many_rows(rng).program, None))
+    runs += [run for draws in no_start_runs.values() for _, run, _ in draws]
     return [call for run in runs for call in run.bisections]
 
 

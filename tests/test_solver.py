@@ -203,35 +203,56 @@ def test_infeasible_program_stops_without_raising(rows):
     )
 
 
-# Feasible, bounded programs over x1^2 + x2^2 that end wrongly from the
-# default start: row -> (status, iterations, x, message, the ROADMAP item
+# Feasible, bounded programs over x1^2 + x2^2 that end wrongly, from the
+# default start or, where the key says "no start", from solve()'s own:
+# (rows, start) -> (status, iterations, x, message, the ROADMAP item
 # expected to move the run).
 COLD_START_FAILURES = {
-    "ineq 1 1 >= 1": ("MaxIter", 500, [0.500033, 0.500033], "", "item 12's sigma = 127/128 loop"),
-    "ineq 1e200 1 >= -1\nbound x1 -1 1": (
+    ("ineq 1 1 >= 1", "default"): ("MaxIter", 500, [0.500033, 0.500033], "", "item 12's sigma = 127/128 loop"),
+    ("ineq 1e200 1 >= -1\nbound x1 -1 1", "default"): (
         "SingularKKT",
         0,
         [0.0, 0.0],
         "Newton matrix is not finite",
         "item 8's row equilibration",
     ),
-    "ineq 1e-200 1e-200 >= 1e-200": (
+    ("ineq 1e-200 1e-200 >= 1e-200", "default"): (
         "Converged",
         25,
         [1.13247e-197, 1.13247e-197],
         "",
         "item 8's row equilibration: the minimizer is (0.5, 0.5)",
     ),
+    ("ineq 1e200 1 >= -1\nbound x1 -1 1", "no start"): (
+        "SingularKKT",
+        0,
+        [0.0, 0.0],
+        "Newton matrix is not finite",
+        "item 8's row equilibration",
+    ),
+    ("ineq 1e-200 1e-200 >= 1e-200", "no start"): (
+        "StepFailure",
+        4,
+        [0.2, 0.2],
+        "no acceptable angle above 1.0e-08 (sigma=0.665, positivity limit 2.467e-09)",
+        "item 8's row equilibration: the minimizer is (0.5, 0.5)",
+    ),
 }
 
 
-@pytest.mark.parametrize("rows", sorted(COLD_START_FAILURES))
-def test_cold_start_failure_on_the_simplest_qp(rows):
-    status, iterations, x, message, item = COLD_START_FAILURES[rows]
-    program, start = parse_problem_text(f"vars x1 x2\nmin x1^2 + x2^2\n{rows}\n")
+@pytest.mark.parametrize(
+    ("rows", "start"),
+    [
+        pytest.param(rows, start, id=rows if start == "default" else f"{rows} with no start")
+        for rows, start in sorted(COLD_START_FAILURES)
+    ],
+)
+def test_cold_start_failure_on_the_simplest_qp(rows, start):
+    status, iterations, x, message, item = COLD_START_FAILURES[rows, start]
+    program, x0 = parse_problem_text(f"vars x1 x2\nmin x1^2 + x2^2\n{rows}\n")
     # the 1e200 row overflows in numpy while the Newton matrix is built
     with np.errstate(all="ignore"):
-        report = solve(program, SolverConfig(), default_start(program, start))
+        report = solve(program, SolverConfig(), default_start(program, x0) if start == "default" else None)
     assert (report.status.value, report.iterations, report.message) == (status, iterations, message), (
         f"pinned as today's behaviour: {item} is expected to move it"
     )
@@ -462,19 +483,15 @@ def test_select_step_builds_the_angle_limits_once_when_both_sequences_run(fall_t
     assert len(calls) == 1
 
 
-def test_each_iterate_keeps_the_duality_measure_its_step_took(fixture_runs):
+def test_each_iterate_keeps_the_duality_measure_its_step_took(fixture_runs, no_start_runs):
     """The accepted step's mu, handed to the next iterate, is the dot of that iterate's (s, z).
 
-    On every stored iterate of ex1–ex8 from their files' starts and of ten
-    no-start solves each of the benchmark's boxqp_dense and many_rows
-    generators, bit for bit.
+    On every stored iterate of ex1–ex8 from their files' starts and of the
+    no-start solves of the benchmark's boxqp_dense and many_rows draws,
+    bit for bit.
     """
     runs = [run for _, run in fixture_runs.values()]
-    instances = perfbench_module("instances")
-    rng = np.random.default_rng(39)
-    for k in range(10):
-        for draw in (instances.boxqp_dense(rng, 2 + 2 * (k % 5)), instances.many_rows(rng)):
-            runs.append(run_recorded(draw.program, None))
+    runs += [run for draws in no_start_runs.values() for _, run, _ in draws]
     checked = 0
     for run in runs:
         for it, selection in zip(run.iterates, run.selections):

@@ -23,10 +23,9 @@ from arcipm.cli import parse_problem_text
 from arcipm.step import select_step
 from conftest import load_problem, newton_directions, perfbench_module, run_recorded
 
-# Instances per generator in the sweep below, and the largest share of the
-# cold start's total iterations that the no-start solves may take.  Measured:
-# 284 of 1379 on many_rows and 186 of 1070 on boxqp_dense, 0.21 and 0.17.
-SWEEP_SIZE = 40
+# The largest share of the cold start's total iterations that the no-start
+# solves of no_start_runs may take.  Measured: 284 of 1379 on many_rows and
+# 186 of 1070 on boxqp_dense, 0.21 and 0.17.
 ITERATION_SHARE = 0.5
 
 
@@ -78,15 +77,14 @@ def test_solve_without_a_start_names_its_start_where_the_objective_is_undefined(
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
-def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(name):
+def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(name, no_start_runs):
     """No start: the least-squares start and the Mehrotra-bounded rule.  An
     explicit least-squares start keeps the paper's rule, with its floors and
-    centrality test.  The name is from when solve() began at the balanced start."""
-    instances = perfbench_module("instances")
-    rng = np.random.default_rng(0)
-    program = (instances.many_rows(rng) if name == "many_rows" else instances.boxqp_dense(rng, 6)).program
+    centrality test.  The name is from when solve() began at the balanced start.
+    Draw 8 of each generator: its boxqp_dense has n = 10."""
+    instance, default, _ = no_start_runs[name][8]
+    program = instance.program
     config = SolverConfig()
-    default = run_recorded(program, None)
     given = run_recorded(program, least_squares_start(program))
     assert default.report.status is given.report.status is SolverStatus.CONVERGED
     assert default.report.trace[0] == given.report.trace[0]
@@ -96,24 +94,20 @@ def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(na
             assert select_step(iterate, newton_directions(program, iterate), config, mehrotra) == selection
 
 
-def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations():
-    instances = perfbench_module("instances")
+def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations(no_start_runs):
     checks = perfbench_module("checks")
-    rng = np.random.default_rng(5)
-    totals = {"many_rows": [0, 0], "boxqp_dense": [0, 0]}
+    totals = {name: [0, 0] for name in no_start_runs}
     problems = {}
-    for k in range(SWEEP_SIZE):
-        drawn = {"many_rows": instances.many_rows(rng), "boxqp_dense": instances.boxqp_dense(rng, 2 + k % 9)}
-        for name, instance in drawn.items():
-            with warnings.catch_warnings(record=True) as caught:
+    for name, draws in no_start_runs.items():
+        for k, (instance, run, caught) in enumerate(draws):
+            with warnings.catch_warnings(record=True) as cold_caught:
                 warnings.simplefilter("always")
-                run = run_recorded(instance.program, None)
                 cold = solve(instance.program, start=default_start(instance.program))
             last = run.iterates[-1]
             found = checks.kkt_certificate(instance, last.x, last.y, last.z)
             if run.report.status is not SolverStatus.CONVERGED:
                 found.append(f"status {run.report.status.value}")
-            found += [f"warning {c.message}" for c in caught]
+            found += [f"warning {c.message}" for c in caught + cold_caught]
             if found:
                 problems[(name, k)] = found
             totals[name][0] += run.report.iterations

@@ -21,11 +21,7 @@ from arcipm import (
 )
 from arcipm import solver as solver_module
 from arcipm import step as step_module
-from arcipm.kkt import (
-    Blocks,
-    Iterate,
-    duality_measure,
-)
+from arcipm.kkt import Iterate, duality_measure
 from arcipm.step import (
     ALPHA_FLOOR,
     BACKTRACK_FACTOR,
@@ -558,15 +554,6 @@ def test_mu_expansion_identity(seed):
     # with the sdd'zdd term the predictor gives the arc point's product itself
     exact = predictor_of(it, dirs).along(sigma)(alpha)
     assert abs(lhs - exact) <= 1e-10 * (1.0 + abs(lhs))
-
-
-def test_duality_measure_trivial_cases():
-    rng = np.random.default_rng(5)
-    it, dirs = synthetic_pair(rng)
-    start = _arc_blocks(it, dirs, 0.3, 0.0)
-    assert duality_measure(start.s, start.z) == pytest.approx(it.mu, rel=1e-12)
-    zeroed = Blocks(np.zeros(2), np.zeros(0), np.zeros(it.p), it.z)
-    assert duality_measure(zeroed.s, zeroed.z) == 0.0
 
 
 def test_bisect_sigma_monotone_endpoints():
