@@ -7,9 +7,10 @@ Derivatives*, 2nd ed., on Hessian propagation).  The gradient is a map
 from variable index to entry and the Hessian a map from (i, j), i <= j,
 to entry.  The walk recurses into children but loops over the ``links()``
 of a chain of + - * /, however long, and reads a chain's Var and Const
-operands in that loop rather than walking them.  It is the one evaluator
-of the node semantics: the parser folds a constant exponent of ``^`` with
-it at n = 0, and a :class:`DomainError` there is a parse error.
+operands in that loop rather than walking them.  It defines the node
+semantics: the parser folds a constant exponent of ``^`` with it at n = 0,
+and a :class:`DomainError` there is a parse error, and the code generated
+for a tree that does not fold gives its bits or hands the point to it.
 
 An entry that is exactly zero is absent rather than stored (ibid., on
 structural zeros), whether the tree's structure makes it zero or the
@@ -46,7 +47,7 @@ factor, into the NaN of inf * 0.
 walk at x = 0.  A tree of degree <= 2 is c + g'x + 1/2 x'Hx, and its
 (value, gradient, Hessian) at 0 are exactly (c, g, H), a constant
 Hessian (ibid., ch. 7); it becomes one :class:`Quadratic` node, and any
-other tree is left as it is.  At x = 0 every product of two variables
+other tree a :class:`Generated` one.  At x = 0 every product of two variables
 has the value 0, so the walk of a dense 1/2 x'Qx forms each term's
 cross term and its constant's scaling, and stores no gradient entry and
 one Hessian entry per term: compiling costs O(nodes) plus the O(n^2)
@@ -54,6 +55,24 @@ fill.  A quadratic program is then one node: one matrix-vector
 product per call and the same read-only Hessian every time.  The public
 ``evaluate``/``gradient``/``hessian`` accept either tree; the solver
 passes the compiled one and the test oracles the raw one.
+
+A tree that does not fold has its walk written out once as Python source
+(source transformation; ibid., ch. 6).  :class:`_Emitter` walks it as the
+walk does, with the same helpers in the same order, but a value or map
+entry is the name of a local, so the source forms each float the walk
+forms, in its order, with no dispatch on node types and no maps.  Which
+entries the walk stores depends on the point only through exact zeros
+and errors, so the code is written for points where no scale factor is
+exactly 0 and the walk raises nothing, and it tests that after its last
+line: it returns the walk's bits, or None, and the walk takes that
+point and gives its own result or error.  Each operand of a + or - link
+that is a subtree, a term, becomes a call of a function written for its
+shape, so the n alike terms of a separable sum are written and compiled
+once, and the tree's own code is a line or two per term.  :func:`_maker`
+compiles each source text once, in a bounded cache.  The tree's
+constants are arguments, so programs of one shape share the code; only
+variable indices, counters and the ``repr`` of a float reach the source,
+never text a user wrote.  :func:`evaluate` walks the tree.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
 ``OverflowError`` on range overflow instead of returning inf; it becomes a
@@ -70,6 +89,7 @@ as C_ij + C_ji, a curvature term as g_i g_j), and the fill mirrors it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -265,6 +285,325 @@ def _walk(node, leaves):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Generated:
+    """A tree that does not fold, with its walk written out as straight-line code.
+
+    ``function(xs)`` takes the point as a list of floats and returns what
+    :func:`value_gradient_hessian` returns, or None where the walk at xs
+    leaves the path the code was written for; the tree is walked there.
+    """
+
+    tree: ast.Expr
+    function: object
+
+
+def _source(x) -> str:
+    """A local's name, or the repr of a folded float."""
+    return x if type(x) is str else repr(x)
+
+
+def _tuple(names) -> str:
+    """A tuple display of names, empty or not."""
+    return f"({''.join(f'{name}, ' for name in names)})"
+
+
+def _shape(node, rank, constants) -> tuple:
+    """A key for what the emitter writes for node: its nodes, its exponents and its variables by rank.
+
+    node's constants are appended to ``constants`` in the order in which
+    the walk reads them, the order of a term body's ``make`` arguments.
+    """
+    match type(node):
+        case ast.Var:
+            return rank[node.index]
+        case ast.Const:
+            constants.append(float(node.value))
+            return ast.Const
+        case ast.Add | ast.Sub | ast.Mul | ast.Div:
+            bottom, links = node.links()
+            first = _shape(bottom, rank, constants)
+            return first, *((kind, _shape(right, rank, constants)) for kind, right in links)
+        case ast.Pow:
+            return ast.Pow, _shape(node.base, rank, constants), node.exponent
+        case ast.Neg | ast.Log | ast.Exp:
+            return type(node), _shape(node.child, rank, constants)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+class _Emitter:
+    """The walk of a tree, or of one of its terms, written as the body of a function.
+
+    It walks the tree as :func:`_walk` does, with the same map helpers in
+    the same order, but each value and map entry is the name of a local
+    that the body computes: every float the walk forms is one line, in the
+    walk's order of operations.  An entry that a leaf's derivative 1.0
+    makes known is folded as the walk's float arithmetic forms it, and
+    x * 1.0 is x.  Which entries are present then follows from the tree
+    alone, so long as no scalar factor is exactly zero and the walk raises
+    nothing.  Each condition for that is kept in :attr:`required`, and a
+    product or quotient the walk checks is added to the finiteness sum
+    with the value and the entries; the body tests them all after its
+    last line (:meth:`holds`), and the walk takes a point where one
+    fails.  An operation a failed condition would have stopped may raise
+    first; the caller hands the point to the walk then too.  The tree's
+    constants are arguments of ``make``; an exponent and the floats the
+    walk forms from it are literals, as the walk's arithmetic forms them.
+    """
+
+    def __init__(self, rank=None):
+        self.lines = []
+        self.constants = []
+        # what must hold for the walk to stay on this code's path, each kept
+        # once and in order, and the products and quotients it checks are finite
+        self.required = {}
+        self.finite = []
+        self.locals = 0
+        # a term's body numbers its variables by rank: index -> number; the
+        # tree's body (rank None) calls a function per term, one per shape
+        self.rank = rank
+        self.terms = {}
+
+    def new(self, expression: str) -> str:
+        name = f"t{self.locals}"
+        self.locals += 1
+        self.lines.append(f"{name} = {expression}")
+        return name
+
+    def unpack(self, expression: str, count: int) -> list:
+        names = [f"t{self.locals + k}" for k in range(count)]
+        self.locals += count
+        self.lines.append(f"{', '.join(names)} = {expression}")
+        return names
+
+    def require(self, condition: str):
+        self.required[condition] = None
+
+    def constant(self, value: float) -> str:
+        self.constants.append(value)
+        return f"c{len(self.constants) - 1}"
+
+    def zero(self, c) -> bool:
+        """The walk's ``c == 0.0``: known for a folded float, else required false (a float is false if 0)."""
+        if type(c) is float:
+            return c == 0.0
+        self.require(c)
+        return False
+
+    def op(self, a, symbol: str, b):
+        if type(a) is float and type(b) is float:
+            folded = a + b if symbol == "+" else a - b if symbol == "-" else a * b
+            if math.isfinite(folded):
+                return folded
+        elif symbol == "*" and (a == 1.0 or b == 1.0):
+            return b if a == 1.0 else a
+        return self.new(f"{_source(a)} {symbol} {_source(b)}")
+
+    def neg(self, a):
+        return -a if type(a) is float else self.new(f"-{a}")
+
+    def add(self, a, b):
+        if not a:
+            a.update(b)
+            return a
+        for k, x in b.items():
+            a[k] = self.op(a[k], "+", x) if k in a else x
+        return a
+
+    def sub(self, a, b):
+        for k, x in b.items():
+            a[k] = self.op(a[k], "-", x) if k in a else self.neg(x)
+        return a
+
+    def scale(self, c, a) -> dict:
+        if not a or self.zero(c):
+            return {}
+        return {k: self.op(c, "*", x) for k, x in a.items()}
+
+    def cross(self, a, b) -> dict:
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                c = self.op(x, "*", y)
+                if i == j:
+                    out[i, i] = self.op(c, "+", c)
+                else:
+                    key = (i, j) if i < j else (j, i)
+                    out[key] = self.op(out[key], "+", c) if key in out else c
+        return out
+
+    def chain(self, f: str, g, h, derivatives):
+        """(f(u), grad, Hessian) as :func:`_chain` forms them; ``derivatives()`` writes (f', f'')."""
+        if not (g or h):
+            return f, {}, {}
+        df, d2f = derivatives()
+        curvature = {}
+        if g and not self.zero(d2f):
+            pairs = list(g.items())
+            for first, (i, x) in enumerate(pairs):
+                for j, y in pairs[first:]:
+                    curvature[(i, j) if i <= j else (j, i)] = self.op(d2f, "*", self.op(x, "*", y))
+        return f, self.scale(df, g), self.add(self.scale(df, h), curvature)
+
+    def pow(self, u, r: float):
+        a, g, h = u
+        if type(r) is not float:
+            raise TypeError(f"exponent {r!r} is not a float")
+        if not math.isfinite(r):
+            self.require("False")
+            return u
+        if r == 0.0:
+            return self.new("1.0"), {}, {}
+        if r == 1.0:
+            return u
+        if not r.is_integer():
+            self.require(f"{a} > 0.0")
+        elif r < 0.0:
+            self.zero(a)
+        # the floats the walk forms from r, as literals
+        c = [repr(k) for k in (r, r - 1.0, r * (r - 1.0), r - 2.0)]
+        return self.chain(self.new(f"{a} ** {c[0]}"), g, h, lambda: (
+            self.new(f"{c[0]} * {a} ** {c[1]}"), self.new(f"{c[2]} * {a} ** {c[3]}")))
+
+    def operand(self, node):
+        """The walk's triple of node: a Var or Const read, any other node walked."""
+        operand = type(node)
+        if operand is ast.Var:
+            index = node.index if self.rank is None else self.rank[node.index]
+            return f"x{index}", {index: 1.0}, {}
+        if operand is ast.Const:
+            return self.constant(float(node.value)), {}, {}
+        return self.walk(node)
+
+    def term(self, node):
+        """The triple of a + or - operand of the tree's body; a subtree is a call of a term function.
+
+        A term's body numbers its variables by rank and takes its constants
+        as arguments of ``make``, so alike terms share one source text, one
+        compile() and, within the tree, one emission: the first of a shape
+        is written out, and the rest are keyed by :func:`_shape`.  The call
+        returns the value, the entries that are not folded floats and
+        whether its conditions hold, which becomes one of this body's.
+        """
+        if type(node) is ast.Var or type(node) is ast.Const:
+            return self.operand(node)
+        indices = sorted(ast.variable_indices(node))
+        rank = {index: number for number, index in enumerate(indices)}
+        constants = []
+        key = _shape(node, rank, constants)
+        if key not in self.terms:
+            body = _Emitter(rank)
+            value, grad, hess = body.walk(node)
+            returned = [value, *(x for x in (*grad.values(), *hess.values()) if type(x) is str)]
+            parameters = ", ".join(f"x{k}" for k in range(len(indices)))
+            result = f"{''.join(f'{x}, ' for x in returned)}{body.holds(value, grad, hess)}"
+            self.terms[key] = _maker(body.make(parameters, body.lines, result)), returned, grad, hess
+        make, returned, grad, hess = self.terms[key]
+        call = f"{self.constant(make(*constants))}({''.join(f'x{k}, ' for k in indices)})"
+        names = self.unpack(call, len(returned) + 1)
+        self.require(names[-1])
+        local = dict(zip(returned, names))
+
+        def mapped(x):
+            return local[x] if type(x) is str else x
+
+        return (
+            names[0],
+            {indices[i]: mapped(x) for i, x in grad.items()},
+            {(indices[i], indices[j]): mapped(x) for (i, j), x in hess.items()},
+        )
+
+    def walk(self, node):
+        match type(node):
+            case ast.Var | ast.Const:
+                return self.operand(node)
+            case ast.Add | ast.Sub | ast.Mul | ast.Div:
+                bottom, links = node.links()
+                v, g, h = self.operand(bottom)
+                if links[0][0] is not ast.Mul:
+                    g, h = dict(g), dict(h)
+                for kind, right in links:
+                    outlined = self.rank is None and (kind is ast.Add or kind is ast.Sub)
+                    vb, gb, hb = self.term(right) if outlined else self.operand(right)
+                    if kind is ast.Add:
+                        v, g, h = self.op(v, "+", vb), self.add(g, gb), self.add(h, hb)
+                    elif kind is ast.Sub:
+                        v, g, h = self.op(v, "-", vb), self.sub(g, gb), self.sub(h, hb)
+                    elif kind is ast.Mul:
+                        product = self.new(f"{v} * {vb}")
+                        self.finite.append(product)
+                        # two factors of value 0 are tested by the scale of each side
+                        if not (gb or hb):
+                            g, h = self.scale(vb, g), self.scale(vb, h)
+                        elif not (g or h):
+                            g, h = self.scale(v, gb), self.scale(v, hb)
+                        else:
+                            g, h = (
+                                self.add(self.scale(vb, g), self.scale(v, gb)),
+                                self.add(self.add(self.scale(vb, h), self.scale(v, hb)), self.cross(g, gb)),
+                            )
+                        v = product
+                    else:
+                        self.zero(vb)
+                        q = self.new(f"{v} / {vb}")
+                        self.finite.append(q)
+                        g = {k: self.op(x, "/", vb) for k, x in self.sub(g, self.scale(q, gb)).items()}
+                        h = self.sub(self.sub(h, self.scale(q, hb)), self.cross(g, gb))
+                        v, h = q, {k: self.op(x, "/", vb) for k, x in h.items()}
+                return v, g, h
+            case ast.Pow:
+                return self.pow(self.walk(node.base), node.exponent)
+            case ast.Neg:
+                v, g, h = self.walk(node.child)
+                return self.neg(v), self.sub({}, g), self.sub({}, h)
+            case ast.Log:
+                a, g, h = self.walk(node.child)
+                self.require(f"{a} > 0.0")
+                return self.chain(self.new(f"log({a})"), g, h, lambda: (
+                    self.new(f"1.0 / {a}"), self.new(f"-({a} ** -2.0)")))
+            case ast.Exp:
+                a, g, h = self.walk(node.child)
+                e = self.new(f"exp({a})")
+                return self.chain(e, g, h, lambda: (e, e))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def holds(self, value, grad, hess) -> str:
+        """Whether the walk stays on this body's path, as an expression over its locals."""
+        # a sum is finite if each term is; if it overflows alone, the walk
+        # takes the point and finds each finite.  Tuples, not one ``or`` per
+        # condition: compile() took 1.6x as long with those at n = 256.
+        terms = [value, *self.finite, *(x for x in (*grad.values(), *hess.values()) if type(x) is str)]
+        return f"isfinite(sum({_tuple(terms)})) and all({_tuple(self.required)})"
+
+    def make(self, parameters: str, lines, result: str) -> str:
+        """``make(c0, c1, ...)``, which returns the function of ``parameters`` that runs lines, then returns result."""
+        constants = ", ".join(f"c{k}" for k in range(len(self.constants)))
+        body = "".join(f"        {line}\n" for line in [*lines, f"return {result}"])
+        return f"def make({constants}):\n    def function({parameters}):\n{body}    return function\n"
+
+    def source(self, tree) -> str:
+        """The tree's ``make``: its function takes the point as a list xs and returns (f, grad, Hessian) or None."""
+        value, grad, hess = self.walk(tree)
+        return self.make("xs", [
+            *(f"x{i} = xs[{i}]" for i in sorted(ast.variable_indices(tree))),
+            *self.lines,
+            f"if not ({self.holds(value, grad, hess)}): return",
+            "grad = zeros(len(xs))",
+            *(f"grad[{i}] = {_source(x)}" for i, x in grad.items()),
+            "hess = zeros((len(xs), len(xs)))",
+            *(f"hess[{i}, {j}] = hess[{j}, {i}] = {_source(x)}" if i != j else f"hess[{i}, {i}] = {_source(x)}"
+              for (i, j), x in hess.items()),
+        ], f"{value}, grad, hess")
+
+
+@functools.lru_cache(maxsize=64)
+def _maker(source: str):
+    """The ``make`` that an :class:`_Emitter` source defines, compiled once per source text."""
+    namespace = {"isfinite": math.isfinite, "log": math.log, "exp": math.exp, "zeros": np.zeros}
+    exec(compile(source, "<generated objective>", "exec"), namespace)
+    return namespace["make"]
+
+
 def _quadratic(node: Quadratic, x):
     c, g, h = node.constant, node.linear, node.hessian
     if x.size != g.size:
@@ -323,22 +662,33 @@ def _degree(node: ast.Expr) -> int | None:
 
 
 def compile_objective(expression: ast.Expr, n: int):
-    """A tree of degree <= 2 as one :class:`Quadratic`; any other tree as it is.
+    """A tree of degree <= 2 as one :class:`Quadratic`; any other tree as a :class:`Generated`.
 
     Such a tree's (f, grad f, Hessian) at x = 0 are exactly its (c, g, H),
     so one walk there folds it.  The result goes to the same
     ``value_gradient_hessian`` as a parsed tree over n variables.  A tree
     whose walk at 0 raises, its coefficients' overflow included, is not
-    folded, so its walk raises the parsed tree's :class:`DomainError`.
+    folded, so its walk raises the parsed tree's :class:`DomainError`.  A
+    tree with a node, a variable index or a constant that the generated
+    code cannot read, which no parsed tree has, is left as it is, for the
+    walk.
     """
-    if _degree(expression) is None:
-        return expression
+    if _degree(expression) is not None:
+        try:
+            c, g, h = value_gradient_hessian(expression, np.zeros(n))
+        except DomainError:
+            pass
+        else:
+            h.flags.writeable = False
+            return Quadratic(c, g, h)
+    emitter = _Emitter()
     try:
-        c, g, h = value_gradient_hessian(expression, np.zeros(n))
-    except DomainError:
+        if not all(type(i) is int and i >= 0 for i in ast.variable_indices(expression)):
+            return expression
+        source = emitter.source(expression)
+    except (TypeError, ValueError):  # a node, an index or a constant that only the walk reads
         return expression
-    h.flags.writeable = False
-    return Quadratic(c, g, h)
+    return Generated(expression, _maker(source)(*emitter.constants))
 
 
 def _checked_walk(expression, leaves):
@@ -355,16 +705,25 @@ def _checked_walk(expression, leaves):
 
 
 def value_gradient_hessian(expression, x):
-    """(f, grad f, Hessian) in one walk of a raw or compiled tree.
+    """(f, grad f, Hessian) of a raw or compiled tree, from its generated code or one walk.
 
-    A raw tree takes a point with more entries than its variables and
-    answers with zero gradient entries and zero Hessian rows and columns
-    for the extra ones: a program may leave a declared variable out of an
-    objective that does not fold.
+    A raw or generated tree takes a point with more entries than its
+    variables and answers with zero gradient entries and zero Hessian rows
+    and columns for the extra ones: a program may leave a declared variable
+    out of an objective that does not fold.  Where the generated code
+    leaves the point to the walk, or raises first, the tree is walked.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(expression, Quadratic):
         return _quadratic(expression, x)
+    if isinstance(expression, Generated):
+        try:
+            result = expression.function(x.tolist())
+        except (ArithmeticError, LookupError, TypeError, ValueError):
+            result = None
+        if result is not None:
+            return result
+        expression = expression.tree
     leaves = [(v, {i: 1.0}, {}) for i, v in enumerate(x.tolist())]
     value, grad_entries, hess_entries = _checked_walk(expression, leaves)
     # zeros are finite, so the entries alone decide; checked before the fill
@@ -386,6 +745,8 @@ def evaluate(expression, x) -> float:
     x = np.asarray(x, dtype=float)
     if isinstance(expression, Quadratic):
         return _quadratic(expression, x)[0]
+    if isinstance(expression, Generated):
+        expression = expression.tree
     return _checked_walk(expression, [(v, {}, {}) for v in x.tolist()])[0]
 
 

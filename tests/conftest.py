@@ -21,6 +21,7 @@ from qp_family import quadratic_tree
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 PERFBENCH_DIR = PROBLEM_DIR.parent / "perfbench"
+TOOLS_DIR = PROBLEM_DIR.parent / "tools"
 
 # Draws per benchmark generator in no_start_runs.
 SWEEP_SIZE = 40
@@ -70,14 +71,15 @@ bound x1 -1 1
 """
 
 
-def perfbench_module(name: str):
-    """A module of the benchmark, loaded read-only from its file as ``perfbench_<name>``.
+def perfbench_module(name: str, folder: Path = PERFBENCH_DIR):
+    """A module of the benchmark, loaded read-only from its file as ``<folder>_<name>``.
 
-    Only modules that import nothing else from ``perfbench/`` load this way.
+    Only modules that import nothing else from ``perfbench/`` load this way;
+    ``folder`` may name ``tools/`` too, whose scripts load the same way.
     """
-    key = f"perfbench_{name}"
+    key = f"{folder.name}_{name}"
     if key not in sys.modules:
-        spec = importlib.util.spec_from_file_location(key, PERFBENCH_DIR / f"{name}.py")
+        spec = importlib.util.spec_from_file_location(key, folder / f"{name}.py")
         sys.modules[key] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[key])
     return sys.modules[key]

@@ -14,6 +14,8 @@ from arcipm import (
     ConvexProgram,
     DomainError,
     SolverStatus,
+    balanced_start,
+    default_start,
     evaluate,
     fold_bounds,
     gradient,
@@ -22,9 +24,10 @@ from arcipm import (
     solve,
     value_gradient_hessian,
 )
+from arcipm import autodiff
 from arcipm import expr as ast
-from arcipm.autodiff import Quadratic, _walk, compile_objective
-from conftest import load_problem, perfbench_module, quadratic_tree
+from arcipm.autodiff import Generated, Quadratic, _walk, compile_objective
+from conftest import TOOLS_DIR, load_problem, perfbench_module, quadratic_tree, run_recorded
 from oracles import dense_value_gradient_hessian
 
 X12 = ["x1", "x2"]
@@ -334,7 +337,8 @@ def test_only_whole_polynomial_trees_fold():
         assert np.array_equal(got, want)
     for text in ["log(x1) + x1*x2", "x1*x2*x3", "(x1*x2)^2 + x3", "x1 / x2", "x1 ^ 3", "x1 ^ 0", "exp(x1 + x2)"]:
         tree = parse_expression(text, names)
-        assert compile_objective(tree, 3) is tree
+        generated = compile_objective(tree, 3)
+        assert isinstance(generated, Generated) and generated.tree is tree
 
 
 @pytest.mark.parametrize("text", ["x1 / 1e400", "1e400 ^ 0 * x1"])
@@ -532,3 +536,152 @@ def test_folded_seeded_quadratics_keep_their_bytes():
         folded = compile_objective(build(q), n)
         digest.update(np.float64(folded.constant).tobytes() + folded.linear.tobytes() + folded.hessian.tobytes())
     assert digest.hexdigest() == "9d8cd9e39c079188c5b58980f4181b26602218d83f0e91333aa5c46628d9ecf7"
+
+
+def outcome(tree, x):
+    """value_gradient_hessian(tree, x) as bytes, signs of zeros included, or the type and message it raises."""
+    try:
+        value, grad, hess = value_gradient_hessian(tree, x)
+    except ValueError as err:  # DomainError is one
+        return type(err), str(err)
+    assert type(value) is float
+    return np.float64(value).tobytes(), grad.tobytes(), hess.tobytes()
+
+
+def generated_result(generated, x):
+    """What the generated code itself answers at x; None where it leaves the point to the walk."""
+    try:
+        return generated.function(np.asarray(x, dtype=float).tolist())
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        return None
+
+
+@pytest.fixture(scope="module")
+def entropy_runs():
+    """``tools/run_digest.py``'s entropy programs at n = 4, 8, 16 and 32, from x0 = 1 by both starts."""
+    entropy_program = perfbench_module("run_digest", TOOLS_DIR).entropy_program
+    runs = []
+    for seed, n in enumerate((4, 8, 16, 32)):
+        program = entropy_program(np.random.default_rng(seed), n)
+        for start in (default_start, balanced_start):
+            runs.append((program, run_recorded(program, start(program, np.ones(n)))))
+    return runs
+
+
+def test_generated_code_gives_the_walks_bits_along_the_runs(fixture_runs, entropy_runs):
+    """Along ex1–ex8 and the entropy runs the generated code answers with the
+    walk's bytes, and both equal the dense walk up to the sign of a zero.
+
+    It leaves a point to the walk only where the walk leaves the path it was
+    written for: an entropy term at x_i = 1, where log x_i is exactly 0.
+    """
+    answered = 0
+    for program, run in [*fixture_runs.values(), *entropy_runs]:
+        generated = program.compiled_objective
+        assert isinstance(generated, Generated)
+        for iterate in run.iterates:
+            x = iterate.x
+            result = generated_result(generated, x)
+            want = outcome(program.objective, x)
+            if result is None:
+                assert program.n >= 4 and 1.0 in x.tolist()
+            else:
+                answered += 1
+                value, grad, hess = result
+                assert (np.float64(value).tobytes(), grad.tobytes(), hess.tobytes()) == want
+            assert outcome(generated, x) == want
+            assert_equals_dense_walk(program.objective, x)
+    assert answered > 700
+
+
+# (tree, point): each DomainError and ValueError of the tests above, through
+# a tree that does not fold, and a point longer than the tree's variables
+PARITY_CASES = [
+    ("log(x1)", [-1.0]),
+    ("log(x1)", [0.0]),
+    ("log(x1 + x2)", [1.0, -1.0]),
+    ("1 / x1", [0.0]),
+    ("x1 / (2 - 2)", [1.0]),
+    ("x1 ^ -1", [0.0]),
+    ("x1 ^ 0.5", [-2.0]),
+    ("x1 * x2 * x2", [1e200, 1e200]),
+    ("(x1 * x2) ^ 0", [1e200, 1e200]),
+    ("x1 * (1e200 * 1e200) * 0", [1.0]),
+    ("x1 / x2", [1e200, 1e-200]),
+    ("x1 ^ 3", [1e200]),
+    ("x1 ^ 0.5", [1e-300]),
+    ("log(x1)", [1e-300]),
+    ("log(x1) + x2", [1e-170, 1.0]),
+    ("exp(x1)", [1000.0]),
+    ("exp(x1) + 1e999", [1.0]),
+    ("x1 - 1e999 + 1e999 + log(x1)", [1.0]),
+    (ast.Pow(ast.Var(0, "x1"), math.inf), [0.5]),
+    ("1 / x1", [1e-150]),
+    ("log(x1) + x2", [2.0]),
+    ("log(x1) + x2", [-1.0]),
+    ("-log(x1) + x2", [2.0, 3.0, 5.0]),
+]
+
+
+@pytest.mark.parametrize(("tree", "x"), PARITY_CASES, ids=[f"{tree} at {x}" for tree, x in PARITY_CASES])
+def test_generated_code_raises_the_walks_errors(tree, x):
+    tree = parse_expression(tree, X12) if isinstance(tree, str) else tree
+    generated = compile_objective(tree, 2)
+    assert isinstance(generated, Generated)
+    want = outcome(tree, x)
+    assert outcome(generated, x) == want
+    # the generated code answers only where the walk does, and then as it does
+    assert (generated_result(generated, x) is None) == isinstance(want[0], type)
+
+
+def test_generated_source_holds_no_user_text(monkeypatch):
+    names = ['__import__("os").system("exit 3")', "x\n    return 0  # '''"]
+    x1, x2 = ast.Var(0, names[0]), ast.Var(1, names[1])
+    # the Div is a term of the sum, so its code is a function of its own
+    tree = ast.Add(ast.Mul(ast.Const(2.718), ast.Log(x1)), ast.Div(ast.Pow(x2, 3.25), ast.Sub(x1, ast.Const(-0.0))))
+    sources = []
+    maker = autodiff._maker
+    monkeypatch.setattr(autodiff, "_maker", lambda source: sources.append(source) or maker(source))
+    generated = compile_objective(tree, 2)
+    assert len(sources) == 2
+    # no name and no constant reaches a source; the exponent does, as its repr
+    for source in sources:
+        for text in (*names, "2.718", "-0.0", "system"):
+            assert text not in source
+    assert "** 3.25" in sources[0]
+    for x in ([2.0, 0.5], [0.5, -3.0], [1e-3, 7.0]):
+        result = generated_result(generated, x)
+        assert result is not None or x[1] < 0.0
+        assert outcome(generated, x) == outcome(tree, x)
+
+
+def test_alike_terms_share_one_term_function(monkeypatch):
+    """The n terms c_i x_i log x_i of an entropy sum are written once, and
+    compiled once for every n; the tree's body calls that function n - 1 times."""
+    entropy_program = perfbench_module("run_digest", TOOLS_DIR).entropy_program
+    sources = []
+    maker = autodiff._maker
+    monkeypatch.setattr(autodiff, "_maker", lambda source: sources.append(source) or maker(source))
+    for n in (4, 32):
+        compile_objective(entropy_program(np.random.default_rng(n), n).objective, n)
+    term_sources = [source for source in sources if "def function(xs)" not in source]
+    assert len(sources) == 4 and len(term_sources) == 2 and len(set(term_sources)) == 1
+    assert len(re.findall(r"= c\d+\(x\d+, \)", sources[-1])) == 31
+
+
+# points with signed zeros and negative entries, where the walk drops an
+# entry for a zero scale factor or raises
+SIGNED_POINTS = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]), min_size=3, max_size=3).map(np.array)
+
+
+@given(st.tuples(TREES, POINTS | SIGNED_POINTS) | st.tuples(TREES6, POINTS6))
+@example((parse_expression("x1*x2 + exp(x3/8) - -(x1 + 2) - -log(2 + x2)", ["x1", "x2", "x3"]), np.array([0.0, -0.0, 2.0])))
+@example((parse_expression("(x1*x2)^3 / (2 + x3) - x1^0.5", ["x1", "x2", "x3"]), np.array([0.0, 1.5, 2.0])))
+# terms alike but for an exponent or a constant, each with its own code
+@example((parse_expression("x1 + x1^3 + x2^0.5 - x3^-1 + 2*x1^3 + 3*x2^3", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0])))
+@settings(max_examples=500, deadline=None)
+def test_generated_code_gives_the_walks_bits_on_random_trees(case):
+    tree, x = case
+    compiled = compile_objective(tree, x.size)
+    if isinstance(compiled, Generated):
+        assert outcome(compiled, x) == outcome(tree, x)

@@ -235,7 +235,7 @@ def test_sum_deeper_than_the_recursion_limit_prints_hashes_and_compares():
         assert twin is not tree and twin == tree and hash(twin) == hash(tree)
         assert parse_expression("x2" + text[2:], X12) != tree
         assert variable_indices(tree) == {0, 1}
-        assert compile_objective(tree, 2) is tree
+        assert compile_objective(tree, 2).tree is tree
         v, g, h = value_gradient_hessian(tree, [1.0, 1.0])
         assert v == 1.0 and g.tolist() == [a, b]
         assert h.tolist() == [[a * (a - 1), a * b], [a * b, b * (b - 1)]]

@@ -1,7 +1,8 @@
 """Every module-level import of the package, the tests and the tools is used by its module,
 every module-level definition of the package and every method of its classes is read
 outside itself, the package multiplies with ndarray.dot, not with @, outside the one
-product that keeps it, and the iteration's modules call no np.all, np.any or np.full
+product that keeps it, it calls compile, exec and eval only where autodiff compiles
+its generated source, and the iteration's modules call no np.all, np.any or np.full
 outside the start builders."""
 
 import ast
@@ -229,6 +230,44 @@ def test_package_products_go_through_ndarray_dot(path):
         "use ndarray.dot, not @: on the solver's operands of a few dozen entries the same "
         "BLAS call costs about half as much through .dot, whose dispatch is shorter; a product "
         "whose switch to .dot moves a digest keeps @, with a reason beside it and in KEPT_MATMULS"
+    )
+
+
+# The package's calls of the builtins that run source text, by file and enclosing
+# definition: autodiff's _maker compiles the source an _Emitter writes, which
+# holds only variable indices, counters and float reprs, once per source text.
+CODE_BUILTINS = ("compile", "exec", "eval")
+KEPT_CODE_CALLS = {"autodiff.py": ["_maker: exec", "_maker: compile"]}
+
+
+def code_call_sites(text: str) -> list[str]:
+    """``definition: name`` for each call of a :data:`CODE_BUILTINS` builtin in ``text``; ``re.compile`` is no such call."""
+    return scoped_sites(
+        text,
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in CODE_BUILTINS,
+        lambda node, where: f"{where}: {node.func.id}",
+    )
+
+
+def test_guard_lists_each_code_call_in_its_definition():
+    text = (
+        "PATTERN = re.compile('x')\n"
+        "def make(source):\n"
+        "    exec(compile(source, '<s>', 'exec'), {})\n"
+        "    return eval(source)\n"
+    )
+    assert code_call_sites(text) == ["make: exec", "make: compile", "make: eval"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "arcipm").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_package_runs_source_text_only_at_the_emitters_site(path):
+    assert code_call_sites(path.read_text()) == KEPT_CODE_CALLS.get(path.name, []), (
+        "compile, exec and eval run only the source that autodiff's emitter writes from a tree's "
+        "structure, at _maker; any other call could run text that came from a user"
     )
 
 
