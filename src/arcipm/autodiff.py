@@ -670,8 +670,8 @@ def compile_objective(expression: ast.Expr, n: int):
     whose walk at 0 raises, its coefficients' overflow included, is not
     folded, so its walk raises the parsed tree's :class:`DomainError`.  A
     tree with a node, a variable index or a constant that the generated
-    code cannot read, which no parsed tree has, is left as it is, for the
-    walk.
+    code cannot read, which no parsed tree has, or nested too deep for the
+    emitter, is left as it is, for the walk.
     """
     if _degree(expression) is not None:
         try:
@@ -686,7 +686,9 @@ def compile_objective(expression: ast.Expr, n: int):
         if not all(type(i) is int and i >= 0 for i in ast.variable_indices(expression)):
             return expression
         source = emitter.source(expression)
-    except (TypeError, ValueError):  # a node, an index or a constant that only the walk reads
+    # a node, an index or a constant that only the walk reads, or a nesting
+    # the emitter, at two frames a level to the walk's one, cannot follow
+    except (TypeError, ValueError, RecursionError):
         return expression
     return Generated(expression, _maker(source)(*emitter.constants))
 

@@ -655,6 +655,18 @@ def test_generated_source_holds_no_user_text(monkeypatch):
         assert outcome(generated, x) == outcome(tree, x)
 
 
+def test_a_tree_too_deep_to_generate_is_walked():
+    # the emitter takes two frames per nested operand where the walk takes one
+    depth = 2 * sys.getrecursionlimit() // 3
+    x1 = ast.Var(0, "x1")
+    tree = x1
+    for _ in range(depth):
+        tree = ast.Mul(x1, tree)
+    assert compile_objective(tree, 1) is tree
+    value, grad, hess = value_gradient_hessian(tree, [1.0])
+    assert (value, grad[0], hess[0, 0]) == (1.0, depth + 1, depth * (depth + 1))
+
+
 def test_alike_terms_share_one_term_function(monkeypatch):
     """The n terms c_i x_i log x_i of an entropy sum are written once, and
     compiled once for every n; the tree's body calls that function n - 1 times."""
