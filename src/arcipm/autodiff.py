@@ -65,14 +65,12 @@ entries the walk stores depends on the point only through exact zeros
 and errors, so the code is written for points where no scale factor is
 exactly 0 and the walk raises nothing, and it tests that after its last
 line: it returns the walk's bits, or None, and the walk takes that
-point and gives its own result or error.  Each operand of a + or - link
-that is a subtree, a term, becomes a call of a function written for its
-shape, so the n alike terms of a separable sum are written and compiled
-once, and the tree's own code is a line or two per term.  :func:`_maker`
-compiles each source text once, in a bounded cache.  The tree's
-constants are arguments, so programs of one shape share the code; only
-variable indices, counters and the ``repr`` of a float reach the source,
-never text a user wrote.  :func:`evaluate` walks the tree.
+point and gives its own result or error.  The whole tree is one function
+body, each operand written in place.  :func:`_maker` compiles each source
+text once, in a bounded cache.  The tree's constants are arguments, so
+programs of one shape share the code; only variable indices, counters and
+the ``repr`` of a float reach the source, never text a user wrote.
+:func:`evaluate` walks the tree.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
 ``OverflowError`` on range overflow instead of returning inf; it becomes a
@@ -308,31 +306,8 @@ def _tuple(names) -> str:
     return f"({''.join(f'{name}, ' for name in names)})"
 
 
-def _shape(node, rank, constants) -> tuple:
-    """A key for what the emitter writes for node: its nodes, its exponents and its variables by rank.
-
-    node's constants are appended to ``constants`` in the order in which
-    the walk reads them, the order of a term body's ``make`` arguments.
-    """
-    match type(node):
-        case ast.Var:
-            return rank[node.index]
-        case ast.Const:
-            constants.append(float(node.value))
-            return ast.Const
-        case ast.Add | ast.Sub | ast.Mul | ast.Div:
-            bottom, links = node.links()
-            first = _shape(bottom, rank, constants)
-            return first, *((kind, _shape(right, rank, constants)) for kind, right in links)
-        case ast.Pow:
-            return ast.Pow, _shape(node.base, rank, constants), node.exponent
-        case ast.Neg | ast.Log | ast.Exp:
-            return type(node), _shape(node.child, rank, constants)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 class _Emitter:
-    """The walk of a tree, or of one of its terms, written as the body of a function.
+    """The walk of a tree written as the body of one function.
 
     It walks the tree as :func:`_walk` does, with the same map helpers in
     the same order, but each value and map entry is the name of a local
@@ -351,7 +326,7 @@ class _Emitter:
     walk forms from it are literals, as the walk's arithmetic forms them.
     """
 
-    def __init__(self, rank=None):
+    def __init__(self):
         self.lines = []
         self.constants = []
         # what must hold for the walk to stay on this code's path, each kept
@@ -359,22 +334,12 @@ class _Emitter:
         self.required = {}
         self.finite = []
         self.locals = 0
-        # a term's body numbers its variables by rank: index -> number; the
-        # tree's body (rank None) calls a function per term, one per shape
-        self.rank = rank
-        self.terms = {}
 
     def new(self, expression: str) -> str:
         name = f"t{self.locals}"
         self.locals += 1
         self.lines.append(f"{name} = {expression}")
         return name
-
-    def unpack(self, expression: str, count: int) -> list:
-        names = [f"t{self.locals + k}" for k in range(count)]
-        self.locals += count
-        self.lines.append(f"{', '.join(names)} = {expression}")
-        return names
 
     def require(self, condition: str):
         self.required[condition] = None
@@ -469,49 +434,10 @@ class _Emitter:
         """The walk's triple of node: a Var or Const read, any other node walked."""
         operand = type(node)
         if operand is ast.Var:
-            index = node.index if self.rank is None else self.rank[node.index]
-            return f"x{index}", {index: 1.0}, {}
+            return f"x{node.index}", {node.index: 1.0}, {}
         if operand is ast.Const:
             return self.constant(float(node.value)), {}, {}
         return self.walk(node)
-
-    def term(self, node):
-        """The triple of a + or - operand of the tree's body; a subtree is a call of a term function.
-
-        A term's body numbers its variables by rank and takes its constants
-        as arguments of ``make``, so alike terms share one source text, one
-        compile() and, within the tree, one emission: the first of a shape
-        is written out, and the rest are keyed by :func:`_shape`.  The call
-        returns the value, the entries that are not folded floats and
-        whether its conditions hold, which becomes one of this body's.
-        """
-        if type(node) is ast.Var or type(node) is ast.Const:
-            return self.operand(node)
-        indices = sorted(ast.variable_indices(node))
-        rank = {index: number for number, index in enumerate(indices)}
-        constants = []
-        key = _shape(node, rank, constants)
-        if key not in self.terms:
-            body = _Emitter(rank)
-            value, grad, hess = body.walk(node)
-            returned = [value, *(x for x in (*grad.values(), *hess.values()) if type(x) is str)]
-            parameters = ", ".join(f"x{k}" for k in range(len(indices)))
-            result = f"{''.join(f'{x}, ' for x in returned)}{body.holds(value, grad, hess)}"
-            self.terms[key] = _maker(body.make(parameters, body.lines, result)), returned, grad, hess
-        make, returned, grad, hess = self.terms[key]
-        call = f"{self.constant(make(*constants))}({''.join(f'x{k}, ' for k in indices)})"
-        names = self.unpack(call, len(returned) + 1)
-        self.require(names[-1])
-        local = dict(zip(returned, names))
-
-        def mapped(x):
-            return local[x] if type(x) is str else x
-
-        return (
-            names[0],
-            {indices[i]: mapped(x) for i, x in grad.items()},
-            {(indices[i], indices[j]): mapped(x) for (i, j), x in hess.items()},
-        )
 
     def walk(self, node):
         match type(node):
@@ -523,8 +449,7 @@ class _Emitter:
                 if links[0][0] is not ast.Mul:
                     g, h = dict(g), dict(h)
                 for kind, right in links:
-                    outlined = self.rank is None and (kind is ast.Add or kind is ast.Sub)
-                    vb, gb, hb = self.term(right) if outlined else self.operand(right)
+                    vb, gb, hb = self.operand(right)
                     if kind is ast.Add:
                         v, g, h = self.op(v, "+", vb), self.add(g, gb), self.add(h, hb)
                     elif kind is ast.Sub:
@@ -575,16 +500,14 @@ class _Emitter:
         terms = [value, *self.finite, *(x for x in (*grad.values(), *hess.values()) if type(x) is str)]
         return f"isfinite(sum({_tuple(terms)})) and all({_tuple(self.required)})"
 
-    def make(self, parameters: str, lines, result: str) -> str:
-        """``make(c0, c1, ...)``, which returns the function of ``parameters`` that runs lines, then returns result."""
-        constants = ", ".join(f"c{k}" for k in range(len(self.constants)))
-        body = "".join(f"        {line}\n" for line in [*lines, f"return {result}"])
-        return f"def make({constants}):\n    def function({parameters}):\n{body}    return function\n"
-
     def source(self, tree) -> str:
-        """The tree's ``make``: its function takes the point as a list xs and returns (f, grad, Hessian) or None."""
+        """The tree's ``make(c0, c1, ...)``, which returns its function of the point as a list xs.
+
+        That function returns (f, grad, Hessian), or None where the walk
+        leaves this body's path.
+        """
         value, grad, hess = self.walk(tree)
-        return self.make("xs", [
+        lines = [
             *(f"x{i} = xs[{i}]" for i in sorted(ast.variable_indices(tree))),
             *self.lines,
             f"if not ({self.holds(value, grad, hess)}): return",
@@ -593,7 +516,11 @@ class _Emitter:
             "hess = zeros((len(xs), len(xs)))",
             *(f"hess[{i}, {j}] = hess[{j}, {i}] = {_source(x)}" if i != j else f"hess[{i}, {i}] = {_source(x)}"
               for (i, j), x in hess.items()),
-        ], f"{value}, grad, hess")
+            f"return {value}, grad, hess",
+        ]
+        constants = ", ".join(f"c{k}" for k in range(len(self.constants)))
+        body = "".join(f"        {line}\n" for line in lines)
+        return f"def make({constants}):\n    def function(xs):\n{body}    return function\n"
 
 
 @functools.lru_cache(maxsize=64)

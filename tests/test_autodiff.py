@@ -637,17 +637,16 @@ def test_generated_code_raises_the_walks_errors(tree, x):
 def test_generated_source_holds_no_user_text(monkeypatch):
     names = ['__import__("os").system("exit 3")', "x\n    return 0  # '''"]
     x1, x2 = ast.Var(0, names[0]), ast.Var(1, names[1])
-    # the Div is a term of the sum, so its code is a function of its own
     tree = ast.Add(ast.Mul(ast.Const(2.718), ast.Log(x1)), ast.Div(ast.Pow(x2, 3.25), ast.Sub(x1, ast.Const(-0.0))))
     sources = []
     maker = autodiff._maker
     monkeypatch.setattr(autodiff, "_maker", lambda source: sources.append(source) or maker(source))
     generated = compile_objective(tree, 2)
-    assert len(sources) == 2
-    # no name and no constant reaches a source; the exponent does, as its repr
-    for source in sources:
-        for text in (*names, "2.718", "-0.0", "system"):
-            assert text not in source
+    # one source for the whole tree
+    assert len(sources) == 1
+    # no name and no constant reaches it; the exponent does, as its repr
+    for text in (*names, "2.718", "-0.0", "system"):
+        assert text not in sources[0]
     assert "** 3.25" in sources[0]
     for x in ([2.0, 0.5], [0.5, -3.0], [1e-3, 7.0]):
         result = generated_result(generated, x)
@@ -667,18 +666,35 @@ def test_a_tree_too_deep_to_generate_is_walked():
     assert (value, grad[0], hess[0, 0]) == (1.0, depth + 1, depth * (depth + 1))
 
 
-def test_alike_terms_share_one_term_function(monkeypatch):
-    """The n terms c_i x_i log x_i of an entropy sum are written once, and
-    compiled once for every n; the tree's body calls that function n - 1 times."""
+def test_trees_of_one_shape_share_one_compiled_body(monkeypatch):
+    """Two entropy sums alike but for their constants hand ``_maker`` one
+    source, which is compiled once, and each answers with its own constants' bits."""
     entropy_program = perfbench_module("run_digest", TOOLS_DIR).entropy_program
-    sources = []
+    sources, compiled = [], []
     maker = autodiff._maker
+    maker.cache_clear()
     monkeypatch.setattr(autodiff, "_maker", lambda source: sources.append(source) or maker(source))
-    for n in (4, 32):
-        compile_objective(entropy_program(np.random.default_rng(n), n).objective, n)
-    term_sources = [source for source in sources if "def function(xs)" not in source]
-    assert len(sources) == 4 and len(term_sources) == 2 and len(set(term_sources)) == 1
-    assert len(re.findall(r"= c\d+\(x\d+, \)", sources[-1])) == 31
+    monkeypatch.setattr(autodiff, "compile", lambda *args: compiled.append(args) or compile(*args), raising=False)
+    trees = [entropy_program(np.random.default_rng(seed), 8).objective for seed in (1, 2)]
+    generated = [compile_objective(tree, 8) for tree in trees]
+    assert len(sources) == 2 and sources[0] == sources[1] and len(compiled) == 1
+    x = np.linspace(0.5, 2.5, 8)
+    results = [generated_result(g, x) for g in generated]
+    for tree, (value, grad, hess) in zip(trees, results):
+        assert (np.float64(value).tobytes(), grad.tobytes(), hess.tobytes()) == outcome(tree, x)
+    assert results[0][0] != results[1][0]
+
+
+def test_a_large_separable_sum_gives_the_walks_bits():
+    """The entropy sum at n = 128, one body of about 1300 lines, answers at
+    in-domain points itself, with the walk's value, gradient and Hessian bytes."""
+    tree = perfbench_module("run_digest", TOOLS_DIR).entropy_program(np.random.default_rng(1), 128).objective
+    generated = compile_objective(tree, 128)
+    assert isinstance(generated, Generated)
+    rng = np.random.default_rng(128)
+    for x in (np.full(128, 0.5), rng.uniform(0.1, 5.0, 128), rng.uniform(0.1, 5.0, 128)):
+        value, grad, hess = generated_result(generated, x)
+        assert (np.float64(value).tobytes(), grad.tobytes(), hess.tobytes()) == outcome(tree, x)
 
 
 # points with signed zeros and negative entries, where the walk drops an
@@ -689,7 +705,7 @@ SIGNED_POINTS = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
 @given(st.tuples(TREES, POINTS | SIGNED_POINTS) | st.tuples(TREES6, POINTS6))
 @example((parse_expression("x1*x2 + exp(x3/8) - -(x1 + 2) - -log(2 + x2)", ["x1", "x2", "x3"]), np.array([0.0, -0.0, 2.0])))
 @example((parse_expression("(x1*x2)^3 / (2 + x3) - x1^0.5", ["x1", "x2", "x3"]), np.array([0.0, 1.5, 2.0])))
-# terms alike but for an exponent or a constant, each with its own code
+# terms alike but for an exponent or a constant, each written in place
 @example((parse_expression("x1 + x1^3 + x2^0.5 - x3^-1 + 2*x1^3 + 3*x2^3", ["x1", "x2", "x3"]), np.array([0.5, 1.5, 2.0])))
 @settings(max_examples=500, deadline=None)
 def test_generated_code_gives_the_walks_bits_on_random_trees(case):
