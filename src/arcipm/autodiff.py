@@ -57,19 +57,26 @@ product per call and the same read-only Hessian every time.  The public
 passes the compiled one and the test oracles the raw one.
 
 A tree that does not fold has its walk written out once as Python source
-(source transformation; ibid., ch. 6).  :class:`_Emitter` walks it as the
-walk does, with the same helpers in the same order, but a value or map
-entry is the name of a local, so the source forms each float the walk
+(source transformation; ibid., ch. 6), recorded by running the walk itself
+on values that overload the arithmetic (ibid., the same chapter):
+:class:`_Emitter` walks the tree with leaves whose values are
+:class:`_Local` names, and each float operation on a name writes one line
+of the body.  The walk's calls outside float arithmetic, a constant's
+read, the check of a product or quotient, ``log`` and ``exp``, go through
+one hook, :class:`_Floats` on floats, which the emitter replaces.  So each
+chain rule is stated once, and the source forms each float the walk
 forms, in its order, with no dispatch on node types and no maps.  Which
 entries the walk stores depends on the point only through exact zeros
 and errors, so the code is written for points where no scale factor is
-exactly 0 and the walk raises nothing, and it tests that after its last
-line: it returns the walk's bits, or None, and the walk takes that
-point and gives its own result or error.  The whole tree is one function
-body, each operand written in place.  :func:`_maker` compiles each source
-text once, in a bounded cache.  The tree's constants are arguments, so
-programs of one shape share the code; only variable indices, counters and
-the ``repr`` of a float reach the source, never text a user wrote.
+exactly 0 and the walk raises nothing: a name compared with 0 records
+that condition and answers as such a point would.  The code tests the
+conditions after its last line: it returns the walk's bits, or None, and
+the walk takes that point and gives its own result or error.  The whole
+tree is one function body, each operand written in place.
+:func:`_maker` compiles each source text once, in a bounded cache.  The
+tree's constants are arguments, so programs of one shape share the code;
+only variable indices, counters and the ``repr`` of a float, ``inf`` and
+``nan`` included, reach the source, never text a user wrote.
 :func:`evaluate` walks the tree.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
@@ -137,7 +144,7 @@ def _sub(a, b):
 
 def _scale(c: float, a) -> dict:
     """c * a as a new map; empty if the scalar c is exactly zero."""
-    if c == 0.0 or not a:
+    if not a or c == 0.0:
         return {}
     return {k: c * x for k, x in a.items()}
 
@@ -162,7 +169,7 @@ def _chain(f: float, g, h, df: float, d2f: float):
     u has the gradient g and the Hessian h.
     """
     curvature = {}
-    if d2f != 0.0:
+    if g and d2f != 0.0:
         pairs = list(g.items())
         for first, (i, x) in enumerate(pairs):
             for j, y in pairs[first:]:
@@ -179,7 +186,7 @@ def _pow(u, r: float):
     if r == 1.0:
         return u
     if r.is_integer():
-        if a == 0.0 and r < 0.0:
+        if r < 0.0 and a == 0.0:
             raise DomainError("zero raised to a negative power")
     elif a <= 0.0:
         raise DomainError("nonpositive base under a fractional power")
@@ -191,12 +198,25 @@ def _pow(u, r: float):
         raise DomainError("power overflows") from err
 
 
-def _walk(node, leaves):
+class _Floats:
+    """The walk's calls outside float arithmetic, over floats: reading a
+    constant, checking a product or quotient, ``log`` and ``exp``.
+
+    :class:`_Emitter` has the same four, over named locals.
+    """
+
+    constant = float
+    isfinite = math.isfinite
+    log = math.log
+    exp = math.exp
+
+
+def _walk(node, leaves, calls=_Floats):
     match type(node):
         case ast.Var:
             return leaves[node.index]
         case ast.Const:
-            return float(node.value), {}, {}
+            return calls.constant(node.value), {}, {}
         case ast.Add | ast.Sub | ast.Mul | ast.Div:
             # a chain of k links is parsed k deep on the left; walk its links
             # in a loop: the bottom first, then each link's right operand and
@@ -207,9 +227,9 @@ def _walk(node, leaves):
             if operand is ast.Var:
                 v, g, h = leaves[bottom.index]
             elif operand is ast.Const:
-                v, g, h = float(bottom.value), {}, {}
+                v, g, h = calls.constant(bottom.value), {}, {}
             else:
-                v, g, h = _walk(bottom, leaves)
+                v, g, h = _walk(bottom, leaves, calls)
             # + - and / write into the chain's maps, so they must be its own,
             # not the bottom's, which may be a leaf's; * makes new ones
             if links[0][0] is not ast.Mul:
@@ -219,16 +239,16 @@ def _walk(node, leaves):
                 if operand is ast.Var:
                     vb, gb, hb = leaves[right.index]
                 elif operand is ast.Const:
-                    vb, gb, hb = float(right.value), {}, {}
+                    vb, gb, hb = calls.constant(right.value), {}, {}
                 else:
-                    vb, gb, hb = _walk(right, leaves)
+                    vb, gb, hb = _walk(right, leaves, calls)
                 if kind is ast.Add:
                     v, g, h = v + vb, _add(g, gb), _add(h, hb)
                 elif kind is ast.Sub:
                     v, g, h = v - vb, _sub(g, gb), _sub(h, hb)
                 elif kind is ast.Mul:
                     product = v * vb
-                    if not math.isfinite(product):
+                    if not calls.isfinite(product):
                         raise DomainError("product overflows")
                     # the dense rule less its terms that are empty: a
                     # constant side scales the other, and two factors of
@@ -250,31 +270,31 @@ def _walk(node, leaves):
                     if vb == 0.0:
                         raise DomainError("division by zero")
                     q = v / vb
-                    if not math.isfinite(q):
+                    if not calls.isfinite(q):
                         raise DomainError("quotient overflows")
                     g = {k: x / vb for k, x in _sub(g, _scale(q, gb)).items()}
                     h = _sub(_sub(h, _scale(q, hb)), _cross(g, gb))
                     v, h = q, {k: x / vb for k, x in h.items()}
             return v, g, h
         case ast.Pow:
-            return _pow(_walk(node.base, leaves), node.exponent)
+            return _pow(_walk(node.base, leaves, calls), node.exponent)
         case ast.Neg:
-            v, g, h = _walk(node.child, leaves)
+            v, g, h = _walk(node.child, leaves, calls)
             return -v, _sub({}, g), _sub({}, h)
         case ast.Log:
-            a, g, h = _walk(node.child, leaves)
+            a, g, h = _walk(node.child, leaves, calls)
             if a <= 0.0:
                 raise DomainError("log of a nonpositive value")
             if not (g or h):
-                return math.log(a), {}, {}
+                return calls.log(a), {}, {}
             try:
-                return _chain(math.log(a), g, h, 1.0 / a, -(a**-2.0))
+                return _chain(calls.log(a), g, h, 1.0 / a, -(a**-2.0))
             except OverflowError as err:
                 raise DomainError("log overflows") from err
         case ast.Exp:
-            a, g, h = _walk(node.child, leaves)
+            a, g, h = _walk(node.child, leaves, calls)
             try:
-                e = math.exp(a)
+                e = calls.exp(a)
             except OverflowError as err:
                 raise DomainError("exp overflows") from err
             if not (g or h):
@@ -296,34 +316,92 @@ class Generated:
     function: object
 
 
-def _source(x) -> str:
-    """A local's name, or the repr of a folded float."""
-    return x if type(x) is str else repr(x)
+def _tuple(items) -> str:
+    """A tuple display of locals and floats, empty or not."""
+    return f"({''.join(f'{item}, ' for item in items)})"
 
 
-def _tuple(names) -> str:
-    """A tuple display of names, empty or not."""
-    return f"({''.join(f'{name}, ' for name in names)})"
+def _operator(symbol: str, reflected: bool = False):
+    """The :class:`_Local` method of ``symbol``: one line, its operands in the walk's order.
+
+    x * 1.0 and 1.0 * x are x, with no line.
+    """
+
+    def method(a, b):
+        if symbol == "*" and type(b) is float and b == 1.0:
+            return a
+        return a.emitter.new(f"{b} {symbol} {a}" if reflected else f"{a} {symbol} {b}")
+
+    return method
+
+
+class _Local:
+    """A float that the generated body computes, as the name of its local.
+
+    The walk runs on these as on floats: each + - * / ``**`` and negation
+    writes the line that computes its result.  The walk compares a value
+    with 0.0 only to find an exact zero, which drops an entry, or an
+    error.  Such a comparison requires that neither holds, and answers as
+    at a point where neither does.
+    """
+
+    __slots__ = ("emitter", "name")
+
+    def __init__(self, emitter, name: str):
+        self.emitter, self.name = emitter, name
+
+    def __str__(self) -> str:
+        return self.name
+
+    __add__, __radd__ = _operator("+"), _operator("+", True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", True)
+
+    def __neg__(self):
+        return self.emitter.new(f"-{self}")
+
+    def __pow__(self, r):
+        if type(r) is not float:
+            raise TypeError(f"exponent {r!r} is not a float")
+        return self.emitter.new(f"{self} ** {r}")
+
+    # a scale factor is required nonzero (a float is false if 0), a base
+    # under log or a fractional power positive
+    def __eq__(self, zero) -> bool:
+        self.emitter.require(self.name)
+        return False
+
+    def __ne__(self, zero) -> bool:
+        self.emitter.require(self.name)
+        return True
+
+    def __le__(self, zero) -> bool:
+        self.emitter.require(f"{self} > 0.0")
+        return False
 
 
 class _Emitter:
-    """The walk of a tree written as the body of one function.
+    """The walk of a tree written as the body of one function, by running the walk.
 
-    It walks the tree as :func:`_walk` does, with the same map helpers in
-    the same order, but each value and map entry is the name of a local
-    that the body computes: every float the walk forms is one line, in the
-    walk's order of operations.  An entry that a leaf's derivative 1.0
-    makes known is folded as the walk's float arithmetic forms it, and
-    x * 1.0 is x.  Which entries are present then follows from the tree
-    alone, so long as no scalar factor is exactly zero and the walk raises
-    nothing.  Each condition for that is kept in :attr:`required`, and a
-    product or quotient the walk checks is added to the finiteness sum
-    with the value and the entries; the body tests them all after its
-    last line (:meth:`holds`), and the walk takes a point where one
-    fails.  An operation a failed condition would have stopped may raise
-    first; the caller hands the point to the walk then too.  The tree's
-    constants are arguments of ``make``; an exponent and the floats the
-    walk forms from it are literals, as the walk's arithmetic forms them.
+    :meth:`source` runs :func:`_walk` on leaves (x_i, {i: 1.0}, {}) whose
+    values x_i are :class:`_Local` names, and passes itself as the walk's
+    hook: a constant is an argument c_k of ``make``, and ``log`` and ``exp``
+    write a line.  Every float the walk forms from a name is then one line,
+    in the walk's order of operations.  The floats that no point changes,
+    a leaf's derivative 1.0 and what the walk forms from it or from an
+    exponent, stay floats, and x * 1.0 is x.  Which entries are present
+    then follows from the tree alone, so long as no scale factor is
+    exactly zero and the walk raises nothing.  Each condition for that is
+    kept in :attr:`required`, and each product or quotient the walk checks
+    goes into the finiteness sum with the value and every entry, a float
+    included; the body tests them all after its last line (:meth:`holds`),
+    and the walk takes a point where one fails.  An operation a failed
+    condition would have stopped may raise first; the caller hands the
+    point to the walk then too.  A :class:`DomainError` that the walk
+    raises here, such as an exponent that is not finite, depends on no
+    point, so the walk raises it, or an error it meets first, at every
+    point: that body hands every point to the walk.
     """
 
     def __init__(self):
@@ -335,169 +413,35 @@ class _Emitter:
         self.finite = []
         self.locals = 0
 
-    def new(self, expression: str) -> str:
+    def new(self, expression: str) -> _Local:
         name = f"t{self.locals}"
         self.locals += 1
         self.lines.append(f"{name} = {expression}")
-        return name
+        return _Local(self, name)
 
     def require(self, condition: str):
         self.required[condition] = None
 
-    def constant(self, value: float) -> str:
-        self.constants.append(value)
-        return f"c{len(self.constants) - 1}"
+    def constant(self, value) -> _Local:
+        self.constants.append(float(value))
+        return _Local(self, f"c{len(self.constants) - 1}")
 
-    def zero(self, c) -> bool:
-        """The walk's ``c == 0.0``: known for a folded float, else required false (a float is false if 0)."""
-        if type(c) is float:
-            return c == 0.0
-        self.require(c)
-        return False
+    def isfinite(self, x) -> bool:
+        self.finite.append(x)
+        return True
 
-    def op(self, a, symbol: str, b):
-        if type(a) is float and type(b) is float:
-            folded = a + b if symbol == "+" else a - b if symbol == "-" else a * b
-            if math.isfinite(folded):
-                return folded
-        elif symbol == "*" and (a == 1.0 or b == 1.0):
-            return b if a == 1.0 else a
-        return self.new(f"{_source(a)} {symbol} {_source(b)}")
+    def log(self, a) -> _Local:
+        return self.new(f"log({a})")
 
-    def neg(self, a):
-        return -a if type(a) is float else self.new(f"-{a}")
-
-    def add(self, a, b):
-        if not a:
-            a.update(b)
-            return a
-        for k, x in b.items():
-            a[k] = self.op(a[k], "+", x) if k in a else x
-        return a
-
-    def sub(self, a, b):
-        for k, x in b.items():
-            a[k] = self.op(a[k], "-", x) if k in a else self.neg(x)
-        return a
-
-    def scale(self, c, a) -> dict:
-        if not a or self.zero(c):
-            return {}
-        return {k: self.op(c, "*", x) for k, x in a.items()}
-
-    def cross(self, a, b) -> dict:
-        out = {}
-        for i, x in a.items():
-            for j, y in b.items():
-                c = self.op(x, "*", y)
-                if i == j:
-                    out[i, i] = self.op(c, "+", c)
-                else:
-                    key = (i, j) if i < j else (j, i)
-                    out[key] = self.op(out[key], "+", c) if key in out else c
-        return out
-
-    def chain(self, f: str, g, h, derivatives):
-        """(f(u), grad, Hessian) as :func:`_chain` forms them; ``derivatives()`` writes (f', f'')."""
-        if not (g or h):
-            return f, {}, {}
-        df, d2f = derivatives()
-        curvature = {}
-        if g and not self.zero(d2f):
-            pairs = list(g.items())
-            for first, (i, x) in enumerate(pairs):
-                for j, y in pairs[first:]:
-                    curvature[(i, j) if i <= j else (j, i)] = self.op(d2f, "*", self.op(x, "*", y))
-        return f, self.scale(df, g), self.add(self.scale(df, h), curvature)
-
-    def pow(self, u, r: float):
-        a, g, h = u
-        if type(r) is not float:
-            raise TypeError(f"exponent {r!r} is not a float")
-        if not math.isfinite(r):
-            self.require("False")
-            return u
-        if r == 0.0:
-            return self.new("1.0"), {}, {}
-        if r == 1.0:
-            return u
-        if not r.is_integer():
-            self.require(f"{a} > 0.0")
-        elif r < 0.0:
-            self.zero(a)
-        # the floats the walk forms from r, as literals
-        c = [repr(k) for k in (r, r - 1.0, r * (r - 1.0), r - 2.0)]
-        return self.chain(self.new(f"{a} ** {c[0]}"), g, h, lambda: (
-            self.new(f"{c[0]} * {a} ** {c[1]}"), self.new(f"{c[2]} * {a} ** {c[3]}")))
-
-    def operand(self, node):
-        """The walk's triple of node: a Var or Const read, any other node walked."""
-        operand = type(node)
-        if operand is ast.Var:
-            return f"x{node.index}", {node.index: 1.0}, {}
-        if operand is ast.Const:
-            return self.constant(float(node.value)), {}, {}
-        return self.walk(node)
-
-    def walk(self, node):
-        match type(node):
-            case ast.Var | ast.Const:
-                return self.operand(node)
-            case ast.Add | ast.Sub | ast.Mul | ast.Div:
-                bottom, links = node.links()
-                v, g, h = self.operand(bottom)
-                if links[0][0] is not ast.Mul:
-                    g, h = dict(g), dict(h)
-                for kind, right in links:
-                    vb, gb, hb = self.operand(right)
-                    if kind is ast.Add:
-                        v, g, h = self.op(v, "+", vb), self.add(g, gb), self.add(h, hb)
-                    elif kind is ast.Sub:
-                        v, g, h = self.op(v, "-", vb), self.sub(g, gb), self.sub(h, hb)
-                    elif kind is ast.Mul:
-                        product = self.new(f"{v} * {vb}")
-                        self.finite.append(product)
-                        # two factors of value 0 are tested by the scale of each side
-                        if not (gb or hb):
-                            g, h = self.scale(vb, g), self.scale(vb, h)
-                        elif not (g or h):
-                            g, h = self.scale(v, gb), self.scale(v, hb)
-                        else:
-                            g, h = (
-                                self.add(self.scale(vb, g), self.scale(v, gb)),
-                                self.add(self.add(self.scale(vb, h), self.scale(v, hb)), self.cross(g, gb)),
-                            )
-                        v = product
-                    else:
-                        self.zero(vb)
-                        q = self.new(f"{v} / {vb}")
-                        self.finite.append(q)
-                        g = {k: self.op(x, "/", vb) for k, x in self.sub(g, self.scale(q, gb)).items()}
-                        h = self.sub(self.sub(h, self.scale(q, hb)), self.cross(g, gb))
-                        v, h = q, {k: self.op(x, "/", vb) for k, x in h.items()}
-                return v, g, h
-            case ast.Pow:
-                return self.pow(self.walk(node.base), node.exponent)
-            case ast.Neg:
-                v, g, h = self.walk(node.child)
-                return self.neg(v), self.sub({}, g), self.sub({}, h)
-            case ast.Log:
-                a, g, h = self.walk(node.child)
-                self.require(f"{a} > 0.0")
-                return self.chain(self.new(f"log({a})"), g, h, lambda: (
-                    self.new(f"1.0 / {a}"), self.new(f"-({a} ** -2.0)")))
-            case ast.Exp:
-                a, g, h = self.walk(node.child)
-                e = self.new(f"exp({a})")
-                return self.chain(e, g, h, lambda: (e, e))
-        raise TypeError(f"not an expression node: {node!r}")
+    def exp(self, a) -> _Local:
+        return self.new(f"exp({a})")
 
     def holds(self, value, grad, hess) -> str:
         """Whether the walk stays on this body's path, as an expression over its locals."""
         # a sum is finite if each term is; if it overflows alone, the walk
         # takes the point and finds each finite.  Tuples, not one ``or`` per
         # condition: compile() took 1.6x as long with those at n = 256.
-        terms = [value, *self.finite, *(x for x in (*grad.values(), *hess.values()) if type(x) is str)]
+        terms = [value, *self.finite, *grad.values(), *hess.values()]
         return f"isfinite(sum({_tuple(terms)})) and all({_tuple(self.required)})"
 
     def source(self, tree) -> str:
@@ -506,18 +450,25 @@ class _Emitter:
         That function returns (f, grad, Hessian), or None where the walk
         leaves this body's path.
         """
-        value, grad, hess = self.walk(tree)
-        lines = [
-            *(f"x{i} = xs[{i}]" for i in sorted(ast.variable_indices(tree))),
-            *self.lines,
-            f"if not ({self.holds(value, grad, hess)}): return",
-            "grad = zeros(len(xs))",
-            *(f"grad[{i}] = {_source(x)}" for i, x in grad.items()),
-            "hess = zeros((len(xs), len(xs)))",
-            *(f"hess[{i}, {j}] = hess[{j}, {i}] = {_source(x)}" if i != j else f"hess[{i}, {i}] = {_source(x)}"
-              for (i, j), x in hess.items()),
-            f"return {value}, grad, hess",
-        ]
+        indices = sorted(ast.variable_indices(tree))
+        # one leaf per variable, read at its every occurrence, as in the walk
+        leaves = {i: (_Local(self, f"x{i}"), {i: 1.0}, {}) for i in indices}
+        try:
+            value, grad, hess = _walk(tree, leaves, self)
+        except DomainError:
+            lines = ["return"]
+        else:
+            lines = [
+                *(f"x{i} = xs[{i}]" for i in indices),
+                *self.lines,
+                f"if not ({self.holds(value, grad, hess)}): return",
+                "grad = zeros(len(xs))",
+                *(f"grad[{i}] = {x}" for i, x in grad.items()),
+                "hess = zeros((len(xs), len(xs)))",
+                *(f"hess[{i}, {j}] = hess[{j}, {i}] = {x}" if i != j else f"hess[{i}, {i}] = {x}"
+                  for (i, j), x in hess.items()),
+                f"return {value}, grad, hess",
+            ]
         constants = ", ".join(f"c{k}" for k in range(len(self.constants)))
         body = "".join(f"        {line}\n" for line in lines)
         return f"def make({constants}):\n    def function(xs):\n{body}    return function\n"
@@ -526,7 +477,8 @@ class _Emitter:
 @functools.lru_cache(maxsize=64)
 def _maker(source: str):
     """The ``make`` that an :class:`_Emitter` source defines, compiled once per source text."""
-    namespace = {"isfinite": math.isfinite, "log": math.log, "exp": math.exp, "zeros": np.zeros}
+    namespace = {"isfinite": math.isfinite, "log": math.log, "exp": math.exp, "zeros": np.zeros,
+                 "inf": math.inf, "nan": math.nan}
     exec(compile(source, "<generated objective>", "exec"), namespace)
     return namespace["make"]
 
@@ -596,9 +548,9 @@ def compile_objective(expression: ast.Expr, n: int):
     ``value_gradient_hessian`` as a parsed tree over n variables.  A tree
     whose walk at 0 raises, its coefficients' overflow included, is not
     folded, so its walk raises the parsed tree's :class:`DomainError`.  A
-    tree with a node, a variable index or a constant that the generated
-    code cannot read, which no parsed tree has, or nested too deep for the
-    emitter, is left as it is, for the walk.
+    tree with a node, a variable index, a constant or an exponent that the
+    generated code cannot read, which no parsed tree has, or nested too
+    deep for the emitter, is left as it is, for the walk.
     """
     if _degree(expression) is not None:
         try:
@@ -613,9 +565,9 @@ def compile_objective(expression: ast.Expr, n: int):
         if not all(type(i) is int and i >= 0 for i in ast.variable_indices(expression)):
             return expression
         source = emitter.source(expression)
-    # a node, an index or a constant that only the walk reads, or a nesting
-    # the emitter, at two frames a level to the walk's one, cannot follow
-    except (TypeError, ValueError, RecursionError):
+    # a node, an index, a constant or an exponent that only the walk reads,
+    # or a nesting the walk follows but emission, a few frames deeper, cannot
+    except (AttributeError, TypeError, ValueError, RecursionError):
         return expression
     return Generated(expression, _maker(source)(*emitter.constants))
 

@@ -246,11 +246,18 @@ SHARED = parse_expression("x1*x2 + x1", X12)
     ],
     ids=["x1 + x1 + x1*x1", "3 + x1 - x1 + x2/x1", "Add(x1, x1)", "Add(t, t)", "t*t - (t + t^1)"],
 )
-def test_walk_writes_into_no_leaf_or_child_map(tree):
+def test_walk_writes_into_no_leaf_or_child_map(tree, monkeypatch):
     # a sum accumulates into maps it owns: a write into a leaf's or a
     # child's map would show in a later read of that leaf or subtree
     for x in ([1.5, 0.5], [1.5, 0.5], [0.25, 2.0]):
         assert_equals_dense_walk(tree, x)
+    # emission runs the walk on one leaf per variable too; a write into one
+    # would leave a name or another entry in its maps
+    walk, leaves = autodiff._walk, []
+    monkeypatch.setattr(autodiff, "_walk", lambda node, read, calls: leaves.append(read) or walk(node, read, calls))
+    autodiff._Emitter().source(tree)
+    assert all(read is leaves[0] for read in leaves)
+    assert leaves[0] and all(maps == [{i: 1.0}, {}] for i, (_, *maps) in leaves[0].items())
 
 
 def test_constant_exponents_whose_derivatives_alone_overflow():
@@ -620,6 +627,10 @@ PARITY_CASES = [
     ("log(x1) + x2", [2.0]),
     ("log(x1) + x2", [-1.0]),
     ("-log(x1) + x2", [2.0, 3.0, 5.0]),
+    # f'' = r (r - 1) x1^(r - 2), whose folded r (r - 1) is inf
+    ("x1 ^ 1e200", [1.0]),
+    ("x1 ^ 1e200", [0.5]),
+    ("x1 ^ 1e200", [1.5]),
 ]
 
 
@@ -654,16 +665,55 @@ def test_generated_source_holds_no_user_text(monkeypatch):
         assert outcome(generated, x) == outcome(tree, x)
 
 
-def test_a_tree_too_deep_to_generate_is_walked():
-    # the emitter takes two frames per nested operand where the walk takes one
+def test_a_tree_nested_two_thirds_of_the_recursion_limit_is_generated():
+    # emission runs the walk, one frame per nested operand, as the walk does
     depth = 2 * sys.getrecursionlimit() // 3
     x1 = ast.Var(0, "x1")
     tree = x1
     for _ in range(depth):
         tree = ast.Mul(x1, tree)
-    assert compile_objective(tree, 1) is tree
-    value, grad, hess = value_gradient_hessian(tree, [1.0])
+    generated = compile_objective(tree, 1)
+    assert isinstance(generated, Generated)
+    value, grad, hess = generated_result(generated, [1.0])
     assert (value, grad[0], hess[0, 0]) == (1.0, depth + 1, depth * (depth + 1))
+    assert (np.float64(value).tobytes(), grad.tobytes(), hess.tobytes()) == outcome(tree, [1.0])
+
+
+def test_a_tree_nested_past_the_recursion_limit_is_left_to_the_walk():
+    # neither emission nor the walk follows it; compiling hands it over whole
+    tree = ast.Var(0, "x1")
+    for _ in range(sys.getrecursionlimit() + 50):
+        tree = ast.Log(tree)
+    assert compile_objective(tree, 1) is tree
+    with pytest.raises(RecursionError):
+        value_gradient_hessian(tree, [2.0])
+
+
+def raised(function, *args):
+    """The type and message of what ``function(*args)`` raises, or None."""
+    try:
+        function(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        ast.Pow(ast.Var(0, "x1"), 3),
+        ast.Add(ast.Log(ast.Var(0, "x1")), object()),
+        ast.Log(ast.Var(1.0, "x2")),
+    ],
+    ids=["int exponent", "operand that is no node", "float variable index"],
+)
+def test_a_hand_built_tree_the_code_cannot_read_is_left_to_the_walk(tree):
+    # no parsed tree has these; the walk at a point raises what it raises
+    assert compile_objective(tree, 2) is tree
+    walked = raised(_walk, tree, [(2.0, {0: 1.0}, {}), (3.0, {1: 1.0}, {})])
+    assert raised(value_gradient_hessian, tree, [2.0, 3.0]) == walked
+    # an int has no is_integer before Python 3.12
+    assert walked is not None or sys.version_info >= (3, 12)
 
 
 def test_trees_of_one_shape_share_one_compiled_body(monkeypatch):

@@ -178,6 +178,16 @@ def test_start_whose_hessian_overflows_exits_one(tmp_path, capsys):
     assert err == "error: gradient or Hessian is not finite\n"
 
 
+def test_start_where_a_huge_exponents_hessian_is_not_finite_exits_one(tmp_path, capsys):
+    # f'' of x1^r is r (r - 1) x1^(r - 2), and r (r - 1) is inf at r = 1e200
+    problem = tmp_path / "huge_exponent.prob"
+    problem.write_text("vars x1\nmin x1 ^ 1e200\nbound x1 0 1\nstart 0.5\n")
+    code, out, err = run_cli(capsys, str(problem))
+    assert code == 1
+    assert out == ""
+    assert err == "error: gradient or Hessian is not finite\n"
+
+
 def test_trace_to_an_unwritable_path_exits_one(tmp_path, capsys):
     trace_path = tmp_path / "missing" / "t.csv"
     code, out, err = run_cli(capsys, str(PROBLEM_DIR / "ex1.prob"), "--trace", str(trace_path))
