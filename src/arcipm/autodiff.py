@@ -144,6 +144,8 @@ def _sub(a, b):
 
 def _scale(c: float, a) -> dict:
     """c * a as a new map; empty if the scalar c is exactly zero."""
+    # c is tested last: on a name the test is a condition of the generated
+    # code, which holds only where there is an entry to scale
     if not a or c == 0.0:
         return {}
     return {k: c * x for k, x in a.items()}
@@ -169,6 +171,7 @@ def _chain(f: float, g, h, df: float, d2f: float):
     u has the gradient g and the Hessian h.
     """
     curvature = {}
+    # d2f is tested last, as c in _scale
     if g and d2f != 0.0:
         pairs = list(g.items())
         for first, (i, x) in enumerate(pairs):
@@ -186,6 +189,7 @@ def _pow(u, r: float):
     if r == 1.0:
         return u
     if r.is_integer():
+        # a is tested last, as c in _scale
         if r < 0.0 and a == 0.0:
             raise DomainError("zero raised to a negative power")
     elif a <= 0.0:
