@@ -43,8 +43,10 @@ an exact zero may differ, as 0 + (-0) is +0, and an entry that has
 overflowed to inf no longer turns an absent entry, or a zero scalar
 factor, into the NaN of inf * 0.
 
-:func:`compile_objective` runs once per program: a degree test, then one
-walk at x = 0.  A tree of degree <= 2 is c + g'x + 1/2 x'Hx, and its
+:func:`compile_objective` runs once per program: one structural pass
+(:func:`expr.structure`) gives the tree's degree and its variable
+indices, then a tree of degree <= 2 is walked once, at x = 0.  Such a
+tree is c + g'x + 1/2 x'Hx, and its
 (value, gradient, Hessian) at 0 are exactly (c, g, H), a constant
 Hessian (ibid., ch. 7); it becomes one :class:`Quadratic` node, and any
 other tree a :class:`Generated` one.  At x = 0 every product of two variables
@@ -366,8 +368,6 @@ class _Local:
         return self.emitter.new(f"-{self}")
 
     def __pow__(self, r):
-        if type(r) is not float:
-            raise TypeError(f"exponent {r!r} is not a float")
         return self.emitter.new(f"{self} ** {r}")
 
     # a scale factor is required nonzero (a float is false if 0), a base
@@ -448,13 +448,13 @@ class _Emitter:
         terms = [value, *self.finite, *grad.values(), *hess.values()]
         return f"isfinite(sum({_tuple(terms)})) and all({_tuple(self.required)})"
 
-    def source(self, tree) -> str:
+    def source(self, tree, indices) -> str:
         """The tree's ``make(c0, c1, ...)``, which returns its function of the point as a list xs.
 
+        ``indices`` are the tree's variable indices, in increasing order.
         That function returns (f, grad, Hessian), or None where the walk
         leaves this body's path.
         """
-        indices = sorted(ast.variable_indices(tree))
         # one leaf per variable, read at its every occurrence, as in the walk
         leaves = {i: (_Local(self, f"x{i}"), {i: 1.0}, {}) for i in indices}
         try:
@@ -501,62 +501,24 @@ def _quadratic(node: Quadratic, x):
     return v, grad, h
 
 
-def _degree(node: ast.Expr) -> int | None:
-    """The tree's polynomial degree if it is at most 2, else None.
-
-    ``^ 1`` keeps the base's degree, ``^ 2`` applies over a base of degree
-    <= 1 and ``^ 0`` over a constant base only; a divisor must be constant.
-    """
-    match type(node):
-        case ast.Var:
-            return 1
-        case ast.Const:
-            return 0
-        case ast.Add | ast.Sub | ast.Mul | ast.Div:
-            # over the links in a loop, a Var or Const operand read in it, as in _walk
-            bottom, links = node.links()
-            operand = type(bottom)
-            degree = 1 if operand is ast.Var else 0 if operand is ast.Const else _degree(bottom)
-            for kind, right in links:
-                if degree is None:
-                    return None
-                operand = type(right)
-                d = 1 if operand is ast.Var else 0 if operand is ast.Const else _degree(right)
-                if d is None:
-                    return None
-                if kind is ast.Mul:
-                    degree = degree + d if degree + d <= 2 else None
-                elif kind is ast.Div:
-                    degree = degree if d == 0 else None
-                else:
-                    degree = max(degree, d)
-            return degree
-        case ast.Neg:
-            return _degree(node.child)
-        case ast.Pow:
-            d, r = _degree(node.base), node.exponent
-            if r == 1.0:
-                return d
-            if r == 2.0 and d is not None and d <= 1:
-                return 2 * d
-            if r == 0.0 and d == 0:
-                return 0
-    return None
-
-
 def compile_objective(expression: ast.Expr, n: int):
     """A tree of degree <= 2 as one :class:`Quadratic`; any other tree as a :class:`Generated`.
 
-    Such a tree's (f, grad f, Hessian) at x = 0 are exactly its (c, g, H),
-    so one walk there folds it.  The result goes to the same
-    ``value_gradient_hessian`` as a parsed tree over n variables.  A tree
-    whose walk at 0 raises, its coefficients' overflow included, is not
-    folded, so its walk raises the parsed tree's :class:`DomainError`.  A
-    tree with a node, a variable index, a constant or an exponent that the
-    generated code cannot read, which no parsed tree has, or nested too
-    deep for the emitter, is left as it is, for the walk.
+    One structural pass (:func:`expr.structure`) gives the degree and the
+    variable indices.  Such a tree's (f, grad f, Hessian) at x = 0 are
+    exactly its (c, g, H), so one walk there folds it.  The result goes to
+    the same ``value_gradient_hessian`` as a parsed tree over n variables.
+    A tree whose walk at 0 raises, its coefficients' overflow included, is
+    not folded, so its walk raises the parsed tree's :class:`DomainError`.
+    A tree with a node, a variable index or a constant that the generated
+    code cannot read, which no parsed tree has, or nested too deep for the
+    structural pass or the emitter, is left as it is, for the walk.
     """
-    if _degree(expression) is not None:
+    try:
+        indices, degree = ast.structure(expression)
+    except (TypeError, RecursionError):
+        return expression
+    if degree is not None:
         try:
             c, g, h = value_gradient_hessian(expression, np.zeros(n))
         except DomainError:
@@ -564,14 +526,14 @@ def compile_objective(expression: ast.Expr, n: int):
         else:
             h.flags.writeable = False
             return Quadratic(c, g, h)
+    if not all(type(i) is int and i >= 0 for i in indices):
+        return expression
     emitter = _Emitter()
     try:
-        if not all(type(i) is int and i >= 0 for i in ast.variable_indices(expression)):
-            return expression
-        source = emitter.source(expression)
-    # a node, an index, a constant or an exponent that only the walk reads,
-    # or a nesting the walk follows but emission, a few frames deeper, cannot
-    except (AttributeError, TypeError, ValueError, RecursionError):
+        source = emitter.source(expression, sorted(indices))
+    # a constant that only the walk reads, or a nesting the walk follows but
+    # emission, a few frames deeper, cannot
+    except (TypeError, ValueError, RecursionError):
         return expression
     return Generated(expression, _maker(source)(*emitter.constants))
 

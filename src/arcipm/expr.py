@@ -7,7 +7,14 @@ and ``a*b/c`` left-deep, so a chain of the four operators is as deep as it
 has links; every walker reads it through :meth:`_Chain.links` in a loop, not
 by recursion.  The tree is immutable, so a chain node builds that view once,
 on the first call, and keeps it.  Exponents of ``^`` must be constant
-subexpressions; the autodiff walk folds them to a finite float at parse time.
+subexpressions; the autodiff walk folds them to a finite float at parse time,
+and a hand-built :class:`Pow` converts its exponent to a float.
+
+One structural pass, :func:`structure`, reads a tree's variable indices
+and its polynomial degree up to 2 together.  The parser's exponent check
+and a program's index check read the indices; compiling an objective
+reads both, the degree to decide whether the tree folds to
+c + g'x + 1/2 x'Hx, the indices for the code it generates otherwise.
 """
 
 from __future__ import annotations
@@ -110,6 +117,10 @@ class Pow(Expr):
     base: Expr
     exponent: float
 
+    def __post_init__(self):
+        # a float for every reader: an int has no is_integer before Python 3.12
+        object.__setattr__(self, "exponent", float(self.exponent))
+
 
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
@@ -128,6 +139,7 @@ class Exp(Expr):
 
 RESERVED = ("log", "exp")
 _BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_CHAINS = frozenset(_BINARY.values())
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -207,7 +219,7 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.unary()
-            if variable_indices(exponent):
+            if structure(exponent)[0]:
                 raise ParseError("power exponent must be a constant", pos)
             from .autodiff import DomainError, evaluate  # autodiff imports this module
 
@@ -261,23 +273,55 @@ def parse_expression(text: str, variables: list[str]) -> Expr:
         raise ParseError("expression nests too deeply", parser.peek()[2]) from None
 
 
-def variable_indices(node: Expr) -> set[int]:
-    """All variable indices referenced by the tree."""
-    match node:
-        case Var(index=i):
-            return {i}
-        case Const():
-            return set()
-        case Neg(child=c) | Log(child=c) | Exp(child=c):
-            return variable_indices(c)
-        case Pow(base=b):
-            return variable_indices(b)
-        case Add() | Sub() | Mul() | Div():
-            bottom, links = node.links()
-            indices = variable_indices(bottom)
-            for _, right in links:
-                indices |= variable_indices(right)
-            return indices
+def structure(node: Expr) -> tuple[set, int | None]:
+    """The tree's variable indices, and its polynomial degree if it is at most 2, else None.
+
+    One walk answers both.  ``^ 1`` keeps the base's degree, ``^ 2``
+    applies over a base of degree <= 1 and ``^ 0`` over a constant base
+    only; a divisor must be constant, and ``log`` and ``exp`` have no
+    degree.  A non-node anywhere in the tree is a ``TypeError``.
+    """
+    indices = set()
+    degree = _degree(node, indices)
+    return indices, degree if degree <= 2 else None
+
+
+def _degree(node: Expr, indices: set) -> float:
+    """The tree's degree by :func:`structure`'s rules, inf where they give none; adds its variable indices to ``indices``.
+
+    No rule takes a degree above 2 back down, so any number above 2 stands
+    for a tree that :func:`structure` calls None.
+    """
+    kind = type(node)
+    if kind in _CHAINS:
+        # over the links in a loop, a Var or Const operand read in it, not
+        # by a call, as in the autodiff walk
+        bottom, links = node.links()
+        degree = _degree(bottom, indices)
+        for link, operand in links:
+            if type(operand) is Var:
+                indices.add(operand.index)
+                d = 1
+            else:
+                d = 0 if type(operand) is Const else _degree(operand, indices)
+            if link is Mul:
+                degree += d
+            elif link is Div:
+                degree = degree if d == 0 else math.inf
+            elif d > degree:
+                degree = d
+        return degree
+    if kind is Var:
+        indices.add(node.index)
+        return 1
+    if kind is Const:
+        return 0
+    if kind is Pow:
+        d, r = _degree(node.base, indices), node.exponent
+        return d if r == 1.0 else 2 * d if r == 2.0 else 0 if r == 0.0 and d == 0 else math.inf
+    if kind is Neg or kind is Log or kind is Exp:
+        d = _degree(node.child, indices)
+        return d if kind is Neg else math.inf
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -323,7 +367,7 @@ def _render(node: Expr) -> str:
         case Neg(child=c):
             return f"-{_wrap(c, _PREC[Neg])}"
         case Pow(base=b, exponent=r):
-            return f"{_wrap(b, _PREC_ATOM)}^{repr(float(r))}"
+            return f"{_wrap(b, _PREC_ATOM)}^{r!r}"
         case Log(child=c):
             return f"log({_render(c)})"
         case Exp(child=c):

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .autodiff import compile_objective
-from .expr import Expr, variable_indices
+from .expr import Expr, structure
 
 
 def _rows(a, n: int) -> np.ndarray:
@@ -53,7 +53,7 @@ class ConvexProgram:
         for name in ("a_eq", "b_eq", "a_ineq", "b_ineq"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has an entry that is not finite")
-        indices = variable_indices(self.objective)
+        indices, _ = structure(self.objective)
         if indices and (min(indices) < 0 or max(indices) >= n):
             raise ValueError("objective references a variable outside the declared list")
         if m > 0:

@@ -7,6 +7,9 @@ scan walks a dense grid instead of inverting sinusoids, the full
 Newton matrix keeps every block that the solver eliminates, and the dense
 derivative walk carries every zero block that the solver's walk leaves
 out, so a shared bug between implementation and check is impossible.
+The one structural pass over a tree, :func:`arcipm.expr.structure`, is
+checked against the two readers it replaced, :func:`variable_indices`
+and :func:`polynomial_degree`, kept as they were.
 The step layer's and the curvature check's shortcuts, which skip work
 whose result no branch reads, are checked against the same code with
 that work left in: :func:`every_step_alpha_limits`,
@@ -346,6 +349,70 @@ def dense_value_gradient_hessian(expression: ast.Expr, x) -> tuple:
     if not math.isfinite(value):
         raise DomainError(f"expression value {value} is not finite")
     return value, grad, hess
+
+
+def variable_indices(node: ast.Expr) -> set[int]:
+    """All variable indices referenced by the tree, by class patterns: one of
+    the two readers that :func:`arcipm.expr.structure` replaced, as it was."""
+    match node:
+        case ast.Var(index=i):
+            return {i}
+        case ast.Const():
+            return set()
+        case ast.Neg(child=c) | ast.Log(child=c) | ast.Exp(child=c):
+            return variable_indices(c)
+        case ast.Pow(base=b):
+            return variable_indices(b)
+        case ast.Add() | ast.Sub() | ast.Mul() | ast.Div():
+            bottom, links = node.links()
+            indices = variable_indices(bottom)
+            for _, right in links:
+                indices |= variable_indices(right)
+            return indices
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def polynomial_degree(node: ast.Expr) -> int | None:
+    """The tree's polynomial degree if it is at most 2, else None: the other
+    reader that :func:`arcipm.expr.structure` replaced, as it was.
+
+    ``^ 1`` keeps the base's degree, ``^ 2`` applies over a base of degree
+    <= 1 and ``^ 0`` over a constant base only; a divisor must be constant.
+    """
+    match type(node):
+        case ast.Var:
+            return 1
+        case ast.Const:
+            return 0
+        case ast.Add | ast.Sub | ast.Mul | ast.Div:
+            bottom, links = node.links()
+            operand = type(bottom)
+            degree = 1 if operand is ast.Var else 0 if operand is ast.Const else polynomial_degree(bottom)
+            for kind, right in links:
+                if degree is None:
+                    return None
+                operand = type(right)
+                d = 1 if operand is ast.Var else 0 if operand is ast.Const else polynomial_degree(right)
+                if d is None:
+                    return None
+                if kind is ast.Mul:
+                    degree = degree + d if degree + d <= 2 else None
+                elif kind is ast.Div:
+                    degree = degree if d == 0 else None
+                else:
+                    degree = max(degree, d)
+            return degree
+        case ast.Neg:
+            return polynomial_degree(node.child)
+        case ast.Pow:
+            d, r = polynomial_degree(node.base), node.exponent
+            if r == 1.0:
+                return d
+            if r == 2.0 and d is not None and d <= 1:
+                return 2 * d
+            if r == 0.0 and d == 0:
+                return 0
+    return None
 
 
 def every_step_alpha_limits(current, rate, p_coef, q_coef, floor):

@@ -28,7 +28,8 @@ from arcipm import autodiff
 from arcipm import expr as ast
 from arcipm.autodiff import Generated, Quadratic, _walk, compile_objective
 from conftest import TOOLS_DIR, load_problem, perfbench_module, quadratic_tree, run_recorded
-from oracles import dense_value_gradient_hessian
+from oracles import dense_value_gradient_hessian, polynomial_degree, variable_indices
+from qp_family import qp_family
 
 X12 = ["x1", "x2"]
 
@@ -255,7 +256,7 @@ def test_walk_writes_into_no_leaf_or_child_map(tree, monkeypatch):
     # would leave a name or another entry in its maps
     walk, leaves = autodiff._walk, []
     monkeypatch.setattr(autodiff, "_walk", lambda node, read, calls: leaves.append(read) or walk(node, read, calls))
-    autodiff._Emitter().source(tree)
+    autodiff._Emitter().source(tree, sorted(ast.structure(tree)[0]))
     assert all(read is leaves[0] for read in leaves)
     assert leaves[0] and all(maps == [{i: 1.0}, {}] for i, (_, *maps) in leaves[0].items())
 
@@ -447,6 +448,32 @@ TREES, POINTS = _trees_and_points(3)
 # over six variables most nodes touch only some of the point's variables, so
 # sums and products often merge an entry that only one side holds
 TREES6, POINTS6 = _trees_and_points(6)
+
+
+@given(TREES | TREES6)
+@example(parse_expression("x1^0 + (2*3)^0 + (x1 + 1)^1 * x2 + (x1/2)^2 - x3/(1 + 1)", ["x1", "x2", "x3"]))
+@example(parse_expression("x1 / x2 + (x1*x2)^2 + log(x3) + exp(x1)", ["x1", "x2", "x3"]))
+@settings(max_examples=300, deadline=None)
+def test_structure_reads_a_tree_as_the_two_readers_it_replaced(tree):
+    assert ast.structure(tree) == (variable_indices(tree), polynomial_degree(tree))
+
+
+def test_structure_reads_the_workload_trees_as_the_two_readers_it_replaced():
+    """ex1–ex8 and the trees of the benchmark's, the digests' and the tests' generators."""
+    instances = perfbench_module("instances")
+    entropy_program = perfbench_module("run_digest", TOOLS_DIR).entropy_program
+    rng = np.random.default_rng(51)
+    trees = [load_problem(f"ex{k}")[0].objective for k in range(1, 9)]
+    trees += [instances.boxqp_dense(rng, n).program.objective for n in range(2, 11)]
+    trees += [instances.many_rows(rng).program.objective for _ in range(4)]
+    trees += [draw.program.objective for draw in qp_family(40)]
+    trees += [entropy_program(rng, n).objective for n in (1, 8, 32)]
+    degrees = set()
+    for tree in trees:
+        indices, degree = ast.structure(tree)
+        assert (indices, degree) == (variable_indices(tree), polynomial_degree(tree))
+        degrees.add(degree)
+    assert degrees == {None, 2}
 
 
 @given(TREES, POINTS)
@@ -698,22 +725,46 @@ def raised(function, *args):
     return None
 
 
+NO_NODE = object()
+
+
 @pytest.mark.parametrize(
-    "tree",
+    "tree, text",
     [
-        ast.Pow(ast.Var(0, "x1"), 3),
-        ast.Add(ast.Log(ast.Var(0, "x1")), object()),
-        ast.Log(ast.Var(1.0, "x2")),
+        (ast.Add(ast.Log(ast.Var(0, "x1")), NO_NODE), None),
+        (ast.Log(ast.Var(1.0, "x2")), "log(x2)"),
     ],
-    ids=["int exponent", "operand that is no node", "float variable index"],
+    ids=["operand that is no node", "float variable index"],
 )
-def test_a_hand_built_tree_the_code_cannot_read_is_left_to_the_walk(tree):
+def test_a_hand_built_tree_the_code_cannot_read_is_left_to_the_walk(tree, text):
     # no parsed tree has these; the walk at a point raises what it raises
     assert compile_objective(tree, 2) is tree
     walked = raised(_walk, tree, [(2.0, {0: 1.0}, {}), (3.0, {1: 1.0}, {})])
+    assert walked is not None
     assert raised(value_gradient_hessian, tree, [2.0, 3.0]) == walked
-    # an int has no is_integer before Python 3.12
-    assert walked is not None or sys.version_info >= (3, 12)
+    # the structural pass and the printer read every node too: a non-node
+    # is the walk's TypeError in each
+    if text is None:
+        assert walked == (TypeError, f"not an expression node: {NO_NODE!r}")
+        assert raised(ast.structure, tree) == raised(str, tree) == walked
+    else:
+        assert ast.structure(tree) == ({1.0}, None) and str(tree) == text
+
+
+@pytest.mark.parametrize("exponent", [2, 3, np.int64(2)])
+def test_an_int_exponent_solves_as_its_float(exponent):
+    """A hand-built ``^`` with an int exponent is the same program as with its
+    float: x1^2 folds, x1^3 is generated code, and both end at x1 = 0.5."""
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), [], [0.5], [1.0])
+    reports = [
+        solve(ConvexProgram(1, ast.Pow(ast.Var(0, "x1"), r), [], [], a_ineq, b_ineq))
+        for r in (exponent, float(exponent))
+    ]
+    for report in reports:
+        assert report.status is SolverStatus.CONVERGED
+        assert report.x == pytest.approx([0.5], abs=1e-6)
+    assert reports[0].x.tobytes() == reports[1].x.tobytes()
+    assert reports[0].iterations == reports[1].iterations
 
 
 def test_trees_of_one_shape_share_one_compiled_body(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from arcipm import ConvexProgram, evaluate, fold_bounds, parse_expression
 from arcipm.autodiff import DomainError, compile_objective, value_gradient_hessian
-from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var, variable_indices
+from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var, structure
 from conftest import quadratic_tree
 
 X12 = ["x1", "x2"]
@@ -234,7 +234,7 @@ def test_sum_deeper_than_the_recursion_limit_prints_hashes_and_compares():
         twin = parse_expression(text, X12)
         assert twin is not tree and twin == tree and hash(twin) == hash(tree)
         assert parse_expression("x2" + text[2:], X12) != tree
-        assert variable_indices(tree) == {0, 1}
+        assert structure(tree) == ({0, 1}, None)
         assert compile_objective(tree, 2).tree is tree
         v, g, h = value_gradient_hessian(tree, [1.0, 1.0])
         assert v == 1.0 and g.tolist() == [a, b]
