@@ -751,7 +751,7 @@ def test_a_hand_built_tree_the_code_cannot_read_is_left_to_the_walk(tree, text):
         assert ast.structure(tree) == ({1.0}, None) and str(tree) == text
 
 
-@pytest.mark.parametrize("exponent", [2, 3, np.int64(2)])
+@pytest.mark.parametrize("exponent", [2, 3, np.int64(2)], ids=["int-2", "int-3", "int64-2"])
 def test_an_int_exponent_solves_as_its_float(exponent):
     """A hand-built ``^`` with an int exponent is the same program as with its
     float: x1^2 folds, x1^3 is generated code, and both end at x1 = 0.5."""
