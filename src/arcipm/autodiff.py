@@ -110,8 +110,9 @@ class DomainError(ValueError):
 
     Raised for a log of a nonpositive value, a division by zero, a zero
     base under a negative power, a negative base under a fractional power,
-    a non-finite exponent, value, gradient or Hessian, and range overflow;
-    never a silent NaN.
+    a non-finite value, gradient or Hessian, and range overflow; never a
+    silent NaN.  A non-finite exponent cannot reach the walk:
+    :class:`expr.Pow` rejects it when the node is built.
     """
 
 
@@ -184,8 +185,6 @@ def _chain(f: float, g, h, df: float, d2f: float):
 
 def _pow(u, r: float):
     a, g, h = u
-    if not math.isfinite(r):
-        raise DomainError("power exponent is not finite")
     if r == 0.0:
         return 1.0, {}, {}
     if r == 1.0:
@@ -403,9 +402,10 @@ class _Emitter:
     and the walk takes a point where one fails.  An operation a failed
     condition would have stopped may raise first; the caller hands the
     point to the walk then too.  A :class:`DomainError` that the walk
-    raises here, such as an exponent that is not finite, depends on no
-    point, so the walk raises it, or an error it meets first, at every
-    point: that body hands every point to the walk.
+    raises here depends on no point, as in ``log(x1^0 - x2^0)``: the walk
+    raises it, or an error it meets first, at every point, so it passes
+    out of :meth:`source` and :func:`compile_objective` leaves the tree to
+    the walk.
     """
 
     def __init__(self):
@@ -453,26 +453,23 @@ class _Emitter:
 
         ``indices`` are the tree's variable indices, in increasing order.
         That function returns (f, grad, Hessian), or None where the walk
-        leaves this body's path.
+        leaves this body's path.  A walk that raises here raises at every
+        point, and its error passes out.
         """
         # one leaf per variable, read at its every occurrence, as in the walk
         leaves = {i: (_Local(self, f"x{i}"), {i: 1.0}, {}) for i in indices}
-        try:
-            value, grad, hess = _walk(tree, leaves, self)
-        except DomainError:
-            lines = ["return"]
-        else:
-            lines = [
-                *(f"x{i} = xs[{i}]" for i in indices),
-                *self.lines,
-                f"if not ({self.holds(value, grad, hess)}): return",
-                "grad = zeros(len(xs))",
-                *(f"grad[{i}] = {x}" for i, x in grad.items()),
-                "hess = zeros((len(xs), len(xs)))",
-                *(f"hess[{i}, {j}] = hess[{j}, {i}] = {x}" if i != j else f"hess[{i}, {i}] = {x}"
-                  for (i, j), x in hess.items()),
-                f"return {value}, grad, hess",
-            ]
+        value, grad, hess = _walk(tree, leaves, self)
+        lines = [
+            *(f"x{i} = xs[{i}]" for i in indices),
+            *self.lines,
+            f"if not ({self.holds(value, grad, hess)}): return",
+            "grad = zeros(len(xs))",
+            *(f"grad[{i}] = {x}" for i, x in grad.items()),
+            "hess = zeros((len(xs), len(xs)))",
+            *(f"hess[{i}, {j}] = hess[{j}, {i}] = {x}" if i != j else f"hess[{i}, {i}] = {x}"
+              for (i, j), x in hess.items()),
+            f"return {value}, grad, hess",
+        ]
         constants = ", ".join(f"c{k}" for k in range(len(self.constants)))
         body = "".join(f"        {line}\n" for line in lines)
         return f"def make({constants}):\n    def function(xs):\n{body}    return function\n"
@@ -510,9 +507,12 @@ def compile_objective(expression: ast.Expr, n: int):
     the same ``value_gradient_hessian`` as a parsed tree over n variables.
     A tree whose walk at 0 raises, its coefficients' overflow included, is
     not folded, so its walk raises the parsed tree's :class:`DomainError`.
-    A tree with a node, a variable index or a constant that the generated
-    code cannot read, which no parsed tree has, or nested too deep for the
-    structural pass or the emitter, is left as it is, for the walk.
+    Four kinds of tree are left as they are, for the walk: one with a
+    node, a variable index or a constant that the generated code cannot
+    read, which no parsed tree has; one nested too deep for the
+    structural pass or the emitter; and one whose walk raises a
+    :class:`DomainError` at every point, such as ``log(x1^0 - x2^0)``,
+    which emission meets as the walk does.
     """
     try:
         indices, degree = ast.structure(expression)
@@ -531,8 +531,9 @@ def compile_objective(expression: ast.Expr, n: int):
     emitter = _Emitter()
     try:
         source = emitter.source(expression, sorted(indices))
-    # a constant that only the walk reads, or a nesting the walk follows but
-    # emission, a few frames deeper, cannot
+    # a constant that only the walk reads, a walk that raises at every point
+    # (a DomainError), or a nesting the walk follows but emission, a few
+    # frames deeper, cannot
     except (TypeError, ValueError, RecursionError):
         return expression
     return Generated(expression, _maker(source)(*emitter.constants))

@@ -7,8 +7,12 @@ and ``a*b/c`` left-deep, so a chain of the four operators is as deep as it
 has links; every walker reads it through :meth:`_Chain.links` in a loop, not
 by recursion.  The tree is immutable, so a chain node builds that view once,
 on the first call, and keeps it.  Exponents of ``^`` must be constant
-subexpressions; the autodiff walk folds them to a finite float at parse time,
-and a hand-built :class:`Pow` converts its exponent to a float.
+subexpressions; the autodiff walk folds them to a finite float at parse time.
+
+A node checks its own fields when it is built, so no reader checks them
+again: a :class:`Var` index is a non-negative int (a numpy integer becomes
+one, a float is a ``TypeError``), and a :class:`Pow` exponent a finite
+float (an int becomes one, inf or nan is a ``ValueError``).
 
 One structural pass, :func:`structure`, reads a tree's variable indices
 and its polynomial degree up to 2 together.  The parser's exponent check
@@ -20,6 +24,7 @@ c + g'x + 1/2 x'Hx, the indices for the code it generates otherwise.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -50,6 +55,13 @@ class Const(Expr):
 class Var(Expr):
     index: int  # zero-based position in the declared variable list
     name: str
+
+    def __post_init__(self):
+        # an int for every reader: a numpy integer becomes one, a float is a TypeError
+        index = operator.index(self.index)
+        if index < 0:
+            raise ValueError(f"variable index {index} is negative")
+        object.__setattr__(self, "index", index)
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -119,7 +131,10 @@ class Pow(Expr):
 
     def __post_init__(self):
         # a float for every reader: an int has no is_integer before Python 3.12
-        object.__setattr__(self, "exponent", float(self.exponent))
+        exponent = float(self.exponent)
+        if not math.isfinite(exponent):
+            raise ValueError("power exponent is not finite")
+        object.__setattr__(self, "exponent", exponent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,15 +272,20 @@ class _Parser:
 def parse_expression(text: str, variables: list[str]) -> Expr:
     """Parse ``text`` into an AST over the declared variable names.
 
-    A reserved word (:data:`RESERVED`) cannot name a variable.  A run of
-    unary minus signs parses to one :class:`Neg` or none.  The parser
+    A reserved word (:data:`RESERVED`) cannot name a variable, and no name
+    may be declared twice.  A run of unary minus signs parses to one
+    :class:`Neg` or none.  The parser
     recurses at every parenthesis and ``^``, so a text that nests deeper
     than the interpreter's recursion limit allows is a :class:`ParseError`,
     not a ``RecursionError``.
     """
+    declared = set()
     for name in variables:
         if name in RESERVED:
             raise ValueError(f"{name!r} is a reserved word and cannot name a variable")
+        if name in declared:
+            raise ValueError(f"{name!r} names two variables")
+        declared.add(name)
     parser = _Parser(text, variables)
     try:
         return parser.parse()

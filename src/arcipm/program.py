@@ -5,6 +5,12 @@ A program holds a scalar objective tree together with equality rows
 shapes each block into a float matrix.  Box bounds never appear as a
 separate concept: :func:`fold_bounds` slices them from one identity matrix
 into inequality rows up front, and the solver only ever sees rows.
+
+The iteration needs equality rows of full row rank, so that is the one
+test of ``A_eq``: a square block of full rank is accepted, and more rows
+than variables are linearly dependent.  The objective's nodes check their
+own fields when built (:mod:`expr`), so a program checks only that each
+variable index is below n.
 """
 
 from __future__ import annotations
@@ -54,13 +60,10 @@ class ConvexProgram:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has an entry that is not finite")
         indices, _ = structure(self.objective)
-        if indices and (min(indices) < 0 or max(indices) >= n):
+        if indices and max(indices) >= n:
             raise ValueError("objective references a variable outside the declared list")
-        if m > 0:
-            if m >= n:
-                raise ValueError(f"need fewer equality rows than variables (m={m}, n={n})")
-            if np.linalg.matrix_rank(self.a_eq) < m:
-                raise ValueError("equality rows are linearly dependent")
+        if m > 0 and np.linalg.matrix_rank(self.a_eq) < m:
+            raise ValueError("equality rows are linearly dependent")
         if p < 1:
             raise ValueError("at least one inequality row is required (add bounds if needed)")
 

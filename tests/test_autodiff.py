@@ -201,14 +201,12 @@ def test_non_finite_values_and_exponents_raise():
         evaluate(parse_expression("x1 - 1e999 + 1e999", ["x1"]), [1.0])
     with pytest.raises(DomainError, match="expression value inf is not finite"):
         value_gradient_hessian(parse_expression("(x1-1)^2 + x2^2 + 1e999", X12), [1.0, 1.0])
+    # a non-finite exponent is no node: Pow rejects it when built, so no
+    # walk, program or solve meets it
     for exponent in (np.inf, -np.inf, np.nan):
-        with pytest.raises(DomainError, match="power exponent is not finite"):
-            value_gradient_hessian(ast.Pow(ast.Var(0, "x1"), exponent), [0.5])
-    # a program with such an exponent stops at its start, not at a NaN Newton matrix
-    a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), [], [0.0], [1.0])
-    program = ConvexProgram(1, ast.Pow(ast.Var(0, "x1"), np.inf), [], [], a_ineq, b_ineq)
-    with pytest.raises(DomainError, match="power exponent is not finite"):
-        solve(program)
+        with pytest.raises(ValueError, match="power exponent is not finite") as err:
+            ast.Pow(ast.Var(0, "x1"), exponent)
+        assert type(err.value) is ValueError
 
 
 def test_constant_subtrees_take_no_derivatives():
@@ -649,7 +647,6 @@ PARITY_CASES = [
     ("exp(x1)", [1000.0]),
     ("exp(x1) + 1e999", [1.0]),
     ("x1 - 1e999 + 1e999 + log(x1)", [1.0]),
-    (ast.Pow(ast.Var(0, "x1"), math.inf), [0.5]),
     ("1 / x1", [1e-150]),
     ("log(x1) + x2", [2.0]),
     ("log(x1) + x2", [-1.0]),
@@ -729,26 +726,46 @@ NO_NODE = object()
 
 
 @pytest.mark.parametrize(
-    "tree, text",
-    [
-        (ast.Add(ast.Log(ast.Var(0, "x1")), NO_NODE), None),
-        (ast.Log(ast.Var(1.0, "x2")), "log(x2)"),
-    ],
-    ids=["operand that is no node", "float variable index"],
+    "tree",
+    [ast.Add(ast.Log(ast.Var(0, "x1")), NO_NODE), ast.Add(ast.Log(ast.Var(0, "x1")), ast.Const(None))],
+    ids=["operand that is no node", "constant that is no number"],
 )
-def test_a_hand_built_tree_the_code_cannot_read_is_left_to_the_walk(tree, text):
+def test_a_hand_built_tree_the_code_cannot_read_is_left_to_the_walk(tree):
     # no parsed tree has these; the walk at a point raises what it raises
     assert compile_objective(tree, 2) is tree
     walked = raised(_walk, tree, [(2.0, {0: 1.0}, {}), (3.0, {1: 1.0}, {})])
-    assert walked is not None
+    assert walked is not None and walked[0] is TypeError
     assert raised(value_gradient_hessian, tree, [2.0, 3.0]) == walked
-    # the structural pass and the printer read every node too: a non-node
-    # is the walk's TypeError in each
-    if text is None:
+    # the printer reads every node and constant too, and the structural
+    # pass every node: each raises the walk's TypeError
+    assert raised(str, tree) == walked
+    if tree.right is NO_NODE:
         assert walked == (TypeError, f"not an expression node: {NO_NODE!r}")
-        assert raised(ast.structure, tree) == raised(str, tree) == walked
+        assert raised(ast.structure, tree) == walked
     else:
-        assert ast.structure(tree) == ({1.0}, None) and str(tree) == text
+        assert ast.structure(tree) == ({0}, None)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("log(x1^0 - x2^0) + x1^3", "log of a nonpositive value"),
+        ("x1^3 / (x1^0 - x2^0)", "division by zero"),
+        ("(x1^0 + x2^0)^1e6 + x1^3", "power overflows"),
+    ],
+)
+def test_a_parsed_tree_whose_walk_always_raises_is_left_to_the_walk(text, message):
+    """Its walk raises on constants alone, so emission raises as every walk
+    does and compiling hands the tree over whole, with no generated code."""
+    tree = parse_expression(text, X12)
+    assert compile_objective(tree, 2) is tree
+    for x in ([2.0, 3.0], [0.5, -1.0]):
+        walked = raised(_walk, tree, [(v, {i: 1.0}, {}) for i, v in enumerate(x)])
+        assert walked == (DomainError, message)
+        assert raised(value_gradient_hessian, compile_objective(tree, 2), x) == walked
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 2)), [], [0.5, 0.5], [4.0, 4.0])
+    with pytest.raises(DomainError, match=message):
+        solve(ConvexProgram(2, tree, [], [], a_ineq, b_ineq))
 
 
 @pytest.mark.parametrize("exponent", [2, 3, np.int64(2)], ids=["int-2", "int-3", "int64-2"])

@@ -299,6 +299,17 @@ def test_x0_flag_length_checked(capsys):
     assert err == "error: --x0 needs 2 values\n"
 
 
+def test_a_square_equality_system_solves(capsys, tmp_path):
+    # one equality row over one variable fixes x1 = 0
+    path = tmp_path / "square.prob"
+    path.write_text("vars x1\nmin x1\neq 1 = 0\nineq 1 >= 0\n")
+    code, out, _ = run_cli(capsys, str(path))
+    assert code == 0
+    summary = parse_summary(out)
+    assert summary["status"] == "Converged"
+    assert abs(float(summary["x"].strip("()"))) < 1e-6
+
+
 def test_parse_problem_text_errors():
     with pytest.raises(ProblemFileError, match="vars line must come first"):
         parse_problem_text("min x1\nvars x1\n")
@@ -320,7 +331,7 @@ def test_parse_problem_text_errors():
     for text, message in (
         ("# no directives\n", "missing vars line"),
         ("vars x1\nineq 1 >= 0\n", "missing objective ('min ...')"),
-        ("vars x1\nmin x1\neq 1 = 0\nineq 1 >= 0\n", "need fewer equality rows than variables (m=1, n=1)"),
+        ("vars x1 x2\nmin x1\neq 1 0 = 1\neq 2 0 = 2\nineq 1 0 >= 0\n", "equality rows are linearly dependent"),
     ):
         with pytest.raises(ProblemFileError) as err:
             parse_problem_text(text)

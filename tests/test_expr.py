@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcipm import ConvexProgram, evaluate, fold_bounds, parse_expression
+from arcipm import (
+    ConvexProgram,
+    SolverConfig,
+    SolverStatus,
+    default_start,
+    evaluate,
+    fold_bounds,
+    parse_expression,
+    solve,
+)
 from arcipm.autodiff import DomainError, compile_objective, value_gradient_hessian
 from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var, structure
 from conftest import quadratic_tree
@@ -72,6 +81,24 @@ def test_reserved_word_cannot_name_a_variable():
             parse_expression(f"{name} + 1", [name])
         with pytest.raises(ValueError, match=f"'{name}' is a reserved word"):
             parse_expression("x1 + 1", ["x1", name])
+
+
+def test_a_name_cannot_name_two_variables():
+    # the parser would bind both to the last one's index
+    with pytest.raises(ValueError, match="^'x1' names two variables$"):
+        parse_expression("x1 + 2*x1", ["x1", "x1"])
+    with pytest.raises(ValueError, match="^'x2' names two variables$"):
+        parse_expression("x1", ["x2", "x1", "x2"])
+
+
+def test_a_variable_index_is_a_non_negative_int():
+    # a Var checks its index when it is built, so no reader meets another kind
+    with pytest.raises(TypeError):
+        Var(1.0, "x2")
+    index = Var(np.int64(1), "x2").index
+    assert index == 1 and type(index) is int
+    with pytest.raises(ValueError, match="^variable index -1 is negative$"):
+        Var(-1, "x")
 
 
 def test_trailing_garbage_rejected():
@@ -369,10 +396,14 @@ def test_fold_bounds_feasibility_equivalence(data):
          "right-hand side length does not match its constraint matrix"),
         (lambda: ConvexProgram(2, parse_expression("x3", ["x1", "x2", "x3"]), [], [], [[1.0, 0.0]], [0.0]),
          "objective references a variable outside the declared list"),
+        (lambda: ConvexProgram(2, parse_expression("x1", X12), [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                               [1.0, 1.0, 1.0], [[1.0, 0.0]], [0.0]),
+         "equality rows are linearly dependent"),
         (lambda: fold_bounds(np.zeros((0, 2)), [], [0.0, 0.0], [1.0]),
          "lower and upper bound vectors differ in length"),
     ],
-    ids=["no-variables", "row-width", "rhs-length", "unknown-variable", "bound-lengths"],
+    ids=["no-variables", "row-width", "rhs-length", "unknown-variable", "more-equalities-than-variables",
+         "bound-lengths"],
 )
 def test_program_and_fold_bounds_reject_malformed_input(build, message):
     with pytest.raises(ValueError) as err:
@@ -393,17 +424,32 @@ def test_program_rejects_dependent_equalities():
         )
 
 
-def test_program_rejects_square_equality_system():
-    tree = parse_expression("x1 + x2", X12)
-    with pytest.raises(ValueError, match="fewer equality rows"):
-        ConvexProgram(
-            n=2,
-            objective=tree,
-            a_eq=[[1.0, 0.0], [0.0, 1.0]],
-            b_eq=[1.0, 1.0],
-            a_ineq=[[1.0, 1.0]],
-            b_ineq=[0.0],
-        )
+# (objective, variables, A_E, b_E, inequality rows, b_I, box or None, x*):
+# m = n, so A_E alone fixes x*
+SQUARE_EQUALITY_PROGRAMS = [
+    ("x1", ["x1"], [[1.0]], [0.0], [[1.0]], [0.0], None, [0.0]),
+    ("x1^2 + x2^2", X12, [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], np.zeros((0, 2)), [], (-5.0, 5.0), [0.5, 0.5]),
+    ("x1 + x2", X12, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [[1.0, 1.0]], [0.0], None, [1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "objective, names, a_eq, b_eq, a_ineq, b_ineq, box, want",
+    SQUARE_EQUALITY_PROGRAMS,
+    ids=["one-variable", "box-qp", "two-unit-rows"],
+)
+def test_program_accepts_a_square_equality_system_of_full_rank(objective, names, a_eq, b_eq, a_ineq, b_ineq, box, want):
+    """The iteration needs A_E of full row rank, not fewer rows than
+    variables: each program converges to x* without a start and from
+    ``default_start``."""
+    if box is not None:
+        n = len(names)
+        a_ineq, b_ineq = fold_bounds(a_ineq, b_ineq, [box[0]] * n, [box[1]] * n)
+    program = ConvexProgram(len(names), parse_expression(objective, names), a_eq, b_eq, a_ineq, b_ineq)
+    assert program.m == program.n
+    for report in (solve(program), solve(program, SolverConfig(), default_start(program))):
+        assert report.status is SolverStatus.CONVERGED
+        assert report.x == pytest.approx(want, abs=1e-6)
 
 
 def test_program_requires_an_inequality():
