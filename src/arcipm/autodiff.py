@@ -507,7 +507,7 @@ def compile_objective(expression: ast.Expr, n: int):
     the same ``value_gradient_hessian`` as a parsed tree over n variables.
     A tree whose walk at 0 raises, its coefficients' overflow included, is
     not folded, so its walk raises the parsed tree's :class:`DomainError`.
-    Four kinds of tree are left as they are, for the walk: one with a
+    Three kinds of tree are left as they are, for the walk: one with a
     node, a variable index or a constant that the generated code cannot
     read, which no parsed tree has; one nested too deep for the
     structural pass or the emitter; and one whose walk raises a
