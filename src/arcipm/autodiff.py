@@ -44,9 +44,10 @@ overflowed to inf no longer turns an absent entry, or a zero scalar
 factor, into the NaN of inf * 0.
 
 :func:`compile_objective` runs once per program: one structural pass
-(:func:`expr.structure`) gives the tree's degree and its variable
-indices, then a tree of degree <= 2 is walked once, at x = 0.  Such a
-tree is c + g'x + 1/2 x'Hx, and its
+(:func:`expr.structure`), the one the program makes when it checks its
+objective, gives the tree's degree and its variable indices, then a tree
+of degree <= 2 is walked once, at x = 0.  Such a tree is
+c + g'x + 1/2 x'Hx, and its
 (value, gradient, Hessian) at 0 are exactly (c, g, H), a constant
 Hessian (ibid., ch. 7); it becomes one :class:`Quadratic` node, and any
 other tree a :class:`Generated` one.  At x = 0 every product of two variables
@@ -427,7 +428,7 @@ class _Emitter:
         self.required[condition] = None
 
     def constant(self, value) -> _Local:
-        self.constants.append(float(value))
+        self.constants.append(value)
         return _Local(self, f"c{len(self.constants) - 1}")
 
     def isfinite(self, x) -> bool:
@@ -498,26 +499,22 @@ def _quadratic(node: Quadratic, x):
     return v, grad, h
 
 
-def compile_objective(expression: ast.Expr, n: int):
+def compile_objective(expression: ast.Expr, n: int, indices, degree):
     """A tree of degree <= 2 as one :class:`Quadratic`; any other tree as a :class:`Generated`.
 
-    One structural pass (:func:`expr.structure`) gives the degree and the
-    variable indices.  Such a tree's (f, grad f, Hessian) at x = 0 are
-    exactly its (c, g, H), so one walk there folds it.  The result goes to
-    the same ``value_gradient_hessian`` as a parsed tree over n variables.
-    A tree whose walk at 0 raises, its coefficients' overflow included, is
-    not folded, so its walk raises the parsed tree's :class:`DomainError`.
-    Three kinds of tree are left as they are, for the walk: one with a
-    node, a variable index or a constant that the generated code cannot
-    read, which no parsed tree has; one nested too deep for the
-    structural pass or the emitter; and one whose walk raises a
+    ``indices`` and ``degree`` are what :func:`expr.structure` gives for
+    the tree, whose program has checked it: every node is one that the
+    code reads, and every index is below n.  Such a tree's
+    (f, grad f, Hessian) at x = 0 are exactly its (c, g, H), so one walk
+    there folds it.  The result goes to the same ``value_gradient_hessian``
+    as a parsed tree over n variables.  A tree whose walk at 0 raises, its
+    coefficients' overflow included, is not folded, so its walk raises the
+    parsed tree's :class:`DomainError`.  Two kinds of tree are left as they
+    are, for the walk: one nested too deep for the emitter, which runs a
+    few frames deeper than the walk; and one whose walk raises a
     :class:`DomainError` at every point, such as ``log(x1^0 - x2^0)``,
     which emission meets as the walk does.
     """
-    try:
-        indices, degree = ast.structure(expression)
-    except (TypeError, RecursionError):
-        return expression
     if degree is not None:
         try:
             c, g, h = value_gradient_hessian(expression, np.zeros(n))
@@ -526,15 +523,12 @@ def compile_objective(expression: ast.Expr, n: int):
         else:
             h.flags.writeable = False
             return Quadratic(c, g, h)
-    if not all(type(i) is int and i >= 0 for i in indices):
-        return expression
     emitter = _Emitter()
     try:
         source = emitter.source(expression, sorted(indices))
-    # a constant that only the walk reads, a walk that raises at every point
-    # (a DomainError), or a nesting the walk follows but emission, a few
-    # frames deeper, cannot
-    except (TypeError, ValueError, RecursionError):
+    # a walk that raises at every point, or a nesting the walk follows but
+    # emission, a few frames deeper, cannot
+    except (DomainError, RecursionError):
         return expression
     return Generated(expression, _maker(source)(*emitter.constants))
 

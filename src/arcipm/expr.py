@@ -10,20 +10,24 @@ on the first call, and keeps it.  Exponents of ``^`` must be constant
 subexpressions; the autodiff walk folds them to a finite float at parse time.
 
 A node checks its own fields when it is built, so no reader checks them
-again: a :class:`Var` index is a non-negative int (a numpy integer becomes
-one, a float is a ``TypeError``), and a :class:`Pow` exponent a finite
-float (an int becomes one, inf or nan is a ``ValueError``).
+again: a :class:`Const` value is a float (a real number, numpy scalars
+included, becomes one; a str or None is a ``TypeError``), a :class:`Var`
+index a non-negative int (a numpy integer becomes one, a float is a
+``TypeError``), and a :class:`Pow` exponent a finite float (read as a
+constant's value is; inf or nan is a ``ValueError``).
 
 One structural pass, :func:`structure`, reads a tree's variable indices
 and its polynomial degree up to 2 together.  The parser's exponent check
-and a program's index check read the indices; compiling an objective
-reads both, the degree to decide whether the tree folds to
-c + g'x + 1/2 x'Hx, the indices for the code it generates otherwise.
+reads the indices.  A program makes the one pass over its objective: it
+checks the indices, and keeps both for compiling the objective, the
+degree to decide whether the tree folds to c + g'x + 1/2 x'Hx, the
+indices for the code it generates otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, field
@@ -46,9 +50,19 @@ class Expr:
         return _render(self)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a real number, numpy scalars included; a ``TypeError`` for a str, which ``float`` would parse."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} {value!r} is not a real number")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _real(self.value, "constant"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +145,7 @@ class Pow(Expr):
 
     def __post_init__(self):
         # a float for every reader: an int has no is_integer before Python 3.12
-        exponent = float(self.exponent)
+        exponent = _real(self.exponent, "power exponent")
         if not math.isfinite(exponent):
             raise ValueError("power exponent is not finite")
         object.__setattr__(self, "exponent", exponent)
@@ -364,7 +378,7 @@ def _wrap(node: Expr, minimum: int) -> str:
 def _render(node: Expr) -> str:
     match node:
         case Const(value=v):
-            return repr(float(v))
+            return repr(v)
         case Var(name=name):
             return name
         case Add() | Sub() | Mul() | Div():

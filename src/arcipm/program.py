@@ -10,7 +10,9 @@ The iteration needs equality rows of full row rank, so that is the one
 test of ``A_eq``: a square block of full rank is accepted, and more rows
 than variables are linearly dependent.  The objective's nodes check their
 own fields when built (:mod:`expr`), so a program checks only that each
-variable index is below n.
+variable index is below n.  That check reads the objective's one
+structural pass (:func:`expr.structure`), whose indices and degree the
+program keeps for compiling the objective.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class ConvexProgram:
     b_eq: np.ndarray = field(repr=False)
     a_ineq: np.ndarray = field(repr=False)
     b_ineq: np.ndarray = field(repr=False)
+    # the objective's (variable indices, degree) from its one structural pass
+    _structure: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rows, rhs in (("a_eq", "b_eq"), ("a_ineq", "b_ineq")):
@@ -59,7 +63,8 @@ class ConvexProgram:
         for name in ("a_eq", "b_eq", "a_ineq", "b_ineq"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has an entry that is not finite")
-        indices, _ = structure(self.objective)
+        object.__setattr__(self, "_structure", structure(self.objective))
+        indices, _ = self._structure
         if indices and max(indices) >= n:
             raise ValueError("objective references a variable outside the declared list")
         if m > 0 and np.linalg.matrix_rank(self.a_eq) < m:
@@ -74,7 +79,7 @@ class ConvexProgram:
         The solver differentiates this tree; ``objective`` stays the parsed
         tree, which the test oracles differentiate independently.
         """
-        return compile_objective(self.objective, self.n)
+        return compile_objective(self.objective, self.n, *self._structure)
 
     @property
     def m(self) -> int:

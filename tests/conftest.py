@@ -14,7 +14,9 @@ import pytest
 from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, solve
 from arcipm import solver as solver_module
 from arcipm import step as step_module
+from arcipm.autodiff import compile_objective
 from arcipm.cli import parse_problem_text
+from arcipm.expr import structure
 from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
 from arcipm.step import MuPredictor, alpha_limits, sz_tails
 from qp_family import quadratic_tree
@@ -83,6 +85,11 @@ def perfbench_module(name: str, folder: Path = PERFBENCH_DIR):
         sys.modules[key] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[key])
     return sys.modules[key]
+
+
+def compile_tree(tree, n: int):
+    """``compile_objective`` of a tree over n variables, given its structural pass as a program gives it."""
+    return compile_objective(tree, n, *structure(tree))
 
 
 def load_problem(name: str):

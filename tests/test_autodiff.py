@@ -26,8 +26,9 @@ from arcipm import (
 )
 from arcipm import autodiff
 from arcipm import expr as ast
-from arcipm.autodiff import Generated, Quadratic, _walk, compile_objective
-from conftest import TOOLS_DIR, load_problem, perfbench_module, quadratic_tree, run_recorded
+from arcipm import program as program_module
+from arcipm.autodiff import Generated, Quadratic, _walk
+from conftest import TOOLS_DIR, compile_tree, load_problem, perfbench_module, quadratic_tree, run_recorded
 from oracles import dense_value_gradient_hessian, polynomial_degree, variable_indices
 from qp_family import qp_family
 
@@ -188,7 +189,7 @@ def test_a_raw_tree_given_more_entries_than_its_variables_answers_with_zeros_for
 @pytest.mark.parametrize("function", [evaluate, value_gradient_hessian], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
 def test_a_wrong_length_point_on_a_compiled_quadratic_is_named(function, point):
-    compiled = compile_objective(parse_expression("x1^2 + x2", X12), 2)
+    compiled = compile_tree(parse_expression("x1^2 + x2", X12), 2)
     assert isinstance(compiled, Quadratic)
     message = f"point has {len(point)} entries, the objective has 2 variables"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -207,6 +208,10 @@ def test_non_finite_values_and_exponents_raise():
         with pytest.raises(ValueError, match="power exponent is not finite") as err:
             ast.Pow(ast.Var(0, "x1"), exponent)
         assert type(err.value) is ValueError
+    # nor is an exponent that is no number, which float() would read: "2" as 2.0
+    for exponent in ("2", None, 2j):
+        with pytest.raises(TypeError, match=r"^power exponent .* is not a real number$"):
+            ast.Pow(ast.Var(0, "x1"), exponent)
 
 
 def test_constant_subtrees_take_no_derivatives():
@@ -326,7 +331,7 @@ DOMAIN_CASES = [
 @pytest.mark.parametrize(("text", "function", "x", "message", "folded"), DOMAIN_CASES)
 def test_domain_errors_through_compiled_tree(text, function, x, message, folded):
     tree = parse_expression(text, X12[: len(x)])
-    compiled = compile_objective(tree, len(x))
+    compiled = compile_tree(tree, len(x))
     with pytest.raises(DomainError, match=message):
         function(tree, x)
     with pytest.raises(DomainError, match=folded or message):
@@ -336,21 +341,21 @@ def test_domain_errors_through_compiled_tree(text, function, x, message, folded)
 def test_only_whole_polynomial_trees_fold():
     names = ["x1", "x2", "x3"]
     polynomial = parse_expression("x1*x2 - (x3 + 1)/4 + -(x1 - 2*x2)^2 + 3^2 + 5^0", names)
-    compiled = compile_objective(polynomial, 3)
+    compiled = compile_tree(polynomial, 3)
     assert isinstance(compiled, Quadratic)
     x = np.array([0.5, 1.5, 2.0])
     for got, want in zip(value_gradient_hessian(compiled, x), value_gradient_hessian(polynomial, x)):
         assert np.array_equal(got, want)
     for text in ["log(x1) + x1*x2", "x1*x2*x3", "(x1*x2)^2 + x3", "x1 / x2", "x1 ^ 3", "x1 ^ 0", "exp(x1 + x2)"]:
         tree = parse_expression(text, names)
-        generated = compile_objective(tree, 3)
+        generated = compile_tree(tree, 3)
         assert isinstance(generated, Generated) and generated.tree is tree
 
 
 @pytest.mark.parametrize("text", ["x1 / 1e400", "1e400 ^ 0 * x1"])
 def test_infinite_literal_compiles_to_the_parsed_values(text):
     tree = parse_expression(text, ["x1"])
-    compiled = compile_objective(tree, 1)
+    compiled = compile_tree(tree, 1)
     for x in ([0.0], [2.5], [-3.0]):
         for got, want in zip(value_gradient_hessian(compiled, x), value_gradient_hessian(tree, x)):
             assert np.array_equal(got, want)
@@ -364,7 +369,7 @@ def test_quadratic_tree_compiles_to_one_node(origin, n):
     factor = rng.normal(size=(n, n))
     q = np.triu(factor @ factor.T + np.eye(n))
     q = q + np.triu(q, 1).T
-    compiled = compile_objective(build(q), n)
+    compiled = compile_tree(build(q), n)
     assert isinstance(compiled, Quadratic)
     assert np.array_equal(compiled.hessian, q)
     assert not compiled.linear.any() and compiled.constant == 0.0
@@ -484,7 +489,7 @@ def test_compiled_tree_agrees_with_parsed_tree(tree, x):
         f, g, h = value_gradient_hessian(tree, x)
     except DomainError:
         assume(False)
-    fc, gc, hc = value_gradient_hessian(compile_objective(tree, 3), x)
+    fc, gc, hc = value_gradient_hessian(compile_tree(tree, 3), x)
     assert abs(fc - f) <= 1e-12 * abs(f)
     assert np.abs(gc - g).max() <= 1e-12 * np.abs(g).max()
     assert np.abs(hc - h).max() <= 1e-12 * np.abs(h).max()
@@ -523,7 +528,7 @@ def test_walk_equals_dense_walk_on_random_trees(case):
 @pytest.mark.parametrize("n", range(2, 21))
 def test_compiled_quadratic_equals_dense_walk_at_zero(n):
     instance = perfbench_module("instances").boxqp_dense(np.random.default_rng(3000 + n), n)
-    compiled = compile_objective(instance.program.objective, n)
+    compiled = compile_tree(instance.program.objective, n)
     c, g, h = dense_value_gradient_hessian(instance.program.objective, np.zeros(n))
     assert isinstance(compiled, Quadratic)
     assert compiled.constant == c
@@ -565,7 +570,7 @@ def test_folded_seeded_quadratics_keep_their_bytes():
     for n in range(1, 13):
         q = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
         q[rng.random((n, n)) < 0.2] = 0.0
-        folded = compile_objective(build(q), n)
+        folded = compile_tree(build(q), n)
         digest.update(np.float64(folded.constant).tobytes() + folded.linear.tobytes() + folded.hessian.tobytes())
     assert digest.hexdigest() == "9d8cd9e39c079188c5b58980f4181b26602218d83f0e91333aa5c46628d9ecf7"
 
@@ -661,7 +666,7 @@ PARITY_CASES = [
 @pytest.mark.parametrize(("tree", "x"), PARITY_CASES, ids=[f"{tree} at {x}" for tree, x in PARITY_CASES])
 def test_generated_code_raises_the_walks_errors(tree, x):
     tree = parse_expression(tree, X12) if isinstance(tree, str) else tree
-    generated = compile_objective(tree, 2)
+    generated = compile_tree(tree, 2)
     assert isinstance(generated, Generated)
     want = outcome(tree, x)
     assert outcome(generated, x) == want
@@ -676,7 +681,7 @@ def test_generated_source_holds_no_user_text(monkeypatch):
     sources = []
     maker = autodiff._maker
     monkeypatch.setattr(autodiff, "_maker", lambda source: sources.append(source) or maker(source))
-    generated = compile_objective(tree, 2)
+    generated = compile_tree(tree, 2)
     # one source for the whole tree
     assert len(sources) == 1
     # no name and no constant reaches it; the exponent does, as its repr
@@ -689,6 +694,26 @@ def test_generated_source_holds_no_user_text(monkeypatch):
         assert outcome(generated, x) == outcome(tree, x)
 
 
+def test_a_program_reads_its_objective_once(monkeypatch):
+    """One structural pass per program across ``ConvexProgram(...)`` and
+    ``solve``: the objective is compiled from the structure its check read.
+    ex1 solves from its file's start, as its walk at x = 0 raises; the box
+    QP solves with none."""
+    boxqp = perfbench_module("instances").boxqp_dense(np.random.default_rng(53), 8).program
+    read = ast.structure
+    for source, x0 in (load_problem("ex1"), (boxqp, None)):
+        calls = []
+        # the names through which program and autodiff reach the pass
+        for module in (program_module, ast):
+            monkeypatch.setattr(module, "structure", lambda tree: calls.append(tree) or read(tree))
+        program = ConvexProgram(source.n, source.objective, source.a_eq, source.b_eq, source.a_ineq, source.b_ineq)
+        report = solve(program, None, None if x0 is None else default_start(program, x0))
+        monkeypatch.undo()
+        assert report.status is SolverStatus.CONVERGED
+        assert len(calls) == 1 and calls[0] is source.objective
+        assert type(program.compiled_objective) is type(source.compiled_objective)
+
+
 def test_a_tree_nested_two_thirds_of_the_recursion_limit_is_generated():
     # emission runs the walk, one frame per nested operand, as the walk does
     depth = 2 * sys.getrecursionlimit() // 3
@@ -696,7 +721,7 @@ def test_a_tree_nested_two_thirds_of_the_recursion_limit_is_generated():
     tree = x1
     for _ in range(depth):
         tree = ast.Mul(x1, tree)
-    generated = compile_objective(tree, 1)
+    generated = compile_tree(tree, 1)
     assert isinstance(generated, Generated)
     value, grad, hess = generated_result(generated, [1.0])
     assert (value, grad[0], hess[0, 0]) == (1.0, depth + 1, depth * (depth + 1))
@@ -704,11 +729,15 @@ def test_a_tree_nested_two_thirds_of_the_recursion_limit_is_generated():
 
 
 def test_a_tree_nested_past_the_recursion_limit_is_left_to_the_walk():
-    # neither emission nor the walk follows it; compiling hands it over whole
+    # neither the structural pass nor the walk follows it: no program holds
+    # it, as its check raises the pass's RecursionError, and only the walk
+    # of evaluate and its kin reads the raw tree
     tree = ast.Var(0, "x1")
     for _ in range(sys.getrecursionlimit() + 50):
         tree = ast.Log(tree)
-    assert compile_objective(tree, 1) is tree
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), [], [0.5], [4.0])
+    with pytest.raises(RecursionError):
+        ConvexProgram(1, tree, [], [], a_ineq, b_ineq)
     with pytest.raises(RecursionError):
         value_gradient_hessian(tree, [2.0])
 
@@ -725,25 +754,19 @@ def raised(function, *args):
 NO_NODE = object()
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [ast.Add(ast.Log(ast.Var(0, "x1")), NO_NODE), ast.Add(ast.Log(ast.Var(0, "x1")), ast.Const(None))],
-    ids=["operand that is no node", "constant that is no number"],
-)
+@pytest.mark.parametrize("tree", [ast.Add(ast.Log(ast.Var(0, "x1")), NO_NODE)], ids=["operand that is no node"])
 def test_a_hand_built_tree_the_code_cannot_read_is_left_to_the_walk(tree):
-    # no parsed tree has these; the walk at a point raises what it raises
-    assert compile_objective(tree, 2) is tree
+    # no parsed tree has it, and no program holds it; the walk at a point
+    # raises what it raises
     walked = raised(_walk, tree, [(2.0, {0: 1.0}, {}), (3.0, {1: 1.0}, {})])
-    assert walked is not None and walked[0] is TypeError
+    assert walked == (TypeError, f"not an expression node: {NO_NODE!r}")
     assert raised(value_gradient_hessian, tree, [2.0, 3.0]) == walked
-    # the printer reads every node and constant too, and the structural
-    # pass every node: each raises the walk's TypeError
+    # the printer reads every node too, and so does the structural pass,
+    # which a program's check makes: each raises the walk's TypeError
     assert raised(str, tree) == walked
-    if tree.right is NO_NODE:
-        assert walked == (TypeError, f"not an expression node: {NO_NODE!r}")
-        assert raised(ast.structure, tree) == walked
-    else:
-        assert ast.structure(tree) == ({0}, None)
+    assert raised(ast.structure, tree) == walked
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 2)), [], [0.5, 0.5], [4.0, 4.0])
+    assert raised(ConvexProgram, 2, tree, [], [], a_ineq, b_ineq) == walked
 
 
 @pytest.mark.parametrize(
@@ -758,11 +781,11 @@ def test_a_parsed_tree_whose_walk_always_raises_is_left_to_the_walk(text, messag
     """Its walk raises on constants alone, so emission raises as every walk
     does and compiling hands the tree over whole, with no generated code."""
     tree = parse_expression(text, X12)
-    assert compile_objective(tree, 2) is tree
+    assert compile_tree(tree, 2) is tree
     for x in ([2.0, 3.0], [0.5, -1.0]):
         walked = raised(_walk, tree, [(v, {i: 1.0}, {}) for i, v in enumerate(x)])
         assert walked == (DomainError, message)
-        assert raised(value_gradient_hessian, compile_objective(tree, 2), x) == walked
+        assert raised(value_gradient_hessian, compile_tree(tree, 2), x) == walked
     a_ineq, b_ineq = fold_bounds(np.zeros((0, 2)), [], [0.5, 0.5], [4.0, 4.0])
     with pytest.raises(DomainError, match=message):
         solve(ConvexProgram(2, tree, [], [], a_ineq, b_ineq))
@@ -794,7 +817,7 @@ def test_trees_of_one_shape_share_one_compiled_body(monkeypatch):
     monkeypatch.setattr(autodiff, "_maker", lambda source: sources.append(source) or maker(source))
     monkeypatch.setattr(autodiff, "compile", lambda *args: compiled.append(args) or compile(*args), raising=False)
     trees = [entropy_program(np.random.default_rng(seed), 8).objective for seed in (1, 2)]
-    generated = [compile_objective(tree, 8) for tree in trees]
+    generated = [compile_tree(tree, 8) for tree in trees]
     assert len(sources) == 2 and sources[0] == sources[1] and len(compiled) == 1
     x = np.linspace(0.5, 2.5, 8)
     results = [generated_result(g, x) for g in generated]
@@ -807,7 +830,7 @@ def test_a_large_separable_sum_gives_the_walks_bits():
     """The entropy sum at n = 128, one body of about 1300 lines, answers at
     in-domain points itself, with the walk's value, gradient and Hessian bytes."""
     tree = perfbench_module("run_digest", TOOLS_DIR).entropy_program(np.random.default_rng(1), 128).objective
-    generated = compile_objective(tree, 128)
+    generated = compile_tree(tree, 128)
     assert isinstance(generated, Generated)
     rng = np.random.default_rng(128)
     for x in (np.full(128, 0.5), rng.uniform(0.1, 5.0, 128), rng.uniform(0.1, 5.0, 128)):
@@ -828,6 +851,6 @@ SIGNED_POINTS = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
 @settings(max_examples=500, deadline=None)
 def test_generated_code_gives_the_walks_bits_on_random_trees(case):
     tree, x = case
-    compiled = compile_objective(tree, x.size)
+    compiled = compile_tree(tree, x.size)
     if isinstance(compiled, Generated):
         assert outcome(compiled, x) == outcome(tree, x)

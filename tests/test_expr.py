@@ -18,9 +18,9 @@ from arcipm import (
     parse_expression,
     solve,
 )
-from arcipm.autodiff import DomainError, compile_objective, value_gradient_hessian
+from arcipm.autodiff import DomainError, value_gradient_hessian
 from arcipm.expr import Add, Const, Div, Exp, Log, Mul, Neg, ParseError, Pow, Sub, Var, structure
-from conftest import quadratic_tree
+from conftest import compile_tree, quadratic_tree
 
 X12 = ["x1", "x2"]
 
@@ -99,6 +99,18 @@ def test_a_variable_index_is_a_non_negative_int():
     assert index == 1 and type(index) is int
     with pytest.raises(ValueError, match="^variable index -1 is negative$"):
         Var(-1, "x")
+
+
+def test_a_constant_is_a_real_number():
+    # a Const checks its value when it is built, so no program, walk,
+    # printer or generated code meets another kind; float() alone would
+    # read "2" as 2.0
+    for value in (None, "2", 1j):
+        with pytest.raises(TypeError, match=r"^constant .* is not a real number$"):
+            Const(value)
+    for value in (2, np.float32(0.5), np.int64(3), np.float64(-0.0), 1e400):
+        stored = Const(value).value
+        assert type(stored) is float and stored.hex() == float(value).hex()
 
 
 def test_trailing_garbage_rejected():
@@ -262,11 +274,11 @@ def test_sum_deeper_than_the_recursion_limit_prints_hashes_and_compares():
         assert twin is not tree and twin == tree and hash(twin) == hash(tree)
         assert parse_expression("x2" + text[2:], X12) != tree
         assert structure(tree) == ({0, 1}, None)
-        assert compile_objective(tree, 2).tree is tree
+        assert compile_tree(tree, 2).tree is tree
         v, g, h = value_gradient_hessian(tree, [1.0, 1.0])
         assert v == 1.0 and g.tolist() == [a, b]
         assert h.tolist() == [[a * (a - 1), a * b], [a * b, b * (b - 1)]]
-    linear = compile_objective(parse_expression("x1" + "*1/1" * factors, X12), 2)
+    linear = compile_tree(parse_expression("x1" + "*1/1" * factors, X12), 2)
     assert linear.constant == 0.0 and linear.linear.tolist() == [1.0, 0.0] and not linear.hessian.any()
 
 

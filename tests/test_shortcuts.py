@@ -21,9 +21,9 @@ from scipy.linalg.lapack import dpotrf
 
 from arcipm import solver as solver_module
 from arcipm import step as step_module
-from arcipm.autodiff import Quadratic, compile_objective
+from arcipm.autodiff import Quadratic
 from arcipm.step import BISECT_TOLERANCE, HALF_PI, MuPredictor, alpha_limits, bisect_sigma, floors
-from conftest import step_limits, synthetic_step_pair
+from conftest import compile_tree, step_limits, synthetic_step_pair
 import oracles
 from oracles import (
     eigenvalue_indefinite,
@@ -179,7 +179,7 @@ def _with_smallest(rng, n, smallest):
 
 def _read_only_fold(matrix):
     """The read-only Hessian of the folded objective 1/2 x'Mx."""
-    folded = compile_objective(quadratic_tree(matrix), matrix.shape[0])
+    folded = compile_tree(quadratic_tree(matrix), matrix.shape[0])
     assert isinstance(folded, Quadratic) and not folded.hessian.flags.writeable
     return folded.hessian
 
