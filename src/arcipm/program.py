@@ -46,13 +46,10 @@ class ConvexProgram:
     _structure: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for rows, rhs in (("a_eq", "b_eq"), ("a_ineq", "b_ineq")):
-            object.__setattr__(self, rows, _rows(getattr(self, rows), self.n))
-            object.__setattr__(self, rhs, np.asarray(getattr(self, rhs), dtype=float).reshape(-1))
-        self._validate()
-
-    def _validate(self):
         n = self.n
+        for rows, rhs in (("a_eq", "b_eq"), ("a_ineq", "b_ineq")):
+            object.__setattr__(self, rows, _rows(getattr(self, rows), n))
+            object.__setattr__(self, rhs, np.asarray(getattr(self, rhs), dtype=float).reshape(-1))
         if n < 1:
             raise ValueError("at least one variable is required")
         if self.a_eq.shape[1] != n or self.a_ineq.shape[1] != n:

@@ -19,6 +19,7 @@ gives, is followed by ``eigvalsh``, whose smallest eigenvalue then decides.
 from __future__ import annotations
 
 import enum
+import operator
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -63,7 +64,9 @@ class SolverConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not 0.0 <= self.sigma_min < self.sigma_max <= 1.0:
             raise ValueError("need 0 <= sigma_min < sigma_max <= 1")
-        if not self.max_iter >= 0:
+        # an index, as Var reads its own: 2.5 or inf is a TypeError, not a bound
+        self.max_iter = operator.index(self.max_iter)
+        if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
 
@@ -119,13 +122,19 @@ def _start_x(program: ConvexProgram, x0) -> np.ndarray:
     return x
 
 
+def _start(program: ConvexProgram, x: np.ndarray, s, z) -> Iterate:
+    """The iterate at (x, y = 0, s, z) with nu = 1; s and z may be scalars."""
+    n, m, p = program.n, program.m, program.p
+    vec = np.zeros(n + m + 2 * p)
+    x_block, _, s_block, z_block = Blocks.of(vec, n, m, p)
+    x_block[:], s_block[:], z_block[:] = x, s, z
+    return Iterate.at(program, vec, nu=1.0)
+
+
 def default_start(program: ConvexProgram, x0=None) -> Iterate:
     """The CLI's and the reference runs' cold start: x = x0 (zeros if None),
-    y = 0, s = 0.01, z = 100."""
-    x = _start_x(program, x0)
-    p = program.p
-    vec = np.concatenate((x, np.zeros(program.m), np.full(p, 0.01), np.full(p, 100.0)))
-    return Iterate.at(program, vec, nu=1.0)
+    y = 0, s = 0.01, z = 100 and nu = 1."""
+    return _start(program, _start_x(program, x0), 0.01, 100.0)
 
 
 def balanced_start(program: ConvexProgram, x0=None) -> Iterate:
@@ -139,8 +148,7 @@ def balanced_start(program: ConvexProgram, x0=None) -> Iterate:
     """
     x = _start_x(program, x0)
     scale = max(1.0, float(reduce_max(np.abs(program.a_ineq.dot(x) - program.b_ineq))))
-    vec = np.concatenate((x, np.zeros(program.m), np.full(2 * program.p, scale)))
-    return Iterate.at(program, vec, nu=1.0)
+    return _start(program, x, scale, scale)
 
 
 def least_squares_start(program: ConvexProgram) -> Iterate:
@@ -159,9 +167,15 @@ def least_squares_start(program: ConvexProgram) -> Iterate:
     scaled by 10^U(-3, 3), took 2396 iterations rather than 1900, and 120
     ``many_rows`` instances 812 rather than 791.
 
-    An objective that does not fold to a :class:`Quadratic`, a singular
-    system, an x that is not finite and slacks that overflow on the raw
-    rows give ``balanced_start(program)``.
+    A singular system, an x that is not finite and slacks whose mean is
+    not finite on the raw rows give ``balanced_start(program)``.  So does
+    an objective that does not fold to a :class:`Quadratic`.  That start is
+    x = 0, and an objective that does not fold and is undefined there
+    raises its :class:`DomainError` with a message that names x = 0 and
+    the remedy, ``start=balanced_start(program, x0)`` with x0 in the
+    objective's domain.  A folded objective's :class:`DomainError` at the
+    least-squares point, such as a polynomial that overflows, comes out
+    with its own message.
 
     It is the start of the library rule that ``solve()`` runs without a
     start, which has no centrality test.  Passed as ``start=``, it runs
@@ -173,8 +187,13 @@ def least_squares_start(program: ConvexProgram) -> Iterate:
     """
     objective = program.compiled_objective
     if not isinstance(objective, Quadratic):
-        return balanced_start(program)
-    n, m, p = program.n, program.m, program.p
+        try:
+            return balanced_start(program)
+        except DomainError as err:
+            raise DomainError(
+                f"{err} at x = 0, the start solve() takes when given none; pass "
+                "start=balanced_start(program, x0) with x0 in the objective's domain"
+            ) from err
     a_ineq, b_ineq = program.a_ineq, program.b_ineq
     row_max = reduce_max(np.abs(a_ineq), axis=1)
     row_max[row_max == 0.0] = 1.0
@@ -184,20 +203,19 @@ def least_squares_start(program: ConvexProgram) -> Iterate:
     rhs = np.concatenate((a_scaled.T.dot(b_scaled) - objective.linear, program.b_eq))
     # LAPACK's dgesv, not kkt.lu_solve, whose calls the benchmark counts as the Newton solves
     solution, info = dgesv(matrix, rhs)[2:]
+    x = solution[: program.n]
     # a positive info names an exactly zero pivot
-    if info != 0 or not np.isfinite(solution[:n]).all():
+    if info != 0 or not np.isfinite(x).all():
         return balanced_start(program)
-    vec = np.zeros(n + m + 2 * p)
-    x, _, s, z = Blocks.of(vec, n, m, p)
-    x[:] = solution[:n]
     slack = a_ineq.dot(x) - b_ineq
-    s[:] = slack + max(-1.5 * float(reduce_min(slack)), 0.0)
-    zeta = max(1.0, float(s.mean()))
-    s[s == 0.0] = zeta
-    z[:] = zeta
-    if not np.isfinite(vec).all():
+    s = slack + max(-1.5 * float(reduce_min(slack)), 0.0)
+    # a slack that is not finite, or a sum that overflows, makes the mean so
+    zeta = float(s.mean())
+    if not np.isfinite(zeta):
         return balanced_start(program)
-    return Iterate.at(program, vec, nu=1.0)
+    zeta = max(1.0, zeta)
+    s[s == 0.0] = zeta
+    return _start(program, x, s, zeta)
 
 
 def _indefinite(hess: np.ndarray) -> bool:
@@ -235,19 +253,17 @@ def solve(
 ) -> SolverReport:
     """Run the arc-search iteration until the stop test or an exit condition.
 
-    A call without ``start`` begins at ``least_squares_start(program)`` and
-    steps by :func:`arcipm.step.mehrotra_steps`: positivity and a falling
-    duality measure only, with Mehrotra's sigma bounding the bisection.
-    An objective that does not fold begins at ``balanced_start(program)``,
-    x = 0; if the objective is undefined there, the call raises
-    its :class:`DomainError` with a message that names the start and the
-    remedy, ``start=balanced_start(program, x0)``.  That start runs the
-    paper's rule below, and, as on every path, an objective that does not
-    fold steps on the model term H x: from their files' starts ex1, ex3,
-    ex5 and ex8 end at (1, 1), (1, 2), (3.33, 3.99) and (5, 3, 5) in 162,
-    13, 5 and 13 iterations, not at their minimizers.
+    A call without ``start`` begins at ``least_squares_start(program)``,
+    which raises the :class:`DomainError` of an objective undefined there,
+    and steps by :func:`arcipm.step.mehrotra_steps`: positivity and a
+    falling duality measure only, with Mehrotra's sigma bounding the
+    bisection.
     A call with a start runs the paper's rule, :func:`arcipm.step.candidate_steps`,
-    with its floors and centrality test.  The start's point and residual
+    with its floors and centrality test.  As on every path, an objective
+    that does not fold steps on the model term H x: from
+    ``balanced_start(program, x0)`` at their files' starts ex1, ex3, ex5
+    and ex8 end at (1, 1), (1, 2), (3.33, 3.99) and (5, 3, 5) in 162, 13,
+    5 and 13 iterations, not at their minimizers.  The start's point and residual
     factor are taken into an iterate of ``program``, so a start built for
     another program of the same sizes steps on this program's derivatives
     and residuals, not on those it carries.  The command line, the reference
@@ -263,13 +279,7 @@ def solve(
     # the paper's rule runs from a given start, the library's from none
     mehrotra = start is None
     if mehrotra:
-        try:
-            iterate = least_squares_start(program)
-        except DomainError as err:
-            raise DomainError(
-                f"{err} at x = 0, the start solve() takes when given none; pass "
-                "start=balanced_start(program, x0) with x0 in the objective's domain"
-            ) from err
+        iterate = least_squares_start(program)
     else:
         sizes = (start.x.size, start.y.size, start.p)
         if sizes != (program.n, program.m, program.p):

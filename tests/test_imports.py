@@ -272,10 +272,8 @@ def test_package_runs_source_text_only_at_the_emitters_site(path):
 
 
 # numpy functions whose Python wrappers cost more than the work they do on the
-# iteration's operands, and the definitions of the iteration's modules that may
-# still call them: the start builders, which run once per solve.
+# iteration's operands
 NUMPY_WRAPPERS = ("all", "any", "full")
-KEPT_WRAPPER_CALLS = {"kkt.py": (), "step.py": (), "solver.py": ("default_start", "balanced_start")}
 
 
 def wrapper_call_sites(text: str) -> list[str]:
@@ -305,14 +303,12 @@ def test_guard_lists_each_wrapper_call_in_its_definition():
     assert wrapper_call_sites(text) == ["<module>: np.full", "C.f: np.all", "C.f: np.any"]
 
 
-@pytest.mark.parametrize("name", sorted(KEPT_WRAPPER_CALLS))
+@pytest.mark.parametrize("name", ["kkt.py", "solver.py", "step.py"])
 def test_iteration_modules_call_no_numpy_wrappers(name):
     text = (ROOT / "src" / "arcipm" / name).read_text()
-    kept = KEPT_WRAPPER_CALLS[name]
-    assert [site for site in wrapper_call_sites(text) if site.split(":")[0] not in kept] == [], (
-        "the iteration path calls no np.all, np.any or np.full: with numpy 2.4.6 and one OpenBLAS "
-        "thread, on 10 to 216 entries, np.all took 2.4-3.4 us and np.any 3.3-3.8 us a call, against "
-        "1.1 us for np.minimum.reduce(v) >= 0.0, and np.full 1.4-1.7 us, against 0.2-0.3 us for "
-        "np.zeros or nothing for a scalar that broadcasts; a once-per-solve builder may keep them, "
-        "named in KEPT_WRAPPER_CALLS"
+    assert wrapper_call_sites(text) == [], (
+        "the iteration's modules call no np.all, np.any or np.full: with numpy 2.4.6 and one "
+        "OpenBLAS thread, on 10 to 216 entries, np.all took 2.4-3.4 us and np.any 3.3-3.8 us a "
+        "call, against 1.1 us for np.minimum.reduce(v) >= 0.0, and np.full 1.4-1.7 us, against "
+        "0.2-0.3 us for np.zeros or nothing for a scalar that broadcasts"
     )

@@ -387,6 +387,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=-5)
     assert SolverConfig(max_iter=0).max_iter == 0
+    # an iteration bound is an index: 2.5 would run 3 iterations, inf would never stop
+    for bad in (2.5, math.inf):
+        with pytest.raises(TypeError):
+            SolverConfig(max_iter=bad)
+    max_iter = SolverConfig(max_iter=np.int64(3)).max_iter
+    assert type(max_iter) is int and max_iter == 3
 
 
 @pytest.mark.parametrize("sigma_min", [0.1, 0.2, 0.5])

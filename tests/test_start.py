@@ -19,6 +19,7 @@ from arcipm import (
     parse_expression,
     solve,
 )
+from arcipm.autodiff import evaluate
 from arcipm.cli import parse_problem_text
 from arcipm.step import select_step
 from conftest import load_problem, newton_directions, perfbench_module, run_recorded
@@ -74,6 +75,16 @@ def test_solve_without_a_start_names_its_start_where_the_objective_is_undefined(
     with pytest.raises(DomainError, match=re.escape(expected)):
         solve(program)
     assert solve(program, start=balanced_start(program, start)).status is SolverStatus.CONVERGED
+
+
+def test_solve_without_a_start_raises_a_folded_objectives_own_error():
+    # min x1^2 folds and is finite at x = 0; its least-squares point x1 = 1e160 overflows it
+    program, _ = parse_problem_text("vars x1\nmin x1^2\nineq 1 >= 1e160\n")
+    assert evaluate(program.compiled_objective, np.zeros(1)) == 0.0
+    with pytest.raises(DomainError, match="^polynomial overflows") as raised:
+        solve(program)
+    assert "x = 0" not in str(raised.value)
+    assert "balanced_start" not in str(raised.value)
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
