@@ -263,8 +263,8 @@ def solve(
     that does not fold steps on the model term H x: from
     ``balanced_start(program, x0)`` at their files' starts ex1, ex3, ex5
     and ex8 end at (1, 1), (1, 2), (3.33, 3.99) and (5, 3, 5) in 162, 13,
-    5 and 13 iterations, not at their minimizers.  The start's point and residual
-    factor are taken into an iterate of ``program``, so a start built for
+    5 and 13 iterations, not at their minimizers.  The start's point and
+    residual factor are taken into an iterate of ``program``, so a start built for
     another program of the same sizes steps on this program's derivatives
     and residuals, not on those it carries.  The command line, the reference
     fixtures, the golden files and the digests' cold-start lines pass
