@@ -72,14 +72,16 @@ forms, in its order, with no dispatch on node types and no maps.  Which
 entries the walk stores depends on the point only through exact zeros
 and errors, so the code is written for points where no scale factor is
 exactly 0 and the walk raises nothing: a name compared with 0 records
-that condition and answers as such a point would.  The code tests the
-conditions after its last line: it returns the walk's bits, or None, and
-the walk takes that point and gives its own result or error.  The whole
-tree is one function body, each operand written in place.
+that condition and answers as such a point would, except a constant's,
+which answers from its value, as the walk does at every point.  The code
+tests the conditions after its last line: it returns the walk's bits, or
+None, and the walk takes that point and gives its own result or error.
+The whole tree is one function body, each operand written in place.
 :func:`_maker` compiles each source text once, in a bounded cache.  The
-tree's constants are arguments, so programs of one shape share the code;
-only variable indices, counters and the ``repr`` of a float, ``inf`` and
-``nan`` included, reach the source, never text a user wrote.
+tree's constants are arguments, so programs of one shape, with their
+zero constants in the same places, share the code; only variable
+indices, counters and the ``repr`` of a float, ``inf`` and ``nan``
+included, reach the source, never text a user wrote.
 :func:`evaluate` walks the tree.
 
 Values stay Python floats, so ``**`` and ``math.exp`` raise
@@ -348,13 +350,15 @@ class _Local:
     writes the line that computes its result.  The walk compares a value
     with 0.0 only to find an exact zero, which drops an entry, or an
     error.  Such a comparison requires that neither holds, and answers as
-    at a point where neither does.
+    at a point where neither does.  A constant's local carries its
+    ``value``, which no point changes, so its comparisons answer from
+    that value, as the walk does at every point, and require nothing.
     """
 
-    __slots__ = ("emitter", "name")
+    __slots__ = ("emitter", "name", "value")
 
-    def __init__(self, emitter, name: str):
-        self.emitter, self.name = emitter, name
+    def __init__(self, emitter, name: str, value: float | None = None):
+        self.emitter, self.name, self.value = emitter, name, value
 
     def __str__(self) -> str:
         return self.name
@@ -373,14 +377,20 @@ class _Local:
     # a scale factor is required nonzero (a float is false if 0), a base
     # under log or a fractional power positive
     def __eq__(self, zero) -> bool:
+        if self.value is not None:
+            return self.value == zero
         self.emitter.require(self.name)
         return False
 
     def __ne__(self, zero) -> bool:
+        if self.value is not None:
+            return self.value != zero
         self.emitter.require(self.name)
         return True
 
     def __le__(self, zero) -> bool:
+        if self.value is not None:
+            return self.value <= zero
         self.emitter.require(f"{self} > 0.0")
         return False
 
@@ -395,10 +405,11 @@ class _Emitter:
     in the walk's order of operations.  The floats that no point changes,
     a leaf's derivative 1.0 and what the walk forms from it or from an
     exponent, stay floats, and x * 1.0 is x.  Which entries are present
-    then follows from the tree alone, so long as no scale factor is
-    exactly zero and the walk raises nothing.  Each condition for that is
-    kept in :attr:`required`, and each product or quotient the walk checks
-    goes into the finiteness sum with the value and every entry, a float
+    then follows from the tree and its constants alone, so long as no
+    scale factor that depends on the point is exactly zero and the walk
+    raises nothing.  Each condition for that is kept in
+    :attr:`required`, and each product or quotient the walk checks goes
+    into the finiteness sum with the value and every entry, a float
     included; the body tests them all after its last line (:meth:`holds`),
     and the walk takes a point where one fails.  An operation a failed
     condition would have stopped may raise first; the caller hands the
@@ -429,7 +440,7 @@ class _Emitter:
 
     def constant(self, value) -> _Local:
         self.constants.append(value)
-        return _Local(self, f"c{len(self.constants) - 1}")
+        return _Local(self, f"c{len(self.constants) - 1}", value)
 
     def isfinite(self, x) -> bool:
         self.finite.append(x)

@@ -19,6 +19,7 @@ iteration.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -156,7 +157,9 @@ def config_from_args(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(**{field: getattr(args, field) for field in _SOLVER_FLAGS})
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="arcipm",
         description="Arc-search interior-point solver for linearly constrained convex programs.",

@@ -72,21 +72,25 @@ of :meth:`arcipm.step.MuPredictor.of` does.  Nor does the iteration path
 call ``np.all``, ``np.any`` or ``np.full``, whose Python wrappers took
 2.4-3.8 us and 1.4-1.7 us a call on that host.
 
-Nothing the iteration already holds is built again.  A program without
-equality rows (m = 0) gets no zero A_E'y product, no empty r_E arithmetic
-and no A_E block.  r_C is stated once, in :func:`stationarity`, which is
-its one m = 0 branch; the Newton matrix is H + A_I'(Z/S)A_I itself and the
-reduced right-hand sides are the r_C block alone.  The matrix and the
-right-hand sides hold the values the (n+m)-square copy and the
-concatenations would.  Adding the zero product changes a vector only in
-the sign of a zero entry: a norm does not see it, and r_c enters the
-iteration only through norms and as an addend of the reduced right-hand
-side, with no division by an entry of it, so that sign can reach no
-nonzero value (``tools/run_digest.py`` prints the same lines with and
-without the product).  The duality measure of an accepted step
-is handed on: :func:`arcipm.step.select_step` takes it of the candidate's
-(s, z) views, and :meth:`Iterate.at` splits the same views of the same
-vector, so a second dot would repeat the same bits.
+A shortcut past work that the iteration would repeat is kept where a
+measurement shows that it pays: the m = 0 branches below, the blocks
+that :meth:`Iterate.at` splits once and hands to its constructor, the
+accepted arc point kept as the next iterate's vector, the ``r_i=None``
+mode of the two curvature solves, and the trace's norm of r_c for a
+folded objective.  A program without equality rows (m = 0) gets no zero
+A_E'y product, no empty r_E arithmetic and no A_E block.  r_C is stated
+once, in :func:`stationarity`, which is its one m = 0 branch; the Newton
+matrix is H + A_I'(Z/S)A_I itself and the reduced right-hand sides are
+the r_C block alone.  The matrix and the right-hand sides hold the
+values the (n+m)-square copy and the concatenations would.  Adding the
+zero product changes a vector only in the sign of a zero entry: a norm
+does not see it, and r_c enters the iteration only through norms and as
+an addend of the reduced right-hand side, with no division by an entry
+of it, so that sign can reach no nonzero value (``tools/run_digest.py``
+prints the same lines with and without the product).  Each iterate
+takes its duality measure of its own (s, z) views, although
+:func:`arcipm.step.select_step` has taken the same dot of the accepted
+candidate's: that one dot is within timing noise of an iteration.
 
 An :class:`Iterate` is one contiguous vector of n + m + 2p entries in
 (x, y, s, z) order, and its four block fields are views into it.  Each
@@ -191,13 +195,10 @@ class Iterate:
         setattr_(self, "zs", z * s)
 
     @classmethod
-    def at(cls, program: ConvexProgram, vec, nu: float, mu: float | None = None) -> "Iterate":
+    def at(cls, program: ConvexProgram, vec, nu: float) -> "Iterate":
         """The iterate at the flat (x, y, s, z) point ``vec``, kept as it is, not copied.
 
         The residual factor ``nu`` lies in (0, 1]; a NaN fails that test too.
-        ``mu`` is the duality measure of ``vec``'s (s, z) when the caller has
-        taken it already, as :func:`arcipm.step.select_step` has for the
-        point it accepts; it is taken here when None.
         """
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"residual factor nu must lie in (0, 1], got {nu}")
@@ -217,9 +218,7 @@ class Iterate:
         # without equality rows r_e is the empty b_eq itself
         r_e = program.a_eq.dot(x) - program.b_eq if m else program.b_eq
         r_i = program.a_ineq.dot(x) - s - program.b_ineq
-        if mu is None:
-            mu = duality_measure(s, z)
-        return cls(vec, hess, grad, r_c, r_e, r_i, mu, nu, blocks)
+        return cls(vec, hess, grad, r_c, r_e, r_i, duality_measure(s, z), nu, blocks)
 
     @property
     def w(self) -> np.ndarray:

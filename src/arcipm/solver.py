@@ -318,9 +318,7 @@ def solve(
         try:
             directions = solve_directions(matrix, program.a_ineq, iterate)
             selection = select_step(iterate, directions, config, mehrotra)
-            iterate = Iterate.at(
-                program, selection.point, update_nu(iterate.nu, selection.alpha), selection.mu
-            )
+            iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
         except SingularKKTError as err:
             status = SolverStatus.SINGULAR_KKT
             message = str(err)

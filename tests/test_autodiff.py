@@ -694,6 +694,17 @@ def test_generated_source_holds_no_user_text(monkeypatch):
         assert outcome(generated, x) == outcome(tree, x)
 
 
+def test_a_zero_constant_factor_is_no_condition_of_the_generated_code():
+    """``0*x2`` drops x2's entries at every point, so the code for
+    ``x1^3 + 0*x2`` answers every point of the box itself, with the walk's bytes."""
+    tree = parse_expression("x1^3 + 0*x2", X12)
+    generated = compile_tree(tree, 2)
+    assert isinstance(generated, Generated)
+    for x in np.random.default_rng(55).uniform(0.5, 4.0, size=(1000, 2)):
+        value, grad, hess = generated_result(generated, x)
+        assert (np.float64(value).tobytes(), grad.tobytes(), hess.tobytes()) == outcome(tree, x)
+
+
 def test_a_program_reads_its_objective_once(monkeypatch):
     """One structural pass per program across ``ConvexProgram(...)`` and
     ``solve``: the objective is compiled from the structure its check read.
