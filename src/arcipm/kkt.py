@@ -55,7 +55,10 @@ before it is equilibrated, and every vector handed to ``dgetrs`` is
 checked through the norm the solve takes of it anyway: a finite norm
 proves every entry finite, and only an infinite or NaN norm, which an
 overflow of finite entries can also give, is followed by an entrywise
-test.  An inf or NaN entry raises :class:`SingularKKTError`.
+test.  An inf or NaN entry raises :class:`SingularKKTError`.  Inside
+:func:`arcipm.solver.solve` an overflow reaches these checks as an inf or
+NaN value, not as numpy's warning, by the floating-point policy that
+:mod:`arcipm.solver`'s docstring states.
 
 The same holds one level down: on these operands numpy's dispatch costs
 more than the arithmetic.  So the iteration path multiplies through

@@ -14,6 +14,25 @@ smallest eigenvalue is at worst a few roundoffs of |H| below zero, far
 above the threshold -1e-10 * max(1, max |H|) of the eigenvalue test, so it
 settles the verdict.  Only a nonpositive pivot, as a singular Hessian
 gives, is followed by ``eigvalsh``, whose smallest eigenvalue then decides.
+
+The floating-point policy is stated here once.  :func:`solve` runs its
+whole body, from the start to the final objective value and the
+``observer`` calls between, under one
+``np.errstate(over="ignore", invalid="ignore")``.  An overflow there gives
+an inf, and 0 * inf or inf - inf a NaN, where numpy would otherwise emit a
+``RuntimeWarning`` that a filter of "error", such as the test suite's,
+turns into an exception.  The run's own finiteness checks then end it
+with a status: a NaN stop-test norm fails the comparison, so it never
+counts as converged; :func:`arcipm.kkt.solve_directions` raises on a
+Newton matrix or right-hand side that is not finite, which ends the run
+``SingularKKT``; and the step layer rejects a candidate whose smallest
+s or z is NaN.  Division by zero keeps the caller's setting (numpy warns
+by default): the loop divides by s, which stays positive, and by Newton
+row maxima that are checked to be nonzero first.  The start builders
+called directly, outside ``solve()``, run under the caller's setting, as
+every other public function does; :func:`arcipm.autodiff.value_gradient_hessian`
+keeps its own ``errstate`` for a folded objective, whose value that is not
+finite it reports as a :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -274,71 +293,79 @@ def solve(
     ``observer(k, iterate, selection)`` is called once per stored iterate
     (selection is None for the starting point); it exists so tests and
     experiment scripts can watch every invariant without bloating the trace.
+
+    The whole call, ``observer`` included, runs under the module's one
+    floating-point policy: overflow and invalid operations are ignored,
+    and the inf or NaN they leave ends the run with a status through the
+    finiteness checks, so an in-domain program returns a report rather
+    than raising numpy's warning.  Division by zero keeps the caller's
+    setting.
     """
-    config = config or SolverConfig()
-    # the paper's rule runs from a given start, the library's from none
-    mehrotra = start is None
-    if mehrotra:
-        iterate = least_squares_start(program)
-    else:
-        sizes = (start.x.size, start.y.size, start.p)
-        if sizes != (program.n, program.m, program.p):
-            raise ValueError(
-                f"start has (n, m, p) = {sizes}, the program has {(program.n, program.m, program.p)}"
-            )
-        iterate = Iterate.at(program, start.vec, start.nu)
-    trace = [_trace_row(program, iterate, 0, 0.0, 0.0)]
-    if observer is not None:
-        observer(0, iterate, None)
-
-    status = SolverStatus.CONVERGED
-    message = ""
-    curvature_warned = False
-    # a folded quadratic returns one read-only Hessian; check it only once
-    checked_hess = None
-    k = 0
-    # the last trace row holds this iterate's stop-test norm; a NaN norm
-    # fails the comparison, so it never counts as converged
-    while not trace[-1].kkt_norm <= config.epsilon:
-        if k >= config.max_iter:
-            status = SolverStatus.MAX_ITER
-            break
-        if not curvature_warned and iterate.hess is not checked_hess:
-            checked_hess = iterate.hess
-            if _indefinite(checked_hess):
-                warnings.warn(
-                    "objective curvature is not positive semidefinite; continuing anyway",
-                    RuntimeWarning,
-                    stacklevel=2,
+    with np.errstate(over="ignore", invalid="ignore"):
+        config = config or SolverConfig()
+        # the paper's rule runs from a given start, the library's from none
+        mehrotra = start is None
+        if mehrotra:
+            iterate = least_squares_start(program)
+        else:
+            sizes = (start.x.size, start.y.size, start.p)
+            if sizes != (program.n, program.m, program.p):
+                raise ValueError(
+                    f"start has (n, m, p) = {sizes}, the program has {(program.n, program.m, program.p)}"
                 )
-                curvature_warned = True
-        matrix = assemble_newton_matrix(
-            iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z
-        )
-        try:
-            directions = solve_directions(matrix, program.a_ineq, iterate)
-            selection = select_step(iterate, directions, config, mehrotra)
-            iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
-        except SingularKKTError as err:
-            status = SolverStatus.SINGULAR_KKT
-            message = str(err)
-            break
-        except (StepFailureError, DomainError) as err:
-            # no acceptable angle, or the accepted point left the objective's domain
-            status = SolverStatus.STEP_FAILURE
-            message = str(err)
-            break
-        k += 1
-        trace.append(_trace_row(program, iterate, k, selection.sigma, selection.alpha))
+            iterate = Iterate.at(program, start.vec, start.nu)
+        trace = [_trace_row(program, iterate, 0, 0.0, 0.0)]
         if observer is not None:
-            observer(k, iterate, selection)
+            observer(0, iterate, None)
 
-    return SolverReport(
-        x=iterate.x.copy(),
-        objective=evaluate(program.compiled_objective, iterate.x),
-        iterations=k,
-        infe=trace[-1].norm_re,
-        status=status,
-        trace=trace,
-        message=message,
-    )
+        status = SolverStatus.CONVERGED
+        message = ""
+        curvature_warned = False
+        # a folded quadratic returns one read-only Hessian; check it only once
+        checked_hess = None
+        k = 0
+        # the last trace row holds this iterate's stop-test norm; a NaN norm
+        # fails the comparison, so it never counts as converged
+        while not trace[-1].kkt_norm <= config.epsilon:
+            if k >= config.max_iter:
+                status = SolverStatus.MAX_ITER
+                break
+            if not curvature_warned and iterate.hess is not checked_hess:
+                checked_hess = iterate.hess
+                if _indefinite(checked_hess):
+                    warnings.warn(
+                        "objective curvature is not positive semidefinite; continuing anyway",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    curvature_warned = True
+            matrix = assemble_newton_matrix(
+                iterate.hess, program.a_eq, program.a_ineq, iterate.s, iterate.z
+            )
+            try:
+                directions = solve_directions(matrix, program.a_ineq, iterate)
+                selection = select_step(iterate, directions, config, mehrotra)
+                iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
+            except SingularKKTError as err:
+                status = SolverStatus.SINGULAR_KKT
+                message = str(err)
+                break
+            except (StepFailureError, DomainError) as err:
+                # no acceptable angle, or the accepted point left the objective's domain
+                status = SolverStatus.STEP_FAILURE
+                message = str(err)
+                break
+            k += 1
+            trace.append(_trace_row(program, iterate, k, selection.sigma, selection.alpha))
+            if observer is not None:
+                observer(k, iterate, selection)
+
+        return SolverReport(
+            x=iterate.x.copy(),
+            objective=evaluate(program.compiled_objective, iterate.x),
+            iterations=k,
+            infe=trace[-1].norm_re,
+            status=status,
+            trace=trace,
+            message=message,
+        )

@@ -158,8 +158,7 @@ def fixture_runs():
     runs = {}
     for name in REFERENCE:
         program, start = load_problem(name)
-        with np.errstate(all="ignore"):
-            runs[name] = (program, run_recorded(program, default_start(program, start)))
+        runs[name] = (program, run_recorded(program, default_start(program, start)))
     return runs
 
 

@@ -2,8 +2,9 @@
 every module-level definition of the package and every method of its classes is read
 outside itself, the package multiplies with ndarray.dot, not with @, outside the one
 product that keeps it, it calls compile, exec and eval only where autodiff compiles
-its generated source, and the iteration's modules call no np.all, np.any or np.full
-outside the start builders."""
+its generated source, it sets numpy's floating-point policy only in solve() and in the
+one public derivative that keeps its own, and the iteration's modules call no np.all,
+np.any or np.full outside the start builders."""
 
 import ast
 from collections import defaultdict
@@ -268,6 +269,52 @@ def test_package_runs_source_text_only_at_the_emitters_site(path):
     assert code_call_sites(path.read_text()) == KEPT_CODE_CALLS.get(path.name, []), (
         "compile, exec and eval run only the source that autodiff's emitter writes from a tree's "
         "structure, at _maker; any other call could run text that came from a user"
+    )
+
+
+# The package's floating-point settings, by file and enclosing definition: solve()
+# states the one policy for the whole run, and autodiff's _quadratic keeps its own
+# because value_gradient_hessian is public and reports an overflow as DomainError.
+KEPT_ERRSTATE = {"solver.py": ["solve"], "autodiff.py": ["_quadratic"]}
+
+
+def errstate_sites(text: str) -> list[str]:
+    """The dotted name of the definition around each ``errstate(...)`` call in ``text``, one per call."""
+
+    def errstate_call(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Attribute) and func.attr == "errstate") or (
+            isinstance(func, ast.Name) and func.id == "errstate"
+        )
+
+    return scoped_sites(text, errstate_call, lambda node, where: where)
+
+
+def test_guard_lists_each_errstate_in_its_definition():
+    text = (
+        "from numpy import errstate\n"
+        "class C:\n"
+        "    def f(self, v):\n"
+        "        with np.errstate(over='ignore'):\n"
+        "            return np.geterr(), v\n"
+        "@numpy.errstate(all='raise')\n"
+        "def g(v):\n"
+        "    with errstate(invalid='ignore'):\n"
+        "        return v\n"
+    )
+    assert errstate_sites(text) == ["C.f", "g", "g"]
+
+
+# each listed file is a case too, so a listed site whose file is gone fails as one that moved
+@pytest.mark.parametrize(
+    "name", sorted({path.name for path in (ROOT / "src" / "arcipm").glob("*.py")} | set(KEPT_ERRSTATE))
+)
+def test_package_sets_the_floating_point_policy_in_one_place(name):
+    path = ROOT / "src" / "arcipm" / name
+    assert path.exists() and errstate_sites(path.read_text()) == KEPT_ERRSTATE.get(name, []), (
+        "solve() runs under the package's one floating-point policy, stated in arcipm.solver's "
+        "docstring; another errstate would split it again. A public function outside solve() "
+        "that needs its own keeps it, with a reason beside it and in KEPT_ERRSTATE"
     )
 
 

@@ -5,8 +5,12 @@ transformation whose effect on the answer is known, and solved with no
 start, as ``solve(program)`` does.  Permuting the variables or the
 inequality rows gives the same program written in another order, and
 the solver then takes the same path: each draw keeps its status and its
-iteration count.  Multiplying the objective by c > 0 moves no minimizer,
-but it moves the runs, and those rows are pinned as today's behaviour.
+iteration count.  So does translating the variables, x = x′ + t, which
+gives the objective a linear and a constant term and shifts the
+right-hand sides; a converged x′ + t lies within 1e-4 of the draw's own
+answer.  Multiplying the objective by c > 0 or writing one inequality row
+twice moves no minimizer, but it moves the runs, and those rows are
+pinned as today's behaviour.
 """
 
 from collections import Counter
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from arcipm import ConvexProgram, solve
+from arcipm.expr import Add, Const, Mul, Var
 from qp_family import qp_family, quadratic_tree
 
 # (statuses, total iterations) of the untransformed draws and of each
@@ -25,6 +30,8 @@ OBJECTIVE_SCALE_ROWS = {
     1e3: ({"Converged": 298, "SingularKKT": 2}, 2520),
     1e6: ({"Converged": 275, "SingularKKT": 14, "StepFailure": 10, "MaxIter": 1}, 5593),
 }
+# (statuses, total iterations) with one inequality row, drawn per draw, written twice
+DUPLICATED_ROW = ({"Converged": 300}, 1933)
 SCALE_EXPECTED_TO_MOVE = (
     "the objective-scale rows are pinned as today's behaviour; item 30 (one scale for the cost, "
     "mapped back at exit) is expected to move them, and the change that does re-records "
@@ -41,13 +48,11 @@ def transformed(draw, q, a_eq, a_ineq, b_ineq) -> ConvexProgram:
 
 def outcomes(programs) -> list:
     """(status, iterations) of ``solve(program)`` for each program, in order."""
-    runs = []
-    for program in programs:
-        # the scaled draws overflow in numpy while a Newton matrix is built
-        with np.errstate(all="ignore"):
-            report = solve(program)
-        runs.append((report.status.value, report.iterations))
-    return runs
+    return [outcome(solve(program)) for program in programs]
+
+
+def outcome(report):
+    return report.status.value, report.iterations
 
 
 def totals(runs):
@@ -60,8 +65,13 @@ def draws():
 
 
 @pytest.fixture(scope="module")
-def untransformed(draws):
-    return outcomes(draw.program for draw in draws)
+def untransformed_reports(draws):
+    return [solve(draw.program) for draw in draws]
+
+
+@pytest.fixture(scope="module")
+def untransformed(untransformed_reports):
+    return [outcome(report) for report in untransformed_reports]
 
 
 def test_the_untransformed_draws_are_pinned(untransformed):
@@ -91,3 +101,49 @@ def test_permuting_the_inequality_rows_keeps_every_status_and_iteration_count(dr
 def test_objective_scale_rows_are_pinned(draws, scale):
     programs = [transformed(draw, scale * draw.q, draw.a_eq, draw.a_ineq, draw.b_ineq) for draw in draws]
     assert totals(outcomes(programs)) == OBJECTIVE_SCALE_ROWS[scale], SCALE_EXPECTED_TO_MOVE
+
+
+def translated_tree(q, shift):
+    """Expression tree for ½(x′+t)ᵀQ(x′+t): ½x′ᵀQx′ + (Qt)ᵀx′ + ½tᵀQt."""
+    linear = q @ shift
+    tree = Add(quadratic_tree(q), Const(0.5 * float(shift @ linear)))
+    for i, g in enumerate(linear):
+        tree = Add(tree, Mul(Const(float(g)), Var(i, f"x{i + 1}")))
+    return tree
+
+
+def test_translating_the_variables_keeps_every_status_iteration_count_and_answer(
+    draws, untransformed_reports, untransformed
+):
+    rng = np.random.default_rng(31)
+    shifts, programs = [], []
+    for draw in draws:
+        shift = 10.0 * rng.normal(size=draw.q.shape[0])
+        shifts.append(shift)
+        programs.append(
+            ConvexProgram(
+                n=shift.size,
+                objective=translated_tree(draw.q, shift),
+                a_eq=draw.a_eq,
+                b_eq=draw.b_eq - draw.a_eq @ shift,
+                a_ineq=draw.a_ineq,
+                b_ineq=draw.b_ineq - draw.a_ineq @ shift,
+            )
+        )
+    reports = [solve(program) for program in programs]
+    assert [outcome(report) for report in reports] == untransformed
+    for report, shift, original in zip(reports, shifts, untransformed_reports):
+        if report.status.value == "Converged":
+            np.testing.assert_allclose(report.x + shift, original.x, atol=1e-4, rtol=0.0)
+
+
+def test_duplicating_an_inequality_row_is_pinned(draws):
+    rng = np.random.default_rng(31)
+    programs = []
+    for draw in draws:
+        rows = np.append(np.arange(draw.b_ineq.size), rng.integers(draw.b_ineq.size))
+        programs.append(transformed(draw, draw.q, draw.a_eq, draw.a_ineq[rows], draw.b_ineq[rows]))
+    assert totals(outcomes(programs)) == DUPLICATED_ROW, (
+        "pinned as today's behaviour: the duplicated row doubles that row's weight in the "
+        "Newton matrix and in the least-squares start, so the path moves"
+    )

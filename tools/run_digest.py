@@ -108,7 +108,7 @@ def workload_digests(tree: Path, runs: int) -> dict[str, Digest]:
 
     def solved(program, x0=None, cold=True):
         """The solve from ``default_start(program, x0)``, or from no start at all."""
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return solve(program, start=default_start(program, x0) if cold else None)
 
