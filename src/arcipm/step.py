@@ -376,7 +376,9 @@ def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, thet
     # with theta = 0 the positive s and z above pass the centrality test
     if theta and reduce_min(s * z) < theta * mu_new * (1.0 - FLOOR_SLACK):
         return False
-    return mu_new < mu_old
+    # a measure that underflows to 0 while s and z stay positive leaves the
+    # next iterate no scale: the trace row divides by it
+    return 0.0 < mu_new < mu_old
 
 
 def candidate_angles(cap: float, start: float):
@@ -462,8 +464,8 @@ def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra
     margin surely fails the duality-measure test, so it is skipped without
     building its point; a NaN product skips nothing.  The first other angle
     whose arc point keeps both blocks above their floors, stays inside the
-    centrality region, and strictly decreases the duality measure is taken,
-    and ``backtracks`` counts the angles passed over before it, across
+    centrality region, and strictly decreases the duality measure without
+    reaching 0 is taken, and ``backtracks`` counts the angles passed over before it, across
     sequences.  When every sequence is used up, :class:`StepFailureError`
     names the sigma and cap of the last.
     """

@@ -87,6 +87,9 @@ def build(case: Case | str):
 # the 1e200 row of test_solver.py's COLD_START_FAILURES: "overflow encountered in
 # dot" escaped the first trace row's norm of r_C
 @example("vars x1 x2\nmin x1^2 + x2^2\nineq 1e200 1 >= -1\nbound x1 -1 1\n")
+# the duality measure underflowed to 0 at an accepted step, and the trace row's
+# min(s z)/mu raised ZeroDivisionError
+@example(Case(227, objective=8.058206094856441, rows=8, columns=2, seed=342559812, duplicate=None, zero_row=True))
 def test_solve_returns_a_report_on_in_domain_programs(case):
     program, x0 = build(case)
     for start in (None, default_start(program, x0), balanced_start(program, x0)):
