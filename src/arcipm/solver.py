@@ -27,8 +27,9 @@ counts as converged; :func:`arcipm.kkt.solve_directions` raises on a
 Newton matrix or right-hand side that is not finite, which ends the run
 ``SingularKKT``; and the step layer rejects a candidate whose smallest
 s or z is NaN.  Division by zero keeps the caller's setting (numpy warns
-by default): the loop divides by s, which stays positive, and by Newton
-row maxima that are checked to be nonzero first.  The start builders
+by default): the loop divides by s, which stays positive, by Newton row
+maxima that are checked to be nonzero first, and, in the trace row, by
+mu, which the step test keeps above 0.  The start builders
 called directly, outside ``solve()``, run under the caller's setting, as
 every other public function does; :func:`arcipm.autodiff.value_gradient_hessian`
 keeps its own ``errstate`` for a folded objective, whose value that is not

@@ -465,9 +465,9 @@ def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra
     building its point; a NaN product skips nothing.  The first other angle
     whose arc point keeps both blocks above their floors, stays inside the
     centrality region, and strictly decreases the duality measure without
-    reaching 0 is taken, and ``backtracks`` counts the angles passed over before it, across
-    sequences.  When every sequence is used up, :class:`StepFailureError`
-    names the sigma and cap of the last.
+    reaching 0 is taken, and ``backtracks`` counts the angles passed over
+    before it, across sequences.  When every sequence is used up,
+    :class:`StepFailureError` names the sigma and cap of the last.
     """
     p = iterate.p
     tails = sz_tails(iterate, directions)
