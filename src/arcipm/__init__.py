@@ -1,6 +1,6 @@
 """Arc-search infeasible interior-point solver for convex programs."""
 
-from .autodiff import DomainError, evaluate, gradient, hessian, value_gradient_hessian
+from .autodiff import DomainError, Quadratic, evaluate, gradient, hessian, value_gradient_hessian
 from .expr import ParseError, parse_expression
 from .kkt import Iterate, NewtonDirections, SingularKKTError
 from .program import ConvexProgram, fold_bounds
@@ -22,6 +22,7 @@ __all__ = [
     "Iterate",
     "NewtonDirections",
     "ParseError",
+    "Quadratic",
     "SingularKKTError",
     "SolverConfig",
     "SolverReport",

@@ -43,7 +43,8 @@ an exact zero may differ, as 0 + (-0) is +0, and an entry that has
 overflowed to inf no longer turns an absent entry, or a zero scalar
 factor, into the NaN of inf * 0.
 
-:func:`compile_objective` runs once per program: one structural pass
+:func:`compile_objective` runs once per program whose objective is a
+tree: one structural pass
 (:func:`expr.structure`), the one the program makes when it checks its
 objective, gives the tree's degree and its variable indices, then a tree
 of degree <= 2 is walked once, at x = 0.  Such a tree is
@@ -55,9 +56,11 @@ has the value 0, so the walk of a dense 1/2 x'Qx forms each term's
 cross term and its constant's scaling, and stores no gradient entry and
 one Hessian entry per term: compiling costs O(nodes) plus the O(n^2)
 fill.  A quadratic program is then one node: one matrix-vector
-product per call and the same read-only Hessian every time.  The public
-``evaluate``/``gradient``/``hessian`` accept either tree; the solver
-passes the compiled one and the test oracles the raw one.
+product per call and the same read-only Hessian every time.  A program
+may also be given that node, built from arrays; it is then its own
+compiled objective, and no tree is walked or folded.  The public
+``evaluate``/``gradient``/``hessian`` accept either tree or the node; the
+solver passes the compiled one and the test oracles the program's own.
 
 A tree that does not fold has its walk written out once as Python source
 (source transformation; ibid., ch. 6), recorded by running the walk itself
@@ -121,14 +124,49 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Quadratic:
-    """c + g'x + 1/2 x'Hx: a folded tree.
+    """c + g'x + 1/2 x'Hx: a folded tree, or an objective a caller gives as arrays.
 
-    H is read-only, and every call returns that same array.
+    It checks its fields when built, as an expression node does: c is a
+    finite real number, g a vector of finite entries and H a finite,
+    exactly symmetric matrix with one row and one column per entry of g.
+    A field of the wrong shape or with an entry that is not finite is a
+    ``ValueError``, and one that holds no real numbers a ``TypeError``.
+    It keeps read-only float copies of g and H, so the caller's arrays
+    may change afterwards; every call returns that same H.
     """
 
     constant: float
     linear: np.ndarray
     hessian: np.ndarray
+
+    def __post_init__(self):
+        constant = float(_real_copy(self.constant, "constant term", 0))
+        linear = _real_copy(self.linear, "linear term", 1)
+        hessian = _real_copy(self.hessian, "Hessian", 2)
+        if hessian.shape != (linear.size, linear.size):
+            raise ValueError(
+                f"Hessian has shape {hessian.shape}, expected {linear.size} x {linear.size} "
+                "for a linear term of that many entries"
+            )
+        if not np.array_equal(hessian, hessian.T):
+            raise ValueError("Hessian is not exactly symmetric")
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "hessian", hessian)
+
+
+def _real_copy(value, what: str, ndim: int) -> np.ndarray:
+    """A read-only, C-ordered float copy of a real array of ``ndim`` dimensions with finite entries."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise TypeError(f"{what} holds {array.dtype} entries, not real numbers")
+    if array.ndim != ndim:
+        raise ValueError(f"{what} has {array.ndim} dimensions, expected {ndim}")
+    array = np.array(array, dtype=float, order="C")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} has an entry that is not finite")
+    array.flags.writeable = False
+    return array
 
 
 def _add(a, b):
@@ -504,7 +542,7 @@ def _quadratic(node: Quadratic, x):
         hx = h.dot(x)
         v = float(c + x.dot(g + 0.5 * hx))
         grad = g + hx
-    # a non-finite entry of g, H or Hx shows in the value too
+    # g and H are finite, so an overflow of Hx shows in the value too
     if not math.isfinite(v):
         raise DomainError("polynomial overflows")
     return v, grad, h
@@ -532,7 +570,6 @@ def compile_objective(expression: ast.Expr, n: int, indices, degree):
         except DomainError:
             pass
         else:
-            h.flags.writeable = False
             return Quadratic(c, g, h)
     emitter = _Emitter()
     try:

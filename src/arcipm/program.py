@@ -1,18 +1,22 @@
 """Linearly constrained convex programs.
 
-A program holds a scalar objective tree together with equality rows
-``A_eq x = b_eq`` and inequality rows ``A_ineq x >= b_ineq``; :func:`_rows`
-shapes each block into a float matrix.  Box bounds never appear as a
+A program holds a scalar objective, an expression tree or a
+:class:`Quadratic` c + g'x + 1/2 x'Hx given as arrays, together with
+equality rows ``A_eq x = b_eq`` and inequality rows ``A_ineq x >= b_ineq``;
+:func:`_rows` shapes each block into a float matrix.  Box bounds never appear as a
 separate concept: :func:`fold_bounds` slices them from one identity matrix
 into inequality rows up front, and the solver only ever sees rows.
 
 The iteration needs equality rows of full row rank, so that is the one
 test of ``A_eq``: a square block of full rank is accepted, and more rows
 than variables are linearly dependent.  The objective's nodes check their
-own fields when built (:mod:`expr`), so a program checks only that each
-variable index is below n.  That check reads the objective's one
+own fields when built (:mod:`expr`), and so does a :class:`Quadratic`,
+which keeps read-only copies of its arrays.  A program checks only that
+the objective's variables fit its n: a :class:`Quadratic` needs n entries
+in g, and a tree a variable index below n.  A tree's check reads its one
 structural pass (:func:`expr.structure`), whose indices and degree the
-program keeps for compiling the objective.
+program keeps for compiling the objective; a :class:`Quadratic` is
+already the compiled objective.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import compile_objective
+from .autodiff import Quadratic, compile_objective
 from .expr import Expr, structure
 
 
@@ -37,12 +41,12 @@ class ConvexProgram:
     """min f(x) subject to A_eq x = b_eq and A_ineq x >= b_ineq."""
 
     n: int
-    objective: Expr
+    objective: Expr | Quadratic
     a_eq: np.ndarray = field(repr=False)
     b_eq: np.ndarray = field(repr=False)
     a_ineq: np.ndarray = field(repr=False)
     b_ineq: np.ndarray = field(repr=False)
-    # the objective's (variable indices, degree) from its one structural pass
+    # a tree objective's (variable indices, degree) from its one structural pass
     _structure: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,10 +64,14 @@ class ConvexProgram:
         for name in ("a_eq", "b_eq", "a_ineq", "b_ineq"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has an entry that is not finite")
-        object.__setattr__(self, "_structure", structure(self.objective))
-        indices, _ = self._structure
-        if indices and max(indices) >= n:
-            raise ValueError("objective references a variable outside the declared list")
+        if isinstance(self.objective, Quadratic):
+            if self.objective.linear.size != n:
+                raise ValueError(f"objective has {self.objective.linear.size} variables, the program {n}")
+        else:
+            object.__setattr__(self, "_structure", structure(self.objective))
+            indices, _ = self._structure
+            if indices and max(indices) >= n:
+                raise ValueError("objective references a variable outside the declared list")
         if m > 0 and np.linalg.matrix_rank(self.a_eq) < m:
             raise ValueError("equality rows are linearly dependent")
         if p < 1:
@@ -71,11 +79,13 @@ class ConvexProgram:
 
     @cached_property
     def compiled_objective(self):
-        """``objective`` folded into one node if its degree is <= 2, built on first use.
+        """``objective`` itself if it is a :class:`Quadratic`; a tree folded into one node if its degree is <= 2.
 
-        The solver differentiates this tree; ``objective`` stays the parsed
-        tree, which the test oracles differentiate independently.
+        Built on first use.  The solver differentiates this; ``objective``
+        stays as given, and the test oracles differentiate it independently.
         """
+        if isinstance(self.objective, Quadratic):
+            return self.objective
         return compile_objective(self.objective, self.n, *self._structure)
 
     @property

@@ -11,15 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcipm import ConvexProgram, SolverConfig, default_start, fold_bounds, solve
+from arcipm import ConvexProgram, Quadratic, SolverConfig, default_start, fold_bounds, solve
 from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.autodiff import compile_objective
 from arcipm.cli import parse_problem_text
-from arcipm.expr import structure
+from arcipm.expr import Add, Const, Mul, Var, structure
 from arcipm.kkt import Blocks, Iterate, NewtonDirections, assemble_newton_matrix, solve_directions
 from arcipm.step import MuPredictor, alpha_limits, sz_tails
-from qp_family import quadratic_tree
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 PERFBENCH_DIR = PROBLEM_DIR.parent / "perfbench"
@@ -85,6 +84,24 @@ def perfbench_module(name: str, folder: Path = PERFBENCH_DIR):
         sys.modules[key] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[key])
     return sys.modules[key]
+
+
+def quadratic_tree(matrix: np.ndarray):
+    """Expression tree for 0.5 x'Qx, for the tests of trees: one product per
+    diagonal entry and per nonzero entry above it, so only Q's upper
+    triangle is read."""
+    n = matrix.shape[0]
+    terms = []
+    for i in range(n):
+        xi = Var(i, f"x{i + 1}")
+        terms.append(Mul(Const(0.5 * matrix[i, i]), Mul(xi, xi)))
+        for j in range(i + 1, n):
+            if matrix[i, j] != 0.0:
+                terms.append(Mul(Const(matrix[i, j]), Mul(xi, Var(j, f"x{j + 1}"))))
+    tree = terms[0]
+    for term in terms[1:]:
+        tree = Add(tree, term)
+    return tree
 
 
 def compile_tree(tree, n: int):
@@ -205,7 +222,9 @@ def random_box_qp(rng, max_n=6, with_eq=False) -> ConvexProgram:
     if with_eq:
         row = rng.normal(size=(1, n))
         a_eq, b_eq = row, row @ (0.5 * (lower + upper))
-    return ConvexProgram(n=n, objective=quadratic_tree(quad), a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
+    return ConvexProgram(
+        n=n, objective=Quadratic(0.0, np.zeros(n), quad), a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq
+    )
 
 
 def many_rows_program(rng, n=4, rows=100) -> ConvexProgram:
@@ -218,7 +237,7 @@ def many_rows_program(rng, n=4, rows=100) -> ConvexProgram:
     a_eq = rng.uniform(0.5, 1.5, size=(1, n))
     a_ineq, b_ineq = fold_bounds(a_rows, b_rows, inside - 1.0, inside + 1.0)
     return ConvexProgram(
-        n=n, objective=quadratic_tree(quad), a_eq=a_eq, b_eq=a_eq @ inside,
+        n=n, objective=Quadratic(0.0, np.zeros(n), quad), a_eq=a_eq, b_eq=a_eq @ inside,
         a_ineq=a_ineq, b_ineq=b_ineq,
     )
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 The oracles deliberately avoid the solver's machinery: the stationarity
-check below uses the true gradient (not the model term H x) of the parsed
-tree (not the compiled tree the solver differentiates), the angle
+check below uses the true gradient (not the model term H x) of the
+program's own objective (a parsed tree, not the compiled tree the solver
+differentiates, or a Quadratic given as arrays, which both read), the angle
 scan walks a dense grid instead of inverting sinusoids, the full
 Newton matrix keeps every block that the solver eliminates, and the dense
 derivative walk carries every zero block that the solver's walk leaves

@@ -6,7 +6,9 @@ so the first N draws are the same whatever N.  Each draw is
     min ½xᵀQx  s.t.  A_E x = b_E,  A_I x >= b_I,
 
 a pure quadratic, so the solver's model residual is the true gradient
-residual and ``Converged`` means a KKT point.  Q = FFᵀ·10^U(−3, 3), where
+residual and ``Converged`` means a KKT point.  Each program is built from
+the arrays, its objective the :class:`arcipm.Quadratic` (0, 0, Q), which
+is the solver's compiled objective as it is; no expression tree is built.  Q = FFᵀ·10^U(−3, 3), where
 F has n <= 5 rows and 1 to n columns, so Q may be singular; there are
 m <= 2 equality rows with m < n, up to 5 dense inequality rows each scaled
 by 10^U(−3, 3), and a box on every variable, all placed strictly around
@@ -24,28 +26,10 @@ from typing import Iterator
 
 import numpy as np
 
-from arcipm import ConvexProgram, fold_bounds
-from arcipm.expr import Add, Const, Mul, Var
+from arcipm import ConvexProgram, Quadratic, fold_bounds
 
 FAMILY_SEED = 7
 FAMILY_SIZE = 300
-
-
-def quadratic_tree(matrix: np.ndarray):
-    """Expression tree for 0.5 x'Qx (no linear term, so the model residual
-    and the true gradient vanish together)."""
-    n = matrix.shape[0]
-    terms = []
-    for i in range(n):
-        xi = Var(i, f"x{i + 1}")
-        terms.append(Mul(Const(0.5 * matrix[i, i]), Mul(xi, xi)))
-        for j in range(i + 1, n):
-            if matrix[i, j] != 0.0:
-                terms.append(Mul(Const(matrix[i, j]), Mul(xi, Var(j, f"x{j + 1}"))))
-    tree = terms[0]
-    for term in terms[1:]:
-        tree = Add(tree, term)
-    return tree
 
 
 @dataclass(frozen=True)
@@ -86,7 +70,7 @@ def qp_draw(rng: np.random.Generator) -> QPDraw:
 
     b_eq = a_eq @ inside
     program = ConvexProgram(
-        n=n, objective=quadratic_tree(q), a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq
+        n=n, objective=Quadratic(0.0, np.zeros(n), q), a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq
     )
     return QPDraw(program, q, a_eq, b_eq, a_ineq, b_ineq, x0)
 

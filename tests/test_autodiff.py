@@ -469,7 +469,7 @@ def test_structure_reads_the_workload_trees_as_the_two_readers_it_replaced():
     trees = [load_problem(f"ex{k}")[0].objective for k in range(1, 9)]
     trees += [instances.boxqp_dense(rng, n).program.objective for n in range(2, 11)]
     trees += [instances.many_rows(rng).program.objective for _ in range(4)]
-    trees += [draw.program.objective for draw in qp_family(40)]
+    trees += [quadratic_tree(draw.q) for draw in qp_family(40)]
     trees += [entropy_program(rng, n).objective for n in (1, 8, 32)]
     degrees = set()
     for tree in trees:

@@ -28,7 +28,6 @@ from conftest import (
     load_problem,
     many_rows_program,
     newton_directions,
-    quadratic_tree,
     random_box_qp,
     run_recorded,
     split_at,
@@ -299,7 +298,7 @@ def test_small_pivot_of_a_regular_matrix_is_solved():
     an LU solve keeps in the direction of a pivot this small.
     """
     program = ConvexProgram(
-        n=2, objective=quadratic_tree(np.eye(2)), a_eq=np.zeros((0, 2)), b_eq=np.zeros(0),
+        n=2, objective=Quadratic(0.0, np.zeros(2), np.eye(2)), a_eq=np.zeros((0, 2)), b_eq=np.zeros(0),
         a_ineq=np.array([[1.0, 1.0]]), b_ineq=np.array([2.0]),
     )
     it = Iterate.at(program, np.array([1.0 + 1e-3, 1.0 - 2e-3, 1e-13, 1.0]), 1e-10)

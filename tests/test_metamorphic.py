@@ -8,9 +8,11 @@ the solver then takes the same path: each draw keeps its status and its
 iteration count.  So does translating the variables, x = x′ + t, which
 gives the objective a linear and a constant term and shifts the
 right-hand sides; a converged x′ + t lies within 1e-4 of the draw's own
-answer.  Multiplying the objective by c > 0 or writing one inequality row
-twice moves no minimizer, but it moves the runs, and those rows are
-pinned as today's behaviour.
+answer.  Multiplying the objective by c > 0, scaling the variables'
+columns, x = D x′, or writing one inequality row twice moves no
+minimizer, but it moves the runs, and those rows are pinned as today's
+behaviour.  Every program is built from arrays, its objective an
+:class:`arcipm.Quadratic`, so a transformation maps Q, g and c directly.
 """
 
 from collections import Counter
@@ -18,9 +20,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arcipm import ConvexProgram, solve
-from arcipm.expr import Add, Const, Mul, Var
-from qp_family import qp_family, quadratic_tree
+from arcipm import ConvexProgram, Quadratic, solve
+from qp_family import qp_family
 
 # (statuses, total iterations) of the untransformed draws and of each
 # objective scale c
@@ -30,6 +31,12 @@ OBJECTIVE_SCALE_ROWS = {
     1e3: ({"Converged": 298, "SingularKKT": 2}, 2520),
     1e6: ({"Converged": 275, "SingularKKT": 14, "StepFailure": 10, "MaxIter": 1}, 5593),
 }
+# (statuses, total iterations) with each variable's column scaled by
+# 10^U(-k, k), for each k; draw i's scales come from default_rng(1000 + i)
+COLUMN_SCALE_ROWS = {
+    2: ({"Converged": 300}, 2213),
+    4: ({"Converged": 298, "MaxIter": 1, "StepFailure": 1}, 2471),
+}
 # (statuses, total iterations) with one inequality row, drawn per draw, written twice
 DUPLICATED_ROW = ({"Converged": 300}, 1933)
 SCALE_EXPECTED_TO_MOVE = (
@@ -37,12 +44,18 @@ SCALE_EXPECTED_TO_MOVE = (
     "mapped back at exit) is expected to move them, and the change that does re-records "
     "OBJECTIVE_SCALE_ROWS"
 )
+COLUMNS_EXPECTED_TO_MOVE = (
+    "the column-scale rows are pinned as today's behaviour; item 30 (one scale per column, "
+    "mapped back at exit) is expected to move them, and the change that does re-records "
+    "COLUMN_SCALE_ROWS"
+)
 
 
 def transformed(draw, q, a_eq, a_ineq, b_ineq) -> ConvexProgram:
     """The draw's program with the objective ½xᵀqx and the given rows; b_E is the draw's."""
+    n = q.shape[0]
     return ConvexProgram(
-        n=q.shape[0], objective=quadratic_tree(q), a_eq=a_eq, b_eq=draw.b_eq, a_ineq=a_ineq, b_ineq=b_ineq
+        n=n, objective=Quadratic(0.0, np.zeros(n), q), a_eq=a_eq, b_eq=draw.b_eq, a_ineq=a_ineq, b_ineq=b_ineq
     )
 
 
@@ -103,27 +116,39 @@ def test_objective_scale_rows_are_pinned(draws, scale):
     assert totals(outcomes(programs)) == OBJECTIVE_SCALE_ROWS[scale], SCALE_EXPECTED_TO_MOVE
 
 
-def translated_tree(q, shift):
-    """Expression tree for ½(x′+t)ᵀQ(x′+t): ½x′ᵀQx′ + (Qt)ᵀx′ + ½tᵀQt."""
-    linear = q @ shift
-    tree = Add(quadratic_tree(q), Const(0.5 * float(shift @ linear)))
-    for i, g in enumerate(linear):
-        tree = Add(tree, Mul(Const(float(g)), Var(i, f"x{i + 1}")))
-    return tree
+@pytest.mark.parametrize("k", list(COLUMN_SCALE_ROWS), ids=lambda k: f"k={k}")
+def test_column_scale_rows_are_pinned_and_keep_every_converged_objective(draws, untransformed_reports, k):
+    """x = D x′ with D = 10^U(−k, k): ½x′ᵀ(DQD)x′ over the rows A D has the draw's minimum.
+
+    DQD is formed as (d dᵀ) ∘ Q, exactly symmetric.  The objective is
+    compared relative to max(1, |f|): the stop test is absolute, and on
+    some draws the minimum is 0.
+    """
+    programs = []
+    for i, draw in enumerate(draws):
+        d = 10.0 ** np.random.default_rng(1000 + i).uniform(-k, k, size=draw.q.shape[0])
+        programs.append(transformed(draw, np.outer(d, d) * draw.q, draw.a_eq * d, draw.a_ineq * d, draw.b_ineq))
+    reports = [solve(program) for program in programs]
+    assert totals([outcome(report) for report in reports]) == COLUMN_SCALE_ROWS[k], COLUMNS_EXPECTED_TO_MOVE
+    for report, original in zip(reports, untransformed_reports):
+        if report.status.value == "Converged":
+            assert report.objective == pytest.approx(original.objective, rel=1e-5, abs=1e-5)
 
 
 def test_translating_the_variables_keeps_every_status_iteration_count_and_answer(
     draws, untransformed_reports, untransformed
 ):
+    """½(x′+t)ᵀQ(x′+t) = ½x′ᵀQx′ + (Qt)ᵀx′ + ½tᵀQt over the shifted rows."""
     rng = np.random.default_rng(31)
     shifts, programs = [], []
     for draw in draws:
         shift = 10.0 * rng.normal(size=draw.q.shape[0])
+        linear = draw.q @ shift
         shifts.append(shift)
         programs.append(
             ConvexProgram(
                 n=shift.size,
-                objective=translated_tree(draw.q, shift),
+                objective=Quadratic(0.5 * float(shift @ linear), linear, draw.q),
                 a_eq=draw.a_eq,
                 b_eq=draw.b_eq - draw.a_eq @ shift,
                 a_ineq=draw.a_ineq,

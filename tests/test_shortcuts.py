@@ -23,7 +23,7 @@ from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.autodiff import Quadratic
 from arcipm.step import BISECT_TOLERANCE, HALF_PI, MuPredictor, alpha_limits, bisect_sigma, floors
-from conftest import compile_tree, step_limits, synthetic_step_pair
+from conftest import compile_tree, quadratic_tree, step_limits, synthetic_step_pair
 import oracles
 from oracles import (
     eigenvalue_indefinite,
@@ -32,7 +32,6 @@ from oracles import (
     per_angle_product,
     per_call_golden_min_bu,
 )
-from qp_family import quadratic_tree
 
 
 def bits(*values) -> bytes:

@@ -16,8 +16,10 @@ solve the same instances as ``solve(program)``, from whatever start and
 with whatever step rule TREE's ``solve()`` takes when it is given no
 start, which is the call the benchmark makes.  The family's generator is
 ``tests/qp_family.py`` of this checkout, built on TREE's solver package,
-so a tree that predates the family is digested on the same draws.  For
-every workload it prints the
+and its programs hold an ``arcipm.Quadratic`` objective; a tree whose
+package exports none is digested by its own copy of this script, whose
+family held the same objectives as expression trees that fold to the
+same arrays.  For every workload it prints the
 SHA-256 of the raw bytes of every trace row, then x, status, objective,
 infe and the iteration count of each solve, followed by the workload's
 total iterations and how many solves ended in each status.  Two trees
