@@ -8,8 +8,8 @@ The Newton system over (x, y, s, z) has the rows
     z*ds + s*dz              = r_z
 
 with r_z the block of the z*s row.  r_C is grad f + A_E'y - A_I'z when
-the objective is or folds to a :class:`Quadratic` (degree at most 2), whose
-gradient g + H x the Newton model matches exactly.  For any other
+the objective is or folds to a :class:`Quadratic` (degree at most 2),
+whose gradient g + H x the Newton model matches exactly.  For any other
 objective grad f is replaced by the model term H x, as in the reference
 runs, so such a run stops where H x, not grad f, balances the
 multipliers.  Eliminating s and z leaves the symmetric (n+m)-square system
@@ -267,11 +267,11 @@ def kkt_norm(iterate: Iterate) -> float:
 def true_stationarity_norm(program: ConvexProgram, iterate: Iterate) -> float:
     """Norm of grad f + A_eq'y - A_ineq'z, reported as a diagnostic only.
 
-    For an objective that is or folds to a :class:`Quadratic` the stepping
-    residual r_c is this same vector, so ``solve()``'s trace reads the
-    norm of r_c for it and calls this only for any other objective.  Such
-    an objective steps on H x in place of grad f, and then the two need not
-    vanish together.
+    For an objective that is or folds to a :class:`Quadratic` the
+    stepping residual r_c is this same vector, so ``solve()``'s trace
+    reads the norm of r_c for it and calls this only for any other
+    objective.  Such an objective steps on H x in place of grad f, and
+    then the two need not vanish together.
     """
     return norm(stationarity(program, iterate.grad, iterate.y, iterate.z))
 

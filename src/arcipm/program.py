@@ -3,9 +3,10 @@
 A program holds a scalar objective, an expression tree or a
 :class:`Quadratic` c + g'x + 1/2 x'Hx given as arrays, together with
 equality rows ``A_eq x = b_eq`` and inequality rows ``A_ineq x >= b_ineq``;
-:func:`_rows` shapes each block into a float matrix.  Box bounds never appear as a
-separate concept: :func:`fold_bounds` slices them from one identity matrix
-into inequality rows up front, and the solver only ever sees rows.
+:func:`_rows` shapes each block into a float matrix.  Box bounds never
+appear as a separate concept: :func:`fold_bounds` slices them from one
+identity matrix into inequality rows up front, and the solver only ever
+sees rows.
 
 The iteration needs equality rows of full row rank, so that is the one
 test of ``A_eq``: a square block of full rank is accepted, and more rows
@@ -65,8 +66,9 @@ class ConvexProgram:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has an entry that is not finite")
         if isinstance(self.objective, Quadratic):
-            if self.objective.linear.size != n:
-                raise ValueError(f"objective has {self.objective.linear.size} variables, the program {n}")
+            size = self.objective.linear.size
+            if size != n:
+                raise ValueError(f"objective has {size} variables, the program {n}")
         else:
             object.__setattr__(self, "_structure", structure(self.objective))
             indices, _ = self._structure

@@ -1,9 +1,9 @@
 """Main iteration loop: residuals, direction solves, arc step, trace.
 
-For an objective that is or folds to a :class:`arcipm.autodiff.Quadratic`, r_C is
-grad f + A_E'y - A_I'z (:mod:`arcipm.kkt`), so a trace row reads its
-``true_stat_norm`` as the norm of r_C and forms that vector only for any
-other objective.
+For an objective that is or folds to a
+:class:`arcipm.autodiff.Quadratic`, r_C is grad f + A_E'y - A_I'z
+(:mod:`arcipm.kkt`), so a trace row reads its ``true_stat_norm`` as the
+norm of r_C and forms that vector only for any other objective.
 
 The curvature check runs once per distinct Hessian and only reads whether
 it is indefinite.  It tries LAPACK's Cholesky factorization ``dpotrf``
@@ -189,10 +189,10 @@ def least_squares_start(program: ConvexProgram) -> Iterate:
 
     A singular system, an x that is not finite and slacks whose mean is
     not finite on the raw rows give ``balanced_start(program)``.  So does
-    an objective that neither is nor folds to a :class:`Quadratic`.  That start is
-    x = 0, and an objective that does not fold and is undefined there
-    raises its :class:`DomainError` with a message that names x = 0 and
-    the remedy, ``start=balanced_start(program, x0)`` with x0 in the
+    an objective that neither is nor folds to a :class:`Quadratic`.  That
+    start is x = 0, and an objective that does not fold and is undefined
+    there raises its :class:`DomainError` with a message that names x = 0
+    and the remedy, ``start=balanced_start(program, x0)`` with x0 in the
     objective's domain.  A folded objective's :class:`DomainError` at the
     least-squares point, such as a polynomial that overflows, comes out
     with its own message.

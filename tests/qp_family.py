@@ -8,8 +8,9 @@ so the first N draws are the same whatever N.  Each draw is
 a pure quadratic, so the solver's model residual is the true gradient
 residual and ``Converged`` means a KKT point.  Each program is built from
 the arrays, its objective the :class:`arcipm.Quadratic` (0, 0, Q), which
-is the solver's compiled objective as it is; no expression tree is built.  Q = FFᵀ·10^U(−3, 3), where
-F has n <= 5 rows and 1 to n columns, so Q may be singular; there are
+is the solver's compiled objective as it is; no expression tree is built.
+Q = FFᵀ·10^U(−3, 3), where F has n <= 5 rows and 1 to n columns, so Q
+may be singular; there are
 m <= 2 equality rows with m < n, up to 5 dense inequality rows each scaled
 by 10^U(−3, 3), and a box on every variable, all placed strictly around
 one interior point.  The lower side of x₁ is open in 30% of the draws.

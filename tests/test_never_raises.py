@@ -73,8 +73,8 @@ def build(case: Case | str):
     columns = 10.0 ** rng.uniform(-case.columns, case.columns, size=draw.x0.size)
     a_ineq, b_ineq = draw.a_ineq * rows[:, None] * columns, draw.b_ineq * rows
     if case.open_lower:
-        # fold_bounds writes a lower bound as the row e_i, the one kind of
-        # row with a single nonzero entry, 1; a drawn dense row has n
+        # fold_bounds writes a lower bound as the row e_i; no drawn dense
+        # row, normal entries times a scale, is one
         lower = (np.count_nonzero(draw.a_ineq, axis=1) == 1) & (draw.a_ineq.max(axis=1) == 1.0)
         keep = ~lower | (rng.uniform(size=lower.size) < 0.5)
         a_ineq, b_ineq = a_ineq[keep], b_ineq[keep]
