@@ -1,4 +1,4 @@
-"""Primal-dual residuals, the Newton matrix, and the three direction solves.
+"""Primal-dual residuals, the Newton matrix, the three direction solves and the face solve.
 
 The Newton system over (x, y, s, z) has the rows
 
@@ -95,6 +95,19 @@ takes its duality measure of its own (s, z) views, although
 :func:`arcipm.step.select_step` has taken the same dot of the accepted
 candidate's: that one dot is within timing noise of an iteration.
 
+:func:`face_point` is the one other solve.  For ``solve()`` without a
+start it solves a folded objective's program on the face of the rows with
+s_i < z_i as an equality-constrained QP: the Newton matrix's layout with
+H for its block and the equality and face rows for its border, factored
+with the same D M D scaling, and one ``dgetrs`` call.  It has no
+refinement and raises nothing; a zero row, an exact zero pivot, a pivot
+below ``FACE_PIVOT_RATIO`` of the largest or a solution that is not finite
+gives None, and the arc step runs as before.  The face matrix has no
+z/s terms, so unlike the Newton matrix near a solution it is not
+ill-conditioned by construction: a tiny pivot there means that H is
+singular on the face or that the face rows are dependent, and the solve
+would then pick one of many solutions by roundoff.
+
 An :class:`Iterate` is one contiguous vector of n + m + 2p entries in
 (x, y, s, z) order, and its four block fields are views into it.  Each
 direction is a plain vector in the same layout, solved straight into it:
@@ -119,6 +132,18 @@ from .program import ConvexProgram
 # Largest equilibrated solve residual, relative to 1 + |rhs|: a solve above
 # it is refined once, and a refined solve still above it is singular.
 SOLVE_TOLERANCE = 1e-8
+
+# The floor of s and z at a face point (face_point), which must stay positive.
+# Its products z*s enter the stop test, which accepts a face point at 1e-8:
+# at 1e-10 the family's no-start total rose from 1560 to 1666 iterations,
+# and at 1e-18 no total moved.
+FACE_FLOOR = 1e-14
+
+# The smallest equilibrated LU pivot of a face solve, relative to the largest.
+# Without this test, face steps on Hessians singular on the face moved the
+# family's permuted draws 7, 45, 59, 223 and 261 and twelve translated draws
+# of tests/test_metamorphic.py off the untransformed runs.
+FACE_PIVOT_RATIO = 1e-12
 
 # The iteration path's reductions, without ndarray.min()/max()'s Python
 # wrapper (see the module docstring).
@@ -281,15 +306,19 @@ def assemble_newton_matrix(hess, a_eq, a_ineq, s, z) -> np.ndarray:
 
     Without equality rows that is the block H + A_I'(Z/S)A_I itself.
     """
-    block = hess + (a_ineq.T * (z / s)).dot(a_ineq)
-    m = a_eq.shape[0]
+    return _saddle(hess + (a_ineq.T * (z / s)).dot(a_ineq), a_eq)
+
+
+def _saddle(block, rows) -> np.ndarray:
+    """[block, rows'; rows, 0], or the block itself when there are no rows."""
+    m = rows.shape[0]
     if not m:
         return block
-    n = hess.shape[0]
+    n = block.shape[0]
     matrix = np.zeros((n + m, n + m))
     matrix[:n, :n] = block
-    matrix[:n, n:] = a_eq.T
-    matrix[n:, :n] = a_eq
+    matrix[:n, n:] = rows.T
+    matrix[n:, :n] = rows
     return matrix
 
 
@@ -329,15 +358,11 @@ def _solve_checked(factor, matrix, rhs):
     return sol
 
 
-def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -> NewtonDirections:
-    """Solve the three direction systems off one factorization.
+def _equilibrated_lu(matrix):
+    """(d, D M D, its LU factor (lu, piv)) with D = diag(d), d = 1/sqrt(row max |M|).
 
-    Raises :class:`SingularKKTError` when the matrix or a right-hand side
-    has an inf or NaN entry, when the matrix has a zero row, when its
-    equilibrated LU factor has an exact zero pivot, or when a solve's
-    residual still exceeds ``SOLVE_TOLERANCE``*(1 + |rhs|) after one pass
-    of refinement.  A small pivot alone is no reason to stop, and no
-    silent regularization is applied.
+    Raises :class:`SingularKKTError` when the matrix has an inf or NaN
+    entry, a zero row, or an exactly zero LU pivot.
     """
     row_max = reduce_max(np.abs(matrix), axis=1)
     # the row maxima carry any inf or NaN of the matrix, and would spread
@@ -352,8 +377,56 @@ def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -
     # a positive info names an exactly zero pivot: every solve would divide by it
     if info > 0:
         raise SingularKKTError(f"Newton matrix is singular (LU pivot {info} is exactly zero)")
-    factor = (lu, piv)
+    return d, scaled, (lu, piv)
 
+
+def face_point(program: ConvexProgram, iterate: Iterate):
+    """The (x, y, s, z) point that solves a program whose objective is or
+    folds to a :class:`Quadratic` on the iterate's face, or None.
+
+    The face is the set of inequality rows with s_i < z_i.  One equilibrated
+    LU solves [H, A_E', A_F'; A_E, 0, 0; A_F, 0, 0] (x, y, -z_F) =
+    (-g, b_E, b_F) for the face rows F, laid out and scaled as the Newton
+    matrix is.  Then s = max(A_I x - b_I, FACE_FLOOR), and z is
+    max(z_F, FACE_FLOOR) on the face and FACE_FLOOR off it.  None, and
+    nothing raised, when the matrix has a zero row or an LU pivot below
+    FACE_PIVOT_RATIO times the largest, or when the solution is not finite.
+    The solve calls LAPACK itself, not :func:`lu_solve`, so that
+    function's calls stay the three direction solves of an iteration.
+    """
+    objective = program.compiled_objective
+    a_ineq, b_ineq = program.a_ineq, program.b_ineq
+    face = iterate.s < iterate.z
+    matrix = _saddle(objective.hessian, np.concatenate((program.a_eq, a_ineq[face])))
+    try:
+        d, _, (lu, piv) = _equilibrated_lu(matrix)
+    except SingularKKTError:
+        return None
+    pivots = np.abs(lu.diagonal())
+    if reduce_min(pivots) < FACE_PIVOT_RATIO * reduce_max(pivots):
+        return None
+    rhs = np.concatenate((-objective.linear, program.b_eq, b_ineq[face]))
+    solution = d * dgetrs(lu, piv, d * rhs)[0]
+    if not np.isfinite(solution).all():
+        return None
+    n, m = program.n, program.m
+    z = np.zeros(program.p)
+    z[face] = -solution[n + m :]
+    s = a_ineq.dot(solution[:n]) - b_ineq
+    return np.concatenate((solution[: n + m], np.maximum(s, FACE_FLOOR), np.maximum(z, FACE_FLOOR)))
+
+
+def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -> NewtonDirections:
+    """Solve the three direction systems off one factorization.
+
+    Raises :class:`SingularKKTError` when the matrix or a right-hand side
+    has an inf or NaN entry, when the matrix has a zero row, when its
+    equilibrated LU factor has an exact zero pivot, or when a solve's
+    residual still exceeds ``SOLVE_TOLERANCE``*(1 + |rhs|) after one pass
+    of refinement.  A small pivot alone is no reason to stop, and no
+    silent regularization is applied.
+    """
+    d, scaled, factor = _equilibrated_lu(matrix)
     n, m, p = iterate.x.size, iterate.y.size, iterate.p
     s, z = iterate.s, iterate.z
     a_ineq_t = a_ineq.T

@@ -37,9 +37,13 @@ def _rows(a, n: int) -> np.ndarray:
     return a if a.size else np.zeros((0, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexProgram:
-    """min f(x) subject to A_eq x = b_eq and A_ineq x >= b_ineq."""
+    """min f(x) subject to A_eq x = b_eq and A_ineq x >= b_ineq.
+
+    A program compares and hashes by identity, as a :class:`Quadratic`
+    does: its fields are arrays, whose ``==`` is elementwise.
+    """
 
     n: int
     objective: Expr | Quadratic
@@ -48,7 +52,7 @@ class ConvexProgram:
     a_ineq: np.ndarray = field(repr=False)
     b_ineq: np.ndarray = field(repr=False)
     # a tree objective's (variable indices, degree) from its one structural pass
-    _structure: tuple = field(init=False, repr=False, compare=False)
+    _structure: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n

@@ -118,7 +118,8 @@ def load_problem(name: str):
 class RecordedRun:
     report: object = None
     iterates: list = field(default_factory=list)
-    selections: list = field(default_factory=list)  # selections[k] produced iterates[k], None for k = 0
+    # selections[k] produced iterates[k]; None for k = 0 and for a face step of solve() without a start
+    selections: list = field(default_factory=list)
     # (alpha_limits arguments, p_coef, sigma_min, sigma_max, result) of each bisect_sigma call
     bisections: list = field(default_factory=list)
     golden: list = field(default_factory=list)  # (predictor, cap, result) of each golden_min_bu call

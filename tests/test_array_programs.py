@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from arcipm import ConvexProgram, Quadratic, balanced_start, default_start, fold_bounds, solve
-from conftest import TOOLS_DIR, perfbench_module, quadratic_tree
+from conftest import TOOLS_DIR, load_problem, perfbench_module, quadratic_tree
 from qp_family import qp_family
 
 H2 = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -77,6 +77,19 @@ def test_the_program_keeps_read_only_copies_and_is_its_own_compiled_objective():
         assert got.flags.c_contiguous and not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 0.0
+
+
+def test_a_program_compares_and_hashes_by_identity():
+    """A program's fields are arrays, so ``==`` and ``hash`` answer by identity, as a Quadratic's do."""
+    draw = next(qp_family(1))
+    program = draw.program
+    copy = dataclasses.replace(program)
+    assert program == program and hash(program) == hash(program)
+    assert program != copy and copy != program
+    assert len({program, copy, program}) == 2
+    # ex1 parsed twice: its a_eq is empty
+    twice = [load_problem("ex1")[0] for _ in range(2)]
+    assert twice[0] != twice[1] and len(set(twice)) == 2
 
 
 def test_changing_the_callers_arrays_after_the_build_changes_neither_h_nor_the_solve():

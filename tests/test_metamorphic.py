@@ -25,20 +25,20 @@ from qp_family import qp_family
 
 # (statuses, total iterations) of the untransformed draws and of each
 # objective scale c
-UNTRANSFORMED = ({"Converged": 300}, 1900)
+UNTRANSFORMED = ({"Converged": 300}, 1560)
 OBJECTIVE_SCALE_ROWS = {
-    1e-3: ({"Converged": 300}, 1733),
-    1e3: ({"Converged": 298, "SingularKKT": 2}, 2520),
-    1e6: ({"Converged": 275, "SingularKKT": 14, "StepFailure": 10, "MaxIter": 1}, 5593),
+    1e-3: ({"Converged": 300}, 1519),
+    1e3: ({"Converged": 299, "SingularKKT": 1}, 2207),
+    1e6: ({"Converged": 275, "SingularKKT": 14, "StepFailure": 10, "MaxIter": 1}, 5463),
 }
 # (statuses, total iterations) with each variable's column scaled by
 # 10^U(-k, k), for each k; draw i's scales come from default_rng(1000 + i)
 COLUMN_SCALE_ROWS = {
-    2: ({"Converged": 300}, 2213),
-    4: ({"Converged": 298, "MaxIter": 1, "StepFailure": 1}, 2471),
+    2: ({"Converged": 300}, 1625),
+    4: ({"Converged": 300}, 1679),
 }
 # (statuses, total iterations) with one inequality row, drawn per draw, written twice
-DUPLICATED_ROW = ({"Converged": 300}, 1933)
+DUPLICATED_ROW = ({"Converged": 300}, 1588)
 SCALE_EXPECTED_TO_MOVE = (
     "the objective-scale rows are pinned as today's behaviour; item 30 (one scale for the cost, "
     "mapped back at exit) is expected to move them, and the change that does re-records "

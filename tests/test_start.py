@@ -25,8 +25,8 @@ from arcipm.step import select_step
 from conftest import load_problem, newton_directions, perfbench_module, run_recorded
 
 # The largest share of the cold start's total iterations that the no-start
-# solves of no_start_runs may take.  Measured: 284 of 1379 on many_rows and
-# 186 of 1070 on boxqp_dense, 0.21 and 0.17.
+# solves of no_start_runs may take.  Measured: 228 of 1379 on many_rows and
+# 129 of 1070 on boxqp_dense, 0.17 and 0.12 (284 and 186 before the face step).
 ITERATION_SHARE = 0.5
 
 
@@ -92,7 +92,9 @@ def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(na
     """No start: the least-squares start and the Mehrotra-bounded rule.  An
     explicit least-squares start keeps the paper's rule, with its floors and
     centrality test.  The name is from when solve() began at the balanced start.
-    Draw 8 of each generator: its boxqp_dense has n = 10."""
+    Draw 8 of each generator: its boxqp_dense has n = 10.  Every arc step
+    is replayed; a face step, which no selection made, may only end a run
+    without a start."""
     instance, default, _ = no_start_runs[name][8]
     program = instance.program
     config = SolverConfig()
@@ -101,8 +103,14 @@ def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(na
     assert default.report.trace[0] == given.report.trace[0]
     assert default.report.trace[1] != given.report.trace[1]
     for run, mehrotra in ((default, True), (given, False)):
+        last = len(run.selections) - 1
+        face_steps = [k for k, selection in enumerate(run.selections) if k and selection is None]
+        assert face_steps in ([], [last] if mehrotra else [])
+        for k in face_steps:
+            assert run.report.trace[k].kkt_norm <= config.epsilon
         for iterate, selection in zip(run.iterates, run.selections[1:]):
-            assert select_step(iterate, newton_directions(program, iterate), config, mehrotra) == selection
+            if selection is not None:
+                assert select_step(iterate, newton_directions(program, iterate), config, mehrotra) == selection
 
 
 def test_no_start_solves_the_benchmark_generators_in_at_most_half_the_iterations(no_start_runs):
