@@ -140,9 +140,9 @@ SOLVE_TOLERANCE = 1e-8
 FACE_FLOOR = 1e-14
 
 # The smallest equilibrated LU pivot of a face solve, relative to the largest.
-# Without this test, face steps on Hessians singular on the face moved the
-# family's permuted draws 7, 45, 59, 223 and 261 and twelve translated draws
-# of tests/test_metamorphic.py off the untransformed runs.
+# Without this test, face steps on Hessians singular on the face moved five
+# family draws with permuted variables (7, 45, 59, 223 and 261) and twelve
+# translated draws of tests/test_metamorphic.py off the untransformed runs.
 FACE_PIVOT_RATIO = 1e-12
 
 # The iteration path's reductions, without ndarray.min()/max()'s Python

@@ -103,9 +103,8 @@ def test_solve_without_a_start_runs_the_mehrotra_rule_from_the_balanced_start(na
     assert default.report.trace[0] == given.report.trace[0]
     assert default.report.trace[1] != given.report.trace[1]
     for run, mehrotra in ((default, True), (given, False)):
-        last = len(run.selections) - 1
         face_steps = [k for k, selection in enumerate(run.selections) if k and selection is None]
-        assert face_steps in ([], [last] if mehrotra else [])
+        assert face_steps == [] or (mehrotra and face_steps == [len(run.selections) - 1])
         for k in face_steps:
             assert run.report.trace[k].kkt_norm <= config.epsilon
         for iterate, selection in zip(run.iterates, run.selections[1:]):
