@@ -96,14 +96,18 @@ takes its duality measure of its own (s, z) views, although
 candidate's: that one dot is within timing noise of an iteration.
 
 :func:`face_point` is the one other solve.  For ``solve()`` without a
-start it solves a folded objective's program on the face of the rows with
-s_i < z_i as an equality-constrained QP: the Newton matrix's layout with
-H for its block and the equality and face rows for its border, factored
-with the same D M D scaling, and one ``dgetrs`` call.  It has no
-refinement and raises nothing; a zero row, an exact zero pivot, a pivot
-below ``FACE_PIVOT_RATIO`` of the largest or a solution that is not finite
-gives None, and the arc step runs as before.  The face matrix has no
-z/s terms, so unlike the Newton matrix near a solution it is not
+start it solves a folded objective's program on a face of the inequality
+rows as an equality-constrained QP: the Newton matrix's layout with H for
+its block and the equality and face rows for its border, factored with
+the same D M D scaling, and one ``dgetrs`` call.  :func:`face_rows` picks
+the face from an (s, z) pair, the rows with z_i > s_i, trimmed to the
+n - m rows with the largest z_i - s_i when more would over-determine x.
+Besides the point, the solve returns its raw slack and its multipliers,
+from which ``solve()`` corrects a rejected face.  It has no refinement and
+raises nothing; a zero row, an exact zero pivot, a pivot below
+``FACE_PIVOT_RATIO`` of the largest or a solution that is not finite
+gives None, and the arc step runs as before.  The face matrix has no z/s
+terms, so unlike the Newton matrix near a solution it is not
 ill-conditioned by construction: a tiny pivot there means that H is
 singular on the face or that the face rows are dependent, and the solve
 would then pick one of many solutions by roundoff.
@@ -135,14 +139,15 @@ SOLVE_TOLERANCE = 1e-8
 
 # The floor of s and z at a face point (face_point), which must stay positive.
 # Its products z*s enter the stop test, which accepts a face point at 1e-8:
-# at 1e-10 the family's no-start total rose from 1560 to 1666 iterations,
+# at 1e-10 the family's no-start total rose from 957 to 1433 iterations,
 # and at 1e-18 no total moved.
 FACE_FLOOR = 1e-14
 
 # The smallest equilibrated LU pivot of a face solve, relative to the largest.
-# Without this test, face steps on Hessians singular on the face moved five
-# family draws with permuted variables (7, 45, 59, 223 and 261) and twelve
-# translated draws of tests/test_metamorphic.py off the untransformed runs.
+# Without this test, face steps on Hessians singular on the face moved nine
+# family draws with permuted variables (7, 21, 37, 39, 45, 59, 77, 124 and
+# 247) and fourteen translated draws of tests/test_metamorphic.py off the
+# untransformed runs.
 FACE_PIVOT_RATIO = 1e-12
 
 # The iteration path's reductions, without ndarray.min()/max()'s Python
@@ -380,23 +385,40 @@ def _equilibrated_lu(matrix):
     return d, scaled, (lu, piv)
 
 
-def face_point(program: ConvexProgram, iterate: Iterate):
-    """The (x, y, s, z) point that solves a program whose objective is or
-    folds to a :class:`Quadratic` on the iterate's face, or None.
+def face_rows(program: ConvexProgram, s, z) -> np.ndarray:
+    """The face of an (s, z) pair: the mask of the inequality rows with z_i > s_i.
 
-    The face is the set of inequality rows with s_i < z_i.  One equilibrated
-    LU solves [H, A_E', A_F'; A_E, 0, 0; A_F, 0, 0] (x, y, -z_F) =
-    (-g, b_E, b_F) for the face rows F, laid out and scaled as the Newton
-    matrix is.  Then s = max(A_I x - b_I, FACE_FLOOR), and z is
-    max(z_F, FACE_FLOOR) on the face and FACE_FLOOR off it.  None, and
-    nothing raised, when the matrix has a zero row or an LU pivot below
-    FACE_PIVOT_RATIO times the largest, or when the solution is not finite.
-    The solve calls LAPACK itself, not :func:`lu_solve`, so that
-    function's calls stay the three direction solves of an iteration.
+    When m + |F| > n the face rows and the equality rows cannot all hold at
+    a unique x, so only the n - m rows with the largest z_i - s_i are kept,
+    ties broken by row index.
+    """
+    gap = z - s
+    face = gap > 0.0
+    room = max(program.n - program.m, 0)
+    if np.count_nonzero(face) > room:
+        face = np.zeros(program.p, dtype=bool)
+        # a stable sort of -gap lists equal gaps by row index
+        face[np.argsort(-gap, kind="stable")[:room]] = True
+    return face
+
+
+def face_point(program: ConvexProgram, face: np.ndarray):
+    """(point, slack, multipliers) of a program whose objective is or folds
+    to a :class:`Quadratic`, solved on the face of the rows ``face``, or None.
+
+    One equilibrated LU solves [H, A_E', A_F'; A_E, 0, 0; A_F, 0, 0]
+    (x, y, -z_F) = (-g, b_E, b_F) for the face rows F, laid out and scaled
+    as the Newton matrix is.  The slack is the raw A_I x - b_I and the
+    multipliers are z_F on the face and 0 off it.  The point is the flat
+    (x, y, s, z) vector with s = max(slack, FACE_FLOOR) and
+    z = max(multipliers, FACE_FLOOR).  None, and nothing raised, when the
+    matrix has a zero row or an LU pivot below FACE_PIVOT_RATIO times the
+    largest, or when the solution is not finite.  The solve calls LAPACK
+    itself, not :func:`lu_solve`, so that function's calls stay the three
+    direction solves of an iteration.
     """
     objective = program.compiled_objective
     a_ineq, b_ineq = program.a_ineq, program.b_ineq
-    face = iterate.s < iterate.z
     matrix = _saddle(objective.hessian, np.concatenate((program.a_eq, a_ineq[face])))
     try:
         d, _, (lu, piv) = _equilibrated_lu(matrix)
@@ -410,10 +432,13 @@ def face_point(program: ConvexProgram, iterate: Iterate):
     if not np.isfinite(solution).all():
         return None
     n, m = program.n, program.m
-    z = np.zeros(program.p)
-    z[face] = -solution[n + m :]
-    s = a_ineq.dot(solution[:n]) - b_ineq
-    return np.concatenate((solution[: n + m], np.maximum(s, FACE_FLOOR), np.maximum(z, FACE_FLOOR)))
+    multipliers = np.zeros(program.p)
+    multipliers[face] = -solution[n + m :]
+    slack = a_ineq.dot(solution[:n]) - b_ineq
+    point = np.concatenate(
+        (solution[: n + m], np.maximum(slack, FACE_FLOOR), np.maximum(multipliers, FACE_FLOOR))
+    )
+    return point, slack, multipliers
 
 
 def solve_directions(matrix: np.ndarray, a_ineq: np.ndarray, iterate: Iterate) -> NewtonDirections:

@@ -18,17 +18,24 @@ gives, is followed by ``eigvalsh``, whose smallest eigenvalue then decides.
 A call without a start whose objective is or folds to a :class:`Quadratic`
 ends, where it can, with a face step (finite termination: S. J. Wright,
 *Primal-Dual Interior-Point Methods*, 1997, ch. 7; Mehrotra & Ye, Math.
-Programming 1993).  Once the stop-test norm is below ``FACE_TRIGGER``
-times the start's, each iteration first solves the program on the face
-of the rows with s_i < z_i (:func:`arcipm.kkt.face_point`).  The point is
-taken as the run's next and last iterate when its stop-test norm is at
-most ``FACE_ACCEPT`` times epsilon; otherwise nothing changes and the arc
-step runs.  The trigger cannot fire at k = 0, so every run takes at
-least one arc step.  On 120 draws of each benchmark generator
-(``default_rng(5)`` for each) and the 300 draws of ``tests/qp_family.py``,
-the no-start totals went from 557 to 382 iterations (``boxqp_dense``),
-791 to 611 (``many_rows``) and 1900 to 1560 (the family), with 1.6, 3.5
-and 3.7 face solves per run.
+Programming 1993).  Each iteration from k = 1 on first solves the program
+on the face of the iterate's (s, z): the rows with z_i > s_i, trimmed to
+n - m of them when there are more (:func:`arcipm.kkt.face_rows`,
+:func:`arcipm.kkt.face_point`).  The point is taken as the run's next and
+last iterate when its stop-test norm is at most ``FACE_ACCEPT`` times
+epsilon.  A rejected point corrects the face up to ``FACE_UPDATES`` times
+by the primal-dual active-set update (Hintermüller, Ito & Kunisch, SIAM
+J. Optim. 2002): a face row stays while its multiplier is above the
+roundoff margin tau (``FACE_ROUNDOFF`` times max(1, |point|_inf)), and an
+off-face row joins when its slack is below -tau.  A face already factored in the run is not
+solved again, since the solve depends on the face alone.  When no face
+point is accepted nothing changes and the arc step runs.  k = 0 tries no
+face, so every run takes at least one arc step.  On 120 draws of each
+benchmark generator (``default_rng(5)`` for each) and the 300 draws of
+``tests/qp_family.py``, the no-start totals went from 382 to 241
+iterations (``boxqp_dense``), 611 to 365 (``many_rows``) and 1560 to 957
+(the family) with the corrections, and from 557, 791 and 1900 before the
+face step, with 1.9, 4.4 and 3.0 face solves per run.
 
 The floating-point policy is stated here once.  :func:`solve` runs its
 whole body, from the start to the final objective value and the
@@ -68,6 +75,7 @@ from .kkt import (
     SingularKKTError,
     assemble_newton_matrix,
     face_point,
+    face_rows,
     kkt_norm,
     norm,
     reduce_max,
@@ -80,17 +88,22 @@ from .program import ConvexProgram
 # still rebinds solver.arc_point by name, so the name stays bound here
 from .step import StepFailureError, arc_point, select_step, update_nu  # noqa: F401
 
-# A run without a start tries the face step once its stop-test norm is below
-# this share of the start's.  Tried at every iteration, it saved no iteration
-# on 120 many_rows draws (611 either way) and cost 186 more face solves: the
-# draws took 0.155 s rather than 0.132 s (best of 5, one BLAS thread, shared
-# 2-core Xeon host).  At 0.01 the totals rose to 615 (many_rows), 431
-# (boxqp_dense, from 382) and 1615 (the family, from 1560).
-FACE_TRIGGER = 0.1
+# After a rejected face point, the face step corrects its face from that
+# point's slacks and multipliers at most this many times per iteration.
+FACE_UPDATES = 3
+
+# The roundoff margin of a correction, relative to max(1, |point|_inf): a face
+# row stays when its multiplier is above it, an off-face row joins when its
+# slack is below minus it.  Without it the correction read the sign of roundoff
+# on degenerate rows and moved family draws 111 and 169 with permuted variables
+# and 80, 111, 169 and 258 translated off the untransformed runs of
+# tests/test_metamorphic.py.
+FACE_ROUNDOFF = 1e-12
 
 # The face step's point is accepted when its stop-test norm is at most this
-# share of epsilon.  Accepted at epsilon itself, column-scale draw 104 of
-# tests/test_metamorphic.py at k = 4 ended 8.4e-5 from the draw's objective.
+# share of epsilon.  Accepted at epsilon itself, column-scale draws 104 and
+# 255 of tests/test_metamorphic.py at k = 4 ended 8.4e-5 and 3.3e-3 from the
+# draw's objective.
 FACE_ACCEPT = 1e-2
 
 
@@ -213,8 +226,8 @@ def least_squares_start(program: ConvexProgram) -> Iterate:
     still at 0 becomes zeta, and nu = 1.  The row scaling makes x
     independent of how each row is scaled; without it the no-start solves
     of the first 300 draws of ``tests/qp_family.py``, whose dense rows are
-    scaled by 10^U(-3, 3), took 1967 iterations rather than 1560, and 120
-    ``many_rows`` instances 621 rather than 611 (2396 rather than 1900 and
+    scaled by 10^U(-3, 3), took 1041 iterations rather than 957, and 120
+    ``many_rows`` instances 385 rather than 365 (2396 rather than 1900 and
     812 rather than 791 before the face step).
 
     A singular system, an x that is not finite and slacks whose mean is
@@ -277,14 +290,35 @@ def _indefinite(hess: np.ndarray) -> bool:
     return smallest < -1e-10 * max(1.0, float(np.abs(hess).max()))
 
 
-def _face_iterate(program, iterate, bound):
-    """The iterate at ``face_point(program, iterate)`` if its stop-test norm
-    is at most ``bound``, else None; it keeps the iterate's nu."""
-    vec = face_point(program, iterate)
-    if vec is None:
-        return None
-    face = Iterate.at(program, vec, iterate.nu)
-    return face if kkt_norm(face) <= bound else None
+def _face_iterate(program, iterate, bound, factored):
+    """The iterate at a face point whose stop-test norm is at most ``bound``,
+    else None; it keeps the iterate's nu.
+
+    The first face is that of the iterate's (s, z); each rejected point
+    corrects it (primal-dual active-set update: Hintermüller, Ito & Kunisch,
+    SIAM J. Optim. 2002) up to FACE_UPDATES times.  ``factored`` holds the
+    run's face masks, as bytes: a face already factored in the run gave a
+    rejected point or None then, and gives them again, so the attempt ends.
+    """
+    s, z = iterate.s, iterate.z
+    for _ in range(FACE_UPDATES + 1):
+        face = face_rows(program, s, z)
+        key = face.tobytes()
+        if key in factored:
+            return None
+        factored.add(key)
+        solved = face_point(program, face)
+        if solved is None:
+            return None
+        point, slack, z = solved
+        candidate = Iterate.at(program, point, iterate.nu)
+        if kkt_norm(candidate) <= bound:
+            return candidate
+        # the pair whose face keeps the rows with z_i > tau and adds the
+        # off-face rows with slack_i < -tau
+        tau = FACE_ROUNDOFF * max(1.0, float(reduce_max(np.abs(point))))
+        s = np.where(face, 0.0, slack) + tau
+    return None
 
 
 def _trace_row(program, iterate, k, sigma, alpha) -> TraceRow:
@@ -332,7 +366,8 @@ def solve(
     reference runs.
 
     Without a start, and with an objective that is or folds to a
-    :class:`Quadratic`, a face step may end the run (see the module
+    :class:`Quadratic`, a face step, tried from k = 1 on and corrected
+    from each rejected face point, may end the run (see the module
     docstring).  Its trace row has sigma = alpha = 0.0 and keeps the
     previous nu.
 
@@ -353,6 +388,8 @@ def solve(
         # the paper's rule runs from a given start, the library's from none
         mehrotra = start is None
         face_steps = mehrotra and isinstance(program.compiled_objective, Quadratic)
+        # the face masks factored in this run (see _face_iterate)
+        factored = set()
         if mehrotra:
             iterate = least_squares_start(program)
         else:
@@ -378,8 +415,8 @@ def solve(
             if k >= config.max_iter:
                 status = SolverStatus.MAX_ITER
                 break
-            if face_steps and trace[-1].kkt_norm < FACE_TRIGGER * trace[0].kkt_norm:
-                face = _face_iterate(program, iterate, FACE_ACCEPT * config.epsilon)
+            if face_steps and k:
+                face = _face_iterate(program, iterate, FACE_ACCEPT * config.epsilon, factored)
                 if face is not None:
                     iterate = face
                     k += 1

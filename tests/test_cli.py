@@ -82,7 +82,7 @@ def test_readme_library_example_runs_without_a_warning():
         warnings.simplefilter("always")
         exec(example, namespace)
     assert caught == []
-    assert out.getvalue() == "Converged 3 [1. 1.]\n"
+    assert out.getvalue() == "Converged 2 [1. 1.]\n"
     floored = [row.k for row in namespace["report"].trace if row.nu == RESIDUAL_FLOOR]
     assert floored == []
 

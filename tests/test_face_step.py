@@ -1,13 +1,15 @@
 """The face step of ``solve()`` without a start: one equality-constrained
-solve on the rows with s < z, accepted as the run's last iterate only when
-its stop-test norm is at most a hundredth of epsilon."""
+solve on the face of the rows with s < z, trimmed to n - m rows and
+corrected from each rejected point's slacks and multipliers, accepted as
+the run's last iterate only when its stop-test norm is at most a hundredth
+of epsilon."""
 
 import numpy as np
 import pytest
 
 from arcipm import ConvexProgram, Quadratic, SolverStatus, balanced_start, fold_bounds, least_squares_start, solve
 from arcipm import solver as solver_module
-from arcipm.kkt import face_point, norm
+from arcipm.kkt import face_point, face_rows, norm
 from conftest import perfbench_module, run_recorded
 from qp_family import qp_family
 
@@ -18,16 +20,36 @@ def face_steps(run) -> list[int]:
 
 
 def record_face_points(monkeypatch) -> list:
-    """Wrap ``solver.face_point``; each call appends (face rows, returned None)."""
+    """Wrap ``solver.face_point``; each call appends (face mask, returned None)."""
     calls = []
 
-    def recording(program, iterate):
-        point = face_point(program, iterate)
-        calls.append((np.flatnonzero(iterate.s < iterate.z).tolist(), point is None))
-        return point
+    def recording(program, face):
+        solved = face_point(program, face)
+        calls.append((face.copy(), solved is None))
+        return solved
 
     monkeypatch.setattr(solver_module, "face_point", recording)
     return calls
+
+
+def rows(calls) -> list:
+    """Each recorded call as (face rows, returned None)."""
+    return [(np.flatnonzero(face).tolist(), rejected) for face, rejected in calls]
+
+
+@pytest.fixture(scope="module")
+def face_calls(no_start_runs):
+    """For each generator, the recorded face_point calls of each
+    ``no_start_runs`` draw, from solving the draw again."""
+    recorded = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, draws in no_start_runs.items():
+            recorded[name] = []
+            for instance, run, _ in draws:
+                calls = record_face_points(mp)
+                assert solve(instance.program).iterations == run.report.iterations
+                recorded[name].append(calls)
+    return recorded
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
@@ -44,7 +66,7 @@ def test_each_run_that_ends_on_a_face_step_passes_the_certificate(name, no_start
         assert run.report.status is SolverStatus.CONVERGED
         assert checks.kkt_certificate(instance, last.x, last.y, last.z) == []
         assert norm(last.r_c) <= 1e-9
-    # measured: 38 of the 40 many_rows draws and 39 of the 40 boxqp_dense draws
+    # measured: all 40 draws of each generator
     assert ended >= 30
 
 
@@ -69,7 +91,7 @@ def test_a_hessian_singular_on_the_face_takes_no_face_step(monkeypatch):
     assert run.report.status is SolverStatus.CONVERGED
     assert face_steps(run) == []
     assert calls and all(rejected for _, rejected in calls)
-    assert ([0], True) in calls
+    assert ([0], True) in rows(calls)
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
@@ -92,11 +114,62 @@ def test_a_face_solution_that_is_not_finite_is_rejected_without_raising(monkeypa
     a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), np.zeros(0), [-1.0], [1.0])
     program = ConvexProgram(1, Quadratic(0.0, [0.01], [[1e-320]]), np.zeros((0, 1)), np.zeros(0), a_ineq, b_ineq)
     start = balanced_start(program)
-    assert not (start.s < start.z).any()
+    empty = face_rows(program, start.s, start.z)
+    assert not empty.any()
     # solve() runs the face step under its floating-point policy
     with np.errstate(over="ignore", invalid="ignore"):
-        assert face_point(program, start) is None
+        assert face_point(program, empty) is None
     calls = record_face_points(monkeypatch)
     report = solve(program)
     assert report.status is SolverStatus.CONVERGED and report.x[0] == pytest.approx(-1.0)
-    assert calls == [([], True), ([0], False)]
+    assert rows(calls) == [([], True), ([0], False)]
+
+
+def test_an_over_determined_face_is_trimmed_to_n_minus_m_rows():
+    """n = 3 and one equality row leave room for two face rows.  Of the four
+    rows with z > s, the two with the largest z - s stay: rows 1, 3 and 4 tie
+    at 5, and the tie goes by row index."""
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 3)), np.zeros(0), np.zeros(3), np.ones(3))
+    program = ConvexProgram(3, Quadratic(0.0, np.ones(3), np.eye(3)), np.ones((1, 3)), np.ones(1), a_ineq, b_ineq)
+    s = np.ones(6)
+    face = face_rows(program, s, np.array([4.0, 6.0, 1.0, 6.0, 6.0, 0.5]))
+    assert np.flatnonzero(face).tolist() == [1, 3]
+    # a face of n - m rows is kept as it is
+    assert np.flatnonzero(face_rows(program, s, np.array([4.0, 6.0, 1.0, 0.5, 0.5, 0.5]))).tolist() == [0, 1]
+    # x2 >= 0 and x1 <= 1 held as equalities, with x1 + x2 + x3 = 1
+    point, slack, multipliers = face_point(program, face)
+    assert point[:3] == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+    assert slack[face] == pytest.approx(0.0, abs=1e-12)
+    assert (multipliers[~face] == 0.0).all()
+
+
+@pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
+def test_no_face_is_factored_twice_in_a_run(name, no_start_runs, face_calls):
+    factored = 0
+    for (instance, _, _), calls in zip(no_start_runs[name], face_calls[name]):
+        masks = [face.tobytes() for face, _ in calls]
+        assert len(set(masks)) == len(masks)
+        program = instance.program
+        assert all(np.count_nonzero(face) <= program.n - program.m for face, _ in calls)
+        factored += len(masks)
+    # measured: 186 faces in the 40 many_rows runs, where the memo skipped 46
+    # more, and 72 in the 40 boxqp_dense runs
+    assert factored >= len(face_calls[name])
+
+
+def test_a_correction_reaches_a_face_the_rule_missed(no_start_runs, face_calls):
+    """Rows that the face rule at the iterate before a run's face step leaves
+    out join the accepted face by a correction, and its point passes the
+    certificate."""
+    checks = perfbench_module("checks")
+    joined = 0
+    for (instance, run, _), calls in zip(no_start_runs["many_rows"], face_calls["many_rows"]):
+        before, last = run.iterates[-2:]
+        # the run's last call is the accepted one
+        accepted, rejected = calls[-1]
+        assert face_steps(run) and not rejected
+        if (accepted & ~face_rows(instance.program, before.s, before.z)).any():
+            joined += 1
+            assert checks.kkt_certificate(instance, last.x, last.y, last.z) == []
+    # measured: 8 of the 40 draws
+    assert joined >= 5

@@ -8,7 +8,8 @@ sigma, the golden-section search that forms b_u inline and only where a
 comparison reads it, and the curvature check that tries a Cholesky
 factor before the eigenvalues.  The calls they replay are those that
 ``conftest.run_recorded`` keeps during the ``fixture_runs`` solves of
-ex1–ex8, and for the bisection also during the ``no_start_runs`` solves.
+ex1–ex8, and for the bisection also during the solves of the
+``no_start_runs`` draws, with no start and from ``balanced_start``.
 """
 
 import math
@@ -19,11 +20,12 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
 
+from arcipm import balanced_start
 from arcipm import solver as solver_module
 from arcipm import step as step_module
 from arcipm.autodiff import Quadratic
 from arcipm.step import BISECT_TOLERANCE, HALF_PI, MuPredictor, alpha_limits, bisect_sigma, floors
-from conftest import compile_tree, quadratic_tree, step_limits, synthetic_step_pair
+from conftest import compile_tree, quadratic_tree, run_recorded, step_limits, synthetic_step_pair
 import oracles
 from oracles import (
     eigenvalue_indefinite,
@@ -43,12 +45,14 @@ def bits(*values) -> bytes:
 def bisect_calls(fixture_runs, no_start_runs):
     """(alpha_limits arguments, p_coef, sigma bounds, result) of every bisect_sigma call.
 
-    From ex1–ex8 solved from their files' starts (``fixture_runs``) and from
-    the no-start solves of the benchmark's boxqp_dense and many_rows draws
-    (``no_start_runs``).
+    From ex1–ex8 solved from their files' starts (``fixture_runs``), and from
+    the benchmark's boxqp_dense and many_rows draws (``no_start_runs``) solved
+    both with no start and by the paper's rule from ``balanced_start``.
     """
     runs = [run for _, run in fixture_runs.values()]
     runs += [run for draws in no_start_runs.values() for _, run, _ in draws]
+    programs = [instance.program for draws in no_start_runs.values() for instance, _, _ in draws]
+    runs += [run_recorded(program, balanced_start(program)) for program in programs]
     return [call for run in runs for call in run.bisections]
 
 
