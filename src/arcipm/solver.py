@@ -18,9 +18,11 @@ gives, is followed by ``eigvalsh``, whose smallest eigenvalue then decides.
 A call without a start whose objective is or folds to a :class:`Quadratic`
 ends, where it can, with a face step (finite termination: S. J. Wright,
 *Primal-Dual Interior-Point Methods*, 1997, ch. 7; Mehrotra & Ye, Math.
-Programming 1993).  Each iteration from k = 1 on first solves the program
-on the face of the iterate's (s, z): the rows with z_i > s_i, trimmed to
-n - m of them when there are more (:func:`arcipm.kkt.face_rows`,
+Programming 1993).  Each iteration from k = 1 on solves its Newton system,
+then solves the program on the face of the (s, z) at the end point of its
+sigma = 0 arc, v - vdot + q at alpha = pi/2, which is the arc's own
+prediction of the answer: the rows with z_i > s_i, trimmed to n - m of
+them when there are more (:func:`arcipm.kkt.face_rows`,
 :func:`arcipm.kkt.face_point`).  The point is taken as the run's next and
 last iterate when its stop-test norm is at most ``FACE_ACCEPT`` times
 epsilon.  A rejected point corrects the face up to ``FACE_UPDATES`` times
@@ -29,13 +31,15 @@ J. Optim. 2002): a face row stays while its multiplier is above the
 roundoff margin tau (``FACE_ROUNDOFF`` times max(1, |point|_inf)), and an
 off-face row joins when its slack is below -tau.  A face already factored in the run is not
 solved again, since the solve depends on the face alone.  When no face
-point is accepted nothing changes and the arc step runs.  k = 0 tries no
-face, so every run takes at least one arc step.  On 120 draws of each
-benchmark generator (``default_rng(5)`` for each) and the 300 draws of
-``tests/qp_family.py``, the no-start totals went from 382 to 241
-iterations (``boxqp_dense``), 611 to 365 (``many_rows``) and 1560 to 957
-(the family) with the corrections, and from 557, 791 and 1900 before the
-face step, with 1.9, 4.4 and 3.0 face solves per run.
+point is accepted the arc step runs along the same directions, so no
+iteration solves its Newton system twice.  k = 0 tries no face, so every
+run takes at least one arc step.  On 120 draws of each benchmark
+generator (``default_rng(5)`` for each) and the 300 draws of
+``tests/qp_family.py``, the no-start totals are 240 iterations
+(``boxqp_dense``), 286 (``many_rows``) and 845 (the family), with 1.2,
+2.4 and 2.7 face solves per run.  They were 241, 365 and 957, with 1.9,
+4.4 and 3.0, with the face read from the iterate's (s, z); 382, 611 and
+1560 without the corrections; and 557, 791 and 1900 before the face step.
 
 The floating-point policy is stated here once.  :func:`solve` runs its
 whole body, from the start to the final objective value and the
@@ -290,17 +294,17 @@ def _indefinite(hess: np.ndarray) -> bool:
     return smallest < -1e-10 * max(1.0, float(np.abs(hess).max()))
 
 
-def _face_iterate(program, iterate, bound, factored):
-    """The iterate at a face point whose stop-test norm is at most ``bound``,
-    else None; it keeps the iterate's nu.
+def _face_iterate(program, s, z, nu, bound, factored):
+    """The iterate, with residual factor ``nu``, at a face point whose
+    stop-test norm is at most ``bound``, else None.
 
-    The first face is that of the iterate's (s, z); each rejected point
-    corrects it (primal-dual active-set update: Hintermüller, Ito & Kunisch,
-    SIAM J. Optim. 2002) up to FACE_UPDATES times.  ``factored`` holds the
-    run's face masks, as bytes: a face already factored in the run gave a
+    The first face is that of the pair (s, z), which ``solve()`` takes from
+    the end point of its iteration's arc; each rejected point corrects it
+    (primal-dual active-set update: Hintermüller, Ito & Kunisch, SIAM J.
+    Optim. 2002) up to FACE_UPDATES times.  ``factored`` holds the run's
+    face masks, as bytes: a face already factored in the run gave a
     rejected point or None then, and gives them again, so the attempt ends.
     """
-    s, z = iterate.s, iterate.z
     for _ in range(FACE_UPDATES + 1):
         face = face_rows(program, s, z)
         key = face.tobytes()
@@ -311,7 +315,7 @@ def _face_iterate(program, iterate, bound, factored):
         if solved is None:
             return None
         point, slack, z = solved
-        candidate = Iterate.at(program, point, iterate.nu)
+        candidate = Iterate.at(program, point, nu)
         if kkt_norm(candidate) <= bound:
             return candidate
         # the pair whose face keeps the rows with z_i > tau and adds the
@@ -366,10 +370,13 @@ def solve(
     reference runs.
 
     Without a start, and with an objective that is or folds to a
-    :class:`Quadratic`, a face step, tried from k = 1 on and corrected
-    from each rejected face point, may end the run (see the module
-    docstring).  Its trace row has sigma = alpha = 0.0 and keeps the
-    previous nu.
+    :class:`Quadratic`, a face step may end the run (see the module
+    docstring).  It is tried from k = 1 on, between the iteration's
+    Newton solve and its arc step, on the face of its arc's end point,
+    and corrected from each rejected face point.  A Newton matrix that
+    is singular ends the run ``SingularKKT`` before a face is tried.  The
+    face step's trace row has sigma = alpha = 0.0 and keeps the previous
+    nu.
 
     ``observer(k, iterate, selection)`` is called once per stored iterate
     (selection is None for the starting point and for a face step); it
@@ -415,15 +422,6 @@ def solve(
             if k >= config.max_iter:
                 status = SolverStatus.MAX_ITER
                 break
-            if face_steps and k:
-                face = _face_iterate(program, iterate, FACE_ACCEPT * config.epsilon, factored)
-                if face is not None:
-                    iterate = face
-                    k += 1
-                    trace.append(_trace_row(program, iterate, k, 0.0, 0.0))
-                    if observer is not None:
-                        observer(k, iterate, None)
-                    continue
             if not curvature_warned and iterate.hess is not checked_hess:
                 checked_hess = iterate.hess
                 if _indefinite(checked_hess):
@@ -438,12 +436,25 @@ def solve(
             )
             try:
                 directions = solve_directions(matrix, program.a_ineq, iterate)
-                selection = select_step(iterate, directions, config, mehrotra)
-                iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
             except SingularKKTError as err:
                 status = SolverStatus.SINGULAR_KKT
                 message = str(err)
                 break
+            if face_steps and k:
+                # the sigma = 0 arc's end point at alpha = pi/2, v - vdot + q
+                end = iterate.vec - directions.vdot + directions.q_dir
+                _, _, s_end, z_end = Blocks.of(end, program.n, program.m, program.p)
+                face = _face_iterate(program, s_end, z_end, iterate.nu, FACE_ACCEPT * config.epsilon, factored)
+                if face is not None:
+                    iterate = face
+                    k += 1
+                    trace.append(_trace_row(program, iterate, k, 0.0, 0.0))
+                    if observer is not None:
+                        observer(k, iterate, None)
+                    continue
+            try:
+                selection = select_step(iterate, directions, config, mehrotra)
+                iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
             except (StepFailureError, DomainError) as err:
                 # no acceptable angle, or the accepted point left the objective's domain
                 status = SolverStatus.STEP_FAILURE

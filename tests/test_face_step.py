@@ -1,16 +1,16 @@
 """The face step of ``solve()`` without a start: one equality-constrained
-solve on the face of the rows with s < z, trimmed to n - m rows and
-corrected from each rejected point's slacks and multipliers, accepted as
-the run's last iterate only when its stop-test norm is at most a hundredth
-of epsilon."""
+solve on the face of the rows with s < z at the end point of the
+iteration's arc, trimmed to n - m rows and corrected from each rejected
+point's slacks and multipliers, accepted as the run's last iterate only
+when its stop-test norm is at most a hundredth of epsilon."""
 
 import numpy as np
 import pytest
 
 from arcipm import ConvexProgram, Quadratic, SolverStatus, balanced_start, fold_bounds, least_squares_start, solve
 from arcipm import solver as solver_module
-from arcipm.kkt import face_point, face_rows, norm
-from conftest import perfbench_module, run_recorded
+from arcipm.kkt import Blocks, face_point, face_rows, norm, solve_directions
+from conftest import newton_directions, perfbench_module, run_recorded, split_at
 from qp_family import qp_family
 
 
@@ -72,8 +72,10 @@ def test_each_run_that_ends_on_a_face_step_passes_the_certificate(name, no_start
 
 def test_a_hessian_singular_on_the_face_takes_no_face_step(monkeypatch):
     """Family draw 59, translated as in ``tests/test_metamorphic.py``: ½xᵀQx
-    with Q of rank 1 over n = 3.  Its face {row 0} and the empty face leave
-    Q singular on the face, so every attempt is rejected by its LU pivot."""
+    with Q of rank 1 over n = 3 and no equality rows.  On a face of at most
+    one row, Q's null space (of dimension 2) meets the face's (of dimension
+    at least 2), so the face matrix is singular and every attempt is
+    rejected by its LU pivot.  The run tries the empty face only."""
     rng = np.random.default_rng(31)
     for draw in qp_family(60):
         shift = 10.0 * rng.normal(size=draw.q.shape[0])
@@ -90,8 +92,9 @@ def test_a_hessian_singular_on_the_face_takes_no_face_step(monkeypatch):
     run = run_recorded(program, None)
     assert run.report.status is SolverStatus.CONVERGED
     assert face_steps(run) == []
-    assert calls and all(rejected for _, rejected in calls)
-    assert ([0], True) in rows(calls)
+    assert np.linalg.matrix_rank(draw.q) == 1 and program.m == 0
+    assert calls and all(rejected and np.count_nonzero(face) <= 1 for face, rejected in calls)
+    assert rows(calls) == [([], True)]
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
@@ -108,11 +111,13 @@ def test_a_solve_given_the_least_squares_start_never_tries_a_face_step(name, no_
 
 
 def test_a_face_solution_that_is_not_finite_is_rejected_without_raising(monkeypatch):
-    """min x/100 + 1e-320 x²/2 over -1 <= x <= 1.  On the empty face the
-    solve gives x = -1e318, which overflows to -inf: the first attempt is
-    rejected, and the next, on the face {x >= -1}, ends the run."""
+    """min x/10⁴ + 1e-320 x²/2 over -1 <= x <= 1.  Its multiplier at the
+    answer, 1e-4, is small enough that the end point of the k = 1 arc still
+    has z < s on both rows, so the first face tried is the empty one.
+    There the solve gives x = -1e316, which overflows to -inf: the attempt
+    is rejected, and the next, on the face {x >= -1}, ends the run."""
     a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), np.zeros(0), [-1.0], [1.0])
-    program = ConvexProgram(1, Quadratic(0.0, [0.01], [[1e-320]]), np.zeros((0, 1)), np.zeros(0), a_ineq, b_ineq)
+    program = ConvexProgram(1, Quadratic(0.0, [1e-4], [[1e-320]]), np.zeros((0, 1)), np.zeros(0), a_ineq, b_ineq)
     start = balanced_start(program)
     empty = face_rows(program, start.s, start.z)
     assert not empty.any()
@@ -144,6 +149,51 @@ def test_an_over_determined_face_is_trimmed_to_n_minus_m_rows():
 
 
 @pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
+def test_each_iteration_solves_its_newton_system_once_and_guesses_the_face_at_its_arcs_end(
+    name, no_start_runs, monkeypatch
+):
+    """A run takes one ``solve_directions`` call per iteration, a face step
+    included, and the first face it tries at each k >= 1 is that of the
+    (s, z) at the end point v - vdot + q of the iteration's own arc.  At a
+    k with no face_point call the memo skipped that face: an earlier k of
+    the run factored it."""
+    ends, calls = [], []
+
+    def recording_directions(matrix, a_ineq, iterate):
+        directions = solve_directions(matrix, a_ineq, iterate)
+        ends.append(iterate.vec - directions.vdot + directions.q_dir)
+        return directions
+
+    def recording_face(program, face):
+        # the k of the iteration that tries the face, as the index of its directions
+        calls.append((len(ends) - 1, face.copy()))
+        return face_point(program, face)
+
+    monkeypatch.setattr(solver_module, "solve_directions", recording_directions)
+    monkeypatch.setattr(solver_module, "face_point", recording_face)
+    guessed = 0
+    for instance, run, _ in no_start_runs[name]:
+        ends.clear()
+        calls.clear()
+        program = instance.program
+        report = solve(program)
+        assert report.iterations == run.report.iterations == len(ends)
+        assert all(k for k, _ in calls)
+        for k, end in enumerate(ends[1:], 1):
+            _, _, s, z = Blocks.of(end, program.n, program.m, program.p)
+            guess = face_rows(program, s, z)
+            tried = [face for at, face in calls if at == k]
+            if tried:
+                assert (tried[0] == guess).all()
+                guessed += 1
+            else:
+                assert any((face == guess).all() for at, face in calls if at < k)
+    # measured: a face is tried at 62 of the 74 many_rows iterations past
+    # k = 0, the memo skipping the other 12, and at all 40 boxqp_dense ones
+    assert guessed >= len(no_start_runs[name])
+
+
+@pytest.mark.parametrize("name", ["many_rows", "boxqp_dense"])
 def test_no_face_is_factored_twice_in_a_run(name, no_start_runs, face_calls):
     factored = 0
     for (instance, _, _), calls in zip(no_start_runs[name], face_calls[name]):
@@ -152,15 +202,16 @@ def test_no_face_is_factored_twice_in_a_run(name, no_start_runs, face_calls):
         program = instance.program
         assert all(np.count_nonzero(face) <= program.n - program.m for face, _ in calls)
         factored += len(masks)
-    # measured: 186 faces in the 40 many_rows runs, where the memo skipped 46
-    # more, and 72 in the 40 boxqp_dense runs
+    # measured: 108 faces in the 40 many_rows runs, where the memo skipped 29
+    # more, and 49 in the 40 boxqp_dense runs (186, 46 and 72 with the face
+    # guessed from the iterate rather than from the arc's end point)
     assert factored >= len(face_calls[name])
 
 
 def test_a_correction_reaches_a_face_the_rule_missed(no_start_runs, face_calls):
-    """Rows that the face rule at the iterate before a run's face step leaves
-    out join the accepted face by a correction, and its point passes the
-    certificate."""
+    """Rows that the face rule leaves out at the end point of the arc of a
+    run's last iteration join the accepted face by a correction, and its
+    point passes the certificate."""
     checks = perfbench_module("checks")
     joined = 0
     for (instance, run, _), calls in zip(no_start_runs["many_rows"], face_calls["many_rows"]):
@@ -170,8 +221,11 @@ def test_a_correction_reaches_a_face_the_rule_missed(no_start_runs, face_calls):
         # the run's last call is the accepted one
         accepted, rejected = calls[-1]
         assert not rejected
-        if (accepted & ~face_rows(instance.program, before.s, before.z)).any():
+        program = instance.program
+        directions = newton_directions(program, before)
+        _, _, s, z = split_at(before, before.vec - directions.vdot + directions.q_dir)
+        if (accepted & ~face_rows(program, s, z)).any():
             joined += 1
             assert checks.kkt_certificate(instance, last.x, last.y, last.z) == []
-    # measured: 8 of the 40 draws
+    # measured: 7 of the 40 draws (8 with the face guessed from the iterate)
     assert joined >= 5

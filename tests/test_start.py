@@ -25,9 +25,10 @@ from arcipm.step import select_step
 from conftest import load_problem, newton_directions, perfbench_module, run_recorded
 
 # The largest share of the cold start's total iterations that the no-start
-# solves of no_start_runs may take.  Measured: 145 of 1379 on many_rows and
-# 80 of 1070 on boxqp_dense, 0.11 and 0.07 (228 and 129 before the face step's
-# corrections, 284 and 186 before the face step).
+# solves of no_start_runs may take.  Measured: 114 of 1379 on many_rows and
+# 80 of 1070 on boxqp_dense, 0.08 and 0.07 (145 and 80 with the face guessed
+# from the iterate rather than from the arc's end point, 228 and 129 before
+# the face step's corrections, 284 and 186 before the face step).
 ITERATION_SHARE = 0.5
 
 
