@@ -37,9 +37,8 @@ run takes at least one arc step.  On 120 draws of each benchmark
 generator (``default_rng(5)`` for each) and the 300 draws of
 ``tests/qp_family.py``, the no-start totals are 240 iterations
 (``boxqp_dense``), 286 (``many_rows``) and 845 (the family), with 1.2,
-2.4 and 2.7 face solves per run.  They were 241, 365 and 957, with 1.9,
-4.4 and 3.0, with the face read from the iterate's (s, z); 382, 611 and
-1560 without the corrections; and 557, 791 and 1900 before the face step.
+2.4 and 2.7 face solves per run, against 557, 791 and 1900 without the
+face step.
 
 The floating-point policy is stated here once.  :func:`solve` runs its
 whole body, from the start to the final objective value and the
@@ -99,15 +98,13 @@ FACE_UPDATES = 3
 # The roundoff margin of a correction, relative to max(1, |point|_inf): a face
 # row stays when its multiplier is above it, an off-face row joins when its
 # slack is below minus it.  Without it the correction read the sign of roundoff
-# on degenerate rows and moved family draws 111 and 169 with permuted variables
-# and 80, 111, 169 and 258 translated off the untransformed runs of
-# tests/test_metamorphic.py.
+# on degenerate rows and moved family draw 251 with permuted variables and 247
+# and 258 translated off the untransformed runs of tests/test_metamorphic.py.
 FACE_ROUNDOFF = 1e-12
 
 # The face step's point is accepted when its stop-test norm is at most this
-# share of epsilon.  Accepted at epsilon itself, column-scale draws 104 and
-# 255 of tests/test_metamorphic.py at k = 4 ended 8.4e-5 and 3.3e-3 from the
-# draw's objective.
+# share of epsilon.  Accepted at epsilon itself, column-scale draw 104 of
+# tests/test_metamorphic.py at k = 4 ended 8.4e-5 from the draw's objective.
 FACE_ACCEPT = 1e-2
 
 

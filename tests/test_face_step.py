@@ -9,7 +9,7 @@ import pytest
 
 from arcipm import ConvexProgram, Quadratic, SolverStatus, balanced_start, fold_bounds, least_squares_start, solve
 from arcipm import solver as solver_module
-from arcipm.kkt import Blocks, face_point, face_rows, norm, solve_directions
+from arcipm.kkt import face_point, face_rows, norm, solve_directions
 from conftest import newton_directions, perfbench_module, run_recorded, split_at
 from qp_family import qp_family
 
@@ -161,7 +161,7 @@ def test_each_iteration_solves_its_newton_system_once_and_guesses_the_face_at_it
 
     def recording_directions(matrix, a_ineq, iterate):
         directions = solve_directions(matrix, a_ineq, iterate)
-        ends.append(iterate.vec - directions.vdot + directions.q_dir)
+        ends.append(split_at(iterate, iterate.vec - directions.vdot + directions.q_dir))
         return directions
 
     def recording_face(program, face):
@@ -179,8 +179,7 @@ def test_each_iteration_solves_its_newton_system_once_and_guesses_the_face_at_it
         report = solve(program)
         assert report.iterations == run.report.iterations == len(ends)
         assert all(k for k, _ in calls)
-        for k, end in enumerate(ends[1:], 1):
-            _, _, s, z = Blocks.of(end, program.n, program.m, program.p)
+        for k, (_, _, s, z) in enumerate(ends[1:], 1):
             guess = face_rows(program, s, z)
             tried = [face for at, face in calls if at == k]
             if tried:
@@ -203,8 +202,7 @@ def test_no_face_is_factored_twice_in_a_run(name, no_start_runs, face_calls):
         assert all(np.count_nonzero(face) <= program.n - program.m for face, _ in calls)
         factored += len(masks)
     # measured: 108 faces in the 40 many_rows runs, where the memo skipped 29
-    # more, and 49 in the 40 boxqp_dense runs (186, 46 and 72 with the face
-    # guessed from the iterate rather than from the arc's end point)
+    # more, and 49 in the 40 boxqp_dense runs
     assert factored >= len(face_calls[name])
 
 
@@ -227,5 +225,5 @@ def test_a_correction_reaches_a_face_the_rule_missed(no_start_runs, face_calls):
         if (accepted & ~face_rows(program, s, z)).any():
             joined += 1
             assert checks.kkt_certificate(instance, last.x, last.y, last.z) == []
-    # measured: 7 of the 40 draws (8 with the face guessed from the iterate)
+    # measured: 7 of the 40 draws
     assert joined >= 5
