@@ -227,8 +227,8 @@ def least_squares_start(program: ConvexProgram) -> Iterate:
     still at 0 becomes zeta, and nu = 1.  The row scaling makes x
     independent of how each row is scaled; without it the no-start solves
     of the first 300 draws of ``tests/qp_family.py``, whose dense rows are
-    scaled by 10^U(-3, 3), took 1041 iterations rather than 957, and 120
-    ``many_rows`` instances 385 rather than 365 (2396 rather than 1900 and
+    scaled by 10^U(-3, 3), took 904 iterations rather than 845, and 120
+    ``many_rows`` instances 299 rather than 286 (2396 rather than 1900 and
     812 rather than 791 before the face step).
 
     A singular system, an x that is not finite and slacks whose mean is
