@@ -95,22 +95,22 @@ takes its duality measure of its own (s, z) views, although
 :func:`arcipm.step.select_step` has taken the same dot of the accepted
 candidate's: that one dot is within timing noise of an iteration.
 
-:func:`face_point` is the one other solve.  For ``solve()`` without a
-start it solves a folded objective's program on a face of the inequality
-rows as an equality-constrained QP: the Newton matrix's layout with H for
-its block and the equality and face rows for its border, factored with
-the same D M D scaling, and one ``dgetrs`` call.  :func:`face_rows` picks
-the face from an (s, z) pair, the rows with z_i > s_i, trimmed to the
-n - m rows with the largest z_i - s_i when more would over-determine x.
-Besides the point, the solve returns its raw slack and its multipliers,
-from which ``solve()`` corrects a rejected face.  It has no refinement and
-raises nothing; a zero row, an exact zero pivot, a pivot below
+:func:`face_point` is the one other solve.  It solves a folded
+objective's program on a face of the inequality rows as an
+equality-constrained QP: the Newton matrix's layout with H for its block
+and the equality and face rows for its border, factored with the same
+D M D scaling, and one ``dgetrs`` call.  Besides the point, it returns
+the raw slack and the multipliers.  It has no refinement and raises
+nothing; a zero row, an exact zero pivot, a pivot below
 ``FACE_PIVOT_RATIO`` of the largest or a solution that is not finite
-gives None, and the arc step runs as before.  The face matrix has no z/s
-terms, so unlike the Newton matrix near a solution it is not
-ill-conditioned by construction: a tiny pivot there means that H is
-singular on the face or that the face rows are dependent, and the solve
-would then pick one of many solutions by roundoff.
+gives None.  The face matrix has no z/s terms, so unlike the Newton
+matrix near a solution it is not ill-conditioned by construction: a tiny
+pivot there means that H is singular on the face or that the face rows
+are dependent, and the solve would then pick one of many solutions by
+roundoff.  :func:`face_rows` gives the face of a gap vector: the rows
+with a positive gap, trimmed to the n - m with the largest gap when more
+would over-determine x.  The face step that calls both is stated in
+:mod:`arcipm.solver`.
 
 An :class:`Iterate` is one contiguous vector of n + m + 2p entries in
 (x, y, s, z) order, and its four block fields are views into it.  Each
@@ -385,14 +385,13 @@ def _equilibrated_lu(matrix):
     return d, scaled, (lu, piv)
 
 
-def face_rows(program: ConvexProgram, s, z) -> np.ndarray:
-    """The face of an (s, z) pair: the mask of the inequality rows with z_i > s_i.
+def face_rows(program: ConvexProgram, gap) -> np.ndarray:
+    """The face of a gap vector: the mask of the inequality rows with gap_i > 0.
 
     When m + |F| > n the face rows and the equality rows cannot all hold at
-    a unique x, so only the n - m rows with the largest z_i - s_i are kept,
+    a unique x, so only the n - m rows with the largest gap_i are kept,
     ties broken by row index.
     """
-    gap = z - s
     face = gap > 0.0
     room = max(program.n - program.m, 0)
     if np.count_nonzero(face) > room:

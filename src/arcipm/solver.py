@@ -18,27 +18,32 @@ gives, is followed by ``eigvalsh``, whose smallest eigenvalue then decides.
 A call without a start whose objective is or folds to a :class:`Quadratic`
 ends, where it can, with a face step (finite termination: S. J. Wright,
 *Primal-Dual Interior-Point Methods*, 1997, ch. 7; Mehrotra & Ye, Math.
-Programming 1993).  Each iteration from k = 1 on solves its Newton system,
-then solves the program on the face of the (s, z) at the end point of its
-sigma = 0 arc, v - vdot + q at alpha = pi/2, which is the arc's own
-prediction of the answer: the rows with z_i > s_i, trimmed to n - m of
-them when there are more (:func:`arcipm.kkt.face_rows`,
-:func:`arcipm.kkt.face_point`).  The point is taken as the run's next and
+Programming 1993).  Its rule is stated here once.  Each iteration from
+k = 1 on solves its Newton system, then solves the program on the face
+of the gap z - s at the end point of its sigma = 0 arc, v - vdot + q at
+alpha = pi/2, which is the arc's own prediction of the answer: the rows
+with z_i > s_i, trimmed to the n - m with the largest gap when there are
+more (:func:`arcipm.kkt.face_rows`), as one equality-constrained QP
+(:func:`arcipm.kkt.face_point`).  The point is taken as the run's next and
 last iterate when its stop-test norm is at most ``FACE_ACCEPT`` times
 epsilon.  A rejected point corrects the face up to ``FACE_UPDATES`` times
 by the primal-dual active-set update (Hintermüller, Ito & Kunisch, SIAM
-J. Optim. 2002): a face row stays while its multiplier is above the
-roundoff margin tau (``FACE_ROUNDOFF`` times max(1, |point|_inf)), and an
-off-face row joins when its slack is below -tau.  A face already factored in the run is not
-solved again, since the solve depends on the face alone.  When no face
-point is accepted the arc step runs along the same directions, so no
-iteration solves its Newton system twice.  k = 0 tries no face, so every
-run takes at least one arc step.  On 120 draws of each benchmark
-generator (``default_rng(5)`` for each) and the 300 draws of
+J. Optim. 2002): with the roundoff margin tau (``FACE_ROUNDOFF`` times
+max(1, |point|_inf)), the next gap is the multiplier minus tau on the
+face and minus the slack minus tau off it, so a face row stays while its
+multiplier is above tau and an off-face row joins when its slack is
+below -tau.  A face already factored in the run is not solved again,
+since the solve depends on the face alone.  When no face point is
+accepted the arc step runs along the same directions, so no iteration
+solves its Newton system twice.  An accepted face point is stored as an
+arc step's point is, with sigma = alpha = 0.0 in its trace row, the
+previous nu and ``selection=None`` for the observer.  k = 0 tries no
+face, so every run takes at least one arc step.  On 120 draws of each
+benchmark generator (``default_rng(5)`` for each) and the 300 draws of
 ``tests/qp_family.py``, the no-start totals are 240 iterations
-(``boxqp_dense``), 286 (``many_rows``) and 845 (the family), with 1.2,
-2.4 and 2.7 face solves per run, against 557, 791 and 1900 without the
-face step.
+(``boxqp_dense``), 286 (``many_rows``) and 845 (the family), with 145,
+291 and 796 face solves, 1.2, 2.4 and 2.7 per run, against 557, 791 and
+1900 iterations without the face step.
 
 The floating-point policy is stated here once.  :func:`solve` runs its
 whole body, from the start to the final objective value and the
@@ -242,8 +247,8 @@ def least_squares_start(program: ConvexProgram) -> Iterate:
     with its own message.
 
     It is the start of the library rule that ``solve()`` runs without a
-    start, which has no centrality test.  Passed as ``start=``, it runs
-    the paper's rule from outside that rule's centrality region:
+    start, whose centrality test is at theta = 0.  Passed as ``start=``,
+    it runs the paper's rule from outside that rule's centrality region:
     min(s_i z_i)/mu there may lie below the default theta = 1e-2.  On
     the first 300 draws of ``tests/qp_family.py``, ``solve(program,
     SolverConfig(), least_squares_start(program))`` ends ``StepFailure``
@@ -291,19 +296,22 @@ def _indefinite(hess: np.ndarray) -> bool:
     return smallest < -1e-10 * max(1.0, float(np.abs(hess).max()))
 
 
-def _face_iterate(program, s, z, nu, bound, factored):
-    """The iterate, with residual factor ``nu``, at a face point whose
-    stop-test norm is at most ``bound``, else None.
+def _face_iterate(program, iterate, directions, bound, factored):
+    """The iterate, with ``iterate``'s residual factor, at a face point
+    whose stop-test norm is at most ``bound``, else None.
 
-    The first face is that of the pair (s, z), which ``solve()`` takes from
-    the end point of its iteration's arc; each rejected point corrects it
-    (primal-dual active-set update: Hintermüller, Ito & Kunisch, SIAM J.
-    Optim. 2002) up to FACE_UPDATES times.  ``factored`` holds the run's
-    face masks, as bytes: a face already factored in the run gave a
-    rejected point or None then, and gives them again, so the attempt ends.
+    The first face is that of the gap z - s at the end point v - vdot + q
+    of the ``directions``' sigma = 0 arc; each rejected point corrects the
+    gap up to FACE_UPDATES times (see the module docstring).  ``factored``
+    holds the run's face masks, as bytes: a face already factored in the
+    run gave a rejected point or None then, and gives them again, so the
+    attempt ends.
     """
+    end = iterate.vec - directions.vdot + directions.q_dir
+    _, _, s, z = Blocks.of(end, program.n, program.m, program.p)
+    gap = z - s
     for _ in range(FACE_UPDATES + 1):
-        face = face_rows(program, s, z)
+        face = face_rows(program, gap)
         key = face.tobytes()
         if key in factored:
             return None
@@ -311,18 +319,21 @@ def _face_iterate(program, s, z, nu, bound, factored):
         solved = face_point(program, face)
         if solved is None:
             return None
-        point, slack, z = solved
-        candidate = Iterate.at(program, point, nu)
+        point, slack, multipliers = solved
+        candidate = Iterate.at(program, point, iterate.nu)
         if kkt_norm(candidate) <= bound:
             return candidate
-        # the pair whose face keeps the rows with z_i > tau and adds the
-        # off-face rows with slack_i < -tau
+        # the gap whose face keeps the rows with multipliers above tau and
+        # adds the off-face rows with slack below -tau
         tau = FACE_ROUNDOFF * max(1.0, float(reduce_max(np.abs(point))))
-        s = np.where(face, 0.0, slack) + tau
+        gap = np.where(face, multipliers, -slack) - tau
     return None
 
 
-def _trace_row(program, iterate, k, sigma, alpha) -> TraceRow:
+def _trace_row(program, iterate, k, selection) -> TraceRow:
+    """Row k of the trace; sigma = alpha = 0.0 where no selection made the
+    iterate: at the start and after a face step."""
+    sigma, alpha = (0.0, 0.0) if selection is None else (selection.sigma, selection.alpha)
     norm_rc = norm(iterate.r_c)
     folded = isinstance(program.compiled_objective, Quadratic)
     return TraceRow(
@@ -350,9 +361,11 @@ def solve(
 
     A call without ``start`` begins at ``least_squares_start(program)``,
     which raises the :class:`DomainError` of an objective undefined there,
-    and steps by :func:`arcipm.step.mehrotra_steps`: positivity and a
-    falling duality measure only, with Mehrotra's sigma bounding the
-    bisection.
+    and steps by :func:`arcipm.step.mehrotra_steps`, with Mehrotra's sigma
+    bounding the bisection, under the paper's step conditions at theta =
+    rho = 0: positivity and a falling duality measure only.  Of ``config``
+    it reads ``epsilon``, ``max_iter``, ``sigma_min`` and ``sigma_max``
+    alone; ``theta`` and ``rho`` change nothing.
     A call with a start runs the paper's rule, :func:`arcipm.step.candidate_steps`,
     with its floors and centrality test.  As on every path, an objective
     that does not fold steps on the model term H x: from
@@ -367,13 +380,9 @@ def solve(
     reference runs.
 
     Without a start, and with an objective that is or folds to a
-    :class:`Quadratic`, a face step may end the run (see the module
-    docstring).  It is tried from k = 1 on, between the iteration's
-    Newton solve and its arc step, on the face of its arc's end point,
-    and corrected from each rejected face point.  A Newton matrix that
-    is singular ends the run ``SingularKKT`` before a face is tried.  The
-    face step's trace row has sigma = alpha = 0.0 and keeps the previous
-    nu.
+    :class:`Quadratic`, a face step may end the run; the module docstring
+    states its rule.  A Newton matrix that is singular ends the run
+    ``SingularKKT`` before a face is tried.
 
     ``observer(k, iterate, selection)`` is called once per stored iterate
     (selection is None for the starting point and for a face step); it
@@ -403,7 +412,7 @@ def solve(
                     f"start has (n, m, p) = {sizes}, the program has {(program.n, program.m, program.p)}"
                 )
             iterate = Iterate.at(program, start.vec, start.nu)
-        trace = [_trace_row(program, iterate, 0, 0.0, 0.0)]
+        trace = [_trace_row(program, iterate, 0, None)]
         if observer is not None:
             observer(0, iterate, None)
 
@@ -437,28 +446,24 @@ def solve(
                 status = SolverStatus.SINGULAR_KKT
                 message = str(err)
                 break
+            stepped = selection = None
+            # k = 0 tries no face: every run then takes at least one arc step,
+            # so a boxqp_dense run calls select_step and the traced benchmark's
+            # step.* spans record (tests/test_benchmark_spans.py; item 36)
             if face_steps and k:
-                # the sigma = 0 arc's end point at alpha = pi/2, v - vdot + q
-                end = iterate.vec - directions.vdot + directions.q_dir
-                _, _, s_end, z_end = Blocks.of(end, program.n, program.m, program.p)
-                face = _face_iterate(program, s_end, z_end, iterate.nu, FACE_ACCEPT * config.epsilon, factored)
-                if face is not None:
-                    iterate = face
-                    k += 1
-                    trace.append(_trace_row(program, iterate, k, 0.0, 0.0))
-                    if observer is not None:
-                        observer(k, iterate, None)
-                    continue
-            try:
-                selection = select_step(iterate, directions, config, mehrotra)
-                iterate = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
-            except (StepFailureError, DomainError) as err:
-                # no acceptable angle, or the accepted point left the objective's domain
-                status = SolverStatus.STEP_FAILURE
-                message = str(err)
-                break
+                stepped = _face_iterate(program, iterate, directions, FACE_ACCEPT * config.epsilon, factored)
+            if stepped is None:
+                try:
+                    selection = select_step(iterate, directions, config, mehrotra)
+                    stepped = Iterate.at(program, selection.point, update_nu(iterate.nu, selection.alpha))
+                except (StepFailureError, DomainError) as err:
+                    # no acceptable angle, or the accepted point left the objective's domain
+                    status = SolverStatus.STEP_FAILURE
+                    message = str(err)
+                    break
+            iterate = stepped
             k += 1
-            trace.append(_trace_row(program, iterate, k, selection.sigma, selection.alpha))
+            trace.append(_trace_row(program, iterate, k, selection))
             if observer is not None:
                 observer(k, iterate, selection)
 

@@ -31,9 +31,13 @@ loops over angles, :func:`golden_min_bu`, the product of
 so no angle costs a Python call beyond ``math.sin``.
 
 A step rule yields (sigma, cap, angles) sequences, and :func:`select_step`
-takes the first angle that passes every step condition: the paper's
-:func:`candidate_steps`, or :func:`mehrotra_steps` for ``solve()`` given
-no start.
+takes the first angle that passes the paper's step conditions: floors,
+centrality and a falling duality measure.  The two rules differ in their
+sequences and their (theta, rho) alone: the paper's
+:func:`candidate_steps` runs with the config's, and the library's
+:func:`mehrotra_steps`, for ``solve()`` given no start, with
+theta = rho = 0, which leaves positivity and a falling measure as its
+only tests.
 """
 
 from __future__ import annotations
@@ -111,7 +115,12 @@ def update_nu(nu: float, alpha: float) -> float:
 
 
 def floors(s, z, nu: float, rho: float):
-    """Positive floors (phi, psi) for the slack and dual blocks."""
+    """Floors (phi, psi) for the slack and dual blocks: rho times the
+    smallest slack or dual, capped at nu.
+
+    They are positive for rho > 0 and exactly 0 at rho = 0, the library
+    rule's value, since s, z and nu are positive.
+    """
     phi = min(rho * float(reduce_min(s)), nu)
     psi = min(rho * float(reduce_min(z)), nu)
     return phi, psi
@@ -373,8 +382,7 @@ def _acceptable(s, z, mu_new: float, mu_old: float, phi: float, psi: float, thet
         return False
     if s_min < phi - FLOOR_SLACK or z_min < psi - FLOOR_SLACK:
         return False
-    # with theta = 0 the positive s and z above pass the centrality test
-    if theta and reduce_min(s * z) < theta * mu_new * (1.0 - FLOOR_SLACK):
+    if reduce_min(s * z) < theta * mu_new * (1.0 - FLOOR_SLACK):
         return False
     # a measure that underflows to 0 while s and z stay positive leaves the
     # next iterate no scale: the trace row divides by it
@@ -444,14 +452,16 @@ def mehrotra_steps(limits, p_coef, predictor: MuPredictor, config):
 def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra=False) -> StepSelection:
     """Take the first angle of the step rule's sequences that passes every step condition.
 
-    The rule sets the floors (phi, psi) of the slack and dual blocks.  The
-    paper's rule, :func:`candidate_steps`, takes them from :func:`floors`
-    with ``config.rho``; with ``mehrotra`` the library's rule,
-    :func:`mehrotra_steps`, keeps s and z positive only: its floors are 0,
-    and it has no centrality test.  Either way every floor lies below every
-    component it bounds, because :func:`floors` gives at most rho times the
-    smallest slack or dual, with rho < 1, and the iterate's s and z are
-    positive; so :func:`alpha_limits` sees no negative margin.
+    Each path chooses only its rule, theta and rho: the paper's rule,
+    :func:`candidate_steps`, with ``config.theta`` and ``config.rho``, or,
+    with ``mehrotra``, the library's rule, :func:`mehrotra_steps`, with
+    theta = rho = 0.  The floors (phi, psi) of the slack and dual blocks
+    come from :func:`floors` at that rho, so they are 0 for the library
+    rule, and at theta = 0 the centrality test min(s*z) >= theta*mu
+    rejects no positive point.  Every floor lies below every component it
+    bounds, because :func:`floors` gives at most rho times the smallest
+    slack or dual, with rho < 1, and the iterate's s and z are positive;
+    so :func:`alpha_limits` sees no negative margin.
 
     A rule is a generator of sequences ``(sigma, cap, angles)``: a centering
     weight, the positivity cap :func:`alpha_tilde` at it, and the angles
@@ -471,13 +481,9 @@ def select_step(iterate: Iterate, directions: NewtonDirections, config, mehrotra
     """
     p = iterate.p
     tails = sz_tails(iterate, directions)
-    if mehrotra:
-        rule, theta, phi, psi, floor = mehrotra_steps, 0.0, 0.0, 0.0, 0.0
-    else:
-        rule, theta = candidate_steps, config.theta
-        phi, psi = floors(iterate.s, iterate.z, iterate.nu, config.rho)
-        floor = np.array((phi, psi)).repeat(p)
-    limits = alpha_limits(*tails, floor)
+    rule, theta, rho = (mehrotra_steps, 0.0, 0.0) if mehrotra else (candidate_steps, config.theta, config.rho)
+    phi, psi = floors(iterate.s, iterate.z, iterate.nu, rho)
+    limits = alpha_limits(*tails, np.array((phi, psi)).repeat(p))
     predictor = MuPredictor.of(tails, iterate.mu)
     ceiling = predictor.p_mu + predictor.margin
     backtracks = 0

@@ -119,7 +119,7 @@ def test_a_face_solution_that_is_not_finite_is_rejected_without_raising(monkeypa
     a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), np.zeros(0), [-1.0], [1.0])
     program = ConvexProgram(1, Quadratic(0.0, [1e-4], [[1e-320]]), np.zeros((0, 1)), np.zeros(0), a_ineq, b_ineq)
     start = balanced_start(program)
-    empty = face_rows(program, start.s, start.z)
+    empty = face_rows(program, start.z - start.s)
     assert not empty.any()
     # solve() runs the face step under its floating-point policy
     with np.errstate(over="ignore", invalid="ignore"):
@@ -137,10 +137,10 @@ def test_an_over_determined_face_is_trimmed_to_n_minus_m_rows():
     a_ineq, b_ineq = fold_bounds(np.zeros((0, 3)), np.zeros(0), np.zeros(3), np.ones(3))
     program = ConvexProgram(3, Quadratic(0.0, np.ones(3), np.eye(3)), np.ones((1, 3)), np.ones(1), a_ineq, b_ineq)
     s = np.ones(6)
-    face = face_rows(program, s, np.array([4.0, 6.0, 1.0, 6.0, 6.0, 0.5]))
+    face = face_rows(program, np.array([4.0, 6.0, 1.0, 6.0, 6.0, 0.5]) - s)
     assert np.flatnonzero(face).tolist() == [1, 3]
     # a face of n - m rows is kept as it is
-    assert np.flatnonzero(face_rows(program, s, np.array([4.0, 6.0, 1.0, 0.5, 0.5, 0.5]))).tolist() == [0, 1]
+    assert np.flatnonzero(face_rows(program, np.array([4.0, 6.0, 1.0, 0.5, 0.5, 0.5]) - s)).tolist() == [0, 1]
     # x2 >= 0 and x1 <= 1 held as equalities, with x1 + x2 + x3 = 1
     point, slack, multipliers = face_point(program, face)
     assert point[:3] == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
@@ -180,7 +180,7 @@ def test_each_iteration_solves_its_newton_system_once_and_guesses_the_face_at_it
         assert report.iterations == run.report.iterations == len(ends)
         assert all(k for k, _ in calls)
         for k, (_, _, s, z) in enumerate(ends[1:], 1):
-            guess = face_rows(program, s, z)
+            guess = face_rows(program, z - s)
             tried = [face for at, face in calls if at == k]
             if tried:
                 assert (tried[0] == guess).all()
@@ -222,8 +222,71 @@ def test_a_correction_reaches_a_face_the_rule_missed(no_start_runs, face_calls):
         program = instance.program
         directions = newton_directions(program, before)
         _, _, s, z = split_at(before, before.vec - directions.vdot + directions.q_dir)
-        if (accepted & ~face_rows(program, s, z)).any():
+        if (accepted & ~face_rows(program, z - s)).any():
             joined += 1
             assert checks.kkt_certificate(instance, last.x, last.y, last.z) == []
     # measured: 7 of the 40 draws
     assert joined >= 5
+
+
+# Per set of draws: (corrections, of them those that drop a row, those that
+# add one), as measured on the draws of no_start_runs and the 300 family
+# draws.  No join broke the rule, and each of the 3 many_rows and 26 family
+# corrections that dropped a row with its multiplier above tau ended at
+# n - m rows.
+CORRECTIONS = {
+    "many_rows": (46, 35, 32),
+    "boxqp_dense": (9, 9, 0),
+    "qp_family": (376, 306, 290),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRECTIONS))
+def test_a_correction_adds_rows_below_minus_tau_and_drops_rows_at_most_tau(name, no_start_runs, monkeypatch):
+    """Each face attempt that follows a rejected one at the same k is
+    corrected from the rejected point, with tau = FACE_ROUNDOFF * max(1,
+    |point|_inf): a row that joins had slack below -tau, a row that stays
+    had its multiplier above tau, and a row that leaves had its multiplier
+    at most tau, unless the new face was trimmed to n - m rows.  The k of
+    an attempt is the index of its iteration's Newton solve, as in the
+    test of the face guessed at the arc's end."""
+    if name == "qp_family":
+        programs = [draw.program for draw in qp_family()]
+    else:
+        programs = [instance.program for instance, _, _ in no_start_runs[name]]
+    solves, attempts = [], []
+
+    def recording_directions(matrix, a_ineq, iterate):
+        solves.append(None)
+        return solve_directions(matrix, a_ineq, iterate)
+
+    def recording_face(program, face):
+        solved = face_point(program, face)
+        attempts.append((len(solves) - 1, face.copy(), solved))
+        return solved
+
+    monkeypatch.setattr(solver_module, "solve_directions", recording_directions)
+    monkeypatch.setattr(solver_module, "face_point", recording_face)
+    corrections = drops = adds = 0
+    for program in programs:
+        solves.clear()
+        attempts.clear()
+        solve(program)
+        for (k, before, rejected), (k_next, after, _) in zip(attempts, attempts[1:]):
+            if k_next != k:
+                continue
+            point, slack, multipliers = rejected
+            tau = solver_module.FACE_ROUNDOFF * max(1.0, float(np.abs(point).max()))
+            # the rows the update keeps or adds, before any trim
+            wanted = np.where(before, multipliers > tau, slack < -tau)
+            room = max(program.n - program.m, 0)
+            assert not (after & ~wanted).any()
+            if np.count_nonzero(wanted) > room:
+                assert np.count_nonzero(after) == room
+            else:
+                assert (after == wanted).all()
+            corrections += 1
+            drops += (before & ~after).any()
+            adds += (after & ~before).any()
+    # at least half of each measured count
+    assert all(count >= measured // 2 for count, measured in zip((corrections, drops, adds), CORRECTIONS[name]))

@@ -3,6 +3,7 @@ its fallback ``balanced_start``, and the rule that runs from it."""
 
 import re
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from arcipm.autodiff import evaluate
 from arcipm.cli import parse_problem_text
 from arcipm.step import select_step
 from conftest import load_problem, newton_directions, perfbench_module, run_recorded
+from qp_family import qp_family
 
 # The largest share of the cold start's total iterations that the no-start
 # solves of no_start_runs may take.  Measured: 114 of 1379 on many_rows and
@@ -200,3 +202,20 @@ def test_a_steep_linear_objective_converges_from_the_least_squares_start():
     report = solve(program)
     assert report.status is SolverStatus.CONVERGED
     np.testing.assert_allclose(report.x, [0.0, 1.0], atol=1e-8)
+
+
+def test_a_solve_without_a_start_reads_no_theta_or_rho(no_start_runs):
+    """The library rule is the paper's step conditions at theta = rho = 0, so
+    a call without a start reads epsilon, max_iter, sigma_min and sigma_max
+    of its config only: other theta and rho give the same x, status,
+    iteration count and trace-row bytes, on the no_start_runs draws and the
+    first 50 family draws."""
+    programs = [instance.program for draws in no_start_runs.values() for instance, _, _ in draws]
+    programs += [draw.program for draw in qp_family(50)]
+    other = SolverConfig(theta=0.3, rho=0.9)
+    for program in programs:
+        default, changed = solve(program), solve(program, other)
+        assert changed.status is default.status and changed.iterations == default.iterations
+        assert changed.x.tobytes() == default.x.tobytes()
+        rows, changed_rows = (np.array([astuple(row) for row in report.trace]) for report in (default, changed))
+        assert changed_rows.tobytes() == rows.tobytes()
