@@ -362,10 +362,10 @@ def solve(
     A call without ``start`` begins at ``least_squares_start(program)``,
     which raises the :class:`DomainError` of an objective undefined there,
     and steps by :func:`arcipm.step.mehrotra_steps`, with Mehrotra's sigma
-    bounding the bisection, under the paper's step conditions at theta =
-    rho = 0: positivity and a falling duality measure only.  Of ``config``
-    it reads ``epsilon``, ``max_iter``, ``sigma_min`` and ``sigma_max``
-    alone; ``theta`` and ``rho`` change nothing.
+    bounding the bisection, under the paper's step conditions at
+    theta = rho = 0: positivity and a falling duality measure only.  Of
+    ``config`` it reads ``epsilon``, ``max_iter``, ``sigma_min`` and
+    ``sigma_max`` alone; ``theta`` and ``rho`` change nothing.
     A call with a start runs the paper's rule, :func:`arcipm.step.candidate_steps`,
     with its floors and centrality test.  As on every path, an objective
     that does not fold steps on the model term H x: from
