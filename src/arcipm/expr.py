@@ -328,16 +328,14 @@ def _degree(node: Expr, indices: set) -> float:
     """
     kind = type(node)
     if kind in _CHAINS:
-        # over the links in a loop, a Var or Const operand read in it, not
-        # by a call, as in the autodiff walk
+        # over the links in a loop, each operand by a call, its Var and Const
+        # cases included: this pass runs once, when the program is built.
+        # autodiff._walk reads those leaves inline, since its fold runs inside
+        # a tree program's first solve
         bottom, links = node.links()
         degree = _degree(bottom, indices)
         for link, operand in links:
-            if type(operand) is Var:
-                indices.add(operand.index)
-                d = 1
-            else:
-                d = 0 if type(operand) is Const else _degree(operand, indices)
+            d = _degree(operand, indices)
             if link is Mul:
                 degree += d
             elif link is Div:

@@ -20,13 +20,14 @@ ends, where it can, with a face step (finite termination: S. J. Wright,
 *Primal-Dual Interior-Point Methods*, 1997, ch. 7; Mehrotra & Ye, Math.
 Programming 1993).  Its rule is stated here once.  Each iteration from
 k = 1 on solves its Newton system, then solves the program on the face
-of the gap z - s at the end point of its sigma = 0 arc, v - vdot + q at
-alpha = pi/2, which is the arc's own prediction of the answer: the rows
-with z_i > s_i, trimmed to the n - m with the largest gap when there are
-more (:func:`arcipm.kkt.face_rows`), as one equality-constrained QP
-(:func:`arcipm.kkt.face_point`).  The point is taken as the run's next and
-last iterate when its stop-test norm is at most ``FACE_ACCEPT`` times
-epsilon.  A rejected point corrects the face up to ``FACE_UPDATES`` times
+of the gap z - s at the end point of its sigma = 0 arc
+(:func:`arcipm.step.arc_point` at alpha = pi/2, which is v - vdot + q up
+to the rounding of 1 - cos alpha), the arc's own prediction of the
+answer: the rows with z_i > s_i, trimmed to the n - m with the largest
+gap when there are more (:func:`arcipm.kkt.face_rows`), as one
+equality-constrained QP (:func:`arcipm.kkt.face_point`).  The point is
+taken as the run's next and last iterate when its stop-test norm is at
+most ``FACE_ACCEPT`` times epsilon.  A rejected point corrects the face up to ``FACE_UPDATES`` times
 by the primal-dual active-set update (Hintermüller, Ito & Kunisch, SIAM
 J. Optim. 2002): with the roundoff margin tau (``FACE_ROUNDOFF`` times
 max(1, |point|_inf)), the next gap is the multiplier minus tau on the
@@ -92,9 +93,7 @@ from .kkt import (
     true_stationarity_norm,
 )
 from .program import ConvexProgram
-# solve() no longer calls arc_point; the benchmark's tracer (perfbench/spans.py)
-# still rebinds solver.arc_point by name, so the name stays bound here
-from .step import StepFailureError, arc_point, select_step, update_nu  # noqa: F401
+from .step import HALF_PI, StepFailureError, arc_point, select_step, update_nu
 
 # After a rejected face point, the face step corrects its face from that
 # point's slacks and multipliers at most this many times per iteration.
@@ -300,14 +299,17 @@ def _face_iterate(program, iterate, directions, bound, factored):
     """The iterate, with ``iterate``'s residual factor, at a face point
     whose stop-test norm is at most ``bound``, else None.
 
-    The first face is that of the gap z - s at the end point v - vdot + q
-    of the ``directions``' sigma = 0 arc; each rejected point corrects the
-    gap up to FACE_UPDATES times (see the module docstring).  ``factored``
+    The first face is that of the gap z - s at the end point of the
+    ``directions``' sigma = 0 arc, ``arc_point`` at alpha = pi/2: v - vdot
+    + q up to the rounding of 1 - cos alpha.  Each rejected point corrects
+    the gap up to FACE_UPDATES times (see the module docstring); a point
+    whose objective leaves its domain, as an overflowing value does, ends
+    the attempt as a face that cannot be solved does.  ``factored``
     holds the run's face masks, as bytes: a face already factored in the
     run gave a rejected point or None then, and gives them again, so the
     attempt ends.
     """
-    end = iterate.vec - directions.vdot + directions.q_dir
+    end = arc_point(iterate, directions, 0.0, HALF_PI)
     _, _, s, z = Blocks.of(end, program.n, program.m, program.p)
     gap = z - s
     for _ in range(FACE_UPDATES + 1):
@@ -320,7 +322,10 @@ def _face_iterate(program, iterate, directions, bound, factored):
         if solved is None:
             return None
         point, slack, multipliers = solved
-        candidate = Iterate.at(program, point, iterate.nu)
+        try:
+            candidate = Iterate.at(program, point, iterate.nu)
+        except DomainError:
+            return None
         if kkt_norm(candidate) <= bound:
             return candidate
         # the gap whose face keeps the rows with multipliers above tau and

@@ -21,10 +21,10 @@ import arcipm.solver
 from arcipm import SolverStatus, cli
 from conftest import PERFBENCH_DIR, PROBLEM_DIR, perfbench_module
 
-# Rebound names that no solve calls: solve() keeps the arc_point import only
-# for the tracer, and select_step reads MuPredictor, not mu_coefficients.
-# ROADMAP item 27 reads the benchmark's layers from elsewhere and then drops both.
-SILENT = {"step.arc_point", "step.mu_coefficients"}
+# The rebound name that no solve calls: select_step reads MuPredictor, not
+# mu_coefficients.  ROADMAP item 27 reads the benchmark's layers from elsewhere
+# and then drops it.  solver.arc_point records: the face step takes its guess there.
+SILENT = {"step.mu_coefficients"}
 
 
 def test_every_rebound_name_records_a_span(tmp_path, capsys):

@@ -7,7 +7,17 @@ when its stop-test norm is at most a hundredth of epsilon."""
 import numpy as np
 import pytest
 
-from arcipm import ConvexProgram, Quadratic, SolverStatus, balanced_start, fold_bounds, least_squares_start, solve
+from arcipm import (
+    ConvexProgram,
+    DomainError,
+    Iterate,
+    Quadratic,
+    SolverStatus,
+    balanced_start,
+    fold_bounds,
+    least_squares_start,
+    solve,
+)
 from arcipm import solver as solver_module
 from arcipm.kkt import face_point, face_rows, norm, solve_directions
 from conftest import newton_directions, perfbench_module, run_recorded, split_at
@@ -130,6 +140,27 @@ def test_a_face_solution_that_is_not_finite_is_rejected_without_raising(monkeypa
     assert rows(calls) == [([], True), ([0], False)]
 
 
+def test_a_face_point_whose_objective_overflows_is_rejected_without_raising(monkeypatch):
+    """min 10x + 1e-307 x²/2 over -1 <= x <= 1.  The k = 1 attempt, on the
+    empty face, solves to the finite x = -1e308, where the objective's
+    value overflows.  The DomainError of that point ends the attempt, as a
+    face that cannot be solved does, and the next iteration's face
+    {x >= -1} ends the run at the answer."""
+    a_ineq, b_ineq = fold_bounds(np.zeros((0, 1)), np.zeros(0), [-1.0], [1.0])
+    program = ConvexProgram(1, Quadratic(0.0, [10.0], [[1e-307]]), np.zeros((0, 1)), np.zeros(0), a_ineq, b_ineq)
+    # solve() runs the face step under its floating-point policy
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = face_point(program, np.zeros(2, dtype=bool))[0]
+        assert np.isfinite(point).all() and point[0] == pytest.approx(-1e308)
+        with pytest.raises(DomainError, match="overflows"):
+            Iterate.at(program, point, 1.0)
+    calls = record_face_points(monkeypatch)
+    report = solve(program)
+    assert report.status is SolverStatus.CONVERGED and report.iterations == 3
+    assert report.x[0] == pytest.approx(-1.0) and report.objective == pytest.approx(-10.0)
+    assert rows(calls) == [([], False), ([0], False)]
+
+
 def test_an_over_determined_face_is_trimmed_to_n_minus_m_rows():
     """n = 3 and one equality row leave room for two face rows.  Of the four
     rows with z > s, the two with the largest z - s stay: rows 1, 3 and 4 tie
@@ -229,15 +260,32 @@ def test_a_correction_reaches_a_face_the_rule_missed(no_start_runs, face_calls):
     assert joined >= 5
 
 
+def duplicated_row_draws() -> list:
+    """The family's draws with one inequality row, drawn per draw, written
+    twice, as ``tests/test_metamorphic.py`` pins them."""
+    rng = np.random.default_rng(31)
+    programs = []
+    for draw in qp_family():
+        twice = np.append(np.arange(draw.b_ineq.size), rng.integers(draw.b_ineq.size))
+        n = draw.q.shape[0]
+        objective = Quadratic(0.0, np.zeros(n), draw.q)
+        programs.append(ConvexProgram(n, objective, draw.a_eq, draw.b_eq, draw.a_ineq[twice], draw.b_ineq[twice]))
+    return programs
+
+
 # Per set of draws: (corrections, of them those that drop a row, those that
-# add one), as measured on the draws of no_start_runs and the 300 family
-# draws.  No join broke the rule, and each of the 3 many_rows and 26 family
-# corrections that dropped a row with its multiplier above tau ended at
-# n - m rows.
+# add one, those whose rejected point has an off-face slack in [-tau, tau)),
+# as measured on the draws of no_start_runs, the 300 family draws and those
+# draws with a row written twice.  No join broke the rule, and each of the 3
+# many_rows, 26 family and 24 duplicated-row corrections that dropped a row
+# with its multiplier above tau ended at n - m rows.  Only the duplicated
+# rows test the join side of tau: the off-face twin of a face row has slack
+# 0 or about 1e-15 there, and must not join.
 CORRECTIONS = {
-    "many_rows": (46, 35, 32),
-    "boxqp_dense": (9, 9, 0),
-    "qp_family": (376, 306, 290),
+    "many_rows": (46, 35, 32, 0),
+    "boxqp_dense": (9, 9, 0, 0),
+    "qp_family": (376, 306, 290, 0),
+    "duplicated_row": (338, 270, 258, 20),
 }
 
 
@@ -252,6 +300,8 @@ def test_a_correction_adds_rows_below_minus_tau_and_drops_rows_at_most_tau(name,
     test of the face guessed at the arc's end."""
     if name == "qp_family":
         programs = [draw.program for draw in qp_family()]
+    elif name == "duplicated_row":
+        programs = duplicated_row_draws()
     else:
         programs = [instance.program for instance, _, _ in no_start_runs[name]]
     solves, attempts = [], []
@@ -267,7 +317,7 @@ def test_a_correction_adds_rows_below_minus_tau_and_drops_rows_at_most_tau(name,
 
     monkeypatch.setattr(solver_module, "solve_directions", recording_directions)
     monkeypatch.setattr(solver_module, "face_point", recording_face)
-    corrections = drops = adds = 0
+    corrections = drops = adds = near = 0
     for program in programs:
         solves.clear()
         attempts.clear()
@@ -288,5 +338,7 @@ def test_a_correction_adds_rows_below_minus_tau_and_drops_rows_at_most_tau(name,
             corrections += 1
             drops += (before & ~after).any()
             adds += (after & ~before).any()
+            near += (~before & (slack >= -tau) & (slack < tau)).any()
+    counts = (corrections, drops, adds, near)
     # at least half of each measured count
-    assert all(count >= measured // 2 for count, measured in zip((corrections, drops, adds), CORRECTIONS[name]))
+    assert all(count >= measured // 2 for count, measured in zip(counts, CORRECTIONS[name]))
