@@ -20,14 +20,14 @@ ends, where it can, with a face step (finite termination: S. J. Wright,
 *Primal-Dual Interior-Point Methods*, 1997, ch. 7; Mehrotra & Ye, Math.
 Programming 1993).  Its rule is stated here once.  Each iteration from
 k = 1 on solves its Newton system, then solves the program on the face
-of the gap z - s at the end point of its sigma = 0 arc
-(:func:`arcipm.step.arc_point` at alpha = pi/2, which is v - vdot + q up
-to the rounding of 1 - cos alpha), the arc's own prediction of the
-answer: the rows with z_i > s_i, trimmed to the n - m with the largest
-gap when there are more (:func:`arcipm.kkt.face_rows`), as one
-equality-constrained QP (:func:`arcipm.kkt.face_point`).  The point is
-taken as the run's next and last iterate when its stop-test norm is at
-most ``FACE_ACCEPT`` times epsilon.  A rejected point corrects the face up to ``FACE_UPDATES`` times
+of the gap z - s at the end point of its sigma = 0 arc, which is the
+arc's own prediction of the answer (:func:`arcipm.step.arc_point` at
+alpha = pi/2: v - vdot + q up to the rounding of 1 - cos alpha): the rows
+with z_i > s_i, trimmed to the n - m with the largest gap when there are
+more (:func:`arcipm.kkt.face_rows`), as one equality-constrained QP
+(:func:`arcipm.kkt.face_point`).  The point is taken as the run's next and
+last iterate when its stop-test norm is at most ``FACE_ACCEPT`` times
+epsilon.  A rejected point corrects the face up to ``FACE_UPDATES`` times
 by the primal-dual active-set update (Hintermüller, Ito & Kunisch, SIAM
 J. Optim. 2002): with the roundoff margin tau (``FACE_ROUNDOFF`` times
 max(1, |point|_inf)), the next gap is the multiplier minus tau on the

@@ -23,7 +23,7 @@ from conftest import PERFBENCH_DIR, PROBLEM_DIR, perfbench_module
 
 # The rebound name that no solve calls: select_step reads MuPredictor, not
 # mu_coefficients.  ROADMAP item 27 reads the benchmark's layers from elsewhere
-# and then drops it.  solver.arc_point records: the face step takes its guess there.
+# and then drops it.
 SILENT = {"step.mu_coefficients"}
 
 

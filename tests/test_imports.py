@@ -1,10 +1,10 @@
 """Every module-level import of the package, the tests and the tools is used by its module,
-with no marker to exempt one, every module-level definition of the package and every method of its classes is read
-outside itself, the package multiplies with ndarray.dot, not with @, outside the one
-product that keeps it, it calls compile, exec and eval only where autodiff compiles
-its generated source, it sets numpy's floating-point policy only in solve() and in the
-one public derivative that keeps its own, and the iteration's modules call no np.all,
-np.any or np.full outside the start builders."""
+with no marker to exempt one, every module-level definition of the package and every
+method of its classes is read outside itself, the package multiplies with ndarray.dot,
+not with @, outside the one product that keeps it, it calls compile, exec and eval
+only where autodiff compiles its generated source, it sets numpy's floating-point
+policy only in solve() and in the one public derivative that keeps its own, and the
+iteration's modules call no np.all, np.any or np.full outside the start builders."""
 
 import ast
 from collections import defaultdict
